@@ -95,9 +95,27 @@ def lattice_points_by_shell(rank: int, radius: int):
     """
     yield (0,) * rank
     for r in range(1, radius + 1):
-        for point in itertools.product(range(-r, r + 1), repeat=rank):
-            if max(abs(x) for x in point) == r:
-                yield point
+        yield from _shell(rank, r)
+
+
+def _shell(rank: int, r: int):
+    """Points of sup-norm exactly ``r >= 1``, in lex order, built directly.
+
+    A point lies on the shell when its first coordinate is +-r and the
+    rest is anywhere in the cube, or when its first coordinate is inside
+    and the rest lies on the shell one rank down; taking the first
+    coordinate in increasing order keeps the lex order of the cube.
+    """
+    if rank == 0:
+        return
+    side = range(-r, r + 1)
+    for x in side:
+        if abs(x) == r:
+            for rest in itertools.product(side, repeat=rank - 1):
+                yield (x,) + rest
+        else:
+            for rest in _shell(rank - 1, r):
+                yield (x,) + rest
 
 
 @dataclass(frozen=True)
@@ -250,6 +268,21 @@ class Cone:
                 yield point
 
     def first_interior_point(self, radius: int) -> tuple[int, ...] | None:
+        """An interior point within the radius, or None when there is none.
+
+        A product cone answers from its factors, since its interior is the
+        product of the factor interiors: the result is the concatenation of
+        the factors' points.  Otherwise it is the first point in shell-lex
+        order.
+        """
+        if self.product_blocks:
+            parts = []
+            for _, factor in self.product_blocks:
+                part = factor.first_interior_point(radius)
+                if part is None:
+                    return None
+                parts.append(part)
+            return tuple(itertools.chain.from_iterable(parts))
         for point in self.interior_points(radius):
             return point
         return None

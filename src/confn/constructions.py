@@ -55,10 +55,25 @@ _LEFSCHETZ_CITATION = (
 
 
 def _merged_basis(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
+    """Basis names of a product: a name both factors use gets _1 or _2.
+
+    A renamed class whose new name is already taken repeats its suffix
+    until the name is unique, so P1 x P1 x P1 x P1 built left-deep gets
+    H_1, H_2, H_1_1, H_2_2; a rename that clashes with nothing is never
+    extended.
+    """
     collisions = set(left) & set(right)
-    renamed_left = [f"{n}_1" if n in collisions else n for n in left]
-    renamed_right = [f"{n}_2" if n in collisions else n for n in right]
-    return tuple(renamed_left + renamed_right)
+    taken = {n for n in left + right if n not in collisions}
+    merged = []
+    for names, suffix in ((left, "_1"), (right, "_2")):
+        for n in names:
+            if n in collisions:
+                n += suffix
+                while n in taken:
+                    n += suffix
+                taken.add(n)
+            merged.append(n)
+    return tuple(merged)
 
 
 def product_blocks(desc: VarietyDescriptor) -> tuple[tuple[int, VarietyDescriptor], ...]:

@@ -24,7 +24,9 @@ is an internal error that aborts loudly with a diagnostic dump.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from math import isqrt
 
 from .certificates import LOWER, UPPER, Certificate, make_certificate
 from .cones import ConeError, InconclusiveSearchError
@@ -319,14 +321,46 @@ def _rule_reider_divisible(desc: VarietyDescriptor, ctx: _Context):
     return [], []
 
 
-def _ample_square_one(desc: VarietyDescriptor, radius: int = 8):
-    """Search for an ample lattice class of self-intersection 1."""
+def _has_ample_square_one(desc: VarietyDescriptor, radius: int = 8) -> bool:
+    """Whether some ample class within the radius has self-intersection 1.
+
+    The searched set is every interior point of the nef cone with sup-norm
+    at most ``radius``.  Once all coordinates but the last are fixed, the
+    square is a quadratic a*t^2 + b*t + c in the last coordinate t, so the
+    only candidates for t are the integer roots of a*t^2 + b*t + c - 1.
+    """
     assert desc.nef is not None
-    for point in desc.nef.interior_points(radius):
-        cls_ = desc.lattice.make(point)
-        if desc.form.self_intersection(cls_, 2) == 1:
-            return cls_
-    return None
+    gram = desc.form.gram()
+    last = desc.rank - 1
+    a = gram[last][last]
+    for head in itertools.product(range(-radius, radius + 1), repeat=last):
+        b = 2 * sum(gram[i][last] * x for i, x in enumerate(head))
+        c = sum(
+            gram[i][j] * x * y
+            for i, x in enumerate(head)
+            for j, y in enumerate(head)
+        )
+        for t in _integer_roots(a, b, c - 1, radius):
+            if all(v > 0 for v in desc.nef.values_at(head + (t,))):
+                return True
+    return False
+
+
+def _integer_roots(a: int, b: int, c: int, bound: int):
+    """Integers t with |t| <= bound and a*t^2 + b*t + c == 0."""
+    if a == 0:
+        if b == 0:
+            return range(-bound, bound + 1) if c == 0 else ()
+        roots = {-c // b} if c % b == 0 else set()
+    else:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return ()
+        s = isqrt(disc)
+        if s * s != disc:
+            return ()
+        roots = {n // (2 * a) for n in (-b - s, -b + s) if n % (2 * a) == 0}
+    return [t for t in roots if abs(t) <= bound]
 
 
 def _rule_reider_surface(desc: VarietyDescriptor, ctx: _Context):
@@ -362,8 +396,7 @@ def _rule_reider_surface(desc: VarietyDescriptor, ctx: _Context):
             )
         )
     if desc.nef is not None:
-        square_one = _ample_square_one(desc)
-        if square_one is None:
+        if not _has_ample_square_one(desc):
             if desc.rank == 1:
                 top = desc.form.entry((0, 0))
                 if top != 1:

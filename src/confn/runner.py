@@ -740,7 +740,7 @@ def _row_json(row: VarietyRow) -> dict:
 
 def emit_json(report: Report, timestamps: bool = False) -> str:
     payload = {
-        "version": REPORT_SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "varieties": [_row_json(r) for r in report.rows],
     }
     if timestamps:

@@ -7,6 +7,7 @@ agreement between the two is evidence, not circularity.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -49,6 +50,23 @@ def test_shell_order_is_deterministic_and_complete():
     radii = [max(abs(c) for c in p) if p != (0, 0) else 0 for p in points]
     assert radii == sorted(radii)
     assert points == list(lattice_points_by_shell(2, 2))
+
+
+def _cube_filter_shells(rank: int, radius: int):
+    """Shells by filtering the whole cube each time: the reference order."""
+    yield (0,) * rank
+    for r in range(1, radius + 1):
+        for point in itertools.product(range(-r, r + 1), repeat=rank):
+            if max(abs(x) for x in point) == r:
+                yield point
+
+
+@pytest.mark.parametrize("rank", range(1, 5))
+def test_shells_match_cube_filter_definition(rank):
+    for radius in range(6):
+        assert list(lattice_points_by_shell(rank, radius)) == list(
+            _cube_filter_shells(rank, radius)
+        )
 
 
 def test_membership_and_interior():
@@ -162,6 +180,35 @@ def test_product_cone_delegates_and_agrees():
     assert report.m_star == 2
     oracle = interior_by_refuter(cone, merged.make([-2, -3, -2]), radius=4)
     assert oracle == 2
+
+
+P1_P1 = product_cone(PicardLattice(("A", "B")), (RAY, RAY))
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [
+        product_cone(PicardLattice(("A1", "B1", "A2", "B2")), (P1_P1, P1_P1)),
+        product_cone(PicardLattice(("S1", "F1", "S2", "F2")), (F1_NEF, F1_NEF)),
+    ],
+    ids=["p1p1_squared", "f1_squared"],
+)
+def test_product_first_interior_point_matches_enumeration(cone):
+    for radius in range(4):
+        assert cone.first_interior_point(radius) == next(
+            cone.interior_points(radius), None
+        )
+    assert cone.first_interior_point(3) is not None
+
+
+def test_product_first_interior_point_none_with_enumeration():
+    lat = PicardLattice(("A", "B"))
+    narrow = Cone(lat, ((1, 0), (-10, 1)))  # first interior point (1, 11)
+    cone = product_cone(PicardLattice(("A", "B", "H")), (narrow, RAY))
+    assert cone.first_interior_point(6) is None
+    assert next(cone.interior_points(6), None) is None
+    assert cone.first_interior_point(11) == next(cone.interior_points(11))
+    assert cone.first_interior_point(11) == (1, 11, 1)
 
 
 def test_non_pointed_cone_refuses_threshold():

@@ -112,6 +112,9 @@ def test_product_basis_collision_renamed():
     b = projective_space(3)
     prod = product(a, b)
     assert prod.lattice.basis == ("H_1", "H_2")
+    p1 = projective_space(1)
+    chain = product(product(product(p1, p1), p1), p1)
+    assert chain.lattice.basis == ("H_1", "H_2", "H_1_1", "H_2_2")
 
 
 def test_product_isogeny_assertion_recorded():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from confn.certificates import LOWER, UPPER, Certificate, make_certificate
 from confn.constructions import blowup_point, cyclic_cover, product
@@ -21,10 +22,11 @@ from confn.engine import (
     RULE_IDS,
     InconsistencyError,
     resolve,
+    _has_ample_square_one,
     resolved_upper,
     verify_certificate,
 )
-from confn.cones import Cone
+from confn.cones import Cone, ConeError
 from confn.lattice import IntersectionForm, PicardLattice
 
 
@@ -304,6 +306,44 @@ def test_reider_surface_clauses():
     ]
     assert dp_values == [3]
     assert any("self-intersection 1" in a for a in dp_interval.advisories)
+
+
+def _surface(gram, nef_rows):
+    lat = PicardLattice(tuple(f"B{i}" for i in range(len(gram))))
+    form = IntersectionForm.from_gram(lat, gram)
+    return custom(2, lat, form, lat.zero(), nef=Cone(lat, tuple(nef_rows)))
+
+
+@st.composite
+def surfaces_with_nef(draw):
+    """A rank 1-3 surface with a random Gram matrix and a random nef cone."""
+    rank = draw(st.integers(1, 3))
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    entry = st.integers(-2, 2)
+    rows = draw(
+        st.lists(st.tuples(*[entry] * rank), min_size=1, max_size=rank + 1)
+    )
+    try:
+        return _surface(gram, rows)
+    except ConeError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(surfaces_with_nef())
+# square-one constant in the last coordinate; linear in it; only at t = 8
+@example(_surface([[1, 0], [0, 0]], [(1, 0), (0, 1)]))
+@example(_surface([[1, 1], [1, 0]], [(1, 0), (1, 1)]))
+@example(_surface([[-63, 0], [0, 1]], [(1, 0), (0, 1)]))
+def test_square_one_existence_matches_enumeration(desc):
+    enumerated = any(
+        desc.form.self_intersection(desc.lattice.make(p), 2) == 1
+        for p in desc.nef.interior_points(8)
+    )
+    assert _has_ample_square_one(desc) == enumerated
 
 
 def test_dimension_generic_rules():

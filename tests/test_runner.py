@@ -204,7 +204,7 @@ def test_corpus_with_oracle_cap_still_green():
 def test_json_shape_and_round_trip():
     report = corpus()
     payload = json.loads(emit_json(report))
-    assert payload["version"] == REPORT_SCHEMA_VERSION
+    assert payload["schema_version"] == REPORT_SCHEMA_VERSION
     assert len(payload["varieties"]) == 27
     for row_dict, row in zip(payload["varieties"], report.rows):
         assert row_dict["name"] == row.name
