@@ -168,6 +168,9 @@ class Cone:
     irredundancy_witnesses: tuple[tuple[int, ...], ...] = field(
         default=(), compare=False
     )
+    # answers of the searches below, keyed by query; a frozen cone's answers
+    # never change, and a product cone shares its factor cones' memos
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rank = self.lattice.rank
@@ -257,7 +260,15 @@ class Cone:
         return all(v > 0 for v in self.values(cls_))
 
     def is_pointed(self) -> bool:
-        return _matrix_rank(self.functionals) == self.lattice.rank
+        return self._memoized(
+            "pointed", lambda: _matrix_rank(self.functionals) == self.lattice.rank
+        )
+
+    def _memoized(self, key, compute):
+        """``compute()``, stored under ``key``; a race only computes it twice."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- bounded searches ---------------------------------------------
 
@@ -275,6 +286,11 @@ class Cone:
         the factors' points.  Otherwise it is the first point in shell-lex
         order.
         """
+        return self._memoized(
+            ("first", radius), lambda: self._first_interior_point(radius)
+        )
+
+    def _first_interior_point(self, radius: int) -> tuple[int, ...] | None:
         if self.product_blocks:
             parts = []
             for _, factor in self.product_blocks:
@@ -300,6 +316,11 @@ class Cone:
             raise NonPointedConeError(
                 "the functionals vanish simultaneously on a nonzero subspace"
             )
+        return self._memoized(
+            ("min", k, radius), lambda: self._min_interior_value(k, radius)
+        )
+
+    def _min_interior_value(self, k: int, radius: int) -> InteriorMinimum:
         if self.product_blocks:
             return self._min_interior_product(k, radius)
         best: int | None = None

@@ -123,6 +123,10 @@ class VarietyDescriptor:
     provenance: Provenance = Provenance("custom")
     known_effective: tuple[tuple[DivisorClass, str], ...] = ()
     uid: int = field(default_factory=_next_desc_uid, compare=False)
+    # the engine's memos: resolved intervals keyed by (radius, enabled rules)
+    # and verification outcomes keyed by (radius, certificate)
+    _intervals: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dimension < 1:

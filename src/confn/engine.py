@@ -61,7 +61,6 @@ class FujitaInterval:
 class _Context:
     radius: int
     enabled: frozenset[str] | None
-    cache: dict
 
 
 def _runs(ctx: _Context, rule: str) -> bool:
@@ -509,9 +508,9 @@ OPTIONAL_RULE_IDS = tuple(
 
 
 def _resolve_inner(desc: VarietyDescriptor, ctx: _Context) -> FujitaInterval:
-    key = desc.uid
-    if key in ctx.cache:
-        return ctx.cache[key]
+    key = (ctx.radius, ctx.enabled)
+    if key in desc._intervals:
+        return desc._intervals[key]
     certs: list[Certificate] = []
     advisories: list[str] = []
     for rule_id, rule in _RULES:
@@ -556,7 +555,7 @@ def _resolve_inner(desc: VarietyDescriptor, ctx: _Context) -> FujitaInterval:
             f"(constructor {desc.provenance.constructor!r})"
         )
     interval = FujitaInterval(lo, hi, tuple(certs), tuple(advisories))
-    ctx.cache[key] = interval
+    desc._intervals[key] = interval
     return interval
 
 
@@ -581,11 +580,11 @@ def resolve(
     ``enabled`` restricts the optional rules (the universal bound always
     runs, so the interval stays finite); passing None runs everything.
     The search radius is forwarded to every bounded cone search.
+    The interval is memoized on the descriptor per radius and rule set.
     """
     ctx = _Context(
         radius=radius,
         enabled=None if enabled is None else frozenset(enabled),
-        cache={},
     )
     return _resolve_inner(desc, ctx)
 
@@ -606,8 +605,18 @@ def verify_certificate(
 
     Returns False rather than raising when the certificate does not hold;
     the caller decides how loud to be.  The checks re-derive every claim
-    from the witness data and the descriptor, not from resolver state.
+    from the witness data and the descriptor, not from resolver state: a
+    parent's memoized interval counts only once its endpoint certificates
+    re-verify.  The outcome is memoized on the descriptor per radius and
+    certificate.
     """
+    key = (radius, cert)
+    if key not in desc._verdicts:
+        desc._verdicts[key] = _check_certificate(desc, cert, radius)
+    return desc._verdicts[key]
+
+
+def _check_certificate(desc, cert, radius) -> bool:
     checker = _VERIFIERS.get(cert.rule)
     if checker is None:
         return False
@@ -615,6 +624,25 @@ def verify_certificate(
         return checker(desc, cert, radius)
     except Exception:
         return False
+
+
+def _verified_interval(desc, radius) -> FujitaInterval | None:
+    """The memoized interval of a parent, or None unless its endpoints verify.
+
+    The first upper certificate equal to ``hi`` and, when ``lo > 0``, the
+    first lower certificate equal to ``lo`` are re-verified, so a
+    composite certificate rests on its parents' certificates rather than
+    on the resolver.
+    """
+    iv = resolve(desc, radius=radius)
+    ends = [(UPPER, iv.hi)] + ([(LOWER, iv.lo)] if iv.lo > 0 else [])
+    for kind, value in ends:
+        cert = next(
+            (c for c in iv.certificates if c.kind == kind and c.value == value), None
+        )
+        if cert is None or not verify_certificate(desc, cert, radius):
+            return None
+    return iv
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -683,7 +711,9 @@ def _verify_curve(desc, cert, radius):
 def _verify_product_combine(desc, cert, radius):
     if desc.provenance.constructor != "product":
         return False
-    intervals = [resolve(p, radius=radius) for p in desc.provenance.parents]
+    intervals = [_verified_interval(p, radius) for p in desc.provenance.parents]
+    if None in intervals:
+        return False
     stored = cert.witness_data()["factor_intervals"]
     if [[iv.lo, iv.hi] for iv in intervals] != [list(x) for x in stored]:
         return False
@@ -701,7 +731,9 @@ def _verify_cover_degree(desc, cert, radius):
     if desc.provenance.constructor != "cyclic_cover" or cert.kind != UPPER:
         return False
     parent, _branch, degree = cover_data(desc)
-    parent_iv = resolve(parent, radius=radius)
+    parent_iv = _verified_interval(parent, radius)
+    if parent_iv is None:
+        return False
     data = cert.witness_data()
     if data["degree"] != degree:
         return False
@@ -797,10 +829,12 @@ def _verify_canonical_gg(desc, cert, radius):
     rule = dict(_RULES).get(supporting)
     if rule is None:
         return False
-    ctx = _Context(radius=radius, enabled=None, cache={})
+    ctx = _Context(radius=radius, enabled=None)
     certs, _ = rule(desc, ctx)
-    uppers = [c.value for c in certs if c.kind == UPPER]
-    return bool(uppers) and min(uppers) <= 1
+    return any(
+        c.kind == UPPER and c.value <= 1 and verify_certificate(desc, c, radius)
+        for c in certs
+    )
 
 
 def _verify_blowup_mod24(desc, cert, radius):

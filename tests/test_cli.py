@@ -64,6 +64,17 @@ def test_eval_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_failed_reverification_exits_3(monkeypatch, capsys):
+    from confn import engine
+
+    monkeypatch.setitem(
+        engine._VERIFIERS, "curve-genus", lambda desc, cert, radius: False
+    )
+    code, out, _err = _run_main(["corpus"], capsys)
+    assert code == 3
+    assert "a certificate failed independent re-verification" in out
+
+
 def test_statement_error_exits_1(tmp_path, capsys):
     path = tmp_path / "err.fuj"
     path.write_text("let X = abelian(0)\ncompute X")

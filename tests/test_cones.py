@@ -182,23 +182,47 @@ def test_product_cone_delegates_and_agrees():
     assert oracle == 2
 
 
-P1_P1 = product_cone(PicardLattice(("A", "B")), (RAY, RAY))
+def _fresh_p1p1_squared() -> Cone:
+    ray = Cone(LINE, ((1,),))
+    p1p1 = product_cone(PicardLattice(("A", "B")), (ray, ray))
+    return product_cone(PicardLattice(("A1", "B1", "A2", "B2")), (p1p1, p1p1))
+
+
+def _fresh_f1_squared() -> Cone:
+    f1 = Cone(F1, ((1, 0), (-1, 1)))
+    return product_cone(PicardLattice(("S1", "F1", "S2", "F2")), (f1, f1))
 
 
 @pytest.mark.parametrize(
-    "cone",
-    [
-        product_cone(PicardLattice(("A1", "B1", "A2", "B2")), (P1_P1, P1_P1)),
-        product_cone(PicardLattice(("S1", "F1", "S2", "F2")), (F1_NEF, F1_NEF)),
-    ],
-    ids=["p1p1_squared", "f1_squared"],
+    "make", [_fresh_p1p1_squared, _fresh_f1_squared], ids=["p1p1_squared", "f1_squared"]
 )
-def test_product_first_interior_point_matches_enumeration(cone):
+def test_product_first_interior_point_matches_enumeration(make):
+    cone = make()
     for radius in range(4):
         assert cone.first_interior_point(radius) == next(
             cone.interior_points(radius), None
         )
     assert cone.first_interior_point(3) is not None
+    # answers are memoized: a second query and a fresh cone agree with the first
+    for radius in range(4):
+        fresh = make()
+        assert cone.first_interior_point(radius) == fresh.first_interior_point(radius)
+        for k in range(len(cone.functionals)):
+            first = cone.min_interior_value(k, radius)
+            assert cone.min_interior_value(k, radius) == first
+            assert fresh.min_interior_value(k, radius) == first
+
+
+def test_cone_memo_is_keyed_by_radius():
+    lat = PicardLattice(("A", "B"))
+    narrow = Cone(lat, ((1, 0), (-10, 1)))  # first interior point (1, 11)
+    canonical = lat.make([-1, 0])
+    assert narrow.adjoint_freeness_threshold(canonical, radius=16).m_star == 1
+    assert narrow.first_interior_point(16) == (1, 11)
+    with pytest.raises(InconclusiveSearchError):
+        narrow.adjoint_freeness_threshold(canonical, radius=6)
+    assert narrow.first_interior_point(6) is None
+    assert narrow.min_interior_value(0, 6).value is None
 
 
 def test_product_first_interior_point_none_with_enumeration():

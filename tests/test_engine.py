@@ -1,5 +1,6 @@
 """Resolver rules, refinement, error paths, and the certificate verifier."""
 
+import dataclasses
 import random
 
 import pytest
@@ -377,6 +378,18 @@ def test_canonical_gg_refinement():
     assert verify_certificate(quintic, cert)
 
 
+def test_canonical_gg_reverifies_supporting_certificate(monkeypatch):
+    from confn import engine
+
+    monkeypatch.setitem(
+        engine._VERIFIERS, "reider-divisible", lambda desc, cert, radius: False
+    )
+    quintic = complete_intersection(2, (5,), very_general=True)
+    interval = resolve(quintic, enabled={"reider-divisible", "canonical-gg"})
+    cert = next(c for c in interval.certificates if c.rule == "canonical-gg")
+    assert not verify_certificate(quintic, cert)
+
+
 def test_canonical_gg_skipped_when_canonical_not_certified():
     # del Pezzo resolves to hi = 1 but its canonical class is not nef
     interval = resolve(del_pezzo7())
@@ -520,6 +533,37 @@ def test_verifier_rejects_tampered_cover_bound():
     assert verify_certificate(deep, cert)
     assert not verify_certificate(deep, _tamper(cert, bound=1))
     assert not verify_certificate(deep, _tamper(cert, degree=6))
+
+
+def _product_of_p1():
+    p1 = projective_space(1)
+    return p1, product(p1, p1), "product-combine"
+
+
+def _cover_of_p4():
+    p4 = projective_space(4)
+    return p4, cyclic_cover(p4, p4.lattice.make([1]), 7), "cover-degree"
+
+
+@pytest.mark.parametrize("build", [_product_of_p1, _cover_of_p4], ids=["product", "cover"])
+def test_verifier_rechecks_memoized_parent_interval(build):
+    parent, child, rule = build()
+    certs = [c for c in resolve(child).certificates if c.rule == rule]
+    assert certs and all(verify_certificate(child, c) for c in certs)
+    # the same descriptors built again, with the parent's memoized interval
+    # carrying a tampered upper endpoint certificate
+    parent, child, rule = build()
+    certs = [c for c in resolve(child).certificates if c.rule == rule]
+    key = (16, None)
+    iv = parent._intervals[key]
+    upper = next(c for c in iv.certificates if c.kind == UPPER and c.value == iv.hi)
+    assert upper.rule == "exact-threshold"
+    bad = _tamper(upper, m_star=upper.value + 1)
+    parent._intervals[key] = dataclasses.replace(
+        iv, certificates=tuple(bad if c is upper else c for c in iv.certificates)
+    )
+    assert resolve(parent) is parent._intervals[key]
+    assert not any(verify_certificate(child, c) for c in certs)
 
 
 def test_verifier_rejects_tampered_pairing():

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from confn import engine
 from confn.certificates import Certificate
 from confn.descriptors import projective_space
 from confn.dsl import parse
@@ -25,6 +26,40 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "corpus.md"
 
 
 # ------------------------------------------------------------- corpus
+
+
+def test_each_descriptor_resolves_once_per_evaluation(monkeypatch):
+    runs = []
+
+    def counted(rule):
+        def run(desc, ctx):
+            runs.append(desc.uid)
+            return rule(desc, ctx)
+
+        return run
+
+    monkeypatch.setattr(
+        engine,
+        "_RULES",
+        tuple(
+            (rule_id, counted(rule) if rule_id == "exact-threshold" else rule)
+            for rule_id, rule in engine._RULES
+        ),
+    )
+    report = evaluate(
+        parse(
+            "let a = projective_space(1)\n"
+            "let b = product(a, a)\n"
+            "let c = product(b, b)\n"
+            "compute a\ncompute b\ncompute c\n"
+        )
+    )
+    assert [(r.name, str(r.interval), r.verified) for r in report.rows] == [
+        ("a", "2", True),
+        ("b", "2", True),
+        ("c", "2", True),
+    ]
+    assert len(runs) == len(set(runs)) == 3
 
 
 def test_corpus_all_green():
