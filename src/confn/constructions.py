@@ -242,12 +242,6 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
     )
 
 
-def _resolved_upper(desc: VarietyDescriptor, radius: int) -> int:
-    from .engine import resolve
-
-    return resolve(desc, radius=radius).hi
-
-
 def _require_ample(
     desc: VarietyDescriptor, cls_: DivisorClass, what: str, assume_ample: bool
 ) -> None:
@@ -281,12 +275,14 @@ def hypersurface_section(
     general position of the member is an assertion, carried in the
     provenance, that restriction is an isomorphism on Picard groups.
     """
+    from .engine import resolved_upper
+
     if y.dimension != 3:
         raise DescriptorError("hypersurface sections are taken in threefolds only")
     if ample.lattice.uid != y.lattice.uid:
         raise DescriptorError("the ample class lives off the parent lattice")
     _require_ample(y, ample, "section class", assume_ample)
-    upper = _resolved_upper(y, radius)
+    upper = resolved_upper(y, radius)
     bound = max(5, upper)
     if p < bound:
         raise DescriptorError(

@@ -18,8 +18,6 @@ data, not documentation.
 
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass, field
 
 from .cones import Cone
@@ -101,15 +99,6 @@ class Provenance:
         raise KeyError(key)
 
 
-_desc_counter = itertools.count(1)
-_desc_lock = threading.Lock()
-
-
-def _next_desc_uid() -> int:
-    with _desc_lock:
-        return next(_desc_counter)
-
-
 @dataclass(frozen=True)
 class VarietyDescriptor:
     dimension: int
@@ -122,7 +111,6 @@ class VarietyDescriptor:
     annotations: tuple[DivisibilityAnnotation, ...] = ()
     provenance: Provenance = Provenance("custom")
     known_effective: tuple[tuple[DivisorClass, str], ...] = ()
-    uid: int = field(default_factory=_next_desc_uid, compare=False)
     # the engine's memos: resolved intervals keyed by (radius, enabled rules)
     # and verification outcomes keyed by (radius, certificate)
     _intervals: dict = field(default_factory=dict, init=False, compare=False, repr=False)

@@ -14,10 +14,11 @@ bounds come from witnesses: an explicit tuple of ample classes whose
 adjoint escapes the globally generated cone, a pairing showing the
 canonical class is not nef, or a vanishing h^0 for the canonical bundle.
 
-Rules are applied in a fixed order (exact rules, then structural rules,
-then dimension-generic rules), each emitting certificates that the
-independent verifier at the bottom of this module can re-check against
-the descriptor without trusting the resolver.  The resolver is monotone:
+Rules are applied in the fixed order of the rule table at the bottom of
+this module (exact rules, then structural rules, then dimension-generic
+rules, then the mod-24 blow-up rule), each paired in that table with the
+independent verifier that re-checks its certificates against the
+descriptor without trusting the resolver.  The resolver is monotone:
 enabling more rules can only shrink the interval, and a crossed interval
 is an internal error that aborts loudly with a diagnostic dump.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt
+from typing import Callable
 
 from .certificates import LOWER, UPPER, Certificate, make_certificate
 from .cones import ConeError, InconclusiveSearchError
@@ -485,26 +487,75 @@ def _rule_universal(desc: VarietyDescriptor, ctx: _Context):
     return [cert], []
 
 
-_RULES = (
-    ("exact-threshold", _rule_exact_threshold),
-    ("curve-genus", _rule_curve),
-    ("product-combine", _rule_product_combine),
-    ("cover-degree", _rule_cover_degree),
-    ("not-nef-witness", _rule_not_nef_witness),
-    ("h0-vanishing", _rule_h0_vanishing),
-    ("reider-divisible", _rule_reider_divisible),
-    ("reider-surface", _rule_reider_surface),
-    ("abelian-bound", _rule_abelian),
-    ("toric-adjoint", _rule_toric),
-    ("threefold-helmke", _rule_threefold),
-    ("universal-angehrn-siu", _rule_universal),
-)
+def divisible_by_24(surface: VarietyDescriptor) -> bool:
+    """Whether a checked full-lattice annotation makes 24 divide every pairing.
 
-RULE_IDS = tuple(rule_id for rule_id, _ in _RULES)
+    This is the premise ``blowup-reider-mod24`` needs of the blown-up
+    surface; any multiple of 24 serves, since the residue argument only
+    reads pairings modulo 24.
+    """
+    return any(
+        isinstance(ann.scope, FullLattice)
+        and ann.modulus % 24 == 0
+        and check_annotation(surface.form, ann)
+        for ann in surface.annotations
+    )
 
-OPTIONAL_RULE_IDS = tuple(
-    rule_id for rule_id in RULE_IDS if rule_id != "universal-angehrn-siu"
-)
+
+def _blowup_of_mod24_surface(desc: VarietyDescriptor) -> bool:
+    return desc.provenance.constructor == "blowup_point" and divisible_by_24(
+        desc.provenance.parents[0]
+    )
+
+
+def _mod24_residues() -> dict:
+    """The residue sets of the mod-24 argument, recomputed, never quoted."""
+    squares = sorted({(a * a) % 24 for a in range(24)})
+    negated = sorted({(-s) % 24 for s in squares})
+    mults = sorted(m for m in range(24) if (m * m) % 24 == 0)
+    return {
+        "squares_mod_24": squares,
+        "negated_square_residues": negated,
+        "min_positive_self_intersection": min(r if r > 0 else 24 for r in negated),
+        "square_zero_multiplicities": mults,
+        "multiplicity_divisor": mults[1] if len(mults) > 1 else 24,
+    }
+
+
+def _rule_blowup_mod24(desc: VarietyDescriptor, ctx: _Context):
+    """Blow-up of a point on a surface whose pairings 24 divides: hi = 1.
+
+    Reider's theorem made unconditional by divisibility: with every
+    pairing upstairs divisible by 24, any ample class f*M - aE has
+    (L^2) = (M^2) - a^2 congruent to a negated square, so (L^2) >= 8 > 4
+    and Reider applies; the surviving exceptional case, an effective curve
+    with (C'^2) = 0 and (L . C') = 1, forces 24 to divide the square of
+    the multiplicity of its image at the blown-up point, hence 12 to
+    divide the multiplicity itself, making (L . C') = 1 congruent to 0
+    modulo 12.
+    """
+    if not _blowup_of_mod24_surface(desc):
+        return [], []
+    residues = _mod24_residues()
+    divisor = residues["multiplicity_divisor"]
+    cert = make_certificate(
+        UPPER,
+        "blowup-reider-mod24",
+        1,
+        "Reider 1988 on the blow-up, with divisibility by 24 upstairs "
+        "closing every exceptional case",
+        premises=[
+            "all pairings on the parent lattice are divisible by 24",
+            "(L^2) of an ample class is positive and congruent to a negated "
+            f"square mod 24, so (L^2) >= {residues['min_positive_self_intersection']}",
+            "ampleness rules out the (L . C) = 0 exceptional case of Reider",
+            "the remaining case (C'^2) = 0, (L . C') = 1 gives "
+            f"{divisor} | multiplicity and the contradiction "
+            f"1 = (L . C') = 0 mod {divisor}",
+        ],
+        witness=residues,
+    )
+    return [cert], []
 
 
 def _resolve_inner(desc: VarietyDescriptor, ctx: _Context) -> FujitaInterval:
@@ -513,10 +564,12 @@ def _resolve_inner(desc: VarietyDescriptor, ctx: _Context) -> FujitaInterval:
         return desc._intervals[key]
     certs: list[Certificate] = []
     advisories: list[str] = []
-    for rule_id, rule in _RULES:
-        if rule_id != "universal-angehrn-siu" and not _runs(ctx, rule_id):
+    for rule in _RULES.values():
+        if rule.derive is None or (
+            rule.id != "universal-angehrn-siu" and not _runs(ctx, rule.id)
+        ):
             continue
-        new_certs, new_advisories = rule(desc, ctx)
+        new_certs, new_advisories = rule.derive(desc, ctx)
         certs.extend(new_certs)
         advisories.extend(new_advisories)
     hi = min(c.value for c in certs if c.kind == UPPER)
@@ -617,11 +670,11 @@ def verify_certificate(
 
 
 def _check_certificate(desc, cert, radius) -> bool:
-    checker = _VERIFIERS.get(cert.rule)
-    if checker is None:
+    rule = _RULES.get(cert.rule)
+    if rule is None:
         return False
     try:
-        return checker(desc, cert, radius)
+        return rule.verify(desc, cert, radius)
     except Exception:
         return False
 
@@ -825,12 +878,10 @@ def _verify_canonical_gg(desc, cert, radius):
         return False
     if not is_known_gg(desc, desc.canonical):
         return False
-    supporting = cert.witness_data()["supporting_rule"]
-    rule = dict(_RULES).get(supporting)
-    if rule is None:
+    rule = _RULES.get(cert.witness_data()["supporting_rule"])
+    if rule is None or rule.derive is None:
         return False
-    ctx = _Context(radius=radius, enabled=None)
-    certs, _ = rule(desc, ctx)
+    certs, _ = rule.derive(desc, _Context(radius=radius, enabled=None))
     return any(
         c.kind == UPPER and c.value <= 1 and verify_certificate(desc, c, radius)
         for c in certs
@@ -838,53 +889,59 @@ def _verify_canonical_gg(desc, cert, radius):
 
 
 def _verify_blowup_mod24(desc, cert, radius):
-    if cert.kind != UPPER or cert.value != 1:
-        return False
-    if desc.provenance.constructor != "blowup_point":
-        return False
-    parent = desc.provenance.parents[0]
-    moduli = [
-        ann.modulus
-        for ann in parent.annotations
-        if isinstance(ann.scope, FullLattice)
-        and ann.modulus % 24 == 0
-        and check_annotation(parent.form, ann)
-    ]
-    if not moduli:
+    if cert.kind != UPPER or cert.value != 1 or not _blowup_of_mod24_surface(desc):
         return False
     data = cert.witness_data()
-    squares = sorted({(a * a) % 24 for a in range(24)})
-    if data["squares_mod_24"] != squares:
+    if data != _mod24_residues():
         return False
-    neg = sorted({(-s) % 24 for s in squares})
-    if data["negated_square_residues"] != neg:
-        return False
-    min_positive = min(r if r > 0 else 24 for r in neg)
-    if data["min_positive_self_intersection"] != min_positive or min_positive < 5:
-        return False
-    mults = sorted(m for m in range(24) if (m * m) % 24 == 0)
-    if data["square_zero_multiplicities"] != mults:
-        return False
+    mults = data["square_zero_multiplicities"]
     divisor = data["multiplicity_divisor"]
-    if any(m % divisor != 0 for m in mults):
-        return False
-    # the contradiction needs the pairing 1 to be 0 modulo the divisor
-    return 1 % divisor != 0
+    # (L^2) >= 5 puts Reider in force; the contradiction needs the
+    # pairing 1 to be 0 modulo the divisor of every square-zero multiplicity
+    return (
+        data["min_positive_self_intersection"] >= 5
+        and all(m % divisor == 0 for m in mults)
+        and 1 % divisor != 0
+    )
 
 
-_VERIFIERS = {
-    "exact-threshold": _verify_exact_threshold,
-    "curve-genus": _verify_curve,
-    "product-combine": _verify_product_combine,
-    "cover-degree": _verify_cover_degree,
-    "not-nef-witness": _verify_not_nef,
-    "h0-vanishing": _verify_h0_vanishing,
-    "reider-divisible": _verify_reider_divisible,
-    "reider-surface": _verify_reider_surface,
-    "abelian-bound": _verify_abelian,
-    "toric-adjoint": _verify_toric,
-    "threefold-helmke": _verify_threefold,
-    "universal-angehrn-siu": _verify_universal,
-    "canonical-gg": _verify_canonical_gg,
-    "blowup-reider-mod24": _verify_blowup_mod24,
+@dataclass(frozen=True)
+class Rule:
+    """A bounding rule paired with its independent verifier.
+
+    ``derive(desc, ctx)`` returns (certificates, advisories);
+    ``verify(desc, cert, radius)`` re-checks one of its certificates.  A
+    rule the resolver applies inline, after the table, has no ``derive``.
+    """
+
+    id: str
+    derive: Callable | None
+    verify: Callable
+
+
+# the resolver runs the rules in this order, so it fixes certificate order
+_RULES = {
+    rule.id: rule
+    for rule in (
+        Rule("exact-threshold", _rule_exact_threshold, _verify_exact_threshold),
+        Rule("curve-genus", _rule_curve, _verify_curve),
+        Rule("product-combine", _rule_product_combine, _verify_product_combine),
+        Rule("cover-degree", _rule_cover_degree, _verify_cover_degree),
+        Rule("not-nef-witness", _rule_not_nef_witness, _verify_not_nef),
+        Rule("h0-vanishing", _rule_h0_vanishing, _verify_h0_vanishing),
+        Rule("reider-divisible", _rule_reider_divisible, _verify_reider_divisible),
+        Rule("reider-surface", _rule_reider_surface, _verify_reider_surface),
+        Rule("abelian-bound", _rule_abelian, _verify_abelian),
+        Rule("toric-adjoint", _rule_toric, _verify_toric),
+        Rule("threefold-helmke", _rule_threefold, _verify_threefold),
+        Rule("universal-angehrn-siu", _rule_universal, _verify_universal),
+        Rule("blowup-reider-mod24", _rule_blowup_mod24, _verify_blowup_mod24),
+        Rule("canonical-gg", None, _verify_canonical_gg),
+    )
 }
+
+RULE_IDS = tuple(rule.id for rule in _RULES.values() if rule.derive is not None)
+
+OPTIONAL_RULE_IDS = tuple(
+    rule_id for rule_id in RULE_IDS if rule_id != "universal-angehrn-siu"
+)

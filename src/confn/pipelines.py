@@ -1,21 +1,20 @@
-"""End-to-end constructions with certified exact convex Fujita numbers.
+"""End-to-end constructions whose convex Fujita numbers are exact.
 
-Each pipeline assembles a descriptor through the transforms in
-``constructions``, resolves it, and tightens the interval with a
-construction-specific certificate where the generic rules are not enough.
-They return the descriptor together with the final interval so callers
-can re-verify every certificate independently.
+Each pipeline checks its preconditions, assembles a descriptor through
+the transforms in ``constructions`` and confirms that the engine resolves
+it to the exact value the construction promises.  Pipelines are plain
+constructors: they return the descriptor with notes on the construction,
+and ``engine.resolve`` is the one way to its interval and certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificates import LOWER, UPPER, Certificate, make_certificate
 from .cones import Cone
 from .constructions import blowup_point, box_sum, cyclic_cover, hypersurface_section, product
 from .descriptors import DescriptorError, VarietyDescriptor, custom, projective_space
-from .engine import FujitaInterval, resolve
+from .engine import divisible_by_24, resolve
 from .lattice import DivisibilityAnnotation, FullLattice, IntersectionForm, PicardLattice
 
 
@@ -26,19 +25,7 @@ class PipelineError(DescriptorError):
 @dataclass(frozen=True)
 class PipelineResult:
     descriptor: VarietyDescriptor
-    interval: FujitaInterval
     notes: tuple[str, ...] = ()
-
-
-def _merge(base: FujitaInterval, extra: tuple[Certificate, ...]) -> FujitaInterval:
-    certs = base.certificates + extra
-    lo = max([0] + [c.value for c in certs if c.kind == LOWER])
-    hi = min(c.value for c in certs if c.kind == UPPER)
-    if lo > hi:
-        raise PipelineError(
-            f"pipeline certificates crossed the interval: lo {lo} > hi {hi}"
-        )
-    return FujitaInterval(lo, hi, certs, base.advisories)
 
 
 def synthetic_mod24_surface() -> VarietyDescriptor:
@@ -64,77 +51,28 @@ def synthetic_mod24_surface() -> VarietyDescriptor:
 def pipeline_n2k1(s24: VarietyDescriptor, radius: int = 16) -> PipelineResult:
     """Blow up a mod-24 surface in a point: convex Fujita number exactly 1.
 
-    The lower bound is the non-nef canonical class of the blow-up.  The
-    upper bound is Reider's theorem made unconditional by divisibility:
-    with every pairing upstairs divisible by 24, any ample class
-    f*M - aE has (L^2) = (M^2) - a^2 congruent to a negated square, so
-    (L^2) >= 8 > 4 and Reider applies; the surviving exceptional case, an
-    effective curve with (C'^2) = 0 and (L . C') = 1, forces 24 to divide
-    the square of the multiplicity of its image at the blown-up point,
-    hence 12 to divide the multiplicity itself, making (L . C') = 1
-    congruent to 0 modulo 12.  Every residue set in the certificate is
-    recomputed here, not quoted.
+    The lower bound is the non-nef canonical class of the blow-up, the
+    upper bound the engine's ``blowup-reider-mod24`` rule, which needs a
+    full-lattice divisibility annotation with a modulus divisible by 24.
     """
     if s24.dimension != 2:
         raise PipelineError(
             f"expected a surface, got dimension {s24.dimension}"
         )
-    moduli = [
-        ann.modulus
-        for ann in s24.annotations
-        if isinstance(ann.scope, FullLattice)
-    ]
-    if 24 not in moduli:
+    if not divisible_by_24(s24):
+        moduli = s24.annotation_moduli(full_only=True)
         raise PipelineError(
-            "the surface needs a full-lattice divisibility annotation with "
-            f"modulus 24; found {moduli or 'none'}. The residue argument is "
-            "specific to 24."
+            "the surface needs a full-lattice divisibility annotation with a "
+            f"modulus divisible by 24; found {list(moduli) or 'none'}. The "
+            "residue argument is specific to 24."
         )
     x = blowup_point(s24)
-    squares = sorted({(a * a) % 24 for a in range(24)})
-    negated = sorted({(-s) % 24 for s in squares})
-    min_positive = min(r if r > 0 else 24 for r in negated)
-    if min_positive < 5:
-        raise PipelineError(
-            "residue recomputation lost the (L^2) >= 5 margin; the modulus "
-            "does not support the Reider argument"
-        )
-    mults = sorted(m for m in range(24) if (m * m) % 24 == 0)
-    divisor = mults[1] if len(mults) > 1 else 24
-    if any(m % divisor != 0 for m in mults) or 1 % divisor == 0:
-        raise PipelineError(
-            "residue recomputation does not yield the multiplicity "
-            "contradiction"
-        )
-    cert = make_certificate(
-        UPPER,
-        "blowup-reider-mod24",
-        1,
-        "Reider 1988 on the blow-up, with divisibility by 24 upstairs "
-        "closing every exceptional case",
-        premises=[
-            "all pairings on the parent lattice are divisible by 24",
-            "(L^2) of an ample class is positive and congruent to a negated "
-            f"square mod 24, so (L^2) >= {min_positive}",
-            "ampleness rules out the (L . C) = 0 exceptional case of Reider",
-            "the remaining case (C'^2) = 0, (L . C') = 1 gives "
-            f"{divisor} | multiplicity and the contradiction "
-            f"1 = (L . C') = 0 mod {divisor}",
-        ],
-        witness={
-            "squares_mod_24": squares,
-            "negated_square_residues": negated,
-            "min_positive_self_intersection": min_positive,
-            "square_zero_multiplicities": mults,
-            "multiplicity_divisor": divisor,
-        },
-    )
-    interval = _merge(resolve(x, radius=radius), (cert,))
+    interval = resolve(x, radius=radius)
     if not interval.exact or interval.lo != 1:
         raise PipelineError(
             f"expected the blow-up to resolve to exactly 1, got {interval}"
         )
-    return PipelineResult(x, interval, ("blow-up of a mod-24 surface",))
+    return PipelineResult(x, ("blow-up of a mod-24 surface",))
 
 
 def pipeline_n3k1(
@@ -180,7 +118,7 @@ def pipeline_n3k1(
         raise PipelineError(
             f"expected the double cover to resolve to exactly 1, got {interval}"
         )
-    return PipelineResult(x, interval, (nl_note,))
+    return PipelineResult(x, (nl_note,))
 
 
 def pipeline_simple_surface(
@@ -195,12 +133,11 @@ def pipeline_simple_surface(
     """
     x = hypersurface_section(y, ample, p, radius=radius)
     interval = resolve(x, radius=radius)
-    notes = ()
     if not interval.exact or interval.hi != 0:
         raise PipelineError(
             f"expected the section to resolve to exactly 0, got {interval}"
         )
-    return PipelineResult(x, interval, notes)
+    return PipelineResult(x)
 
 
 def pipeline_simple_variety(
@@ -249,4 +186,4 @@ def pipeline_simple_variety(
             "alone and the canonical bundle of the cover is not certified "
             "ample",
         )
-    return PipelineResult(x, interval, notes)
+    return PipelineResult(x, notes)

@@ -106,9 +106,7 @@ class Report:
 @dataclass
 class _Binding:
     descriptor: VarietyDescriptor | None
-    pinned: FujitaInterval | None = None
     notes: tuple[str, ...] = ()
-    failed: bool = False
 
 
 # argument plumbing ----------------------------------------------------
@@ -197,7 +195,7 @@ def _as_descriptor(node, env: dict) -> VarietyDescriptor:
     binding = env.get(node.name)
     if binding is None:
         raise DslError(dsl.NAME, f"{node.name!r} is not defined", node.span)
-    if binding.failed or binding.descriptor is None:
+    if binding.descriptor is None:
         raise DslError(
             dsl.NAME,
             f"{node.name!r} failed to evaluate and cannot be used",
@@ -402,7 +400,7 @@ def _h_cyclic_cover(stmt, env, radius):
 def _h_pipeline_n2k1(stmt, env, radius):
     args = _collect(stmt, ("surface",), 1)
     result = pipeline_n2k1(_as_descriptor(args["surface"], env), radius=radius)
-    return _Binding(result.descriptor, pinned=result.interval, notes=result.notes)
+    return _Binding(result.descriptor, result.notes)
 
 
 def _h_pipeline_n3k1(stmt, env, radius):
@@ -411,7 +409,7 @@ def _h_pipeline_n3k1(stmt, env, radius):
     result = pipeline_n3k1(
         surface, _as_divisor(args["polarization"], surface), radius=radius
     )
-    return _Binding(result.descriptor, pinned=result.interval, notes=result.notes)
+    return _Binding(result.descriptor, result.notes)
 
 
 def _h_pipeline_simple_surface(stmt, env, radius):
@@ -420,7 +418,7 @@ def _h_pipeline_simple_surface(stmt, env, radius):
     result = pipeline_simple_surface(
         parent, _as_divisor(args["ample"], parent), _as_int(args["p"]), radius=radius
     )
-    return _Binding(result.descriptor, pinned=result.interval, notes=result.notes)
+    return _Binding(result.descriptor, result.notes)
 
 
 def _h_pipeline_simple_variety(stmt, env, radius):
@@ -437,7 +435,7 @@ def _h_pipeline_simple_variety(stmt, env, radius):
         assume=assume,
         radius=radius,
     )
-    return _Binding(result.descriptor, pinned=result.interval, notes=result.notes)
+    return _Binding(result.descriptor, result.notes)
 
 
 _HANDLERS = {
@@ -523,7 +521,7 @@ def _compute_row(
     row.provenance = tuple(provenance_lines(desc))
     row.notes = binding.notes
     try:
-        interval = binding.pinned or resolve(desc, radius=radius)
+        interval = resolve(desc, radius=radius)
     except InconsistencyError as exc:
         row.error = f"internal inconsistency: {exc}"
         row.internal = True
@@ -554,18 +552,18 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
             try:
                 env[stmt.name] = handler(stmt, env, radius)
             except (DslError, DescriptorError, ConeError, LatticeError) as exc:
-                env[stmt.name] = _Binding(None, failed=True)
+                env[stmt.name] = _Binding(None)
                 row = _row_for(report, stmt.name)
                 row.error = str(exc)
             except InconsistencyError as exc:
-                env[stmt.name] = _Binding(None, failed=True)
+                env[stmt.name] = _Binding(None)
                 row = _row_for(report, stmt.name)
                 row.error = f"internal inconsistency: {exc}"
                 row.internal = True
         elif isinstance(stmt, Compute):
             binding = env[stmt.name]
             row = _row_for(report, stmt.name)
-            if binding.failed:
+            if binding.descriptor is None:
                 if row.error is None:
                     row.error = "definition failed earlier; nothing to compute"
                 continue
@@ -573,7 +571,7 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
         elif isinstance(stmt, AssertConfn):
             binding = env[stmt.name]
             row = _row_for(report, stmt.name)
-            if binding.failed:
+            if binding.descriptor is None:
                 if row.error is None:
                     row.error = "definition failed earlier; nothing to assert"
                 continue

@@ -302,22 +302,22 @@ def test_pipelines_exact_values_and_artifacts(capsys):
         h = p3.lattice.make([1])
 
         section = pipeline_simple_surface(p3, h, 5)
-        assert section.interval.exact and section.interval.lo == 0
+        assert resolve(section.descriptor).exact and resolve(section.descriptor).lo == 0
 
         cover = pipeline_simple_variety(p3, h, 6)
-        assert cover.interval.exact and cover.interval.lo == 0
+        assert resolve(cover.descriptor).exact and resolve(cover.descriptor).lo == 0
         omega = [
             c
-            for c in cover.interval.certificates
+            for c in resolve(cover.descriptor).certificates
             if c.witness_data().get("omega_ample_and_globally_generated")
         ]
         assert omega, "missing the ample-and-generated canonical artifact"
 
         blown = pipeline_n2k1(synthetic_mod24_surface())
-        assert blown.interval.exact and blown.interval.lo == 1
+        assert resolve(blown.descriptor).exact and resolve(blown.descriptor).lo == 1
         mod24 = [
             c
-            for c in blown.interval.certificates
+            for c in resolve(blown.descriptor).certificates
             if "squares_mod_24" in c.witness_data()
         ]
         assert len(mod24) == 1
@@ -330,17 +330,17 @@ def test_pipelines_exact_values_and_artifacts(capsys):
             (hirzebruch1(), [1, 2]),
         ):
             res = pipeline_n3k1(s, s.lattice.make(pol))
-            assert res.interval.exact and res.interval.lo == 1
+            assert resolve(res.descriptor).exact and resolve(res.descriptor).lo == 1
             lows = [
                 c
-                for c in res.interval.certificates
+                for c in resolve(res.descriptor).certificates
                 if c.rule == "h0-vanishing" and c.kind == LOWER
             ]
             assert lows, s.provenance.constructor
             assert all(c.witness_data().get("trace") for c in lows)
 
         for result in (section, cover, blown):
-            for cert in result.interval.certificates:
+            for cert in resolve(result.descriptor).certificates:
                 assert verify_certificate(result.descriptor, cert), (
                     cert.rule,
                     cert.kind,

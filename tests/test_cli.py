@@ -65,10 +65,16 @@ def test_eval_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_failed_reverification_exits_3(monkeypatch, capsys):
+    import dataclasses
+
     from confn import engine
 
     monkeypatch.setitem(
-        engine._VERIFIERS, "curve-genus", lambda desc, cert, radius: False
+        engine._RULES,
+        "curve-genus",
+        dataclasses.replace(
+            engine._RULES["curve-genus"], verify=lambda desc, cert, radius: False
+        ),
     )
     code, out, _err = _run_main(["corpus"], capsys)
     assert code == 3

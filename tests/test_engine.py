@@ -29,6 +29,7 @@ from confn.engine import (
 )
 from confn.cones import Cone, ConeError
 from confn.lattice import IntersectionForm, PicardLattice
+from confn.pipelines import synthetic_mod24_surface
 
 
 def _assert_all_verified(desc, interval):
@@ -382,7 +383,11 @@ def test_canonical_gg_reverifies_supporting_certificate(monkeypatch):
     from confn import engine
 
     monkeypatch.setitem(
-        engine._VERIFIERS, "reider-divisible", lambda desc, cert, radius: False
+        engine._RULES,
+        "reider-divisible",
+        dataclasses.replace(
+            engine._RULES["reider-divisible"], verify=lambda desc, cert, radius: False
+        ),
     )
     quintic = complete_intersection(2, (5,), very_general=True)
     interval = resolve(quintic, enabled={"reider-divisible", "canonical-gg"})
@@ -414,6 +419,7 @@ def test_rule_order_is_stable():
         "toric-adjoint",
         "threefold-helmke",
         "universal-angehrn-siu",
+        "blowup-reider-mod24",
     )
     assert "universal-angehrn-siu" not in OPTIONAL_RULE_IDS
 
@@ -428,6 +434,7 @@ def test_enabling_more_rules_only_shrinks():
         complete_intersection(2, (5,), very_general=True),
         abelian(2),
         product(hirzebruch1(), projective_space(1)),
+        blowup_point(synthetic_mod24_surface()),
     ]
     for _ in range(40):
         small = frozenset(r for r in pool if rng.random() < 0.5)

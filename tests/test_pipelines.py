@@ -4,10 +4,12 @@ import pytest
 
 from confn.certificates import LOWER, UPPER
 from confn.descriptors import complete_intersection, del_pezzo7, hirzebruch1
-from confn.engine import verify_certificate
+from confn.engine import resolve, verify_certificate
 from confn.lattice import DivisibilityAnnotation, FullLattice, IntersectionForm, PicardLattice
 from confn.cones import Cone
 from confn.descriptors import custom
+from confn.dsl import parse
+from confn.runner import evaluate
 from confn.pipelines import (
     PipelineError,
     pipeline_n2k1,
@@ -23,11 +25,11 @@ from confn.pipelines import (
 
 def test_n2k1_resolves_to_one_with_verified_certificate():
     result = pipeline_n2k1(synthetic_mod24_surface())
-    assert (result.interval.lo, result.interval.hi) == (1, 1)
+    assert (resolve(result.descriptor).lo, resolve(result.descriptor).hi) == (1, 1)
     assert result.descriptor.provenance.constructor == "blowup_point"
     cert = next(
         c
-        for c in result.interval.certificates
+        for c in resolve(result.descriptor).certificates
         if c.rule == "blowup-reider-mod24"
     )
     assert cert.kind == UPPER and cert.value == 1
@@ -35,7 +37,7 @@ def test_n2k1_resolves_to_one_with_verified_certificate():
     # the lower bound is the non-nef canonical class of the blow-up
     assert any(
         c.rule == "not-nef-witness" and c.kind == LOWER
-        for c in result.interval.certificates
+        for c in resolve(result.descriptor).certificates
     )
 
 
@@ -43,7 +45,7 @@ def test_n2k1_residue_sets_recomputed():
     result = pipeline_n2k1(synthetic_mod24_surface())
     cert = next(
         c
-        for c in result.interval.certificates
+        for c in resolve(result.descriptor).certificates
         if c.rule == "blowup-reider-mod24"
     )
     data = cert.witness_data()
@@ -78,7 +80,7 @@ def test_n2k1_tampered_certificate_rejected():
     result = pipeline_n2k1(synthetic_mod24_surface())
     cert = next(
         c
-        for c in result.interval.certificates
+        for c in resolve(result.descriptor).certificates
         if c.rule == "blowup-reider-mod24"
     )
     data = cert.witness_data()
@@ -90,19 +92,39 @@ def test_n2k1_tampered_certificate_rejected():
     assert not verify_certificate(synthetic_mod24_surface(), cert)
 
 
+@pytest.mark.parametrize("modulus", [24, 48])
+def test_blowup_and_pipeline_agree_on_24_divisible_surfaces(modulus):
+    report = evaluate(
+        parse(
+            f"let S = custom(dimension = 2, basis = [H], gram = [[{modulus}]], "
+            f"canonical = H, nef = [[1]], annotations = [{modulus}])\n"
+            "let B = blowup_point(S)\n"
+            "let N = pipeline_n2k1(S)\n"
+            "compute B\ncompute N\n"
+        )
+    )
+    blown, piped = report.rows
+    for row in (blown, piped):
+        assert row.error is None, (row.name, row.error)
+        assert (row.interval.lo, row.interval.hi) == (1, 1)
+        assert row.verified is True
+    assert blown.interval.certificates == piped.interval.certificates
+    assert "blowup-reider-mod24" in {c.rule for c in blown.interval.certificates}
+
+
 # ------------------------------------------------------------- double cover
 
 
 def test_n3k1_from_del_pezzo():
     dp = del_pezzo7()
     result = pipeline_n3k1(dp, dp.lattice.make([3, -1, -1]))
-    assert (result.interval.lo, result.interval.hi) == (1, 1)
+    assert (resolve(result.descriptor).lo, resolve(result.descriptor).hi) == (1, 1)
     assert result.descriptor.provenance.constructor == "cyclic_cover"
     assert result.descriptor.dimension == 3
-    rules = {c.rule for c in result.interval.certificates}
+    rules = {c.rule for c in resolve(result.descriptor).certificates}
     assert "cover-degree" in rules
     assert "h0-vanishing" in rules
-    for cert in result.interval.certificates:
+    for cert in resolve(result.descriptor).certificates:
         assert verify_certificate(result.descriptor, cert)
     assert any("Noether-Lefschetz" in note for note in result.notes)
 
@@ -110,9 +132,9 @@ def test_n3k1_from_del_pezzo():
 def test_n3k1_from_hirzebruch():
     f1 = hirzebruch1()
     result = pipeline_n3k1(f1, f1.lattice.make([1, 2]))
-    assert (result.interval.lo, result.interval.hi) == (1, 1)
+    assert (resolve(result.descriptor).lo, resolve(result.descriptor).hi) == (1, 1)
     trace_cert = next(
-        c for c in result.interval.certificates if c.rule == "h0-vanishing"
+        c for c in resolve(result.descriptor).certificates if c.rule == "h0-vanishing"
     )
     # the canonical sections split over the double cover and die on the
     # P^1 component, degree -1 and -2 respectively
@@ -152,11 +174,11 @@ def test_n3k1_rejects_weak_surface():
 def test_simple_surface_is_exactly_zero():
     y = complete_intersection(3, (2,))
     result = pipeline_simple_surface(y, y.lattice.make([1]), 6)
-    assert (result.interval.lo, result.interval.hi) == (0, 0)
-    rules = {c.rule for c in result.interval.certificates}
+    assert (resolve(result.descriptor).lo, resolve(result.descriptor).hi) == (0, 0)
+    rules = {c.rule for c in resolve(result.descriptor).certificates}
     assert "reider-divisible" in rules
     assert "canonical-gg" in rules
-    for cert in result.interval.certificates:
+    for cert in resolve(result.descriptor).certificates:
         assert verify_certificate(result.descriptor, cert)
 
 
@@ -175,13 +197,13 @@ def test_simple_surface_propagates_gate_errors():
 def test_simple_variety_exact_zero_with_omega_note():
     y = complete_intersection(3, (2,))  # resolves to 3
     result = pipeline_simple_variety(y, y.lattice.make([1]), 5)
-    assert (result.interval.lo, result.interval.hi) == (0, 0)
+    assert (resolve(result.descriptor).lo, resolve(result.descriptor).hi) == (0, 0)
     assert any("ample and globally generated" in n for n in result.notes)
     cert = next(
-        c for c in result.interval.certificates if c.rule == "cover-degree"
+        c for c in resolve(result.descriptor).certificates if c.rule == "cover-degree"
     )
     assert cert.witness_data()["omega_ample_and_globally_generated"] is True
-    for c in result.interval.certificates:
+    for c in resolve(result.descriptor).certificates:
         assert verify_certificate(result.descriptor, c)
 
 
@@ -190,7 +212,7 @@ def test_simple_variety_small_degree_reports_interval_without_claim():
     result = pipeline_simple_variety(y, y.lattice.make([1]), 4, assume=("large_d",))
     # bound: max(0, 3 + 1 - 4) = 0 at the cover level, still exact here
     cert = next(
-        c for c in result.interval.certificates if c.rule == "cover-degree"
+        c for c in resolve(result.descriptor).certificates if c.rule == "cover-degree"
     )
     assert cert.witness_data()["omega_ample_and_globally_generated"] is False
     assert any("not certified ample" in n for n in result.notes)
@@ -201,5 +223,5 @@ def test_simple_variety_on_higher_dimension_parent():
 
     y = projective_space(4)
     result = pipeline_simple_variety(y, y.lattice.make([1]), 7)
-    assert (result.interval.lo, result.interval.hi) == (0, 0)
+    assert (resolve(result.descriptor).lo, resolve(result.descriptor).hi) == (0, 0)
     assert result.descriptor.dimension == 4

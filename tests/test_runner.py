@@ -1,5 +1,6 @@
 """Program evaluation, the built-in corpus, and report emitters."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -33,18 +34,16 @@ def test_each_descriptor_resolves_once_per_evaluation(monkeypatch):
 
     def counted(rule):
         def run(desc, ctx):
-            runs.append(desc.uid)
+            runs.append(id(desc))
             return rule(desc, ctx)
 
         return run
 
-    monkeypatch.setattr(
-        engine,
-        "_RULES",
-        tuple(
-            (rule_id, counted(rule) if rule_id == "exact-threshold" else rule)
-            for rule_id, rule in engine._RULES
-        ),
+    threshold = engine._RULES["exact-threshold"]
+    monkeypatch.setitem(
+        engine._RULES,
+        "exact-threshold",
+        dataclasses.replace(threshold, derive=counted(threshold.derive)),
     )
     report = evaluate(
         parse(
