@@ -32,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--radius",
         type=int,
         default=16,
-        help="search radius for bounded cone enumerations (default: 16)",
+        help="accepted for compatibility; cone queries are exact, so it "
+        "reaches no search (default: 16)",
     )
     shared.add_argument(
         "--max-m",

@@ -5,6 +5,12 @@ primitive integer functionals phi_k, with membership meaning phi_k(L) >= 0
 for all k and strict interior meaning phi_k(L) > 0 for all k.  No ray
 representation is ever computed; dualization is deliberately out of scope.
 
+A cone is decided when it is admitted.  A small exact linear program
+(Fourier-Motzkin elimination over the rationals) finds an integral
+interior point p, so the interior is not empty, and for each functional
+an integral point q_k that violates it alone, so no functional is
+redundant.  A system that fails either test is rejected.
+
 Two quantities drive the adjoint-freeness computation.  For each
 functional the engine needs
 
@@ -16,10 +22,13 @@ and from these the threshold
 
 which is the least m such that K plus any m or more strictly interior
 lattice classes lands inside the cone.  Since functionals are integral,
-phi_k is at least 1 on every interior lattice point, so a search that
-finds an interior point with phi_k equal to 1 has certified the global
-minimum.  Any other outcome of a bounded search is reported as
-inconclusive rather than being promoted to a bound.
+phi_k is at least 1 on every interior lattice point, and for an
+irredundant primitive functional of a cone with interior it is exactly
+1: w = phi_k(p) q_k - phi_k(q_k) p lies in the relative interior of
+facet k, an integral u with phi_k(u) = 1 exists because phi_k is
+primitive, and u + t w is interior once t is large enough.  So every
+mu_k is 1, with a witness built in closed form, and m* is decided in any
+basis without a search.
 
 The brute-force refuter at the bottom is the independent oracle used by
 the test suite: it searches every multiset of interior lattice points of
@@ -32,10 +41,9 @@ so the searched set is exactly the declared one.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, floor, gcd, lcm
 
 from .lattice import DivisorClass, LatticeError, PicardLattice
 
@@ -48,17 +56,11 @@ class NonPointedConeError(ConeError):
     """The functionals do not cut out a pointed cone."""
 
 
-class InconclusiveSearchError(RuntimeError):
-    """A bounded lattice search could not certify a global minimum."""
-
-
 def _primitive(vec) -> tuple[int, ...]:
     v = tuple(int(x) for x in vec)
     if all(x == 0 for x in v):
         raise ConeError("the zero functional does not cut a halfspace")
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    g = gcd(*v)
     return tuple(x // g for x in v)
 
 
@@ -87,11 +89,110 @@ def _matrix_rank(rows: tuple[tuple[int, ...], ...]) -> int:
     return rank
 
 
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _solve(rows, rank: int) -> tuple[Fraction, ...] | None:
+    """A rational x with a.x >= b for every row (a, b), or None if none exists.
+
+    Fourier-Motzkin elimination: each variable in turn is eliminated by
+    adding every pair of rows in which it has opposite signs, scaled to
+    cancel it, and the system left without variables is feasible exactly
+    when no row demands 0 >= b with b > 0.  After k eliminations a row
+    combined from more than k + 1 input rows is implied by the others
+    (Chernikov's rule) and is dropped, which keeps the systems small.
+    Back substitution then bounds each variable, last eliminated first,
+    by the rows of the system it was eliminated from, and takes the
+    integer of least absolute value inside the bounds, or the lower bound
+    (else the upper) when none fits.
+    """
+    stages = []
+    system = _normalized((a, b, frozenset([n])) for n, (a, b) in enumerate(rows))
+    for i in range(rank):
+        stages.append(system)
+        pos = [row for row in system if row[0][i] > 0]
+        neg = [row for row in system if row[0][i] < 0]
+        combined = [row for row in system if row[0][i] == 0]
+        combined += [
+            (tuple(a[i] * y - c[i] * x for x, y in zip(a, c)), a[i] * d - c[i] * b, h | g)
+            for a, b, h in pos
+            for c, d, g in neg
+            if len(h | g) <= i + 2
+        ]
+        system = _normalized(combined)
+    if any(b > 0 for _, b, _ in system):
+        return None
+    x = [Fraction(0)] * rank
+    for i in reversed(range(rank)):
+        bounds = [
+            (a[i] > 0, (b - _dot(a[i + 1 :], x[i + 1 :])) / a[i])
+            for a, b, _ in stages[i]
+            if a[i]
+        ]
+        x[i] = _least_in(
+            max((v for lower, v in bounds if lower), default=None),
+            min((v for lower, v in bounds if not lower), default=None),
+        )
+    return tuple(x)
+
+
+def _normalized(rows) -> set:
+    """Rows (a, b, sources) with a scaled to be primitive; 0 >= b <= 0 dropped.
+
+    Rows are never merged with looser ones of the same left side: the rule
+    that drops rows reads each row's own sources, so a merge could lose a
+    row that the rule would keep.
+    """
+    out = set()
+    for a, b, sources in rows:
+        g = gcd(*a)
+        if g or b > 0:
+            g = g or 1
+            out.add((tuple(v // g for v in a), Fraction(b) / g, sources))
+    return out
+
+
+def _least_in(lo: Fraction | None, hi: Fraction | None) -> Fraction:
+    """The integer of least absolute value in [lo, hi] (None: unbounded)."""
+    if lo is not None and lo > 0:
+        n = Fraction(ceil(lo))
+        return n if hi is None or n <= hi else lo
+    if hi is not None and hi < 0:
+        n = Fraction(floor(hi))
+        return n if lo is None or n >= lo else hi
+    return Fraction(0)
+
+
+def _integral(x: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The least positive multiple of a rational point that is integral."""
+    scale = lcm(*(v.denominator for v in x))
+    return tuple(int(v * scale) for v in x)
+
+
+def _unit_preimage(phi: tuple[int, ...]) -> tuple[int, ...]:
+    """An integral u with phi(u) = 1, by extended gcd; phi is primitive."""
+    g, u = 0, [0] * len(phi)
+    for i, a in enumerate(phi):
+        if g and a % g == 0:
+            continue  # keep the earlier coordinates, so u stays short
+        # s * g + t * a = gcd(g, a), by the extended Euclidean algorithm
+        r0, r1, s0, s1, t0, t1 = g, a, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        g, u = r0, [s0 * v for v in u]
+        u[i] = t0
+    return tuple(g * v for v in u)  # g is +-1
+
+
 def lattice_points_by_shell(rank: int, radius: int):
     """Lattice points of sup-norm at most ``radius``, in shell-then-lex order.
 
-    The ordering is the tie-break rule for every bounded search in the
-    engine, so witnesses are reproducible run to run.
+    The ordering fixes the order of every bounded enumeration, such as
+    the refuter's, so its results are reproducible run to run.
     """
     yield (0,) * rank
     for r in range(1, radius + 1):
@@ -116,22 +217,6 @@ def _shell(rank: int, r: int):
         else:
             for rest in _shell(rank - 1, r):
                 yield (x,) + rest
-
-
-@dataclass(frozen=True)
-class InteriorMinimum:
-    """Outcome of minimizing one functional over interior lattice points.
-
-    ``value`` is None when no interior point was seen within the search
-    radius.  ``certified`` is True only when the minimum is provably
-    global, which by integrality happens exactly when the value is 1.
-    """
-
-    functional_index: int
-    value: int | None
-    witness: tuple[int, ...] | None
-    certified: bool
-    radius: int
 
 
 @dataclass(frozen=True)
@@ -161,15 +246,20 @@ class ThresholdReport:
 
 @dataclass(frozen=True)
 class Cone:
+    """The cone phi_k >= 0, admitted only with a nonempty interior.
+
+    ``interior_point`` and ``irredundancy_witnesses`` are computed by an
+    exact linear program unless supplied, and checked when supplied.
+    """
+
     lattice: PicardLattice
     functionals: tuple[tuple[int, ...], ...]
-    product_blocks: tuple[tuple[int, "Cone"], ...] = ()
-    functional_sources: tuple[tuple[int, int], ...] = ()
+    interior_point: tuple[int, ...] = field(default=(), compare=False)
     irredundancy_witnesses: tuple[tuple[int, ...], ...] = field(
         default=(), compare=False
     )
-    # answers of the searches below, keyed by query; a frozen cone's answers
-    # never change, and a product cone shares its factor cones' memos
+    # answers of the queries below, keyed by query; a frozen cone's answers
+    # never change
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -184,6 +274,13 @@ class Cone:
         object.__setattr__(self, "functionals", tuple(prim))
         if not self.functionals:
             raise ConeError("a cone needs at least one functional")
+        if self.interior_point:
+            if not all(v > 0 for v in self.values_at(self.interior_point)):
+                raise ConeError(
+                    f"supplied point {self.interior_point!r} is not interior"
+                )
+        else:
+            object.__setattr__(self, "interior_point", self._find_interior_point())
         if self.irredundancy_witnesses:
             self._check_witnesses(self.irredundancy_witnesses)
         else:
@@ -191,62 +288,45 @@ class Cone:
                 self, "irredundancy_witnesses", self._find_witnesses()
             )
 
-    # -- irredundancy -------------------------------------------------
+    # -- admission ----------------------------------------------------
 
-    def _separates(self, k: int, point: tuple[int, ...]) -> bool:
-        vals = self.values_at(point)
-        return vals[k] < 0 and all(v >= 0 for i, v in enumerate(vals) if i != k)
+    def _find_interior_point(self) -> tuple[int, ...]:
+        point = _solve([(f, 1) for f in self.functionals], self.lattice.rank)
+        if point is None:
+            raise ConeError(
+                f"the functionals {self.functionals!r} cut out a cone with an "
+                "empty interior: no class is positive on all of them"
+            )
+        return _integral(point)
 
     def _check_witnesses(self, witnesses) -> None:
         if len(witnesses) != len(self.functionals):
             raise ConeError("one irredundancy witness is required per functional")
         for k, w in enumerate(witnesses):
-            if not self._separates(k, tuple(w)):
+            vals = self.values_at(w)
+            if vals[k] >= 0 or any(v < 0 for i, v in enumerate(vals) if i != k):
                 raise ConeError(
                     f"supplied witness {w!r} does not separate functional {k}"
                 )
 
     def _find_witnesses(self) -> tuple[tuple[int, ...], ...]:
-        rank = self.lattice.rank
-        found: list[tuple[int, ...] | None] = [None] * len(self.functionals)
-        missing = set(range(len(self.functionals)))
-
-        def visit(point: tuple[int, ...]) -> None:
-            for k in list(missing):
-                if self._separates(k, point):
-                    found[k] = point
-                    missing.discard(k)
-
-        if rank <= 3:
-            for point in lattice_points_by_shell(rank, 8):
-                visit(point)
-                if not missing:
-                    break
-        else:
-            for i in range(rank):
-                for sign in (1, -1):
-                    point = tuple(sign if j == i else 0 for j in range(rank))
-                    visit(point)
-            rng = random.Random(hash(self.functionals) & 0xFFFFFFFF)
-            for _ in range(20000):
-                if not missing:
-                    break
-                visit(tuple(rng.randint(-8, 8) for _ in range(rank)))
-        if missing:
-            k = min(missing)
-            raise ConeError(
-                f"functional {self.functionals[k]!r} appears redundant: no lattice "
-                "point within radius 8 satisfies all other inequalities while "
-                "violating this one"
-            )
-        return tuple(found)  # type: ignore[arg-type]
+        found = []
+        for k, f in enumerate(self.functionals):
+            rows = [(tuple(-v for v in f), 1)]
+            rows += [(g, 0) for j, g in enumerate(self.functionals) if j != k]
+            point = _solve(rows, self.lattice.rank)
+            if point is None:
+                raise ConeError(
+                    f"functional {f!r} is redundant: every class on which the "
+                    "other functionals are nonnegative satisfies it too"
+                )
+            found.append(_integral(point))
+        return tuple(found)
 
     # -- membership ---------------------------------------------------
 
     def values_at(self, coeffs) -> tuple[int, ...]:
-        return tuple(
-            sum(f[i] * coeffs[i] for i in range(len(f))) for f in self.functionals
-        )
+        return tuple(_dot(f, coeffs) for f in self.functionals)
 
     def values(self, cls_: DivisorClass) -> tuple[int, ...]:
         if cls_.lattice.uid != self.lattice.uid:
@@ -270,7 +350,7 @@ class Cone:
             self._memo[key] = compute()
         return self._memo[key]
 
-    # -- bounded searches ---------------------------------------------
+    # -- exact queries ------------------------------------------------
 
     def interior_points(self, radius: int):
         """Interior lattice points within the sup-norm ball, shell-lex order."""
@@ -278,37 +358,20 @@ class Cone:
             if all(v > 0 for v in self.values_at(point)):
                 yield point
 
-    def first_interior_point(self, radius: int) -> tuple[int, ...] | None:
-        """An interior point within the radius, or None when there is none.
+    def first_interior_point(self) -> tuple[int, ...]:
+        """The integral interior point found or checked at admission.
 
-        A product cone answers from its factors, since its interior is the
-        product of the factor interiors: the result is the concatenation of
-        the factors' points.  Otherwise it is the first point in shell-lex
-        order.
+        A product cone's point is the concatenation of its factors' points.
         """
-        return self._memoized(
-            ("first", radius), lambda: self._first_interior_point(radius)
-        )
+        return self.interior_point
 
-    def _first_interior_point(self, radius: int) -> tuple[int, ...] | None:
-        if self.product_blocks:
-            parts = []
-            for _, factor in self.product_blocks:
-                part = factor.first_interior_point(radius)
-                if part is None:
-                    return None
-                parts.append(part)
-            return tuple(itertools.chain.from_iterable(parts))
-        for point in self.interior_points(radius):
-            return point
-        return None
+    def min_interior_value(self, k: int) -> tuple[int, ...]:
+        """An interior lattice point on which functional ``k`` is 1.
 
-    def min_interior_value(self, k: int, radius: int = 16) -> InteriorMinimum:
-        """Minimize functional ``k`` over interior lattice points.
-
-        Delegates to the factor cones when this cone was assembled as a
-        product, since the interior of a product cone is the product of
-        the factor interiors and each functional reads a single block.
+        1 is the minimum of phi_k over interior lattice points, since phi_k
+        is integral and positive there.  The point is u + t w, in the
+        notation of the module docstring, with the least integer t that
+        makes it interior.
         """
         if not 0 <= k < len(self.functionals):
             raise ConeError(f"no functional with index {k}")
@@ -316,89 +379,48 @@ class Cone:
             raise NonPointedConeError(
                 "the functionals vanish simultaneously on a nonzero subspace"
             )
-        return self._memoized(
-            ("min", k, radius), lambda: self._min_interior_value(k, radius)
-        )
+        return self._memoized(("min", k), lambda: self._facet_witness(k))
 
-    def _min_interior_value(self, k: int, radius: int) -> InteriorMinimum:
-        if self.product_blocks:
-            return self._min_interior_product(k, radius)
-        best: int | None = None
-        best_witness: tuple[int, ...] | None = None
-        for point in self.interior_points(radius):
-            v = self.values_at(point)[k]
-            if best is None or v < best:
-                best, best_witness = v, point
-                if v == 1:
-                    break
-        return InteriorMinimum(
-            functional_index=k,
-            value=best,
-            witness=best_witness,
-            certified=best == 1,
-            radius=radius,
+    def _facet_witness(self, k: int) -> tuple[int, ...]:
+        phi = self.functionals[k]
+        p, q = self.interior_point, self.irredundancy_witnesses[k]
+        at_p, at_q = _dot(phi, p), _dot(phi, q)
+        w = [at_p * x - at_q * y for x, y in zip(q, p)]
+        g = gcd(*w) or 1
+        w = [v // g for v in w]
+        u = _unit_preimage(phi)
+        # every other functional is positive on w, so a large t clears it
+        t = max(
+            (
+                -((_dot(f, u) - 1) // _dot(f, w))
+                for j, f in enumerate(self.functionals)
+                if j != k
+            ),
+            default=0,
         )
-
-    def _min_interior_product(self, k: int, radius: int) -> InteriorMinimum:
-        block_idx, local_k = self.functional_sources[k]
-        parts: list[tuple[int, ...] | None] = []
-        local_outcome: InteriorMinimum | None = None
-        for i, (offset, factor) in enumerate(self.product_blocks):
-            if i == block_idx:
-                local_outcome = factor.min_interior_value(local_k, radius)
-                parts.append(local_outcome.witness)
-            else:
-                parts.append(factor.first_interior_point(radius))
-        assert local_outcome is not None
-        if local_outcome.value is None or any(p is None for p in parts):
-            return InteriorMinimum(k, None, None, False, radius)
-        witness = tuple(itertools.chain.from_iterable(parts))  # type: ignore[arg-type]
-        return InteriorMinimum(
-            functional_index=k,
-            value=local_outcome.value,
-            witness=witness,
-            certified=local_outcome.certified,
-            radius=radius,
-        )
+        return tuple(a + t * b for a, b in zip(u, w))
 
     # -- the threshold ------------------------------------------------
 
-    def adjoint_freeness_threshold(
-        self, canonical: DivisorClass, radius: int = 16
-    ) -> ThresholdReport:
+    def adjoint_freeness_threshold(self, canonical: DivisorClass) -> ThresholdReport:
         """Least m such that canonical plus any >= m interior classes stays inside.
 
-        Raises InconclusiveSearchError unless every per-functional minimum
-        is certified global within the radius.  Monotonicity in the
-        number of summands holds because each mu_k is a positive integer,
-        so adding a further interior class can only increase every
-        functional value.
+        Every per-functional minimum is 1, so functional k requires
+        max(0, -phi_k(K)) summands.  Monotonicity in the number of summands
+        holds because each mu_k is a positive integer, so adding a further
+        interior class can only increase every functional value.
         """
-        per: list[PerFunctional] = []
-        for k in range(len(self.functionals)):
-            outcome = self.min_interior_value(k, radius)
-            if outcome.value is None:
-                raise InconclusiveSearchError(
-                    f"no interior lattice point within radius {radius}; raise the radius"
-                )
-            if not outcome.certified:
-                raise InconclusiveSearchError(
-                    f"minimum of functional {k} within radius {radius} is "
-                    f"{outcome.value}, not certified global; raise the radius or "
-                    "supply the minimum explicitly"
-                )
-            phi_k = self.values(canonical)[k]
-            assert outcome.witness is not None
-            per.append(
-                PerFunctional(
-                    index=k,
-                    functional=self.functionals[k],
-                    value_on_canonical=phi_k,
-                    min_interior=outcome.value,
-                    interior_witness=outcome.witness,
-                    required=max(0, ceil(Fraction(-phi_k, outcome.value))),
-                )
+        per = [
+            PerFunctional(
+                index=k,
+                functional=self.functionals[k],
+                value_on_canonical=phi_k,
+                min_interior=1,
+                interior_witness=self.min_interior_value(k),
+                required=max(0, -phi_k),
             )
+            for k, phi_k in enumerate(self.values(canonical))
+        ]
         m_star = max(p.required for p in per)
         witness = None
         violated = None
@@ -486,36 +508,29 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
     """Assemble the cone of a product lattice from the factor cones.
 
     Each factor functional is extended by zeros outside its block.  The
-    irredundancy witnesses embed from the factors: a separating point for
-    a factor functional, padded with zeros, still satisfies every other
-    inequality because all other functionals read it as zero.
+    admission data embeds from the factors, so no linear program runs: the
+    interior point is the concatenation of the factors' points, and a
+    separating point for a factor functional, padded with zeros, still
+    satisfies every other inequality because all other functionals read
+    it as zero.
     """
     factors = list(factors)
-    offsets: list[int] = []
-    total = 0
-    for cone in factors:
-        offsets.append(total)
-        total += cone.lattice.rank
-    if total != lattice.rank:
+    if sum(cone.lattice.rank for cone in factors) != lattice.rank:
         raise ConeError("factor ranks do not sum to the product rank")
     functionals: list[tuple[int, ...]] = []
-    sources: list[tuple[int, int]] = []
     witnesses: list[tuple[int, ...]] = []
-    for i, cone in enumerate(factors):
-        off = offsets[i]
-        for local_k, f in enumerate(cone.functionals):
-            ext = [0] * total
-            ext[off : off + len(f)] = list(f)
-            functionals.append(tuple(ext))
-            sources.append((i, local_k))
-            w = cone.irredundancy_witnesses[local_k]
-            ext_w = [0] * total
-            ext_w[off : off + len(w)] = list(w)
-            witnesses.append(tuple(ext_w))
+    before = 0
+    for cone in factors:
+        after = lattice.rank - before - cone.lattice.rank
+        for f, w in zip(cone.functionals, cone.irredundancy_witnesses):
+            functionals.append((0,) * before + f + (0,) * after)
+            witnesses.append((0,) * before + w + (0,) * after)
+        before += cone.lattice.rank
     return Cone(
         lattice=lattice,
         functionals=tuple(functionals),
-        product_blocks=tuple(zip(offsets, factors)),
-        functional_sources=tuple(sources),
+        interior_point=tuple(
+            itertools.chain.from_iterable(cone.interior_point for cone in factors)
+        ),
         irredundancy_witnesses=tuple(witnesses),
     )

@@ -262,7 +262,6 @@ def hypersurface_section(
     ample: DivisorClass,
     p: int,
     assume_ample: bool = False,
-    radius: int = 16,
 ) -> VarietyDescriptor:
     """Very general member of |pH| on a threefold, as a surface descriptor.
 
@@ -282,7 +281,7 @@ def hypersurface_section(
     if ample.lattice.uid != y.lattice.uid:
         raise DescriptorError("the ample class lives off the parent lattice")
     _require_ample(y, ample, "section class", assume_ample)
-    upper = resolved_upper(y, radius)
+    upper = resolved_upper(y)
     bound = max(5, upper)
     if p < bound:
         raise DescriptorError(
@@ -398,8 +397,7 @@ def cyclic_cover(
         nef = Cone(
             lat,
             y.nef.functionals,
-            product_blocks=y.nef.product_blocks,
-            functional_sources=y.nef.functional_sources,
+            interior_point=y.nef.interior_point,
             irredundancy_witnesses=y.nef.irredundancy_witnesses,
         )
     reps = [

@@ -111,8 +111,8 @@ class VarietyDescriptor:
     annotations: tuple[DivisibilityAnnotation, ...] = ()
     provenance: Provenance = Provenance("custom")
     known_effective: tuple[tuple[DivisorClass, str], ...] = ()
-    # the engine's memos: resolved intervals keyed by (radius, enabled rules)
-    # and verification outcomes keyed by (radius, certificate)
+    # the engine's memos: resolved intervals keyed by the enabled rule set
+    # (None for all rules) and verification outcomes keyed by certificate
     _intervals: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 

@@ -26,12 +26,12 @@ is an internal error that aborts loudly with a diagnostic dump.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Callable
 
 from .certificates import LOWER, UPPER, Certificate, make_certificate
-from .cones import ConeError, InconclusiveSearchError
+from .cones import NonPointedConeError
 from .constructions import cover_data
 from .descriptors import VarietyDescriptor, is_known_gg
 from .kunneth import ZERO, h0_sign
@@ -59,14 +59,8 @@ class FujitaInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass
-class _Context:
-    radius: int
-    enabled: frozenset[str] | None
-
-
-def _runs(ctx: _Context, rule: str) -> bool:
-    return ctx.enabled is None or rule in ctx.enabled
+def _runs(enabled: frozenset[str] | None, rule: str) -> bool:
+    return enabled is None or rule in enabled
 
 
 # ----------------------------------------------------------------------
@@ -74,26 +68,16 @@ def _runs(ctx: _Context, rule: str) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _rule_exact_threshold(desc: VarietyDescriptor, ctx: _Context):
+def _rule_exact_threshold(desc: VarietyDescriptor, enabled):
     from .descriptors import ExactEqualsNef
 
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return [], []
     try:
-        report = desc.nef.adjoint_freeness_threshold(desc.canonical, ctx.radius)
-    except (InconclusiveSearchError, ConeError) as exc:
-        return [], [f"exact threshold inconclusive at radius {ctx.radius}: {exc}"]
-    per = [
-        {
-            "index": p.index,
-            "functional": list(p.functional),
-            "value_on_canonical": p.value_on_canonical,
-            "min_interior": p.min_interior,
-            "interior_witness": list(p.interior_witness),
-            "required": p.required,
-        }
-        for p in report.per_functional
-    ]
+        report = desc.nef.adjoint_freeness_threshold(desc.canonical)
+    except NonPointedConeError as exc:
+        return [], [f"exact threshold skipped: {exc}"]
+    per = [asdict(p) for p in report.per_functional]
     premises = [
         "the globally generated cone equals the nef cone: "
         + desc.gg.justification,
@@ -127,7 +111,7 @@ def _rule_exact_threshold(desc: VarietyDescriptor, ctx: _Context):
                 ],
                 witness={
                     "m_star": report.m_star,
-                    "tuple": [list(p) for p in report.witness],
+                    "tuple": report.witness,
                     "violated_index": report.violated_index,
                 },
             )
@@ -135,7 +119,7 @@ def _rule_exact_threshold(desc: VarietyDescriptor, ctx: _Context):
     return certs, []
 
 
-def _rule_curve(desc: VarietyDescriptor, ctx: _Context):
+def _rule_curve(desc: VarietyDescriptor, enabled):
     if desc.dimension != 1:
         return [], []
     deg_k = desc.form.evaluate(desc.canonical)
@@ -170,11 +154,11 @@ def _rule_curve(desc: VarietyDescriptor, ctx: _Context):
     return [upper, lower], []
 
 
-def _rule_product_combine(desc: VarietyDescriptor, ctx: _Context):
+def _rule_product_combine(desc: VarietyDescriptor, enabled):
     if desc.provenance.constructor != "product":
         return [], []
     factor_intervals = [
-        _resolve_inner(parent, ctx) for parent in desc.provenance.parents
+        _resolve_inner(parent, enabled) for parent in desc.provenance.parents
     ]
     certs = []
     lo = max(iv.lo for iv in factor_intervals)
@@ -219,11 +203,11 @@ def _rule_product_combine(desc: VarietyDescriptor, ctx: _Context):
     return certs, []
 
 
-def _rule_cover_degree(desc: VarietyDescriptor, ctx: _Context):
+def _rule_cover_degree(desc: VarietyDescriptor, enabled):
     if desc.provenance.constructor != "cyclic_cover":
         return [], []
     parent, branch, degree = cover_data(desc)
-    parent_iv = _resolve_inner(parent, ctx)
+    parent_iv = _resolve_inner(parent, enabled)
     bound = max(0, parent_iv.hi + 1 - degree)
     premises = [
         f"the parent resolves to an upper bound of {parent_iv.hi}",
@@ -255,7 +239,7 @@ def _rule_cover_degree(desc: VarietyDescriptor, ctx: _Context):
     return [cert], []
 
 
-def _rule_not_nef_witness(desc: VarietyDescriptor, ctx: _Context):
+def _rule_not_nef_witness(desc: VarietyDescriptor, enabled):
     if desc.dimension != 2 or not desc.known_effective:
         return [], []
     for effective, note in desc.known_effective:
@@ -277,7 +261,7 @@ def _rule_not_nef_witness(desc: VarietyDescriptor, ctx: _Context):
     return [], []
 
 
-def _rule_h0_vanishing(desc: VarietyDescriptor, ctx: _Context):
+def _rule_h0_vanishing(desc: VarietyDescriptor, enabled):
     if desc.canonical.is_zero():
         return [], []
     if desc.provenance.constructor not in ("cyclic_cover", "product"):
@@ -300,7 +284,7 @@ def _rule_h0_vanishing(desc: VarietyDescriptor, ctx: _Context):
     return [cert], []
 
 
-def _rule_reider_divisible(desc: VarietyDescriptor, ctx: _Context):
+def _rule_reider_divisible(desc: VarietyDescriptor, enabled):
     if desc.dimension != 2:
         return [], []
     for ann in desc.annotations:
@@ -364,7 +348,7 @@ def _integer_roots(a: int, b: int, c: int, bound: int):
     return [t for t in roots if abs(t) <= bound]
 
 
-def _rule_reider_surface(desc: VarietyDescriptor, ctx: _Context):
+def _rule_reider_surface(desc: VarietyDescriptor, enabled):
     if desc.dimension != 2:
         return [], []
     certs = [
@@ -430,7 +414,7 @@ def _rule_reider_surface(desc: VarietyDescriptor, ctx: _Context):
     return certs, advisories
 
 
-def _rule_abelian(desc: VarietyDescriptor, ctx: _Context):
+def _rule_abelian(desc: VarietyDescriptor, enabled):
     if not desc.has_flag("abelian"):
         return [], []
     cert = make_certificate(
@@ -444,7 +428,7 @@ def _rule_abelian(desc: VarietyDescriptor, ctx: _Context):
     return [cert], []
 
 
-def _rule_toric(desc: VarietyDescriptor, ctx: _Context):
+def _rule_toric(desc: VarietyDescriptor, enabled):
     if not desc.has_flag("toric"):
         return [], []
     n = desc.dimension
@@ -459,7 +443,7 @@ def _rule_toric(desc: VarietyDescriptor, ctx: _Context):
     return [cert], []
 
 
-def _rule_threefold(desc: VarietyDescriptor, ctx: _Context):
+def _rule_threefold(desc: VarietyDescriptor, enabled):
     if desc.dimension != 3:
         return [], []
     cert = make_certificate(
@@ -473,7 +457,7 @@ def _rule_threefold(desc: VarietyDescriptor, ctx: _Context):
     return [cert], []
 
 
-def _rule_universal(desc: VarietyDescriptor, ctx: _Context):
+def _rule_universal(desc: VarietyDescriptor, enabled):
     n = desc.dimension
     value = (n * n + n + 2) // 2
     cert = make_certificate(
@@ -522,7 +506,7 @@ def _mod24_residues() -> dict:
     }
 
 
-def _rule_blowup_mod24(desc: VarietyDescriptor, ctx: _Context):
+def _rule_blowup_mod24(desc: VarietyDescriptor, enabled):
     """Blow-up of a point on a surface whose pairings 24 divides: hi = 1.
 
     Reider's theorem made unconditional by divisibility: with every
@@ -558,23 +542,24 @@ def _rule_blowup_mod24(desc: VarietyDescriptor, ctx: _Context):
     return [cert], []
 
 
-def _resolve_inner(desc: VarietyDescriptor, ctx: _Context) -> FujitaInterval:
-    key = (ctx.radius, ctx.enabled)
-    if key in desc._intervals:
-        return desc._intervals[key]
+def _resolve_inner(
+    desc: VarietyDescriptor, enabled: frozenset[str] | None
+) -> FujitaInterval:
+    if enabled in desc._intervals:
+        return desc._intervals[enabled]
     certs: list[Certificate] = []
     advisories: list[str] = []
     for rule in _RULES.values():
         if rule.derive is None or (
-            rule.id != "universal-angehrn-siu" and not _runs(ctx, rule.id)
+            rule.id != "universal-angehrn-siu" and not _runs(enabled, rule.id)
         ):
             continue
-        new_certs, new_advisories = rule.derive(desc, ctx)
+        new_certs, new_advisories = rule.derive(desc, enabled)
         certs.extend(new_certs)
         advisories.extend(new_advisories)
     hi = min(c.value for c in certs if c.kind == UPPER)
     lo = max([0] + [c.value for c in certs if c.kind == LOWER])
-    if hi == 1 and _runs(ctx, "canonical-gg") and is_known_gg(desc, desc.canonical):
+    if hi == 1 and _runs(enabled, "canonical-gg") and is_known_gg(desc, desc.canonical):
         supporting = min(
             (c for c in certs if c.kind == UPPER), key=lambda c: c.value
         )
@@ -608,7 +593,7 @@ def _resolve_inner(desc: VarietyDescriptor, ctx: _Context) -> FujitaInterval:
             f"(constructor {desc.provenance.constructor!r})"
         )
     interval = FujitaInterval(lo, hi, tuple(certs), tuple(advisories))
-    desc._intervals[key] = interval
+    desc._intervals[enabled] = interval
     return interval
 
 
@@ -623,27 +608,20 @@ def _crossed_dump(desc, lo, hi, certs) -> str:
     return "\n".join(lines)
 
 
-def resolve(
-    desc: VarietyDescriptor,
-    radius: int = 16,
-    enabled=None,
-) -> FujitaInterval:
+def resolve(desc: VarietyDescriptor, enabled=None) -> FujitaInterval:
     """Resolve the convex Fujita interval of a descriptor.
 
     ``enabled`` restricts the optional rules (the universal bound always
     runs, so the interval stays finite); passing None runs everything.
-    The search radius is forwarded to every bounded cone search.
-    The interval is memoized on the descriptor per radius and rule set.
+    Cone queries are exact and the square-one check keeps its own fixed
+    bound, so the interval depends only on the descriptor and the rule
+    set, and it is memoized on the descriptor per rule set.
     """
-    ctx = _Context(
-        radius=radius,
-        enabled=None if enabled is None else frozenset(enabled),
-    )
-    return _resolve_inner(desc, ctx)
+    return _resolve_inner(desc, None if enabled is None else frozenset(enabled))
 
 
-def resolved_upper(desc: VarietyDescriptor, radius: int = 16) -> int:
-    return resolve(desc, radius=radius).hi
+def resolved_upper(desc: VarietyDescriptor) -> int:
+    return resolve(desc).hi
 
 
 # ----------------------------------------------------------------------
@@ -651,35 +629,31 @@ def resolved_upper(desc: VarietyDescriptor, radius: int = 16) -> int:
 # ----------------------------------------------------------------------
 
 
-def verify_certificate(
-    desc: VarietyDescriptor, cert: Certificate, radius: int = 16
-) -> bool:
+def verify_certificate(desc: VarietyDescriptor, cert: Certificate) -> bool:
     """Re-check one certificate against the descriptor from scratch.
 
     Returns False rather than raising when the certificate does not hold;
     the caller decides how loud to be.  The checks re-derive every claim
     from the witness data and the descriptor, not from resolver state: a
     parent's memoized interval counts only once its endpoint certificates
-    re-verify.  The outcome is memoized on the descriptor per radius and
-    certificate.
+    re-verify.  The outcome is memoized on the descriptor per certificate.
     """
-    key = (radius, cert)
-    if key not in desc._verdicts:
-        desc._verdicts[key] = _check_certificate(desc, cert, radius)
-    return desc._verdicts[key]
+    if cert not in desc._verdicts:
+        desc._verdicts[cert] = _check_certificate(desc, cert)
+    return desc._verdicts[cert]
 
 
-def _check_certificate(desc, cert, radius) -> bool:
+def _check_certificate(desc, cert) -> bool:
     rule = _RULES.get(cert.rule)
     if rule is None:
         return False
     try:
-        return rule.verify(desc, cert, radius)
+        return rule.verify(desc, cert)
     except Exception:
         return False
 
 
-def _verified_interval(desc, radius) -> FujitaInterval | None:
+def _verified_interval(desc) -> FujitaInterval | None:
     """The memoized interval of a parent, or None unless its endpoints verify.
 
     The first upper certificate equal to ``hi`` and, when ``lo > 0``, the
@@ -687,22 +661,18 @@ def _verified_interval(desc, radius) -> FujitaInterval | None:
     composite certificate rests on its parents' certificates rather than
     on the resolver.
     """
-    iv = resolve(desc, radius=radius)
+    iv = resolve(desc)
     ends = [(UPPER, iv.hi)] + ([(LOWER, iv.lo)] if iv.lo > 0 else [])
     for kind, value in ends:
         cert = next(
             (c for c in iv.certificates if c.kind == kind and c.value == value), None
         )
-        if cert is None or not verify_certificate(desc, cert, radius):
+        if cert is None or not verify_certificate(desc, cert):
             return None
     return iv
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _verify_exact_threshold(desc, cert, radius):
+def _verify_exact_threshold(desc, cert):
     from .descriptors import ExactEqualsNef
 
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
@@ -710,7 +680,9 @@ def _verify_exact_threshold(desc, cert, radius):
     data = cert.witness_data()
     if cert.kind == UPPER:
         per = data["per_functional"]
-        if len(per) != len(desc.nef.functionals):
+        # one entry per functional, in order, so none stands in for another
+        indices = [entry["index"] for entry in per]
+        if indices != list(range(len(desc.nef.functionals))):
             return False
         requireds = []
         for entry in per:
@@ -726,11 +698,9 @@ def _verify_exact_threshold(desc, cert, radius):
             witness = desc.lattice.make(entry["interior_witness"])
             if not desc.nef.strictly_contains(witness):
                 return False
-            if desc.nef.values(witness)[k] != entry["min_interior"]:
+            if entry["min_interior"] != 1 or desc.nef.values(witness)[k] != 1:
                 return False
-            if entry["min_interior"] != 1:
-                return False
-            required = max(0, _ceil_div(-phi_k, entry["min_interior"]))
+            required = max(0, -phi_k)
             if required != entry["required"]:
                 return False
             requireds.append(required)
@@ -746,7 +716,7 @@ def _verify_exact_threshold(desc, cert, radius):
     return desc.nef.values(total)[data["violated_index"]] < 0
 
 
-def _verify_curve(desc, cert, radius):
+def _verify_curve(desc, cert):
     if desc.dimension != 1 or cert.value != 2:
         return False
     deg_k = desc.form.evaluate(desc.canonical)
@@ -761,10 +731,10 @@ def _verify_curve(desc, cert, radius):
     return True
 
 
-def _verify_product_combine(desc, cert, radius):
+def _verify_product_combine(desc, cert):
     if desc.provenance.constructor != "product":
         return False
-    intervals = [_verified_interval(p, radius) for p in desc.provenance.parents]
+    intervals = [_verified_interval(p) for p in desc.provenance.parents]
     if None in intervals:
         return False
     stored = cert.witness_data()["factor_intervals"]
@@ -780,11 +750,11 @@ def _verify_product_combine(desc, cert, radius):
     return gate_ok and cert.value == max(iv.hi for iv in intervals)
 
 
-def _verify_cover_degree(desc, cert, radius):
+def _verify_cover_degree(desc, cert):
     if desc.provenance.constructor != "cyclic_cover" or cert.kind != UPPER:
         return False
     parent, _branch, degree = cover_data(desc)
-    parent_iv = _verified_interval(parent, radius)
+    parent_iv = _verified_interval(parent)
     if parent_iv is None:
         return False
     data = cert.witness_data()
@@ -798,7 +768,7 @@ def _verify_cover_degree(desc, cert, radius):
     return data["omega_ample_and_globally_generated"] == (degree - 2 >= parent_iv.hi)
 
 
-def _verify_not_nef(desc, cert, radius):
+def _verify_not_nef(desc, cert):
     if desc.dimension != 2 or cert.kind != LOWER or cert.value != 1:
         return False
     data = cert.witness_data()
@@ -811,13 +781,13 @@ def _verify_not_nef(desc, cert, radius):
     return pairing == data["pairing"] and pairing < 0
 
 
-def _verify_h0_vanishing(desc, cert, radius):
+def _verify_h0_vanishing(desc, cert):
     if cert.kind != LOWER or cert.value != 1 or desc.canonical.is_zero():
         return False
     return h0_sign(desc, desc.canonical).value == ZERO
 
 
-def _verify_reider_divisible(desc, cert, radius):
+def _verify_reider_divisible(desc, cert):
     if desc.dimension != 2 or cert.kind != UPPER or cert.value != 1:
         return False
     modulus = cert.witness_data()["modulus"]
@@ -831,7 +801,7 @@ def _verify_reider_divisible(desc, cert, radius):
     )
 
 
-def _verify_reider_surface(desc, cert, radius):
+def _verify_reider_surface(desc, cert):
     if desc.dimension != 2 or cert.kind != UPPER:
         return False
     if cert.value == 3:
@@ -852,11 +822,11 @@ def _verify_reider_surface(desc, cert, radius):
     return False
 
 
-def _verify_abelian(desc, cert, radius):
+def _verify_abelian(desc, cert):
     return desc.has_flag("abelian") and cert.kind == UPPER and cert.value == 2
 
 
-def _verify_toric(desc, cert, radius):
+def _verify_toric(desc, cert):
     return (
         desc.has_flag("toric")
         and cert.kind == UPPER
@@ -864,16 +834,16 @@ def _verify_toric(desc, cert, radius):
     )
 
 
-def _verify_threefold(desc, cert, radius):
+def _verify_threefold(desc, cert):
     return desc.dimension == 3 and cert.kind == UPPER and cert.value == 4
 
 
-def _verify_universal(desc, cert, radius):
+def _verify_universal(desc, cert):
     n = desc.dimension
     return cert.kind == UPPER and cert.value == (n * n + n + 2) // 2
 
 
-def _verify_canonical_gg(desc, cert, radius):
+def _verify_canonical_gg(desc, cert):
     if cert.kind != UPPER or cert.value != 0:
         return False
     if not is_known_gg(desc, desc.canonical):
@@ -881,14 +851,14 @@ def _verify_canonical_gg(desc, cert, radius):
     rule = _RULES.get(cert.witness_data()["supporting_rule"])
     if rule is None or rule.derive is None:
         return False
-    certs, _ = rule.derive(desc, _Context(radius=radius, enabled=None))
+    certs, _ = rule.derive(desc, None)
     return any(
-        c.kind == UPPER and c.value <= 1 and verify_certificate(desc, c, radius)
+        c.kind == UPPER and c.value <= 1 and verify_certificate(desc, c)
         for c in certs
     )
 
 
-def _verify_blowup_mod24(desc, cert, radius):
+def _verify_blowup_mod24(desc, cert):
     if cert.kind != UPPER or cert.value != 1 or not _blowup_of_mod24_surface(desc):
         return False
     data = cert.witness_data()
@@ -909,8 +879,9 @@ def _verify_blowup_mod24(desc, cert, radius):
 class Rule:
     """A bounding rule paired with its independent verifier.
 
-    ``derive(desc, ctx)`` returns (certificates, advisories);
-    ``verify(desc, cert, radius)`` re-checks one of its certificates.  A
+    ``derive(desc, enabled)`` returns (certificates, advisories), where
+    ``enabled`` is the rule set of the resolution (None for all rules);
+    ``verify(desc, cert)`` re-checks one of its certificates.  A
     rule the resolver applies inline, after the table, has no ``derive``.
     """
 

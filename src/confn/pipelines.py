@@ -48,7 +48,7 @@ def synthetic_mod24_surface() -> VarietyDescriptor:
     )
 
 
-def pipeline_n2k1(s24: VarietyDescriptor, radius: int = 16) -> PipelineResult:
+def pipeline_n2k1(s24: VarietyDescriptor) -> PipelineResult:
     """Blow up a mod-24 surface in a point: convex Fujita number exactly 1.
 
     The lower bound is the non-nef canonical class of the blow-up, the
@@ -67,7 +67,7 @@ def pipeline_n2k1(s24: VarietyDescriptor, radius: int = 16) -> PipelineResult:
             "residue argument is specific to 24."
         )
     x = blowup_point(s24)
-    interval = resolve(x, radius=radius)
+    interval = resolve(x)
     if not interval.exact or interval.lo != 1:
         raise PipelineError(
             f"expected the blow-up to resolve to exactly 1, got {interval}"
@@ -75,9 +75,7 @@ def pipeline_n2k1(s24: VarietyDescriptor, radius: int = 16) -> PipelineResult:
     return PipelineResult(x, ("blow-up of a mod-24 surface",))
 
 
-def pipeline_n3k1(
-    s: VarietyDescriptor, polarization, radius: int = 16
-) -> PipelineResult:
+def pipeline_n3k1(s: VarietyDescriptor, polarization) -> PipelineResult:
     """Double cover of S x P^1: a threefold with convex Fujita number 1.
 
     Needs a surface whose resolved upper bound is at most 2 and a very
@@ -89,7 +87,7 @@ def pipeline_n3k1(
     h^0(omega_X) = h^0(omega_Y tensor L) + h^0(omega_Y) vanishes factor
     by factor on the P^1 side, so omega_X has no sections and lo >= 1.
     """
-    s_iv = resolve(s, radius=radius)
+    s_iv = resolve(s)
     if s_iv.hi > 2:
         raise PipelineError(
             f"the surface resolves to an upper bound of {s_iv.hi}; the "
@@ -113,7 +111,7 @@ def pipeline_n3k1(
         "under the double cover"
     )
     x = cyclic_cover(y, ell, 2, assume=("effective_nl",), assume_ample=True)
-    interval = resolve(x, radius=radius)
+    interval = resolve(x)
     if not interval.exact or interval.lo != 1:
         raise PipelineError(
             f"expected the double cover to resolve to exactly 1, got {interval}"
@@ -121,9 +119,7 @@ def pipeline_n3k1(
     return PipelineResult(x, (nl_note,))
 
 
-def pipeline_simple_surface(
-    y: VarietyDescriptor, ample, p: int, radius: int = 16
-) -> PipelineResult:
+def pipeline_simple_surface(y: VarietyDescriptor, ample, p: int) -> PipelineResult:
     """Very general high-degree surface section of a threefold: exactly 0.
 
     The section inherits divisibility by p >= 5 on its full lattice, so a
@@ -131,8 +127,8 @@ def pipeline_simple_surface(
     is the restriction of a globally generated adjoint, which settles the
     empty product as well.
     """
-    x = hypersurface_section(y, ample, p, radius=radius)
-    interval = resolve(x, radius=radius)
+    x = hypersurface_section(y, ample, p)
+    interval = resolve(x)
     if not interval.exact or interval.hi != 0:
         raise PipelineError(
             f"expected the section to resolve to exactly 0, got {interval}"
@@ -145,7 +141,6 @@ def pipeline_simple_variety(
     branch_polarization,
     d: int,
     assume=(),
-    radius: int = 16,
 ) -> PipelineResult:
     """High-degree cyclic cover of any polarized variety: exactly 0.
 
@@ -155,12 +150,12 @@ def pipeline_simple_variety(
     interval, just not the exact value; the result says so in a note
     instead of overclaiming.
     """
-    parent_hi = resolve(y, radius=radius).hi
+    parent_hi = resolve(y).hi
     assume = tuple(assume)
     if y.dimension == 3 and d >= parent_hi + 2 and not assume:
         assume = ("large_d",)
     x = cyclic_cover(y, branch_polarization, d, assume=assume, assume_ample=True)
-    interval = resolve(x, radius=radius)
+    interval = resolve(x)
     notes: tuple[str, ...] = ()
     if d >= parent_hi + 2:
         if not interval.exact or interval.hi != 0:

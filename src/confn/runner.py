@@ -17,8 +17,10 @@ from __future__ import annotations
 import datetime
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import dsl
+from .certificates import LOWER
 from .cones import Cone, ConeError
 from .constructions import blowup_point, cyclic_cover, hypersurface_section, product
 from .descriptors import (
@@ -64,6 +66,9 @@ from .pipelines import (
 )
 
 REPORT_SCHEMA_VERSION = "1"
+
+# the brute-force oracle's search box: interior points of this sup-norm
+ORACLE_RADIUS = 4
 
 
 @dataclass
@@ -242,12 +247,12 @@ def _split_assume(names: tuple[str, ...]):
 # constructor handlers -------------------------------------------------
 
 
-def _h_projective_space(stmt, env, radius):
+def _h_projective_space(stmt, env):
     args = _collect(stmt, ("n",), 1)
     return _Binding(projective_space(_as_int(args["n"])))
 
 
-def _h_complete_intersection(stmt, env, radius):
+def _h_complete_intersection(stmt, env):
     args = _collect(stmt, ("n", "degrees", "very_general"), 2)
     return _Binding(
         complete_intersection(
@@ -260,22 +265,22 @@ def _h_complete_intersection(stmt, env, radius):
     )
 
 
-def _h_curve(stmt, env, radius):
+def _h_curve(stmt, env):
     args = _collect(stmt, ("genus",), 1)
     return _Binding(curve(_as_int(args["genus"])))
 
 
-def _h_hirzebruch1(stmt, env, radius):
+def _h_hirzebruch1(stmt, env):
     _collect(stmt, (), 0)
     return _Binding(hirzebruch1())
 
 
-def _h_delpezzo7(stmt, env, radius):
+def _h_delpezzo7(stmt, env):
     _collect(stmt, (), 0)
     return _Binding(del_pezzo7())
 
 
-def _h_abelian(stmt, env, radius):
+def _h_abelian(stmt, env):
     args = _collect(stmt, ("n",), 1)
     return _Binding(abelian(_as_int(args["n"])))
 
@@ -283,7 +288,7 @@ def _h_abelian(stmt, env, radius):
 _CUSTOM_FLAGS = {"irregularity_zero": IRREGULARITY_ZERO}
 
 
-def _h_custom(stmt, env, radius):
+def _h_custom(stmt, env):
     args = _collect(
         stmt,
         ("dimension", "basis", "gram", "canonical", "nef", "flags", "annotations"),
@@ -344,19 +349,19 @@ def _h_custom(stmt, env, radius):
     )
 
 
-def _h_product(stmt, env, radius):
+def _h_product(stmt, env):
     args = _collect(stmt, ("x", "y"), 2)
     return _Binding(
         product(_as_descriptor(args["x"], env), _as_descriptor(args["y"], env))
     )
 
 
-def _h_blowup_point(stmt, env, radius):
+def _h_blowup_point(stmt, env):
     args = _collect(stmt, ("surface",), 1)
     return _Binding(blowup_point(_as_descriptor(args["surface"], env)))
 
 
-def _h_hypersurface_section(stmt, env, radius):
+def _h_hypersurface_section(stmt, env):
     args = _collect(stmt, ("parent", "ample", "p", "assume"), 3)
     parent = _as_descriptor(args["parent"], env)
     assume, ample_ok = _split_assume(
@@ -375,12 +380,11 @@ def _h_hypersurface_section(stmt, env, radius):
             _as_divisor(args["ample"], parent),
             _as_int(args["p"]),
             assume_ample=ample_ok,
-            radius=radius,
         )
     )
 
 
-def _h_cyclic_cover(stmt, env, radius):
+def _h_cyclic_cover(stmt, env):
     args = _collect(stmt, ("parent", "branch", "degree", "assume"), 3)
     parent = _as_descriptor(args["parent"], env)
     assume, ample_ok = _split_assume(
@@ -397,31 +401,29 @@ def _h_cyclic_cover(stmt, env, radius):
     )
 
 
-def _h_pipeline_n2k1(stmt, env, radius):
+def _h_pipeline_n2k1(stmt, env):
     args = _collect(stmt, ("surface",), 1)
-    result = pipeline_n2k1(_as_descriptor(args["surface"], env), radius=radius)
+    result = pipeline_n2k1(_as_descriptor(args["surface"], env))
     return _Binding(result.descriptor, result.notes)
 
 
-def _h_pipeline_n3k1(stmt, env, radius):
+def _h_pipeline_n3k1(stmt, env):
     args = _collect(stmt, ("surface", "polarization"), 2)
     surface = _as_descriptor(args["surface"], env)
-    result = pipeline_n3k1(
-        surface, _as_divisor(args["polarization"], surface), radius=radius
-    )
+    result = pipeline_n3k1(surface, _as_divisor(args["polarization"], surface))
     return _Binding(result.descriptor, result.notes)
 
 
-def _h_pipeline_simple_surface(stmt, env, radius):
+def _h_pipeline_simple_surface(stmt, env):
     args = _collect(stmt, ("parent", "ample", "p"), 3)
     parent = _as_descriptor(args["parent"], env)
     result = pipeline_simple_surface(
-        parent, _as_divisor(args["ample"], parent), _as_int(args["p"]), radius=radius
+        parent, _as_divisor(args["ample"], parent), _as_int(args["p"])
     )
     return _Binding(result.descriptor, result.notes)
 
 
-def _h_pipeline_simple_variety(stmt, env, radius):
+def _h_pipeline_simple_variety(stmt, env):
     args = _collect(stmt, ("parent", "branch", "d", "assume"), 3)
     parent = _as_descriptor(args["parent"], env)
     assume, ample_ok = _split_assume(
@@ -433,7 +435,6 @@ def _h_pipeline_simple_variety(stmt, env, radius):
         _as_divisor(args["branch"], parent),
         _as_int(args["d"]),
         assume=assume,
-        radius=radius,
     )
     return _Binding(result.descriptor, result.notes)
 
@@ -485,8 +486,11 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     """Cross-check an exact nef-threshold value against the brute-force search.
 
     Returns an error message on disagreement, None otherwise.  The check
-    runs at a small radius and only up to max_m adjoint summands; larger
-    values are taken on the strength of the certificates alone.
+    searches interior points of sup-norm at most ``ORACLE_RADIUS`` and only
+    up to max_m adjoint summands; larger values are taken on the strength
+    of the certificates alone.  Below the value it looks for a refutation
+    only when the lower certificate's tuple lies inside that box, since
+    the exact threshold may be witnessed by points outside it.
     """
     from .cones import brute_force_refute
     from .descriptors import ExactEqualsNef
@@ -496,12 +500,19 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     if not interval.exact or interval.lo > max_m:
         return None
     value = interval.lo
-    if value >= 1 and brute_force_refute(desc.nef, desc.canonical, value - 1, 4) is None:
+    tuples = [
+        c.witness_data()["tuple"]
+        for c in interval.certificates
+        if c.rule == "exact-threshold" and c.kind == LOWER
+    ]
+    in_box = all(abs(x) <= ORACLE_RADIUS for t in tuples for p in t for x in p)
+    refute = partial(brute_force_refute, desc.nef, desc.canonical, radius=ORACLE_RADIUS)
+    if value >= 1 and in_box and refute(value - 1) is None:
         return (
             f"oracle disagreement: no refutation found at {value - 1} summands "
             f"although the resolved value is {value}"
         )
-    if brute_force_refute(desc.nef, desc.canonical, value, 4) is not None:
+    if refute(value) is not None:
         return (
             f"oracle disagreement: a refutation exists at {value} summands "
             f"although the resolved value is {value}"
@@ -509,9 +520,7 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     return None
 
 
-def _compute_row(
-    row: VarietyRow, binding: _Binding, radius: int, max_m: int
-) -> None:
+def _compute_row(row: VarietyRow, binding: _Binding, max_m: int) -> None:
     if row.interval is not None or row.error is not None:
         return
     desc = binding.descriptor
@@ -521,7 +530,7 @@ def _compute_row(
     row.provenance = tuple(provenance_lines(desc))
     row.notes = binding.notes
     try:
-        interval = resolve(desc, radius=radius)
+        interval = resolve(desc)
     except InconsistencyError as exc:
         row.error = f"internal inconsistency: {exc}"
         row.internal = True
@@ -531,8 +540,7 @@ def _compute_row(
         return
     row.interval = interval
     row.verified = all(
-        verify_certificate(desc, cert, radius=radius)
-        for cert in interval.certificates
+        verify_certificate(desc, cert) for cert in interval.certificates
     )
     if not row.verified:
         row.error = "a certificate failed independent re-verification"
@@ -544,13 +552,18 @@ def _compute_row(
 
 
 def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
+    """Run a program and collect one row per named variety.
+
+    ``radius`` is accepted for compatibility and reaches no search: cone
+    queries are exact.  ``max_m`` caps the brute-force oracle.
+    """
     report = Report()
     env: dict[str, _Binding] = {}
     for stmt in program.statements:
         if isinstance(stmt, Let):
             handler = _HANDLERS[stmt.constructor]
             try:
-                env[stmt.name] = handler(stmt, env, radius)
+                env[stmt.name] = handler(stmt, env)
             except (DslError, DescriptorError, ConeError, LatticeError) as exc:
                 env[stmt.name] = _Binding(None)
                 row = _row_for(report, stmt.name)
@@ -567,7 +580,7 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
                 if row.error is None:
                     row.error = "definition failed earlier; nothing to compute"
                 continue
-            _compute_row(row, binding, radius, max_m)
+            _compute_row(row, binding, max_m)
         elif isinstance(stmt, AssertConfn):
             binding = env[stmt.name]
             row = _row_for(report, stmt.name)
@@ -575,7 +588,7 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
                 if row.error is None:
                     row.error = "definition failed earlier; nothing to assert"
                 continue
-            _compute_row(row, binding, radius, max_m)
+            _compute_row(row, binding, max_m)
             if row.interval is None:
                 continue
             interval = row.interval
@@ -703,6 +716,7 @@ assert_confn simple_variety = 0
 
 
 def corpus(radius: int = 16, max_m: int = 6) -> Report:
+    """Evaluate the built-in corpus; ``radius`` is accepted and unused."""
     return evaluate(dsl.parse(CORPUS_PROGRAM), radius=radius, max_m=max_m)
 
 

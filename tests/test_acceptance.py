@@ -16,12 +16,7 @@ import time
 import pytest
 
 from confn.certificates import LOWER, UPPER
-from confn.cones import (
-    Cone,
-    ConeError,
-    InconclusiveSearchError,
-    brute_force_refute,
-)
+from confn.cones import Cone, ConeError, brute_force_refute
 from confn.constructions import blowup_point, cyclic_cover, product
 from confn.descriptors import (
     ExactEqualsNef,
@@ -127,18 +122,26 @@ def test_benchmark_surfaces_exact_values(capsys):
         assert all(v > 0 for v in quintic.nef.values(quintic.canonical))
 
 
-def _refuter_agrees(cone, canonical, value: int) -> None:
+def _refuter_agrees(cone, canonical, value: int, radius: int = 4) -> None:
     if value >= 1:
-        witness = brute_force_refute(cone, canonical, value - 1, 4)
+        witness = brute_force_refute(cone, canonical, value - 1, radius)
         assert witness is not None, f"no refutation below {value}"
     for extra in range(3):
-        assert brute_force_refute(cone, canonical, value + extra, 4) is None, (
+        assert brute_force_refute(cone, canonical, value + extra, radius) is None, (
             f"spurious refutation at {value + extra}"
         )
 
 
+def _witness_radius(report) -> int:
+    """At least 4, and large enough that the report's witnesses are searched."""
+    points = list(report.witness or ()) + [
+        p.interior_witness for p in report.per_functional
+    ]
+    return max([4] + [abs(x) for point in points for x in point])
+
+
 def test_exact_values_agree_with_brute_force_refuter(capsys):
-    with criterion(capsys, 4, "brute-force refuter agrees at radius 4"):
+    with criterion(capsys, 4, "brute-force refuter agrees around every witness"):
         exact_pool = (
             [projective_space(n) for n in range(1, 7)]
             + [
@@ -177,11 +180,8 @@ def test_exact_values_agree_with_brute_force_refuter(capsys):
             except ConeError:
                 continue
             canonical = lat2.make([rng.randint(-4, 4), rng.randint(-4, 4)])
-            try:
-                report = cone.adjoint_freeness_threshold(canonical, radius=4)
-            except (InconclusiveSearchError, ConeError):
-                continue
-            _refuter_agrees(cone, canonical, report.m_star)
+            report = cone.adjoint_freeness_threshold(canonical)
+            _refuter_agrees(cone, canonical, report.m_star, _witness_radius(report))
             checked += 1
 
 
@@ -374,7 +374,7 @@ def test_certificates_reverify_and_intervals_never_cross(capsys, corpus_report):
         for _ in range(1000):
             desc = rng.choice(pool)
             subset = frozenset(r for r in rule_pool if rng.random() < 0.5)
-            interval = resolve(desc, radius=8, enabled=subset)
+            interval = resolve(desc, enabled=subset)
             assert 0 <= interval.lo <= interval.hi, (
                 desc.provenance.constructor,
                 sorted(subset),

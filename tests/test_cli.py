@@ -73,7 +73,7 @@ def test_failed_reverification_exits_3(monkeypatch, capsys):
         engine._RULES,
         "curve-genus",
         dataclasses.replace(
-            engine._RULES["curve-genus"], verify=lambda desc, cert, radius: False
+            engine._RULES["curve-genus"], verify=lambda desc, cert: False
         ),
     )
     code, out, _err = _run_main(["corpus"], capsys)

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
 from confn.cones import (
     Cone,
     ConeError,
-    InconclusiveSearchError,
     NonPointedConeError,
+    _solve,
     brute_force_refute,
     lattice_points_by_shell,
     product_cone,
@@ -115,12 +116,12 @@ THRESHOLD_CASES = [
 def test_threshold_matches_refuter_oracle(cone, lat, k, expected):
     oracle = interior_by_refuter(cone, lat.make(k))
     assert oracle == expected
-    report = cone.adjoint_freeness_threshold(lat.make(k), radius=8)
+    report = cone.adjoint_freeness_threshold(lat.make(k))
     assert report.m_star == expected
 
 
 def test_threshold_report_is_sharp():
-    report = F1_NEF.adjoint_freeness_threshold(F1.make([-2, -3]), radius=8)
+    report = F1_NEF.adjoint_freeness_threshold(F1.make([-2, -3]))
     assert report.m_star == 2
     assert report.witness is not None and len(report.witness) == 1
     total = list((-2, -3))
@@ -130,7 +131,7 @@ def test_threshold_report_is_sharp():
 
 
 def test_threshold_certifies_by_integrality():
-    report = DP7_NEF.adjoint_freeness_threshold(DP7.make([-3, 1, 1]), radius=8)
+    report = DP7_NEF.adjoint_freeness_threshold(DP7.make([-3, 1, 1]))
     for per in report.per_functional:
         assert per.min_interior == 1
 
@@ -139,11 +140,12 @@ def test_threshold_inconclusive_outside_radius():
     scaled_lat = PicardLattice(("G",))
     cone = Cone(scaled_lat, ((2,),))
     assert cone.functionals == ((1,),)  # primitivity absorbs the scale
-    # a cone so narrow that no interior lattice point fits in the radius
+    # a cone so narrow that no interior lattice point has sup-norm 6 or
+    # less; the threshold is decided all the same
     lat = PicardLattice(("A", "B"))
     narrow = Cone(lat, ((1, 0), (-10, 1)))
-    with pytest.raises(InconclusiveSearchError):
-        narrow.adjoint_freeness_threshold(lat.make([-1, 0]), radius=6)
+    assert next(narrow.interior_points(6), None) is None
+    assert narrow.adjoint_freeness_threshold(lat.make([-1, 0])).m_star == 1
 
 
 def test_refuter_m0_checks_canonical_itself():
@@ -176,70 +178,133 @@ def test_product_cone_delegates_and_agrees():
     cone = product_cone(merged, (F1_NEF, RAY))
     assert cone.strictly_contains(merged.make([1, 2, 1]))
     assert not cone.strictly_contains(merged.make([1, 2, 0]))
-    report = cone.adjoint_freeness_threshold(merged.make([-2, -3, -2]), radius=8)
+    report = cone.adjoint_freeness_threshold(merged.make([-2, -3, -2]))
     assert report.m_star == 2
     oracle = interior_by_refuter(cone, merged.make([-2, -3, -2]), radius=4)
     assert oracle == 2
 
 
-def _fresh_p1p1_squared() -> Cone:
+def _fresh_p1p1_squared() -> tuple[Cone, tuple[Cone, ...]]:
     ray = Cone(LINE, ((1,),))
     p1p1 = product_cone(PicardLattice(("A", "B")), (ray, ray))
-    return product_cone(PicardLattice(("A1", "B1", "A2", "B2")), (p1p1, p1p1))
+    factors = (p1p1, p1p1)
+    return product_cone(PicardLattice(("A1", "B1", "A2", "B2")), factors), factors
 
 
-def _fresh_f1_squared() -> Cone:
+def _fresh_f1_squared() -> tuple[Cone, tuple[Cone, ...]]:
     f1 = Cone(F1, ((1, 0), (-1, 1)))
-    return product_cone(PicardLattice(("S1", "F1", "S2", "F2")), (f1, f1))
+    factors = (f1, f1)
+    return product_cone(PicardLattice(("S1", "F1", "S2", "F2")), factors), factors
 
 
 @pytest.mark.parametrize(
     "make", [_fresh_p1p1_squared, _fresh_f1_squared], ids=["p1p1_squared", "f1_squared"]
 )
 def test_product_first_interior_point_matches_enumeration(make):
-    cone = make()
-    for radius in range(4):
-        assert cone.first_interior_point(radius) == next(
-            cone.interior_points(radius), None
-        )
-    assert cone.first_interior_point(3) is not None
-    # answers are memoized: a second query and a fresh cone agree with the first
-    for radius in range(4):
-        fresh = make()
-        assert cone.first_interior_point(radius) == fresh.first_interior_point(radius)
-        for k in range(len(cone.functionals)):
-            first = cone.min_interior_value(k, radius)
-            assert cone.min_interior_value(k, radius) == first
-            assert fresh.min_interior_value(k, radius) == first
+    cone, factors = make()
+    point = cone.first_interior_point()
+    assert point == sum((f.first_interior_point() for f in factors), ())
+    assert all(v > 0 for v in cone.values_at(point))
+    # answers are stable: a second query and a fresh cone agree with the first
+    fresh, _ = make()
+    assert cone.first_interior_point() == point
+    assert fresh.first_interior_point() == point
+    for k in range(len(cone.functionals)):
+        first = cone.min_interior_value(k)
+        assert cone.values_at(first)[k] == 1
+        assert all(v > 0 for v in cone.values_at(first))
+        assert cone.min_interior_value(k) == first
+        assert fresh.min_interior_value(k) == first
 
 
 def test_cone_memo_is_keyed_by_radius():
     lat = PicardLattice(("A", "B"))
     narrow = Cone(lat, ((1, 0), (-10, 1)))  # first interior point (1, 11)
     canonical = lat.make([-1, 0])
-    assert narrow.adjoint_freeness_threshold(canonical, radius=16).m_star == 1
-    assert narrow.first_interior_point(16) == (1, 11)
-    with pytest.raises(InconclusiveSearchError):
-        narrow.adjoint_freeness_threshold(canonical, radius=6)
-    assert narrow.first_interior_point(6) is None
-    assert narrow.min_interior_value(0, 6).value is None
+    report = narrow.adjoint_freeness_threshold(canonical)
+    assert report.m_star == 1
+    assert report.per_functional[0].interior_witness == (1, 11)
+    assert narrow.first_interior_point() == (1, 11)
+    # the exact queries take no radius, so neither does any memo key
+    assert narrow._memo
+    assert set(narrow._memo) == {"pointed", ("min", 0), ("min", 1)}
 
 
 def test_product_first_interior_point_none_with_enumeration():
     lat = PicardLattice(("A", "B"))
     narrow = Cone(lat, ((1, 0), (-10, 1)))  # first interior point (1, 11)
     cone = product_cone(PicardLattice(("A", "B", "H")), (narrow, RAY))
-    assert cone.first_interior_point(6) is None
     assert next(cone.interior_points(6), None) is None
-    assert cone.first_interior_point(11) == next(cone.interior_points(11))
-    assert cone.first_interior_point(11) == (1, 11, 1)
+    assert cone.first_interior_point() == (1, 11, 1)
+    assert cone.first_interior_point() == next(cone.interior_points(11))
 
 
 def test_non_pointed_cone_refuses_threshold():
     lat = PicardLattice(("A", "B"))
     half = Cone(lat, ((1, 0),))
     with pytest.raises(NonPointedConeError):
-        half.adjoint_freeness_threshold(lat.make([-1, 0]), radius=4)
+        half.adjoint_freeness_threshold(lat.make([-1, 0]))
+
+
+def test_empty_interior_rejected_at_admission():
+    lat = PicardLattice(("A", "B", "C"))
+    rows = ((1, -3, 0), (1, -1, -3), (-2, 2, 1), (1, 3, 3))
+    with pytest.raises(ConeError, match="empty interior"):
+        Cone(lat, rows)
+
+
+def test_supplied_admission_data_is_checked():
+    with pytest.raises(ConeError, match="not interior"):
+        Cone(F1, ((1, 0), (-1, 1)), interior_point=(1, 1))
+    with pytest.raises(ConeError, match="does not separate"):
+        Cone(F1, ((1, 0), (-1, 1)), irredundancy_witnesses=((-1, 0), (0, 1)))
+
+
+def _feasible_by_plain_elimination(rows, rank):
+    """Fourier-Motzkin that drops no row: the reference decision."""
+    system = set(rows)
+    for i in range(rank):
+        system = {(a, b) for a, b in system if a[i] == 0} | {
+            (tuple(a[i] * w - c[i] * v for v, w in zip(a, c)), a[i] * d - c[i] * b)
+            for a, b in system
+            if a[i] > 0
+            for c, d in system
+            if c[i] < 0
+        }
+    return all(b <= 0 for _, b in system)
+
+
+def test_solver_agrees_with_plain_elimination():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        rank = rng.randint(2, 4)
+        rows = [
+            (tuple(rng.randint(-3, 3) for _ in range(rank)), rng.choice([-1, 0, 1, 1]))
+            for _ in range(rng.randint(2, 7))
+        ]
+        point = _solve(rows, rank)
+        assert (point is not None) == _feasible_by_plain_elimination(rows, rank), rows
+        if point is not None:
+            assert all(sum(x * y for x, y in zip(a, point)) >= b for a, b in rows)
+
+
+def test_rank8_cone_builds_and_decides_quickly():
+    lat = PicardLattice(tuple(f"B{i}" for i in range(8)))
+    rows = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    for i in range(8):
+        row = [0] * 8
+        row[i] += 1
+        row[(i + 1) % 8] += 1
+        row[(i + 2) % 8] -= 1
+        rows.append(tuple(row))
+    start = time.perf_counter()
+    cone = Cone(lat, rows)
+    report = cone.adjoint_freeness_threshold(lat.make([-2] + [0] * 7))
+    assert time.perf_counter() - start < 1.0
+    assert report.m_star == 2
+    for per in report.per_functional:
+        assert cone.values_at(per.interior_witness)[per.index] == 1
+        assert all(v > 0 for v in cone.values_at(per.interior_witness))
 
 
 def test_interior_points_deterministic_prefix():
@@ -265,10 +330,7 @@ def test_random_rank2_cones_threshold_equals_oracle():
         if not cone.is_pointed():
             continue
         canonical = lat.make([rng.randint(-4, 2), rng.randint(-4, 2)])
-        try:
-            report = cone.adjoint_freeness_threshold(canonical, radius=4)
-        except (InconclusiveSearchError, ConeError):
-            continue
+        report = cone.adjoint_freeness_threshold(canonical)
         if report.m_star > 5:
             continue
         assert report.m_star == interior_by_refuter(

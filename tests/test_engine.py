@@ -139,8 +139,11 @@ def test_exact_threshold_inconclusive_advisory():
         gg=ExactEqualsNef("toric: nef implies globally generated"),
         flags=_toric_flags(),
     )
-    interval = resolve(desc, radius=6)
-    assert any("inconclusive" in a for a in interval.advisories)
+    # no interior point has sup-norm 6 or less, yet the threshold is exact
+    interval = resolve(desc)
+    assert (interval.lo, interval.hi) == (1, 1)
+    assert not any("inconclusive" in a for a in interval.advisories)
+    _assert_all_verified(desc, interval)
 
 
 def test_curve_rule_parity_advisories():
@@ -386,7 +389,7 @@ def test_canonical_gg_reverifies_supporting_certificate(monkeypatch):
         engine._RULES,
         "reider-divisible",
         dataclasses.replace(
-            engine._RULES["reider-divisible"], verify=lambda desc, cert, radius: False
+            engine._RULES["reider-divisible"], verify=lambda desc, cert: False
         ),
     )
     quintic = complete_intersection(2, (5,), very_general=True)
@@ -526,6 +529,23 @@ def test_verifier_rejects_tampered_threshold():
     assert not verify_certificate(p2, short)
 
 
+def test_verifier_rejects_repeated_functional_index():
+    f1 = hirzebruch1()
+    upper = next(
+        c
+        for c in resolve(f1).certificates
+        if c.rule == "exact-threshold" and c.kind == UPPER
+    )
+    entries = upper.witness_data()["per_functional"]
+    assert [e["required"] for e in entries] == [2, 1]
+    # functional 1 listed twice hides functional 0, which requires 2
+    forged = make_certificate(
+        UPPER, upper.rule, 1, upper.citation, premises=upper.premises,
+        witness={"m_star": 1, "per_functional": [entries[1], entries[1]]},
+    )
+    assert not verify_certificate(f1, forged)
+
+
 def test_verifier_rejects_wrong_descriptor():
     ab_cert = next(
         c for c in resolve(abelian(2)).certificates if c.rule == "abelian-bound"
@@ -561,7 +581,7 @@ def test_verifier_rechecks_memoized_parent_interval(build):
     # carrying a tampered upper endpoint certificate
     parent, child, rule = build()
     certs = [c for c in resolve(child).certificates if c.rule == rule]
-    key = (16, None)
+    key = None  # the memo key of the full rule set
     iv = parent._intervals[key]
     upper = next(c for c in iv.certificates if c.kind == UPPER and c.value == iv.hi)
     assert upper.rule == "exact-threshold"

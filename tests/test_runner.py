@@ -7,10 +7,12 @@ import pathlib
 import pytest
 
 from confn import engine
-from confn.certificates import Certificate
-from confn.descriptors import projective_space
+from confn.certificates import LOWER, Certificate
+from confn.cones import Cone
+from confn.descriptors import TORIC, ExactEqualsNef, custom, projective_space
 from confn.dsl import parse
 from confn.engine import FujitaInterval, resolve
+from confn.lattice import IntersectionForm, PicardLattice
 from confn.runner import (
     CORPUS_PROGRAM,
     REPORT_SCHEMA_VERSION,
@@ -181,6 +183,16 @@ def test_custom_handler_limits():
         )
     )
     assert "unsupported flag" in report2.rows[0].error
+    # a nef cone with an empty interior is rejected when it is admitted
+    report3 = evaluate(
+        parse(
+            "let X = custom(dimension = 2, basis = [A, B, C], "
+            "gram = [[1, 0, 0], [0, 1, 0], [0, 0, 1]], canonical = A, "
+            "nef = [[1, -3, 0], [1, -1, -3], [-2, 2, 1], [1, 3, 3]])\ncompute X"
+        )
+    )
+    assert report3.rows[0].interval is None
+    assert "empty interior" in report3.rows[0].error
 
 
 def test_divisor_argument_checked_against_basis():
@@ -225,6 +237,24 @@ def test_oracle_cross_check_branches():
     assert message2 is not None and "no refutation found at 3" in message2
     # values beyond the cap are taken on the certificates alone
     assert _oracle_disagrees(p2, FujitaInterval(9, 9), max_m=6) is None
+
+
+def test_oracle_skips_refutation_outside_its_box():
+    lat = PicardLattice(("u", "v"))
+    desc = custom(
+        dimension=3,
+        lattice=lat,
+        form=IntersectionForm.from_entries(lat, 3, {(0, 0, 0): 1}),
+        canonical=lat.make([3, 0]),
+        nef=Cone(lat, ((-1, -2), (2, 3))),  # no interior point of sup-norm <= 4
+        gg=ExactEqualsNef("toric: nef implies globally generated"),
+        flags=(TORIC,),
+    )
+    interval = resolve(desc)
+    assert (interval.lo, interval.hi) == (3, 3)
+    lower = next(c for c in interval.certificates if c.kind == LOWER)
+    assert max(abs(x) for p in lower.witness_data()["tuple"] for x in p) > 4
+    assert _oracle_disagrees(desc, interval, max_m=6) is None
 
 
 def test_corpus_with_oracle_cap_still_green():
