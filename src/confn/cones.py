@@ -35,7 +35,13 @@ the test suite: it searches every multiset of interior lattice points of
 a given size and looks for a sum that escapes the cone.  It shares no
 logic with the threshold formula; it only prunes subtrees that provably
 cannot contain a violation, using suffix minima of the enumerated values,
-so the searched set is exactly the declared one.
+so the searched set is exactly the declared one.  The interior points of
+the sup-norm box are enumerated once per cone and radius: every prefix of
+all coordinates but the last is taken from the smaller box, the
+functionals bound the last coordinate to an exact integer interval, and
+the points are sorted back into shell-then-lex order.  The searched set
+is still every interior point of the box; only points that cannot be
+interior are skipped.
 """
 
 from __future__ import annotations
@@ -353,10 +359,37 @@ class Cone:
     # -- exact queries ------------------------------------------------
 
     def interior_points(self, radius: int):
-        """Interior lattice points within the sup-norm ball, shell-lex order."""
-        for point in lattice_points_by_shell(self.lattice.rank, radius):
-            if all(v > 0 for v in self.values_at(point)):
-                yield point
+        """Interior lattice points within the sup-norm ball, shell-lex order.
+
+        The set is exactly the box's points on which every functional is
+        positive.  Each prefix of all coordinates but the last comes from
+        the smaller box; a functional with value s on the prefix and last
+        entry a then bounds the last coordinate x exactly, since s + a x > 0
+        means x >= -((s - 1) // a) for a > 0 and x <= (s - 1) // -a for
+        a < 0, and for a = 0 keeps the prefix only if s > 0.  The points are
+        sorted by (sup-norm, point), which is the shell-then-lex order of
+        ``lattice_points_by_shell``.
+        """
+        yield from self._memoized(
+            ("interior", radius), lambda: self._enumerate_interior(radius)
+        )
+
+    def _enumerate_interior(self, radius: int) -> tuple[tuple[int, ...], ...]:
+        points = []
+        for head in lattice_points_by_shell(self.lattice.rank - 1, radius):
+            lo, hi = -radius, radius
+            for f in self.functionals:
+                s, a = _dot(f, head), f[-1]
+                if a > 0:
+                    lo = max(lo, -((s - 1) // a))
+                elif a < 0:
+                    hi = min(hi, (s - 1) // -a)
+                elif s <= 0:
+                    break
+            else:
+                points.extend(head + (x,) for x in range(lo, hi + 1))
+        points.sort(key=lambda p: (max(map(abs, p)), p))
+        return tuple(points)
 
     def first_interior_point(self) -> tuple[int, ...]:
         """The integral interior point found or checked at admission.

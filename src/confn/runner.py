@@ -473,12 +473,12 @@ def provenance_lines(desc: VarietyDescriptor, depth: int = 0) -> list[str]:
     return lines
 
 
-def _row_for(report: Report, name: str) -> VarietyRow:
-    for row in report.rows:
-        if row.name == name:
-            return row
-    row = VarietyRow(name=name)
-    report.rows.append(row)
+def _row_for(report: Report, rows: dict[str, VarietyRow], name: str) -> VarietyRow:
+    """The row named ``name``, appended to the report when first seen."""
+    row = rows.get(name)
+    if row is None:
+        row = rows[name] = VarietyRow(name=name)
+        report.rows.append(row)
     return row
 
 
@@ -558,6 +558,7 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
     queries are exact.  ``max_m`` caps the brute-force oracle.
     """
     report = Report()
+    rows: dict[str, VarietyRow] = {}
     env: dict[str, _Binding] = {}
     for stmt in program.statements:
         if isinstance(stmt, Let):
@@ -566,16 +567,16 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
                 env[stmt.name] = handler(stmt, env)
             except (DslError, DescriptorError, ConeError, LatticeError) as exc:
                 env[stmt.name] = _Binding(None)
-                row = _row_for(report, stmt.name)
+                row = _row_for(report, rows, stmt.name)
                 row.error = str(exc)
             except InconsistencyError as exc:
                 env[stmt.name] = _Binding(None)
-                row = _row_for(report, stmt.name)
+                row = _row_for(report, rows, stmt.name)
                 row.error = f"internal inconsistency: {exc}"
                 row.internal = True
         elif isinstance(stmt, Compute):
             binding = env[stmt.name]
-            row = _row_for(report, stmt.name)
+            row = _row_for(report, rows, stmt.name)
             if binding.descriptor is None:
                 if row.error is None:
                     row.error = "definition failed earlier; nothing to compute"
@@ -583,7 +584,7 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
             _compute_row(row, binding, max_m)
         elif isinstance(stmt, AssertConfn):
             binding = env[stmt.name]
-            row = _row_for(report, stmt.name)
+            row = _row_for(report, rows, stmt.name)
             if binding.descriptor is None:
                 if row.error is None:
                     row.error = "definition failed earlier; nothing to assert"

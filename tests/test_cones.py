@@ -12,6 +12,7 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from confn.cones import (
     Cone,
@@ -312,6 +313,39 @@ def test_interior_points_deterministic_prefix():
     assert first[0] == (1, 2)
     assert first == list(F1_NEF.interior_points(3))
     assert set(first) <= set(F1_NEF.interior_points(4))
+
+
+@st.composite
+def cones_and_radii(draw):
+    rank = draw(st.integers(1, 4))
+    entry = st.integers(-4, 4)
+    rows = draw(
+        st.lists(st.tuples(*[entry] * rank), min_size=1, max_size=rank + 2)
+    )
+    try:
+        cone = Cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), rows)
+    except ConeError:
+        assume(False)
+    return cone, draw(st.integers(0, 5))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cones_and_radii())
+# zero and negative last entries, and the one-point box of radius 0
+@example((Cone(DP7, ((1, -1, 0), (0, 1, -1), (0, 0, 1))), 4))
+@example((Cone(F1, ((1, 0), (-1, -1))), 3))
+@example((Cone(F1, ((1, 0), (0, 1))), 0))
+def test_interior_points_equal_the_filtered_box(case):
+    cone, radius = case
+    rank = cone.lattice.rank
+    plain = [
+        p
+        for p in lattice_points_by_shell(rank, radius)
+        if all(v > 0 for v in cone.values_at(p))
+    ]
+    assert list(cone.interior_points(radius)) == plain
+    assert set(cone._memo) == {("interior", radius)}
+    assert list(cone.interior_points(radius)) == plain
 
 
 def test_random_rank2_cones_threshold_equals_oracle():

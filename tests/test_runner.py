@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from confn import engine
+from confn import cones, engine
 from confn.certificates import LOWER, Certificate
 from confn.cones import Cone
 from confn.descriptors import TORIC, ExactEqualsNef, custom, projective_space
@@ -260,6 +260,24 @@ def test_oracle_skips_refutation_outside_its_box():
 def test_corpus_with_oracle_cap_still_green():
     report = corpus(max_m=6)
     assert not report.any_internal
+
+
+def test_corpus_oracle_enumerates_few_lattice_points(monkeypatch):
+    # the oracle enumerates only prefixes of each cone's box, once per cone
+    # and radius; filtering the whole box would yield over 15,000 points here
+    plain = cones.lattice_points_by_shell
+    yielded = 0
+
+    def counted(rank, radius):
+        nonlocal yielded
+        for point in plain(rank, radius):
+            yielded += 1
+            yield point
+
+    monkeypatch.setattr(cones, "lattice_points_by_shell", counted)
+    report = corpus()
+    assert not report.any_failure
+    assert 0 < yielded <= 1200
 
 
 # ------------------------------------------------------------- emitters
