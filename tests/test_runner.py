@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from confn import cones, engine
+from confn import cones, engine, runner
 from confn.certificates import LOWER, Certificate
 from confn.cones import Cone
 from confn.descriptors import TORIC, ExactEqualsNef, custom, projective_space
@@ -25,7 +25,8 @@ from confn.runner import (
     provenance_lines,
 )
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "corpus.md"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "corpus.md"
 
 
 # ------------------------------------------------------------- corpus
@@ -76,6 +77,16 @@ def test_corpus_all_green():
 
 def test_corpus_matches_golden_markdown():
     assert emit_markdown(corpus()) == GOLDEN.read_text()
+
+
+def test_corpus_matches_golden_json():
+    # the pipelines' notes reach the report only here and in explain
+    assert emit_json(corpus()) == (GOLDEN_DIR / "corpus.json").read_text()
+
+
+def test_corpus_matches_golden_explain():
+    text = "\n\n".join(explain_row(r) for r in corpus().rows) + "\n"
+    assert text == (GOLDEN_DIR / "corpus_explain.txt").read_text()
 
 
 def test_corpus_headline_values():
@@ -166,6 +177,173 @@ def test_type_errors_from_arguments():
     assert "duplicate argument" in report3.rows[0].error
     report4 = evaluate(parse("let X = projective_space(2, m = 3)\ncompute X"))
     assert "no parameter" in report4.rows[0].error
+
+
+# Every constructor error, in full: category, message, position and hint.
+# Each statement is line 4, after the three definitions below.
+_ERROR_PRELUDE = (
+    "let P = projective_space(3)\nlet S = delpezzo7()\nlet B = abelian(0)\n"
+)
+_NEF_NO_INTERIOR = "[[1, -3, 0], [1, -1, -3], [-2, 2, 1], [1, 3, 3]]"
+_BASIS_HINT = "\n  hint: basis names here: H, E1, E2"
+
+
+@pytest.mark.parametrize(
+    "statement, error",
+    [
+        (
+            "projective_space(2, 3)",
+            "type error at line 4, column 29: projective_space takes at most 1 "
+            "arguments\n  hint: parameters: n",
+        ),
+        (
+            "projective_space(2, m = 3)",
+            "type error at line 4, column 29: projective_space has no parameter "
+            "'m'\n  hint: parameters: n",
+        ),
+        (
+            "projective_space(2, n = 3)",
+            "type error at line 4, column 29: duplicate argument 'n'",
+        ),
+        (
+            "projective_space()",
+            "type error at line 4, column 5: projective_space is missing "
+            "required argument 'n'\n  hint: parameters: n",
+        ),
+        (
+            "projective_space(true)",
+            "type error at line 4, column 26: expected an integer",
+        ),
+        (
+            "complete_intersection(3, [2], 1)",
+            "type error at line 4, column 39: expected true or false",
+        ),
+        (
+            "complete_intersection(3, 2)",
+            "type error at line 4, column 34: expected a list of integers",
+        ),
+        (
+            "custom(2, H, [[1]], 3*H)",
+            "type error at line 4, column 19: expected a list of names",
+        ),
+        (
+            "custom(2, [1], [[1]], 3*H)",
+            "type error at line 4, column 20: expected a bare name",
+        ),
+        (
+            "custom(2, [H], 1, 3*H)",
+            "type error at line 4, column 24: expected a list of integer rows",
+        ),
+        (
+            "custom(dimension = 3, basis = [H, G], gram = [[1, 0], [0, 1]], "
+            "canonical = H)",
+            "type error at line 4, column 54: custom forms are limited to "
+            "surfaces (a gram matrix) or rank-1 lattices (a 1x1 top "
+            "intersection number)",
+        ),
+        (
+            "custom(dimension = 2, basis = [H], gram = [[1]], canonical = 3*H, "
+            "flags = [toric])",
+            "type error at line 4, column 83: unsupported flag 'toric'\n"
+            "  hint: supported: irregularity_zero",
+        ),
+        (
+            "custom(dimension = 2, basis = [A, B, C], gram = [[1, 0, 0], "
+            "[0, 1, 0], [0, 0, 1]], canonical = A, nef = " + _NEF_NO_INTERIOR + ")",
+            "the functionals ((1, -3, 0), (1, -1, -3), (-2, 2, 1), (1, 3, 3)) cut "
+            "out a cone with an empty interior: no class is positive on all of "
+            "them",
+        ),
+        (
+            "product(1, P)",
+            "type error at line 4, column 17: expected the name of a previously "
+            "defined descriptor",
+        ),
+        ("product(Q, P)", "name error at line 4, column 17: 'Q' is not defined"),
+        (
+            "product(B, P)",
+            "name error at line 4, column 17: 'B' failed to evaluate and cannot "
+            "be used\n  hint: fix the earlier error first",
+        ),
+        (
+            "pipeline_n3k1(S, polarization = 3)",
+            "type error at line 4, column 41: expected a divisor literal such as "
+            "3*H - E1" + _BASIS_HINT,
+        ),
+        (
+            "pipeline_n3k1(S, polarization = 3*H - E9)",
+            "type error at line 4, column 41: 'E9' is not a basis name of this "
+            "lattice" + _BASIS_HINT,
+        ),
+        (
+            "pipeline_n3k1(S, polarization = E9)",
+            "type error at line 4, column 41: 'E9' is not a basis name of this "
+            "lattice" + _BASIS_HINT,
+        ),
+        (
+            "hypersurface_section(P, ample = H, p = 5, assume = [large_d])",
+            "type error at line 4, column 60: hypersurface_section does not take "
+            "assumption 'large_d'\n  hint: only 'ample' is meaningful here",
+        ),
+        (
+            "pipeline_simple_variety(P, branch = H, d = 6, assume = H)",
+            "type error at line 4, column 64: expected a list of names",
+        ),
+        (
+            "complete_intersection(2, degrees = [5])",
+            "surface case requires a single degree >= 4 and the very_general "
+            "flag (Noether-Lefschetz)",
+        ),
+        (
+            "cyclic_cover(P, branch = H, degree = 1)",
+            "cover degree must be >= 2, got 1",
+        ),
+    ],
+)
+def test_constructor_errors_verbatim(statement, error):
+    report = evaluate(parse(_ERROR_PRELUDE + f"let X = {statement}\ncompute X\n"))
+    (row,) = [r for r in report.rows if r.name == "X"]
+    assert row.error == error
+    assert row.interval is None and not row.internal
+
+
+def test_failed_definition_keeps_its_own_error():
+    # the definition's error stands on the row that compute and assert_confn
+    # reach later; neither records an assertion against it
+    report = evaluate(parse("let B = abelian(0)\ncompute B\nassert_confn B = 1\n"))
+    (row,) = report.rows
+    assert row.error == "abelian varieties have dimension >= 1"
+    assert row.assertions == [] and row.interval is None
+
+
+def test_runner_calls_every_library_constructor_at_call_time(monkeypatch):
+    # tracing rebinds these names on the runner module, so every let must
+    # look its library function up there when it runs
+    names = (
+        "projective_space", "complete_intersection", "curve", "hirzebruch1",
+        "del_pezzo7", "abelian", "custom", "product", "blowup_point",
+        "hypersurface_section", "cyclic_cover", "pipeline_n2k1",
+        "pipeline_n3k1", "pipeline_simple_surface", "pipeline_simple_variety",
+    )
+    calls = dict.fromkeys(names, 0)
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(runner, name, recording(name, getattr(runner, name)))
+    extra = (
+        "let C2 = curve(2)\ncompute C2\n"
+        "let BF1 = blowup_point(F1)\ncompute BF1\n"
+        "let HS = hypersurface_section(P3, ample = H, p = 5)\ncompute HS\n"
+    )
+    report = evaluate(parse(CORPUS_PROGRAM + extra))
+    assert not report.any_failure
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 def test_custom_handler_limits():
