@@ -353,7 +353,8 @@ def cyclic_cover(
     dimension >= 4 (Grothendieck-Lefschetz applied to the cover) and is
     otherwise an explicit assertion: for a threefold the cover must be
     taken with d large and the branch divisor very general, which the
-    caller acknowledges by passing ``large_d`` or ``pic_pullback_iso``.
+    caller acknowledges by passing ``large_d``, ``pic_pullback_iso`` or
+    ``effective_nl``.
     """
     if degree < 2:
         raise DescriptorError(f"cover degree must be >= 2, got {degree}")

@@ -190,9 +190,6 @@ class VarietyDescriptor:
             out.append(ann.modulus)
         return tuple(out)
 
-    def divisor(self, coeffs) -> DivisorClass:
-        return self.lattice.make(coeffs)
-
 
 def is_known_gg(desc: VarietyDescriptor, cls_: DivisorClass) -> bool:
     """Is this class certified globally generated by the descriptor's data?"""

@@ -62,14 +62,6 @@ class PicardLattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.basis.index(name)
-        except ValueError:
-            raise LatticeError(
-                f"no basis class named {name!r}; basis is {', '.join(self.basis)}"
-            ) from None
-
     def make(self, coeffs) -> "DivisorClass":
         return DivisorClass(self, tuple(int(c) for c in coeffs))
 

@@ -1,10 +1,11 @@
 """Program evaluation and report emission for the descriptor DSL.
 
 ``evaluate`` executes a parsed Program statement by statement: ``let``
-builds a descriptor (or runs a pipeline), ``compute`` resolves its
-convex Fujita interval and re-verifies every certificate, and
-``assert_confn`` records a pass or fail.  Errors attach to the offending
-statement and evaluation continues for independent varieties.
+builds a descriptor (or runs a pipeline) through ``_CONSTRUCTORS``,
+``compute`` resolves its convex Fujita interval and re-verifies every
+certificate, and ``assert_confn`` records a pass or fail.  Errors attach
+to the offending statement and evaluation continues for independent
+varieties.
 
 ``corpus`` evaluates the built-in suite of worked examples through the
 same code path as user programs.  Emitters produce deterministic JSON
@@ -18,6 +19,7 @@ import datetime
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable, NamedTuple
 
 from . import dsl
 from .certificates import LOWER
@@ -38,7 +40,6 @@ from .descriptors import (
 from .dsl import (
     AssertConfn,
     BoolValue,
-    Compute,
     DivisorValue,
     DslError,
     IntValue,
@@ -58,7 +59,7 @@ from .lattice import (
     PicardLattice,
 )
 from .pipelines import (
-    PipelineError,
+    PipelineResult,
     pipeline_n2k1,
     pipeline_n3k1,
     pipeline_simple_surface,
@@ -106,12 +107,6 @@ class Report:
     @property
     def any_internal(self) -> bool:
         return any(r.internal or r.verified is False for r in self.rows)
-
-
-@dataclass
-class _Binding:
-    descriptor: VarietyDescriptor | None
-    notes: tuple[str, ...] = ()
 
 
 # argument plumbing ----------------------------------------------------
@@ -197,17 +192,16 @@ def _as_descriptor(node, env: dict) -> VarietyDescriptor:
             "expected the name of a previously defined descriptor",
             node.span,
         )
-    binding = env.get(node.name)
-    if binding is None:
+    if node.name not in env:
         raise DslError(dsl.NAME, f"{node.name!r} is not defined", node.span)
-    if binding.descriptor is None:
+    if env[node.name] is None:
         raise DslError(
             dsl.NAME,
             f"{node.name!r} failed to evaluate and cannot be used",
             node.span,
             "fix the earlier error first",
         )
-    return binding.descriptor
+    return env[node.name].descriptor
 
 
 def _as_divisor(node, desc: VarietyDescriptor) -> DivisorClass:
@@ -237,63 +231,41 @@ def _as_divisor(node, desc: VarietyDescriptor) -> DivisorClass:
     return desc.lattice.make(coeffs)
 
 
-def _split_assume(names: tuple[str, ...]):
-    """Separate the 'ample' acknowledgment from pass-through assumptions."""
-    ample = "ample" in names
-    rest = tuple(n for n in names if n != "ample")
-    return rest, ample
+@dataclass(frozen=True)
+class _DivisorOn:
+    """Coerce to a divisor on the basis of the descriptor bound to ``param``."""
+
+    param: str
 
 
-# constructor handlers -------------------------------------------------
+def _ample_only(node) -> bool:
+    """hypersurface_section's ``assume``: only 'ample' is meaningful there."""
+    names = _as_ident_list(node)
+    for name in names:
+        if name != "ample":
+            raise DslError(
+                TYPE,
+                f"hypersurface_section does not take assumption {name!r}",
+                node.span,
+                "only 'ample' is meaningful here",
+            )
+    return "ample" in names
 
 
-def _h_projective_space(stmt, env):
-    args = _collect(stmt, ("n",), 1)
-    return _Binding(projective_space(_as_int(args["n"])))
-
-
-def _h_complete_intersection(stmt, env):
-    args = _collect(stmt, ("n", "degrees", "very_general"), 2)
-    return _Binding(
-        complete_intersection(
-            _as_int(args["n"]),
-            _as_int_list(args["degrees"]),
-            very_general=_as_bool(args["very_general"])
-            if "very_general" in args
-            else False,
-        )
-    )
-
-
-def _h_curve(stmt, env):
-    args = _collect(stmt, ("genus",), 1)
-    return _Binding(curve(_as_int(args["genus"])))
-
-
-def _h_hirzebruch1(stmt, env):
-    _collect(stmt, (), 0)
-    return _Binding(hirzebruch1())
-
-
-def _h_delpezzo7(stmt, env):
-    _collect(stmt, (), 0)
-    return _Binding(del_pezzo7())
-
-
-def _h_abelian(stmt, env):
-    args = _collect(stmt, ("n",), 1)
-    return _Binding(abelian(_as_int(args["n"])))
+def _without_ample(node) -> tuple[str, ...]:
+    """``assume`` less 'ample': the pipeline vouches for its own polarization,
+    and a non-empty ``assume`` would turn off its ``large_d`` default."""
+    return tuple(name for name in _as_ident_list(node) if name != "ample")
 
 
 _CUSTOM_FLAGS = {"irregularity_zero": IRREGULARITY_ZERO}
+_CUSTOM_PARAMS = (
+    "dimension", "basis", "gram", "canonical", "nef", "flags", "annotations"
+)
 
 
-def _h_custom(stmt, env):
-    args = _collect(
-        stmt,
-        ("dimension", "basis", "gram", "canonical", "nef", "flags", "annotations"),
-        4,
-    )
+def _custom(**args):
+    """custom's arguments depend on each other, so it coerces its own nodes."""
     dimension = _as_int(args["dimension"])
     basis = _as_ident_list(args["basis"])
     lat = PicardLattice(basis)
@@ -336,126 +308,129 @@ def _h_custom(stmt, env):
             DivisibilityAnnotation(m, FullLattice())
             for m in _as_int_list(args["annotations"])
         )
-    return _Binding(
-        custom(
-            dimension=dimension,
-            lattice=lat,
-            form=form,
-            canonical=canonical,
-            nef=nef,
-            flags=flags,
-            annotations=annotations,
-        )
+    return custom(
+        dimension=dimension,
+        lattice=lat,
+        form=form,
+        canonical=canonical,
+        nef=nef,
+        flags=flags,
+        annotations=annotations,
     )
 
 
-def _h_product(stmt, env):
-    args = _collect(stmt, ("x", "y"), 2)
-    return _Binding(
-        product(_as_descriptor(args["x"], env), _as_descriptor(args["y"], env))
-    )
+class _Constructor(NamedTuple):
+    """A DSL constructor: its parameters, how many are required, its call.
+
+    ``params`` pairs each name, in positional order, with a coercer: a
+    function of the argument node, ``_as_descriptor`` for a reference to an
+    earlier definition, a ``_DivisorOn``, or None to pass the node through.
+    ``call`` takes the coerced arguments as keywords.  It names the library
+    function inside its body, so a function rebound on this module (as the
+    benchmark's tracer does) is the one that runs.
+    """
+
+    params: tuple[tuple[str, object], ...]
+    required: int
+    call: Callable[..., VarietyDescriptor | PipelineResult]
 
 
-def _h_blowup_point(stmt, env):
-    args = _collect(stmt, ("surface",), 1)
-    return _Binding(blowup_point(_as_descriptor(args["surface"], env)))
-
-
-def _h_hypersurface_section(stmt, env):
-    args = _collect(stmt, ("parent", "ample", "p", "assume"), 3)
-    parent = _as_descriptor(args["parent"], env)
-    assume, ample_ok = _split_assume(
-        _as_ident_list(args["assume"]) if "assume" in args else ()
-    )
-    if assume:
-        raise DslError(
-            TYPE,
-            f"hypersurface_section does not take assumption {assume[0]!r}",
-            args["assume"].span,
-            "only 'ample' is meaningful here",
-        )
-    return _Binding(
-        hypersurface_section(
-            parent,
-            _as_divisor(args["ample"], parent),
-            _as_int(args["p"]),
-            assume_ample=ample_ok,
-        )
-    )
-
-
-def _h_cyclic_cover(stmt, env):
-    args = _collect(stmt, ("parent", "branch", "degree", "assume"), 3)
-    parent = _as_descriptor(args["parent"], env)
-    assume, ample_ok = _split_assume(
-        _as_ident_list(args["assume"]) if "assume" in args else ()
-    )
-    return _Binding(
-        cyclic_cover(
-            parent,
-            _as_divisor(args["branch"], parent),
-            _as_int(args["degree"]),
-            assume=assume,
-            assume_ample=ample_ok,
-        )
-    )
-
-
-def _h_pipeline_n2k1(stmt, env):
-    args = _collect(stmt, ("surface",), 1)
-    result = pipeline_n2k1(_as_descriptor(args["surface"], env))
-    return _Binding(result.descriptor, result.notes)
-
-
-def _h_pipeline_n3k1(stmt, env):
-    args = _collect(stmt, ("surface", "polarization"), 2)
-    surface = _as_descriptor(args["surface"], env)
-    result = pipeline_n3k1(surface, _as_divisor(args["polarization"], surface))
-    return _Binding(result.descriptor, result.notes)
-
-
-def _h_pipeline_simple_surface(stmt, env):
-    args = _collect(stmt, ("parent", "ample", "p"), 3)
-    parent = _as_descriptor(args["parent"], env)
-    result = pipeline_simple_surface(
-        parent, _as_divisor(args["ample"], parent), _as_int(args["p"])
-    )
-    return _Binding(result.descriptor, result.notes)
-
-
-def _h_pipeline_simple_variety(stmt, env):
-    args = _collect(stmt, ("parent", "branch", "d", "assume"), 3)
-    parent = _as_descriptor(args["parent"], env)
-    assume, ample_ok = _split_assume(
-        _as_ident_list(args["assume"]) if "assume" in args else ()
-    )
-    del ample_ok  # the pipeline always vouches for its own polarization
-    result = pipeline_simple_variety(
-        parent,
-        _as_divisor(args["branch"], parent),
-        _as_int(args["d"]),
-        assume=assume,
-    )
-    return _Binding(result.descriptor, result.notes)
-
-
-_HANDLERS = {
-    "projective_space": _h_projective_space,
-    "complete_intersection": _h_complete_intersection,
-    "curve": _h_curve,
-    "hirzebruch1": _h_hirzebruch1,
-    "delpezzo7": _h_delpezzo7,
-    "abelian": _h_abelian,
-    "custom": _h_custom,
-    "product": _h_product,
-    "blowup_point": _h_blowup_point,
-    "hypersurface_section": _h_hypersurface_section,
-    "cyclic_cover": _h_cyclic_cover,
-    "pipeline_n2k1": _h_pipeline_n2k1,
-    "pipeline_n3k1": _h_pipeline_n3k1,
-    "pipeline_simple_surface": _h_pipeline_simple_surface,
-    "pipeline_simple_variety": _h_pipeline_simple_variety,
+# keyed in dsl.CONSTRUCTORS order
+_CONSTRUCTORS = {
+    "projective_space": _Constructor(
+        (("n", _as_int),), 1, lambda n: projective_space(n)
+    ),
+    "complete_intersection": _Constructor(
+        (("n", _as_int), ("degrees", _as_int_list), ("very_general", _as_bool)),
+        2,
+        lambda n, degrees, very_general=False: complete_intersection(
+            n, degrees, very_general=very_general
+        ),
+    ),
+    "curve": _Constructor((("genus", _as_int),), 1, lambda genus: curve(genus)),
+    "hirzebruch1": _Constructor((), 0, lambda: hirzebruch1()),
+    "delpezzo7": _Constructor((), 0, lambda: del_pezzo7()),
+    "abelian": _Constructor((("n", _as_int),), 1, lambda n: abelian(n)),
+    "custom": _Constructor(
+        tuple((name, None) for name in _CUSTOM_PARAMS), 4, _custom
+    ),
+    "product": _Constructor(
+        (("x", _as_descriptor), ("y", _as_descriptor)), 2, lambda x, y: product(x, y)
+    ),
+    "blowup_point": _Constructor(
+        (("surface", _as_descriptor),), 1, lambda surface: blowup_point(surface)
+    ),
+    "hypersurface_section": _Constructor(
+        (
+            ("parent", _as_descriptor),
+            ("ample", _DivisorOn("parent")),
+            ("p", _as_int),
+            ("assume", _ample_only),
+        ),
+        3,
+        lambda parent, ample, p, assume=False: hypersurface_section(
+            parent, ample, p, assume_ample=assume
+        ),
+    ),
+    "cyclic_cover": _Constructor(
+        (
+            ("parent", _as_descriptor),
+            ("branch", _DivisorOn("parent")),
+            ("degree", _as_int),
+            ("assume", _as_ident_list),
+        ),
+        3,
+        lambda parent, branch, degree, assume=(): cyclic_cover(
+            parent, branch, degree, assume=assume
+        ),
+    ),
+    "pipeline_n2k1": _Constructor(
+        (("surface", _as_descriptor),), 1, lambda surface: pipeline_n2k1(surface)
+    ),
+    "pipeline_n3k1": _Constructor(
+        (("surface", _as_descriptor), ("polarization", _DivisorOn("surface"))),
+        2,
+        lambda surface, polarization: pipeline_n3k1(surface, polarization),
+    ),
+    "pipeline_simple_surface": _Constructor(
+        (("parent", _as_descriptor), ("ample", _DivisorOn("parent")), ("p", _as_int)),
+        3,
+        lambda parent, ample, p: pipeline_simple_surface(parent, ample, p),
+    ),
+    "pipeline_simple_variety": _Constructor(
+        (
+            ("parent", _as_descriptor),
+            ("branch", _DivisorOn("parent")),
+            ("d", _as_int),
+            ("assume", _without_ample),
+        ),
+        3,
+        lambda parent, branch, d, assume=(): pipeline_simple_variety(
+            parent, branch, d, assume=assume
+        ),
+    ),
 }
+
+
+def _construct(stmt: Let, env: dict) -> PipelineResult:
+    """Build the binding of one ``let``: collect, coerce in order, call."""
+    ctor = _CONSTRUCTORS[stmt.constructor]
+    nodes = _collect(stmt, tuple(name for name, _ in ctor.params), ctor.required)
+    args: dict[str, object] = {}
+    for name, coerce in ctor.params:
+        if name not in nodes:
+            continue
+        node = nodes[name]
+        if coerce is None:
+            args[name] = node
+        elif coerce is _as_descriptor:
+            args[name] = _as_descriptor(node, env)
+        elif isinstance(coerce, _DivisorOn):
+            args[name] = _as_divisor(node, args[coerce.param])
+        else:
+            args[name] = coerce(node)
+    result = ctor.call(**args)
+    return result if isinstance(result, PipelineResult) else PipelineResult(result)
 
 
 # evaluation -----------------------------------------------------------
@@ -520,7 +495,7 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     return None
 
 
-def _compute_row(row: VarietyRow, binding: _Binding, max_m: int) -> None:
+def _compute_row(row: VarietyRow, binding: PipelineResult, max_m: int) -> None:
     if row.interval is not None or row.error is not None:
         return
     desc = binding.descriptor
@@ -559,51 +534,41 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
     """
     report = Report()
     rows: dict[str, VarietyRow] = {}
-    env: dict[str, _Binding] = {}
+    # None marks a definition that failed
+    env: dict[str, PipelineResult | None] = {}
     for stmt in program.statements:
         if isinstance(stmt, Let):
-            handler = _HANDLERS[stmt.constructor]
             try:
-                env[stmt.name] = handler(stmt, env)
-            except (DslError, DescriptorError, ConeError, LatticeError) as exc:
-                env[stmt.name] = _Binding(None)
+                env[stmt.name] = _construct(stmt, env)
+            except (
+                DslError, DescriptorError, ConeError, LatticeError, InconsistencyError
+            ) as exc:
+                env[stmt.name] = None
                 row = _row_for(report, rows, stmt.name)
                 row.error = str(exc)
-            except InconsistencyError as exc:
-                env[stmt.name] = _Binding(None)
-                row = _row_for(report, rows, stmt.name)
-                row.error = f"internal inconsistency: {exc}"
-                row.internal = True
-        elif isinstance(stmt, Compute):
-            binding = env[stmt.name]
-            row = _row_for(report, rows, stmt.name)
-            if binding.descriptor is None:
-                if row.error is None:
-                    row.error = "definition failed earlier; nothing to compute"
-                continue
-            _compute_row(row, binding, max_m)
-        elif isinstance(stmt, AssertConfn):
-            binding = env[stmt.name]
-            row = _row_for(report, rows, stmt.name)
-            if binding.descriptor is None:
-                if row.error is None:
-                    row.error = "definition failed earlier; nothing to assert"
-                continue
-            _compute_row(row, binding, max_m)
-            if row.interval is None:
-                continue
-            interval = row.interval
-            if stmt.exact is not None:
-                expected = str(stmt.exact)
-                passed = interval.exact and interval.lo == stmt.exact
-            else:
-                expected = f"in [{stmt.lo}, {stmt.hi}]"
-                passed = stmt.lo <= interval.lo and interval.hi <= stmt.hi
-            row.assertions.append(
-                AssertionResult(expected, str(interval), passed)
-            )
-        else:  # pragma: no cover - parser emits only the three kinds
-            raise TypeError(f"unknown statement {stmt!r}")
+                if isinstance(exc, InconsistencyError):
+                    row.error = f"internal inconsistency: {exc}"
+                    row.internal = True
+            continue
+        binding = env[stmt.name]
+        row = _row_for(report, rows, stmt.name)
+        asserting = isinstance(stmt, AssertConfn)
+        if binding is None:
+            if row.error is None:
+                what = "assert" if asserting else "compute"
+                row.error = f"definition failed earlier; nothing to {what}"
+            continue
+        _compute_row(row, binding, max_m)
+        if not asserting or row.interval is None:
+            continue
+        interval = row.interval
+        if stmt.exact is not None:
+            expected = str(stmt.exact)
+            passed = interval.exact and interval.lo == stmt.exact
+        else:
+            expected = f"in [{stmt.lo}, {stmt.hi}]"
+            passed = stmt.lo <= interval.lo and interval.hi <= stmt.hi
+        row.assertions.append(AssertionResult(expected, str(interval), passed))
     return report
 
 

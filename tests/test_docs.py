@@ -25,4 +25,19 @@ def test_readme_constructors_match_the_dsl():
 
 
 def test_every_dsl_constructor_has_a_handler():
-    assert set(dsl.CONSTRUCTORS) == set(runner._HANDLERS)
+    assert tuple(runner._CONSTRUCTORS) == dsl.CONSTRUCTORS
+
+
+def test_readme_constructor_signatures_match_the_table():
+    listed = re.findall(r"^- `(\w+)\(([^)]*)\)`$", README.read_text(), re.M)
+    table = [
+        (
+            name,
+            ", ".join(
+                p if i < ctor.required else f"[{p}]"
+                for i, (p, _) in enumerate(ctor.params)
+            ),
+        )
+        for name, ctor in runner._CONSTRUCTORS.items()
+    ]
+    assert listed == table
