@@ -10,8 +10,8 @@ part of the tool's external interface (schema version 1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape
 
 UPPER = "upper"
 LOWER = "lower"
@@ -67,7 +67,7 @@ class Certificate:
             "value": self.value,
             "citation": self.citation,
             "premises": list(self.premises),
-            "witness": _as_jsonable(self.witness_data()),
+            "witness": self.witness_data(),
         }
 
     @classmethod
@@ -80,14 +80,6 @@ class Certificate:
             premises=tuple(data.get("premises", ())),
             witness=data.get("witness", {}) or {},
         )
-
-
-def _as_jsonable(value):
-    if isinstance(value, dict):
-        return {k: _as_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_as_jsonable(v) for v in value]
-    return value
 
 
 def make_certificate(
@@ -108,5 +100,70 @@ def make_certificate(
     )
 
 
+def _render(value, nl: str, out: list, memo: dict) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` lays it
+    out when nested at the line break ``nl``.
+
+    Leaf strings and dict keys, which must be strings, go through the C
+    ``encode_basestring_ascii``.  A Certificate renders as its
+    ``to_json_dict()``, once per ``memo``: a reused certificate costs a dict
+    lookup.  Certificate equality reads True as 1, so two certificates that
+    differ only there would share one text; no rule puts a bool in a witness.
+    """
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    # before int, since bool is an int subclass
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            out.append(sep + _escape(key) + ": ")
+            _render(item, inner, out, memo)
+            sep = comma
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _render(item, inner, out, memo)
+            sep = comma
+        out.append(nl + "]")
+    elif isinstance(value, Certificate):
+        key = (value, nl)
+        text = memo.get(key)
+        if text is None:
+            start = len(out)
+            _render(value.to_json_dict(), nl, out, memo)
+            memo[key] = "".join(out[start:])
+        else:
+            out.append(text)
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} as JSON")
+
+
+def render_json(value) -> str:
+    """``json.dumps(value, indent=2)`` byte for byte, for dicts with string
+    keys, lists, tuples, strings, ints, bools and None; Certificates render
+    as their ``to_json_dict()``, each distinct one once."""
+    out: list[str] = []
+    _render(value, "\n", out, {})
+    return "".join(out)
+
+
 def dumps_certificates(certs) -> str:
-    return json.dumps([c.to_json_dict() for c in certs], indent=2)
+    return render_json(list(certs))

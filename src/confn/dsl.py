@@ -179,9 +179,9 @@ def _lex_line(text: str, line_no: int) -> list[_Token]:
             i += 1
             continue
         span = Span(line_no, i + 1)
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], span))
             i = j

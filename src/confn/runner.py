@@ -22,7 +22,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import dsl
-from .certificates import LOWER
+from .certificates import LOWER, render_json
 from .cones import Cone, ConeError
 from .constructions import blowup_point, cyclic_cover, hypersurface_section, product
 from .descriptors import (
@@ -119,9 +119,10 @@ def _collect(stmt: Let, names: tuple[str, ...], required: int) -> dict:
     for arg in stmt.arguments:
         if arg.keyword is None:
             if position >= len(names):
+                noun = "argument" if len(names) == 1 else "arguments"
                 raise DslError(
                     TYPE,
-                    f"{stmt.constructor} takes at most {len(names)} arguments",
+                    f"{stmt.constructor} takes at most {len(names)} {noun}",
                     arg.span,
                     "parameters: " + ", ".join(names),
                 )
@@ -204,8 +205,8 @@ def _as_descriptor(node, env: dict) -> VarietyDescriptor:
     return env[node.name].descriptor
 
 
-def _as_divisor(node, desc: VarietyDescriptor) -> DivisorClass:
-    basis = desc.lattice.basis
+def _as_divisor(node, lattice: PicardLattice) -> DivisorClass:
+    basis = lattice.basis
     hint = "basis names here: " + ", ".join(basis)
     if isinstance(node, NameValue):
         if node.name not in basis:
@@ -215,7 +216,7 @@ def _as_divisor(node, desc: VarietyDescriptor) -> DivisorClass:
             )
         coeffs = [0] * len(basis)
         coeffs[basis.index(node.name)] = 1
-        return desc.lattice.make(coeffs)
+        return lattice.make(coeffs)
     if not isinstance(node, DivisorValue):
         raise DslError(
             TYPE, "expected a divisor literal such as 3*H - E1", node.span, hint
@@ -228,7 +229,7 @@ def _as_divisor(node, desc: VarietyDescriptor) -> DivisorClass:
                 node.span, hint,
             )
         coeffs[basis.index(name)] += coeff
-    return desc.lattice.make(coeffs)
+    return lattice.make(coeffs)
 
 
 @dataclass(frozen=True)
@@ -281,13 +282,7 @@ def _custom(**args):
             "lattices (a 1x1 top intersection number)",
             args["gram"].span,
         )
-    lat_probe = custom(
-        dimension=dimension,
-        lattice=lat,
-        form=form,
-        canonical=lat.make([0] * len(basis)),
-    )
-    canonical = _as_divisor(args["canonical"], lat_probe)
+    canonical = _as_divisor(args["canonical"], lat)
     nef = None
     if "nef" in args:
         nef = Cone(lat, _as_rows(args["nef"]))
@@ -426,7 +421,7 @@ def _construct(stmt: Let, env: dict) -> PipelineResult:
         elif coerce is _as_descriptor:
             args[name] = _as_descriptor(node, env)
         elif isinstance(coerce, _DivisorOn):
-            args[name] = _as_divisor(node, args[coerce.param])
+            args[name] = _as_divisor(node, args[coerce.param].lattice)
         else:
             args[name] = coerce(node)
     result = ctor.call(**args)
@@ -551,15 +546,12 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
                     row.internal = True
             continue
         binding = env[stmt.name]
-        row = _row_for(report, rows, stmt.name)
-        asserting = isinstance(stmt, AssertConfn)
+        # a failed definition's row already holds the definition's own error
         if binding is None:
-            if row.error is None:
-                what = "assert" if asserting else "compute"
-                row.error = f"definition failed earlier; nothing to {what}"
             continue
+        row = _row_for(report, rows, stmt.name)
         _compute_row(row, binding, max_m)
-        if not asserting or row.interval is None:
+        if not isinstance(stmt, AssertConfn) or row.interval is None:
             continue
         interval = row.interval
         if stmt.exact is not None:
@@ -701,12 +693,10 @@ def _row_json(row: VarietyRow) -> dict:
         "dimension": row.dimension,
         "picard_rank": row.picard_rank,
         "interval": _interval_json(row.interval),
-        "certificates": [
-            c.to_json_dict() for c in (row.interval.certificates if row.interval else ())
-        ],
-        "advisories": list(row.interval.advisories) if row.interval else [],
-        "notes": list(row.notes),
-        "provenance": list(row.provenance),
+        "certificates": row.interval.certificates if row.interval else [],
+        "advisories": row.interval.advisories if row.interval else [],
+        "notes": row.notes,
+        "provenance": row.provenance,
         "assertions": [
             {"expected": a.expected, "actual": a.actual, "passed": a.passed}
             for a in row.assertions
@@ -725,7 +715,7 @@ def emit_json(report: Report, timestamps: bool = False) -> str:
         payload["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc
         ).isoformat()
-    return json.dumps(payload, indent=2) + "\n"
+    return render_json(payload) + "\n"
 
 
 def _assertion_cell(row: VarietyRow) -> str:

@@ -58,6 +58,16 @@ def test_eval_parse_error_exits_2(tmp_path, capsys):
     assert "syntax error" in err
 
 
+def test_eval_non_decimal_digit_exits_2(tmp_path, capsys):
+    path = tmp_path / "superscript.fuj"
+    path.write_text("let P = projective_space(\u00b2)\ncompute P\n", encoding="utf-8")
+    code, out, err = _run_main(["eval", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "unexpected character '\u00b2'" in err
+    assert "Traceback" not in err
+
+
 def test_eval_missing_file_exits_2(tmp_path, capsys):
     code, _, err = _run_main(["eval", str(tmp_path / "nope.fuj")], capsys)
     assert code == 2

@@ -118,6 +118,34 @@ def test_lexical_error_with_span():
     assert "allowed" in err.hint
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("let P = projective_space(\u00b2)", 1, 26),
+        ("let X = projective_space(3)\nassert_confn X = \u00b2", 2, 18),
+        ("let P = projective_space(3\u00b2)", 1, 27),
+    ],
+)
+def test_non_decimal_digit_is_a_lexical_error(text, line, column):
+    # str.isdigit accepts superscripts that int() rejects
+    err = _error(text)
+    assert err.category == LEXICAL
+    assert "unexpected character '\u00b2'" in str(err)
+    assert (err.span.line, err.span.column) == (line, column)
+
+
+def test_any_decimal_digit_reads_as_an_integer():
+    program = parse("let P = projective_space(\u0663)\nassert_confn P = \u0664")
+    let, chk = program.statements
+    assert let.arguments[0].value.value == 3
+    assert chk.exact == 4
+
+
+def test_superscript_stays_valid_inside_a_name():
+    program = parse("let x\u00b2 = projective_space(2)\ncompute x\u00b2")
+    assert program.statements[0].name == "x\u00b2"
+
+
 def test_syntax_error_missing_paren():
     err = _error("let X = projective_space(3")
     assert err.category == SYNTAX

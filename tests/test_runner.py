@@ -194,7 +194,7 @@ _BASIS_HINT = "\n  hint: basis names here: H, E1, E2"
         (
             "projective_space(2, 3)",
             "type error at line 4, column 29: projective_space takes at most 1 "
-            "arguments\n  hint: parameters: n",
+            "argument\n  hint: parameters: n",
         ),
         (
             "projective_space(2, m = 3)",
@@ -371,6 +371,27 @@ def test_custom_handler_limits():
     )
     assert report3.rows[0].interval is None
     assert "empty interior" in report3.rows[0].error
+
+
+def test_custom_is_admitted_once_and_reads_its_form_first(monkeypatch):
+    calls = []
+    library_custom = runner.custom
+    monkeypatch.setattr(
+        runner, "custom", lambda **kw: calls.append(kw) or library_custom(**kw)
+    )
+    report = evaluate(
+        parse(
+            "let X = custom(dimension = 2, basis = [H], gram = [[1]], "
+            "canonical = 3*H)\n"
+            "compute X\n"
+            "let Y = custom(dimension = 0, basis = [H], gram = [[1]], canonical = Q)\n"
+            "compute Y\n"
+        )
+    )
+    x, y = report.rows
+    assert x.error is None and len(calls) == 1
+    # the form is built before the canonical literal is read on its basis
+    assert y.error == "the form degree must be at least 1"
 
 
 def test_divisor_argument_checked_against_basis():
