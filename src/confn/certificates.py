@@ -10,6 +10,7 @@ part of the tool's external interface (schema version 1).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -18,25 +19,31 @@ LOWER = "lower"
 
 SCHEMA_VERSION = "1"
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
-def _freeze(value):
+
+def _check_json(value) -> None:
     if isinstance(value, dict):
-        return tuple((str(k), _freeze(v)) for k, v in value.items())
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    raise TypeError(f"certificate witness data cannot hold {type(value).__name__}")
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"certificate witness keys are strings, not {key!r}")
+            _check_json(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _check_json(item)
+    elif not (isinstance(value, (str, int)) or value is None):
+        raise TypeError(f"certificate witness data cannot hold {type(value).__name__}")
 
 
-def _thaw(value):
-    if isinstance(value, tuple) and all(
-        isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str) for p in value
-    ):
-        return {k: _thaw(v) for k, v in value}
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
+def _witness_text(value) -> str:
+    """The compact JSON text of witness data, its exact hashable form.
+
+    Lists and tuples both become JSON arrays and ``True`` stays distinct
+    from ``1``, so equal texts mean equal witnesses as the report prints
+    them.  Floats and other non-JSON types are rejected.
+    """
+    _check_json(value)
+    return _COMPACT.encode(value)
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,8 @@ class Certificate:
     value: int
     citation: str
     premises: tuple[str, ...] = ()
-    witness: tuple = field(default=())
+    # given as JSON data, kept as its compact text (see _witness_text)
+    witness: str = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in (UPPER, LOWER):
@@ -54,10 +62,10 @@ class Certificate:
         if self.value < 0:
             raise ValueError("certified bounds are nonnegative")
         object.__setattr__(self, "premises", tuple(self.premises))
-        object.__setattr__(self, "witness", _freeze(self.witness))
+        object.__setattr__(self, "witness", _witness_text(self.witness))
 
     def witness_data(self) -> dict:
-        out = _thaw(self.witness)
+        out = json.loads(self.witness)
         return out if isinstance(out, dict) else {}
 
     def to_json_dict(self) -> dict:
@@ -107,8 +115,7 @@ def _render(value, nl: str, out: list, memo: dict) -> None:
     Leaf strings and dict keys, which must be strings, go through the C
     ``encode_basestring_ascii``.  A Certificate renders as its
     ``to_json_dict()``, once per ``memo``: a reused certificate costs a dict
-    lookup.  Certificate equality reads True as 1, so two certificates that
-    differ only there would share one text; no rule puts a bool in a witness.
+    lookup.
     """
     if isinstance(value, str):
         out.append(_escape(value))

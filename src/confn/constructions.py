@@ -274,14 +274,14 @@ def hypersurface_section(
     general position of the member is an assertion, carried in the
     provenance, that restriction is an isomorphism on Picard groups.
     """
-    from .engine import resolved_upper
+    from .engine import resolve
 
     if y.dimension != 3:
         raise DescriptorError("hypersurface sections are taken in threefolds only")
     if ample.lattice.uid != y.lattice.uid:
         raise DescriptorError("the ample class lives off the parent lattice")
     _require_ample(y, ample, "section class", assume_ample)
-    upper = resolved_upper(y)
+    upper = resolve(y).hi
     bound = max(5, upper)
     if p < bound:
         raise DescriptorError(

@@ -98,19 +98,6 @@ class DivisorValue:
     terms: tuple[tuple[int, str], ...]
     span: Span
 
-    def pretty(self) -> str:
-        parts = []
-        for coeff, name in self.terms:
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            body = name if mag == 1 else f"{mag}*{name}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
-
 
 @dataclass(frozen=True)
 class ListValue:

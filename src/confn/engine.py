@@ -33,7 +33,7 @@ from typing import Callable
 from .certificates import LOWER, UPPER, Certificate, make_certificate
 from .cones import NonPointedConeError
 from .constructions import cover_data
-from .descriptors import VarietyDescriptor, is_known_gg
+from .descriptors import ExactEqualsNef, VarietyDescriptor, is_known_gg
 from .kunneth import ZERO, h0_sign
 from .lattice import FullLattice, check_annotation
 
@@ -59,18 +59,12 @@ class FujitaInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _runs(enabled: frozenset[str] | None, rule: str) -> bool:
-    return enabled is None or rule in enabled
-
-
 # ----------------------------------------------------------------------
 # upper and lower bound rules; each returns (certificates, advisories)
 # ----------------------------------------------------------------------
 
 
-def _rule_exact_threshold(desc: VarietyDescriptor, enabled):
-    from .descriptors import ExactEqualsNef
-
+def _rule_exact_threshold(desc: VarietyDescriptor):
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return [], []
     try:
@@ -119,7 +113,7 @@ def _rule_exact_threshold(desc: VarietyDescriptor, enabled):
     return certs, []
 
 
-def _rule_curve(desc: VarietyDescriptor, enabled):
+def _rule_curve(desc: VarietyDescriptor):
     if desc.dimension != 1:
         return [], []
     deg_k = desc.form.evaluate(desc.canonical)
@@ -154,12 +148,10 @@ def _rule_curve(desc: VarietyDescriptor, enabled):
     return [upper, lower], []
 
 
-def _rule_product_combine(desc: VarietyDescriptor, enabled):
+def _rule_product_combine(desc: VarietyDescriptor):
     if desc.provenance.constructor != "product":
         return [], []
-    factor_intervals = [
-        _resolve_inner(parent, enabled) for parent in desc.provenance.parents
-    ]
+    factor_intervals = [resolve(parent) for parent in desc.provenance.parents]
     certs = []
     lo = max(iv.lo for iv in factor_intervals)
     if lo >= 1:
@@ -203,11 +195,11 @@ def _rule_product_combine(desc: VarietyDescriptor, enabled):
     return certs, []
 
 
-def _rule_cover_degree(desc: VarietyDescriptor, enabled):
+def _rule_cover_degree(desc: VarietyDescriptor):
     if desc.provenance.constructor != "cyclic_cover":
         return [], []
     parent, branch, degree = cover_data(desc)
-    parent_iv = _resolve_inner(parent, enabled)
+    parent_iv = resolve(parent)
     bound = max(0, parent_iv.hi + 1 - degree)
     premises = [
         f"the parent resolves to an upper bound of {parent_iv.hi}",
@@ -239,7 +231,7 @@ def _rule_cover_degree(desc: VarietyDescriptor, enabled):
     return [cert], []
 
 
-def _rule_not_nef_witness(desc: VarietyDescriptor, enabled):
+def _rule_not_nef_witness(desc: VarietyDescriptor):
     if desc.dimension != 2 or not desc.known_effective:
         return [], []
     for effective, note in desc.known_effective:
@@ -261,7 +253,7 @@ def _rule_not_nef_witness(desc: VarietyDescriptor, enabled):
     return [], []
 
 
-def _rule_h0_vanishing(desc: VarietyDescriptor, enabled):
+def _rule_h0_vanishing(desc: VarietyDescriptor):
     if desc.canonical.is_zero():
         return [], []
     if desc.provenance.constructor not in ("cyclic_cover", "product"):
@@ -284,7 +276,7 @@ def _rule_h0_vanishing(desc: VarietyDescriptor, enabled):
     return [cert], []
 
 
-def _rule_reider_divisible(desc: VarietyDescriptor, enabled):
+def _rule_reider_divisible(desc: VarietyDescriptor):
     if desc.dimension != 2:
         return [], []
     for ann in desc.annotations:
@@ -348,7 +340,7 @@ def _integer_roots(a: int, b: int, c: int, bound: int):
     return [t for t in roots if abs(t) <= bound]
 
 
-def _rule_reider_surface(desc: VarietyDescriptor, enabled):
+def _rule_reider_surface(desc: VarietyDescriptor):
     if desc.dimension != 2:
         return [], []
     certs = [
@@ -380,41 +372,36 @@ def _rule_reider_surface(desc: VarietyDescriptor, enabled):
                 witness={"clause": clause},
             )
         )
-    if desc.nef is not None:
-        if not _has_ample_square_one(desc):
-            if desc.rank == 1:
-                top = desc.form.entry((0, 0))
-                if top != 1:
-                    certs.append(
-                        make_certificate(
-                            UPPER,
-                            "reider-surface",
-                            2,
-                            "Reider 1988: the value 3 requires an ample class "
-                            "of self-intersection 1, and on a rank-1 lattice "
-                            "with (H^2) != 1 no class has square 1",
-                            premises=[f"(H^2) = {top}"],
-                            witness={"clause": "no-square-one-rank1", "top": top},
-                        )
-                    )
-                else:
-                    advisories.append(
-                        "no ample square-1 class within radius 8, but (H^2) = 1 "
-                        "leaves the possibility open"
-                    )
-            else:
-                advisories.append(
-                    "no ample class of self-intersection 1 within radius 8; if "
-                    "none exists globally, the surface bound improves to 2"
-                )
-    else:
+    if desc.nef is None:
         advisories.append(
             "square-one diagnostic skipped: the nef cone is unknown"
+        )
+    elif desc.rank == 1:
+        # the ample classes are the positive multiples of H or of -H, whose
+        # squares are k^2 (H^2): some has square 1 exactly when (H^2) = 1
+        top = desc.form.entry((0, 0))
+        if top != 1:
+            certs.append(
+                make_certificate(
+                    UPPER,
+                    "reider-surface",
+                    2,
+                    "Reider 1988: the value 3 requires an ample class "
+                    "of self-intersection 1, and on a rank-1 lattice "
+                    "with (H^2) != 1 no class has square 1",
+                    premises=[f"(H^2) = {top}"],
+                    witness={"clause": "no-square-one-rank1", "top": top},
+                )
+            )
+    elif not _has_ample_square_one(desc):
+        advisories.append(
+            "no ample class of self-intersection 1 within radius 8; if "
+            "none exists globally, the surface bound improves to 2"
         )
     return certs, advisories
 
 
-def _rule_abelian(desc: VarietyDescriptor, enabled):
+def _rule_abelian(desc: VarietyDescriptor):
     if not desc.has_flag("abelian"):
         return [], []
     cert = make_certificate(
@@ -428,7 +415,7 @@ def _rule_abelian(desc: VarietyDescriptor, enabled):
     return [cert], []
 
 
-def _rule_toric(desc: VarietyDescriptor, enabled):
+def _rule_toric(desc: VarietyDescriptor):
     if not desc.has_flag("toric"):
         return [], []
     n = desc.dimension
@@ -443,7 +430,7 @@ def _rule_toric(desc: VarietyDescriptor, enabled):
     return [cert], []
 
 
-def _rule_threefold(desc: VarietyDescriptor, enabled):
+def _rule_threefold(desc: VarietyDescriptor):
     if desc.dimension != 3:
         return [], []
     cert = make_certificate(
@@ -457,7 +444,7 @@ def _rule_threefold(desc: VarietyDescriptor, enabled):
     return [cert], []
 
 
-def _rule_universal(desc: VarietyDescriptor, enabled):
+def _rule_universal(desc: VarietyDescriptor):
     n = desc.dimension
     value = (n * n + n + 2) // 2
     cert = make_certificate(
@@ -506,7 +493,7 @@ def _mod24_residues() -> dict:
     }
 
 
-def _rule_blowup_mod24(desc: VarietyDescriptor, enabled):
+def _rule_blowup_mod24(desc: VarietyDescriptor):
     """Blow-up of a point on a surface whose pairings 24 divides: hi = 1.
 
     Reider's theorem made unconditional by divisibility: with every
@@ -542,24 +529,36 @@ def _rule_blowup_mod24(desc: VarietyDescriptor, enabled):
     return [cert], []
 
 
-def _resolve_inner(
-    desc: VarietyDescriptor, enabled: frozenset[str] | None
-) -> FujitaInterval:
-    if enabled in desc._intervals:
-        return desc._intervals[enabled]
+def resolve(desc: VarietyDescriptor, enabled=None) -> FujitaInterval:
+    """Resolve the convex Fujita interval of a descriptor.
+
+    ``enabled`` restricts the optional rules run on this descriptor (the
+    universal bound always runs, so the interval stays finite); passing
+    None runs everything.  A rule reads only its descriptor, and one that
+    builds on a parent reads the parent's full resolution, so the rule set
+    never reaches the parents: every rule's certificates are the same
+    under any rule set, and the full resolution holds all of them.  Cone
+    queries are exact and the square-one check keeps its own fixed bound,
+    so the interval depends only on the descriptor and the rule set, and
+    it is memoized on the descriptor per rule set.
+    """
+    key = None if enabled is None else frozenset(enabled) | {"universal-angehrn-siu"}
+    if key in desc._intervals:
+        return desc._intervals[key]
     certs: list[Certificate] = []
     advisories: list[str] = []
     for rule in _RULES.values():
-        if rule.derive is None or (
-            rule.id != "universal-angehrn-siu" and not _runs(enabled, rule.id)
-        ):
-            continue
-        new_certs, new_advisories = rule.derive(desc, enabled)
-        certs.extend(new_certs)
-        advisories.extend(new_advisories)
+        if rule.derive is not None and (key is None or rule.id in key):
+            new_certs, new_advisories = rule.derive(desc)
+            certs.extend(new_certs)
+            advisories.extend(new_advisories)
     hi = min(c.value for c in certs if c.kind == UPPER)
     lo = max([0] + [c.value for c in certs if c.kind == LOWER])
-    if hi == 1 and _runs(enabled, "canonical-gg") and is_known_gg(desc, desc.canonical):
+    if (
+        hi == 1
+        and (key is None or "canonical-gg" in key)
+        and is_known_gg(desc, desc.canonical)
+    ):
         supporting = min(
             (c for c in certs if c.kind == UPPER), key=lambda c: c.value
         )
@@ -593,7 +592,7 @@ def _resolve_inner(
             f"(constructor {desc.provenance.constructor!r})"
         )
     interval = FujitaInterval(lo, hi, tuple(certs), tuple(advisories))
-    desc._intervals[enabled] = interval
+    desc._intervals[key] = interval
     return interval
 
 
@@ -606,22 +605,6 @@ def _crossed_dump(desc, lo, hi, certs) -> str:
     for c in certs:
         lines.append(f"  {c.kind} {c.value} via {c.rule}")
     return "\n".join(lines)
-
-
-def resolve(desc: VarietyDescriptor, enabled=None) -> FujitaInterval:
-    """Resolve the convex Fujita interval of a descriptor.
-
-    ``enabled`` restricts the optional rules (the universal bound always
-    runs, so the interval stays finite); passing None runs everything.
-    Cone queries are exact and the square-one check keeps its own fixed
-    bound, so the interval depends only on the descriptor and the rule
-    set, and it is memoized on the descriptor per rule set.
-    """
-    return _resolve_inner(desc, None if enabled is None else frozenset(enabled))
-
-
-def resolved_upper(desc: VarietyDescriptor) -> int:
-    return resolve(desc).hi
 
 
 # ----------------------------------------------------------------------
@@ -673,8 +656,6 @@ def _verified_interval(desc) -> FujitaInterval | None:
 
 
 def _verify_exact_threshold(desc, cert):
-    from .descriptors import ExactEqualsNef
-
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return False
     data = cert.witness_data()
@@ -848,13 +829,15 @@ def _verify_canonical_gg(desc, cert):
         return False
     if not is_known_gg(desc, desc.canonical):
         return False
-    rule = _RULES.get(cert.witness_data()["supporting_rule"])
-    if rule is None or rule.derive is None:
-        return False
-    certs, _ = rule.derive(desc, None)
-    return any(
-        c.kind == UPPER and c.value <= 1 and verify_certificate(desc, c)
-        for c in certs
+    # every rule's certificates are the same under any rule set, so the
+    # full resolution holds the supporting one; it counts once it re-verifies
+    supporting = cert.witness_data()["supporting_rule"]
+    return supporting != cert.rule and any(
+        c.rule == supporting
+        and c.kind == UPPER
+        and c.value <= 1
+        and verify_certificate(desc, c)
+        for c in resolve(desc).certificates
     )
 
 
@@ -879,10 +862,12 @@ def _verify_blowup_mod24(desc, cert):
 class Rule:
     """A bounding rule paired with its independent verifier.
 
-    ``derive(desc, enabled)`` returns (certificates, advisories), where
-    ``enabled`` is the rule set of the resolution (None for all rules);
-    ``verify(desc, cert)`` re-checks one of its certificates.  A
-    rule the resolver applies inline, after the table, has no ``derive``.
+    ``derive(desc)`` returns (certificates, advisories) and reads nothing
+    but the descriptor: a rule that builds on a parent reads the parent's
+    full resolution, so the rule set of a resolution only picks which
+    rules run on the descriptor asked about.  ``verify(desc, cert)``
+    re-checks one of its certificates.  A rule the resolver applies
+    inline, after the table, has no ``derive``.
     """
 
     id: str

@@ -379,6 +379,12 @@ def test_certificates_reverify_and_intervals_never_cross(capsys, corpus_report):
                 desc.provenance.constructor,
                 sorted(subset),
             )
+            for cert in interval.certificates:
+                assert verify_certificate(desc, cert), (
+                    desc.provenance.constructor,
+                    sorted(subset),
+                    cert.rule,
+                )
 
 
 def test_corpus_ladders_all_pass(capsys, corpus_report):

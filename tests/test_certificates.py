@@ -60,6 +60,29 @@ def test_witness_rejects_unserializable_payload():
         make_certificate(UPPER, "r", 1, "c", witness={"bad": object()})
 
 
+def test_witness_rejects_floats_and_non_string_keys():
+    with pytest.raises(TypeError):
+        make_certificate(UPPER, "r", 1, "c", witness={"x": 0.5})
+    with pytest.raises(TypeError):
+        make_certificate(UPPER, "r", 1, "c", witness={1: "non-string key"})
+
+
+def test_witness_keeps_empty_lists_and_lists_of_pairs():
+    witness = {"k": [], "pairs": [["a", 1], ["b", 2]]}
+    cert = make_certificate(UPPER, "r", 1, "c", witness=witness)
+    assert cert.witness_data() == witness
+    assert json.loads(dumps_certificates([cert]))[0]["witness"] == witness
+
+
+def test_witness_bool_stays_distinct_from_int():
+    flag = make_certificate(UPPER, "r", 1, "c", witness={"f": True})
+    one = make_certificate(UPPER, "r", 1, "c", witness={"f": 1})
+    assert flag != one
+    assert len({flag, one}) == 2
+    text = dumps_certificates([flag, one])
+    assert '"f": true' in text and '"f": 1' in text
+
+
 def test_json_round_trip():
     cert = make_certificate(
         LOWER,

@@ -1,4 +1,5 @@
-"""The README's lists of rules and constructors match the code."""
+"""The README's lists of rules and constructors match the code, and its
+examples run."""
 
 import pathlib
 import re
@@ -41,3 +42,21 @@ def test_readme_constructor_signatures_match_the_table():
         for name, ctor in runner._CONSTRUCTORS.items()
     ]
     assert listed == table
+
+
+def _block_after(marker: str) -> str:
+    """The first fenced block of the README after ``marker``."""
+    text = README.read_text()
+    start = text.index("\n", text.index("```", text.index(marker))) + 1
+    return text[start : text.index("```", start)]
+
+
+def test_readme_library_example_runs():
+    exec(compile(_block_after("## Library use"), "README.md", "exec"), {})
+
+
+def test_readme_sample_program_evaluates():
+    report = runner.evaluate(dsl.parse(_block_after("A small program:")))
+    assert [r.name for r in report.rows] == ["dP7", "X"]
+    assert not report.any_failure and not report.any_internal
+    assert all(r.verified and r.assertions for r in report.rows)

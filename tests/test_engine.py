@@ -24,7 +24,6 @@ from confn.engine import (
     InconsistencyError,
     resolve,
     _has_ample_square_one,
-    resolved_upper,
     verify_certificate,
 )
 from confn.cones import Cone, ConeError, lattice_points_by_shell
@@ -313,6 +312,25 @@ def test_reider_surface_clauses():
     assert any("self-intersection 1" in a for a in dp_interval.advisories)
 
 
+def test_rank_one_square_one_decided_in_closed_form(monkeypatch):
+    from confn import engine
+
+    def no_search(desc, radius=8):
+        raise AssertionError("a rank-1 surface needs no square-one search")
+
+    monkeypatch.setattr(engine, "_has_ample_square_one", no_search)
+    # (H^2) = 1: H itself is ample of square 1, so no bound of 2 and no advisory
+    p2 = resolve(projective_space(2), enabled={"reider-surface"})
+    assert [c.value for c in p2.certificates if c.rule == "reider-surface"] == [3]
+    assert p2.advisories == ()
+    quintic = complete_intersection(2, (5,), very_general=True)
+    clauses = [
+        c.witness_data().get("clause")
+        for c in resolve(quintic, enabled={"reider-surface"}).certificates
+    ]
+    assert "no-square-one-rank1" in clauses
+
+
 def _surface(gram, nef_rows):
     lat = PicardLattice(tuple(f"B{i}" for i in range(len(gram))))
     form = IntersectionForm.from_gram(lat, gram)
@@ -452,10 +470,6 @@ def test_enabling_more_rules_only_shrinks():
             assert 0 <= b.lo <= b.hi
 
 
-def test_resolved_upper_shortcut():
-    assert resolved_upper(projective_space(3)) == 4
-
-
 # ------------------------------------------------------ error paths
 
 
@@ -593,6 +607,19 @@ def test_verifier_rechecks_memoized_parent_interval(build):
     )
     assert resolve(parent) is parent._intervals[key]
     assert not any(verify_certificate(child, c) for c in certs)
+
+
+def test_rule_subset_reads_full_parent_intervals():
+    # the rule set restricts only the rules run on the product itself
+    desc = product(hirzebruch1(), projective_space(1))
+    interval = resolve(desc, enabled={"product-combine"})
+    assert (interval.lo, interval.hi) == (2, 2)
+    _assert_all_verified(desc, interval)
+    assert [
+        c.witness_data()["factor_intervals"]
+        for c in interval.certificates
+        if c.rule == "product-combine"
+    ] == [[[2, 2], [2, 2]]] * 2
 
 
 def test_verifier_rejects_tampered_pairing():

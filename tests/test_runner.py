@@ -36,9 +36,9 @@ def test_each_descriptor_resolves_once_per_evaluation(monkeypatch):
     runs = []
 
     def counted(rule):
-        def run(desc, ctx):
+        def run(desc):
             runs.append(id(desc))
-            return rule(desc, ctx)
+            return rule(desc)
 
         return run
 
