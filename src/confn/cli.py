@@ -67,9 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_program(path: str) -> str:
+    """The program text, less the byte-order mark many editors write."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return sys.stdin.read().removeprefix("\ufeff")
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 

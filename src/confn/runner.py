@@ -1,8 +1,8 @@
 """Program evaluation and report emission for the descriptor DSL.
 
 ``evaluate`` executes a parsed Program statement by statement: ``let``
-builds a descriptor (or runs a pipeline) through ``_CONSTRUCTORS``,
-``compute`` resolves its convex Fujita interval and re-verifies every
+builds a descriptor (or runs a pipeline) through ``_CONSTRUCTORS``, once
+per distinct constructor call, ``compute`` resolves its convex Fujita interval and re-verifies every
 certificate, and ``assert_confn`` records a pass or fail.  Errors attach
 to the offending statement and evaluation continues for independent
 varieties.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -112,8 +112,10 @@ class Report:
 # argument plumbing ----------------------------------------------------
 
 
-def _collect(stmt: Let, names: tuple[str, ...], required: int) -> dict:
+def _collect(stmt: Let) -> dict:
     """Match positional and keyword arguments against parameter names."""
+    ctor = _CONSTRUCTORS[stmt.constructor]
+    names = tuple(name for name, _ in ctor.params)
     out: dict[str, object] = {}
     position = 0
     for arg in stmt.arguments:
@@ -140,7 +142,7 @@ def _collect(stmt: Let, names: tuple[str, ...], required: int) -> dict:
         if key in out:
             raise DslError(TYPE, f"duplicate argument {key!r}", arg.span)
         out[key] = arg.value
-    for key in names[:required]:
+    for key in names[:ctor.required]:
         if key not in out:
             raise DslError(
                 TYPE,
@@ -407,10 +409,39 @@ _CONSTRUCTORS = {
 }
 
 
-def _construct(stmt: Let, env: dict) -> PipelineResult:
-    """Build the binding of one ``let``: collect, coerce in order, call."""
-    ctor = _CONSTRUCTORS[stmt.constructor]
-    nodes = _collect(stmt, tuple(name for name, _ in ctor.params), ctor.required)
+def _without_spans(node):
+    if isinstance(node, ListValue):
+        return ListValue(tuple(_without_spans(item) for item in node.items), None)
+    return replace(node, span=None)
+
+
+def _construction_key(constructor: str, nodes: dict, env: dict) -> tuple:
+    """What a ``let``'s binding is a function of: the hash-consing key.
+
+    The constructor and each argument by parameter, spans dropped, so
+    literals compare by value whether passed by position or keyword.  A
+    reference to an earlier definition is keyed by the identity of its
+    binding, so names bound to one shared result key alike.
+    """
+    key: list = [constructor]
+    for name, coerce in _CONSTRUCTORS[constructor].params:
+        node = nodes.get(name)
+        if node is None:
+            key.append(None)
+        elif (
+            coerce is _as_descriptor
+            and isinstance(node, NameValue)
+            and env.get(node.name) is not None
+        ):
+            key.append(id(env[node.name]))
+        else:
+            key.append(_without_spans(node))
+    return tuple(key)
+
+
+def _construct(constructor: str, nodes: dict, env: dict) -> PipelineResult:
+    """Build the binding of one ``let`` from its collected argument nodes."""
+    ctor = _CONSTRUCTORS[constructor]
     args: dict[str, object] = {}
     for name, coerce in ctor.params:
         if name not in nodes:
@@ -490,7 +521,11 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     return None
 
 
-def _compute_row(row: VarietyRow, binding: PipelineResult, max_m: int) -> None:
+def _compute_row(
+    row: VarietyRow, binding: PipelineResult, max_m: int, oracle: dict
+) -> None:
+    """Fill ``row`` from its binding; ``oracle`` memoizes the cross-check
+    by descriptor identity, so a shared descriptor is searched once."""
     if row.interval is not None or row.error is not None:
         return
     desc = binding.descriptor
@@ -515,7 +550,9 @@ def _compute_row(row: VarietyRow, binding: PipelineResult, max_m: int) -> None:
     if not row.verified:
         row.error = "a certificate failed independent re-verification"
         return
-    disagreement = _oracle_disagrees(desc, interval, max_m)
+    if id(desc) not in oracle:
+        oracle[id(desc)] = _oracle_disagrees(desc, interval, max_m)
+    disagreement = oracle[id(desc)]
     if disagreement is not None:
         row.error = disagreement
         row.internal = True
@@ -524,6 +561,13 @@ def _compute_row(row: VarietyRow, binding: PipelineResult, max_m: int) -> None:
 def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
     """Run a program and collect one row per named variety.
 
+    Within one program, ``let``s with the same constructor and the same
+    arguments share one descriptor: names among the arguments compare by
+    what they are bound to.  The shared descriptor is built, resolved,
+    verified and cross-checked once, and each row is still reported under
+    its own name.  Only successful constructions are shared, so a
+    repeated failing ``let`` reports its own error.
+
     ``radius`` is accepted for compatibility and reaches no search: cone
     queries are exact.  ``max_m`` caps the brute-force oracle.
     """
@@ -531,10 +575,17 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
     rows: dict[str, VarietyRow] = {}
     # None marks a definition that failed
     env: dict[str, PipelineResult | None] = {}
+    # construction key -> the binding it built; oracle verdicts by descriptor
+    built: dict[tuple, PipelineResult] = {}
+    oracle: dict[int, str | None] = {}
     for stmt in program.statements:
         if isinstance(stmt, Let):
             try:
-                env[stmt.name] = _construct(stmt, env)
+                nodes = _collect(stmt)
+                key = _construction_key(stmt.constructor, nodes, env)
+                if key not in built:
+                    built[key] = _construct(stmt.constructor, nodes, env)
+                env[stmt.name] = built[key]
             except (
                 DslError, DescriptorError, ConeError, LatticeError, InconsistencyError
             ) as exc:
@@ -550,7 +601,7 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
         if binding is None:
             continue
         row = _row_for(report, rows, stmt.name)
-        _compute_row(row, binding, max_m)
+        _compute_row(row, binding, max_m, oracle)
         if not isinstance(stmt, AssertConfn) or row.interval is None:
             continue
         interval = row.interval

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, formats, stdin, explain."""
 
+import io
 import json
 import os
 import subprocess
@@ -156,6 +157,21 @@ def test_stdin_eval():
     )
     assert proc.returncode == 0
     assert "| X | 3 | 1 | 4 |" in proc.stdout
+
+
+def test_byte_order_mark_in_a_file_is_skipped(tmp_path, capsys):
+    path = tmp_path / "bom.fuj"
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD.encode("utf-8"))
+    code, out, err = _run_main(["eval", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert "| X | 3 | 1 | 4 |" in out
+
+
+def test_byte_order_mark_on_stdin_is_skipped(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeff" + GOOD))
+    code, out, err = _run_main(["eval", "-"], capsys)
+    assert (code, err) == (0, "")
+    assert "| X | 3 | 1 | 4 |" in out
 
 
 def _declared_console_script(name):

@@ -28,8 +28,10 @@ from confn.descriptors import (
     hirzebruch1,
     projective_space,
 )
+from confn.dsl import parse
 from confn.engine import resolve, verify_certificate
 from confn.lattice import IntersectionForm, LatticeError, PicardLattice
+from confn.runner import Report, emit_json, emit_markdown, evaluate, explain_row
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=15)
 
@@ -211,3 +213,91 @@ def test_construction_trees_build_or_fail_cleanly(tree):
     except (DescriptorError, ConeError, LatticeError):
         return
     _assert_verified(desc, resolve(desc))
+
+
+# the atom families of the benchmark's generated programs, as DSL calls
+PROGRAM_ATOMS = st.one_of(
+    st.integers(1, 6).map("projective_space({})".format),
+    st.builds(
+        "complete_intersection({}, degrees = {})".format,
+        st.integers(3, 5),
+        st.lists(st.integers(2, 5), min_size=1, max_size=2),
+    ),
+    st.integers(4, 7).map(
+        "complete_intersection(2, degrees = [{}], very_general = true)".format
+    ),
+    st.integers(0, 5).map("curve({})".format),
+    st.integers(2, 3).map("abelian({})".format),
+    st.builds(
+        "custom(dimension = 2, basis = [H], gram = [[{}]], canonical = {}*H, "
+        "nef = [[1]])".format,
+        st.integers(2, 9),
+        st.integers(-3, 3),
+    ),
+)
+
+
+@st.composite
+def program_items(draw):
+    """(call, dependencies): atoms, covers of a P^n, products of atoms.
+
+    A call names its dependencies as format fields, filled with the names
+    of the items it depends on.
+    """
+    items: list[tuple[str, tuple[int, ...]]] = []
+    atoms: list[int] = []
+    kinds = st.sampled_from(("atom", "cover", "product"))
+    for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+        if kind == "product" and atoms:
+            x, y = draw(st.lists(st.sampled_from(atoms), min_size=2, max_size=2))
+            items.append(("product({}, {})", (x, y)))
+            continue
+        if kind == "cover":
+            n = draw(st.integers(4, 6))
+            degree = draw(st.integers(n + 2, n + 5))
+            items.append((f"projective_space({n})", ()))
+            call = f"cyclic_cover({{}}, branch = H, degree = {degree})"
+            items.append((call, (len(items) - 1,)))
+        else:
+            items.append((draw(PROGRAM_ATOMS), ()))
+        atoms.append(len(items) - 1)
+    return items
+
+
+def _bind(items, prefix: str, wanted) -> list[str]:
+    """``let`` lines binding the items in ``wanted`` as prefix + index."""
+    return [
+        f"let {prefix}{k} = " + call.format(*(f"{prefix}{d}" for d in deps))
+        for k, (call, deps) in enumerate(items)
+        if k in wanted
+    ]
+
+
+def _needs(items, k) -> set[int]:
+    return {k}.union(*(_needs(items, d) for d in items[k][1]))
+
+
+def _outputs(row):
+    """The row's JSON, markdown and explain text under a fixed name."""
+    row = dataclasses.replace(row, name="V")
+    return emit_json(Report([row])), emit_markdown(Report([row])), explain_row(row)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(program_items())
+def test_twin_bindings_report_like_a_single_binding(items):
+    # each item bound twice, the twin over the twins of its dependencies
+    everything = range(len(items))
+    lines = [
+        line
+        for k in everything
+        for line in _bind(items, "x", {k}) + _bind(items, "t", {k})
+    ]
+    lines += [f"compute {p}{k}" for k in everything for p in "xt"]
+    rows = {row.name: row for row in evaluate(parse("\n".join(lines))).rows}
+    for k in everything:
+        single = _bind(items, "x", _needs(items, k)) + [f"compute x{k}"]
+        (alone,) = evaluate(parse("\n".join(single))).rows
+        expected = _outputs(alone)
+        assert _outputs(rows[f"x{k}"]) == expected, single
+        assert _outputs(rows[f"t{k}"]) == expected, single

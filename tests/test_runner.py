@@ -64,6 +64,122 @@ def test_each_descriptor_resolves_once_per_evaluation(monkeypatch):
     assert len(runs) == len(set(runs)) == 3
 
 
+# ------------------------------------------------------------- sharing
+
+
+def _recording(monkeypatch, name):
+    """Rebind ``runner.<name>`` to record each call's first argument."""
+    calls = []
+    plain = getattr(runner, name)
+
+    def call(*args, **kwargs):
+        calls.append(args[0] if args else kwargs)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(runner, name, call)
+    return calls
+
+
+def test_identical_lets_construct_once(monkeypatch):
+    calls = _recording(monkeypatch, "projective_space")
+    report = evaluate(
+        parse(
+            "let A = projective_space(2)\nlet B = projective_space(2)\n"
+            "let C = projective_space(3)\n"
+            "compute A\ncompute B\ncompute C\n"
+        )
+    )
+    assert calls == [2, 3]
+    a, b, c = report.rows
+    assert (a.name, b.name, c.name) == ("A", "B", "C")
+    assert a.interval is b.interval and str(a.interval) == "3"
+    assert c.interval is not a.interval and str(c.interval) == "4"
+
+
+def test_names_bound_to_one_result_key_alike(monkeypatch):
+    products = _recording(monkeypatch, "product")
+    resolved = _recording(monkeypatch, "resolve")
+    report = evaluate(
+        parse(
+            "let a = projective_space(1)\nlet b = projective_space(1)\n"
+            "let ab = product(a, b)\nlet aa = product(a, a)\n"
+            "compute ab\ncompute aa\n"
+        )
+    )
+    assert len(products) == 1
+    assert resolved[0] is resolved[1]
+    assert [(r.name, str(r.interval)) for r in report.rows] == [("ab", "2"), ("aa", "2")]
+
+
+def test_basis_names_key_by_name_not_by_binding():
+    # H and E share one binding, but only H is a basis name of P4
+    report = evaluate(
+        parse(
+            "let H = projective_space(4)\nlet E = projective_space(4)\n"
+            "let c1 = cyclic_cover(H, branch = H, degree = 7)\n"
+            "let c2 = cyclic_cover(H, branch = E, degree = 7)\n"
+            "compute c1\ncompute c2\n"
+        )
+    )
+    rows = {r.name: r for r in report.rows}
+    assert str(rows["c1"].interval) == "0"
+    assert rows["c2"].interval is None
+    assert rows["c2"].error.startswith(
+        "type error at line 4, column 35: 'E' is not a basis name"
+    )
+
+
+def test_repeated_failing_lets_report_their_own_errors():
+    report = evaluate(
+        parse(
+            "let A = abelian(0)\nlet B = abelian(0)\n"
+            "let P = projective_space(2)\n"
+            "let X = blowup_point(P, surface = P)\n"
+            "let Y = blowup_point(P, surface = P)\n"
+        )
+    )
+    errors = {r.name: r.error for r in report.rows}
+    assert errors["A"] == errors["B"] == "abelian varieties have dimension >= 1"
+    assert errors["X"].startswith("type error at line 4, column 25:")
+    assert errors["Y"].startswith("type error at line 5, column 25:")
+
+
+def test_positional_and_keyword_arguments_agree(monkeypatch):
+    calls = _recording(monkeypatch, "complete_intersection")
+    report = evaluate(
+        parse(
+            "let X = complete_intersection(3, degrees = [2])\n"
+            "let Y = complete_intersection(n = 3, degrees = [2])\n"
+            "assert_confn X = 3\nassert_confn Y = 3\n"
+        )
+    )
+    assert not report.any_failure
+    assert [str(r.interval) for r in report.rows] == ["3", "3"]
+    assert calls == [3]
+
+
+def test_oracle_runs_once_per_shared_descriptor(monkeypatch):
+    plain = cones.brute_force_refute
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "brute_force_refute", counted)
+    once = evaluate(parse("let A = projective_space(2)\ncompute A\n"))
+    single = len(calls)
+    calls.clear()
+    twice = evaluate(
+        parse(
+            "let A = projective_space(2)\nlet B = projective_space(2)\n"
+            "compute A\ncompute B\n"
+        )
+    )
+    assert single > 0 and len(calls) == single
+    assert not once.any_failure and not twice.any_failure
+
+
 def test_corpus_all_green():
     report = corpus()
     assert len(report.rows) == 27
