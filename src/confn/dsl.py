@@ -22,7 +22,7 @@ and a one-line hint on malformed input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 CONSTRUCTORS = (
     "projective_space",
@@ -69,18 +69,21 @@ class DslError(ValueError):
 
 
 # value nodes ----------------------------------------------------------
+#
+# A value node compares and hashes by its value alone: the span says where
+# it was written, so equal arguments on different lines are equal.
 
 
 @dataclass(frozen=True)
 class IntValue:
     value: int
-    span: Span
+    span: Span = field(compare=False)
 
 
 @dataclass(frozen=True)
 class BoolValue:
     value: bool
-    span: Span
+    span: Span = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ class NameValue:
     """A bare identifier: a descriptor reference, basis name, or flag."""
 
     name: str
-    span: Span
+    span: Span = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -96,13 +99,13 @@ class DivisorValue:
     """Integer combination of basis names, e.g. ((3,"H"), (-1,"E1"))."""
 
     terms: tuple[tuple[int, str], ...]
-    span: Span
+    span: Span = field(compare=False)
 
 
 @dataclass(frozen=True)
 class ListValue:
     items: tuple
-    span: Span
+    span: Span = field(compare=False)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 ``evaluate`` executes a parsed Program statement by statement: ``let``
 builds a descriptor (or runs a pipeline) through ``_CONSTRUCTORS``, once
-per distinct constructor call, ``compute`` resolves its convex Fujita interval and re-verifies every
-certificate, and ``assert_confn`` records a pass or fail.  Errors attach
-to the offending statement and evaluation continues for independent
-varieties.
+per distinct constructor call, ``compute`` resolves its convex Fujita
+interval and re-verifies every certificate, and ``assert_confn`` records
+a pass or fail.  Errors attach to the offending statement and evaluation
+continues for independent varieties.
 
 ``corpus`` evaluates the built-in suite of worked examples through the
 same code path as user programs.  Emitters produce deterministic JSON
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -409,33 +409,25 @@ _CONSTRUCTORS = {
 }
 
 
-def _without_spans(node):
-    if isinstance(node, ListValue):
-        return ListValue(tuple(_without_spans(item) for item in node.items), None)
-    return replace(node, span=None)
-
-
 def _construction_key(constructor: str, nodes: dict, env: dict) -> tuple:
     """What a ``let``'s binding is a function of: the hash-consing key.
 
-    The constructor and each argument by parameter, spans dropped, so
-    literals compare by value whether passed by position or keyword.  A
-    reference to an earlier definition is keyed by the identity of its
-    binding, so names bound to one shared result key alike.
+    The constructor and each argument node by parameter, so literals
+    compare by value (nodes ignore their spans) whether passed by position
+    or keyword.  A reference to an earlier definition is keyed by the
+    identity of its binding, so names bound to one shared result key alike.
     """
     key: list = [constructor]
     for name, coerce in _CONSTRUCTORS[constructor].params:
         node = nodes.get(name)
-        if node is None:
-            key.append(None)
-        elif (
+        if (
             coerce is _as_descriptor
             and isinstance(node, NameValue)
             and env.get(node.name) is not None
         ):
             key.append(id(env[node.name]))
         else:
-            key.append(_without_spans(node))
+            key.append(node)
     return tuple(key)
 
 
