@@ -451,7 +451,7 @@ def custom(
     note: str = "",
 ) -> VarietyDescriptor:
     """Fully explicit descriptor; every invariant is validated on entry."""
-    return VarietyDescriptor(
+    desc = VarietyDescriptor(
         dimension=dimension,
         lattice=lattice,
         form=form,
@@ -463,3 +463,14 @@ def custom(
         known_effective=tuple(known_effective),
         provenance=Provenance("custom", note=note),
     )
+    if nef is not None:
+        # an interior class of a nef cone is ample, so its top power is positive
+        point = lattice.make(nef.first_interior_point())
+        top = form.self_intersection(point, dimension)
+        if top <= 0:
+            raise DescriptorError(
+                f"the nef cone's interior class {point} has top "
+                f"self-intersection {top}, but an ample class needs a "
+                f"positive one"
+            )
+    return desc

@@ -25,9 +25,7 @@ is an internal error that aborts loudly with a diagnostic dump.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
-from math import isqrt
 from typing import Callable
 
 from .certificates import LOWER, UPPER, Certificate, make_certificate
@@ -298,48 +296,6 @@ def _rule_reider_divisible(desc: VarietyDescriptor):
     return [], []
 
 
-def _has_ample_square_one(desc: VarietyDescriptor, radius: int = 8) -> bool:
-    """Whether some ample class within the radius has self-intersection 1.
-
-    The searched set is every interior point of the nef cone with sup-norm
-    at most ``radius``.  Once all coordinates but the last are fixed, the
-    square is a quadratic a*t^2 + b*t + c in the last coordinate t, so the
-    only candidates for t are the integer roots of a*t^2 + b*t + c - 1.
-    """
-    assert desc.nef is not None
-    gram = desc.form.gram()
-    last = desc.rank - 1
-    a = gram[last][last]
-    for head in itertools.product(range(-radius, radius + 1), repeat=last):
-        b = 2 * sum(gram[i][last] * x for i, x in enumerate(head))
-        c = sum(
-            gram[i][j] * x * y
-            for i, x in enumerate(head)
-            for j, y in enumerate(head)
-        )
-        for t in _integer_roots(a, b, c - 1, radius):
-            if all(v > 0 for v in desc.nef.values_at(head + (t,))):
-                return True
-    return False
-
-
-def _integer_roots(a: int, b: int, c: int, bound: int):
-    """Integers t with |t| <= bound and a*t^2 + b*t + c == 0."""
-    if a == 0:
-        if b == 0:
-            return range(-bound, bound + 1) if c == 0 else ()
-        roots = {-c // b} if c % b == 0 else set()
-    else:
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return ()
-        s = isqrt(disc)
-        if s * s != disc:
-            return ()
-        roots = {n // (2 * a) for n in (-b - s, -b + s) if n % (2 * a) == 0}
-    return [t for t in roots if abs(t) <= bound]
-
-
 def _rule_reider_surface(desc: VarietyDescriptor):
     if desc.dimension != 2:
         return [], []
@@ -352,7 +308,6 @@ def _rule_reider_surface(desc: VarietyDescriptor):
             "more ample bundles is globally generated",
         )
     ]
-    advisories: list[str] = []
     clause = None
     if desc.form.is_even():
         clause = "even-form"
@@ -372,11 +327,7 @@ def _rule_reider_surface(desc: VarietyDescriptor):
                 witness={"clause": clause},
             )
         )
-    if desc.nef is None:
-        advisories.append(
-            "square-one diagnostic skipped: the nef cone is unknown"
-        )
-    elif desc.rank == 1:
+    if desc.rank == 1 and desc.nef is not None:
         # the ample classes are the positive multiples of H or of -H, whose
         # squares are k^2 (H^2): some has square 1 exactly when (H^2) = 1
         top = desc.form.entry((0, 0))
@@ -393,12 +344,7 @@ def _rule_reider_surface(desc: VarietyDescriptor):
                     witness={"clause": "no-square-one-rank1", "top": top},
                 )
             )
-    elif not _has_ample_square_one(desc):
-        advisories.append(
-            "no ample class of self-intersection 1 within radius 8; if "
-            "none exists globally, the surface bound improves to 2"
-        )
-    return certs, advisories
+    return certs, []
 
 
 def _rule_abelian(desc: VarietyDescriptor):
@@ -538,9 +484,8 @@ def resolve(desc: VarietyDescriptor, enabled=None) -> FujitaInterval:
     builds on a parent reads the parent's full resolution, so the rule set
     never reaches the parents: every rule's certificates are the same
     under any rule set, and the full resolution holds all of them.  Cone
-    queries are exact and the square-one check keeps its own fixed bound,
-    so the interval depends only on the descriptor and the rule set, and
-    it is memoized on the descriptor per rule set.
+    queries are exact, so the interval depends only on the descriptor and
+    the rule set, and it is memoized on the descriptor per rule set.
     """
     key = None if enabled is None else frozenset(enabled) | {"universal-angehrn-siu"}
     if key in desc._intervals:
@@ -799,6 +744,7 @@ def _verify_reider_surface(desc, cert):
             desc.rank == 1
             and desc.nef is not None
             and desc.form.entry((0, 0)) != 1
+            and cert.witness_data().get("top") == desc.form.entry((0, 0))
         )
     return False
 

@@ -93,11 +93,32 @@ def test_failed_reverification_exits_3(monkeypatch, capsys):
 
 
 def test_statement_error_exits_1(tmp_path, capsys):
-    path = tmp_path / "err.fuj"
-    path.write_text("let X = abelian(0)\ncompute X")
-    code, out, _ = _run_main(["eval", str(path)], capsys)
-    assert code == 1
-    assert "## errors" in out
+    ample = "but an ample class needs a positive one"
+    cases = [
+        ("abelian(0)", "abelian varieties have dimension >= 1"),
+        # an interior class of a nef cone is ample, so its top power is positive
+        (
+            "custom(dimension = 2, basis = [H], gram = [[0]], canonical = 0*H, "
+            "nef = [[1]])",
+            f"the nef cone's interior class H has top self-intersection 0, {ample}",
+        ),
+        (
+            "custom(dimension = 2, basis = [H], gram = [[-2]], canonical = 0*H, "
+            "nef = [[1]])",
+            f"the nef cone's interior class H has top self-intersection -2, {ample}",
+        ),
+        (
+            "custom(dimension = 3, basis = [H], gram = [[-1]], canonical = 0*H, "
+            "nef = [[1]])",
+            f"the nef cone's interior class H has top self-intersection -1, {ample}",
+        ),
+    ]
+    for statement, message in cases:
+        path = tmp_path / "err.fuj"
+        path.write_text(f"let X = {statement}\ncompute X")
+        code, out, _ = _run_main(["eval", str(path)], capsys)
+        assert code == 1
+        assert f"## errors\n\n- **X**: {message}\n" in out
 
 
 def test_bogus_format_exits_2(tmp_path, capsys):

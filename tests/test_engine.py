@@ -4,7 +4,6 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
 
 from confn.certificates import LOWER, UPPER, Certificate, make_certificate
 from confn.constructions import blowup_point, cyclic_cover, product
@@ -23,10 +22,9 @@ from confn.engine import (
     RULE_IDS,
     InconsistencyError,
     resolve,
-    _has_ample_square_one,
     verify_certificate,
 )
-from confn.cones import Cone, ConeError, lattice_points_by_shell
+from confn.cones import Cone
 from confn.lattice import IntersectionForm, PicardLattice
 from confn.pipelines import synthetic_mod24_surface
 
@@ -309,66 +307,12 @@ def test_reider_surface_clauses():
         c.value for c in dp_interval.certificates if c.rule == "reider-surface"
     ]
     assert dp_values == [3]
-    assert any("self-intersection 1" in a for a in dp_interval.advisories)
+    assert dp_interval.advisories == ()
 
-
-def test_rank_one_square_one_decided_in_closed_form(monkeypatch):
-    from confn import engine
-
-    def no_search(desc, radius=8):
-        raise AssertionError("a rank-1 surface needs no square-one search")
-
-    monkeypatch.setattr(engine, "_has_ample_square_one", no_search)
     # (H^2) = 1: H itself is ample of square 1, so no bound of 2 and no advisory
     p2 = resolve(projective_space(2), enabled={"reider-surface"})
     assert [c.value for c in p2.certificates if c.rule == "reider-surface"] == [3]
     assert p2.advisories == ()
-    quintic = complete_intersection(2, (5,), very_general=True)
-    clauses = [
-        c.witness_data().get("clause")
-        for c in resolve(quintic, enabled={"reider-surface"}).certificates
-    ]
-    assert "no-square-one-rank1" in clauses
-
-
-def _surface(gram, nef_rows):
-    lat = PicardLattice(tuple(f"B{i}" for i in range(len(gram))))
-    form = IntersectionForm.from_gram(lat, gram)
-    return custom(2, lat, form, lat.zero(), nef=Cone(lat, tuple(nef_rows)))
-
-
-@st.composite
-def surfaces_with_nef(draw):
-    """A rank 1-3 surface with a random Gram matrix and a random nef cone."""
-    rank = draw(st.integers(1, 3))
-    gram = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(i, rank):
-            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
-    entry = st.integers(-2, 2)
-    rows = draw(
-        st.lists(st.tuples(*[entry] * rank), min_size=1, max_size=rank + 1)
-    )
-    try:
-        return _surface(gram, rows)
-    except ConeError:
-        assume(False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(surfaces_with_nef())
-# square-one constant in the last coordinate; linear in it; only at t = 8
-@example(_surface([[1, 0], [0, 0]], [(1, 0), (0, 1)]))
-@example(_surface([[1, 1], [1, 0]], [(1, 0), (1, 1)]))
-@example(_surface([[-63, 0], [0, 1]], [(1, 0), (0, 1)]))
-def test_square_one_existence_matches_enumeration(desc):
-    # the plain filter over the whole box, so the reference fixes no coordinate
-    enumerated = any(
-        desc.form.self_intersection(desc.lattice.make(p), 2) == 1
-        for p in lattice_points_by_shell(desc.rank, 8)
-        if all(v > 0 for v in desc.nef.values_at(p))
-    )
-    assert _has_ample_square_one(desc) == enumerated
 
 
 def test_dimension_generic_rules():
@@ -543,6 +487,20 @@ def test_verifier_rejects_tampered_threshold():
     )
     short = _tamper(lower, tuple=lower.witness_data()["tuple"][:1])
     assert not verify_certificate(p2, short)
+
+
+def test_verifier_reads_the_rank_one_square_one_top():
+    for degree in (4, 5):
+        surface = complete_intersection(2, (degree,), very_general=True)
+        cert = next(
+            c
+            for c in resolve(surface).certificates
+            if c.witness_data().get("clause") == "no-square-one-rank1"
+        )
+        assert cert.witness_data()["top"] == degree
+        assert verify_certificate(surface, cert)
+        assert not verify_certificate(surface, _tamper(cert, top=degree + 1))
+        assert not verify_certificate(surface, _tamper(cert, top=1))
 
 
 def test_verifier_rejects_repeated_functional_index():
