@@ -309,10 +309,18 @@ def test_reider_surface_clauses():
     assert dp_values == [3]
     assert dp_interval.advisories == ()
 
+
+def test_rank_one_square_one_decided_in_closed_form():
     # (H^2) = 1: H itself is ample of square 1, so no bound of 2 and no advisory
     p2 = resolve(projective_space(2), enabled={"reider-surface"})
     assert [c.value for c in p2.certificates if c.rule == "reider-surface"] == [3]
     assert p2.advisories == ()
+    quintic = complete_intersection(2, (5,), very_general=True)
+    clauses = [
+        c.witness_data().get("clause")
+        for c in resolve(quintic, enabled={"reider-surface"}).certificates
+    ]
+    assert "no-square-one-rank1" in clauses
 
 
 def test_dimension_generic_rules():
