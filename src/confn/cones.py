@@ -35,13 +35,19 @@ the test suite: it searches every multiset of interior lattice points of
 a given size and looks for a sum that escapes the cone.  It shares no
 logic with the threshold formula; it only prunes subtrees that provably
 cannot contain a violation, using suffix minima of the enumerated values,
-so the searched set is exactly the declared one.  The interior points of
-the sup-norm box are enumerated once per cone and radius: every prefix of
-all coordinates but the last is taken from the smaller box, the
-functionals bound the last coordinate to an exact integer interval, and
-the points are sorted back into shell-then-lex order.  The searched set
-is still every interior point of the box; only points that cannot be
-interior are skipped.
+so the searched set is exactly the declared one.  It splits the cone into
+blocks, the connected components of the functionals' supports, and
+searches each block on its own.  The split is exact: each functional
+reads only its block's coordinates, so the interior and the sup-norm box
+are the products of their blocks', and m interior points escape a
+functional exactly when their parts in its block do.  A product cone
+splits into its factors this way, and P1^k into k rays.  The interior
+points of each block's box are enumerated once per cone and radius:
+every prefix of all coordinates but the last is taken from the smaller
+box, the functionals bound the last coordinate to an exact integer
+interval, and the points are sorted back into shell-then-lex order.  The
+searched set is still every interior point of the box; only points that
+cannot be interior are skipped.
 """
 
 from __future__ import annotations
@@ -225,6 +231,65 @@ def _shell(rank: int, r: int):
                 yield (x,) + rest
 
 
+def _interior_points(
+    functionals, rank: int, radius: int
+) -> tuple[tuple[int, ...], ...]:
+    """Lattice points of sup-norm at most ``radius`` on which every
+    functional is positive, in shell-then-lex order.
+
+    Each prefix of all coordinates but the last comes from the smaller
+    box; a functional with value s on the prefix and last entry a then
+    bounds the last coordinate x exactly, since s + a x > 0 means
+    x >= -((s - 1) // a) for a > 0 and x <= (s - 1) // -a for a < 0, and
+    for a = 0 keeps the prefix only if s > 0.  The points are sorted by
+    (sup-norm, point), which is the order of ``lattice_points_by_shell``.
+    """
+    points = []
+    for head in lattice_points_by_shell(rank - 1, radius):
+        lo, hi = -radius, radius
+        for f in functionals:
+            s, a = _dot(f, head), f[-1]
+            if a > 0:
+                lo = max(lo, -((s - 1) // a))
+            elif a < 0:
+                hi = min(hi, (s - 1) // -a)
+            elif s <= 0:
+                break
+        else:
+            points.extend(head + (x,) for x in range(lo, hi + 1))
+    points.sort(key=lambda p: (max(map(abs, p)), p))
+    return tuple(points)
+
+
+def _split_blocks(functionals, radius: int):
+    """The connected components of the functionals' supports, by first
+    coordinate.  Each block is a tuple: its coordinates, its functionals'
+    indices, its interior points in the box of ``radius`` (in its own
+    coordinates), its functionals' values at each point, and their minima
+    over each suffix of the points.  A coordinate no functional reads is
+    in no block.
+    """
+    groups: list[tuple[set[int], list[int]]] = []
+    for k, f in enumerate(functionals):
+        coords, indices = {i for i, a in enumerate(f) if a}, [k]
+        for group in [g for g in groups if g[0] & coords]:
+            groups.remove(group)
+            coords |= group[0]
+            indices += group[1]
+        groups.append((coords, indices))
+    blocks = []
+    for coords, indices in sorted(groups, key=lambda g: min(g[0])):
+        coords, indices = sorted(coords), sorted(indices)
+        local = [tuple(functionals[k][i] for i in coords) for k in indices]
+        points = _interior_points(local, len(coords), radius)
+        values = [tuple(_dot(f, p) for f in local) for p in points]
+        suffix_min = values[:]
+        for i in range(len(values) - 2, -1, -1):
+            suffix_min[i] = tuple(map(min, values[i], suffix_min[i + 1]))
+        blocks.append((coords, indices, points, values, suffix_min))
+    return tuple(blocks)
+
+
 @dataclass(frozen=True)
 class PerFunctional:
     index: int
@@ -362,34 +427,19 @@ class Cone:
         """Interior lattice points within the sup-norm ball, shell-lex order.
 
         The set is exactly the box's points on which every functional is
-        positive.  Each prefix of all coordinates but the last comes from
-        the smaller box; a functional with value s on the prefix and last
-        entry a then bounds the last coordinate x exactly, since s + a x > 0
-        means x >= -((s - 1) // a) for a > 0 and x <= (s - 1) // -a for
-        a < 0, and for a = 0 keeps the prefix only if s > 0.  The points are
-        sorted by (sup-norm, point), which is the shell-then-lex order of
-        ``lattice_points_by_shell``.
+        positive; ``_interior_points`` enumerates it.
         """
         yield from self._memoized(
-            ("interior", radius), lambda: self._enumerate_interior(radius)
+            ("interior", radius),
+            lambda: _interior_points(self.functionals, self.lattice.rank, radius),
         )
 
-    def _enumerate_interior(self, radius: int) -> tuple[tuple[int, ...], ...]:
-        points = []
-        for head in lattice_points_by_shell(self.lattice.rank - 1, radius):
-            lo, hi = -radius, radius
-            for f in self.functionals:
-                s, a = _dot(f, head), f[-1]
-                if a > 0:
-                    lo = max(lo, -((s - 1) // a))
-                elif a < 0:
-                    hi = min(hi, (s - 1) // -a)
-                elif s <= 0:
-                    break
-            else:
-                points.extend(head + (x,) for x in range(lo, hi + 1))
-        points.sort(key=lambda p: (max(map(abs, p)), p))
-        return tuple(points)
+    def _blocks(self, radius: int) -> tuple:
+        """The cone's blocks with their interior points in the box of
+        ``radius``, as the refuter searches them."""
+        return self._memoized(
+            ("blocks", radius), lambda: _split_blocks(self.functionals, radius)
+        )
 
     def first_interior_point(self) -> tuple[int, ...]:
         """The integral interior point found or checked at admission.
@@ -482,30 +532,47 @@ def brute_force_refute(
 ):
     """Search all size-m multisets of interior points for an escaping sum.
 
-    Returns the first violating tuple of interior points in deterministic
-    order, or None when no multiset of m interior lattice points within
-    the radius pushes the canonical class outside the cone.  Subtrees are
-    pruned only when suffix minima prove no completion can violate, so
-    the search remains exhaustive over the declared set.
+    Returns a violating tuple of interior points, or None when no
+    multiset of m interior lattice points within the radius pushes the
+    canonical class outside the cone.  The search runs block by block, in
+    the order of their first coordinates, and stops at the first block
+    with a violation: the tuple is the first violating one of that block
+    in deterministic order, each point padded with every other block's
+    first interior point (0 on coordinates no functional reads).  A block
+    with no interior point in the box leaves the whole cone without one,
+    so nothing is refuted.  Subtrees are pruned only when suffix minima
+    prove no completion can violate, so the search remains exhaustive
+    over the declared set.
     """
     if m < 0:
         raise ValueError("tuple size must be nonnegative")
     k_vals = cone.values(canonical)
-    n_funcs = len(cone.functionals)
     if m == 0:
         return () if any(v < 0 for v in k_vals) else None
-    points = list(cone.interior_points(radius))
-    if not points:
+    blocks = cone._blocks(radius)
+    if not all(points for _, _, points, _, _ in blocks):
         return None
-    vals = [cone.values_at(p) for p in points]
-    suffix_min = [None] * (len(points) + 1)
-    suffix_min[len(points)] = tuple(0 for _ in range(n_funcs))
-    running = [None] * n_funcs
-    for i in range(len(points) - 1, -1, -1):
-        for k in range(n_funcs):
-            v = vals[i][k]
-            running[k] = v if running[k] is None else min(running[k], v)
-        suffix_min[i] = tuple(running)
+    for coords, indices, points, values, suffix_min in blocks:
+        hit = _refute_block(values, suffix_min, [k_vals[k] for k in indices], m)
+        if hit is not None:
+            break
+    else:
+        return None
+    padding = [0] * cone.lattice.rank
+    for other_coords, _, other_points, _, _ in blocks:
+        for i, x in zip(other_coords, other_points[0]):
+            padding[i] = x
+    found = [padding[:] for _ in hit]
+    for point, j in zip(found, hit):
+        for i, x in zip(coords, points[j]):
+            point[i] = x
+    return tuple(map(tuple, found))
+
+
+def _refute_block(vals, suffix_min, k_vals, m: int):
+    """Indices into ``vals`` of the first size-m multiset whose sum with the
+    canonical values ``k_vals`` escapes the block, or None."""
+    n_funcs = len(k_vals)
 
     def search(start: int, depth: int, partial: tuple[int, ...], chosen: tuple[int, ...]):
         remaining = m - depth
@@ -513,14 +580,14 @@ def brute_force_refute(
             if any(k_vals[k] + partial[k] < 0 for k in range(n_funcs)):
                 return chosen
             return None
-        if start >= len(points):
+        if start >= len(vals):
             return None
         if all(
             k_vals[k] + partial[k] + remaining * suffix_min[start][k] >= 0
             for k in range(n_funcs)
         ):
             return None
-        for i in range(start, len(points)):
+        for i in range(start, len(vals)):
             hit = search(
                 i,
                 depth + 1,
@@ -531,10 +598,7 @@ def brute_force_refute(
                 return hit
         return None
 
-    hit = search(0, 0, (0,) * n_funcs, ())
-    if hit is None:
-        return None
-    return tuple(points[i] for i in hit)
+    return search(0, 0, (0,) * n_funcs, ())
 
 
 def product_cone(lattice: PicardLattice, factors) -> Cone:

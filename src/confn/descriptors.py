@@ -419,7 +419,7 @@ def abelian(
         nef = Cone(lattice, ((1,),))
     if form is None:
         raise DescriptorError("a custom abelian lattice needs a form")
-    return VarietyDescriptor(
+    desc = VarietyDescriptor(
         dimension=n,
         lattice=lattice,
         form=form,
@@ -429,6 +429,24 @@ def abelian(
         flags=frozenset({ABELIAN}),
         provenance=Provenance("abelian", parameters=(("n", str(n)),)),
     )
+    _check_ample_interior(desc)
+    return desc
+
+
+def _check_ample_interior(desc: VarietyDescriptor) -> None:
+    """Reject a nef cone whose interior point has non-positive top
+    self-intersection; only the constructors that take a nef cone from
+    the caller need the check."""
+    if desc.nef is not None:
+        # an interior class of a nef cone is ample, so its top power is positive
+        point = desc.lattice.make(desc.nef.first_interior_point())
+        top = desc.form.self_intersection(point, desc.dimension)
+        if top <= 0:
+            raise DescriptorError(
+                f"the nef cone's interior class {point} has top "
+                f"self-intersection {top}, but an ample class needs a "
+                f"positive one"
+            )
 
 
 def _factorial(n: int) -> int:
@@ -463,14 +481,5 @@ def custom(
         known_effective=tuple(known_effective),
         provenance=Provenance("custom", note=note),
     )
-    if nef is not None:
-        # an interior class of a nef cone is ample, so its top power is positive
-        point = lattice.make(nef.first_interior_point())
-        top = form.self_intersection(point, dimension)
-        if top <= 0:
-            raise DescriptorError(
-                f"the nef cone's interior class {point} has top "
-                f"self-intersection {top}, but an ample class needs a "
-                f"positive one"
-            )
+    _check_ample_interior(desc)
     return desc

@@ -25,7 +25,7 @@ is an internal error that aborts loudly with a diagnostic dump.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 from .certificates import LOWER, UPPER, Certificate, make_certificate
@@ -69,7 +69,17 @@ def _rule_exact_threshold(desc: VarietyDescriptor):
         report = desc.nef.adjoint_freeness_threshold(desc.canonical)
     except NonPointedConeError as exc:
         return [], [f"exact threshold skipped: {exc}"]
-    per = [asdict(p) for p in report.per_functional]
+    per = [
+        {
+            "index": p.index,
+            "functional": p.functional,
+            "value_on_canonical": p.value_on_canonical,
+            "min_interior": p.min_interior,
+            "interior_witness": p.interior_witness,
+            "required": p.required,
+        }
+        for p in report.per_functional
+    ]
     premises = [
         "the globally generated cone equals the nef cone: "
         + desc.gg.justification,

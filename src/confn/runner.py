@@ -483,7 +483,10 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     up to max_m adjoint summands; larger values are taken on the strength
     of the certificates alone.  Below the value it looks for a refutation
     only when the lower certificate's tuple lies inside that box, since
-    the exact threshold may be witnessed by points outside it.
+    the exact threshold may be witnessed by points outside it.  The
+    refuter searches each block of the nef cone on its own (a product
+    cone splits into its factors), and both refutations share the blocks'
+    points, which the cone memoizes per radius.
     """
     from .cones import brute_force_refute
     from .descriptors import ExactEqualsNef

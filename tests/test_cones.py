@@ -371,3 +371,111 @@ def test_random_rank2_cones_threshold_equals_oracle():
             cone, canonical, max_m=7, radius=4
         )
         checked += 1
+
+
+# ------------------------------------------------- the refuter's block split
+
+
+def flat_refute(cone: Cone, canonical, m: int, radius: int):
+    """The refuter before the block split: one search over the whole box."""
+    if m < 0:
+        raise ValueError("tuple size must be nonnegative")
+    k_vals = cone.values(canonical)
+    n_funcs = len(cone.functionals)
+    if m == 0:
+        return () if any(v < 0 for v in k_vals) else None
+    points = list(cone.interior_points(radius))
+    if not points:
+        return None
+    vals = [cone.values_at(p) for p in points]
+    suffix_min = [None] * (len(points) + 1)
+    suffix_min[len(points)] = tuple(0 for _ in range(n_funcs))
+    running = [None] * n_funcs
+    for i in range(len(points) - 1, -1, -1):
+        for k in range(n_funcs):
+            v = vals[i][k]
+            running[k] = v if running[k] is None else min(running[k], v)
+        suffix_min[i] = tuple(running)
+
+    def search(start: int, depth: int, partial: tuple[int, ...], chosen: tuple[int, ...]):
+        remaining = m - depth
+        if remaining == 0:
+            if any(k_vals[k] + partial[k] < 0 for k in range(n_funcs)):
+                return chosen
+            return None
+        if start >= len(points):
+            return None
+        if all(
+            k_vals[k] + partial[k] + remaining * suffix_min[start][k] >= 0
+            for k in range(n_funcs)
+        ):
+            return None
+        for i in range(start, len(points)):
+            hit = search(
+                i,
+                depth + 1,
+                tuple(partial[k] + vals[i][k] for k in range(n_funcs)),
+                chosen + (i,),
+            )
+            if hit is not None:
+                return hit
+        return None
+
+    hit = search(0, 0, (0,) * n_funcs, ())
+    if hit is None:
+        return None
+    return tuple(points[i] for i in hit)
+
+
+@st.composite
+def block_diagonal_cases(draw):
+    """A product of random rank-1 and rank-2 cones with one free coordinate
+    spliced in, of total rank at most 5, with a canonical class, m and a
+    radius."""
+    ranks = draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=4))
+    assume(sum(ranks) <= 4)
+    entry = st.integers(-3, 3)
+    factors = []
+    for rank in ranks:
+        if rank == 1:
+            factors.append(Cone(LINE, ((draw(st.sampled_from((1, -1))),),)))
+            continue
+        rows = draw(st.lists(st.tuples(entry, entry), min_size=1, max_size=3))
+        try:
+            factors.append(Cone(F1, rows))
+        except ConeError:
+            assume(False)
+    rank = sum(ranks)
+    product = product_cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), factors)
+    free = draw(st.integers(0, rank))
+    lat = PicardLattice(tuple(f"e{i}" for i in range(rank + 1)))
+    cone = Cone(lat, tuple(f[:free] + (0,) + f[free:] for f in product.functionals))
+    coeffs = st.lists(st.integers(-4, 2), min_size=rank + 1, max_size=rank + 1)
+    canonical = lat.make(draw(coeffs))
+    return cone, canonical, draw(st.integers(0, 4)), draw(st.integers(1, 3))
+
+
+NARROW_BY_RAY = Cone(
+    PicardLattice(("A", "B", "H", "T")),
+    ((1, 0, 0, 0), (-3, 1, 0, 0), (0, 0, 1, 0)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(block_diagonal_cases())
+# the ray refutes, but the narrow block has no interior point of sup-norm
+# 3 or less, so neither has the cone
+@example((NARROW_BY_RAY, NARROW_BY_RAY.lattice.make([0, 0, -2, 0]), 1, 3))
+def test_block_split_refutes_exactly_when_the_flat_search_does(case):
+    cone, canonical, m, radius = case
+    found = brute_force_refute(cone, canonical, m, radius)
+    assert (found is None) == (flat_refute(cone, canonical, m, radius) is None)
+    if found is None:
+        return
+    assert len(found) == m
+    total = list(canonical.coeffs)
+    for point in found:
+        assert all(v > 0 for v in cone.values_at(point))
+        assert max(map(abs, point)) <= radius
+        total = [a + b for a, b in zip(total, point)]
+    assert any(v < 0 for v in cone.values_at(total))

@@ -146,6 +146,22 @@ def test_abelian_defaults():
         abelian(2, lattice=lat)  # custom lattice without a form
 
 
+def test_abelian_rejects_a_nef_interior_that_is_not_ample():
+    # an interior class of a nef cone is ample, so its top power is positive
+    lat = PicardLattice(("H",))
+    with pytest.raises(DescriptorError) as err:
+        abelian(
+            2,
+            lattice=lat,
+            form=IntersectionForm.rank_one(lat, 2, -2),
+            nef=Cone(lat, ((1,),)),
+        )
+    assert str(err.value) == (
+        "the nef cone's interior class H has top self-intersection -2, "
+        "but an ample class needs a positive one"
+    )
+
+
 # ------------------------------------------------------- validation
 
 

@@ -577,22 +577,41 @@ def test_corpus_with_oracle_cap_still_green():
     assert not report.any_internal
 
 
-def test_corpus_oracle_enumerates_few_lattice_points(monkeypatch):
-    # the oracle enumerates only prefixes of each cone's box, once per cone
-    # and radius; filtering the whole box would yield over 15,000 points here
+def _count_enumerated(monkeypatch) -> list[int]:
+    """A one-item list counting the points ``lattice_points_by_shell``
+    yields from now on."""
     plain = cones.lattice_points_by_shell
-    yielded = 0
+    yielded = [0]
 
     def counted(rank, radius):
-        nonlocal yielded
         for point in plain(rank, radius):
-            yielded += 1
+            yielded[0] += 1
             yield point
 
     monkeypatch.setattr(cones, "lattice_points_by_shell", counted)
+    return yielded
+
+
+def test_corpus_oracle_enumerates_few_lattice_points(monkeypatch):
+    # the oracle enumerates only prefixes of each block's box, once per
+    # cone and radius; filtering the whole box would yield over 15,000
+    # points here, and enumerating each product cone whole about 900
+    yielded = _count_enumerated(monkeypatch)
     report = corpus()
     assert not report.any_failure
-    assert 0 < yielded <= 1200
+    assert 0 < yielded[0] <= 250
+
+
+def test_oracle_splits_a_p1_power_into_rays(monkeypatch):
+    # the box of P1^9 holds 4^9 interior points, its nine rays 4 each
+    yielded = _count_enumerated(monkeypatch)
+    lets = ["let a1 = projective_space(1)"]
+    lets += [f"let a{k} = product(a{k - 1}, a1)" for k in range(2, 10)]
+    report = evaluate(parse("\n".join(lets) + "\ncompute a9\n"))
+    assert not report.any_failure
+    [row] = report.rows
+    assert str(row.interval) == "2" and row.verified
+    assert 0 < yielded[0] <= 300
 
 
 # ------------------------------------------------------------- emitters
