@@ -53,7 +53,7 @@ class Certificate:
     value: int
     citation: str
     premises: tuple[str, ...] = ()
-    # given as JSON data, kept as its compact text (see _witness_text)
+    # given as a dict of JSON data, kept as its compact text (see _witness_text)
     witness: str = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -61,12 +61,13 @@ class Certificate:
             raise ValueError(f"certificate kind must be upper or lower, got {self.kind!r}")
         if self.value < 0:
             raise ValueError("certified bounds are nonnegative")
+        if not isinstance(self.witness, dict):
+            raise TypeError("a certificate witness is a dict of JSON data")
         object.__setattr__(self, "premises", tuple(self.premises))
         object.__setattr__(self, "witness", _witness_text(self.witness))
 
     def witness_data(self) -> dict:
-        out = json.loads(self.witness)
-        return out if isinstance(out, dict) else {}
+        return json.loads(self.witness)
 
     def to_json_dict(self) -> dict:
         return {
@@ -88,24 +89,6 @@ class Certificate:
             premises=tuple(data.get("premises", ())),
             witness=data.get("witness", {}) or {},
         )
-
-
-def make_certificate(
-    kind: str,
-    rule: str,
-    value: int,
-    citation: str,
-    premises=(),
-    witness=None,
-) -> Certificate:
-    return Certificate(
-        kind=kind,
-        rule=rule,
-        value=value,
-        citation=citation,
-        premises=tuple(premises),
-        witness=witness or {},
-    )
 
 
 def _render(value, nl: str, out: list, memo: dict) -> None:

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 when everything passed, 1 when an assertion failed or a
 statement errored, 2 on usage or parse errors, 3 when the resolver or
-the certificate verifier caught an internal inconsistency.
+the certificate verifier caught an internal inconsistency, or the
+resolver raised on a descriptor that was admitted.
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ irredundant primitive functional of a cone with interior it is exactly
 facet k, an integral u with phi_k(u) = 1 exists because phi_k is
 primitive, and u + t w is interior once t is large enough.  So every
 mu_k is 1, with a witness built in closed form, and m* is decided in any
-basis without a search.
+basis without a search.  The argument reads only p and the q_k, so it
+holds as well for a cone that contains a line, such as a half-plane.
 
 The brute-force refuter at the bottom is the independent oracle used by
 the test suite: it searches every multiset of interior lattice points of
@@ -64,41 +65,12 @@ class ConeError(ValueError):
     """Raised for degenerate or redundant functional systems."""
 
 
-class NonPointedConeError(ConeError):
-    """The functionals do not cut out a pointed cone."""
-
-
 def _primitive(vec) -> tuple[int, ...]:
     v = tuple(int(x) for x in vec)
     if all(x == 0 for x in v):
         raise ConeError("the zero functional does not cut a halfspace")
     g = gcd(*v)
     return tuple(x // g for x in v)
-
-
-def _matrix_rank(rows: tuple[tuple[int, ...], ...]) -> int:
-    """Exact rank of an integer matrix, via elimination over Q."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    row_at = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row_at, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[row_at], mat[pivot] = mat[pivot], mat[row_at]
-        pv = mat[row_at][col]
-        for r in range(row_at + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row_at])]
-        row_at += 1
-        rank += 1
-    return rank
 
 
 def _dot(a, b) -> int:
@@ -410,11 +382,6 @@ class Cone:
     def strictly_contains(self, cls_: DivisorClass) -> bool:
         return all(v > 0 for v in self.values(cls_))
 
-    def is_pointed(self) -> bool:
-        return self._memoized(
-            "pointed", lambda: _matrix_rank(self.functionals) == self.lattice.rank
-        )
-
     def _memoized(self, key, compute):
         """``compute()``, stored under ``key``; a race only computes it twice."""
         if key not in self._memo:
@@ -458,10 +425,6 @@ class Cone:
         """
         if not 0 <= k < len(self.functionals):
             raise ConeError(f"no functional with index {k}")
-        if not self.is_pointed():
-            raise NonPointedConeError(
-                "the functionals vanish simultaneously on a nonzero subspace"
-            )
         return self._memoized(("min", k), lambda: self._facet_witness(k))
 
     def _facet_witness(self, k: int) -> tuple[int, ...]:

@@ -338,6 +338,11 @@ def hypersurface_section(
     )
 
 
+# what a cover's ``assume`` may name: the branch class is ample, or the
+# pullback identifies Picard groups on a threefold
+_COVER_ASSUMPTIONS = ("ample", "large_d", "pic_pullback_iso", "effective_nl")
+
+
 def cyclic_cover(
     y: VarietyDescriptor,
     branch: DivisorClass,
@@ -361,28 +366,33 @@ def cyclic_cover(
     if branch.lattice.uid != y.lattice.uid:
         raise DescriptorError("the branch class lives off the parent lattice")
     assume = tuple(assume)
+    for name in assume:
+        if name not in _COVER_ASSUMPTIONS:
+            raise DescriptorError(
+                f"cyclic_cover does not take assumption {name!r}; it takes "
+                + ", ".join(_COVER_ASSUMPTIONS)
+            )
     _require_ample(y, branch, "branch class", assume_ample or "ample" in assume)
     assertions: list[Assertion] = []
     if y.dimension >= 4:
         assertions.append(Assertion("pic_pullback_iso", _LEFSCHETZ_CITATION))
     elif y.dimension == 3:
-        allowed = {"large_d", "pic_pullback_iso", "effective_nl"}
-        if not (set(assume) & allowed):
+        identifying = [name for name in assume if name != "ample"]
+        if not identifying:
             raise DescriptorError(
                 "a threefold cover identifies Picard groups only for large "
                 "degree and very general branch divisor; pass large_d, "
                 "pic_pullback_iso or effective_nl to assert this"
             )
-        for name in assume:
-            if name in allowed:
-                assertions.append(
-                    Assertion(
-                        name,
-                        "pullback isomorphism on Picard groups for cyclic covers "
-                        "of threefolds with large degree and very general branch "
-                        "divisor",
-                    )
+        for name in identifying:
+            assertions.append(
+                Assertion(
+                    name,
+                    "pullback isomorphism on Picard groups for cyclic covers "
+                    "of threefolds with large degree and very general branch "
+                    "divisor",
                 )
+            )
     else:
         raise DescriptorError("cyclic cover descriptors need a parent of dimension >= 3")
     lat = PicardLattice(tuple(y.lattice.basis))

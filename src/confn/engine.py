@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .certificates import LOWER, UPPER, Certificate, make_certificate
-from .cones import NonPointedConeError
+from .certificates import LOWER, UPPER, Certificate
 from .constructions import cover_data
 from .descriptors import ExactEqualsNef, VarietyDescriptor, is_known_gg
 from .kunneth import ZERO, h0_sign
@@ -65,10 +64,7 @@ class FujitaInterval:
 def _rule_exact_threshold(desc: VarietyDescriptor):
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return [], []
-    try:
-        report = desc.nef.adjoint_freeness_threshold(desc.canonical)
-    except NonPointedConeError as exc:
-        return [], [f"exact threshold skipped: {exc}"]
+    report = desc.nef.adjoint_freeness_threshold(desc.canonical)
     per = [
         {
             "index": p.index,
@@ -88,7 +84,7 @@ def _rule_exact_threshold(desc: VarietyDescriptor):
         "the bound holds for every s >= m as the definition requires",
     ]
     certs = [
-        make_certificate(
+        Certificate(
             UPPER,
             "exact-threshold",
             report.m_star,
@@ -101,7 +97,7 @@ def _rule_exact_threshold(desc: VarietyDescriptor):
     if report.m_star >= 1:
         assert report.witness is not None and report.violated_index is not None
         certs.append(
-            make_certificate(
+            Certificate(
                 LOWER,
                 "exact-threshold",
                 report.m_star,
@@ -131,7 +127,7 @@ def _rule_curve(desc: VarietyDescriptor):
             ">= 0; curve rule skipped"
         ]
     genus = (deg_k + 2) // 2
-    upper = make_certificate(
+    upper = Certificate(
         UPPER,
         "curve-genus",
         2,
@@ -140,7 +136,7 @@ def _rule_curve(desc: VarietyDescriptor):
         premises=[f"genus {genus} read off from the canonical degree {deg_k}"],
         witness={"genus": genus},
     )
-    lower = make_certificate(
+    lower = Certificate(
         LOWER,
         "curve-genus",
         2,
@@ -156,6 +152,15 @@ def _rule_curve(desc: VarietyDescriptor):
     return [upper, lower], []
 
 
+def _product_gate(desc: VarietyDescriptor) -> str | None:
+    """Why the product's upper bound holds, or None when nothing grants it."""
+    if any(p.has_flag("irregularity_zero") for p in desc.provenance.parents):
+        return "a factor has irregularity zero"
+    if any(a.name == "no_common_isogeny_factor" for a in desc.provenance.assertions):
+        return "asserted: the factors share no nonzero isogeny factor"
+    return None
+
+
 def _rule_product_combine(desc: VarietyDescriptor):
     if desc.provenance.constructor != "product":
         return [], []
@@ -164,7 +169,7 @@ def _rule_product_combine(desc: VarietyDescriptor):
     lo = max(iv.lo for iv in factor_intervals)
     if lo >= 1:
         certs.append(
-            make_certificate(
+            Certificate(
                 LOWER,
                 "product-combine",
                 lo,
@@ -176,17 +181,11 @@ def _rule_product_combine(desc: VarietyDescriptor):
                 },
             )
         )
-    gate = None
-    if any(p.has_flag("irregularity_zero") for p in desc.provenance.parents):
-        gate = "a factor has irregularity zero"
-    elif any(
-        a.name == "no_common_isogeny_factor" for a in desc.provenance.assertions
-    ):
-        gate = "asserted: the factors share no nonzero isogeny factor"
+    gate = _product_gate(desc)
     if gate is not None:
         hi = max(iv.hi for iv in factor_intervals)
         certs.append(
-            make_certificate(
+            Certificate(
                 UPPER,
                 "product-combine",
                 hi,
@@ -221,7 +220,7 @@ def _rule_cover_degree(desc: VarietyDescriptor):
             f"generated: it is the pullback of the parent adjoint with "
             f"{degree} - 1 >= {parent_iv.hi} + 1 ample summands"
         )
-    cert = make_certificate(
+    cert = Certificate(
         UPPER,
         "cover-degree",
         bound,
@@ -245,7 +244,7 @@ def _rule_not_nef_witness(desc: VarietyDescriptor):
     for effective, note in desc.known_effective:
         pairing = desc.form.evaluate(desc.canonical, effective)
         if pairing < 0:
-            cert = make_certificate(
+            cert = Certificate(
                 LOWER,
                 "not-nef-witness",
                 1,
@@ -269,7 +268,7 @@ def _rule_h0_vanishing(desc: VarietyDescriptor):
     fact = h0_sign(desc, desc.canonical)
     if fact.value != ZERO:
         return [], []
-    cert = make_certificate(
+    cert = Certificate(
         LOWER,
         "h0-vanishing",
         1,
@@ -289,7 +288,7 @@ def _rule_reider_divisible(desc: VarietyDescriptor):
         return [], []
     for ann in desc.annotations:
         if isinstance(ann.scope, FullLattice) and ann.modulus >= 5:
-            cert = make_certificate(
+            cert = Certificate(
                 UPPER,
                 "reider-divisible",
                 1,
@@ -310,7 +309,7 @@ def _rule_reider_surface(desc: VarietyDescriptor):
     if desc.dimension != 2:
         return [], []
     certs = [
-        make_certificate(
+        Certificate(
             UPPER,
             "reider-surface",
             3,
@@ -327,7 +326,7 @@ def _rule_reider_surface(desc: VarietyDescriptor):
         detail = "the canonical class is divisible by 2 in the lattice"
     if clause is not None:
         certs.append(
-            make_certificate(
+            Certificate(
                 UPPER,
                 "reider-surface",
                 2,
@@ -343,7 +342,7 @@ def _rule_reider_surface(desc: VarietyDescriptor):
         top = desc.form.entry((0, 0))
         if top != 1:
             certs.append(
-                make_certificate(
+                Certificate(
                     UPPER,
                     "reider-surface",
                     2,
@@ -355,63 +354,6 @@ def _rule_reider_surface(desc: VarietyDescriptor):
                 )
             )
     return certs, []
-
-
-def _rule_abelian(desc: VarietyDescriptor):
-    if not desc.has_flag("abelian"):
-        return [], []
-    cert = make_certificate(
-        UPPER,
-        "abelian-bound",
-        2,
-        "Bauer-Szemberg 1996: on an abelian variety the product of two or "
-        "more ample bundles is globally generated, and the canonical class "
-        "is trivial",
-    )
-    return [cert], []
-
-
-def _rule_toric(desc: VarietyDescriptor):
-    if not desc.has_flag("toric"):
-        return [], []
-    n = desc.dimension
-    cert = make_certificate(
-        UPPER,
-        "toric-adjoint",
-        n + 1,
-        "Mustata 2002, toric adjoint freeness: the adjoint of n + 1 ample "
-        "bundles on a smooth projective toric variety is globally generated",
-        premises=[f"dimension {n}"],
-    )
-    return [cert], []
-
-
-def _rule_threefold(desc: VarietyDescriptor):
-    if desc.dimension != 3:
-        return [], []
-    cert = make_certificate(
-        UPPER,
-        "threefold-helmke",
-        4,
-        "Helmke 1997: on a threefold, an ample L with (L^3) > 27, "
-        "(L^2 . S) >= 9 and (L . C) >= 3 has globally generated adjoint, and "
-        "a sum of four ample classes always satisfies these",
-    )
-    return [cert], []
-
-
-def _rule_universal(desc: VarietyDescriptor):
-    n = desc.dimension
-    value = (n * n + n + 2) // 2
-    cert = make_certificate(
-        UPPER,
-        "universal-angehrn-siu",
-        value,
-        "Angehrn-Siu 1995: the adjoint of an ample L is globally generated "
-        "once L dominates (n^2 + n + 2) / 2 ample summands",
-        premises=[f"dimension {n}"],
-    )
-    return [cert], []
 
 
 def divisible_by_24(surface: VarietyDescriptor) -> bool:
@@ -465,7 +407,7 @@ def _rule_blowup_mod24(desc: VarietyDescriptor):
         return [], []
     residues = _mod24_residues()
     divisor = residues["multiplicity_divisor"]
-    cert = make_certificate(
+    cert = Certificate(
         UPPER,
         "blowup-reider-mod24",
         1,
@@ -518,7 +460,7 @@ def resolve(desc: VarietyDescriptor, enabled=None) -> FujitaInterval:
             (c for c in certs if c.kind == UPPER), key=lambda c: c.value
         )
         certs.append(
-            make_certificate(
+            Certificate(
                 UPPER,
                 "canonical-gg",
                 0,
@@ -673,17 +615,17 @@ def _verify_product_combine(desc, cert):
     intervals = [_verified_interval(p) for p in desc.provenance.parents]
     if None in intervals:
         return False
-    stored = cert.witness_data()["factor_intervals"]
-    if [[iv.lo, iv.hi] for iv in intervals] != [list(x) for x in stored]:
+    data = cert.witness_data()
+    if data["factor_intervals"] != [[iv.lo, iv.hi] for iv in intervals]:
         return False
     if cert.kind == LOWER:
         return cert.value == max(iv.lo for iv in intervals)
-    gate_ok = any(
-        p.has_flag("irregularity_zero") for p in desc.provenance.parents
-    ) or any(
-        a.name == "no_common_isogeny_factor" for a in desc.provenance.assertions
+    gate = _product_gate(desc)
+    return (
+        gate is not None
+        and data.get("gate") == gate
+        and cert.value == max(iv.hi for iv in intervals)
     )
-    return gate_ok and cert.value == max(iv.hi for iv in intervals)
 
 
 def _verify_cover_degree(desc, cert):
@@ -759,27 +701,6 @@ def _verify_reider_surface(desc, cert):
     return False
 
 
-def _verify_abelian(desc, cert):
-    return desc.has_flag("abelian") and cert.kind == UPPER and cert.value == 2
-
-
-def _verify_toric(desc, cert):
-    return (
-        desc.has_flag("toric")
-        and cert.kind == UPPER
-        and cert.value == desc.dimension + 1
-    )
-
-
-def _verify_threefold(desc, cert):
-    return desc.dimension == 3 and cert.kind == UPPER and cert.value == 4
-
-
-def _verify_universal(desc, cert):
-    n = desc.dimension
-    return cert.kind == UPPER and cert.value == (n * n + n + 2) // 2
-
-
 def _verify_canonical_gg(desc, cert):
     if cert.kind != UPPER or cert.value != 0:
         return False
@@ -831,6 +752,31 @@ class Rule:
     verify: Callable
 
 
+def _premise_bound(rule_id, applies, value, citation, premise=None) -> Rule:
+    """A rule whose upper bound follows from a descriptor premise alone.
+
+    Where ``applies(desc)`` holds it emits one upper certificate of
+    ``value(desc)``, with ``premise(desc)`` as its premise line if given,
+    and its verifier re-checks that premise and value: there is no
+    witness to read.
+    """
+
+    def derive(desc):
+        if not applies(desc):
+            return [], []
+        premises = [premise(desc)] if premise else []
+        return [Certificate(UPPER, rule_id, value(desc), citation, premises)], []
+
+    def verify(desc, cert):
+        return applies(desc) and cert.kind == UPPER and cert.value == value(desc)
+
+    return Rule(rule_id, derive, verify)
+
+
+def _dimension(desc) -> str:
+    return f"dimension {desc.dimension}"
+
+
 # the resolver runs the rules in this order, so it fixes certificate order
 _RULES = {
     rule.id: rule
@@ -843,10 +789,38 @@ _RULES = {
         Rule("h0-vanishing", _rule_h0_vanishing, _verify_h0_vanishing),
         Rule("reider-divisible", _rule_reider_divisible, _verify_reider_divisible),
         Rule("reider-surface", _rule_reider_surface, _verify_reider_surface),
-        Rule("abelian-bound", _rule_abelian, _verify_abelian),
-        Rule("toric-adjoint", _rule_toric, _verify_toric),
-        Rule("threefold-helmke", _rule_threefold, _verify_threefold),
-        Rule("universal-angehrn-siu", _rule_universal, _verify_universal),
+        _premise_bound(
+            "abelian-bound",
+            lambda desc: desc.has_flag("abelian"),
+            lambda desc: 2,
+            "Bauer-Szemberg 1996: on an abelian variety the product of two or "
+            "more ample bundles is globally generated, and the canonical class "
+            "is trivial",
+        ),
+        _premise_bound(
+            "toric-adjoint",
+            lambda desc: desc.has_flag("toric"),
+            lambda desc: desc.dimension + 1,
+            "Mustata 2002, toric adjoint freeness: the adjoint of n + 1 ample "
+            "bundles on a smooth projective toric variety is globally generated",
+            _dimension,
+        ),
+        _premise_bound(
+            "threefold-helmke",
+            lambda desc: desc.dimension == 3,
+            lambda desc: 4,
+            "Helmke 1997: on a threefold, an ample L with (L^3) > 27, "
+            "(L^2 . S) >= 9 and (L . C) >= 3 has globally generated adjoint, and "
+            "a sum of four ample classes always satisfies these",
+        ),
+        _premise_bound(
+            "universal-angehrn-siu",
+            lambda desc: True,
+            lambda desc: (desc.dimension**2 + desc.dimension + 2) // 2,
+            "Angehrn-Siu 1995: the adjoint of an ample L is globally generated "
+            "once L dominates (n^2 + n + 2) / 2 ample summands",
+            _dimension,
+        ),
         Rule("blowup-reider-mod24", _rule_blowup_mod24, _verify_blowup_mod24),
         Rule("canonical-gg", None, _verify_canonical_gg),
     )

@@ -529,14 +529,12 @@ def _compute_row(
     row.picard_rank = desc.rank
     row.provenance = tuple(provenance_lines(desc))
     row.notes = binding.notes
+    # the descriptor was admitted, so any of these is a fault in the engine
     try:
         interval = resolve(desc)
-    except InconsistencyError as exc:
+    except (InconsistencyError, DescriptorError, ConeError, LatticeError) as exc:
         row.error = f"internal inconsistency: {exc}"
         row.internal = True
-        return
-    except (DescriptorError, ConeError, LatticeError) as exc:
-        row.error = str(exc)
         return
     row.interval = interval
     row.verified = all(

@@ -19,7 +19,6 @@ from confn.certificates import (
     UPPER,
     Certificate,
     dumps_certificates,
-    make_certificate,
     render_json,
 )
 from confn.dsl import parse
@@ -32,13 +31,13 @@ def test_schema_version_pinned():
 
 def test_kind_and_value_validated():
     with pytest.raises(ValueError):
-        make_certificate("sideways", "r", 1, "c")
+        Certificate("sideways", "r", 1, "c")
     with pytest.raises(ValueError):
-        make_certificate(UPPER, "r", -1, "c")
+        Certificate(UPPER, "r", -1, "c")
 
 
 def test_witness_frozen_and_hashable():
-    cert = make_certificate(
+    cert = Certificate(
         UPPER,
         "exact-threshold",
         3,
@@ -57,26 +56,30 @@ def test_witness_frozen_and_hashable():
 
 def test_witness_rejects_unserializable_payload():
     with pytest.raises(TypeError):
-        make_certificate(UPPER, "r", 1, "c", witness={"bad": object()})
+        Certificate(UPPER, "r", 1, "c", witness={"bad": object()})
 
 
 def test_witness_rejects_floats_and_non_string_keys():
     with pytest.raises(TypeError):
-        make_certificate(UPPER, "r", 1, "c", witness={"x": 0.5})
+        Certificate(UPPER, "r", 1, "c", witness={"x": 0.5})
     with pytest.raises(TypeError):
-        make_certificate(UPPER, "r", 1, "c", witness={1: "non-string key"})
+        Certificate(UPPER, "r", 1, "c", witness={1: "non-string key"})
+    # a witness that is not a dict would print as {} yet compare unequal to it
+    for not_a_dict in (None, [], '{"k":1}'):
+        with pytest.raises(TypeError):
+            Certificate(UPPER, "r", 1, "c", witness=not_a_dict)
 
 
 def test_witness_keeps_empty_lists_and_lists_of_pairs():
     witness = {"k": [], "pairs": [["a", 1], ["b", 2]]}
-    cert = make_certificate(UPPER, "r", 1, "c", witness=witness)
+    cert = Certificate(UPPER, "r", 1, "c", witness=witness)
     assert cert.witness_data() == witness
     assert json.loads(dumps_certificates([cert]))[0]["witness"] == witness
 
 
 def test_witness_bool_stays_distinct_from_int():
-    flag = make_certificate(UPPER, "r", 1, "c", witness={"f": True})
-    one = make_certificate(UPPER, "r", 1, "c", witness={"f": 1})
+    flag = Certificate(UPPER, "r", 1, "c", witness={"f": True})
+    one = Certificate(UPPER, "r", 1, "c", witness={"f": 1})
     assert flag != one
     assert len({flag, one}) == 2
     text = dumps_certificates([flag, one])
@@ -84,7 +87,7 @@ def test_witness_bool_stays_distinct_from_int():
 
 
 def test_json_round_trip():
-    cert = make_certificate(
+    cert = Certificate(
         LOWER,
         "not-nef-witness",
         2,
@@ -104,8 +107,8 @@ def test_json_round_trip():
 
 def test_dumps_is_deterministic_json():
     certs = [
-        make_certificate(UPPER, "a", 1, "c1", witness={"k": [1, 2]}),
-        make_certificate(LOWER, "b", 0, "c2"),
+        Certificate(UPPER, "a", 1, "c1", witness={"k": [1, 2]}),
+        Certificate(LOWER, "b", 0, "c2"),
     ]
     text = dumps_certificates(certs)
     assert text == dumps_certificates(list(certs))
@@ -116,7 +119,7 @@ def test_dumps_is_deterministic_json():
 
 
 def test_empty_witness_normalizes_to_empty_dict():
-    cert = make_certificate(UPPER, "r", 1, "c")
+    cert = Certificate(UPPER, "r", 1, "c")
     assert cert.witness_data() == {}
     assert cert.to_json_dict()["witness"] == {}
 
@@ -158,8 +161,8 @@ def test_render_json_matches_the_stdlib_at_the_edges():
 
 
 def test_a_repeated_certificate_renders_alike_at_every_depth():
-    cert = make_certificate(UPPER, "a", 1, "c1", witness={"k": [1, [2, "\u00e9"]]})
-    other = make_certificate(LOWER, "b", 0, "c2")
+    cert = Certificate(UPPER, "a", 1, "c1", witness={"k": [1, [2, "\u00e9"]]})
+    other = Certificate(LOWER, "b", 0, "c2")
     value = {"top": cert, "nested": [[cert, other], {"again": cert}], "last": cert}
     as_dicts = {
         "top": cert.to_json_dict(),

@@ -92,6 +92,33 @@ def test_failed_reverification_exits_3(monkeypatch, capsys):
     assert "a certificate failed independent re-verification" in out
 
 
+def test_cone_error_in_a_rule_is_internal(monkeypatch, tmp_path, capsys):
+    import dataclasses
+
+    from confn import engine
+    from confn.cones import ConeError
+    from confn.dsl import parse
+    from confn.runner import evaluate
+
+    def broken(desc):
+        raise ConeError("internal sharpness check failed")
+
+    # an admitted descriptor reaches resolve, so the error is the engine's
+    monkeypatch.setitem(
+        engine._RULES,
+        "toric-adjoint",
+        dataclasses.replace(engine._RULES["toric-adjoint"], derive=broken),
+    )
+    report = evaluate(parse(GOOD))
+    (row,) = report.rows
+    assert row.internal and report.any_internal
+    assert "internal sharpness check failed" in row.error
+    path = tmp_path / "good.fuj"
+    path.write_text(GOOD)
+    code, _out, _err = _run_main(["eval", str(path)], capsys)
+    assert code == 3
+
+
 def test_statement_error_exits_1(tmp_path, capsys):
     ample = "but an ample class needs a positive one"
     cases = [

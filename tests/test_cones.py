@@ -17,7 +17,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from confn.cones import (
     Cone,
     ConeError,
-    NonPointedConeError,
     _solve,
     brute_force_refute,
     lattice_points_by_shell,
@@ -81,12 +80,6 @@ def test_membership_and_interior():
 def test_functionals_are_primitive():
     cone = Cone(F1, ((2, 0), (-3, 3)))
     assert cone.functionals == ((1, 0), (-1, 1))
-
-
-def test_pointedness():
-    assert F1_NEF.is_pointed()
-    half_plane = Cone(F1, ((1, 0),))
-    assert not half_plane.is_pointed()
 
 
 def test_irredundancy_witnesses_found():
@@ -228,7 +221,7 @@ def test_cone_memo_is_keyed_by_radius():
     assert narrow.first_interior_point() == (1, 11)
     # the exact queries take no radius, so neither does any memo key
     assert narrow._memo
-    assert set(narrow._memo) == {"pointed", ("min", 0), ("min", 1)}
+    assert set(narrow._memo) == {("min", 0), ("min", 1)}
 
 
 def test_product_first_interior_point_none_with_enumeration():
@@ -240,11 +233,14 @@ def test_product_first_interior_point_none_with_enumeration():
     assert cone.first_interior_point() == next(cone.interior_points(11))
 
 
-def test_non_pointed_cone_refuses_threshold():
+def test_half_plane_threshold_equals_oracle():
+    # the cone contains the line spanned by (0, 1); the threshold needs no apex
     lat = PicardLattice(("A", "B"))
     half = Cone(lat, ((1, 0),))
-    with pytest.raises(NonPointedConeError):
-        half.adjoint_freeness_threshold(lat.make([-1, 0]))
+    canonical = lat.make([-1, 0])
+    report = half.adjoint_freeness_threshold(canonical)
+    assert report.m_star == 1
+    assert interior_by_refuter(half, canonical) == 1
 
 
 def test_empty_interior_rejected_at_admission():
@@ -361,8 +357,6 @@ def test_random_rank2_cones_threshold_equals_oracle():
             cone = Cone(lat, rows)
         except ConeError:
             continue
-        if not cone.is_pointed():
-            continue
         canonical = lat.make([rng.randint(-4, 2), rng.randint(-4, 2)])
         report = cone.adjoint_freeness_threshold(canonical)
         if report.m_star > 5:
@@ -370,6 +364,35 @@ def test_random_rank2_cones_threshold_equals_oracle():
         assert report.m_star == interior_by_refuter(
             cone, canonical, max_m=7, radius=4
         )
+        checked += 1
+
+
+def test_random_cones_with_a_line_threshold_equals_oracle():
+    # fewer functionals than the rank, so every such cone contains a line;
+    # the oracle finds the escape at m* - 1 only when the witness is in its box
+    rng = random.Random(20261018)
+    radius = 3
+    checked = 0
+    while checked < 30:
+        rank = rng.choice((2, 3))
+        lat = PicardLattice(("A", "B", "C")[:rank])
+        rows = tuple(
+            tuple(rng.randint(-2, 2) for _ in range(rank))
+            for _ in range(rng.randint(1, rank - 1))
+        )
+        try:
+            cone = Cone(lat, rows)
+        except ConeError:
+            continue
+        canonical = lat.make([rng.randint(-3, 1) for _ in range(rank)])
+        report = cone.adjoint_freeness_threshold(canonical)
+        if report.m_star > 3:
+            continue
+        m_star = report.m_star
+        assert brute_force_refute(cone, canonical, m_star, radius) is None
+        assert brute_force_refute(cone, canonical, m_star + 1, radius) is None
+        if m_star >= 1 and all(max(map(abs, p)) <= radius for p in report.witness):
+            assert brute_force_refute(cone, canonical, m_star - 1, radius) is not None
         checked += 1
 
 

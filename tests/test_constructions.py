@@ -269,6 +269,9 @@ def test_cover_input_gates():
     # branch must be ample when the nef cone is known
     with pytest.raises(DescriptorError):
         cyclic_cover(y, y.lattice.zero(), 2)
+    # no assumption is needed in dimension 4, but an unknown one is still wrong
+    with pytest.raises(DescriptorError, match="assumption 'bogus'"):
+        cyclic_cover(y, h, 7, assume=("bogus",))
 
 
 def test_cover_annotation_modulus_scaled():

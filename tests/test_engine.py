@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from confn.certificates import LOWER, UPPER, Certificate, make_certificate
+from confn.certificates import LOWER, UPPER, Certificate
 from confn.constructions import blowup_point, cyclic_cover, product
 from confn.descriptors import (
     ExactEqualsNef,
@@ -464,12 +464,12 @@ def test_toric_extremal_value_outside_projective_space_raises():
 def _tamper(cert: Certificate, **changes) -> Certificate:
     data = cert.witness_data()
     data.update(changes)
-    return make_certificate(cert.kind, cert.rule, cert.value, cert.citation,
-                            premises=cert.premises, witness=data)
+    return Certificate(cert.kind, cert.rule, cert.value, cert.citation,
+                       premises=cert.premises, witness=data)
 
 
 def test_verifier_rejects_unknown_rule():
-    cert = make_certificate(UPPER, "made-up-rule", 1, "nothing")
+    cert = Certificate(UPPER, "made-up-rule", 1, "nothing")
     assert not verify_certificate(projective_space(2), cert)
 
 
@@ -484,8 +484,8 @@ def test_verifier_rejects_tampered_threshold():
     assert verify_certificate(p2, upper)
     data = upper.witness_data()
     data["per_functional"][0]["value_on_canonical"] += 1
-    bad = make_certificate(UPPER, upper.rule, upper.value, upper.citation,
-                           premises=upper.premises, witness=data)
+    bad = Certificate(UPPER, upper.rule, upper.value, upper.citation,
+                      premises=upper.premises, witness=data)
     assert not verify_certificate(p2, bad)
 
     lower = next(
@@ -521,7 +521,7 @@ def test_verifier_rejects_repeated_functional_index():
     entries = upper.witness_data()["per_functional"]
     assert [e["required"] for e in entries] == [2, 1]
     # functional 1 listed twice hides functional 0, which requires 2
-    forged = make_certificate(
+    forged = Certificate(
         UPPER, upper.rule, 1, upper.citation, premises=upper.premises,
         witness={"m_star": 1, "per_functional": [entries[1], entries[1]]},
     )
@@ -535,6 +535,32 @@ def test_verifier_rejects_wrong_descriptor():
     assert not verify_certificate(projective_space(2), ab_cert)
 
 
+@pytest.mark.parametrize(
+    "rule, holds, lacks",
+    [
+        ("abelian-bound", lambda: abelian(2), lambda: projective_space(2)),
+        ("toric-adjoint", lambda: projective_space(2), lambda: abelian(2)),
+        (
+            "threefold-helmke",
+            lambda: complete_intersection(3, (3,)),
+            lambda: projective_space(2),
+        ),
+        # no premise beyond the dimension, which fixes the value
+        ("universal-angehrn-siu", lambda: projective_space(2), lambda: projective_space(3)),
+    ],
+)
+def test_premise_only_rules_verify_only_their_premise_and_value(rule, holds, lacks):
+    desc = holds()
+    cert = next(c for c in resolve(desc).certificates if c.rule == rule)
+    assert cert.kind == UPPER and cert.witness_data() == {}
+    assert verify_certificate(desc, cert)
+    for delta in (-1, 1):
+        moved = Certificate(cert.kind, cert.rule, cert.value + delta, cert.citation,
+                            cert.premises, cert.witness_data())
+        assert not verify_certificate(desc, moved), delta
+    assert not verify_certificate(lacks(), cert)
+
+
 def test_verifier_rejects_tampered_cover_bound():
     p4 = projective_space(4)
     deep = cyclic_cover(p4, p4.lattice.make([1]), 7)
@@ -542,6 +568,22 @@ def test_verifier_rejects_tampered_cover_bound():
     assert verify_certificate(deep, cert)
     assert not verify_certificate(deep, _tamper(cert, bound=1))
     assert not verify_certificate(deep, _tamper(cert, degree=6))
+
+
+def test_verifier_reads_the_product_gate():
+    f1xp1 = product(hirzebruch1(), projective_space(1))
+    upper = next(
+        c
+        for c in resolve(f1xp1).certificates
+        if c.rule == "product-combine" and c.kind == UPPER
+    )
+    assert verify_certificate(f1xp1, upper)
+    assert not verify_certificate(f1xp1, _tamper(upper, gate="made up"))
+    data = upper.witness_data()
+    del data["gate"]
+    missing = Certificate(upper.kind, upper.rule, upper.value, upper.citation,
+                          premises=upper.premises, witness=data)
+    assert not verify_certificate(f1xp1, missing)
 
 
 def _product_of_p1():

@@ -75,7 +75,7 @@ def test_n2k1_requires_modulus_24():
 
 
 def test_n2k1_tampered_certificate_rejected():
-    from confn.certificates import make_certificate
+    from confn.certificates import Certificate
 
     result = pipeline_n2k1(synthetic_mod24_surface())
     cert = next(
@@ -85,8 +85,8 @@ def test_n2k1_tampered_certificate_rejected():
     )
     data = cert.witness_data()
     data["multiplicity_divisor"] = 1
-    bad = make_certificate(cert.kind, cert.rule, cert.value, cert.citation,
-                           premises=cert.premises, witness=data)
+    bad = Certificate(cert.kind, cert.rule, cert.value, cert.citation,
+                      premises=cert.premises, witness=data)
     assert not verify_certificate(result.descriptor, bad)
     # and against a descriptor that is not a blow-up at all
     assert not verify_certificate(synthetic_mod24_surface(), cert)

@@ -414,6 +414,16 @@ _BASIS_HINT = "\n  hint: basis names here: H, E1, E2"
             "cyclic_cover(P, branch = H, degree = 1)",
             "cover degree must be >= 2, got 1",
         ),
+        (
+            "cyclic_cover(P, branch = H, degree = 7, assume = [bogus])",
+            "cyclic_cover does not take assumption 'bogus'; it takes ample, "
+            "large_d, pic_pullback_iso, effective_nl",
+        ),
+        (
+            "cyclic_cover(P, branch = H, degree = 6, assume = [large_d, nonsense])",
+            "cyclic_cover does not take assumption 'nonsense'; it takes ample, "
+            "large_d, pic_pullback_iso, effective_nl",
+        ),
     ],
 )
 def test_constructor_errors_verbatim(statement, error):
