@@ -546,7 +546,11 @@ def test_verifier_rejects_wrong_descriptor():
             lambda: projective_space(2),
         ),
         # no premise beyond the dimension, which fixes the value
-        ("universal-angehrn-siu", lambda: projective_space(2), lambda: projective_space(3)),
+        (
+            "universal-angehrn-siu",
+            lambda: projective_space(2),
+            lambda: projective_space(3),
+        ),
     ],
 )
 def test_premise_only_rules_verify_only_their_premise_and_value(rule, holds, lacks):
