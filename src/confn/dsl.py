@@ -15,6 +15,12 @@ as ``3*H - E1 - E2`` written over the basis of whichever descriptor the
 surrounding constructor call is about.  There are no other expressions:
 descriptor programs are configuration, not computation.
 
+A line ends at ``\n``, ``\r\n`` or ``\r``; every other whitespace
+character, such as a tab, a form feed or U+2028, is a blank within the
+line.  ``#`` starts a comment that runs to the end of the line.  An
+asserted interval ``[lo, hi]`` needs ``lo <= hi``, and ``true`` and
+``false`` cannot be bound by ``let``.
+
 ``parse`` returns a Program whose statements carry source spans, and
 raises DslError with a category (lexical, syntax, name, type), position,
 and a one-line hint on malformed input.
@@ -22,6 +28,7 @@ and a one-line hint on malformed input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 CONSTRUCTORS = (
@@ -147,149 +154,143 @@ class Program:
 
 
 # lexer ----------------------------------------------------------------
+#
+# One match per token, after any blanks: an integer, an identifier, a
+# symbol, the start of a comment, or any other character, which is an
+# error.  In a str pattern \d, \w and \s are str.isdecimal, str.isalnum
+# or "_", and str.isspace, so the one check left is that an identifier
+# starts with a letter or "_": "x\u00b2" is a name and "\u00b2" is not.
 
-_SYMBOLS = "()[]=,*+-"
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([()\[\]=,*+\-])|(#)|(\S))")
+_INT, _IDENT, _SYMBOL, _COMMENT = 1, 2, 3, 4
+
+_Tok = tuple[str, str, int]  # (kind, text, column)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "int" | a symbol | "eol"
-    text: str
-    span: Span
-
-
-def _lex_line(text: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "#":
+def _lex_line(text: str, line_no: int) -> list[_Tok]:
+    """The line's tokens, ending with an "eol" token; the other kinds are
+    "ident", "int" and the symbol itself."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        word = match[group]
+        column = match.end() - len(word) + 1
+        if group == _SYMBOL:
+            tokens.append((word, word, column))
+        elif group == _IDENT and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("ident", word, column))
+        elif group == _INT:
+            tokens.append(("int", word, column))
+        elif group == _COMMENT:
             break
-        if ch.isspace():
-            i += 1
-            continue
-        span = Span(line_no, i + 1)
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("int", text[i:j], span))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], span))
-            i = j
-        elif ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, span))
-            i += 1
         else:
             raise DslError(
                 LEXICAL,
-                f"unexpected character {ch!r}",
-                span,
+                f"unexpected character {word[0]!r}",
+                Span(line_no, column),
                 "allowed: identifiers, integers, and () [] = , * + -",
             )
-    tokens.append(_Token("eol", "", Span(line_no, len(text) + 1)))
+    tokens.append(("eol", "", len(text) + 1))
     return tokens
 
 
 # parser ---------------------------------------------------------------
+#
+# The parser knows its line and makes a Span only for a node or an error
+# that keeps one.
 
 
 class _LineParser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Tok], line: int):
         self.tokens = tokens
+        self.line = line
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def span(self, tok: _Tok) -> Span:
+        return Span(self.line, tok[2])
+
+    def peek(self) -> _Tok:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> _Tok:
         tok = self.tokens[self.pos]
-        if tok.kind != "eol":
+        if tok[0] != "eol":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str, hint: str = "") -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text or "end of line"
+    def expect(self, kind: str, what: str, hint: str = "") -> _Tok:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            found = tok[1] or "end of line"
             raise DslError(
-                SYNTAX, f"expected {what}, found {found!r}", tok.span, hint
+                SYNTAX, f"expected {what}, found {found!r}", self.span(tok), hint
             )
-        return self.advance()
+        if kind != "eol":
+            self.pos += 1
+        return tok
 
-    def at_value_end(self) -> bool:
-        return self.peek().kind in (",", ")", "]", "eol")
+    def at_value_end(self, ahead: int = 0) -> bool:
+        return self.tokens[self.pos + ahead][0] in (",", ")", "]", "eol")
 
     def parse_value(self):
         tok = self.peek()
-        if tok.kind == "[":
+        kind = tok[0]
+        if kind == "[":
             return self.parse_list()
-        if tok.kind == "-":
+        if kind == "-":
             return self.parse_divisor_or_negative()
-        if tok.kind == "int":
-            start = self.pos
-            self.advance()
-            if self.at_value_end():
-                return IntValue(int(tok.text), tok.span)
-            self.pos = start
+        if kind == "int":
+            if self.at_value_end(1):
+                self.pos += 1
+                return IntValue(int(tok[1]), self.span(tok))
             return self.parse_divisor()
-        if tok.kind == "ident":
-            if tok.text in ("true", "false"):
-                self.advance()
-                return BoolValue(tok.text == "true", tok.span)
-            start = self.pos
-            self.advance()
-            if self.at_value_end():
-                return NameValue(tok.text, tok.span)
-            self.pos = start
+        if kind == "ident":
+            if tok[1] in ("true", "false"):
+                self.pos += 1
+                return BoolValue(tok[1] == "true", self.span(tok))
+            if self.at_value_end(1):
+                self.pos += 1
+                return NameValue(tok[1], self.span(tok))
             return self.parse_divisor()
         raise DslError(
             SYNTAX,
-            f"expected a value, found {tok.text or 'end of line'!r}",
-            tok.span,
+            f"expected a value, found {tok[1] or 'end of line'!r}",
+            self.span(tok),
             "values are integers, true/false, names, divisor sums, or [lists]",
         )
 
     def parse_list(self) -> ListValue:
         open_tok = self.expect("[", "'['")
         items = []
-        if self.peek().kind != "]":
+        if self.peek()[0] != "]":
             while True:
                 items.append(self.parse_value())
-                if self.peek().kind == ",":
+                if self.peek()[0] == ",":
                     self.advance()
                     continue
                 break
         self.expect("]", "']' closing the list", "lists look like [1, 2] or [toric]")
-        return ListValue(tuple(items), open_tok.span)
+        return ListValue(tuple(items), self.span(open_tok))
 
     def parse_divisor_or_negative(self):
         minus = self.advance()
         nxt = self.peek()
-        if nxt.kind == "int":
-            start = self.pos
-            self.advance()
-            if self.at_value_end():
-                return IntValue(-int(nxt.text), minus.span)
-            self.pos = start
-        return self.parse_divisor(span=minus.span, leading_minus=True)
+        if nxt[0] == "int" and self.at_value_end(1):
+            self.pos += 1
+            return IntValue(-int(nxt[1]), self.span(minus))
+        return self.parse_divisor(span=self.span(minus), leading_minus=True)
 
     def parse_divisor(self, span: Span | None = None, leading_minus: bool = False):
-        first = self.peek()
-        span = span or first.span
+        span = span or self.span(self.peek())
         terms: list[tuple[int, str]] = []
         sign = -1 if leading_minus else 1
         while True:
             terms.append(self.parse_term(sign))
-            tok = self.peek()
-            if tok.kind == "+":
+            kind = self.peek()[0]
+            if kind == "+":
                 sign = 1
                 self.advance()
-            elif tok.kind == "-":
+            elif kind == "-":
                 sign = -1
                 self.advance()
             else:
@@ -298,41 +299,41 @@ class _LineParser:
             tok = self.peek()
             raise DslError(
                 SYNTAX,
-                f"unexpected {tok.text!r} in a divisor expression",
-                tok.span,
+                f"unexpected {tok[1]!r} in a divisor expression",
+                self.span(tok),
                 "divisor terms look like 3*H, H, or -E1, joined with + and -",
             )
         return DivisorValue(tuple(terms), span)
 
     def parse_term(self, sign: int) -> tuple[int, str]:
         tok = self.peek()
-        if tok.kind == "int":
+        if tok[0] == "int":
             self.advance()
-            coeff = sign * int(tok.text)
+            coeff = sign * int(tok[1])
             self.expect(
                 "*",
                 "'*' after a coefficient",
                 "write coefficients as 3*H; a bare integer is not a divisor term",
             )
             name = self.expect("ident", "a basis name after '*'")
-            return (coeff, name.text)
-        if tok.kind == "ident":
+            return (coeff, name[1])
+        if tok[0] == "ident":
             self.advance()
-            return (sign, tok.text)
+            return (sign, tok[1])
         raise DslError(
             SYNTAX,
-            f"expected a divisor term, found {tok.text or 'end of line'!r}",
-            tok.span,
+            f"expected a divisor term, found {tok[1] or 'end of line'!r}",
+            self.span(tok),
             "divisor terms look like 3*H, H, or -E1",
         )
 
     def parse_arguments(self) -> tuple[Argument, ...]:
         self.expect("(", "'(' to open the argument list")
         args: list[Argument] = []
-        if self.peek().kind != ")":
+        if self.peek()[0] != ")":
             while True:
                 args.append(self.parse_argument())
-                if self.peek().kind == ",":
+                if self.peek()[0] == ",":
                     self.advance()
                     continue
                 break
@@ -342,42 +343,48 @@ class _LineParser:
     def parse_argument(self) -> Argument:
         tok = self.peek()
         if (
-            tok.kind == "ident"
-            and self.tokens[self.pos + 1].kind == "="
-            and tok.text not in ("true", "false")
+            tok[0] == "ident"
+            and self.tokens[self.pos + 1][0] == "="
+            and tok[1] not in ("true", "false")
         ):
             self.advance()
             self.advance()
             value = self.parse_value()
-            return Argument(tok.text, value, tok.span)
+            return Argument(tok[1], value, self.span(tok))
         value = self.parse_value()
-        return Argument(None, value, tok.span)
+        # a value's span is that of its first token
+        return Argument(None, value, value.span)
+
+
+# A line ends at \n, \r\n or \r; the other characters that str.splitlines
+# breaks at, such as \x0c or U+2028, are blanks inside a line.
+_LINE_END = re.compile(r"\r\n?|\n")
 
 
 def parse(text: str) -> Program:
     statements = []
     defined: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_LINE_END.split(text), start=1):
         tokens = _lex_line(line, line_no)
-        if tokens[0].kind == "eol":
+        if tokens[0][0] == "eol":
             continue
-        parser = _LineParser(tokens)
+        parser = _LineParser(tokens, line_no)
         head = parser.expect(
             "ident",
             "a statement keyword",
             "statements start with let, compute, or assert_confn",
         )
-        if head.text == "let":
+        if head[1] == "let":
             stmt = _parse_let(parser, defined)
-        elif head.text == "compute":
+        elif head[1] == "compute":
             stmt = _parse_compute(parser, defined)
-        elif head.text == "assert_confn":
+        elif head[1] == "assert_confn":
             stmt = _parse_assert(parser, defined)
         else:
             raise DslError(
                 SYNTAX,
-                f"unknown statement {head.text!r}",
-                head.span,
+                f"unknown statement {head[1]!r}",
+                parser.span(head),
                 "statements start with let, compute, or assert_confn",
             )
         parser.expect("eol", "end of line", "one statement per line")
@@ -386,81 +393,96 @@ def parse(text: str) -> Program:
 
 
 def _parse_let(parser: _LineParser, defined: set[str]) -> Let:
-    name = parser.expect("ident", "a name to bind")
-    if name.text in defined:
+    tok = parser.expect("ident", "a name to bind")
+    name = tok[1]
+    if name in defined:
         raise DslError(
             NAME,
-            f"{name.text!r} is already defined",
-            name.span,
+            f"{name!r} is already defined",
+            parser.span(tok),
             "names cannot be redefined; pick a fresh one",
         )
-    if name.text in CONSTRUCTORS:
+    if name in CONSTRUCTORS:
         raise DslError(
             NAME,
-            f"{name.text!r} is a constructor name",
-            name.span,
+            f"{name!r} is a constructor name",
+            parser.span(tok),
+            "bind a different identifier",
+        )
+    if name in ("true", "false"):
+        raise DslError(
+            NAME,
+            f"{name!r} is a boolean literal",
+            parser.span(tok),
             "bind a different identifier",
         )
     parser.expect("=", "'='")
     ctor = parser.expect("ident", "a constructor name")
-    if ctor.text not in CONSTRUCTORS:
+    if ctor[1] not in CONSTRUCTORS:
         raise DslError(
             NAME,
-            f"unknown constructor {ctor.text!r}",
-            ctor.span,
+            f"unknown constructor {ctor[1]!r}",
+            parser.span(ctor),
             "one of: " + ", ".join(CONSTRUCTORS),
         )
     arguments = parser.parse_arguments()
-    defined.add(name.text)
-    return Let(name.text, ctor.text, arguments, name.span)
+    defined.add(name)
+    return Let(name, ctor[1], arguments, parser.span(tok))
 
 
-def _require_defined(name: _Token, defined: set[str]) -> None:
-    if name.text not in defined:
+def _defined_name(parser: _LineParser, defined: set[str]) -> tuple[str, Span]:
+    tok = parser.expect("ident", "a defined name")
+    name = tok[1]
+    if name not in defined:
         raise DslError(
             NAME,
-            f"{name.text!r} is not defined",
-            name.span,
-            "define it first with: let "
-            + name.text
-            + " = <constructor>(...)",
+            f"{name!r} is not defined",
+            parser.span(tok),
+            "define it first with: let " + name + " = <constructor>(...)",
         )
+    return name, parser.span(tok)
 
 
 def _parse_compute(parser: _LineParser, defined: set[str]) -> Compute:
-    name = parser.expect("ident", "a defined name")
-    _require_defined(name, defined)
-    return Compute(name.text, name.span)
+    return Compute(*_defined_name(parser, defined))
 
 
 def _parse_assert(parser: _LineParser, defined: set[str]) -> AssertConfn:
-    name = parser.expect("ident", "a defined name")
-    _require_defined(name, defined)
+    name, span = _defined_name(parser, defined)
     tok = parser.peek()
-    if tok.kind == "=":
+    if tok[0] == "=":
         parser.advance()
-        value = _parse_signed_int(parser)
-        return AssertConfn(name.text, value, None, None, name.span)
-    if tok.kind == "ident" and tok.text == "in":
+        value, _ = _parse_signed_int(parser)
+        return AssertConfn(name, value, None, None, span)
+    if tok[0] == "ident" and tok[1] == "in":
         parser.advance()
         parser.expect("[", "'[' opening the interval")
-        lo = _parse_signed_int(parser)
+        lo, lo_tok = _parse_signed_int(parser)
         parser.expect(",", "','")
-        hi = _parse_signed_int(parser)
+        hi, _ = _parse_signed_int(parser)
         parser.expect("]", "']' closing the interval")
-        return AssertConfn(name.text, None, lo, hi, name.span)
+        if lo > hi:
+            raise DslError(
+                SYNTAX,
+                f"the lower end {lo} exceeds the upper end {hi}",
+                parser.span(lo_tok),
+                "an interval [lo, hi] needs lo <= hi",
+            )
+        return AssertConfn(name, None, lo, hi, span)
     raise DslError(
         SYNTAX,
-        f"expected '=' or 'in', found {tok.text or 'end of line'!r}",
-        tok.span,
+        f"expected '=' or 'in', found {tok[1] or 'end of line'!r}",
+        parser.span(tok),
         "assert_confn X = 2   or   assert_confn X in [0, 2]",
     )
 
 
-def _parse_signed_int(parser: _LineParser) -> int:
+def _parse_signed_int(parser: _LineParser) -> tuple[int, _Tok]:
+    """The integer and its first token, which is the '-' of a negative one."""
+    first = parser.peek()
     sign = 1
-    if parser.peek().kind == "-":
+    if first[0] == "-":
         parser.advance()
         sign = -1
     tok = parser.expect("int", "an integer")
-    return sign * int(tok.text)
+    return sign * int(tok[1]), first

@@ -69,6 +69,15 @@ def test_eval_non_decimal_digit_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_empty_interval_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.fuj"
+    path.write_text("let X = projective_space(3)\nassert_confn X in [3, 1]\n")
+    code, out, err = _run_main(["eval", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "the lower end 3 exceeds the upper end 1" in err
+
+
 def test_eval_missing_file_exits_2(tmp_path, capsys):
     code, _, err = _run_main(["eval", str(tmp_path / "nope.fuj")], capsys)
     assert code == 2

@@ -1,6 +1,9 @@
 """Descriptor program parsing: grammar, spans, and error categories."""
 
+import string
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from confn.dsl import (
     LEXICAL,
@@ -15,6 +18,7 @@ from confn.dsl import (
     Let,
     ListValue,
     NameValue,
+    _lex_line,
     parse,
 )
 
@@ -91,6 +95,27 @@ def test_comments_and_blank_lines():
         """
     )
     assert len(program.statements) == 2
+
+
+def test_a_comment_ends_at_a_newline_not_at_a_line_separator():
+    (let,) = parse("# note\u2028more text\nlet X = curve(0)").statements
+    assert (let.name, let.span.line) == ("X", 2)
+
+
+def test_a_form_feed_inside_a_call_is_a_blank():
+    (let,) = parse("let P = projective_space(\x0c2)").statements
+    value = let.arguments[0].value
+    assert (value.value, value.span.column) == (2, 27)
+
+
+@pytest.mark.parametrize(
+    "blank", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_newlines_count_toward_the_line_number(blank):
+    # str.splitlines would break the line at each of these
+    err = _error(f"let X = curve(0){blank}\r\ncompute X\rcompute {blank}Y\n")
+    assert err.category == NAME
+    assert (err.span.line, err.span.column) == (3, 10)
 
 
 def test_interval_assertion_parses():
@@ -193,6 +218,28 @@ def test_name_error_constructor_shadowing():
     assert "constructor name" in str(err)
 
 
+@pytest.mark.parametrize("name", ["true", "false"])
+def test_name_error_boolean_literal(name):
+    err = _error(f"let {name} = curve(0)")
+    assert err.category == NAME
+    assert f"{name!r} is a boolean literal" in str(err)
+    assert (err.span.line, err.span.column) == (1, 5)
+
+
+@pytest.mark.parametrize(
+    "interval, message",
+    [
+        ("[3, 1]", "the lower end 3 exceeds the upper end 1"),
+        ("[-1, -2]", "the lower end -1 exceeds the upper end -2"),
+    ],
+)
+def test_empty_interval_is_rejected_at_its_lower_end(interval, message):
+    err = _error(f"let X = curve(0)\nassert_confn X in {interval}")
+    assert err.category == SYNTAX
+    assert message in str(err)
+    assert (err.span.line, err.span.column) == (2, 20)
+
+
 def test_name_error_unknown_constructor():
     err = _error("let X = projective_plane(2)")
     assert err.category == NAME
@@ -211,3 +258,68 @@ def test_error_message_carries_position():
     rendered = str(err)
     assert "line 1" in rendered
     assert "column" in rendered
+
+
+# ------------------------------------------------------------------ lexer
+
+SYMBOLS = "()[]=,*+-"
+
+
+def char_loop_lex(text: str):
+    """The lexer before the compiled pattern, one character at a time: the
+    line's tokens as (kind, text, column), or the (message, column) of its
+    lexical error."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "#":
+            break
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(("int", text[i:j], i + 1))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i + 1))
+            i = j
+        elif ch in SYMBOLS:
+            tokens.append((ch, ch, i + 1))
+            i += 1
+        else:
+            return (f"unexpected character {ch!r}", i + 1)
+    tokens.append(("eol", "", len(text) + 1))
+    return tokens
+
+
+LEXER_ALPHABET = (
+    SYMBOLS
+    + "#"
+    + string.ascii_letters
+    + string.digits
+    + " \u00e9\u00df\u00b2\u00bd\u0663\t\xa0\x0c"
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.text(alphabet=LEXER_ALPHABET, max_size=30))
+@example("x\u00b2 = 3\u00b2")
+@example("_\u00e9\u0663 \u00bd")
+def test_lexer_agrees_with_the_character_loop(line):
+    expected = char_loop_lex(line)
+    if isinstance(expected, list):
+        assert _lex_line(line, 7) == expected
+        return
+    message, column = expected
+    with pytest.raises(DslError) as err:
+        _lex_line(line, 7)
+    assert err.value.category == LEXICAL
+    assert (err.value.span.line, err.value.span.column) == (7, column)
+    assert str(err.value).startswith(f"lexical error at line 7, column {column}: {message}\n")
