@@ -4,6 +4,10 @@ The nef cone of a descriptor is stored by inequalities only: a tuple of
 primitive integer functionals phi_k, with membership meaning phi_k(L) >= 0
 for all k and strict interior meaning phi_k(L) > 0 for all k.  No ray
 representation is ever computed; dualization is deliberately out of scope.
+Each functional carries its support, the tuple of its nonzero
+(coordinate, coefficient) pairs, computed once at admission, and every
+evaluation of a functional reads the support.  The nef cone of a product
+is block-diagonal, so a functional of P1^16 reads one coordinate, not 16.
 
 A cone is decided when it is admitted.  A small exact linear program
 (Fourier-Motzkin elimination over the rationals) finds an integral
@@ -57,6 +61,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
+from operator import mul
 
 from .lattice import DivisorClass, LatticeError, PicardLattice
 
@@ -74,7 +79,15 @@ def _primitive(vec) -> tuple[int, ...]:
 
 
 def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
+
+
+def _value(support, coeffs) -> int:
+    """A functional's value at ``coeffs``, read from its support."""
+    value = 0
+    for i, a in support:
+        value += a * coeffs[i]
+    return value
 
 
 def _solve(rows, rank: int) -> tuple[Fraction, ...] | None:
@@ -154,10 +167,11 @@ def _integral(x: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(int(v * scale) for v in x)
 
 
-def _unit_preimage(phi: tuple[int, ...]) -> tuple[int, ...]:
-    """An integral u with phi(u) = 1, by extended gcd; phi is primitive."""
-    g, u = 0, [0] * len(phi)
-    for i, a in enumerate(phi):
+def _unit_preimage(support, rank: int) -> tuple[int, ...]:
+    """An integral u with phi(u) = 1, by extended gcd over phi's support;
+    phi is primitive, and u is 0 off its support."""
+    g, u = 0, [0] * rank
+    for i, a in support:
         if g and a % g == 0:
             continue  # keep the earlier coordinates, so u stays short
         # s * g + t * a = gcd(g, a), by the extended Euclidean algorithm
@@ -293,6 +307,8 @@ class Cone:
 
     ``interior_point`` and ``irredundancy_witnesses`` are computed by an
     exact linear program unless supplied, and checked when supplied.
+    ``supports[k]`` holds the nonzero (coordinate, coefficient) pairs of
+    ``functionals[k]``; every evaluation reads it.
     """
 
     lattice: PicardLattice
@@ -301,22 +317,36 @@ class Cone:
     irredundancy_witnesses: tuple[tuple[int, ...], ...] = field(
         default=(), compare=False
     )
+    supports: tuple[tuple[tuple[int, int], ...], ...] = field(
+        default=(), init=False, compare=False, repr=False
+    )
     # answers of the queries below, keyed by query; a frozen cone's answers
     # never change
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         rank = self.lattice.rank
-        prim = []
+        prim, supports = [], []
         for f in self.functionals:
             if len(f) != rank:
                 raise ConeError(
                     f"functional {f!r} has {len(f)} entries, lattice rank is {rank}"
                 )
-            prim.append(_primitive(f))
+            phi = _primitive(f)
+            prim.append(phi)
+            supports.append(tuple((i, a) for i, a in enumerate(phi) if a))
         object.__setattr__(self, "functionals", tuple(prim))
+        object.__setattr__(self, "supports", tuple(supports))
         if not self.functionals:
             raise ConeError("a cone needs at least one functional")
+        supplied = [("interior point", self.interior_point)] if self.interior_point else []
+        supplied += [("irredundancy witness", w) for w in self.irredundancy_witnesses]
+        for name, point in supplied:
+            if len(point) != rank:
+                raise ConeError(
+                    f"supplied {name} {point!r} has {len(point)} entries, "
+                    f"lattice rank is {rank}"
+                )
         if self.interior_point:
             if not all(v > 0 for v in self.values_at(self.interior_point)):
                 raise ConeError(
@@ -369,7 +399,7 @@ class Cone:
     # -- membership ---------------------------------------------------
 
     def values_at(self, coeffs) -> tuple[int, ...]:
-        return tuple(_dot(f, coeffs) for f in self.functionals)
+        return tuple([_value(support, coeffs) for support in self.supports])
 
     def values(self, cls_: DivisorClass) -> tuple[int, ...]:
         if cls_.lattice.uid != self.lattice.uid:
@@ -428,18 +458,20 @@ class Cone:
         return self._memoized(("min", k), lambda: self._facet_witness(k))
 
     def _facet_witness(self, k: int) -> tuple[int, ...]:
-        phi = self.functionals[k]
+        support = self.supports[k]
         p, q = self.interior_point, self.irredundancy_witnesses[k]
-        at_p, at_q = _dot(phi, p), _dot(phi, q)
+        at_p, at_q = _value(support, p), _value(support, q)
         w = [at_p * x - at_q * y for x, y in zip(q, p)]
         g = gcd(*w) or 1
         w = [v // g for v in w]
-        u = _unit_preimage(phi)
+        u = _unit_preimage(support, self.lattice.rank)
         # every other functional is positive on w, so a large t clears it
         t = max(
             (
-                -((_dot(f, u) - 1) // _dot(f, w))
-                for j, f in enumerate(self.functionals)
+                -((at_u - 1) // at_w)
+                for j, (at_u, at_w) in enumerate(
+                    zip(self.values_at(u), self.values_at(w))
+                )
                 if j != k
             ),
             default=0,
@@ -477,7 +509,7 @@ class Cone:
             total = list(canonical.coeffs)
             for point in witness:
                 total = [a + b for a, b in zip(total, point)]
-            if self.values_at(total)[critical.index] >= 0:
+            if _value(self.supports[critical.index], total) >= 0:
                 raise ConeError(
                     "internal sharpness check failed; the threshold witness does "
                     "not escape the cone"

@@ -562,21 +562,19 @@ def _verify_exact_threshold(desc, cert):
         indices = [entry["index"] for entry in per]
         if indices != list(range(len(desc.nef.functionals))):
             return False
+        on_canonical = desc.nef.values(desc.canonical)
         requireds = []
         for entry in per:
             k = entry["index"]
-            functional = tuple(entry["functional"])
-            if desc.nef.functionals[k] != functional:
+            if desc.nef.functionals[k] != tuple(entry["functional"]):
                 return False
-            phi_k = sum(
-                f * c for f, c in zip(functional, desc.canonical.coeffs)
-            )
+            phi_k = on_canonical[k]
             if phi_k != entry["value_on_canonical"]:
                 return False
-            witness = desc.lattice.make(entry["interior_witness"])
-            if not desc.nef.strictly_contains(witness):
+            on_witness = desc.nef.values(desc.lattice.make(entry["interior_witness"]))
+            if not all(v > 0 for v in on_witness):
                 return False
-            if entry["min_interior"] != 1 or desc.nef.values(witness)[k] != 1:
+            if entry["min_interior"] != 1 or on_witness[k] != 1:
                 return False
             required = max(0, -phi_k)
             if required != entry["required"]:

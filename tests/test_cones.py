@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -255,6 +256,13 @@ def test_supplied_admission_data_is_checked():
         Cone(F1, ((1, 0), (-1, 1)), interior_point=(1, 1))
     with pytest.raises(ConeError, match="does not separate"):
         Cone(F1, ((1, 0), (-1, 1)), irredundancy_witnesses=((-1, 0), (0, 1)))
+    # a vector of the wrong length is rejected, not read by a truncated sum
+    for point in ((1,), (1, 2, 0)):
+        with pytest.raises(ConeError, match=r"interior point .* lattice rank is 2"):
+            Cone(F1, ((1, 1), (1, 2)), interior_point=point)
+    for witness in ((-1,), (-1, 0, 5)):
+        with pytest.raises(ConeError, match=r"witness .* lattice rank is 2"):
+            Cone(F1, ((1, 0), (0, 1)), irredundancy_witnesses=(witness, (0, -1)))
 
 
 def _feasible_by_plain_elimination(rows, rank):
@@ -502,3 +510,73 @@ def test_block_split_refutes_exactly_when_the_flat_search_does(case):
         assert max(map(abs, point)) <= radius
         total = [a + b for a, b in zip(total, point)]
     assert any(v < 0 for v in cone.values_at(total))
+
+
+# ------------------------------------------------- supports against dense sums
+
+
+def _dense(functional, coeffs) -> int:
+    assert len(functional) == len(coeffs)
+    return sum(a * x for a, x in zip(functional, coeffs))
+
+
+@st.composite
+def nested_cones(draw, depth: int = 2):
+    """A random cone of rank 1 to 3, or a product of two or three nested
+    cones, so that products of products occur."""
+    if depth == 0 or draw(st.booleans()):
+        rank = draw(st.integers(1, 3))
+        entry = st.integers(-3, 3)
+        rows = draw(st.lists(st.tuples(*[entry] * rank), min_size=1, max_size=rank + 1))
+        try:
+            return Cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), rows)
+        except ConeError:
+            assume(False)
+    factors = draw(st.lists(nested_cones(depth - 1), min_size=2, max_size=3))
+    rank = sum(f.lattice.rank for f in factors)
+    return product_cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), factors)
+
+
+@st.composite
+def nested_cones_with_points(draw):
+    """A nested cone, a point to evaluate at and a canonical class."""
+    cone = draw(nested_cones())
+    rank = cone.lattice.rank
+    coeffs = st.lists(st.integers(-5, 5), min_size=rank, max_size=rank)
+    return cone, tuple(draw(coeffs)), tuple(draw(coeffs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(nested_cones_with_points())
+# a product of products of rays, and F1 times a product with a free coordinate
+@example((_fresh_p1p1_squared()[0], (3, -1, 0, 2), (-2, -2, -1, 0)))
+@example(
+    (
+        product_cone(
+            PicardLattice(("S", "F", "A", "B", "H", "T")),
+            (F1_NEF, product_cone(PicardLattice(("A", "B", "H", "T")), (NARROW_BY_RAY,))),
+        ),
+        (1, 2, 1, 4, 1, -3),
+        (-2, -3, -1, 0, -2, 5),
+    )
+)
+def test_supports_evaluate_as_the_dense_functionals(case):
+    cone, point, canonical_coeffs = case
+    for f, support in zip(cone.functionals, cone.supports, strict=True):
+        assert gcd(*f) == 1
+        assert support == tuple((i, a) for i, a in enumerate(f) if a)
+    assert cone.values_at(point) == tuple(_dense(f, point) for f in cone.functionals)
+    for k, f in enumerate(cone.functionals):
+        witness = cone.min_interior_value(k)
+        assert _dense(f, witness) == 1
+        assert all(_dense(g, witness) > 0 for g in cone.functionals)
+    canonical = cone.lattice.make(canonical_coeffs)
+    on_canonical = [_dense(f, canonical_coeffs) for f in cone.functionals]
+    report = cone.adjoint_freeness_threshold(canonical)
+    assert [p.value_on_canonical for p in report.per_functional] == on_canonical
+    assert report.m_star == max(0, *(-v for v in on_canonical))
+    if report.m_star >= 1:
+        total = list(canonical_coeffs)
+        for p in report.witness:
+            total = [a + b for a, b in zip(total, p)]
+        assert _dense(cone.functionals[report.violated_index], total) < 0
