@@ -11,8 +11,9 @@ part of the tool's external interface (schema version 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape
+
+from .frozen import Frozen
 
 UPPER = "upper"
 LOWER = "lower"
@@ -46,25 +47,49 @@ def _witness_text(value) -> str:
     return _COMPACT.encode(value)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str
-    rule: str
-    value: int
-    citation: str
-    premises: tuple[str, ...] = ()
-    # given as a dict of JSON data, kept as its compact text (see _witness_text)
-    witness: str = field(default_factory=dict)
+class Certificate(Frozen):
+    """One certified bound; equal certificates compare and hash alike."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in (UPPER, LOWER):
-            raise ValueError(f"certificate kind must be upper or lower, got {self.kind!r}")
-        if self.value < 0:
+    __slots__ = ("kind", "rule", "value", "citation", "premises", "witness")
+
+    def __init__(
+        self,
+        kind: str,
+        rule: str,
+        value: int,
+        citation: str,
+        premises=(),
+        # read only: given as a dict of JSON data, kept as its compact text
+        # (see _witness_text)
+        witness: dict = {},
+    ) -> None:
+        if kind not in (UPPER, LOWER):
+            raise ValueError(f"certificate kind must be upper or lower, got {kind!r}")
+        if value < 0:
             raise ValueError("certified bounds are nonnegative")
-        if not isinstance(self.witness, dict):
+        if not isinstance(witness, dict):
             raise TypeError("a certificate witness is a dict of JSON data")
-        object.__setattr__(self, "premises", tuple(self.premises))
-        object.__setattr__(self, "witness", _witness_text(self.witness))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "premises", tuple(premises))
+        object.__setattr__(self, "witness", _witness_text(witness))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.kind, self.rule, self.value, self.citation, self.premises, self.witness
+        ) == (
+            other.kind, other.rule, other.value, other.citation, other.premises,
+            other.witness,
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.kind, self.rule, self.value, self.citation, self.premises, self.witness)
+        )
 
     def witness_data(self) -> dict:
         return json.loads(self.witness)

@@ -58,11 +58,11 @@ cannot be interior are skipped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from operator import mul
 
+from .frozen import Frozen
 from .lattice import DivisorClass, LatticeError, PicardLattice
 
 
@@ -276,18 +276,34 @@ def _split_blocks(functionals, radius: int):
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class PerFunctional:
-    index: int
-    functional: tuple[int, ...]
-    value_on_canonical: int
-    min_interior: int
-    interior_witness: tuple[int, ...]
-    required: int
+class PerFunctional(Frozen):
+    __slots__ = (
+        "index",
+        "functional",
+        "value_on_canonical",
+        "min_interior",
+        "interior_witness",
+        "required",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        functional: tuple[int, ...],
+        value_on_canonical: int,
+        min_interior: int,
+        interior_witness: tuple[int, ...],
+        required: int,
+    ) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "functional", functional)
+        object.__setattr__(self, "value_on_canonical", value_on_canonical)
+        object.__setattr__(self, "min_interior", min_interior)
+        object.__setattr__(self, "interior_witness", interior_witness)
+        object.__setattr__(self, "required", required)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(Frozen):
     """Certified adjoint-freeness threshold for a cone and canonical class.
 
     ``witness`` is a tuple of m*-1 interior points whose sum with the
@@ -295,39 +311,55 @@ class ThresholdReport:
     sharpness half of the certificate.
     """
 
-    m_star: int
-    per_functional: tuple[PerFunctional, ...]
-    witness: tuple[tuple[int, ...], ...] | None
-    violated_index: int | None
+    __slots__ = ("m_star", "per_functional", "witness", "violated_index")
+
+    def __init__(
+        self,
+        m_star: int,
+        per_functional: tuple[PerFunctional, ...],
+        witness: tuple[tuple[int, ...], ...] | None,
+        violated_index: int | None,
+    ) -> None:
+        object.__setattr__(self, "m_star", m_star)
+        object.__setattr__(self, "per_functional", per_functional)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "violated_index", violated_index)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Frozen):
     """The cone phi_k >= 0, admitted only with a nonempty interior.
 
     ``interior_point`` and ``irredundancy_witnesses`` are computed by an
     exact linear program unless supplied, and checked when supplied.
     ``supports[k]`` holds the nonzero (coordinate, coefficient) pairs of
-    ``functionals[k]``; every evaluation reads it.
+    ``functionals[k]``; every evaluation reads it.  ``_memo`` keeps the
+    answers of the queries below, keyed by query; a frozen cone's answers
+    never change.
     """
 
-    lattice: PicardLattice
-    functionals: tuple[tuple[int, ...], ...]
-    interior_point: tuple[int, ...] = field(default=(), compare=False)
-    irredundancy_witnesses: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False
+    __slots__ = (
+        "lattice",
+        "functionals",
+        "interior_point",
+        "irredundancy_witnesses",
+        "supports",
+        "_memo",
     )
-    supports: tuple[tuple[tuple[int, int], ...], ...] = field(
-        default=(), init=False, compare=False, repr=False
-    )
-    # answers of the queries below, keyed by query; a frozen cone's answers
-    # never change
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        rank = self.lattice.rank
+    def __init__(
+        self,
+        lattice: PicardLattice,
+        functionals: tuple[tuple[int, ...], ...],
+        interior_point: tuple[int, ...] = (),
+        irredundancy_witnesses: tuple[tuple[int, ...], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "interior_point", interior_point)
+        object.__setattr__(self, "irredundancy_witnesses", irredundancy_witnesses)
+        object.__setattr__(self, "_memo", {})
+        rank = lattice.rank
         prim, supports = [], []
-        for f in self.functionals:
+        for f in functionals:
             if len(f) != rank:
                 raise ConeError(
                     f"functional {f!r} has {len(f)} entries, lattice rank is {rank}"

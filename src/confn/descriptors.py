@@ -18,9 +18,8 @@ data, not documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cones import Cone
+from .frozen import Frozen
 from .lattice import (
     DivisibilityAnnotation,
     DivisorClass,
@@ -37,10 +36,22 @@ class DescriptorError(ValueError):
     """Raised when descriptor data is inconsistent or a gate fails."""
 
 
-@dataclass(frozen=True)
-class Flag:
-    kind: str
-    value: int | str | None = None
+class Flag(Frozen):
+    """A named property of a descriptor; flags compare and hash by value."""
+
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value: int | str | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.value) == (other.kind, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.value))
 
 
 TORIC = Flag("toric")
@@ -53,44 +64,58 @@ def curve_flag(genus: int) -> Flag:
     return Flag("curve", genus)
 
 
-@dataclass(frozen=True)
-class ExactEqualsNef:
+class ExactEqualsNef(Frozen):
     """The globally generated cone coincides with the nef cone."""
 
-    justification: str
+    __slots__ = ("justification",)
+
+    def __init__(self, justification: str) -> None:
+        object.__setattr__(self, "justification", justification)
 
 
-@dataclass(frozen=True)
-class UnderApprox:
+class UnderApprox(Frozen):
     """A finite list of classes known to be globally generated."""
 
-    classes: tuple[DivisorClass, ...]
+    __slots__ = ("classes",)
+
+    def __init__(self, classes: tuple[DivisorClass, ...]) -> None:
+        object.__setattr__(self, "classes", classes)
 
 
-@dataclass(frozen=True)
-class UnknownGG:
-    pass
+class UnknownGG(Frozen):
+    __slots__ = ()
 
 
 GGStatus = ExactEqualsNef | UnderApprox | UnknownGG
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(Frozen):
     """A named, user- or pipeline-supplied hypothesis with its citation."""
 
-    name: str
-    citation: str
-    detail: str = ""
+    __slots__ = ("name", "citation", "detail")
+
+    def __init__(self, name: str, citation: str, detail: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class Provenance:
-    constructor: str
-    parameters: tuple[tuple[str, str], ...] = ()
-    parents: tuple["VarietyDescriptor", ...] = ()
-    assertions: tuple[Assertion, ...] = ()
-    note: str = ""
+class Provenance(Frozen):
+    __slots__ = ("constructor", "parameters", "parents", "assertions", "note")
+
+    def __init__(
+        self,
+        constructor: str,
+        parameters: tuple[tuple[str, str], ...] = (),
+        parents: tuple[VarietyDescriptor, ...] = (),
+        assertions: tuple[Assertion, ...] = (),
+        note: str = "",
+    ) -> None:
+        object.__setattr__(self, "constructor", constructor)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "assertions", assertions)
+        object.__setattr__(self, "note", note)
 
     def parameter(self, key: str) -> str:
         for k, v in self.parameters:
@@ -99,24 +124,50 @@ class Provenance:
         raise KeyError(key)
 
 
-@dataclass(frozen=True)
-class VarietyDescriptor:
-    dimension: int
-    lattice: PicardLattice
-    form: IntersectionForm
-    canonical: DivisorClass
-    nef: Cone | None
-    gg: GGStatus
-    flags: frozenset[Flag] = frozenset()
-    annotations: tuple[DivisibilityAnnotation, ...] = ()
-    provenance: Provenance = Provenance("custom")
-    known_effective: tuple[tuple[DivisorClass, str], ...] = ()
-    # the engine's memos: resolved intervals keyed by the enabled rule set
-    # (None for all rules) and verification outcomes keyed by certificate
-    _intervals: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _verdicts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+class VarietyDescriptor(Frozen):
+    __slots__ = (
+        "dimension",
+        "lattice",
+        "form",
+        "canonical",
+        "nef",
+        "gg",
+        "flags",
+        "annotations",
+        "provenance",
+        "known_effective",
+        # the engine's memos: resolved intervals keyed by the enabled rule
+        # set (None for all rules) and verification outcomes keyed by
+        # certificate
+        "_intervals",
+        "_verdicts",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        dimension: int,
+        lattice: PicardLattice,
+        form: IntersectionForm,
+        canonical: DivisorClass,
+        nef: Cone | None,
+        gg: GGStatus,
+        flags: frozenset[Flag] = frozenset(),
+        annotations: tuple[DivisibilityAnnotation, ...] = (),
+        provenance: Provenance = Provenance("custom"),
+        known_effective: tuple[tuple[DivisorClass, str], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "nef", nef)
+        object.__setattr__(self, "gg", gg)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "annotations", annotations)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "known_effective", known_effective)
+        object.__setattr__(self, "_intervals", {})
+        object.__setattr__(self, "_verdicts", {})
         if self.dimension < 1:
             raise DescriptorError("dimension must be at least 1")
         if self.form.degree != self.dimension:

@@ -29,7 +29,8 @@ and a one-line hint on malformed input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+
+from .frozen import Frozen
 
 CONSTRUCTORS = (
     "projective_space",
@@ -55,10 +56,12 @@ NAME = "name"
 TYPE = "type"
 
 
-@dataclass(frozen=True)
-class Span:
-    line: int
-    column: int
+class Span(Frozen):
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int) -> None:
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}"
@@ -77,80 +80,145 @@ class DslError(ValueError):
 
 # value nodes ----------------------------------------------------------
 #
-# A value node compares and hashes by its value alone: the span says where
-# it was written, so equal arguments on different lines are equal.
+# A value node compares and hashes by its type and value alone: the span
+# says where it was written, so equal arguments on different lines are
+# equal, while IntValue(1) and BoolValue(True) are not.
 
 
-@dataclass(frozen=True)
-class IntValue:
-    value: int
-    span: Span = field(compare=False)
+class IntValue(Frozen):
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: int, span: Span) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class BoolValue:
-    value: bool
-    span: Span = field(compare=False)
+class BoolValue(Frozen):
+    __slots__ = ("value", "span")
+
+    def __init__(self, value: bool, span: Span) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class NameValue:
+class NameValue(Frozen):
     """A bare identifier: a descriptor reference, basis name, or flag."""
 
-    name: str
-    span: Span = field(compare=False)
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class DivisorValue:
+class DivisorValue(Frozen):
     """Integer combination of basis names, e.g. ((3,"H"), (-1,"E1"))."""
 
-    terms: tuple[tuple[int, str], ...]
-    span: Span = field(compare=False)
+    __slots__ = ("terms", "span")
+
+    def __init__(self, terms: tuple[tuple[int, str], ...], span: Span) -> None:
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
 
-@dataclass(frozen=True)
-class ListValue:
-    items: tuple
-    span: Span = field(compare=False)
+class ListValue(Frozen):
+    __slots__ = ("items", "span")
+
+    def __init__(self, items: tuple, span: Span) -> None:
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self) -> int:
+        return hash((self.items,))
 
 
-@dataclass(frozen=True)
-class Argument:
-    keyword: str | None
-    value: object
-    span: Span
+class Argument(Frozen):
+    __slots__ = ("keyword", "value", "span")
+
+    def __init__(self, keyword: str | None, value: object, span: Span) -> None:
+        object.__setattr__(self, "keyword", keyword)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "span", span)
 
 
 # statements -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Let:
-    name: str
-    constructor: str
-    arguments: tuple[Argument, ...]
-    span: Span
+class Let(Frozen):
+    __slots__ = ("name", "constructor", "arguments", "span")
+
+    def __init__(
+        self, name: str, constructor: str, arguments: tuple[Argument, ...], span: Span
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "constructor", constructor)
+        object.__setattr__(self, "arguments", arguments)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Compute:
-    name: str
-    span: Span
+class Compute(Frozen):
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True)
-class AssertConfn:
-    name: str
-    exact: int | None
-    lo: int | None
-    hi: int | None
-    span: Span
+class AssertConfn(Frozen):
+    __slots__ = ("name", "exact", "lo", "hi", "span")
+
+    def __init__(
+        self, name: str, exact: int | None, lo: int | None, hi: int | None, span: Span
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Program:
-    statements: tuple
+class Program(Frozen):
+    __slots__ = ("statements",)
+
+    def __init__(self, statements: tuple) -> None:
+        object.__setattr__(self, "statements", statements)
 
 
 # lexer ----------------------------------------------------------------

@@ -25,12 +25,12 @@ is an internal error that aborts loudly with a diagnostic dump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .certificates import LOWER, UPPER, Certificate
 from .constructions import cover_data
 from .descriptors import ExactEqualsNef, VarietyDescriptor, is_known_gg
+from .frozen import Frozen
 from .kunneth import ZERO, h0_sign
 from .lattice import FullLattice, check_annotation
 
@@ -39,12 +39,32 @@ class InconsistencyError(RuntimeError):
     """The resolver produced contradictory bounds: a modeling bug."""
 
 
-@dataclass(frozen=True)
-class FujitaInterval:
-    lo: int
-    hi: int
-    certificates: tuple[Certificate, ...] = ()
-    advisories: tuple[str, ...] = ()
+class FujitaInterval(Frozen):
+    """A certified interval; intervals compare and hash by value."""
+
+    __slots__ = ("lo", "hi", "certificates", "advisories")
+
+    def __init__(
+        self,
+        lo: int,
+        hi: int,
+        certificates: tuple[Certificate, ...] = (),
+        advisories: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "advisories", advisories)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.certificates, self.advisories) == (
+            other.lo, other.hi, other.certificates, other.advisories
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi, self.certificates, self.advisories))
 
     @property
     def exact(self) -> bool:
@@ -733,8 +753,7 @@ def _verify_blowup_mod24(desc, cert):
     )
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
     """A bounding rule paired with its independent verifier.
 
     ``derive(desc)`` returns (certificates, advisories) and reads nothing
@@ -745,9 +764,12 @@ class Rule:
     inline, after the table, has no ``derive``.
     """
 
-    id: str
-    derive: Callable | None
-    verify: Callable
+    __slots__ = ("id", "derive", "verify")
+
+    def __init__(self, id: str, derive: Callable | None, verify: Callable) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "derive", derive)
+        object.__setattr__(self, "verify", verify)
 
 
 def _premise_bound(rule_id, applies, value, citation, premise=None) -> Rule:

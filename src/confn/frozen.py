@@ -1,0 +1,26 @@
+"""The base class of the package's immutable value classes.
+
+A subclass lists its fields in ``__slots__`` and sets them in ``__init__``
+through ``object.__setattr__``; after that, assigning or deleting an
+attribute raises AttributeError.  The methods are written out, not
+generated with ``exec`` when the module is imported, so that a short
+command-line run does not pay for building them on every start.
+"""
+
+
+class Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in self.__slots__
+            if not name.startswith("_")
+        )
+        return f"{type(self).__name__}({fields})"

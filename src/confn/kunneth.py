@@ -21,10 +21,9 @@ Each fact carries a derivation trace for the certificate verifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .constructions import cover_data, product_blocks, split_product_class
 from .descriptors import VarietyDescriptor, is_known_gg
+from .frozen import Frozen
 from .lattice import DivisorClass
 
 ZERO = "zero"
@@ -32,13 +31,15 @@ POSITIVE = "positive"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class H0Fact:
+class H0Fact(Frozen):
     """Sign of h^0 of one line bundle, with its derivation."""
 
-    bundle: str
-    value: str
-    trace: tuple[str, ...]
+    __slots__ = ("bundle", "value", "trace")
+
+    def __init__(self, bundle: str, value: str, trace: tuple[str, ...]) -> None:
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "trace", trace)
 
 
 def h0_sign(desc: VarietyDescriptor, cls_: DivisorClass) -> H0Fact:

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+
+from .frozen import Frozen
 
 
 class LatticeError(ValueError):
@@ -42,21 +43,33 @@ def _next_uid() -> int:
         return next(_uid_counter)
 
 
-@dataclass(frozen=True)
-class PicardLattice:
-    """Free Z-lattice of algebraic divisor classes with a named basis."""
+class PicardLattice(Frozen):
+    """Free Z-lattice of algebraic divisor classes with a named basis.
 
-    basis: tuple[str, ...]
-    uid: int = field(default_factory=_next_uid, compare=False)
+    Lattices compare and hash by their basis; ``uid`` tells apart two
+    lattices with the same basis.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.basis:
+    __slots__ = ("basis", "uid")
+
+    def __init__(self, basis: tuple[str, ...], uid: int | None = None) -> None:
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "uid", _next_uid() if uid is None else uid)
+        if not basis:
             raise LatticeError("a Picard lattice needs at least one basis class")
-        if len(set(self.basis)) != len(self.basis):
-            raise LatticeError(f"duplicate basis names: {self.basis!r}")
-        for name in self.basis:
+        if len(set(basis)) != len(basis):
+            raise LatticeError(f"duplicate basis names: {basis!r}")
+        for name in basis:
             if not name.isidentifier():
                 raise LatticeError(f"basis name {name!r} is not an identifier")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.basis,))
 
     @property
     def rank(self) -> int:
@@ -74,19 +87,19 @@ class PicardLattice:
         return DivisorClass(self, (0,) * self.rank)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Frozen):
     """Integer coefficient vector in a fixed Picard lattice."""
 
-    lattice: PicardLattice
-    coeffs: tuple[int, ...]
+    __slots__ = ("lattice", "coeffs")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.lattice.rank:
+    def __init__(self, lattice: PicardLattice, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != lattice.rank:
             raise LatticeError(
-                f"expected {self.lattice.rank} coefficients, got {len(self.coeffs)}"
+                f"expected {lattice.rank} coefficients, got {len(coeffs)}"
             )
-        for c in self.coeffs:
+        for c in coeffs:
             if not isinstance(c, int):
                 raise LatticeError(f"non-integer coefficient {c!r}")
 
@@ -158,8 +171,7 @@ def _normalized_entries(
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(Frozen):
     """Sparse symmetric multilinear form of fixed degree on a lattice.
 
     The degree matches the dimension of the variety, so a surface carries
@@ -168,19 +180,21 @@ class IntersectionForm:
     not stored evaluates to zero.
     """
 
-    lattice: PicardLattice
-    degree: int
-    entries: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ("lattice", "degree", "entries", "_table")
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
+    def __init__(
+        self,
+        lattice: PicardLattice,
+        degree: int,
+        entries: tuple[tuple[tuple[int, ...], int], ...],
+    ) -> None:
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "degree", degree)
+        if degree < 1:
             raise LatticeError("the form degree must be at least 1")
-        object.__setattr__(
-            self,
-            "entries",
-            _normalized_entries(self.lattice.rank, self.degree, dict(self.entries)),
-        )
-        object.__setattr__(self, "_table", dict(self.entries))
+        entries = _normalized_entries(lattice.rank, degree, dict(entries))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_table", dict(entries))
 
     @classmethod
     def from_entries(
@@ -299,35 +313,38 @@ class IntersectionForm:
         return IntersectionForm.from_entries(lattice, self.degree, dict(self.entries))
 
 
-@dataclass(frozen=True)
-class FullLattice:
+class FullLattice(Frozen):
     """Scope marker: the divisibility statement covers the whole lattice."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Sublattice:
+
+class Sublattice(Frozen):
     """Scope marker: the statement covers the span of the listed generators."""
 
-    generators: tuple[DivisorClass, ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __init__(self, generators: tuple[DivisorClass, ...]) -> None:
+        object.__setattr__(self, "generators", generators)
+        if not generators:
             raise LatticeError("a sublattice scope needs at least one generator")
-        uid = self.generators[0].lattice.uid
-        if any(g.lattice.uid != uid for g in self.generators):
+        uid = generators[0].lattice.uid
+        if any(g.lattice.uid != uid for g in generators):
             raise LatticeError("sublattice generators live on different lattices")
 
 
-@dataclass(frozen=True)
-class DivisibilityAnnotation:
+class DivisibilityAnnotation(Frozen):
     """Claim that all intersection numbers in scope are divisible by ``modulus``."""
 
-    modulus: int
-    scope: FullLattice | Sublattice = FullLattice()
+    __slots__ = ("modulus", "scope")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise LatticeError(f"divisibility modulus must be >= 2, got {self.modulus}")
+    def __init__(
+        self, modulus: int, scope: FullLattice | Sublattice = FullLattice()
+    ) -> None:
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "scope", scope)
+        if modulus < 2:
+            raise LatticeError(f"divisibility modulus must be >= 2, got {modulus}")
 
 
 def check_annotation(form: IntersectionForm, annotation: DivisibilityAnnotation) -> bool:

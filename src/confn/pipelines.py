@@ -9,12 +9,11 @@ and ``engine.resolve`` is the one way to its interval and certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cones import Cone
 from .constructions import blowup_point, box_sum, cyclic_cover, hypersurface_section, product
 from .descriptors import DescriptorError, VarietyDescriptor, custom, projective_space
 from .engine import divisible_by_24, resolve
+from .frozen import Frozen
 from .lattice import DivisibilityAnnotation, FullLattice, IntersectionForm, PicardLattice
 
 
@@ -22,10 +21,12 @@ class PipelineError(DescriptorError):
     """A pipeline precondition failed; the message names the gate."""
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    descriptor: VarietyDescriptor
-    notes: tuple[str, ...] = ()
+class PipelineResult(Frozen):
+    __slots__ = ("descriptor", "notes")
+
+    def __init__(self, descriptor: VarietyDescriptor, notes: tuple[str, ...] = ()) -> None:
+        object.__setattr__(self, "descriptor", descriptor)
+        object.__setattr__(self, "notes", notes)
 
 
 def synthetic_mod24_surface() -> VarietyDescriptor:

@@ -15,9 +15,7 @@ default.
 
 from __future__ import annotations
 
-import datetime
 import json
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -50,6 +48,7 @@ from .dsl import (
     TYPE,
 )
 from .engine import FujitaInterval, InconsistencyError, resolve, verify_certificate
+from .frozen import Frozen
 from .lattice import (
     DivisibilityAnnotation,
     DivisorClass,
@@ -72,30 +71,61 @@ REPORT_SCHEMA_VERSION = "1"
 ORACLE_RADIUS = 4
 
 
-@dataclass
 class AssertionResult:
-    expected: str
-    actual: str
-    passed: bool
+    __slots__ = ("expected", "actual", "passed")
+
+    def __init__(self, expected: str, actual: str, passed: bool) -> None:
+        self.expected = expected
+        self.actual = actual
+        self.passed = passed
 
 
-@dataclass
 class VarietyRow:
-    name: str
-    dimension: int | None = None
-    picard_rank: int | None = None
-    interval: FujitaInterval | None = None
-    provenance: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-    assertions: list[AssertionResult] = field(default_factory=list)
-    error: str | None = None
-    internal: bool = False
-    verified: bool | None = None
+    """One named variety of a report, filled in as evaluation goes."""
+
+    __slots__ = (
+        "name",
+        "dimension",
+        "picard_rank",
+        "interval",
+        "provenance",
+        "notes",
+        "assertions",
+        "error",
+        "internal",
+        "verified",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        dimension: int | None = None,
+        picard_rank: int | None = None,
+        interval: FujitaInterval | None = None,
+        provenance: tuple[str, ...] = (),
+        notes: tuple[str, ...] = (),
+        assertions: list[AssertionResult] | None = None,
+        error: str | None = None,
+        internal: bool = False,
+        verified: bool | None = None,
+    ) -> None:
+        self.name = name
+        self.dimension = dimension
+        self.picard_rank = picard_rank
+        self.interval = interval
+        self.provenance = provenance
+        self.notes = notes
+        self.assertions = [] if assertions is None else assertions
+        self.error = error
+        self.internal = internal
+        self.verified = verified
 
 
-@dataclass
 class Report:
-    rows: list[VarietyRow] = field(default_factory=list)
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[VarietyRow] | None = None) -> None:
+        self.rows = [] if rows is None else rows
 
     @property
     def any_failure(self) -> bool:
@@ -234,11 +264,13 @@ def _as_divisor(node, lattice: PicardLattice) -> DivisorClass:
     return lattice.make(coeffs)
 
 
-@dataclass(frozen=True)
-class _DivisorOn:
+class _DivisorOn(Frozen):
     """Coerce to a divisor on the basis of the descriptor bound to ``param``."""
 
-    param: str
+    __slots__ = ("param",)
+
+    def __init__(self, param: str) -> None:
+        object.__setattr__(self, "param", param)
 
 
 def _ample_only(node) -> bool:
@@ -756,6 +788,8 @@ def emit_json(report: Report, timestamps: bool = False) -> str:
         "varieties": [_row_json(r) for r in report.rows],
     }
     if timestamps:
+        import datetime
+
         payload["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc
         ).isoformat()
@@ -778,6 +812,8 @@ def _assertion_cell(row: VarietyRow) -> str:
 def emit_markdown(report: Report, timestamps: bool = False) -> str:
     lines = ["# convex Fujita number report", ""]
     if timestamps:
+        import datetime
+
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         lines += [f"generated: {stamp}", ""]
     lines += [

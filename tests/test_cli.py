@@ -85,16 +85,13 @@ def test_eval_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_failed_reverification_exits_3(monkeypatch, capsys):
-    import dataclasses
-
     from confn import engine
 
+    rule = engine._RULES["curve-genus"]
     monkeypatch.setitem(
         engine._RULES,
         "curve-genus",
-        dataclasses.replace(
-            engine._RULES["curve-genus"], verify=lambda desc, cert: False
-        ),
+        engine.Rule(rule.id, rule.derive, lambda desc, cert: False),
     )
     code, out, _err = _run_main(["corpus"], capsys)
     assert code == 3
@@ -102,8 +99,6 @@ def test_failed_reverification_exits_3(monkeypatch, capsys):
 
 
 def test_cone_error_in_a_rule_is_internal(monkeypatch, tmp_path, capsys):
-    import dataclasses
-
     from confn import engine
     from confn.cones import ConeError
     from confn.dsl import parse
@@ -113,10 +108,9 @@ def test_cone_error_in_a_rule_is_internal(monkeypatch, tmp_path, capsys):
         raise ConeError("internal sharpness check failed")
 
     # an admitted descriptor reaches resolve, so the error is the engine's
+    rule = engine._RULES["toric-adjoint"]
     monkeypatch.setitem(
-        engine._RULES,
-        "toric-adjoint",
-        dataclasses.replace(engine._RULES["toric-adjoint"], derive=broken),
+        engine._RULES, "toric-adjoint", engine.Rule(rule.id, broken, rule.verify)
     )
     report = evaluate(parse(GOOD))
     (row,) = report.rows

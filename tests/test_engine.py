@@ -1,6 +1,5 @@
 """Resolver rules, refinement, error paths, and the certificate verifier."""
 
-import dataclasses
 import random
 
 import pytest
@@ -20,6 +19,7 @@ from confn.descriptors import (
 from confn.engine import (
     OPTIONAL_RULE_IDS,
     RULE_IDS,
+    FujitaInterval,
     InconsistencyError,
     resolve,
     verify_certificate,
@@ -357,12 +357,11 @@ def test_canonical_gg_refinement():
 def test_canonical_gg_reverifies_supporting_certificate(monkeypatch):
     from confn import engine
 
+    rule = engine._RULES["reider-divisible"]
     monkeypatch.setitem(
         engine._RULES,
         "reider-divisible",
-        dataclasses.replace(
-            engine._RULES["reider-divisible"], verify=lambda desc, cert: False
-        ),
+        engine.Rule(rule.id, rule.derive, lambda desc, cert: False),
     )
     quintic = complete_intersection(2, (5,), very_general=True)
     interval = resolve(quintic, enabled={"reider-divisible", "canonical-gg"})
@@ -614,8 +613,11 @@ def test_verifier_rechecks_memoized_parent_interval(build):
     upper = next(c for c in iv.certificates if c.kind == UPPER and c.value == iv.hi)
     assert upper.rule == "exact-threshold"
     bad = _tamper(upper, m_star=upper.value + 1)
-    parent._intervals[key] = dataclasses.replace(
-        iv, certificates=tuple(bad if c is upper else c for c in iv.certificates)
+    parent._intervals[key] = FujitaInterval(
+        iv.lo,
+        iv.hi,
+        tuple(bad if c is upper else c for c in iv.certificates),
+        iv.advisories,
     )
     assert resolve(parent) is parent._intervals[key]
     assert not any(verify_certificate(child, c) for c in certs)

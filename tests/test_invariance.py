@@ -9,7 +9,6 @@ every run draws the same examples.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -21,6 +20,7 @@ from confn.descriptors import (
     DescriptorError,
     Provenance,
     UnderApprox,
+    VarietyDescriptor,
     abelian,
     complete_intersection,
     curve,
@@ -31,7 +31,14 @@ from confn.descriptors import (
 from confn.dsl import parse
 from confn.engine import resolve, verify_certificate
 from confn.lattice import IntersectionForm, LatticeError, PicardLattice
-from confn.runner import Report, emit_json, emit_markdown, evaluate, explain_row
+from confn.runner import (
+    Report,
+    VarietyRow,
+    emit_json,
+    emit_markdown,
+    evaluate,
+    explain_row,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=15)
 
@@ -91,14 +98,17 @@ def rebase(desc, u, inverse):
     provenance = desc.provenance
     if provenance.parents:
         provenance = Provenance("custom", note="rebased " + provenance.constructor)
-    return dataclasses.replace(
-        desc,
+    return VarietyDescriptor(
+        dimension=desc.dimension,
         lattice=lat,
         form=IntersectionForm.from_entries(lat, desc.dimension, entries),
         canonical=move(desc.canonical),
         nef=nef,
         gg=gg,
+        flags=desc.flags,
+        annotations=desc.annotations,
         provenance=provenance,
+        known_effective=desc.known_effective,
     )
 
 
@@ -279,7 +289,18 @@ def _needs(items, k) -> set[int]:
 
 def _outputs(row):
     """The row's JSON, markdown and explain text under a fixed name."""
-    row = dataclasses.replace(row, name="V")
+    row = VarietyRow(
+        "V",
+        row.dimension,
+        row.picard_rank,
+        row.interval,
+        row.provenance,
+        row.notes,
+        row.assertions,
+        row.error,
+        row.internal,
+        row.verified,
+    )
     return emit_json(Report([row])), emit_markdown(Report([row])), explain_row(row)
 
 

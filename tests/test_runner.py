@@ -1,6 +1,5 @@
 """Program evaluation, the built-in corpus, and report emitters."""
 
-import dataclasses
 import json
 import pathlib
 
@@ -46,7 +45,7 @@ def test_each_descriptor_resolves_once_per_evaluation(monkeypatch):
     monkeypatch.setitem(
         engine._RULES,
         "exact-threshold",
-        dataclasses.replace(threshold, derive=counted(threshold.derive)),
+        engine.Rule(threshold.id, counted(threshold.derive), threshold.verify),
     )
     report = evaluate(
         parse(
