@@ -22,6 +22,9 @@ SCHEMA_VERSION = "1"
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 
+# the exact types of JSON leaves, so that a flat list is checked in one step
+_LEAF_TYPES = frozenset((int, str, bool, type(None)))
+
 
 def _check_json(value) -> None:
     if isinstance(value, dict):
@@ -30,8 +33,9 @@ def _check_json(value) -> None:
                 raise TypeError(f"certificate witness keys are strings, not {key!r}")
             _check_json(item)
     elif isinstance(value, (list, tuple)):
-        for item in value:
-            _check_json(item)
+        if not _LEAF_TYPES.issuperset(map(type, value)):
+            for item in value:
+                _check_json(item)
     elif not (isinstance(value, (str, int)) or value is None):
         raise TypeError(f"certificate witness data cannot hold {type(value).__name__}")
 
@@ -48,9 +52,13 @@ def _witness_text(value) -> str:
 
 
 class Certificate(Frozen):
-    """One certified bound; equal certificates compare and hash alike."""
+    """One certified bound; equal certificates compare and hash alike.
 
-    __slots__ = ("kind", "rule", "value", "citation", "premises", "witness")
+    The hash is computed once, in ``__init__``, since the fields never
+    change and the engine's verdict memo hashes every certificate it sees.
+    """
+
+    __slots__ = ("kind", "rule", "value", "citation", "premises", "witness", "_hash")
 
     def __init__(
         self,
@@ -75,6 +83,11 @@ class Certificate(Frozen):
         object.__setattr__(self, "citation", citation)
         object.__setattr__(self, "premises", tuple(premises))
         object.__setattr__(self, "witness", _witness_text(witness))
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((kind, rule, value, citation, self.premises, self.witness)),
+        )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -87,9 +100,7 @@ class Certificate(Frozen):
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.kind, self.rule, self.value, self.citation, self.premises, self.witness)
-        )
+        return self._hash
 
     def witness_data(self) -> dict:
         return json.loads(self.witness)

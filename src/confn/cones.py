@@ -9,11 +9,16 @@ Each functional carries its support, the tuple of its nonzero
 evaluation of a functional reads the support.  The nef cone of a product
 is block-diagonal, so a functional of P1^16 reads one coordinate, not 16.
 
-A cone is decided when it is admitted.  A small exact linear program
-(Fourier-Motzkin elimination over the rationals) finds an integral
-interior point p, so the interior is not empty, and for each functional
-an integral point q_k that violates it alone, so no functional is
-redundant.  A system that fails either test is rejected.
+A cone is decided when it is admitted: it needs an integral interior
+point p, so the interior is not empty, and for each functional an
+integral point q_k that violates it alone, so no functional is
+redundant.  A ray (a,) on a rank-1 lattice, a = +-1 once primitive,
+takes p = (a,) and q = (-a,) in closed form.  Data supplied by the
+caller, as by the constructors of F1 and dP7 and by ``product_cone``, is
+checked.  Every other cone runs a small exact linear program
+(Fourier-Motzkin elimination over the rationals) to find the data, and
+a system that fails either test is rejected.  Only that program needs
+rational arithmetic, so ``fractions`` is imported when it first runs.
 
 Two quantities drive the adjoint-freeness computation.  For each
 functional the engine needs
@@ -46,8 +51,11 @@ searches each block on its own.  The split is exact: each functional
 reads only its block's coordinates, so the interior and the sup-norm box
 are the products of their blocks', and m interior points escape a
 functional exactly when their parts in its block do.  A product cone
-splits into its factors this way, and P1^k into k rays.  The interior
-points of each block's box are enumerated once per cone and radius:
+splits into its factors this way, and P1^k into k rays; it takes its
+blocks from its factors' memoized ones, shifted to its own coordinates
+and functional indices, so a factor shared by many products is
+enumerated once.  The interior points of each block's box are
+enumerated once per cone and radius:
 every prefix of all coordinates but the last is taken from the smaller
 box, the functionals bound the last coordinate to an exact integer
 interval, and the points are sorted back into shell-then-lex order.  The
@@ -58,12 +66,15 @@ cannot be interior are skipped.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .frozen import Frozen
 from .lattice import DivisorClass, LatticeError, PicardLattice
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ConeError(ValueError):
@@ -90,7 +101,7 @@ def _value(support, coeffs) -> int:
     return value
 
 
-def _solve(rows, rank: int) -> tuple[Fraction, ...] | None:
+def _solve(rows, rank: int) -> tuple[int | Fraction, ...] | None:
     """A rational x with a.x >= b for every row (a, b), or None if none exists.
 
     Fourier-Motzkin elimination: each variable in turn is eliminated by
@@ -104,8 +115,12 @@ def _solve(rows, rank: int) -> tuple[Fraction, ...] | None:
     integer of least absolute value inside the bounds, or the lower bound
     (else the upper) when none fits.
     """
+    from fractions import Fraction
+
     stages = []
-    system = _normalized((a, b, frozenset([n])) for n, (a, b) in enumerate(rows))
+    system = _normalized(
+        (a, Fraction(b), frozenset([n])) for n, (a, b) in enumerate(rows)
+    )
     for i in range(rank):
         stages.append(system)
         pos = [row for row in system if row[0][i] > 0]
@@ -120,7 +135,7 @@ def _solve(rows, rank: int) -> tuple[Fraction, ...] | None:
         system = _normalized(combined)
     if any(b > 0 for _, b, _ in system):
         return None
-    x = [Fraction(0)] * rank
+    x = [0] * rank
     for i in reversed(range(rank)):
         bounds = [
             (a[i] > 0, (b - _dot(a[i + 1 :], x[i + 1 :])) / a[i])
@@ -146,22 +161,22 @@ def _normalized(rows) -> set:
         g = gcd(*a)
         if g or b > 0:
             g = g or 1
-            out.add((tuple(v // g for v in a), Fraction(b) / g, sources))
+            out.add((tuple(v // g for v in a), b / g, sources))
     return out
 
 
-def _least_in(lo: Fraction | None, hi: Fraction | None) -> Fraction:
+def _least_in(lo: Fraction | None, hi: Fraction | None) -> int | Fraction:
     """The integer of least absolute value in [lo, hi] (None: unbounded)."""
     if lo is not None and lo > 0:
-        n = Fraction(ceil(lo))
+        n = ceil(lo)
         return n if hi is None or n <= hi else lo
     if hi is not None and hi < 0:
-        n = Fraction(floor(hi))
+        n = floor(hi)
         return n if lo is None or n >= lo else hi
-    return Fraction(0)
+    return 0
 
 
-def _integral(x: tuple[Fraction, ...]) -> tuple[int, ...]:
+def _integral(x: tuple[int | Fraction, ...]) -> tuple[int, ...]:
     """The least positive multiple of a rational point that is integral."""
     scale = lcm(*(v.denominator for v in x))
     return tuple(int(v * scale) for v in x)
@@ -329,12 +344,15 @@ class ThresholdReport(Frozen):
 class Cone(Frozen):
     """The cone phi_k >= 0, admitted only with a nonempty interior.
 
-    ``interior_point`` and ``irredundancy_witnesses`` are computed by an
-    exact linear program unless supplied, and checked when supplied.
-    ``supports[k]`` holds the nonzero (coordinate, coefficient) pairs of
-    ``functionals[k]``; every evaluation reads it.  ``_memo`` keeps the
-    answers of the queries below, keyed by query; a frozen cone's answers
-    never change.
+    ``interior_point`` and ``irredundancy_witnesses`` are checked when
+    supplied.  Otherwise a ray (a,) on a rank-1 lattice takes (a,) and
+    ((-a,),) in closed form, and every other cone finds them by an exact
+    linear program.  ``supports[k]`` holds the nonzero (coordinate,
+    coefficient) pairs of ``functionals[k]``; every evaluation reads it.
+    ``_memo`` keeps the answers of the queries below, keyed by query; a
+    frozen cone's answers never change.  ``_factors`` holds the factor
+    cones of a cone built by ``product_cone``, whose blocks it reuses,
+    and is empty otherwise.
     """
 
     __slots__ = (
@@ -344,6 +362,7 @@ class Cone(Frozen):
         "irredundancy_witnesses",
         "supports",
         "_memo",
+        "_factors",
     )
 
     def __init__(
@@ -357,6 +376,7 @@ class Cone(Frozen):
         object.__setattr__(self, "interior_point", interior_point)
         object.__setattr__(self, "irredundancy_witnesses", irredundancy_witnesses)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_factors", ())
         rank = lattice.rank
         prim, supports = [], []
         for f in functionals:
@@ -379,18 +399,24 @@ class Cone(Frozen):
                     f"supplied {name} {point!r} has {len(point)} entries, "
                     f"lattice rank is {rank}"
                 )
+        # a primitive ray (a,) has a = +-1: a is interior and -a separates
+        ray = self.functionals[0] if rank == 1 and len(prim) == 1 else None
         if self.interior_point:
             if not all(v > 0 for v in self.values_at(self.interior_point)):
                 raise ConeError(
                     f"supplied point {self.interior_point!r} is not interior"
                 )
         else:
-            object.__setattr__(self, "interior_point", self._find_interior_point())
+            object.__setattr__(
+                self, "interior_point", ray or self._find_interior_point()
+            )
         if self.irredundancy_witnesses:
             self._check_witnesses(self.irredundancy_witnesses)
         else:
             object.__setattr__(
-                self, "irredundancy_witnesses", self._find_witnesses()
+                self,
+                "irredundancy_witnesses",
+                ((-ray[0],),) if ray else self._find_witnesses(),
             )
 
     # -- admission ----------------------------------------------------
@@ -465,10 +491,27 @@ class Cone(Frozen):
 
     def _blocks(self, radius: int) -> tuple:
         """The cone's blocks with their interior points in the box of
-        ``radius``, as the refuter searches them."""
-        return self._memoized(
-            ("blocks", radius), lambda: _split_blocks(self.functionals, radius)
-        )
+        ``radius``, as the refuter searches them, in the form of
+        ``_split_blocks``."""
+        return self._memoized(("blocks", radius), lambda: self._split(radius))
+
+    def _split(self, radius: int) -> tuple:
+        """``_split_blocks(self.functionals, radius)``; a product joins its
+        factors' blocks, shifted past the coordinates and functionals of
+        the factors before them.  A product's functionals are block
+        diagonal, so no block spans two factors, and each factor block's
+        functionals restrict to the same local functionals."""
+        if not self._factors:
+            return _split_blocks(self.functionals, radius)
+        blocks, coord0, index0 = [], 0, 0
+        for cone in self._factors:
+            for coords, indices, points, values, suffix_min in cone._blocks(radius):
+                coords = [i + coord0 for i in coords]
+                indices = [k + index0 for k in indices]
+                blocks.append((coords, indices, points, values, suffix_min))
+            coord0 += cone.lattice.rank
+            index0 += len(cone.functionals)
+        return tuple(blocks)
 
     def first_interior_point(self) -> tuple[int, ...]:
         """The integral interior point found or checked at admission.
@@ -636,9 +679,10 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
     interior point is the concatenation of the factors' points, and a
     separating point for a factor functional, padded with zeros, still
     satisfies every other inequality because all other functionals read
-    it as zero.
+    it as zero.  The cone records its factors, whose oracle blocks it
+    reuses.
     """
-    factors = list(factors)
+    factors = tuple(factors)
     if sum(cone.lattice.rank for cone in factors) != lattice.rank:
         raise ConeError("factor ranks do not sum to the product rank")
     functionals: list[tuple[int, ...]] = []
@@ -650,7 +694,7 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
             functionals.append((0,) * before + f + (0,) * after)
             witnesses.append((0,) * before + w + (0,) * after)
         before += cone.lattice.rank
-    return Cone(
+    cone = Cone(
         lattice=lattice,
         functionals=tuple(functionals),
         interior_point=tuple(
@@ -658,3 +702,5 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
         ),
         irredundancy_witnesses=tuple(witnesses),
     )
+    object.__setattr__(cone, "_factors", factors)
+    return cone

@@ -382,7 +382,9 @@ def hirzebruch1() -> VarietyDescriptor:
 
     Basis (S, F) with S the (-1)-section and F the fiber: (S^2) = -1,
     (S.F) = 1, (F^2) = 0.  The canonical class is -2S - 3F, and
-    aS + bF is nef exactly when b >= a >= 0.
+    aS + bF is nef exactly when b >= a >= 0.  The cone's admission data
+    is supplied, and checked by ``Cone``: S + 2F is interior, and -S and
+    S separate the two functionals.
     """
     lat = PicardLattice(("S", "F"))
     return VarietyDescriptor(
@@ -390,7 +392,12 @@ def hirzebruch1() -> VarietyDescriptor:
         lattice=lat,
         form=IntersectionForm.from_gram(lat, [[-1, 1], [1, 0]]),
         canonical=lat.make([-2, -3]),
-        nef=Cone(lat, ((1, 0), (-1, 1))),
+        nef=Cone(
+            lat,
+            ((1, 0), (-1, 1)),
+            interior_point=(1, 2),
+            irredundancy_witnesses=((-1, 0), (1, 0)),
+        ),
         gg=ExactEqualsNef("toric: nef line bundles on a smooth toric variety are globally generated"),
         flags=frozenset({TORIC, IRREGULARITY_ZERO}),
         provenance=Provenance("hirzebruch1", note="rational, simply connected"),
@@ -402,7 +409,9 @@ def del_pezzo7() -> VarietyDescriptor:
 
     Basis (H, E1, E2) with Gram diag(1, -1, -1) and canonical class
     -3H + E1 + E2.  A class dH - a1 E1 - a2 E2 is nef exactly when
-    a1 >= 0, a2 >= 0 and d >= a1 + a2.
+    a1 >= 0, a2 >= 0 and d >= a1 + a2.  The cone's admission data is
+    supplied, and checked by ``Cone``: -K = 3H - E1 - E2 is interior, and
+    E1, E2 and -H separate the three functionals.
     """
     lat = PicardLattice(("H", "E1", "E2"))
     return VarietyDescriptor(
@@ -410,7 +419,12 @@ def del_pezzo7() -> VarietyDescriptor:
         lattice=lat,
         form=IntersectionForm.from_gram(lat, [[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
         canonical=lat.make([-3, 1, 1]),
-        nef=Cone(lat, ((0, -1, 0), (0, 0, -1), (1, 1, 1))),
+        nef=Cone(
+            lat,
+            ((0, -1, 0), (0, 0, -1), (1, 1, 1)),
+            interior_point=(3, -1, -1),
+            irredundancy_witnesses=((0, 1, 0), (0, 0, 1), (-1, 0, 0)),
+        ),
         gg=ExactEqualsNef("toric: nef line bundles on a smooth toric variety are globally generated"),
         flags=frozenset({TORIC, IRREGULARITY_ZERO}),
         provenance=Provenance("del_pezzo7", note="rational, simply connected"),

@@ -538,9 +538,10 @@ def verify_certificate(desc: VarietyDescriptor, cert: Certificate) -> bool:
     parent's memoized interval counts only once its endpoint certificates
     re-verify.  The outcome is memoized on the descriptor per certificate.
     """
-    if cert not in desc._verdicts:
-        desc._verdicts[cert] = _check_certificate(desc, cert)
-    return desc._verdicts[cert]
+    verdict = desc._verdicts.get(cert)
+    if verdict is None:
+        verdict = desc._verdicts[cert] = _check_certificate(desc, cert)
+    return verdict
 
 
 def _check_certificate(desc, cert) -> bool:

@@ -18,11 +18,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from confn.cones import (
     Cone,
     ConeError,
+    _integral,
     _solve,
+    _split_blocks,
     brute_force_refute,
     lattice_points_by_shell,
     product_cone,
 )
+from confn.descriptors import del_pezzo7, hirzebruch1
 from confn.lattice import PicardLattice
 
 F1 = PicardLattice(("S", "F"))
@@ -580,3 +583,95 @@ def test_supports_evaluate_as_the_dense_functionals(case):
         for p in report.witness:
             total = [a + b for a, b in zip(total, p)]
         assert _dense(cone.functionals[report.violated_index], total) < 0
+
+
+# ------------------------------------------- admission data without the LP
+
+
+def _solved(functionals):
+    """The interior point and irredundancy witnesses the linear program
+    finds, as ``Cone`` found them when nothing was supplied."""
+    rank = len(functionals[0])
+    point = _integral(_solve([(f, 1) for f in functionals], rank))
+    witnesses = tuple(
+        _integral(
+            _solve(
+                [(tuple(-v for v in f), 1)]
+                + [(g, 0) for j, g in enumerate(functionals) if j != k],
+                rank,
+            )
+        )
+        for k, f in enumerate(functionals)
+    )
+    return point, witnesses
+
+
+@pytest.mark.parametrize("a", [1, -1])
+def test_rays_take_the_linear_programs_data_in_closed_form(a):
+    ray = Cone(LINE, ((a,),))
+    assert _solved(((a,),)) == ((a,), ((-a,),))
+    assert (ray.interior_point, ray.irredundancy_witnesses) == ((a,), ((-a,),))
+    # a scaled functional is made primitive first
+    assert Cone(LINE, ((5 * a,),)).interior_point == (a,)
+
+
+@pytest.mark.parametrize("make", [hirzebruch1, del_pezzo7])
+def test_supplied_f1_and_dp7_data_is_what_the_linear_program_finds(make):
+    cone = make().nef
+    assert _solved(cone.functionals) == (
+        cone.interior_point,
+        cone.irredundancy_witnesses,
+    )
+
+
+@st.composite
+def nested_products(draw):
+    """A product of a nested cone and a cone of rank 1 to 3, so the top is
+    a product, with a canonical class and a tuple size."""
+    factors = [draw(nested_cones()), draw(nested_cones(0))]
+    rank = sum(f.lattice.rank for f in factors)
+    cone = product_cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), factors)
+    coeffs = st.lists(st.integers(-4, 2), min_size=rank, max_size=rank)
+    return cone, cone.lattice.make(draw(coeffs)), draw(st.integers(0, 3))
+
+
+# F1, a product with a free coordinate, and a negative ray
+MIXED_PRODUCT = product_cone(
+    PicardLattice(("S", "F", "A", "B", "H", "T", "Z")),
+    (
+        F1_NEF,
+        product_cone(PicardLattice(("A", "B", "H", "T")), (NARROW_BY_RAY,)),
+        Cone(LINE, ((-1,),)),
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(nested_products())
+@example(
+    (MIXED_PRODUCT, MIXED_PRODUCT.lattice.make([-2, -3, 0, 0, -2, 0, 1]), 2)
+)
+def test_product_blocks_join_the_factor_blocks(case):
+    cone, canonical, m = case
+    flat = Cone(
+        cone.lattice,
+        cone.functionals,
+        cone.interior_point,
+        cone.irredundancy_witnesses,
+    )
+    for radius in range(1, 5):
+        assert cone._blocks(radius) == _split_blocks(cone.functionals, radius)
+        assert brute_force_refute(cone, canonical, m, radius) == brute_force_refute(
+            flat, canonical, m, radius
+        )
+
+
+def test_a_shared_factor_is_enumerated_once():
+    ray = Cone(LINE, ((1,),))
+    square = product_cone(PicardLattice(("A", "B")), (ray, ray))
+    fourth = product_cone(PicardLattice(("A1", "B1", "A2", "B2")), (square, square))
+    (points,) = {id(block[2]) for block in fourth._blocks(3)}
+    assert points == id(ray._blocks(3)[0][2])
+    assert [block[:2] for block in fourth._blocks(3)] == [
+        ([i], [i]) for i in range(4)
+    ]

@@ -185,16 +185,22 @@ def test_cone_admission_runs_in_its_own_init():
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_datetime():
+    # the corpus admits every cone without the linear program, the only
+    # user of rational arithmetic, so neither the import nor a corpus
+    # pass loads fractions or decimal
     probe = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         "before = set(sys.modules)\n"
         "import confn.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "confn.cli.corpus()\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
-    added = set(done.stdout.split())
-    assert "confn.cli" in added
-    assert not added & {"dataclasses", "inspect", "datetime"}
+    imported, after_corpus = (set(line.split()) for line in done.stdout.splitlines())
+    assert "confn.cli" in imported
+    assert not imported & {"dataclasses", "inspect", "datetime"}
+    assert not after_corpus & {"fractions", "decimal"}

@@ -1,7 +1,9 @@
 """Program evaluation, the built-in corpus, and report emitters."""
 
+import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -603,12 +605,37 @@ def _count_enumerated(monkeypatch) -> list[int]:
 
 def test_corpus_oracle_enumerates_few_lattice_points(monkeypatch):
     # the oracle enumerates only prefixes of each block's box, once per
-    # cone and radius; filtering the whole box would yield over 15,000
-    # points here, and enumerating each product cone whole about 900
+    # cone and radius, and a product takes its factors' blocks; filtering
+    # the whole box would yield over 15,000 points here, enumerating each
+    # product cone whole about 900, and each product's blocks afresh 192
     yielded = _count_enumerated(monkeypatch)
     report = corpus()
     assert not report.any_failure
-    assert 0 < yielded[0] <= 250
+    assert 0 < yielded[0] <= 120
+
+
+def _benchmark_program(seed: int) -> str:
+    """The text of the benchmark's generated ``program`` workload."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses resolves the module's annotations through sys.modules
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+        return workloads.generate_program(seed).text()
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_built_in_cones_are_admitted_without_the_linear_program(monkeypatch):
+    # rank-1 cones are decided in closed form, F1 and dP7 supply their
+    # admission data, and products embed their factors' data
+    calls = []
+    monkeypatch.setattr(cones, "_solve", lambda *args: calls.append(args))
+    assert not corpus().any_failure
+    assert not evaluate(parse(_benchmark_program(1))).any_failure
+    assert calls == []
 
 
 def test_oracle_splits_a_p1_power_into_rays(monkeypatch):
