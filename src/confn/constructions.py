@@ -11,15 +11,12 @@ relies on:
   (E^2) = -1, canonical class pulled back plus E, nef cone forgotten.
 * very general hypersurface section of a threefold: same lattice, the
   surface form obtained by contracting the cubic form with pH, canonical
-  class by adjunction, and the divisibility by p this forces on every
-  intersection number.
+  class by adjunction; every intersection number is divisible by p.
 * cyclic degree-d cover totally branched over a smooth member of |dL|:
   same lattice via pullback, form scaled by d, canonical class by the
   branched covering formula K + (d-1)L.
 
-Divisibility annotations are never copied blindly: each transformed
-annotation is re-checked against the transformed form by the descriptor
-validator.
+Divisibility of intersection numbers is read from each transformed form.
 """
 
 from __future__ import annotations
@@ -39,14 +36,7 @@ from .descriptors import (
     VarietyDescriptor,
     known_gg_representatives,
 )
-from .lattice import (
-    DivisibilityAnnotation,
-    DivisorClass,
-    FullLattice,
-    IntersectionForm,
-    PicardLattice,
-    Sublattice,
-)
+from .lattice import DivisorClass, IntersectionForm, PicardLattice
 
 _LEFSCHETZ_CITATION = (
     "Grothendieck-Lefschetz: restriction induces an isomorphism of Picard "
@@ -188,9 +178,7 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
     The lattice gains an exceptional class E orthogonal to the old block
     with (E^2) = -1; the canonical class becomes the pullback plus E.
     The nef cone and global generation data of the surface do not
-    transfer and are dropped to unknown.  Full-lattice divisibility
-    annotations survive only on the pulled-back sublattice: E breaks
-    them on the full lattice, and the validator re-checks the rest.
+    transfer and are dropped to unknown.
     """
     if s.dimension != 2:
         raise DescriptorError("point blow-ups are modeled for surfaces only")
@@ -206,18 +194,6 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
     entries[(n, n)] = -1
     form = IntersectionForm.from_entries(lat, 2, entries)
     canonical = lat.make(tuple(s.canonical.coeffs) + (1,))
-    pullback_gens = tuple(lat.basis_class(i) for i in range(n))
-    annotations = []
-    for ann in s.annotations:
-        if isinstance(ann.scope, FullLattice):
-            annotations.append(
-                DivisibilityAnnotation(ann.modulus, Sublattice(pullback_gens))
-            )
-        else:
-            gens = tuple(
-                lat.make(tuple(g.coeffs) + (0,)) for g in ann.scope.generators
-            )
-            annotations.append(DivisibilityAnnotation(ann.modulus, Sublattice(gens)))
     flags = set()
     if s.has_flag("irregularity_zero"):
         # the irregularity is a birational invariant of smooth surfaces
@@ -231,7 +207,6 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
         nef=None,
         gg=UnknownGG(),
         flags=frozenset(flags),
-        annotations=tuple(annotations),
         provenance=Provenance(
             "blowup_point",
             parents=(s,),
@@ -270,7 +245,7 @@ def hypersurface_section(
     canonical class of the section by adjunction and is recorded as a
     known globally generated class.  Every intersection number of the
     section is (A.B.pH) computed on the parent, hence divisible by p,
-    which the output records as a full-lattice annotation.  The very
+    so the gcd of the section's form is a multiple of p.  The very
     general position of the member is an assertion, carried in the
     provenance, that restriction is an isomorphism on Picard groups.
     """
@@ -314,7 +289,6 @@ def hypersurface_section(
         nef=None,
         gg=UnderApprox((canonical,)),
         flags=frozenset(flags),
-        annotations=(DivisibilityAnnotation(p, FullLattice()),),
         provenance=Provenance(
             "hypersurface_section",
             parents=(y,),
@@ -415,17 +389,6 @@ def cyclic_cover(
         lat.make(c.coeffs) for c in known_gg_representatives(y)
     ]
     gg = UnderApprox(tuple(reps)) if reps else UnknownGG()
-    annotations = []
-    for ann in y.annotations:
-        if isinstance(ann.scope, FullLattice):
-            annotations.append(
-                DivisibilityAnnotation(ann.modulus * degree, FullLattice())
-            )
-        else:
-            gens = tuple(lat.make(g.coeffs) for g in ann.scope.generators)
-            annotations.append(
-                DivisibilityAnnotation(ann.modulus * degree, Sublattice(gens))
-            )
     flags = set()
     if y.has_flag("irregularity_zero"):
         # h^1 of the cover splits as h^1(O_Y) plus h^1 of negative ample
@@ -443,7 +406,6 @@ def cyclic_cover(
         nef=nef,
         gg=gg,
         flags=frozenset(flags),
-        annotations=tuple(annotations),
         provenance=Provenance(
             "cyclic_cover",
             parents=(y,),

@@ -4,11 +4,14 @@ A descriptor bundles the dimension, the Picard lattice, the intersection
 form, the canonical class, what is known about the nef cone, and what is
 known about global generation, together with flags (toric, irregularity
 zero, abelian, curve genus, very general in the sense of
-Noether-Lefschetz) and divisibility annotations.  Knowledge is explicit:
-the nef cone is either a concrete cone or unknown, and the set of
-globally generated classes is either exactly the nef cone (with a
-recorded justification), a finite under-approximation, or unknown.
-Nothing downstream is allowed to upgrade "unknown" silently.
+Noether-Lefschetz).  The lattice stands for the whole Neron-Severi
+lattice, so divisibility of intersection numbers is read from the form;
+a curve's is generated by a point, so a curve form whose degrees have a
+gcd other than 1 is refused.  Knowledge is explicit: the nef cone is
+either a concrete cone or unknown, and the set of globally generated
+classes is either exactly the nef cone (with a recorded justification),
+a finite under-approximation, or unknown.  Nothing downstream is allowed
+to upgrade "unknown" silently.
 
 Every descriptor records its provenance: which constructor made it, with
 which parameters, from which parents, under which named assertions.  The
@@ -18,18 +21,11 @@ data, not documentation.
 
 from __future__ import annotations
 
+import math
+
 from .cones import Cone
 from .frozen import Frozen
-from .lattice import (
-    DivisibilityAnnotation,
-    DivisorClass,
-    FullLattice,
-    IntersectionForm,
-    LatticeError,
-    PicardLattice,
-    Sublattice,
-    check_annotation,
-)
+from .lattice import DivisorClass, IntersectionForm, PicardLattice
 
 
 class DescriptorError(ValueError):
@@ -133,7 +129,6 @@ class VarietyDescriptor(Frozen):
         "nef",
         "gg",
         "flags",
-        "annotations",
         "provenance",
         "known_effective",
         # the engine's memos: resolved intervals keyed by the enabled rule
@@ -152,7 +147,6 @@ class VarietyDescriptor(Frozen):
         nef: Cone | None,
         gg: GGStatus,
         flags: frozenset[Flag] = frozenset(),
-        annotations: tuple[DivisibilityAnnotation, ...] = (),
         provenance: Provenance = Provenance("custom"),
         known_effective: tuple[tuple[DivisorClass, str], ...] = (),
     ) -> None:
@@ -163,7 +157,6 @@ class VarietyDescriptor(Frozen):
         object.__setattr__(self, "nef", nef)
         object.__setattr__(self, "gg", gg)
         object.__setattr__(self, "flags", flags)
-        object.__setattr__(self, "annotations", annotations)
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "known_effective", known_effective)
         object.__setattr__(self, "_intervals", {})
@@ -177,6 +170,13 @@ class VarietyDescriptor(Frozen):
             )
         if self.form.lattice.uid != self.lattice.uid:
             raise DescriptorError("intersection form lives on a different lattice")
+        if self.dimension == 1 and self.form.gcd() != 1:
+            # a point has degree 1; a coarser lattice would fake divisibility
+            # on every product with the curve
+            raise DescriptorError(
+                "a curve's lattice must contain a point class of degree 1, but "
+                f"its degrees have gcd {self.form.gcd()}"
+            )
         if self.canonical.lattice.uid != self.lattice.uid:
             raise DescriptorError("canonical class lives on a different lattice")
         if self.nef is not None and self.nef.lattice.uid != self.lattice.uid:
@@ -197,11 +197,6 @@ class VarietyDescriptor(Frozen):
                     raise DescriptorError(
                         "globally generated class lives on a different lattice"
                     )
-        for ann in self.annotations:
-            if not check_annotation(self.form, ann):
-                raise DescriptorError(
-                    f"divisibility annotation by {ann.modulus} fails against the form"
-                )
         for cls_, _note in self.known_effective:
             if cls_.lattice.uid != self.lattice.uid:
                 raise DescriptorError("effective class lives on a different lattice")
@@ -232,14 +227,6 @@ class VarietyDescriptor(Frozen):
             if f.kind == kind:
                 return f.value
         raise KeyError(kind)
-
-    def annotation_moduli(self, full_only: bool = False) -> tuple[int, ...]:
-        out = []
-        for ann in self.annotations:
-            if full_only and not isinstance(ann.scope, FullLattice):
-                continue
-            out.append(ann.modulus)
-        return tuple(out)
 
 
 def is_known_gg(desc: VarietyDescriptor, cls_: DivisorClass) -> bool:
@@ -337,11 +324,8 @@ def complete_intersection(
     lat = PicardLattice(("H",))
     k_coeff = sum(degrees) - (n + r + 1)
     flags = {IRREGULARITY_ZERO}
-    annotations: tuple[DivisibilityAnnotation, ...] = ()
     if very_general:
         flags.add(VERY_GENERAL_NL)
-    if n == 2 and degrees[0] >= 2:
-        annotations = (DivisibilityAnnotation(degrees[0], FullLattice()),)
     return VarietyDescriptor(
         dimension=n,
         lattice=lat,
@@ -353,7 +337,6 @@ def complete_intersection(
             "globally generated iff the twist is nonnegative"
         ),
         flags=frozenset(flags),
-        annotations=annotations,
         provenance=Provenance(
             "complete_intersection",
             parameters=(
@@ -478,9 +461,7 @@ def abelian(
         raise DescriptorError("abelian varieties have dimension >= 1")
     if lattice is None:
         lattice = PicardLattice(("H",))
-        form = IntersectionForm.rank_one(
-            lattice, n, _factorial(n)
-        )
+        form = IntersectionForm.rank_one(lattice, n, math.factorial(n))
         nef = Cone(lattice, ((1,),))
     if form is None:
         raise DescriptorError("a custom abelian lattice needs a form")
@@ -514,13 +495,6 @@ def _check_ample_interior(desc: VarietyDescriptor) -> None:
             )
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def custom(
     dimension: int,
     lattice: PicardLattice,
@@ -529,7 +503,6 @@ def custom(
     nef: Cone | None = None,
     gg: GGStatus | None = None,
     flags=(),
-    annotations=(),
     known_effective=(),
     note: str = "",
 ) -> VarietyDescriptor:
@@ -542,7 +515,6 @@ def custom(
         nef=nef,
         gg=gg if gg is not None else UnknownGG(),
         flags=frozenset(flags),
-        annotations=tuple(annotations),
         known_effective=tuple(known_effective),
         provenance=Provenance("custom", note=note),
     )

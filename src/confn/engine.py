@@ -32,7 +32,6 @@ from .constructions import cover_data
 from .descriptors import ExactEqualsNef, VarietyDescriptor, is_known_gg
 from .frozen import Frozen
 from .kunneth import ZERO, h0_sign
-from .lattice import FullLattice, check_annotation
 
 
 class InconsistencyError(RuntimeError):
@@ -306,23 +305,27 @@ def _rule_h0_vanishing(desc: VarietyDescriptor):
 def _rule_reider_divisible(desc: VarietyDescriptor):
     if desc.dimension != 2:
         return [], []
-    for ann in desc.annotations:
-        if isinstance(ann.scope, FullLattice) and ann.modulus >= 5:
-            cert = Certificate(
-                UPPER,
-                "reider-divisible",
-                1,
-                "Reider 1988: with every intersection number divisible by some "
-                "d >= 5, a single ample summand already has (L^2) >= 5 and no "
-                "curve can satisfy the exceptional equations",
-                premises=[
-                    f"all intersection numbers on the lattice are divisible by "
-                    f"{ann.modulus} >= 5"
-                ],
-                witness={"modulus": ann.modulus},
-            )
-            return [cert], []
-    return [], []
+    # The lattice is the whole Neron-Severi lattice, so d = gcd divides
+    # (L^2) > 0 and (L.E), (E^2) for every curve E: d >= 5 rules out
+    # Reider's exceptional curves.  Curves are admitted only with gcd 1,
+    # so a product of curves has gcd 1; a zero form grants nothing.
+    modulus = desc.form.gcd()
+    if modulus < 5:
+        return [], []
+    cert = Certificate(
+        UPPER,
+        "reider-divisible",
+        1,
+        "Reider 1988: with every intersection number divisible by some "
+        "d >= 5, a single ample summand already has (L^2) >= 5 and no "
+        "curve can satisfy the exceptional equations",
+        premises=[
+            f"all intersection numbers on the lattice are divisible by "
+            f"{modulus} >= 5"
+        ],
+        witness={"modulus": modulus},
+    )
+    return [cert], []
 
 
 def _rule_reider_surface(desc: VarietyDescriptor):
@@ -377,18 +380,16 @@ def _rule_reider_surface(desc: VarietyDescriptor):
 
 
 def divisible_by_24(surface: VarietyDescriptor) -> bool:
-    """Whether a checked full-lattice annotation makes 24 divide every pairing.
+    """Whether 24 divides every pairing, read from the form's gcd.
 
     This is the premise ``blowup-reider-mod24`` needs of the blown-up
-    surface; any multiple of 24 serves, since the residue argument only
-    reads pairings modulo 24.
+    surface; any nonzero multiple of 24 serves, since the residue
+    argument only reads pairings modulo 24.  Like ``reider-divisible`` it
+    relies on the lattice being the whole Neron-Severi lattice.  A zero
+    form grants nothing.
     """
-    return any(
-        isinstance(ann.scope, FullLattice)
-        and ann.modulus % 24 == 0
-        and check_annotation(surface.form, ann)
-        for ann in surface.annotations
-    )
+    modulus = surface.form.gcd()
+    return modulus != 0 and modulus % 24 == 0
 
 
 def _blowup_of_mod24_surface(desc: VarietyDescriptor) -> bool:
@@ -688,14 +689,8 @@ def _verify_reider_divisible(desc, cert):
     if desc.dimension != 2 or cert.kind != UPPER or cert.value != 1:
         return False
     modulus = cert.witness_data()["modulus"]
-    if modulus < 5:
-        return False
-    return any(
-        isinstance(ann.scope, FullLattice)
-        and ann.modulus == modulus
-        and check_annotation(desc.form, ann)
-        for ann in desc.annotations
-    )
+    gcd = desc.form.gcd()
+    return modulus >= 5 and gcd != 0 and gcd % modulus == 0
 
 
 def _verify_reider_surface(desc, cert):

@@ -14,15 +14,14 @@ Symmetry is therefore structural rather than checked, which is what makes
 the property tests in the suite meaningful: any evaluation order over any
 permutation of the arguments must agree.
 
-Divisibility annotations record statements such as "every intersection
-number of classes in this sublattice is divisible by N".  They are carried
-by variety descriptors and re-checked, never trusted, whenever a
-construction transforms the form.
+Divisibility of intersection numbers is read from the form itself: the
+gcd of its stored entries divides every evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 
 from .frozen import Frozen
@@ -276,6 +275,15 @@ class IntersectionForm(Frozen):
             raise LatticeError("evenness is defined for surface forms only")
         return all(self.entry((i, i)) % 2 == 0 for i in range(self.lattice.rank))
 
+    def gcd(self) -> int:
+        """The gcd of the stored entries; 0 when no entry is nonzero.
+
+        By multilinearity every evaluation is an integer combination of
+        stored entries, so this is the largest d dividing every
+        intersection number.
+        """
+        return math.gcd(*self._table.values())
+
     def gram(self) -> list[list[int]]:
         if self.degree != 2:
             raise LatticeError("only surface forms have a Gram matrix")
@@ -312,55 +320,3 @@ class IntersectionForm(Frozen):
             raise LatticeError("lattice ranks differ")
         return IntersectionForm.from_entries(lattice, self.degree, dict(self.entries))
 
-
-class FullLattice(Frozen):
-    """Scope marker: the divisibility statement covers the whole lattice."""
-
-    __slots__ = ()
-
-
-class Sublattice(Frozen):
-    """Scope marker: the statement covers the span of the listed generators."""
-
-    __slots__ = ("generators",)
-
-    def __init__(self, generators: tuple[DivisorClass, ...]) -> None:
-        object.__setattr__(self, "generators", generators)
-        if not generators:
-            raise LatticeError("a sublattice scope needs at least one generator")
-        uid = generators[0].lattice.uid
-        if any(g.lattice.uid != uid for g in generators):
-            raise LatticeError("sublattice generators live on different lattices")
-
-
-class DivisibilityAnnotation(Frozen):
-    """Claim that all intersection numbers in scope are divisible by ``modulus``."""
-
-    __slots__ = ("modulus", "scope")
-
-    def __init__(
-        self, modulus: int, scope: FullLattice | Sublattice = FullLattice()
-    ) -> None:
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "scope", scope)
-        if modulus < 2:
-            raise LatticeError(f"divisibility modulus must be >= 2, got {modulus}")
-
-
-def check_annotation(form: IntersectionForm, annotation: DivisibilityAnnotation) -> bool:
-    """Re-verify a divisibility annotation against the actual form.
-
-    Full-lattice scope reduces to the stored entries by multilinearity:
-    every evaluation is an integer combination of basis monomials.  For a
-    sublattice scope the form is evaluated on every multiset of generators.
-    """
-    n = annotation.modulus
-    if isinstance(annotation.scope, FullLattice):
-        return all(value % n == 0 for _, value in form.entries)
-    gens = annotation.scope.generators
-    if gens[0].lattice.uid != form.lattice.uid:
-        raise LatticeError("annotation generators live off the form's lattice")
-    for combo in itertools.combinations_with_replacement(gens, form.degree):
-        if form.evaluate(*combo) % n != 0:
-            return False
-    return True

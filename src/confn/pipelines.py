@@ -14,7 +14,7 @@ from .constructions import blowup_point, box_sum, cyclic_cover, hypersurface_sec
 from .descriptors import DescriptorError, VarietyDescriptor, custom, projective_space
 from .engine import divisible_by_24, resolve
 from .frozen import Frozen
-from .lattice import DivisibilityAnnotation, FullLattice, IntersectionForm, PicardLattice
+from .lattice import IntersectionForm, PicardLattice
 
 
 class PipelineError(DescriptorError):
@@ -44,7 +44,6 @@ def synthetic_mod24_surface() -> VarietyDescriptor:
         form=IntersectionForm.rank_one(lat, 2, 24),
         canonical=lat.make([1]),
         nef=Cone(lat, ((1,),)),
-        annotations=(DivisibilityAnnotation(24, FullLattice()),),
         note="minimal surface with all pairings divisible by 24",
     )
 
@@ -53,19 +52,17 @@ def pipeline_n2k1(s24: VarietyDescriptor) -> PipelineResult:
     """Blow up a mod-24 surface in a point: convex Fujita number exactly 1.
 
     The lower bound is the non-nef canonical class of the blow-up, the
-    upper bound the engine's ``blowup-reider-mod24`` rule, which needs a
-    full-lattice divisibility annotation with a modulus divisible by 24.
+    upper bound the engine's ``blowup-reider-mod24`` rule, which needs 24
+    to divide the gcd of the surface's intersection numbers.
     """
     if s24.dimension != 2:
         raise PipelineError(
             f"expected a surface, got dimension {s24.dimension}"
         )
     if not divisible_by_24(s24):
-        moduli = s24.annotation_moduli(full_only=True)
         raise PipelineError(
-            "the surface needs a full-lattice divisibility annotation with a "
-            f"modulus divisible by 24; found {list(moduli) or 'none'}. The "
-            "residue argument is specific to 24."
+            f"intersection numbers have gcd {s24.form.gcd()}; the residue "
+            "argument needs 24 to divide it"
         )
     x = blowup_point(s24)
     interval = resolve(x)

@@ -49,14 +49,7 @@ from .dsl import (
 )
 from .engine import FujitaInterval, InconsistencyError, resolve, verify_certificate
 from .frozen import Frozen
-from .lattice import (
-    DivisibilityAnnotation,
-    DivisorClass,
-    FullLattice,
-    IntersectionForm,
-    LatticeError,
-    PicardLattice,
-)
+from .lattice import DivisorClass, IntersectionForm, LatticeError, PicardLattice
 from .pipelines import (
     PipelineResult,
     pipeline_n2k1,
@@ -294,9 +287,7 @@ def _without_ample(node) -> tuple[str, ...]:
 
 
 _CUSTOM_FLAGS = {"irregularity_zero": IRREGULARITY_ZERO}
-_CUSTOM_PARAMS = (
-    "dimension", "basis", "gram", "canonical", "nef", "flags", "annotations"
-)
+_CUSTOM_PARAMS = ("dimension", "basis", "gram", "canonical", "nef", "flags")
 
 
 def _custom(**args):
@@ -331,12 +322,6 @@ def _custom(**args):
                     "supported: " + ", ".join(sorted(_CUSTOM_FLAGS)),
                 )
             flags.append(_CUSTOM_FLAGS[name])
-    annotations = ()
-    if "annotations" in args:
-        annotations = tuple(
-            DivisibilityAnnotation(m, FullLattice())
-            for m in _as_int_list(args["annotations"])
-        )
     return custom(
         dimension=dimension,
         lattice=lat,
@@ -344,7 +329,6 @@ def _custom(**args):
         canonical=canonical,
         nef=nef,
         flags=flags,
-        annotations=annotations,
     )
 
 
@@ -726,7 +710,7 @@ compute cover_p4_d7
 assert_confn cover_p4_d7 = 0
 
 # surface of general type with every pairing divisible by 24
-let S24 = custom(dimension = 2, basis = [H], gram = [[24]], canonical = H, nef = [[1]], annotations = [24])
+let S24 = custom(dimension = 2, basis = [H], gram = [[24]], canonical = H, nef = [[1]])
 let N2K1 = pipeline_n2k1(S24)
 compute N2K1
 assert_confn N2K1 = 1

@@ -523,18 +523,45 @@ def _dense(functional, coeffs) -> int:
     return sum(a * x for a, x in zip(functional, coeffs))
 
 
+def _positive_on(f, point):
+    """``f`` with one coordinate raised just enough that f(point) > 0."""
+    value = sum(a * x for a, x in zip(f, point))
+    if value > 0:
+        return f
+    i = max(range(len(point)), key=lambda j: abs(point[j]))
+    step = 1 if point[i] > 0 else -1
+    return f[:i] + (f[i] + step * (-value // abs(point[i]) + 1),) + f[i + 1:]
+
+
+def _irredundant(rows, rank):
+    """``rows`` less each functional that the kept ones imply; the cone is
+    the same, and dropping a functional never makes another redundant."""
+    kept = list(rows)
+    for f in rows:
+        others = list(kept)
+        others.remove(f)
+        separated = [(tuple(-v for v in f), 1)] + [(g, 0) for g in others]
+        if others and _solve(separated, rank) is None:
+            kept = others
+    return kept
+
+
 @st.composite
 def nested_cones(draw, depth: int = 2):
     """A random cone of rank 1 to 3, or a product of two or three nested
-    cones, so that products of products occur."""
+    cones, so that products of products occur.
+
+    A cone's functionals are drawn positive on a drawn nonzero point and
+    made irredundant, so ``Cone`` admits every draw."""
     if depth == 0 or draw(st.booleans()):
         rank = draw(st.integers(1, 3))
         entry = st.integers(-3, 3)
+        point = draw(st.tuples(*[entry] * rank))
+        if not any(point):
+            point = (1,) + point[1:]
         rows = draw(st.lists(st.tuples(*[entry] * rank), min_size=1, max_size=rank + 1))
-        try:
-            return Cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), rows)
-        except ConeError:
-            assume(False)
+        rows = _irredundant([_positive_on(f, point) for f in rows], rank)
+        return Cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), rows)
     factors = draw(st.lists(nested_cones(depth - 1), min_size=2, max_size=3))
     rank = sum(f.lattice.rank for f in factors)
     return product_cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), factors)
@@ -626,9 +653,9 @@ def test_supplied_f1_and_dp7_data_is_what_the_linear_program_finds(make):
 
 @st.composite
 def nested_products(draw):
-    """A product of a nested cone and a cone of rank 1 to 3, so the top is
-    a product, with a canonical class and a tuple size."""
-    factors = [draw(nested_cones()), draw(nested_cones(0))]
+    """A product of two or three nested cones of depth at most 1, so the
+    top is a product, with a canonical class and a tuple size."""
+    factors = draw(st.lists(nested_cones(1), min_size=2, max_size=3))
     rank = sum(f.lattice.rank for f in factors)
     cone = product_cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), factors)
     coeffs = st.lists(st.integers(-4, 2), min_size=rank, max_size=rank)

@@ -27,13 +27,7 @@ from confn.descriptors import (
     hirzebruch1,
     projective_space,
 )
-from confn.lattice import (
-    DivisibilityAnnotation,
-    FullLattice,
-    IntersectionForm,
-    PicardLattice,
-    Sublattice,
-)
+from confn.lattice import IntersectionForm, PicardLattice
 
 
 # ---------------------------------------------------------------- product
@@ -149,18 +143,17 @@ def test_blowup_exceptional_numbers():
     assert [cls_.coeffs for cls_, _ in up.known_effective] == [(0, 0, 0, 1)]
 
 
-def test_blowup_annotation_demoted_to_pullback_sublattice():
+def test_blowup_form_gcd_drops_to_one():
     quartic = complete_intersection(2, (4,), very_general=True)
-    assert quartic.annotation_moduli(full_only=True) == (4,)
+    assert quartic.form.gcd() == 4
     up = blowup_point(quartic)
-    assert up.annotation_moduli(full_only=True) == ()
-    assert up.annotation_moduli() == (4,)
-    scope = up.annotations[0].scope
-    assert isinstance(scope, Sublattice)
-    assert [g.coeffs for g in scope.generators] == [(1, 0)]
-    # E genuinely breaks full-lattice divisibility: (E^2) = -1
+    # E breaks divisibility on the full lattice: (E^2) = -1
+    assert up.form.gcd() == 1
     e = up.lattice.make([0, 1])
     assert up.form.evaluate(e, e) == -1
+    # the pulled-back block keeps the parent's pairings
+    h = up.lattice.make([1, 0])
+    assert up.form.evaluate(h, h) == 4
 
 
 def test_blowup_exceptional_name_avoids_collision():
@@ -189,7 +182,8 @@ def test_section_numbers_on_quadric():
     assert s.form.evaluate(hh, hh) == 10
     # adjunction: K_S = (K_Y + 5H)|_S = 2H
     assert s.canonical.coeffs == (2,)
-    assert s.annotation_moduli(full_only=True) == (5,)
+    # every pairing on the section is a multiple of p = 5
+    assert s.form.gcd() == 10
     assert isinstance(s.gg, UnderApprox)
     assert [c.coeffs for c in s.gg.classes] == [(2,)]
     assert s.has_flag("very_general_nl")
@@ -274,17 +268,17 @@ def test_cover_input_gates():
         cyclic_cover(y, h, 7, assume=("bogus",))
 
 
-def test_cover_annotation_modulus_scaled():
+def test_cover_form_gcd_scaled_by_the_degree():
     lat = PicardLattice(("H",))
     y = custom(
         dimension=3,
         lattice=lat,
         form=IntersectionForm.rank_one(lat, 3, 4),
         canonical=lat.make([-2]),
-        annotations=(DivisibilityAnnotation(2, FullLattice()),),
     )
+    assert y.form.gcd() == 4
     h = y.lattice.make([1])
     x = cyclic_cover(y, h, 3, assume=("large_d",), assume_ample=True)
-    assert x.annotation_moduli(full_only=True) == (6,)
+    assert x.form.gcd() == 12
     hh = x.lattice.make([1])
     assert x.form.evaluate(hh, hh, hh) == 12

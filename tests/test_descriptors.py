@@ -23,13 +23,7 @@ from confn.descriptors import (
     known_gg_representatives,
     projective_space,
 )
-from confn.lattice import (
-    DivisibilityAnnotation,
-    FullLattice,
-    IntersectionForm,
-    PicardLattice,
-    Sublattice,
-)
+from confn.lattice import IntersectionForm, PicardLattice
 
 
 # ---------------------------------------------------------------- atoms
@@ -74,7 +68,7 @@ def test_complete_intersection_frozen_values():
 def test_complete_intersection_surface_gate():
     s = complete_intersection(2, (5,), very_general=True)
     assert VERY_GENERAL_NL in s.flags
-    assert s.annotation_moduli(full_only=True) == (5,)
+    assert s.form.gcd() == 5
     with pytest.raises(DescriptorError):
         complete_intersection(2, (5,))  # very_general not asserted
     with pytest.raises(DescriptorError):
@@ -239,39 +233,47 @@ def test_exact_gg_needs_nef_and_justification():
         )
 
 
-def test_annotation_reverified_on_entry():
+def test_divisibility_is_read_from_the_form():
     lat = PicardLattice(("H",))
-    form = IntersectionForm.rank_one(lat, 2, 5)
-    with pytest.raises(DescriptorError):
-        custom(
-            dimension=2,
-            lattice=lat,
-            form=form,
-            canonical=lat.zero(),
-            annotations=(DivisibilityAnnotation(4, FullLattice()),),
-        )
-    ok = custom(
-        dimension=2,
-        lattice=lat,
-        form=form,
-        canonical=lat.zero(),
-        annotations=(DivisibilityAnnotation(5, FullLattice()),),
-    )
-    assert ok.annotation_moduli() == (5,)
-
-
-def test_sublattice_annotation_scope():
-    lat, form = _surface_parts()
-    even = Sublattice((lat.make([0, 1]),))  # (B^2) = 0
     desc = custom(
         dimension=2,
         lattice=lat,
-        form=form,
+        form=IntersectionForm.rank_one(lat, 2, 5),
         canonical=lat.zero(),
-        annotations=(DivisibilityAnnotation(2, even),),
     )
-    assert desc.annotation_moduli(full_only=True) == ()
-    assert desc.annotation_moduli() == (2,)
+    assert desc.form.gcd() == 5
+
+
+def test_form_gcd_covers_the_whole_lattice():
+    lat, form = _surface_parts()
+    desc = custom(dimension=2, lattice=lat, form=form, canonical=lat.zero())
+    # the span of B pairs to 0, but (A^2) = 2 and (A.B) = 1 set the gcd
+    assert desc.form.evaluate(lat.make([0, 1]), lat.make([0, 1])) == 0
+    assert desc.form.gcd() == 1
+
+
+@pytest.mark.parametrize("degrees", [(5,), (24,), (0,), (2, 4)])
+def test_a_curve_lattice_must_reach_a_point(degrees):
+    # Num of a curve is generated by a point; a coarser lattice would fake
+    # divisibility on every product with the curve
+    lat = PicardLattice(tuple(f"H{i}" for i in range(len(degrees))))
+    form = IntersectionForm.from_entries(
+        lat, 1, {(i,): d for i, d in enumerate(degrees)}
+    )
+    with pytest.raises(DescriptorError, match="point class of degree 1"):
+        custom(dimension=1, lattice=lat, form=form, canonical=lat.zero())
+    with pytest.raises(DescriptorError, match="point class of degree 1"):
+        abelian(1, lattice=lat, form=form)
+
+
+@pytest.mark.parametrize("degrees", [(1,), (-1,), (2, 3)])
+def test_a_curve_lattice_with_a_point_is_admitted(degrees):
+    lat = PicardLattice(tuple(f"H{i}" for i in range(len(degrees))))
+    form = IntersectionForm.from_entries(
+        lat, 1, {(i,): d for i, d in enumerate(degrees)}
+    )
+    desc = custom(dimension=1, lattice=lat, form=form, canonical=lat.zero())
+    assert desc.form.gcd() == 1
 
 
 def test_curve_flag_restricted_to_dimension_one():

@@ -279,6 +279,61 @@ def test_reider_divisible_needs_modulus_five():
     )
 
 
+def _rank_one_surface(top):
+    lat = PicardLattice(("H",))
+    return custom(
+        dimension=2,
+        lattice=lat,
+        form=IntersectionForm.rank_one(lat, 2, top),
+        canonical=lat.make([1]),
+        nef=Cone(lat, ((1,),)),
+    )
+
+
+@pytest.mark.parametrize("top, hi", [(5, 1), (7, 1), (9, 1), (2, 2), (4, 2)])
+def test_rank_one_surface_reads_divisibility_from_its_form(top, hi):
+    # on a rank-1 lattice every pairing is a multiple of (H^2)
+    desc = _rank_one_surface(top)
+    interval = resolve(desc)
+    assert (interval.lo, interval.hi) == (0, hi)
+    _assert_all_verified(desc, interval)
+    divisible = [c for c in interval.certificates if c.rule == "reider-divisible"]
+    if hi == 1:
+        (cert,) = divisible
+        assert cert.witness_data() == {"modulus": top}
+    else:
+        assert not divisible
+
+
+def test_verifier_rejects_tampered_divisibility_modulus():
+    desc = _rank_one_surface(10)
+    cert = next(
+        c
+        for c in resolve(desc, enabled={"reider-divisible"}).certificates
+        if c.rule == "reider-divisible"
+    )
+    assert cert.witness_data() == {"modulus": 10}
+
+    def forged(modulus):
+        return Certificate(cert.kind, cert.rule, cert.value, cert.citation,
+                           premises=cert.premises, witness={"modulus": modulus})
+
+    assert verify_certificate(desc, forged(5))  # a divisor >= 5 still holds
+    assert not verify_certificate(desc, forged(7))  # does not divide (H^2)
+    assert not verify_certificate(desc, forged(20))
+    assert not verify_certificate(desc, forged(2))  # divides, but below 5
+    # a zero form grants no divisibility, though 0 % 24 == 0
+    lat = PicardLattice(("H",))
+    zero = custom(dimension=2, lattice=lat,
+                  form=IntersectionForm.rank_one(lat, 2, 0), canonical=lat.make([1]))
+    assert zero.form.gcd() == 0
+    assert not any(
+        c.rule == "reider-divisible"
+        for c in resolve(zero, enabled={"reider-divisible"}).certificates
+    )
+    assert not verify_certificate(zero, forged(24))
+
+
 def test_reider_surface_clauses():
     quartic = complete_intersection(2, (4,), very_general=True)
     interval = resolve(quartic, enabled={"reider-surface"})

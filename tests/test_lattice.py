@@ -8,20 +8,13 @@ representation under test.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from confn.lattice import (
-    DivisibilityAnnotation,
-    FullLattice,
-    IntersectionForm,
-    LatticeError,
-    PicardLattice,
-    Sublattice,
-    check_annotation,
-)
+from confn.lattice import IntersectionForm, LatticeError, PicardLattice
 
 
 def dense_tensor(rank: int, degree: int, sparse: dict) -> dict:
@@ -223,36 +216,46 @@ def test_scaled_multiplies_every_entry():
     assert doubled.gram() == [[2, 4], [4, -6]]
 
 
-# --------------------------------------------------------- annotations
+# ---------------------------------------------------------------- gcd
 
 
-def test_full_lattice_annotation():
+def test_form_gcd_of_the_entries():
     _, form = surface([[24, 48], [48, -24]])
-    assert check_annotation(form, DivisibilityAnnotation(24, FullLattice()))
-    assert check_annotation(form, DivisibilityAnnotation(12, FullLattice()))
-    assert not check_annotation(form, DivisibilityAnnotation(48, FullLattice()))
+    assert form.gcd() == 24
+    _, negative = surface([[-6]])
+    assert negative.gcd() == 6
 
 
-def test_sublattice_annotation_checks_generators_only():
+def test_form_gcd_reads_the_whole_lattice():
     lat, form = surface([[5, 0], [0, -1]])
-    ann = DivisibilityAnnotation(5, Sublattice((lat.make([1, 0]),)))
-    assert check_annotation(form, ann)
-    assert not check_annotation(form, DivisibilityAnnotation(5, FullLattice()))
+    h = lat.make([1, 0])
+    assert form.evaluate(h, h) == 5
+    assert form.gcd() == 1
 
 
-def test_annotation_modulus_must_be_at_least_two():
-    with pytest.raises(LatticeError):
-        DivisibilityAnnotation(1, FullLattice())
+def test_form_gcd_of_a_zero_form_is_zero():
+    _, form = surface([[0, 0], [0, 0]])
+    assert form.gcd() == 0
 
 
-def test_annotation_divisibility_random():
+def test_form_gcd_divides_every_evaluation_random():
     rng = random.Random(42)
     for _ in range(200):
         n = rng.choice([2, 3, 5, 7, 24])
         rank = rng.randint(1, 3)
-        rows = [[0] * rank for _ in range(rank)]
-        for i in range(rank):
-            for j in range(i, rank):
-                rows[i][j] = rows[j][i] = n * rng.randint(-4, 4)
-        _, form = surface(rows)
-        assert check_annotation(form, DivisibilityAnnotation(n, FullLattice()))
+        degree = rng.randint(2, 3)
+        sparse = {
+            key: n * rng.randint(-4, 4)
+            for key in itertools.combinations_with_replacement(range(rank), degree)
+        }
+        lat = PicardLattice(tuple(f"B{i}" for i in range(rank)))
+        form = IntersectionForm.from_entries(lat, degree, sparse)
+        assert form.gcd() == math.gcd(*sparse.values())
+        assert form.gcd() % n == 0
+        vectors = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(degree)]
+        value = form.evaluate(*(lat.make(v) for v in vectors))
+        assert value == oracle_evaluate(rank, degree, sparse, vectors)
+        if form.gcd():
+            assert value % form.gcd() == 0
+        else:
+            assert value == 0

@@ -3,11 +3,19 @@
 import pytest
 
 from confn.certificates import LOWER, UPPER
-from confn.descriptors import complete_intersection, del_pezzo7, hirzebruch1
+from confn.descriptors import (
+    abelian,
+    complete_intersection,
+    curve,
+    custom,
+    del_pezzo7,
+    hirzebruch1,
+    projective_space,
+)
 from confn.engine import resolve, verify_certificate
-from confn.lattice import DivisibilityAnnotation, FullLattice, IntersectionForm, PicardLattice
+from confn.lattice import IntersectionForm, PicardLattice
 from confn.cones import Cone
-from confn.descriptors import custom
+from confn.constructions import blowup_point, product
 from confn.dsl import parse
 from confn.runner import evaluate
 from confn.pipelines import (
@@ -65,11 +73,13 @@ def test_n2k1_requires_modulus_24():
         form=IntersectionForm.rank_one(lat, 2, 25),
         canonical=lat.make([1]),
         nef=Cone(lat, ((1,),)),
-        annotations=(DivisibilityAnnotation(25, FullLattice()),),
     )
     with pytest.raises(PipelineError) as err:
         pipeline_n2k1(wrong)
-    assert "24" in str(err.value)
+    assert str(err.value) == (
+        "intersection numbers have gcd 25; the residue argument needs 24 "
+        "to divide it"
+    )
     with pytest.raises(PipelineError):
         pipeline_n2k1(complete_intersection(3, (5,)))  # not a surface
 
@@ -97,7 +107,7 @@ def test_blowup_and_pipeline_agree_on_24_divisible_surfaces(modulus):
     report = evaluate(
         parse(
             f"let S = custom(dimension = 2, basis = [H], gram = [[{modulus}]], "
-            f"canonical = H, nef = [[1]], annotations = [{modulus}])\n"
+            "canonical = H, nef = [[1]])\n"
             "let B = blowup_point(S)\n"
             "let N = pipeline_n2k1(S)\n"
             "compute B\ncompute N\n"
@@ -110,6 +120,83 @@ def test_blowup_and_pipeline_agree_on_24_divisible_surfaces(modulus):
         assert row.verified is True
     assert blown.interval.certificates == piped.interval.certificates
     assert "blowup-reider-mod24" in {c.rule for c in blown.interval.certificates}
+
+
+@pytest.mark.parametrize("top", [5, 24])
+def test_a_curve_with_a_coarse_lattice_is_refused_before_its_products(top):
+    # (H.P) = top on C x P^1 would pass for divisibility, yet the fibre
+    # pt x P^1 has L.f = 1 and f^2 = 0 for L = H + P
+    report = evaluate(
+        parse(
+            f"let C = custom(dimension = 1, basis = [H], gram = [[{top}]], "
+            "canonical = 2*H)\n"
+            "let P = projective_space(1)\n"
+            "let S = product(C, P)\n"
+            "let B = blowup_point(S)\n"
+            "compute S\ncompute B\n"
+        )
+    )
+    errors = {r.name: r.error for r in report.rows}
+    assert errors["C"] == (
+        "a curve's lattice must contain a point class of degree 1, but its "
+        f"degrees have gcd {top}"
+    )
+    assert "'C' failed to evaluate" in errors["S"]
+    assert "'S' failed to evaluate" in errors["B"]
+    assert not any(r.internal for r in report.rows)
+
+
+def _curves():
+    lat = PicardLattice(("H",))
+    plane_quintic = custom(
+        dimension=1,
+        lattice=lat,
+        form=IntersectionForm.rank_one(lat, 1, 1),
+        canonical=lat.make([10]),
+        nef=Cone(lat, ((1,),)),
+    )
+    return [projective_space(1), curve(2), abelian(1), plane_quintic]
+
+
+@pytest.mark.parametrize("i", range(4))
+@pytest.mark.parametrize("j", range(4))
+def test_products_of_curves_and_their_blowups_get_no_divisibility(i, j):
+    surface = product(_curves()[i], _curves()[j])
+    assert surface.form.gcd() == 1
+    rules = {c.rule for c in resolve(surface).certificates}
+    assert "reider-divisible" not in rules
+    rules = {c.rule for c in resolve(blowup_point(surface)).certificates}
+    assert "blowup-reider-mod24" not in rules
+    with pytest.raises(PipelineError, match="gcd 1;"):
+        pipeline_n2k1(surface)
+
+
+def test_blowup_of_a_zero_form_surface_gets_no_mod24_certificate():
+    # 0 is divisible by 24, but no projective surface has a zero form
+    report = evaluate(
+        parse(
+            "let S = custom(dimension = 2, basis = [H], gram = [[0]], canonical = H)\n"
+            "let B = blowup_point(S)\n"
+            "compute B\n"
+        )
+    )
+    (row,) = report.rows
+    assert row.error is None and row.verified is True
+    assert (row.interval.lo, row.interval.hi) == (1, 3)
+    rules = {c.rule for c in row.interval.certificates}
+    assert "blowup-reider-mod24" not in rules
+    assert "reider-divisible" not in rules
+    mod24 = next(
+        c
+        for c in resolve(pipeline_n2k1(synthetic_mod24_surface()).descriptor).certificates
+        if c.rule == "blowup-reider-mod24"
+    )
+    lat = PicardLattice(("H",))
+    zero = custom(dimension=2, lattice=lat,
+                  form=IntersectionForm.rank_one(lat, 2, 0), canonical=lat.make([1]))
+    assert not verify_certificate(blowup_point(zero), mod24)
+    with pytest.raises(PipelineError, match="gcd 0"):
+        pipeline_n2k1(zero)
 
 
 # ------------------------------------------------------------- double cover

@@ -27,13 +27,7 @@ from confn.descriptors import (
 )
 from confn.dsl import BoolValue, DivisorValue, IntValue, ListValue, NameValue, Span
 from confn.kunneth import h0_sign
-from confn.lattice import (
-    DivisibilityAnnotation,
-    FullLattice,
-    IntersectionForm,
-    PicardLattice,
-    Sublattice,
-)
+from confn.lattice import IntersectionForm, PicardLattice
 from confn.pipelines import PipelineResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -53,9 +47,6 @@ def _records() -> dict:
         lat,
         lat.make([1]),
         IntersectionForm.rank_one(lat, 1, 1),
-        FullLattice(),
-        Sublattice((lat.make([1]),)),
-        DivisibilityAnnotation(2),
         desc.nef,
         threshold,
         threshold.per_functional[0],
@@ -95,7 +86,7 @@ MUTABLE = {"AssertionResult", "VarietyRow", "Report"}
 
 
 def test_every_record_class_is_listed_once():
-    assert len(RECORDS) == 36
+    assert len(RECORDS) == 33
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
