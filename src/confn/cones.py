@@ -460,7 +460,7 @@ class Cone(Frozen):
         return tuple([_value(support, coeffs) for support in self.supports])
 
     def values(self, cls_: DivisorClass) -> tuple[int, ...]:
-        if cls_.lattice.uid != self.lattice.uid:
+        if cls_.lattice is not self.lattice:
             raise LatticeError("divisor class lives off the cone's lattice")
         return self.values_at(cls_.coeffs)
 

@@ -23,14 +23,10 @@ from __future__ import annotations
 
 from .cones import Cone, product_cone
 from .descriptors import (
-    ABELIAN,
     Assertion,
     DescriptorError,
     ExactEqualsNef,
-    Flag,
-    IRREGULARITY_ZERO,
     Provenance,
-    TORIC,
     UnderApprox,
     UnknownGG,
     VarietyDescriptor,
@@ -97,7 +93,7 @@ def box_sum(desc: VarietyDescriptor, *parts: DivisorClass) -> DivisorClass:
         )
     coeffs: list[int] = []
     for (offset, parent), part in zip(blocks, parts):
-        if part.lattice.uid != parent.lattice.uid:
+        if part.lattice is not parent.lattice:
             raise DescriptorError("factor class lives on the wrong lattice")
         coeffs.extend(part.coeffs)
     return desc.lattice.make(coeffs)
@@ -141,11 +137,7 @@ def product(
             for b in known_gg_representatives(y)
         ]
         gg = UnderApprox(tuple(reps)) if reps else UnknownGG()
-    flags: set[Flag] = set()
-    if x.has_flag("toric") and y.has_flag("toric"):
-        flags.add(TORIC)
-    if x.has_flag("irregularity_zero") and y.has_flag("irregularity_zero"):
-        flags.add(IRREGULARITY_ZERO)
+    flags = x.flags & y.flags & {"toric", "irregularity_zero"}
     assertions = ()
     if no_common_isogeny_factor:
         assertions = (
@@ -194,10 +186,8 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
     entries[(n, n)] = -1
     form = IntersectionForm.from_entries(lat, 2, entries)
     canonical = lat.make(tuple(s.canonical.coeffs) + (1,))
-    flags = set()
-    if s.has_flag("irregularity_zero"):
-        # the irregularity is a birational invariant of smooth surfaces
-        flags.add(IRREGULARITY_ZERO)
+    # the irregularity is a birational invariant of smooth surfaces
+    flags = s.flags & {"irregularity_zero"}
     e_class = lat.basis_class(n)
     return VarietyDescriptor(
         dimension=2,
@@ -253,7 +243,7 @@ def hypersurface_section(
 
     if y.dimension != 3:
         raise DescriptorError("hypersurface sections are taken in threefolds only")
-    if ample.lattice.uid != y.lattice.uid:
+    if ample.lattice is not y.lattice:
         raise DescriptorError("the ample class lives off the parent lattice")
     _require_ample(y, ample, "section class", assume_ample)
     upper = resolve(y).hi
@@ -269,10 +259,8 @@ def hypersurface_section(
     canonical = lat.make(
         tuple(a + b for a, b in zip(y.canonical.coeffs, section.coeffs))
     )
-    flags = {Flag("very_general_nl")}
-    if y.has_flag("irregularity_zero"):
-        # Kodaira vanishing on the parent kills h^1 of the section
-        flags.add(IRREGULARITY_ZERO)
+    # Kodaira vanishing on the parent kills h^1 of the section
+    flags = {"very_general_nl"} | (y.flags & {"irregularity_zero"})
     ample_premise = (
         "the adjoint is strictly inside the parent nef cone"
         if y.nef is not None
@@ -337,7 +325,7 @@ def cyclic_cover(
     """
     if degree < 2:
         raise DescriptorError(f"cover degree must be >= 2, got {degree}")
-    if branch.lattice.uid != y.lattice.uid:
+    if branch.lattice is not y.lattice:
         raise DescriptorError("the branch class lives off the parent lattice")
     assume = tuple(assume)
     for name in assume:
@@ -389,11 +377,9 @@ def cyclic_cover(
         lat.make(c.coeffs) for c in known_gg_representatives(y)
     ]
     gg = UnderApprox(tuple(reps)) if reps else UnknownGG()
-    flags = set()
-    if y.has_flag("irregularity_zero"):
-        # h^1 of the cover splits as h^1(O_Y) plus h^1 of negative ample
-        # powers, and the latter vanish by Kodaira
-        flags.add(IRREGULARITY_ZERO)
+    # h^1 of the cover splits as h^1(O_Y) plus h^1 of negative ample
+    # powers, and the latter vanish by Kodaira
+    flags = y.flags & {"irregularity_zero"}
     pi1_note = (
         "fundamental group equals that of the parent (covers totally branched "
         "over an ample divisor, dimension >= 3)"

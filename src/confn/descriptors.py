@@ -2,12 +2,13 @@
 
 A descriptor bundles the dimension, the Picard lattice, the intersection
 form, the canonical class, what is known about the nef cone, and what is
-known about global generation, together with flags (toric, irregularity
-zero, abelian, curve genus, very general in the sense of
-Noether-Lefschetz).  The lattice stands for the whole Neron-Severi
-lattice, so divisibility of intersection numbers is read from the form;
-a curve's is generated by a point, so a curve form whose degrees have a
-gcd other than 1 is refused.  Knowledge is explicit: the nef cone is
+known about global generation, together with flags, which are plain
+names: "toric", "irregularity_zero", "abelian" and "very_general_nl"
+(very general in the sense of Noether-Lefschetz).  The lattice stands for
+the whole Neron-Severi lattice, so divisibility of intersection numbers
+is read from the form, and a form with no nonzero entry is refused; a
+curve's lattice is generated by a point, so a curve form whose degrees
+have a gcd other than 1 is refused.  Knowledge is explicit: the nef cone is
 either a concrete cone or unknown, and the set of globally generated
 classes is either exactly the nef cone (with a recorded justification),
 a finite under-approximation, or unknown.  Nothing downstream is allowed
@@ -30,34 +31,6 @@ from .lattice import DivisorClass, IntersectionForm, PicardLattice
 
 class DescriptorError(ValueError):
     """Raised when descriptor data is inconsistent or a gate fails."""
-
-
-class Flag(Frozen):
-    """A named property of a descriptor; flags compare and hash by value."""
-
-    __slots__ = ("kind", "value")
-
-    def __init__(self, kind: str, value: int | str | None = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.value) == (other.kind, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.value))
-
-
-TORIC = Flag("toric")
-IRREGULARITY_ZERO = Flag("irregularity_zero")
-ABELIAN = Flag("abelian")
-VERY_GENERAL_NL = Flag("very_general_nl")
-
-
-def curve_flag(genus: int) -> Flag:
-    return Flag("curve", genus)
 
 
 class ExactEqualsNef(Frozen):
@@ -146,7 +119,7 @@ class VarietyDescriptor(Frozen):
         canonical: DivisorClass,
         nef: Cone | None,
         gg: GGStatus,
-        flags: frozenset[Flag] = frozenset(),
+        flags: frozenset[str] = frozenset(),
         provenance: Provenance = Provenance("custom"),
         known_effective: tuple[tuple[DivisorClass, str], ...] = (),
     ) -> None:
@@ -168,7 +141,7 @@ class VarietyDescriptor(Frozen):
                 f"form degree {self.form.degree} does not match dimension "
                 f"{self.dimension}"
             )
-        if self.form.lattice.uid != self.lattice.uid:
+        if self.form.lattice is not self.lattice:
             raise DescriptorError("intersection form lives on a different lattice")
         if self.dimension == 1 and self.form.gcd() != 1:
             # a point has degree 1; a coarser lattice would fake divisibility
@@ -177,9 +150,14 @@ class VarietyDescriptor(Frozen):
                 "a curve's lattice must contain a point class of degree 1, but "
                 f"its degrees have gcd {self.form.gcd()}"
             )
-        if self.canonical.lattice.uid != self.lattice.uid:
+        if self.form.gcd() == 0:
+            raise DescriptorError(
+                "every intersection number is 0, but an ample class has a "
+                "positive top self-intersection"
+            )
+        if self.canonical.lattice is not self.lattice:
             raise DescriptorError("canonical class lives on a different lattice")
-        if self.nef is not None and self.nef.lattice.uid != self.lattice.uid:
+        if self.nef is not None and self.nef.lattice is not self.lattice:
             raise DescriptorError("nef cone lives on a different lattice")
         if isinstance(self.gg, ExactEqualsNef):
             if self.nef is None:
@@ -193,19 +171,16 @@ class VarietyDescriptor(Frozen):
                 )
         if isinstance(self.gg, UnderApprox):
             for cls_ in self.gg.classes:
-                if cls_.lattice.uid != self.lattice.uid:
+                if cls_.lattice is not self.lattice:
                     raise DescriptorError(
                         "globally generated class lives on a different lattice"
                     )
         for cls_, _note in self.known_effective:
-            if cls_.lattice.uid != self.lattice.uid:
+            if cls_.lattice is not self.lattice:
                 raise DescriptorError("effective class lives on a different lattice")
-        for flag in self.flags:
-            if flag.kind == "curve" and self.dimension != 1:
-                raise DescriptorError("curve flag on a descriptor of dimension > 1")
 
     def _exact_gg_justified(self) -> bool:
-        if TORIC in self.flags:
+        if "toric" in self.flags:
             return True
         if self.lattice.rank == 1 and isinstance(self.gg, ExactEqualsNef):
             return bool(self.gg.justification)
@@ -218,15 +193,6 @@ class VarietyDescriptor(Frozen):
     @property
     def rank(self) -> int:
         return self.lattice.rank
-
-    def has_flag(self, kind: str) -> bool:
-        return any(f.kind == kind for f in self.flags)
-
-    def flag_value(self, kind: str):
-        for f in self.flags:
-            if f.kind == kind:
-                return f.value
-        raise KeyError(kind)
 
 
 def is_known_gg(desc: VarietyDescriptor, cls_: DivisorClass) -> bool:
@@ -272,9 +238,6 @@ def projective_space(n: int) -> VarietyDescriptor:
     if n < 1:
         raise DescriptorError(f"projective space needs n >= 1, got {n}")
     lat = PicardLattice(("H",))
-    flags = {TORIC, IRREGULARITY_ZERO}
-    if n == 1:
-        flags.add(curve_flag(0))
     return VarietyDescriptor(
         dimension=n,
         lattice=lat,
@@ -282,7 +245,7 @@ def projective_space(n: int) -> VarietyDescriptor:
         canonical=lat.make([-(n + 1)]),
         nef=Cone(lat, ((1,),)),
         gg=ExactEqualsNef("line bundles on projective space: O(a) is globally generated iff a >= 0"),
-        flags=frozenset(flags),
+        flags=frozenset({"toric", "irregularity_zero"}),
         provenance=Provenance(
             "projective_space",
             parameters=(("n", str(n)),),
@@ -323,9 +286,9 @@ def complete_intersection(
         top *= d
     lat = PicardLattice(("H",))
     k_coeff = sum(degrees) - (n + r + 1)
-    flags = {IRREGULARITY_ZERO}
+    flags = {"irregularity_zero"}
     if very_general:
-        flags.add(VERY_GENERAL_NL)
+        flags.add("very_general_nl")
     return VarietyDescriptor(
         dimension=n,
         lattice=lat,
@@ -382,7 +345,7 @@ def hirzebruch1() -> VarietyDescriptor:
             irredundancy_witnesses=((-1, 0), (1, 0)),
         ),
         gg=ExactEqualsNef("toric: nef line bundles on a smooth toric variety are globally generated"),
-        flags=frozenset({TORIC, IRREGULARITY_ZERO}),
+        flags=frozenset({"toric", "irregularity_zero"}),
         provenance=Provenance("hirzebruch1", note="rational, simply connected"),
     )
 
@@ -409,7 +372,7 @@ def del_pezzo7() -> VarietyDescriptor:
             irredundancy_witnesses=((0, 1, 0), (0, 0, 1), (-1, 0, 0)),
         ),
         gg=ExactEqualsNef("toric: nef line bundles on a smooth toric variety are globally generated"),
-        flags=frozenset({TORIC, IRREGULARITY_ZERO}),
+        flags=frozenset({"toric", "irregularity_zero"}),
         provenance=Provenance("del_pezzo7", note="rational, simply connected"),
     )
 
@@ -425,14 +388,11 @@ def curve(genus: int) -> VarietyDescriptor:
     if genus < 0:
         raise DescriptorError(f"genus must be nonnegative, got {genus}")
     lat = PicardLattice(("H",))
-    flags = {curve_flag(genus)}
+    flags: frozenset[str] = frozenset()
+    gg: GGStatus = UnknownGG()
     if genus == 0:
-        flags.add(IRREGULARITY_ZERO)
-    gg: GGStatus
-    if genus == 0:
+        flags = frozenset({"irregularity_zero"})
         gg = ExactEqualsNef("degree-a bundles on P^1 are globally generated iff a >= 0")
-    else:
-        gg = UnknownGG()
     return VarietyDescriptor(
         dimension=1,
         lattice=lat,
@@ -440,59 +400,31 @@ def curve(genus: int) -> VarietyDescriptor:
         canonical=lat.make([2 * genus - 2]),
         nef=Cone(lat, ((1,),)),
         gg=gg,
-        flags=frozenset(flags),
+        flags=flags,
         provenance=Provenance("curve", parameters=(("genus", str(genus)),)),
     )
 
 
-def abelian(
-    n: int,
-    lattice: PicardLattice | None = None,
-    form: IntersectionForm | None = None,
-    nef: Cone | None = None,
-) -> VarietyDescriptor:
-    """An abelian variety of dimension n; the canonical class is zero.
+def abelian(n: int) -> VarietyDescriptor:
+    """A principally polarized abelian variety of dimension n.
 
-    The default polarization data is a rank-1 lattice with top
-    self-intersection n! (a principal polarization).  Global generation
-    is genuinely non-numerical here and stays unknown.
+    The lattice has rank 1, the top self-intersection of its generator H
+    is n! and the canonical class is zero.  Global generation is
+    genuinely non-numerical here and stays unknown.
     """
     if n < 1:
         raise DescriptorError("abelian varieties have dimension >= 1")
-    if lattice is None:
-        lattice = PicardLattice(("H",))
-        form = IntersectionForm.rank_one(lattice, n, math.factorial(n))
-        nef = Cone(lattice, ((1,),))
-    if form is None:
-        raise DescriptorError("a custom abelian lattice needs a form")
-    desc = VarietyDescriptor(
+    lat = PicardLattice(("H",))
+    return VarietyDescriptor(
         dimension=n,
-        lattice=lattice,
-        form=form,
-        canonical=lattice.zero(),
-        nef=nef,
+        lattice=lat,
+        form=IntersectionForm.rank_one(lat, n, math.factorial(n)),
+        canonical=lat.zero(),
+        nef=Cone(lat, ((1,),)),
         gg=UnknownGG(),
-        flags=frozenset({ABELIAN}),
+        flags=frozenset({"abelian"}),
         provenance=Provenance("abelian", parameters=(("n", str(n)),)),
     )
-    _check_ample_interior(desc)
-    return desc
-
-
-def _check_ample_interior(desc: VarietyDescriptor) -> None:
-    """Reject a nef cone whose interior point has non-positive top
-    self-intersection; only the constructors that take a nef cone from
-    the caller need the check."""
-    if desc.nef is not None:
-        # an interior class of a nef cone is ample, so its top power is positive
-        point = desc.lattice.make(desc.nef.first_interior_point())
-        top = desc.form.self_intersection(point, desc.dimension)
-        if top <= 0:
-            raise DescriptorError(
-                f"the nef cone's interior class {point} has top "
-                f"self-intersection {top}, but an ample class needs a "
-                f"positive one"
-            )
 
 
 def custom(
@@ -506,7 +438,11 @@ def custom(
     known_effective=(),
     note: str = "",
 ) -> VarietyDescriptor:
-    """Fully explicit descriptor; every invariant is validated on entry."""
+    """Fully explicit descriptor; every invariant is validated on entry.
+
+    The nef cone comes from the caller, so its interior point must also
+    have a positive top self-intersection, as an ample class does.
+    """
     desc = VarietyDescriptor(
         dimension=dimension,
         lattice=lattice,
@@ -518,5 +454,13 @@ def custom(
         known_effective=tuple(known_effective),
         provenance=Provenance("custom", note=note),
     )
-    _check_ample_interior(desc)
+    if nef is not None:
+        point = lattice.make(nef.first_interior_point())
+        top = form.self_intersection(point, dimension)
+        if top <= 0:
+            raise DescriptorError(
+                f"the nef cone's interior class {point} has top "
+                f"self-intersection {top}, but an ample class needs a "
+                f"positive one"
+            )
     return desc

@@ -85,10 +85,10 @@ class DslError(ValueError):
 # equal, while IntValue(1) and BoolValue(True) are not.
 
 
-class IntValue(Frozen):
+class _Value(Frozen):
     __slots__ = ("value", "span")
 
-    def __init__(self, value: int, span: Span) -> None:
+    def __init__(self, value, span: Span) -> None:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "span", span)
 
@@ -101,72 +101,30 @@ class IntValue(Frozen):
         return hash((self.value,))
 
 
-class BoolValue(Frozen):
-    __slots__ = ("value", "span")
-
-    def __init__(self, value: bool, span: Span) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
+class IntValue(_Value):
+    __slots__ = ()
 
 
-class NameValue(Frozen):
+class BoolValue(_Value):
+    __slots__ = ()
+
+
+class NameValue(_Value):
     """A bare identifier: a descriptor reference, basis name, or flag."""
 
-    __slots__ = ("name", "span")
-
-    def __init__(self, name: str, span: Span) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
+    __slots__ = ()
 
 
-class DivisorValue(Frozen):
+class DivisorValue(_Value):
     """Integer combination of basis names, e.g. ((3,"H"), (-1,"E1"))."""
 
-    __slots__ = ("terms", "span")
-
-    def __init__(self, terms: tuple[tuple[int, str], ...], span: Span) -> None:
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
+    __slots__ = ()
 
 
-class ListValue(Frozen):
-    __slots__ = ("items", "span")
+class ListValue(_Value):
+    """A tuple of value nodes."""
 
-    def __init__(self, items: tuple, span: Span) -> None:
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash((self.items,))
+    __slots__ = ()
 
 
 class Argument(Frozen):

@@ -173,7 +173,7 @@ def _rule_curve(desc: VarietyDescriptor):
 
 def _product_gate(desc: VarietyDescriptor) -> str | None:
     """Why the product's upper bound holds, or None when nothing grants it."""
-    if any(p.has_flag("irregularity_zero") for p in desc.provenance.parents):
+    if any("irregularity_zero" in p.flags for p in desc.provenance.parents):
         return "a factor has irregularity zero"
     if any(a.name == "no_common_isogeny_factor" for a in desc.provenance.assertions):
         return "asserted: the factors share no nonzero isogeny factor"
@@ -308,7 +308,7 @@ def _rule_reider_divisible(desc: VarietyDescriptor):
     # The lattice is the whole Neron-Severi lattice, so d = gcd divides
     # (L^2) > 0 and (L.E), (E^2) for every curve E: d >= 5 rules out
     # Reider's exceptional curves.  Curves are admitted only with gcd 1,
-    # so a product of curves has gcd 1; a zero form grants nothing.
+    # so a product of curves has gcd 1; no zero form is admitted.
     modulus = desc.form.gcd()
     if modulus < 5:
         return [], []
@@ -386,7 +386,7 @@ def divisible_by_24(surface: VarietyDescriptor) -> bool:
     surface; any nonzero multiple of 24 serves, since the residue
     argument only reads pairings modulo 24.  Like ``reider-divisible`` it
     relies on the lattice being the whole Neron-Severi lattice.  A zero
-    form grants nothing.
+    form, which admission refuses, grants nothing here either.
     """
     modulus = surface.form.gcd()
     return modulus != 0 and modulus % 24 == 0
@@ -499,7 +499,7 @@ def resolve(desc: VarietyDescriptor, enabled=None) -> FujitaInterval:
     if lo > hi:
         raise InconsistencyError(_crossed_dump(desc, lo, hi, certs))
     if (
-        desc.has_flag("toric")
+        "toric" in desc.flags
         and lo == hi == desc.dimension + 1
         and desc.provenance.constructor != "projective_space"
     ):
@@ -807,7 +807,7 @@ _RULES = {
         Rule("reider-surface", _rule_reider_surface, _verify_reider_surface),
         _premise_bound(
             "abelian-bound",
-            lambda desc: desc.has_flag("abelian"),
+            lambda desc: "abelian" in desc.flags,
             lambda desc: 2,
             "Bauer-Szemberg 1996: on an abelian variety the product of two or "
             "more ample bundles is globally generated, and the canonical class "
@@ -815,7 +815,7 @@ _RULES = {
         ),
         _premise_bound(
             "toric-adjoint",
-            lambda desc: desc.has_flag("toric"),
+            lambda desc: "toric" in desc.flags,
             lambda desc: desc.dimension + 1,
             "Mustata 2002, toric adjoint freeness: the adjoint of n + 1 ample "
             "bundles on a smooth projective toric variety is globally generated",

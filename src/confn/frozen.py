@@ -1,7 +1,8 @@
 """The base class of the package's immutable value classes.
 
-A subclass lists its fields in ``__slots__`` and sets them in ``__init__``
-through ``object.__setattr__``; after that, assigning or deleting an
+A subclass lists its fields in ``__slots__`` (a subclass of a subclass
+lists only the fields it adds) and sets them in ``__init__`` through
+``object.__setattr__``; after that, assigning or deleting an
 attribute raises AttributeError.  The methods are written out, not
 generated with ``exec`` when the module is imported, so that a short
 command-line run does not pay for building them on every start.
@@ -20,7 +21,8 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(
             f"{name}={getattr(self, name)!r}"
-            for name in self.__slots__
+            for cls in reversed(type(self).__mro__)
+            for name in getattr(cls, "__slots__", ())
             if not name.startswith("_")
         )
         return f"{type(self).__name__}({fields})"

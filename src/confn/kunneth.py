@@ -43,7 +43,7 @@ class H0Fact(Frozen):
 
 
 def h0_sign(desc: VarietyDescriptor, cls_: DivisorClass) -> H0Fact:
-    if cls_.lattice.uid != desc.lattice.uid:
+    if cls_.lattice is not desc.lattice:
         raise ValueError("bundle class lives off the descriptor's lattice")
     value, trace = _sign(desc, cls_, depth=0)
     return H0Fact(bundle=cls_.pretty(), value=value, trace=tuple(trace))

@@ -16,13 +16,16 @@ permutation of the arguments must agree.
 
 Divisibility of intersection numbers is read from the form itself: the
 gcd of its stored entries divides every evaluation.
+
+A lattice is its own identity: two lattices with the same basis are
+different lattices, and a class, form or cone built on one is refused by
+the other.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 
 from .frozen import Frozen
 
@@ -31,29 +34,16 @@ class LatticeError(ValueError):
     """Raised for rank/lattice mismatches and malformed form data."""
 
 
-_uid_counter = itertools.count(1)
-_uid_lock = threading.Lock()
-
-
-def _next_uid() -> int:
-    # Identifier allocation is the only synchronized step in the whole
-    # engine; every value below is immutable once constructed.
-    with _uid_lock:
-        return next(_uid_counter)
-
-
 class PicardLattice(Frozen):
     """Free Z-lattice of algebraic divisor classes with a named basis.
 
-    Lattices compare and hash by their basis; ``uid`` tells apart two
-    lattices with the same basis.
+    Lattices compare and hash by identity.
     """
 
-    __slots__ = ("basis", "uid")
+    __slots__ = ("basis",)
 
-    def __init__(self, basis: tuple[str, ...], uid: int | None = None) -> None:
+    def __init__(self, basis: tuple[str, ...]) -> None:
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "uid", _next_uid() if uid is None else uid)
         if not basis:
             raise LatticeError("a Picard lattice needs at least one basis class")
         if len(set(basis)) != len(basis):
@@ -61,14 +51,6 @@ class PicardLattice(Frozen):
         for name in basis:
             if not name.isidentifier():
                 raise LatticeError(f"basis name {name!r} is not an identifier")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash((self.basis,))
 
     @property
     def rank(self) -> int:
@@ -103,7 +85,7 @@ class DivisorClass(Frozen):
                 raise LatticeError(f"non-integer coefficient {c!r}")
 
     def _check_same(self, other: "DivisorClass") -> None:
-        if self.lattice.uid != other.lattice.uid:
+        if self.lattice is not other.lattice:
             raise LatticeError("divisor classes live on different lattices")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -243,7 +225,7 @@ class IntersectionForm(Frozen):
                 f"form of degree {self.degree} applied to {len(classes)} classes"
             )
         for cls_ in classes:
-            if cls_.lattice.uid != self.lattice.uid:
+            if cls_.lattice is not self.lattice:
                 raise LatticeError("divisor class lives on a different lattice")
         rank = self.lattice.rank
         total = 0
@@ -294,7 +276,7 @@ class IntersectionForm(Frozen):
         """Plug one fixed class into the last slot, lowering the degree by 1."""
         if self.degree < 2:
             raise LatticeError("cannot contract a degree-1 form")
-        if fixed.lattice.uid != self.lattice.uid:
+        if fixed.lattice is not self.lattice:
             raise LatticeError("contraction class lives on a different lattice")
         rank = self.lattice.rank
         entries: dict[tuple[int, ...], int] = {}

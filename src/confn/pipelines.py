@@ -91,7 +91,7 @@ def pipeline_n3k1(s: VarietyDescriptor, polarization) -> PipelineResult:
             f"the surface resolves to an upper bound of {s_iv.hi}; the "
             "construction needs an upper bound of at most 2"
         )
-    if polarization.lattice.uid != s.lattice.uid:
+    if polarization.lattice is not s.lattice:
         raise PipelineError("the polarization lives off the surface lattice")
     if s.nef is None or not s.nef.strictly_contains(polarization):
         raise PipelineError(

@@ -25,7 +25,6 @@ from .cones import Cone, ConeError
 from .constructions import blowup_point, cyclic_cover, hypersurface_section, product
 from .descriptors import (
     DescriptorError,
-    IRREGULARITY_ZERO,
     VarietyDescriptor,
     abelian,
     complete_intersection,
@@ -191,24 +190,24 @@ def _as_bool(node) -> bool:
 def _as_int_list(node) -> tuple[int, ...]:
     if not isinstance(node, ListValue):
         raise DslError(TYPE, "expected a list of integers", node.span)
-    return tuple(_as_int(item) for item in node.items)
+    return tuple(_as_int(item) for item in node.value)
 
 
 def _as_ident_list(node) -> tuple[str, ...]:
     if not isinstance(node, ListValue):
         raise DslError(TYPE, "expected a list of names", node.span)
     out = []
-    for item in node.items:
+    for item in node.value:
         if not isinstance(item, NameValue):
             raise DslError(TYPE, "expected a bare name", item.span)
-        out.append(item.name)
+        out.append(item.value)
     return tuple(out)
 
 
 def _as_rows(node) -> tuple[tuple[int, ...], ...]:
     if not isinstance(node, ListValue):
         raise DslError(TYPE, "expected a list of integer rows", node.span)
-    return tuple(_as_int_list(item) for item in node.items)
+    return tuple(_as_int_list(item) for item in node.value)
 
 
 def _as_descriptor(node, env: dict) -> VarietyDescriptor:
@@ -218,36 +217,36 @@ def _as_descriptor(node, env: dict) -> VarietyDescriptor:
             "expected the name of a previously defined descriptor",
             node.span,
         )
-    if node.name not in env:
-        raise DslError(dsl.NAME, f"{node.name!r} is not defined", node.span)
-    if env[node.name] is None:
+    if node.value not in env:
+        raise DslError(dsl.NAME, f"{node.value!r} is not defined", node.span)
+    if env[node.value] is None:
         raise DslError(
             dsl.NAME,
-            f"{node.name!r} failed to evaluate and cannot be used",
+            f"{node.value!r} failed to evaluate and cannot be used",
             node.span,
             "fix the earlier error first",
         )
-    return env[node.name].descriptor
+    return env[node.value].descriptor
 
 
 def _as_divisor(node, lattice: PicardLattice) -> DivisorClass:
     basis = lattice.basis
     hint = "basis names here: " + ", ".join(basis)
     if isinstance(node, NameValue):
-        if node.name not in basis:
+        if node.value not in basis:
             raise DslError(
-                TYPE, f"{node.name!r} is not a basis name of this lattice",
+                TYPE, f"{node.value!r} is not a basis name of this lattice",
                 node.span, hint,
             )
         coeffs = [0] * len(basis)
-        coeffs[basis.index(node.name)] = 1
+        coeffs[basis.index(node.value)] = 1
         return lattice.make(coeffs)
     if not isinstance(node, DivisorValue):
         raise DslError(
             TYPE, "expected a divisor literal such as 3*H - E1", node.span, hint
         )
     coeffs = [0] * len(basis)
-    for coeff, name in node.terms:
+    for coeff, name in node.value:
         if name not in basis:
             raise DslError(
                 TYPE, f"{name!r} is not a basis name of this lattice",
@@ -286,7 +285,7 @@ def _without_ample(node) -> tuple[str, ...]:
     return tuple(name for name in _as_ident_list(node) if name != "ample")
 
 
-_CUSTOM_FLAGS = {"irregularity_zero": IRREGULARITY_ZERO}
+_CUSTOM_FLAGS = ("irregularity_zero",)
 _CUSTOM_PARAMS = ("dimension", "basis", "gram", "canonical", "nef", "flags")
 
 
@@ -311,17 +310,15 @@ def _custom(**args):
     nef = None
     if "nef" in args:
         nef = Cone(lat, _as_rows(args["nef"]))
-    flags = []
-    if "flags" in args:
-        for name in _as_ident_list(args["flags"]):
-            if name not in _CUSTOM_FLAGS:
-                raise DslError(
-                    TYPE,
-                    f"unsupported flag {name!r}",
-                    args["flags"].span,
-                    "supported: " + ", ".join(sorted(_CUSTOM_FLAGS)),
-                )
-            flags.append(_CUSTOM_FLAGS[name])
+    flags = _as_ident_list(args["flags"]) if "flags" in args else ()
+    for name in flags:
+        if name not in _CUSTOM_FLAGS:
+            raise DslError(
+                TYPE,
+                f"unsupported flag {name!r}",
+                args["flags"].span,
+                "supported: " + ", ".join(_CUSTOM_FLAGS),
+            )
     return custom(
         dimension=dimension,
         lattice=lat,
@@ -439,9 +436,9 @@ def _construction_key(constructor: str, nodes: dict, env: dict) -> tuple:
         if (
             coerce is _as_descriptor
             and isinstance(node, NameValue)
-            and env.get(node.name) is not None
+            and env.get(node.value) is not None
         ):
-            key.append(id(env[node.name]))
+            key.append(id(env[node.value]))
         else:
             key.append(node)
     return tuple(key)

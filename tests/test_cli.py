@@ -126,12 +126,14 @@ def test_statement_error_exits_1(tmp_path, capsys):
     ample = "but an ample class needs a positive one"
     cases = [
         ("abelian(0)", "abelian varieties have dimension >= 1"),
-        # an interior class of a nef cone is ample, so its top power is positive
+        # a zero form is refused before the nef cone is looked at
         (
             "custom(dimension = 2, basis = [H], gram = [[0]], canonical = 0*H, "
             "nef = [[1]])",
-            f"the nef cone's interior class H has top self-intersection 0, {ample}",
+            "every intersection number is 0, but an ample class has a positive "
+            "top self-intersection",
         ),
+        # an interior class of a nef cone is ample, so its top power is positive
         (
             "custom(dimension = 2, basis = [H], gram = [[-2]], canonical = 0*H, "
             "nef = [[1]])",

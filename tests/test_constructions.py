@@ -88,15 +88,15 @@ def test_product_canonical_and_nef():
     assert prod.nef.contains(prod.lattice.make([1, 1, 1]))
     assert not prod.nef.contains(prod.lattice.make([1, 1, -1]))
     assert isinstance(prod.gg, ExactEqualsNef)
-    assert prod.has_flag("toric")
+    assert "toric" in prod.flags
 
 
 def test_product_flag_and_gg_degradation():
     ab = abelian(1)
     p1 = projective_space(1)
     prod = product(ab, p1)
-    assert not prod.has_flag("toric")
-    assert not prod.has_flag("irregularity_zero")
+    assert "toric" not in prod.flags
+    assert "irregularity_zero" not in prod.flags
     # the abelian factor contributes no certified classes
     assert isinstance(prod.gg, UnknownGG)
 
@@ -186,8 +186,8 @@ def test_section_numbers_on_quadric():
     assert s.form.gcd() == 10
     assert isinstance(s.gg, UnderApprox)
     assert [c.coeffs for c in s.gg.classes] == [(2,)]
-    assert s.has_flag("very_general_nl")
-    assert s.has_flag("irregularity_zero")
+    assert "very_general_nl" in s.flags
+    assert "irregularity_zero" in s.flags
 
 
 def test_section_degree_gate():
@@ -226,7 +226,7 @@ def test_cover_scales_form_and_shifts_canonical():
     assert [a.name for a in x.provenance.assertions] == ["pic_pullback_iso"]
     assert x.nef is not None
     assert x.nef.contains(hh)
-    assert x.has_flag("irregularity_zero")
+    assert "irregularity_zero" in x.flags
 
 
 def test_cover_data_round_trip():

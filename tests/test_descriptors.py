@@ -4,10 +4,6 @@ import pytest
 
 from confn.cones import Cone
 from confn.descriptors import (
-    ABELIAN,
-    IRREGULARITY_ZERO,
-    TORIC,
-    VERY_GENERAL_NL,
     DescriptorError,
     ExactEqualsNef,
     UnderApprox,
@@ -38,12 +34,8 @@ def test_projective_space_invariants(n):
     args = [p.lattice.make([1])] * n
     assert p.form.evaluate(*args) == 1
     assert isinstance(p.gg, ExactEqualsNef)
-    assert p.has_flag("toric")
-    assert p.has_flag("irregularity_zero")
-    if n == 1:
-        assert p.flag_value("curve") == 0
-    else:
-        assert not p.has_flag("curve")
+    assert "toric" in p.flags
+    assert "irregularity_zero" in p.flags
 
 
 def test_projective_space_rejects_n0():
@@ -61,13 +53,13 @@ def test_complete_intersection_frozen_values():
     ci = complete_intersection(3, (2, 2))
     assert ci.canonical.coeffs == (-2,)
     assert ci.form.evaluate(*[ci.lattice.make([1])] * 3) == 4
-    assert not ci.has_flag("toric")
-    assert ci.has_flag("irregularity_zero")
+    assert "toric" not in ci.flags
+    assert "irregularity_zero" in ci.flags
 
 
 def test_complete_intersection_surface_gate():
     s = complete_intersection(2, (5,), very_general=True)
-    assert VERY_GENERAL_NL in s.flags
+    assert "very_general_nl" in s.flags
     assert s.form.gcd() == 5
     with pytest.raises(DescriptorError):
         complete_intersection(2, (5,))  # very_general not asserted
@@ -101,7 +93,7 @@ def test_hirzebruch1_frozen():
     assert f1.nef is not None
     assert f1.nef.contains(f1.lattice.make([1, 1]))
     assert not f1.nef.contains(f1.lattice.make([2, 1]))
-    assert TORIC in f1.flags
+    assert "toric" in f1.flags
 
 
 def test_del_pezzo7_frozen():
@@ -118,12 +110,11 @@ def test_curve_genus_dependence():
     rational = curve(0)
     assert rational.canonical.coeffs == (-2,)
     assert isinstance(rational.gg, ExactEqualsNef)
-    assert IRREGULARITY_ZERO in rational.flags
+    assert "irregularity_zero" in rational.flags
     elliptic = curve(1)
     assert elliptic.canonical.coeffs == (0,)
     assert isinstance(elliptic.gg, UnknownGG)
-    assert not elliptic.has_flag("irregularity_zero")
-    assert curve(3).flag_value("curve") == 3
+    assert "irregularity_zero" not in elliptic.flags
     with pytest.raises(DescriptorError):
         curve(-1)
 
@@ -133,21 +124,21 @@ def test_abelian_defaults():
     assert a.canonical.coeffs == (0,)
     h = a.lattice.make([1])
     assert a.form.evaluate(h, h, h) == 6  # 3!
-    assert ABELIAN in a.flags
+    assert "abelian" in a.flags
     assert isinstance(a.gg, UnknownGG)
-    lat = PicardLattice(("H",))
     with pytest.raises(DescriptorError):
-        abelian(2, lattice=lat)  # custom lattice without a form
+        abelian(0)
 
 
-def test_abelian_rejects_a_nef_interior_that_is_not_ample():
+def test_custom_rejects_a_nef_interior_that_is_not_ample():
     # an interior class of a nef cone is ample, so its top power is positive
     lat = PicardLattice(("H",))
     with pytest.raises(DescriptorError) as err:
-        abelian(
-            2,
+        custom(
+            dimension=2,
             lattice=lat,
             form=IntersectionForm.rank_one(lat, 2, -2),
+            canonical=lat.zero(),
             nef=Cone(lat, ((1,),)),
         )
     assert str(err.value) == (
@@ -262,8 +253,6 @@ def test_a_curve_lattice_must_reach_a_point(degrees):
     )
     with pytest.raises(DescriptorError, match="point class of degree 1"):
         custom(dimension=1, lattice=lat, form=form, canonical=lat.zero())
-    with pytest.raises(DescriptorError, match="point class of degree 1"):
-        abelian(1, lattice=lat, form=form)
 
 
 @pytest.mark.parametrize("degrees", [(1,), (-1,), (2, 3)])
@@ -274,20 +263,6 @@ def test_a_curve_lattice_with_a_point_is_admitted(degrees):
     )
     desc = custom(dimension=1, lattice=lat, form=form, canonical=lat.zero())
     assert desc.form.gcd() == 1
-
-
-def test_curve_flag_restricted_to_dimension_one():
-    lat, form = _surface_parts()
-    from confn.descriptors import curve_flag
-
-    with pytest.raises(DescriptorError):
-        custom(
-            dimension=2,
-            lattice=lat,
-            form=form,
-            canonical=lat.zero(),
-            flags=(curve_flag(2),),
-        )
 
 
 def test_provenance_parameter_lookup():

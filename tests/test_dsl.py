@@ -50,7 +50,7 @@ def test_keyword_arguments_and_lists():
     (let,) = program.statements
     kw = {a.keyword: a.value for a in let.arguments if a.keyword}
     assert isinstance(kw["degrees"], ListValue)
-    assert [item.value for item in kw["degrees"].items] == [2, 2]
+    assert [item.value for item in kw["degrees"].value] == [2, 2]
     assert isinstance(kw["very_general"], BoolValue)
     assert kw["very_general"].value is False
 
@@ -65,7 +65,7 @@ def test_divisor_literals():
     _, let = program.statements
     div = let.arguments[1].value
     assert isinstance(div, DivisorValue)
-    assert div.terms == ((3, "H"), (-1, "E1"), (-1, "E2"))
+    assert div.value == ((3, "H"), (-1, "E1"), (-1, "E2"))
 
 
 def test_divisor_leading_minus_and_bare_name():
@@ -73,7 +73,7 @@ def test_divisor_leading_minus_and_bare_name():
     program = parse("let Y = cyclic_cover(X, branch = -2*A + B, degree = 2)")
     (let,) = program.statements
     div = let.arguments[1].value
-    assert div.terms == ((-2, "A"), (1, "B"))
+    assert div.value == ((-2, "A"), (1, "B"))
     single = parse("let Z = cyclic_cover(W, branch = F, degree = 3)")
     (let2,) = single.statements
     assert isinstance(let2.arguments[1].value, NameValue)

@@ -7,7 +7,9 @@ import pytest
 from confn.certificates import LOWER, UPPER, Certificate
 from confn.constructions import blowup_point, cyclic_cover, product
 from confn.descriptors import (
+    DescriptorError,
     ExactEqualsNef,
+    VarietyDescriptor,
     abelian,
     complete_intersection,
     curve,
@@ -119,12 +121,6 @@ def test_exact_threshold_abstains_without_exact_gg():
     assert not any(c.rule == "exact-threshold" for c in interval.certificates)
 
 
-def _toric_flags():
-    from confn.descriptors import TORIC
-
-    return (TORIC,)
-
-
 def test_exact_threshold_inconclusive_advisory():
     lat = PicardLattice(("A", "B"))
     desc = custom(
@@ -134,7 +130,7 @@ def test_exact_threshold_inconclusive_advisory():
         canonical=lat.make([-1, 0]),
         nef=Cone(lat, ((1, 0), (-10, 1))),
         gg=ExactEqualsNef("toric: nef implies globally generated"),
-        flags=_toric_flags(),
+        flags=("toric",),
     )
     # no interior point has sup-norm 6 or less, yet the threshold is exact
     interval = resolve(desc)
@@ -290,6 +286,17 @@ def _rank_one_surface(top):
     )
 
 
+def _unadmitted(desc, **fields):
+    """A copy of ``desc`` with some fields replaced and no admission checks,
+    for the data admission refuses; its memos start empty."""
+    out = object.__new__(VarietyDescriptor)
+    for name in VarietyDescriptor.__slots__:
+        object.__setattr__(out, name, fields.get(name, getattr(desc, name)))
+    object.__setattr__(out, "_intervals", {})
+    object.__setattr__(out, "_verdicts", {})
+    return out
+
+
 @pytest.mark.parametrize("top, hi", [(5, 1), (7, 1), (9, 1), (2, 2), (4, 2)])
 def test_rank_one_surface_reads_divisibility_from_its_form(top, hi):
     # on a rank-1 lattice every pairing is a multiple of (H^2)
@@ -322,15 +329,12 @@ def test_verifier_rejects_tampered_divisibility_modulus():
     assert not verify_certificate(desc, forged(7))  # does not divide (H^2)
     assert not verify_certificate(desc, forged(20))
     assert not verify_certificate(desc, forged(2))  # divides, but below 5
-    # a zero form grants no divisibility, though 0 % 24 == 0
-    lat = PicardLattice(("H",))
-    zero = custom(dimension=2, lattice=lat,
-                  form=IntersectionForm.rank_one(lat, 2, 0), canonical=lat.make([1]))
+    # admission refuses a zero form; the verifier, which never trusts
+    # admission, grants one no divisibility either, though 0 % 24 == 0
+    with pytest.raises(DescriptorError, match="every intersection number is 0"):
+        _rank_one_surface(0)
+    zero = _unadmitted(desc, form=desc.form.scaled(0))
     assert zero.form.gcd() == 0
-    assert not any(
-        c.rule == "reider-divisible"
-        for c in resolve(zero, enabled={"reider-divisible"}).certificates
-    )
     assert not verify_certificate(zero, forged(24))
 
 
@@ -505,7 +509,7 @@ def test_toric_extremal_value_outside_projective_space_raises():
         canonical=lat.make([-3]),
         nef=Cone(lat, ((1,),)),
         gg=ExactEqualsNef("toric: nef implies globally generated"),
-        flags=_toric_flags(),
+        flags=("toric",),
     )
     with pytest.raises(InconsistencyError) as err:
         resolve(fake)

@@ -4,6 +4,7 @@ import pytest
 
 from confn.certificates import LOWER, UPPER
 from confn.descriptors import (
+    VarietyDescriptor,
     abelian,
     complete_intersection,
     curve,
@@ -172,7 +173,8 @@ def test_products_of_curves_and_their_blowups_get_no_divisibility(i, j):
 
 
 def test_blowup_of_a_zero_form_surface_gets_no_mod24_certificate():
-    # 0 is divisible by 24, but no projective surface has a zero form
+    # 0 is divisible by 24, but no projective surface has a zero form, so
+    # admission refuses one and nothing is built on it
     report = evaluate(
         parse(
             "let S = custom(dimension = 2, basis = [H], gram = [[0]], canonical = H)\n"
@@ -180,20 +182,27 @@ def test_blowup_of_a_zero_form_surface_gets_no_mod24_certificate():
             "compute B\n"
         )
     )
-    (row,) = report.rows
-    assert row.error is None and row.verified is True
-    assert (row.interval.lo, row.interval.hi) == (1, 3)
-    rules = {c.rule for c in row.interval.certificates}
-    assert "blowup-reider-mod24" not in rules
-    assert "reider-divisible" not in rules
+    errors = [row.error for row in report.rows]
+    assert errors == [
+        "every intersection number is 0, but an ample class has a positive "
+        "top self-intersection",
+        "name error at line 2, column 22: 'S' failed to evaluate and cannot be "
+        "used\n  hint: fix the earlier error first",
+    ]
+    # the gates never trust admission: a zero-form surface made without it
+    # still gets no mod-24 certificate on its blow-up, nor the pipeline
     mod24 = next(
         c
         for c in resolve(pipeline_n2k1(synthetic_mod24_surface()).descriptor).certificates
         if c.rule == "blowup-reider-mod24"
     )
-    lat = PicardLattice(("H",))
-    zero = custom(dimension=2, lattice=lat,
-                  form=IntersectionForm.rank_one(lat, 2, 0), canonical=lat.make([1]))
+    admitted = synthetic_mod24_surface()
+    zero = object.__new__(VarietyDescriptor)
+    for name in VarietyDescriptor.__slots__:
+        object.__setattr__(zero, name, getattr(admitted, name))
+    object.__setattr__(zero, "form", admitted.form.scaled(0))
+    object.__setattr__(zero, "_intervals", {})
+    object.__setattr__(zero, "_verdicts", {})
     assert not verify_certificate(blowup_point(zero), mod24)
     with pytest.raises(PipelineError, match="gcd 0"):
         pipeline_n2k1(zero)

@@ -3,8 +3,8 @@
 Every record is a plain class with ``__slots__``.  The frozen ones raise
 AttributeError on assignment and deletion; the runner's report rows stay
 mutable.  Value equality is kept where the package compares or hashes
-records (certificates, DSL value nodes, flags, intervals, lattices);
-every other record compares by identity.
+records (certificates, DSL value nodes, intervals); every other record,
+lattices included, compares by identity.  Flags are plain strings.
 """
 
 import subprocess
@@ -18,16 +18,17 @@ from confn.certificates import UPPER, Certificate
 from confn.cones import Cone
 from confn.descriptors import (
     Assertion,
+    DescriptorError,
     ExactEqualsNef,
-    Flag,
     Provenance,
     UnderApprox,
     UnknownGG,
+    VarietyDescriptor,
     projective_space,
 )
 from confn.dsl import BoolValue, DivisorValue, IntValue, ListValue, NameValue, Span
 from confn.kunneth import h0_sign
-from confn.lattice import IntersectionForm, PicardLattice
+from confn.lattice import IntersectionForm, LatticeError, PicardLattice
 from confn.pipelines import PipelineResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -51,7 +52,6 @@ def _records() -> dict:
         threshold,
         threshold.per_functional[0],
         Certificate(UPPER, "rule", 1, "citation"),
-        Flag("toric"),
         ExactEqualsNef("justified"),
         UnderApprox(()),
         UnknownGG(),
@@ -86,7 +86,7 @@ MUTABLE = {"AssertionResult", "VarietyRow", "Report"}
 
 
 def test_every_record_class_is_listed_once():
-    assert len(RECORDS) == 33
+    assert len(RECORDS) == 32
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -100,7 +100,9 @@ def test_records_are_slotted(name):
 @pytest.mark.parametrize("name", sorted(set(RECORDS) - MUTABLE))
 def test_frozen_records_refuse_assignment_and_deletion(name):
     record = RECORDS[name]
-    fields = type(record).__slots__ or ("anything",)
+    fields = [
+        field for cls in type(record).__mro__ for field in getattr(cls, "__slots__", ())
+    ] or ["anything"]
     for field in fields:
         before = getattr(record, field, None)
         with pytest.raises(AttributeError):
@@ -132,6 +134,7 @@ def test_report_rows_stay_mutable(name):
 )
 def test_value_nodes_compare_by_value_not_span(make, value, other):
     a, b = make(value, Span(1, 5)), make(value, Span(7, 2))
+    assert repr(a) == f"{make.__name__}(value={value!r}, span=Span(line=1, column=5))"
     assert a == b and hash(a) == hash(b)
     assert make(other, Span(1, 5)) != a
     assert len({a, b}) == 1
@@ -155,17 +158,30 @@ def test_certificates_compare_by_value():
     assert cert({"m": [True]}) != cert({"m": [1]})
 
 
-def test_picard_lattices_compare_by_basis_alone():
-    a, b = PicardLattice(("H", "E")), PicardLattice(("H", "E"))
-    assert a.uid != b.uid
-    assert a == b and hash(a) == hash(b)
-    assert a != PicardLattice(("H", "F"))
+def test_picard_lattices_with_one_basis_are_distinct():
+    a, b = PicardLattice(("H",)), PicardLattice(("H",))
+    assert a != b and a == a
+    assert len({a, b}) == 2
+    h = a.make([1])
+    with pytest.raises(LatticeError, match="different lattice"):
+        IntersectionForm.rank_one(b, 2, 1).evaluate(h, h)
+    with pytest.raises(LatticeError, match="off the cone's lattice"):
+        Cone(b, ((1,),)).contains(h)
+    with pytest.raises(DescriptorError, match="canonical class lives on a different"):
+        VarietyDescriptor(
+            dimension=2,
+            lattice=b,
+            form=IntersectionForm.rank_one(b, 2, 1),
+            canonical=h,
+            nef=Cone(b, ((1,),)),
+            gg=UnknownGG(),
+        )
 
 
 def test_flags_and_intervals_compare_by_value():
-    assert Flag("curve", 2) == Flag("curve", 2)
-    assert hash(Flag("curve", 2)) == hash(Flag("curve", 2))
-    assert Flag("curve", 2) != Flag("curve", 3)
+    # flags are names, so descriptors built apart share them by value
+    assert projective_space(2).flags == projective_space(3).flags
+    assert projective_space(2).flags == {"toric", "irregularity_zero"}
     assert engine.FujitaInterval(1, 2) == engine.FujitaInterval(1, 2)
     assert engine.FujitaInterval(1, 2) != engine.FujitaInterval(1, 3)
 
