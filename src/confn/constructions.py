@@ -188,7 +188,6 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
     canonical = lat.make(tuple(s.canonical.coeffs) + (1,))
     # the irregularity is a birational invariant of smooth surfaces
     flags = s.flags & {"irregularity_zero"}
-    e_class = lat.basis_class(n)
     return VarietyDescriptor(
         dimension=2,
         lattice=lat,
@@ -203,7 +202,6 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
             parameters=(("exceptional", e_name),),
             note="fundamental group unchanged under blow-up",
         ),
-        known_effective=((e_class, "exceptional curve of the blow-up, (E^2) = -1"),),
     )
 
 
@@ -260,7 +258,7 @@ def hypersurface_section(
         tuple(a + b for a, b in zip(y.canonical.coeffs, section.coeffs))
     )
     # Kodaira vanishing on the parent kills h^1 of the section
-    flags = {"very_general_nl"} | (y.flags & {"irregularity_zero"})
+    flags = y.flags & {"irregularity_zero"}
     ample_premise = (
         "the adjoint is strictly inside the parent nef cone"
         if y.nef is not None

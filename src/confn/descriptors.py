@@ -3,8 +3,7 @@
 A descriptor bundles the dimension, the Picard lattice, the intersection
 form, the canonical class, what is known about the nef cone, and what is
 known about global generation, together with flags, which are plain
-names: "toric", "irregularity_zero", "abelian" and "very_general_nl"
-(very general in the sense of Noether-Lefschetz).  The lattice stands for
+names: "toric", "irregularity_zero" and "abelian".  The lattice stands for
 the whole Neron-Severi lattice, so divisibility of intersection numbers
 is read from the form, and a form with no nonzero entry is refused; a
 curve's lattice is generated by a point, so a curve form whose degrees
@@ -93,6 +92,10 @@ class Provenance(Frozen):
         raise KeyError(key)
 
 
+# the rank-1 constructors whose globally generated cone is the nef cone
+_RANK_ONE_EXACT_GG = ("projective_space", "complete_intersection", "curve")
+
+
 class VarietyDescriptor(Frozen):
     __slots__ = (
         "dimension",
@@ -103,11 +106,9 @@ class VarietyDescriptor(Frozen):
         "gg",
         "flags",
         "provenance",
-        "known_effective",
-        # the engine's memos: resolved intervals keyed by the enabled rule
-        # set (None for all rules) and verification outcomes keyed by
-        # certificate
-        "_intervals",
+        # the engine's memos: the resolved interval (None until resolved)
+        # and verification outcomes keyed by certificate
+        "_interval",
         "_verdicts",
     )
 
@@ -121,7 +122,6 @@ class VarietyDescriptor(Frozen):
         gg: GGStatus,
         flags: frozenset[str] = frozenset(),
         provenance: Provenance = Provenance("custom"),
-        known_effective: tuple[tuple[DivisorClass, str], ...] = (),
     ) -> None:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "lattice", lattice)
@@ -131,8 +131,7 @@ class VarietyDescriptor(Frozen):
         object.__setattr__(self, "gg", gg)
         object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "known_effective", known_effective)
-        object.__setattr__(self, "_intervals", {})
+        object.__setattr__(self, "_interval", None)
         object.__setattr__(self, "_verdicts", {})
         if self.dimension < 1:
             raise DescriptorError("dimension must be at least 1")
@@ -166,8 +165,9 @@ class VarietyDescriptor(Frozen):
                 )
             if not self._exact_gg_justified():
                 raise DescriptorError(
-                    "ExactEqualsNef requires a toric flag, a justified rank-1 "
-                    "descriptor, or a product of such descriptors"
+                    "ExactEqualsNef requires a toric flag, a rank-1 descriptor "
+                    "from " + ", ".join(_RANK_ONE_EXACT_GG) + ", or a product "
+                    "of such descriptors"
                 )
         if isinstance(self.gg, UnderApprox):
             for cls_ in self.gg.classes:
@@ -175,15 +175,12 @@ class VarietyDescriptor(Frozen):
                     raise DescriptorError(
                         "globally generated class lives on a different lattice"
                     )
-        for cls_, _note in self.known_effective:
-            if cls_.lattice is not self.lattice:
-                raise DescriptorError("effective class lives on a different lattice")
 
     def _exact_gg_justified(self) -> bool:
         if "toric" in self.flags:
             return True
-        if self.lattice.rank == 1 and isinstance(self.gg, ExactEqualsNef):
-            return bool(self.gg.justification)
+        if self.lattice.rank == 1:
+            return self.provenance.constructor in _RANK_ONE_EXACT_GG
         if self.provenance.constructor == "product":
             return all(
                 isinstance(p.gg, ExactEqualsNef) for p in self.provenance.parents
@@ -286,9 +283,6 @@ def complete_intersection(
         top *= d
     lat = PicardLattice(("H",))
     k_coeff = sum(degrees) - (n + r + 1)
-    flags = {"irregularity_zero"}
-    if very_general:
-        flags.add("very_general_nl")
     return VarietyDescriptor(
         dimension=n,
         lattice=lat,
@@ -299,7 +293,7 @@ def complete_intersection(
             "Picard group generated by O(1) restricted to X; its multiples are "
             "globally generated iff the twist is nonnegative"
         ),
-        flags=frozenset(flags),
+        flags=frozenset({"irregularity_zero"}),
         provenance=Provenance(
             "complete_intersection",
             parameters=(
@@ -427,31 +421,41 @@ def abelian(n: int) -> VarietyDescriptor:
     )
 
 
+# the flags a library or DSL caller may state on a custom descriptor
+CUSTOM_FLAGS = ("irregularity_zero",)
+
+
 def custom(
     dimension: int,
     lattice: PicardLattice,
     form: IntersectionForm,
     canonical: DivisorClass,
     nef: Cone | None = None,
-    gg: GGStatus | None = None,
     flags=(),
-    known_effective=(),
     note: str = "",
 ) -> VarietyDescriptor:
     """Fully explicit descriptor; every invariant is validated on entry.
 
-    The nef cone comes from the caller, so its interior point must also
-    have a positive top self-intersection, as an ample class does.
+    It takes only what the DSL's ``custom`` can state: global generation
+    stays unknown, and the only flags are those in ``CUSTOM_FLAGS``, since
+    a rule's premise must come from a constructor that proves it.  The
+    nef cone comes from the caller, so its interior point must also have
+    a positive top self-intersection, as an ample class does.
     """
+    for name in flags:
+        if name not in CUSTOM_FLAGS:
+            raise DescriptorError(
+                f"unsupported flag {name!r}; custom takes only CUSTOM_FLAGS: "
+                + ", ".join(CUSTOM_FLAGS)
+            )
     desc = VarietyDescriptor(
         dimension=dimension,
         lattice=lattice,
         form=form,
         canonical=canonical,
         nef=nef,
-        gg=gg if gg is not None else UnknownGG(),
+        gg=UnknownGG(),
         flags=frozenset(flags),
-        known_effective=tuple(known_effective),
         provenance=Provenance("custom", note=note),
     )
     if nef is not None:

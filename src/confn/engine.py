@@ -18,9 +18,10 @@ Rules are applied in the fixed order of the rule table at the bottom of
 this module (exact rules, then structural rules, then dimension-generic
 rules, then the mod-24 blow-up rule), each paired in that table with the
 independent verifier that re-checks its certificates against the
-descriptor without trusting the resolver.  The resolver is monotone:
-enabling more rules can only shrink the interval, and a crossed interval
-is an internal error that aborts loudly with a diagnostic dump.
+descriptor without trusting the resolver.  Every rule runs on every
+descriptor, and the premises a rule reads come from the constructors
+that made it, never from the caller.  A crossed interval is an internal
+error that aborts loudly with a diagnostic dump.
 """
 
 from __future__ import annotations
@@ -257,26 +258,34 @@ def _rule_cover_degree(desc: VarietyDescriptor):
     return [cert], []
 
 
+def _exceptional_class(desc: VarietyDescriptor):
+    """The exceptional curve of a point blow-up, or None for any other descriptor."""
+    if desc.provenance.constructor != "blowup_point":
+        return None
+    name = desc.provenance.parameter("exceptional")
+    return desc.lattice.basis_class(desc.lattice.basis.index(name))
+
+
 def _rule_not_nef_witness(desc: VarietyDescriptor):
-    if desc.dimension != 2 or not desc.known_effective:
+    effective = _exceptional_class(desc)
+    if effective is None:
         return [], []
-    for effective, note in desc.known_effective:
-        pairing = desc.form.evaluate(desc.canonical, effective)
-        if pairing < 0:
-            cert = Certificate(
-                LOWER,
-                "not-nef-witness",
-                1,
-                "a globally generated class is nef, and nef classes pair "
-                "nonnegatively with effective curves",
-                premises=[f"effective class: {note}"],
-                witness={
-                    "effective_class": list(effective.coeffs),
-                    "pairing": pairing,
-                },
-            )
-            return [cert], []
-    return [], []
+    pairing = desc.form.evaluate(desc.canonical, effective)
+    if pairing >= 0:
+        return [], []
+    cert = Certificate(
+        LOWER,
+        "not-nef-witness",
+        1,
+        "a globally generated class is nef, and nef classes pair "
+        "nonnegatively with effective curves",
+        premises=["effective class: exceptional curve of the blow-up, (E^2) = -1"],
+        witness={
+            "effective_class": list(effective.coeffs),
+            "pairing": pairing,
+        },
+    )
+    return [cert], []
 
 
 def _rule_h0_vanishing(desc: VarietyDescriptor):
@@ -448,35 +457,25 @@ def _rule_blowup_mod24(desc: VarietyDescriptor):
     return [cert], []
 
 
-def resolve(desc: VarietyDescriptor, enabled=None) -> FujitaInterval:
+def resolve(desc: VarietyDescriptor) -> FujitaInterval:
     """Resolve the convex Fujita interval of a descriptor.
 
-    ``enabled`` restricts the optional rules run on this descriptor (the
-    universal bound always runs, so the interval stays finite); passing
-    None runs everything.  A rule reads only its descriptor, and one that
-    builds on a parent reads the parent's full resolution, so the rule set
-    never reaches the parents: every rule's certificates are the same
-    under any rule set, and the full resolution holds all of them.  Cone
-    queries are exact, so the interval depends only on the descriptor and
-    the rule set, and it is memoized on the descriptor per rule set.
+    Every rule runs, and a rule reads only its descriptor: one that builds
+    on a parent reads the parent's resolution.  Cone queries are exact, so
+    the interval depends only on the descriptor, and it is memoized on it.
     """
-    key = None if enabled is None else frozenset(enabled) | {"universal-angehrn-siu"}
-    if key in desc._intervals:
-        return desc._intervals[key]
+    if desc._interval is not None:
+        return desc._interval
     certs: list[Certificate] = []
     advisories: list[str] = []
     for rule in _RULES.values():
-        if rule.derive is not None and (key is None or rule.id in key):
+        if rule.derive is not None:
             new_certs, new_advisories = rule.derive(desc)
             certs.extend(new_certs)
             advisories.extend(new_advisories)
     hi = min(c.value for c in certs if c.kind == UPPER)
     lo = max([0] + [c.value for c in certs if c.kind == LOWER])
-    if (
-        hi == 1
-        and (key is None or "canonical-gg" in key)
-        and is_known_gg(desc, desc.canonical)
-    ):
+    if hi == 1 and is_known_gg(desc, desc.canonical):
         supporting = min(
             (c for c in certs if c.kind == UPPER), key=lambda c: c.value
         )
@@ -510,7 +509,7 @@ def resolve(desc: VarietyDescriptor, enabled=None) -> FujitaInterval:
             f"(constructor {desc.provenance.constructor!r})"
         )
     interval = FujitaInterval(lo, hi, tuple(certs), tuple(advisories))
-    desc._intervals[key] = interval
+    object.__setattr__(desc, "_interval", interval)
     return interval
 
 
@@ -667,13 +666,11 @@ def _verify_cover_degree(desc, cert):
 
 
 def _verify_not_nef(desc, cert):
-    if desc.dimension != 2 or cert.kind != LOWER or cert.value != 1:
+    effective = _exceptional_class(desc)
+    if effective is None or cert.kind != LOWER or cert.value != 1:
         return False
     data = cert.witness_data()
-    effective = desc.lattice.make(data["effective_class"])
-    if not any(
-        effective.coeffs == known.coeffs for known, _ in desc.known_effective
-    ):
+    if data["effective_class"] != list(effective.coeffs):
         return False
     pairing = desc.form.evaluate(desc.canonical, effective)
     return pairing == data["pairing"] and pairing < 0
@@ -754,10 +751,9 @@ class Rule(Frozen):
 
     ``derive(desc)`` returns (certificates, advisories) and reads nothing
     but the descriptor: a rule that builds on a parent reads the parent's
-    full resolution, so the rule set of a resolution only picks which
-    rules run on the descriptor asked about.  ``verify(desc, cert)``
-    re-checks one of its certificates.  A rule the resolver applies
-    inline, after the table, has no ``derive``.
+    resolution.  ``verify(desc, cert)`` re-checks one of its certificates.
+    A rule the resolver applies inline, after the table, has no
+    ``derive``.
     """
 
     __slots__ = ("id", "derive", "verify")
@@ -843,7 +839,3 @@ _RULES = {
 }
 
 RULE_IDS = tuple(rule.id for rule in _RULES.values() if rule.derive is not None)
-
-OPTIONAL_RULE_IDS = tuple(
-    rule_id for rule_id in RULE_IDS if rule_id != "universal-angehrn-siu"
-)

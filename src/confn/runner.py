@@ -24,6 +24,7 @@ from .certificates import LOWER, render_json
 from .cones import Cone, ConeError
 from .constructions import blowup_point, cyclic_cover, hypersurface_section, product
 from .descriptors import (
+    CUSTOM_FLAGS,
     DescriptorError,
     VarietyDescriptor,
     abelian,
@@ -285,7 +286,6 @@ def _without_ample(node) -> tuple[str, ...]:
     return tuple(name for name in _as_ident_list(node) if name != "ample")
 
 
-_CUSTOM_FLAGS = ("irregularity_zero",)
 _CUSTOM_PARAMS = ("dimension", "basis", "gram", "canonical", "nef", "flags")
 
 
@@ -312,12 +312,12 @@ def _custom(**args):
         nef = Cone(lat, _as_rows(args["nef"]))
     flags = _as_ident_list(args["flags"]) if "flags" in args else ()
     for name in flags:
-        if name not in _CUSTOM_FLAGS:
+        if name not in CUSTOM_FLAGS:
             raise DslError(
                 TYPE,
                 f"unsupported flag {name!r}",
                 args["flags"].span,
-                "supported: " + ", ".join(_CUSTOM_FLAGS),
+                "supported: " + ", ".join(CUSTOM_FLAGS),
             )
     return custom(
         dimension=dimension,

@@ -27,6 +27,7 @@ from confn.descriptors import (
     hirzebruch1,
     projective_space,
 )
+from confn.engine import resolve
 from confn.lattice import IntersectionForm, PicardLattice
 
 
@@ -140,7 +141,9 @@ def test_blowup_exceptional_numbers():
     assert up.form.evaluate(h, e) == 0
     assert up.nef is None
     assert isinstance(up.gg, UnknownGG)
-    assert [cls_.coeffs for cls_, _ in up.known_effective] == [(0, 0, 0, 1)]
+    # the exceptional curve is the effective class that K pairs negatively with
+    (cert,) = [c for c in resolve(up).certificates if c.rule == "not-nef-witness"]
+    assert cert.witness_data() == {"effective_class": [0, 0, 0, 1], "pairing": -1}
 
 
 def test_blowup_form_gcd_drops_to_one():
@@ -186,7 +189,7 @@ def test_section_numbers_on_quadric():
     assert s.form.gcd() == 10
     assert isinstance(s.gg, UnderApprox)
     assert [c.coeffs for c in s.gg.classes] == [(2,)]
-    assert "very_general_nl" in s.flags
+    assert [a.name for a in s.provenance.assertions] == ["very_general"]
     assert "irregularity_zero" in s.flags
 
 

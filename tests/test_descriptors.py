@@ -4,8 +4,10 @@ import pytest
 
 from confn.cones import Cone
 from confn.descriptors import (
+    CUSTOM_FLAGS,
     DescriptorError,
     ExactEqualsNef,
+    Provenance,
     UnderApprox,
     UnknownGG,
     VarietyDescriptor,
@@ -59,7 +61,7 @@ def test_complete_intersection_frozen_values():
 
 def test_complete_intersection_surface_gate():
     s = complete_intersection(2, (5,), very_general=True)
-    assert "very_general_nl" in s.flags
+    assert [a.name for a in s.provenance.assertions] == ["very_general"]
     assert s.form.gcd() == 5
     with pytest.raises(DescriptorError):
         complete_intersection(2, (5,))  # very_general not asserted
@@ -156,6 +158,30 @@ def _surface_parts():
     return lat, form
 
 
+def test_custom_refuses_flags_a_rule_would_trust():
+    # P^2's numbers, whose value is 3, must not borrow the abelian bound of 2
+    lat = PicardLattice(("H",))
+    with pytest.raises(DescriptorError, match="CUSTOM_FLAGS: irregularity_zero"):
+        custom(
+            dimension=2,
+            lattice=lat,
+            form=IntersectionForm.rank_one(lat, 2, 1),
+            canonical=lat.make([-3]),
+            nef=Cone(lat, ((1,),)),
+            flags=("abelian",),
+        )
+    assert CUSTOM_FLAGS == ("irregularity_zero",)
+    plain = custom(
+        dimension=2,
+        lattice=lat,
+        form=IntersectionForm.rank_one(lat, 2, 1),
+        canonical=lat.make([-3]),
+        flags=CUSTOM_FLAGS,
+    )
+    assert plain.flags == frozenset(CUSTOM_FLAGS)
+    assert isinstance(plain.gg, UnknownGG)
+
+
 def test_descriptor_rejects_degree_mismatch():
     lat, form = _surface_parts()
     with pytest.raises(DescriptorError):
@@ -222,6 +248,20 @@ def test_exact_gg_needs_nef_and_justification():
             nef=Cone(lat, ((1, 0), (0, 1))),
             gg=ExactEqualsNef("asserted without justification category"),
         )
+    # rank 1: a justification string is no ground; only the constructors
+    # that prove the equality may claim it
+    rank_one = PicardLattice(("H",))
+    with pytest.raises(DescriptorError, match="projective_space"):
+        VarietyDescriptor(
+            dimension=2,
+            lattice=rank_one,
+            form=IntersectionForm.rank_one(rank_one, 2, 3),
+            canonical=rank_one.make([1]),
+            nef=Cone(rank_one, ((1,),)),
+            gg=ExactEqualsNef("trust me"),
+            provenance=Provenance("custom"),
+        )
+    assert isinstance(projective_space(2).gg, ExactEqualsNef)
 
 
 def test_divisibility_is_read_from_the_form():
@@ -285,11 +325,12 @@ def test_is_known_gg_exact_case():
 def test_is_known_gg_under_approx():
     lat, form = _surface_parts()
     good = lat.make([1, 1])
-    desc = custom(
+    desc = VarietyDescriptor(
         dimension=2,
         lattice=lat,
         form=form,
         canonical=lat.zero(),
+        nef=None,
         gg=UnderApprox((good,)),
     )
     assert is_known_gg(desc, lat.make([1, 1]))

@@ -1,11 +1,9 @@
 """Resolver rules, refinement, error paths, and the certificate verifier."""
 
-import random
-
 import pytest
 
 from confn.certificates import LOWER, UPPER, Certificate
-from confn.constructions import blowup_point, cyclic_cover, product
+from confn.constructions import blowup_point, cyclic_cover, hypersurface_section, product
 from confn.descriptors import (
     DescriptorError,
     ExactEqualsNef,
@@ -19,7 +17,6 @@ from confn.descriptors import (
     projective_space,
 )
 from confn.engine import (
-    OPTIONAL_RULE_IDS,
     RULE_IDS,
     FujitaInterval,
     InconsistencyError,
@@ -28,7 +25,6 @@ from confn.engine import (
 )
 from confn.cones import Cone
 from confn.lattice import IntersectionForm, PicardLattice
-from confn.pipelines import synthetic_mod24_surface
 
 
 def _assert_all_verified(desc, interval):
@@ -93,7 +89,7 @@ def test_str_rendering():
 
 
 def test_exact_threshold_emits_both_sides():
-    interval = resolve(projective_space(2), enabled={"exact-threshold"})
+    interval = resolve(projective_space(2))
     kinds = {(c.rule, c.kind) for c in interval.certificates}
     assert ("exact-threshold", UPPER) in kinds
     assert ("exact-threshold", LOWER) in kinds
@@ -109,7 +105,7 @@ def test_exact_threshold_emits_both_sides():
 
 def test_exact_threshold_no_lower_at_zero():
     quintic = complete_intersection(3, (5,))
-    interval = resolve(quintic, enabled={"exact-threshold"})
+    interval = resolve(quintic)
     rules = [(c.rule, c.kind) for c in interval.certificates]
     assert ("exact-threshold", UPPER) in rules
     assert ("exact-threshold", LOWER) not in rules
@@ -117,20 +113,20 @@ def test_exact_threshold_no_lower_at_zero():
 
 
 def test_exact_threshold_abstains_without_exact_gg():
-    interval = resolve(abelian(2), enabled={"exact-threshold"})
+    interval = resolve(abelian(2))
     assert not any(c.rule == "exact-threshold" for c in interval.certificates)
 
 
 def test_exact_threshold_inconclusive_advisory():
     lat = PicardLattice(("A", "B"))
-    desc = custom(
+    desc = VarietyDescriptor(
         dimension=2,
         lattice=lat,
         form=IntersectionForm.from_gram(lat, [[1, 1], [1, 0]]),
         canonical=lat.make([-1, 0]),
         nef=Cone(lat, ((1, 0), (-10, 1))),
         gg=ExactEqualsNef("toric: nef implies globally generated"),
-        flags=("toric",),
+        flags=frozenset({"toric"}),
     )
     # no interior point has sup-norm 6 or less, yet the threshold is exact
     interval = resolve(desc)
@@ -147,7 +143,7 @@ def test_curve_rule_parity_advisories():
         form=IntersectionForm.rank_one(lat, 1, 1),
         canonical=lat.make([1]),
     )
-    interval = resolve(odd, enabled={"curve-genus"})
+    interval = resolve(odd)
     assert any("2g - 2" in a for a in interval.advisories)
     assert not any(c.rule == "curve-genus" for c in interval.certificates)
     low = custom(
@@ -156,7 +152,7 @@ def test_curve_rule_parity_advisories():
         form=IntersectionForm.rank_one(lat, 1, 1),
         canonical=lat.make([-10]),
     )
-    interval_low = resolve(low, enabled={"curve-genus"})
+    interval_low = resolve(low)
     assert any("2g - 2" in a for a in interval_low.advisories)
 
 
@@ -243,13 +239,13 @@ def test_not_nef_witness_on_blowup():
 
 
 def test_not_nef_abstains_without_effective_data():
-    interval = resolve(del_pezzo7(), enabled={"not-nef-witness"})
+    interval = resolve(del_pezzo7())
     assert not any(c.rule == "not-nef-witness" for c in interval.certificates)
 
 
 def test_h0_vanishing_on_products_and_covers():
     f1xp1 = product(hirzebruch1(), projective_space(1))
-    interval = resolve(f1xp1, enabled={"h0-vanishing"})
+    interval = resolve(f1xp1)
     cert = next(c for c in interval.certificates if c.rule == "h0-vanishing")
     assert cert.kind == LOWER and cert.value == 1
     assert any("one factor vanishes" in line for line in cert.witness_data()["trace"])
@@ -258,20 +254,20 @@ def test_h0_vanishing_on_products_and_covers():
     deep = cyclic_cover(p4, p4.lattice.make([1]), 7)
     assert not any(
         c.rule == "h0-vanishing"
-        for c in resolve(deep, enabled={"h0-vanishing"}).certificates
+        for c in resolve(deep).certificates
     )
 
 
 def test_reider_divisible_needs_modulus_five():
     quintic = complete_intersection(2, (5,), very_general=True)
-    interval = resolve(quintic, enabled={"reider-divisible"})
+    interval = resolve(quintic)
     cert = next(c for c in interval.certificates if c.rule == "reider-divisible")
     assert cert.value == 1
     assert cert.witness_data()["modulus"] == 5
     quartic = complete_intersection(2, (4,), very_general=True)
     assert not any(
         c.rule == "reider-divisible"
-        for c in resolve(quartic, enabled={"reider-divisible"}).certificates
+        for c in resolve(quartic).certificates
     )
 
 
@@ -292,7 +288,7 @@ def _unadmitted(desc, **fields):
     out = object.__new__(VarietyDescriptor)
     for name in VarietyDescriptor.__slots__:
         object.__setattr__(out, name, fields.get(name, getattr(desc, name)))
-    object.__setattr__(out, "_intervals", {})
+    object.__setattr__(out, "_interval", None)
     object.__setattr__(out, "_verdicts", {})
     return out
 
@@ -316,7 +312,7 @@ def test_verifier_rejects_tampered_divisibility_modulus():
     desc = _rank_one_surface(10)
     cert = next(
         c
-        for c in resolve(desc, enabled={"reider-divisible"}).certificates
+        for c in resolve(desc).certificates
         if c.rule == "reider-divisible"
     )
     assert cert.witness_data() == {"modulus": 10}
@@ -340,7 +336,7 @@ def test_verifier_rejects_tampered_divisibility_modulus():
 
 def test_reider_surface_clauses():
     quartic = complete_intersection(2, (4,), very_general=True)
-    interval = resolve(quartic, enabled={"reider-surface"})
+    interval = resolve(quartic)
     values = sorted(
         c.value for c in interval.certificates if c.rule == "reider-surface"
     )
@@ -355,13 +351,13 @@ def test_reider_surface_clauses():
     quintic = complete_intersection(2, (5,), very_general=True)
     two_q = next(
         c
-        for c in resolve(quintic, enabled={"reider-surface"}).certificates
+        for c in resolve(quintic).certificates
         if c.rule == "reider-surface" and c.value == 2
     )
     assert two_q.witness_data()["clause"] == "no-square-one-rank1"
 
     # del Pezzo: odd unimodular form, no clause applies, plain bound 3
-    dp_interval = resolve(del_pezzo7(), enabled={"reider-surface"})
+    dp_interval = resolve(del_pezzo7())
     dp_values = [
         c.value for c in dp_interval.certificates if c.rule == "reider-surface"
     ]
@@ -371,13 +367,13 @@ def test_reider_surface_clauses():
 
 def test_rank_one_square_one_decided_in_closed_form():
     # (H^2) = 1: H itself is ample of square 1, so no bound of 2 and no advisory
-    p2 = resolve(projective_space(2), enabled={"reider-surface"})
+    p2 = resolve(projective_space(2))
     assert [c.value for c in p2.certificates if c.rule == "reider-surface"] == [3]
     assert p2.advisories == ()
     quintic = complete_intersection(2, (5,), very_general=True)
     clauses = [
         c.witness_data().get("clause")
-        for c in resolve(quintic, enabled={"reider-surface"}).certificates
+        for c in resolve(quintic).certificates
     ]
     assert "no-square-one-rank1" in clauses
 
@@ -395,22 +391,35 @@ def test_dimension_generic_rules():
         c.rule == "threefold-helmke" and c.value == 4
         for c in resolve(complete_intersection(3, (3,))).certificates
     )
-    # the universal bound always runs, even with every optional rule off
-    bare = resolve(projective_space(6), enabled=frozenset())
-    assert [c.rule for c in bare.certificates] == ["universal-angehrn-siu"]
-    assert bare.hi == 22
-    assert resolve(hirzebruch1(), enabled=frozenset()).hi == 4
+    # the universal bound runs on every descriptor, whatever else applies
+    for desc, bound in ((projective_space(6), 22), (hirzebruch1(), 4)):
+        assert [
+            c.value
+            for c in resolve(desc).certificates
+            if c.rule == "universal-angehrn-siu"
+        ] == [bound]
+
+
+def _quadric_section():
+    """A section of 5H on the quadric threefold: (H^2) = 10 and K = 2H,
+    which the section records as globally generated."""
+    quadric = complete_intersection(3, (2,))
+    return hypersurface_section(quadric, quadric.lattice.make([1]), 5)
 
 
 def test_canonical_gg_refinement():
-    quintic = complete_intersection(2, (5,), very_general=True)
-    without = resolve(quintic, enabled={"reider-divisible"})
-    assert (without.lo, without.hi) == (0, 1)
-    with_ = resolve(quintic, enabled={"reider-divisible", "canonical-gg"})
-    assert (with_.lo, with_.hi) == (0, 0)
-    cert = next(c for c in with_.certificates if c.rule == "canonical-gg")
+    section = _quadric_section()
+    interval = resolve(section)
+    assert (interval.lo, interval.hi) == (0, 0)
+    # the table's rules stop at 1, and the canonical class closes the gap
+    assert min(
+        c.value
+        for c in interval.certificates
+        if c.kind == UPPER and c.rule != "canonical-gg"
+    ) == 1
+    cert = next(c for c in interval.certificates if c.rule == "canonical-gg")
     assert cert.witness_data()["supporting_rule"] == "reider-divisible"
-    assert verify_certificate(quintic, cert)
+    assert verify_certificate(section, cert)
 
 
 def test_canonical_gg_reverifies_supporting_certificate(monkeypatch):
@@ -422,10 +431,10 @@ def test_canonical_gg_reverifies_supporting_certificate(monkeypatch):
         "reider-divisible",
         engine.Rule(rule.id, rule.derive, lambda desc, cert: False),
     )
-    quintic = complete_intersection(2, (5,), very_general=True)
-    interval = resolve(quintic, enabled={"reider-divisible", "canonical-gg"})
+    section = _quadric_section()
+    interval = resolve(section)
     cert = next(c for c in interval.certificates if c.rule == "canonical-gg")
-    assert not verify_certificate(quintic, cert)
+    assert not verify_certificate(section, cert)
 
 
 def test_canonical_gg_skipped_when_canonical_not_certified():
@@ -454,47 +463,27 @@ def test_rule_order_is_stable():
         "universal-angehrn-siu",
         "blowup-reider-mod24",
     )
-    assert "universal-angehrn-siu" not in OPTIONAL_RULE_IDS
-
-
-def test_enabling_more_rules_only_shrinks():
-    rng = random.Random(991)
-    pool = tuple(OPTIONAL_RULE_IDS) + ("canonical-gg",)
-    descs = [
-        projective_space(2),
-        hirzebruch1(),
-        del_pezzo7(),
-        complete_intersection(2, (5,), very_general=True),
-        abelian(2),
-        product(hirzebruch1(), projective_space(1)),
-        blowup_point(synthetic_mod24_surface()),
-    ]
-    for _ in range(40):
-        small = frozenset(r for r in pool if rng.random() < 0.5)
-        large = small | frozenset(r for r in pool if rng.random() < 0.5)
-        for desc in descs:
-            a = resolve(desc, enabled=small)
-            b = resolve(desc, enabled=large)
-            assert b.lo >= a.lo
-            assert b.hi <= a.hi
-            assert 0 <= b.lo <= b.hi
 
 
 # ------------------------------------------------------ error paths
 
 
-def test_crossed_interval_raises_with_dump():
-    lat = PicardLattice(("H",))
-    crossed = custom(
-        dimension=1,
-        lattice=lat,
-        form=IntersectionForm.rank_one(lat, 1, 1),
-        canonical=lat.make([-10]),
-        nef=Cone(lat, ((1,),)),
-        gg=ExactEqualsNef("degree is the only invariant on a rank-1 curve lattice"),
+def test_crossed_interval_raises_with_dump(monkeypatch):
+    from confn import engine
+
+    # a rule gone wrong: a lower bound of 10 on P^1, whose upper bound is 2
+    rule = engine._RULES["not-nef-witness"]
+    monkeypatch.setitem(
+        engine._RULES,
+        "not-nef-witness",
+        engine.Rule(
+            rule.id,
+            lambda desc: ([Certificate(LOWER, rule.id, 10, "forced")], []),
+            rule.verify,
+        ),
     )
     with pytest.raises(InconsistencyError) as err:
-        resolve(crossed)
+        resolve(projective_space(1))
     message = str(err.value)
     assert "crossed interval" in message
     assert "lower bound 10" in message
@@ -502,14 +491,14 @@ def test_crossed_interval_raises_with_dump():
 
 def test_toric_extremal_value_outside_projective_space_raises():
     lat = PicardLattice(("H",))
-    fake = custom(
+    fake = VarietyDescriptor(
         dimension=2,
         lattice=lat,
         form=IntersectionForm.rank_one(lat, 2, 1),
         canonical=lat.make([-3]),
         nef=Cone(lat, ((1,),)),
         gg=ExactEqualsNef("toric: nef implies globally generated"),
-        flags=("toric",),
+        flags=frozenset({"toric"}),
     )
     with pytest.raises(InconsistencyError) as err:
         resolve(fake)
@@ -667,32 +656,19 @@ def test_verifier_rechecks_memoized_parent_interval(build):
     # carrying a tampered upper endpoint certificate
     parent, child, rule = build()
     certs = [c for c in resolve(child).certificates if c.rule == rule]
-    key = None  # the memo key of the full rule set
-    iv = parent._intervals[key]
+    iv = parent._interval
     upper = next(c for c in iv.certificates if c.kind == UPPER and c.value == iv.hi)
     assert upper.rule == "exact-threshold"
     bad = _tamper(upper, m_star=upper.value + 1)
-    parent._intervals[key] = FujitaInterval(
+    forged = FujitaInterval(
         iv.lo,
         iv.hi,
         tuple(bad if c is upper else c for c in iv.certificates),
         iv.advisories,
     )
-    assert resolve(parent) is parent._intervals[key]
+    object.__setattr__(parent, "_interval", forged)
+    assert resolve(parent) is forged
     assert not any(verify_certificate(child, c) for c in certs)
-
-
-def test_rule_subset_reads_full_parent_intervals():
-    # the rule set restricts only the rules run on the product itself
-    desc = product(hirzebruch1(), projective_space(1))
-    interval = resolve(desc, enabled={"product-combine"})
-    assert (interval.lo, interval.hi) == (2, 2)
-    _assert_all_verified(desc, interval)
-    assert [
-        c.witness_data()["factor_intervals"]
-        for c in interval.certificates
-        if c.rule == "product-combine"
-    ] == [[[2, 2], [2, 2]]] * 2
 
 
 def test_verifier_rejects_tampered_pairing():
@@ -711,7 +687,7 @@ def test_verifier_rejects_wrong_reider_clause():
     quintic = complete_intersection(2, (5,), very_general=True)
     cert = next(
         c
-        for c in resolve(quintic, enabled={"reider-surface"}).certificates
+        for c in resolve(quintic).certificates
         if c.rule == "reider-surface" and c.value == 2
     )
     assert verify_certificate(quintic, cert)
@@ -719,18 +695,14 @@ def test_verifier_rejects_wrong_reider_clause():
 
 
 def test_verifier_rejects_unsupported_canonical_gg():
-    quintic = complete_intersection(2, (5,), very_general=True)
+    section = _quadric_section()
     cert = next(
-        c
-        for c in resolve(
-            quintic, enabled={"reider-divisible", "canonical-gg"}
-        ).certificates
-        if c.rule == "canonical-gg"
+        c for c in resolve(section).certificates if c.rule == "canonical-gg"
     )
-    assert verify_certificate(quintic, cert)
+    assert verify_certificate(section, cert)
     bad = _tamper(cert, supporting_rule="universal-angehrn-siu")
-    assert not verify_certificate(quintic, bad)
-    assert not verify_certificate(quintic, _tamper(cert, supporting_rule="nope"))
+    assert not verify_certificate(section, bad)
+    assert not verify_certificate(section, _tamper(cert, supporting_rule="nope"))
 
 
 def test_every_corpus_certificate_verifies():

@@ -77,7 +77,6 @@ def rebase(desc, u, inverse):
     kept; a composite's provenance reads blocks of the old basis, so the
     rebased descriptor is a plain custom one.
     """
-    assert not desc.known_effective
     rank = desc.rank
     lat = PicardLattice(tuple(f"U{j}" for j in range(rank)))
     old_basis = [desc.lattice.make([row[j] for row in u]) for j in range(rank)]
@@ -107,7 +106,6 @@ def rebase(desc, u, inverse):
         gg=gg,
         flags=desc.flags,
         provenance=provenance,
-        known_effective=desc.known_effective,
     )
 
 

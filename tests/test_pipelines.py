@@ -201,7 +201,7 @@ def test_blowup_of_a_zero_form_surface_gets_no_mod24_certificate():
     for name in VarietyDescriptor.__slots__:
         object.__setattr__(zero, name, getattr(admitted, name))
     object.__setattr__(zero, "form", admitted.form.scaled(0))
-    object.__setattr__(zero, "_intervals", {})
+    object.__setattr__(zero, "_interval", None)
     object.__setattr__(zero, "_verdicts", {})
     assert not verify_certificate(blowup_point(zero), mod24)
     with pytest.raises(PipelineError, match="gcd 0"):

@@ -10,7 +10,7 @@ import pytest
 from confn import cones, engine, runner
 from confn.certificates import LOWER, Certificate
 from confn.cones import Cone
-from confn.descriptors import ExactEqualsNef, custom, projective_space
+from confn.descriptors import ExactEqualsNef, VarietyDescriptor, projective_space
 from confn.dsl import parse
 from confn.engine import FujitaInterval, resolve
 from confn.lattice import IntersectionForm, PicardLattice
@@ -567,14 +567,14 @@ def test_oracle_cross_check_branches():
 
 def test_oracle_skips_refutation_outside_its_box():
     lat = PicardLattice(("u", "v"))
-    desc = custom(
+    desc = VarietyDescriptor(
         dimension=3,
         lattice=lat,
         form=IntersectionForm.from_entries(lat, 3, {(0, 0, 0): 1}),
         canonical=lat.make([3, 0]),
         nef=Cone(lat, ((-1, -2), (2, 3))),  # no interior point of sup-norm <= 4
         gg=ExactEqualsNef("toric: nef implies globally generated"),
-        flags=("toric",),
+        flags=frozenset({"toric"}),
     )
     interval = resolve(desc)
     assert (interval.lo, interval.hi) == (3, 3)
