@@ -22,22 +22,40 @@ SCHEMA_VERSION = "1"
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 
-# the exact types of JSON leaves, so that a flat list is checked in one step
+# the exact types of JSON leaves, and of a plain dict key
 _LEAF_TYPES = frozenset((int, str, bool, type(None)))
+_STR_TYPE = frozenset((str,))
+_INT_TYPE = frozenset((int,))
+
+# decodes a witness text afresh on each call, so the caller owns the result
+_decode = json.JSONDecoder().raw_decode
 
 
 def _check_json(value) -> None:
-    if isinstance(value, dict):
+    # exact types first: a dict with plain string keys, a list or a tuple
+    # needs only its items that are not leaves walked
+    kind = type(value)
+    if kind is dict and _STR_TYPE.issuperset(map(type, value)):
+        items = value.values()
+    elif kind is list or kind is tuple:
+        items = value
+    elif isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"certificate witness keys are strings, not {key!r}")
             _check_json(item)
+        return
     elif isinstance(value, (list, tuple)):
-        if not _LEAF_TYPES.issuperset(map(type, value)):
-            for item in value:
-                _check_json(item)
-    elif not (isinstance(value, (str, int)) or value is None):
+        for item in value:
+            _check_json(item)
+        return
+    elif isinstance(value, (str, int)) or value is None:
+        return
+    else:
         raise TypeError(f"certificate witness data cannot hold {type(value).__name__}")
+    for item in items:
+        if type(item) not in _LEAF_TYPES:
+            _check_json(item)
 
 
 def _witness_text(value) -> str:
@@ -103,7 +121,7 @@ class Certificate(Frozen):
         return self._hash
 
     def witness_data(self) -> dict:
-        return json.loads(self.witness)
+        return _decode(self.witness)[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,7 +150,9 @@ def _render(value, nl: str, out: list, memo: dict) -> None:
     out when nested at the line break ``nl``.
 
     Leaf strings and dict keys, which must be strings, go through the C
-    ``encode_basestring_ascii``.  A Certificate renders as its
+    ``encode_basestring_ascii``.  An array whose items are all exactly
+    ``int``, or all exactly ``str``, is one ``join`` (a bool is neither,
+    so it still prints as true or false).  A Certificate renders as its
     ``to_json_dict()``, once per ``memo``: a reused certificate costs a dict
     lookup.
     """
@@ -163,7 +183,15 @@ def _render(value, nl: str, out: list, memo: dict) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        sep, comma = "[" + inner, "," + inner
+        comma = "," + inner
+        kinds = set(map(type, value))
+        if kinds == _INT_TYPE:
+            out.append("[" + inner + comma.join(map(int.__repr__, value)) + nl + "]")
+            return
+        if kinds == _STR_TYPE:
+            out.append("[" + inner + comma.join(map(_escape, value)) + nl + "]")
+            return
+        sep = "[" + inner
         for item in value:
             out.append(sep)
             _render(item, inner, out, memo)
@@ -182,12 +210,17 @@ def _render(value, nl: str, out: list, memo: dict) -> None:
         raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
-def render_json(value) -> str:
+def render_json(value, nl: str = "\n", memo: dict | None = None) -> str:
     """``json.dumps(value, indent=2)`` byte for byte, for dicts with string
     keys, lists, tuples, strings, ints, bools and None; Certificates render
-    as their ``to_json_dict()``, each distinct one once."""
+    as their ``to_json_dict()``, each distinct one once.
+
+    ``nl`` is the line break the value is nested at, so the text can be
+    spliced into a larger document; calls that pass one ``memo`` render
+    each distinct certificate once between them.
+    """
     out: list[str] = []
-    _render(value, "\n", out, {})
+    _render(value, nl, out, {} if memo is None else memo)
     return "".join(out)
 
 

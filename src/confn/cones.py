@@ -349,10 +349,12 @@ class Cone(Frozen):
     ((-a,),) in closed form, and every other cone finds them by an exact
     linear program.  ``supports[k]`` holds the nonzero (coordinate,
     coefficient) pairs of ``functionals[k]``; every evaluation reads it.
-    ``_memo`` keeps the answers of the queries below, keyed by query; a
-    frozen cone's answers never change.  ``_factors`` holds the factor
-    cones of a cone built by ``product_cone``, whose blocks it reuses,
-    and is empty otherwise.
+    ``_memo`` keeps the answers of the queries below, keyed by query,
+    among them, per radius, the refuter's results on each block, keyed by
+    canonical values and tuple size; a frozen cone's answers never
+    change.  ``_factors`` holds the factor cones of a cone built by
+    ``product_cone``, whose blocks and block results it reuses, and is
+    empty otherwise.
     """
 
     __slots__ = (
@@ -513,6 +515,25 @@ class Cone(Frozen):
             index0 += len(cone.functionals)
         return tuple(blocks)
 
+    def _searches(self, radius: int) -> tuple[dict, ...]:
+        """One dict per block of ``_blocks(radius)``, mapping (canonical
+        values, m) to the refuter's result on that block.  The dicts
+        belong to the cone that owns each block: a product shares its
+        factors' dicts, so a search its factor already ran is reused."""
+        return self._memoized(
+            ("searches", radius), lambda: self._fresh_searches(radius)
+        )
+
+    def _fresh_searches(self, radius: int) -> tuple[dict, ...]:
+        """An empty dict per block, or for a product its factors' dicts."""
+        if not self._factors:
+            return tuple({} for _ in self._blocks(radius))
+        return tuple(
+            itertools.chain.from_iterable(
+                cone._searches(radius) for cone in self._factors
+            )
+        )
+
     def first_interior_point(self) -> tuple[int, ...]:
         """The integral interior point found or checked at admission.
 
@@ -612,7 +633,9 @@ def brute_force_refute(
     with no interior point in the box leaves the whole cone without one,
     so nothing is refuted.  Subtrees are pruned only when suffix minima
     prove no completion can violate, so the search remains exhaustive
-    over the declared set.
+    over the declared set.  A block's search depends only on the block,
+    its canonical values and m, so it runs once on the cone that owns
+    the block: a product reuses the searches its factors already ran.
     """
     if m < 0:
         raise ValueError("tuple size must be nonnegative")
@@ -622,8 +645,13 @@ def brute_force_refute(
     blocks = cone._blocks(radius)
     if not all(points for _, _, points, _, _ in blocks):
         return None
-    for coords, indices, points, values, suffix_min in blocks:
-        hit = _refute_block(values, suffix_min, [k_vals[k] for k in indices], m)
+    searches = cone._searches(radius)
+    for (coords, indices, points, values, suffix_min), done in zip(blocks, searches):
+        key = (tuple([k_vals[k] for k in indices]), m)
+        if key in done:
+            hit = done[key]
+        else:
+            hit = done[key] = _refute_block(values, suffix_min, key[0], m)
         if hit is not None:
             break
     else:

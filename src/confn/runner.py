@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, NamedTuple
 
 from . import dsl
@@ -534,8 +535,6 @@ def _compute_row(
 ) -> None:
     """Fill ``row`` from its binding; ``oracle`` memoizes the cross-check
     by descriptor identity, so a shared descriptor is searched once."""
-    if row.interval is not None or row.error is not None:
-        return
     desc = binding.descriptor
     assert desc is not None
     row.dimension = desc.dimension
@@ -564,15 +563,23 @@ def _compute_row(
         row.internal = True
 
 
+# the fields of a row that depend only on its binding
+_BINDING_FIELDS = (
+    "dimension", "picard_rank", "provenance", "notes",
+    "interval", "verified", "error", "internal",
+)
+
+
 def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
     """Run a program and collect one row per named variety.
 
     Within one program, ``let``s with the same constructor and the same
-    arguments share one descriptor: names among the arguments compare by
-    what they are bound to.  The shared descriptor is built, resolved,
-    verified and cross-checked once, and each row is still reported under
-    its own name.  Only successful constructions are shared, so a
-    repeated failing ``let`` reports its own error.
+    arguments share one binding: names among the arguments compare by
+    what they are bound to.  The shared binding is built, resolved,
+    verified and cross-checked once, and every later row bound to it
+    copies the first row's fields, so each row is still reported under
+    its own name with its own assertions.  Only successful constructions
+    are shared, so a repeated failing ``let`` reports its own error.
 
     ``radius`` is accepted for compatibility and reaches no search: cone
     queries are exact.  ``max_m`` caps the brute-force oracle.
@@ -581,9 +588,11 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
     rows: dict[str, VarietyRow] = {}
     # None marks a definition that failed
     env: dict[str, PipelineResult | None] = {}
-    # construction key -> the binding it built; oracle verdicts by descriptor
+    # construction key -> the binding it built; oracle verdicts by
+    # descriptor; the first row computed from each binding, by its identity
     built: dict[tuple, PipelineResult] = {}
     oracle: dict[int, str | None] = {}
+    computed: dict[int, VarietyRow] = {}
     for stmt in program.statements:
         if isinstance(stmt, Let):
             try:
@@ -607,7 +616,14 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
         if binding is None:
             continue
         row = _row_for(report, rows, stmt.name)
-        _compute_row(row, binding, max_m, oracle)
+        if row.interval is None and row.error is None:
+            first = computed.get(id(binding))
+            if first is None:
+                _compute_row(row, binding, max_m, oracle)
+                computed[id(binding)] = row
+            else:
+                for field in _BINDING_FIELDS:
+                    setattr(row, field, getattr(first, field))
         if not isinstance(stmt, AssertConfn) or row.interval is None:
             continue
         interval = row.interval
@@ -738,43 +754,110 @@ def corpus(radius: int = 16, max_m: int = 6) -> Report:
 # emission -------------------------------------------------------------
 
 
-def _interval_json(interval: FujitaInterval | None):
+# a row nests at this line break inside "varieties", its fields one deeper
+_ROW_NL = "\n    "
+_FIELD_NL = _ROW_NL + "  "
+
+
+def _leaf_json(value, nl: str = _FIELD_NL) -> str:
+    """``render_json(value, nl)``, without its list for the usual leaves."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is str:
+        return _escape(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return render_json(value, nl)
+
+
+def _binding_json(row: VarietyRow, memo: dict) -> str:
+    """The text of a row from ``"dimension"`` through ``"provenance"``,
+    which depends only on the row's binding."""
+    interval = row.interval
     if interval is None:
-        return None
-    return {"lo": interval.lo, "hi": interval.hi, "exact": interval.exact}
+        certificates, advisories = [], []
+        interval_text = "null"
+    else:
+        certificates, advisories = interval.certificates, interval.advisories
+        interval_text = render_json(
+            {"lo": interval.lo, "hi": interval.hi, "exact": interval.exact},
+            _FIELD_NL,
+        )
+    return "".join((
+        ",", _FIELD_NL, '"dimension": ', _leaf_json(row.dimension),
+        ",", _FIELD_NL, '"picard_rank": ', _leaf_json(row.picard_rank),
+        ",", _FIELD_NL, '"interval": ', interval_text,
+        ",", _FIELD_NL, '"certificates": ', render_json(certificates, _FIELD_NL, memo),
+        ",", _FIELD_NL, '"advisories": ', render_json(advisories, _FIELD_NL),
+        ",", _FIELD_NL, '"notes": ', render_json(row.notes, _FIELD_NL),
+        ",", _FIELD_NL, '"provenance": ', render_json(row.provenance, _FIELD_NL),
+    ))
 
 
-def _row_json(row: VarietyRow) -> dict:
-    return {
-        "name": row.name,
-        "dimension": row.dimension,
-        "picard_rank": row.picard_rank,
-        "interval": _interval_json(row.interval),
-        "certificates": row.interval.certificates if row.interval else [],
-        "advisories": row.interval.advisories if row.interval else [],
-        "notes": row.notes,
-        "provenance": row.provenance,
-        "assertions": [
-            {"expected": a.expected, "actual": a.actual, "passed": a.passed}
-            for a in row.assertions
-        ],
-        "error": row.error,
-        "verified": row.verified,
-    }
+def _assertions_json(assertions: list[AssertionResult]) -> str:
+    if not assertions:
+        return "[]"
+    inner = _FIELD_NL + "  "
+    key = inner + "  "
+    items = [
+        "{" + key + '"expected": ' + _leaf_json(a.expected, key)
+        + "," + key + '"actual": ' + _leaf_json(a.actual, key)
+        + "," + key + '"passed": ' + _leaf_json(a.passed, key)
+        + inner + "}"
+        for a in assertions
+    ]
+    return "[" + inner + ("," + inner).join(items) + _FIELD_NL + "]"
 
 
 def emit_json(report: Report, timestamps: bool = False) -> str:
-    payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "varieties": [_row_json(r) for r in report.rows],
-    }
+    """The report as ``json.dumps(payload, indent=2) + "\n"`` lays it out.
+
+    Each row is written from a fixed template.  Rows bound to one
+    construction share their dimension, rank, interval, certificates,
+    advisories, notes and provenance objects, so that part is rendered
+    once and its text reused; the name, assertions, error and verified
+    fields are written per row.  A row with no interval is rendered on
+    its own.  Certificates render once per report.
+    """
+    memo: dict = {}
+    # (dimension, rank, and the identities of the shared objects) -> text
+    bodies: dict[tuple, str] = {}
+    out = [
+        '{\n  "schema_version": ', _escape(REPORT_SCHEMA_VERSION),
+        ',\n  "varieties": ',
+    ]
+    sep = "[" + _ROW_NL
+    for row in report.rows:
+        if row.interval is None:
+            body = _binding_json(row, memo)
+        else:
+            key = (
+                row.dimension, row.picard_rank,
+                id(row.interval), id(row.notes), id(row.provenance),
+            )
+            body = bodies.get(key)
+            if body is None:
+                body = bodies[key] = _binding_json(row, memo)
+        out += (
+            sep, "{", _FIELD_NL, '"name": ', _leaf_json(row.name), body,
+            ",", _FIELD_NL, '"assertions": ', _assertions_json(row.assertions),
+            ",", _FIELD_NL, '"error": ', _leaf_json(row.error),
+            ",", _FIELD_NL, '"verified": ', _leaf_json(row.verified),
+            _ROW_NL, "}",
+        )
+        sep = "," + _ROW_NL
+    out.append("\n  ]" if report.rows else "[]")
     if timestamps:
         import datetime
 
-        payload["generated_at"] = datetime.datetime.now(
-            datetime.timezone.utc
-        ).isoformat()
-    return render_json(payload) + "\n"
+        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        out += (',\n  "generated_at": ', _escape(stamp))
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def _assertion_cell(row: VarietyRow) -> str:

@@ -291,3 +291,27 @@ def test_emit_json_timestamp_matches_the_reference(monkeypatch):
     stamped = emit_json(report, timestamps=True)
     assert stamped == _reference_json(report, generated_at=instant.isoformat())
     assert stamped.endswith('  "generated_at": "2024-02-29T12:30:05.123456+00:00"\n}\n')
+
+
+def test_flat_arrays_render_as_the_stdlib_lays_them_out():
+    witnesses = [
+        {"ints": [3, -1, 0, 2**70]},
+        {"strs": ["a", "é", '"q"', ""]},
+        {"bools": [True, False, True]},
+        {"mixed": [1, True, 0, False]},
+        {"nested": [[1, 2], ["x"], [[True]], [], {"k": [4, 5]}]},
+        {"empty": [], "none": [None, None]},
+    ]
+    certs = [Certificate(UPPER, "r", 1, "c", witness=w) for w in witnesses]
+    assert dumps_certificates(certs) == json.dumps(
+        [c.to_json_dict() for c in certs], indent=2
+    )
+    for cert, witness in zip(certs, witnesses):
+        assert cert.witness_data() == witness
+
+
+def test_witness_refuses_a_float_or_key_nested_in_a_list_of_dicts():
+    with pytest.raises(TypeError, match="cannot hold float"):
+        Certificate(UPPER, "r", 1, "c", witness={"rows": [{"a": 1}, {"b": 0.5}]})
+    with pytest.raises(TypeError, match="keys are strings, not 2"):
+        Certificate(UPPER, "r", 1, "c", witness={"rows": [{"a": 1}, {2: "b"}]})

@@ -702,3 +702,39 @@ def test_a_shared_factor_is_enumerated_once():
     assert [block[:2] for block in fourth._blocks(3)] == [
         ([i], [i]) for i in range(4)
     ]
+
+
+def test_the_oracle_searches_each_block_once(monkeypatch):
+    from confn import cones
+
+    searches = []
+    plain = cones._refute_block
+
+    def counted(vals, suffix_min, k_vals, m):
+        searches.append((tuple(k_vals), m))
+        return plain(vals, suffix_min, k_vals, m)
+
+    monkeypatch.setattr(cones, "_refute_block", counted)
+
+    def build():
+        f1, ray = Cone(F1, ((1, 0), (-1, 1))), Cone(LINE, ((1,),))
+        return f1, ray, product_cone(PicardLattice(("S", "F", "H")), (f1, ray))
+
+    f1, ray, prod = build()
+    # at m = 2 the F1 block has no refutation and the ray block has one,
+    # so the product searches both
+    assert brute_force_refute(f1, F1.make([-2, -3]), 2, 4) is None
+    assert brute_force_refute(ray, LINE.make([-3]), 2, 4) is not None
+    assert searches == [((-2, -1), 2), ((-3,), 2)]
+    searches.clear()
+    found = brute_force_refute(prod, prod.lattice.make([-2, -3, -3]), 2, 4)
+    assert found is not None and searches == []
+    *_, fresh = build()
+    assert brute_force_refute(fresh, fresh.lattice.make([-2, -3, -3]), 2, 4) == found
+    assert len(searches) == 2
+    # one block, two tuple sizes: each is searched once
+    searches.clear()
+    assert brute_force_refute(f1, F1.make([-2, -3]), 1, 4) is not None
+    assert brute_force_refute(f1, F1.make([-2, -3]), 1, 4) is not None
+    assert brute_force_refute(f1, F1.make([-2, -3]), 2, 4) is None
+    assert searches == [((-2, -1), 1)]

@@ -108,7 +108,8 @@ def test_names_bound_to_one_result_key_alike(monkeypatch):
         )
     )
     assert len(products) == 1
-    assert resolved[0] is resolved[1]
+    # ab and aa share one binding, so its row is computed once
+    assert len(resolved) == 1
     assert [(r.name, str(r.interval)) for r in report.rows] == [("ab", "2"), ("aa", "2")]
 
 
@@ -179,6 +180,46 @@ def test_oracle_runs_once_per_shared_descriptor(monkeypatch):
     )
     assert single > 0 and len(calls) == single
     assert not once.any_failure and not twice.any_failure
+
+
+_SHARED = (
+    "let A = projective_space(3)\nlet B = projective_space(3)\n"
+    "let AA = product(A, A)\nlet BB = product(B, B)\n"
+)
+
+
+def test_shared_bindings_are_computed_once(monkeypatch):
+    rows_traced = []
+    plain = runner.provenance_lines
+
+    def traced(desc, depth=0):
+        # the recursion into a product's factors comes back through here
+        if depth == 0:
+            rows_traced.append(desc)
+        return plain(desc, depth)
+
+    monkeypatch.setattr(runner, "provenance_lines", traced)
+    verified = _recording(monkeypatch, "verify_certificate")
+    report = evaluate(
+        parse(
+            _SHARED + "compute A\nassert_confn B = 4\nassert_confn B = 5\n"
+            "compute AA\nassert_confn BB = 4\n"
+        )
+    )
+    a, b, aa, bb = report.rows
+    for first, later in ((a, b), (aa, bb)):
+        for field in runner.VarietyRow.__slots__:
+            if field not in ("name", "assertions"):
+                assert getattr(later, field) == getattr(first, field), field
+    assert [x.passed for x in b.assertions] == [True, False]
+    assert [str(x.interval) for x in report.rows] == ["4", "4", "4", "4"]
+    assert [desc.provenance.constructor for desc in rows_traced] == [
+        "projective_space",
+        "product",
+    ]
+    # every certificate of the two bindings is re-verified once
+    assert len(verified) == len(a.interval.certificates) + len(aa.interval.certificates)
+    assert {id(desc) for desc in verified} == {id(desc) for desc in rows_traced}
 
 
 def test_corpus_all_green():
@@ -663,6 +704,33 @@ def test_json_shape_and_round_trip():
         certs = [Certificate.from_json_dict(c) for c in row_dict["certificates"]]
         assert tuple(certs) == row.interval.certificates
         assert row_dict["interval"]["exact"] == row.interval.exact
+
+
+def _assert_stdlib_layout(text):
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_emit_json_has_the_stdlib_layout():
+    _assert_stdlib_layout(emit_json(corpus()))
+    shared = evaluate(
+        parse(
+            _SHARED + "compute A\ncompute B\nassert_confn AA = 4\nassert_confn BB = 4\n"
+        )
+    )
+    assert not shared.any_failure
+    _assert_stdlib_layout(emit_json(shared))
+    # a failing let, a failing assertion and a timestamp
+    failing = evaluate(
+        parse(
+            _SHARED + "let C = abelian(0)\ncompute A\nassert_confn B = 5\n"
+            "assert_confn AA = 4\ncompute BB\ncompute C\n"
+        )
+    )
+    errors = [row.name for row in failing.rows if row.error is not None]
+    assert errors == ["C"] and failing.any_failure
+    stamped = emit_json(failing, timestamps=True)
+    assert '"generated_at"' in stamped
+    _assert_stdlib_layout(stamped)
 
 
 def test_emitters_are_deterministic():
