@@ -54,8 +54,15 @@ functional exactly when their parts in its block do.  A product cone
 splits into its factors this way, and P1^k into k rays; it takes its
 blocks from its factors' memoized ones, shifted to its own coordinates
 and functional indices, so a factor shared by many products is
-enumerated once.  The interior points of each block's box are
-enumerated once per cone and radius:
+enumerated once.
+
+Everything above reads the functionals and the admission data, never
+the lattice, so it lives on a shape that every live cone built from the
+same input shares: a nef cone that recurs on many lattices, such as the
+ray of every P^n, is admitted, given its facet witnesses and searched
+once.  A shape dies with its last cone, so nothing is kept across runs.
+The interior points of each block's box are enumerated once per shape
+and radius:
 every prefix of all coordinates but the last is taken from the smaller
 box, the functionals bound the last coordinate to an exact integer
 interval, and the points are sorted back into shell-then-lex order.  The
@@ -66,6 +73,7 @@ cannot be interior are skipped.
 from __future__ import annotations
 
 import itertools
+import weakref
 from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING
@@ -99,6 +107,10 @@ def _value(support, coeffs) -> int:
     for i, a in support:
         value += a * coeffs[i]
     return value
+
+
+def _values(supports, coeffs) -> tuple[int, ...]:
+    return tuple([_value(support, coeffs) for support in supports])
 
 
 def _solve(rows, rank: int) -> tuple[int | Fraction, ...] | None:
@@ -341,45 +353,40 @@ class ThresholdReport(Frozen):
         object.__setattr__(self, "violated_index", violated_index)
 
 
-class Cone(Frozen):
-    """The cone phi_k >= 0, admitted only with a nonempty interior.
+class _Shape:
+    """The lattice-free part of a cone: its admitted data and its answers.
 
-    ``interior_point`` and ``irredundancy_witnesses`` are checked when
-    supplied.  Otherwise a ray (a,) on a rank-1 lattice takes (a,) and
-    ((-a,),) in closed form, and every other cone finds them by an exact
-    linear program.  ``supports[k]`` holds the nonzero (coordinate,
-    coefficient) pairs of ``functionals[k]``; every evaluation reads it.
-    ``_memo`` keeps the answers of the queries below, keyed by query,
-    among them, per radius, the refuter's results on each block, keyed by
-    canonical values and tuple size; a frozen cone's answers never
-    change.  ``_factors`` holds the factor cones of a cone built by
+    The data is a function of the admission input alone, so every live
+    cone built from equal input shares one shape (see ``_shape_for``).
+    ``memo`` keeps the answers of the cone queries, keyed by query, among
+    them, per radius, the refuter's results on each block, keyed by
+    canonical values and tuple size; a shape's answers never change.
+    ``factors`` holds the factor shapes of a cone built by
     ``product_cone``, whose blocks and block results it reuses, and is
     empty otherwise.
     """
 
     __slots__ = (
-        "lattice",
+        "rank",
         "functionals",
+        "supports",
         "interior_point",
         "irredundancy_witnesses",
-        "supports",
-        "_memo",
-        "_factors",
+        "memo",
+        "factors",
+        "__weakref__",
     )
 
     def __init__(
         self,
-        lattice: PicardLattice,
+        rank: int,
         functionals: tuple[tuple[int, ...], ...],
-        interior_point: tuple[int, ...] = (),
-        irredundancy_witnesses: tuple[tuple[int, ...], ...] = (),
+        interior_point: tuple[int, ...],
+        irredundancy_witnesses: tuple[tuple[int, ...], ...],
     ) -> None:
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "interior_point", interior_point)
-        object.__setattr__(self, "irredundancy_witnesses", irredundancy_witnesses)
-        object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_factors", ())
-        rank = lattice.rank
+        self.rank = rank
+        self.memo: dict = {}
+        self.factors: tuple[_Shape, ...] = ()
         prim, supports = [], []
         for f in functionals:
             if len(f) != rank:
@@ -389,12 +396,12 @@ class Cone(Frozen):
             phi = _primitive(f)
             prim.append(phi)
             supports.append(tuple((i, a) for i, a in enumerate(phi) if a))
-        object.__setattr__(self, "functionals", tuple(prim))
-        object.__setattr__(self, "supports", tuple(supports))
-        if not self.functionals:
+        self.functionals = tuple(prim)
+        self.supports = tuple(supports)
+        if not prim:
             raise ConeError("a cone needs at least one functional")
-        supplied = [("interior point", self.interior_point)] if self.interior_point else []
-        supplied += [("irredundancy witness", w) for w in self.irredundancy_witnesses]
+        supplied = [("interior point", interior_point)] if interior_point else []
+        supplied += [("irredundancy witness", w) for w in irredundancy_witnesses]
         for name, point in supplied:
             if len(point) != rank:
                 raise ConeError(
@@ -402,29 +409,23 @@ class Cone(Frozen):
                     f"lattice rank is {rank}"
                 )
         # a primitive ray (a,) has a = +-1: a is interior and -a separates
-        ray = self.functionals[0] if rank == 1 and len(prim) == 1 else None
-        if self.interior_point:
-            if not all(v > 0 for v in self.values_at(self.interior_point)):
-                raise ConeError(
-                    f"supplied point {self.interior_point!r} is not interior"
-                )
+        ray = prim[0] if rank == 1 and len(prim) == 1 else None
+        if interior_point:
+            if not all(v > 0 for v in _values(self.supports, interior_point)):
+                raise ConeError(f"supplied point {interior_point!r} is not interior")
         else:
-            object.__setattr__(
-                self, "interior_point", ray or self._find_interior_point()
-            )
-        if self.irredundancy_witnesses:
-            self._check_witnesses(self.irredundancy_witnesses)
+            interior_point = ray or self._find_interior_point()
+        self.interior_point = interior_point
+        if irredundancy_witnesses:
+            self._check_witnesses(irredundancy_witnesses)
         else:
-            object.__setattr__(
-                self,
-                "irredundancy_witnesses",
-                ((-ray[0],),) if ray else self._find_witnesses(),
-            )
+            irredundancy_witnesses = ((-ray[0],),) if ray else self._find_witnesses()
+        self.irredundancy_witnesses = irredundancy_witnesses
 
     # -- admission ----------------------------------------------------
 
     def _find_interior_point(self) -> tuple[int, ...]:
-        point = _solve([(f, 1) for f in self.functionals], self.lattice.rank)
+        point = _solve([(f, 1) for f in self.functionals], self.rank)
         if point is None:
             raise ConeError(
                 f"the functionals {self.functionals!r} cut out a cone with an "
@@ -436,7 +437,7 @@ class Cone(Frozen):
         if len(witnesses) != len(self.functionals):
             raise ConeError("one irredundancy witness is required per functional")
         for k, w in enumerate(witnesses):
-            vals = self.values_at(w)
+            vals = _values(self.supports, w)
             if vals[k] >= 0 or any(v < 0 for i, v in enumerate(vals) if i != k):
                 raise ConeError(
                     f"supplied witness {w!r} does not separate functional {k}"
@@ -447,7 +448,7 @@ class Cone(Frozen):
         for k, f in enumerate(self.functionals):
             rows = [(tuple(-v for v in f), 1)]
             rows += [(g, 0) for j, g in enumerate(self.functionals) if j != k]
-            point = _solve(rows, self.lattice.rank)
+            point = _solve(rows, self.rank)
             if point is None:
                 raise ConeError(
                     f"functional {f!r} is redundant: every class on which the "
@@ -456,27 +457,167 @@ class Cone(Frozen):
             found.append(_integral(point))
         return tuple(found)
 
+    # -- answers ------------------------------------------------------
+
+    def _memoized(self, key, compute):
+        """``compute()``, stored under ``key``; a race only computes it twice."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def _blocks(self, radius: int) -> tuple:
+        """The blocks with their interior points in the box of ``radius``,
+        as the refuter searches them, in the form of ``_split_blocks``."""
+        return self._memoized(("blocks", radius), lambda: self._split(radius))
+
+    def _split(self, radius: int) -> tuple:
+        """``_split_blocks(self.functionals, radius)``; a product joins its
+        factors' blocks, shifted past the coordinates and functionals of
+        the factors before them.  A product's functionals are block
+        diagonal, so no block spans two factors, and each factor block's
+        functionals restrict to the same local functionals."""
+        if not self.factors:
+            return _split_blocks(self.functionals, radius)
+        blocks, coord0, index0 = [], 0, 0
+        for shape in self.factors:
+            for coords, indices, points, values, suffix_min in shape._blocks(radius):
+                coords = [i + coord0 for i in coords]
+                indices = [k + index0 for k in indices]
+                blocks.append((coords, indices, points, values, suffix_min))
+            coord0 += shape.rank
+            index0 += len(shape.functionals)
+        return tuple(blocks)
+
+    def _searches(self, radius: int) -> tuple[dict, ...]:
+        """One dict per block of ``_blocks(radius)``, mapping (canonical
+        values, m) to the refuter's result on that block.  The dicts
+        belong to the shape that owns each block: a product shares its
+        factors' dicts, so a search its factor already ran is reused."""
+        return self._memoized(
+            ("searches", radius), lambda: self._fresh_searches(radius)
+        )
+
+    def _fresh_searches(self, radius: int) -> tuple[dict, ...]:
+        """An empty dict per block, or for a product its factors' dicts."""
+        if not self.factors:
+            return tuple({} for _ in self._blocks(radius))
+        return tuple(
+            itertools.chain.from_iterable(
+                shape._searches(radius) for shape in self.factors
+            )
+        )
+
+    def _facet_witness(self, k: int) -> tuple[int, ...]:
+        """u + t w for functional ``k``, in the notation of the module
+        docstring, with the least integer t that makes it interior."""
+        support = self.supports[k]
+        p, q = self.interior_point, self.irredundancy_witnesses[k]
+        at_p, at_q = _value(support, p), _value(support, q)
+        w = [at_p * x - at_q * y for x, y in zip(q, p)]
+        g = gcd(*w) or 1
+        w = [v // g for v in w]
+        u = _unit_preimage(support, self.rank)
+        # every other functional is positive on w, so a large t clears it
+        t = max(
+            (
+                -((at_u - 1) // at_w)
+                for j, (at_u, at_w) in enumerate(
+                    zip(_values(self.supports, u), _values(self.supports, w))
+                )
+                if j != k
+            ),
+            default=0,
+        )
+        return tuple(a + t * b for a, b in zip(u, w))
+
+
+# Every live shape, keyed by its admission input: the lattice rank, the
+# functionals, the supplied interior point and the supplied witnesses, as
+# tuples.  An entry leaves when the last cone of its shape dies, so no
+# answer outlives the cones that asked for it.
+_SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shape_for(
+    rank: int, functionals, interior_point, irredundancy_witnesses
+) -> _Shape:
+    """The live shape admitted from this input, else a newly admitted one.
+
+    A new shape is filed under its input and under its own admitted data,
+    the input of a cone that copies another cone's data, as
+    ``cyclic_cover`` does.  A failed admission files nothing.
+    """
+    key = (
+        rank,
+        tuple(map(tuple, functionals)),
+        tuple(interior_point),
+        tuple(map(tuple, irredundancy_witnesses)),
+    )
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = _SHAPES[key] = _Shape(*key)
+        _SHAPES.setdefault(
+            (rank, shape.functionals, shape.interior_point, shape.irredundancy_witnesses),
+            shape,
+        )
+    return shape
+
+
+class Cone(Frozen):
+    """The cone phi_k >= 0 on ``lattice``, admitted only with a nonempty
+    interior.
+
+    ``interior_point`` and ``irredundancy_witnesses`` are checked when
+    supplied.  Otherwise a ray (a,) on a rank-1 lattice takes (a,) and
+    ((-a,),) in closed form, and every other cone finds them by an exact
+    linear program.  ``supports[k]`` holds the nonzero (coordinate,
+    coefficient) pairs of ``functionals[k]``; every evaluation reads it.
+    These fields are those of ``_shape``, the lattice-free part, which
+    every live cone built from equal input shares together with its memo,
+    so admission, the facet witnesses and the refuter's block searches run
+    once per shape.  The lattice is the cone's own: ``values`` refuses a
+    class from any other, even one with an equal shape.
+    """
+
+    __slots__ = (
+        "lattice",
+        "functionals",
+        "interior_point",
+        "irredundancy_witnesses",
+        "supports",
+        "_shape",
+    )
+
+    def __init__(
+        self,
+        lattice: PicardLattice,
+        functionals: tuple[tuple[int, ...], ...],
+        interior_point: tuple[int, ...] = (),
+        irredundancy_witnesses: tuple[tuple[int, ...], ...] = (),
+    ) -> None:
+        shape = _shape_for(lattice.rank, functionals, interior_point, irredundancy_witnesses)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "functionals", shape.functionals)
+        object.__setattr__(self, "interior_point", shape.interior_point)
+        object.__setattr__(self, "irredundancy_witnesses", shape.irredundancy_witnesses)
+        object.__setattr__(self, "supports", shape.supports)
+        object.__setattr__(self, "_shape", shape)
+
     # -- membership ---------------------------------------------------
 
     def values_at(self, coeffs) -> tuple[int, ...]:
-        return tuple([_value(support, coeffs) for support in self.supports])
+        return _values(self.supports, coeffs)
 
     def values(self, cls_: DivisorClass) -> tuple[int, ...]:
         if cls_.lattice is not self.lattice:
             raise LatticeError("divisor class lives off the cone's lattice")
-        return self.values_at(cls_.coeffs)
+        return _values(self.supports, cls_.coeffs)
 
     def contains(self, cls_: DivisorClass) -> bool:
         return all(v >= 0 for v in self.values(cls_))
 
     def strictly_contains(self, cls_: DivisorClass) -> bool:
         return all(v > 0 for v in self.values(cls_))
-
-    def _memoized(self, key, compute):
-        """``compute()``, stored under ``key``; a race only computes it twice."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
 
     # -- exact queries ------------------------------------------------
 
@@ -486,52 +627,10 @@ class Cone(Frozen):
         The set is exactly the box's points on which every functional is
         positive; ``_interior_points`` enumerates it.
         """
-        yield from self._memoized(
+        shape = self._shape
+        yield from shape._memoized(
             ("interior", radius),
-            lambda: _interior_points(self.functionals, self.lattice.rank, radius),
-        )
-
-    def _blocks(self, radius: int) -> tuple:
-        """The cone's blocks with their interior points in the box of
-        ``radius``, as the refuter searches them, in the form of
-        ``_split_blocks``."""
-        return self._memoized(("blocks", radius), lambda: self._split(radius))
-
-    def _split(self, radius: int) -> tuple:
-        """``_split_blocks(self.functionals, radius)``; a product joins its
-        factors' blocks, shifted past the coordinates and functionals of
-        the factors before them.  A product's functionals are block
-        diagonal, so no block spans two factors, and each factor block's
-        functionals restrict to the same local functionals."""
-        if not self._factors:
-            return _split_blocks(self.functionals, radius)
-        blocks, coord0, index0 = [], 0, 0
-        for cone in self._factors:
-            for coords, indices, points, values, suffix_min in cone._blocks(radius):
-                coords = [i + coord0 for i in coords]
-                indices = [k + index0 for k in indices]
-                blocks.append((coords, indices, points, values, suffix_min))
-            coord0 += cone.lattice.rank
-            index0 += len(cone.functionals)
-        return tuple(blocks)
-
-    def _searches(self, radius: int) -> tuple[dict, ...]:
-        """One dict per block of ``_blocks(radius)``, mapping (canonical
-        values, m) to the refuter's result on that block.  The dicts
-        belong to the cone that owns each block: a product shares its
-        factors' dicts, so a search its factor already ran is reused."""
-        return self._memoized(
-            ("searches", radius), lambda: self._fresh_searches(radius)
-        )
-
-    def _fresh_searches(self, radius: int) -> tuple[dict, ...]:
-        """An empty dict per block, or for a product its factors' dicts."""
-        if not self._factors:
-            return tuple({} for _ in self._blocks(radius))
-        return tuple(
-            itertools.chain.from_iterable(
-                cone._searches(radius) for cone in self._factors
-            )
+            lambda: _interior_points(shape.functionals, shape.rank, radius),
         )
 
     def first_interior_point(self) -> tuple[int, ...]:
@@ -551,28 +650,8 @@ class Cone(Frozen):
         """
         if not 0 <= k < len(self.functionals):
             raise ConeError(f"no functional with index {k}")
-        return self._memoized(("min", k), lambda: self._facet_witness(k))
-
-    def _facet_witness(self, k: int) -> tuple[int, ...]:
-        support = self.supports[k]
-        p, q = self.interior_point, self.irredundancy_witnesses[k]
-        at_p, at_q = _value(support, p), _value(support, q)
-        w = [at_p * x - at_q * y for x, y in zip(q, p)]
-        g = gcd(*w) or 1
-        w = [v // g for v in w]
-        u = _unit_preimage(support, self.lattice.rank)
-        # every other functional is positive on w, so a large t clears it
-        t = max(
-            (
-                -((at_u - 1) // at_w)
-                for j, (at_u, at_w) in enumerate(
-                    zip(self.values_at(u), self.values_at(w))
-                )
-                if j != k
-            ),
-            default=0,
-        )
-        return tuple(a + t * b for a, b in zip(u, w))
+        shape = self._shape
+        return shape._memoized(("min", k), lambda: shape._facet_witness(k))
 
     # -- the threshold ------------------------------------------------
 
@@ -634,18 +713,20 @@ def brute_force_refute(
     so nothing is refuted.  Subtrees are pruned only when suffix minima
     prove no completion can violate, so the search remains exhaustive
     over the declared set.  A block's search depends only on the block,
-    its canonical values and m, so it runs once on the cone that owns
-    the block: a product reuses the searches its factors already ran.
+    its canonical values and m, so it runs once per shape that owns the
+    block: every live cone of that shape shares it, and a product reuses
+    the searches its factors' shapes already ran.
     """
     if m < 0:
         raise ValueError("tuple size must be nonnegative")
     k_vals = cone.values(canonical)
     if m == 0:
         return () if any(v < 0 for v in k_vals) else None
-    blocks = cone._blocks(radius)
+    shape = cone._shape
+    blocks = shape._blocks(radius)
     if not all(points for _, _, points, _, _ in blocks):
         return None
-    searches = cone._searches(radius)
+    searches = shape._searches(radius)
     for (coords, indices, points, values, suffix_min), done in zip(blocks, searches):
         key = (tuple([k_vals[k] for k in indices]), m)
         if key in done:
@@ -707,8 +788,9 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
     interior point is the concatenation of the factors' points, and a
     separating point for a factor functional, padded with zeros, still
     satisfies every other inequality because all other functionals read
-    it as zero.  The cone records its factors, whose oracle blocks it
-    reuses.
+    it as zero.  The cone's shape records its factors' shapes, whose
+    oracle blocks and searches it reuses, unless it is the shape of an
+    equal cone that has already answered a query from its own blocks.
     """
     factors = tuple(factors)
     if sum(cone.lattice.rank for cone in factors) != lattice.rank:
@@ -730,5 +812,8 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
         ),
         irredundancy_witnesses=tuple(witnesses),
     )
-    object.__setattr__(cone, "_factors", factors)
+    shape = cone._shape
+    # a product of one factor takes that factor's own shape
+    if len(factors) > 1 and not shape.factors and not shape.memo:
+        shape.factors = tuple(factor._shape for factor in factors)
     return cone

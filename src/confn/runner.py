@@ -500,7 +500,7 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     the exact threshold may be witnessed by points outside it.  The
     refuter searches each block of the nef cone on its own (a product
     cone splits into its factors), and both refutations share the blocks'
-    points, which the cone memoizes per radius.
+    points, which the cone's shape memoizes per radius.
     """
     from .cones import brute_force_refute
     from .descriptors import ExactEqualsNef

@@ -7,14 +7,18 @@ agreement between the two is evidence, not circularity.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import random
 import time
+import weakref
 from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from confn import cones
 from confn.cones import (
     Cone,
     ConeError,
@@ -26,7 +30,9 @@ from confn.cones import (
     product_cone,
 )
 from confn.descriptors import del_pezzo7, hirzebruch1
-from confn.lattice import PicardLattice
+from confn.dsl import parse
+from confn.lattice import LatticeError, PicardLattice
+from confn.runner import CORPUS_PROGRAM, evaluate
 
 F1 = PicardLattice(("S", "F"))
 F1_NEF = Cone(F1, ((1, 0), (-1, 1)))  # a >= 0 and b - a >= 0 on a*S + b*F
@@ -34,6 +40,18 @@ DP7 = PicardLattice(("H", "E1", "E2"))
 DP7_NEF = Cone(DP7, ((0, -1, 0), (0, 0, -1), (1, 1, 1)))
 LINE = PicardLattice(("H",))
 RAY = Cone(LINE, ((1,),))
+
+
+@contextlib.contextmanager
+def empty_shape_table():
+    """Cones built inside share no shape with a cone built outside, as if
+    no earlier cone were alive."""
+    saved = cones._SHAPES
+    cones._SHAPES = weakref.WeakValueDictionary()
+    try:
+        yield
+    finally:
+        cones._SHAPES = saved
 
 
 def interior_by_refuter(cone, canonical, max_m=8, radius=6):
@@ -217,15 +235,16 @@ def test_product_first_interior_point_matches_enumeration(make):
 
 def test_cone_memo_is_keyed_by_radius():
     lat = PicardLattice(("A", "B"))
-    narrow = Cone(lat, ((1, 0), (-10, 1)))  # first interior point (1, 11)
+    with empty_shape_table():
+        narrow = Cone(lat, ((1, 0), (-10, 1)))  # first interior point (1, 11)
     canonical = lat.make([-1, 0])
     report = narrow.adjoint_freeness_threshold(canonical)
     assert report.m_star == 1
     assert report.per_functional[0].interior_witness == (1, 11)
     assert narrow.first_interior_point() == (1, 11)
     # the exact queries take no radius, so neither does any memo key
-    assert narrow._memo
-    assert set(narrow._memo) == {("min", 0), ("min", 1)}
+    assert narrow._shape.memo
+    assert set(narrow._shape.memo) == {("min", 0), ("min", 1)}
 
 
 def test_product_first_interior_point_none_with_enumeration():
@@ -350,8 +369,12 @@ def test_interior_points_equal_the_filtered_box(case):
         for p in lattice_points_by_shell(rank, radius)
         if all(v > 0 for v in cone.values_at(p))
     ]
+    # the example cones live for the session and share shapes with drawn
+    # ones, so only the query's own key is new
+    before = set(cone._shape.memo)
     assert list(cone.interior_points(radius)) == plain
-    assert set(cone._memo) == {("interior", radius)}
+    assert set(cone._shape.memo) - before <= {("interior", radius)}
+    assert ("interior", radius) in cone._shape.memo
     assert list(cone.interior_points(radius)) == plain
 
 
@@ -547,9 +570,10 @@ def _irredundant(rows, rank):
 
 
 @st.composite
-def nested_cones(draw, depth: int = 2):
-    """A random cone of rank 1 to 3, or a product of two or three nested
-    cones, so that products of products occur.
+def nested_recipes(draw, depth: int = 2):
+    """How to build a random cone of rank 1 to 3, ("cone", rows), or a
+    product of two or three nested cones, ("product", recipes), so that
+    products of products occur.
 
     A cone's functionals are drawn positive on a drawn nonzero point and
     made irredundant, so ``Cone`` admits every draw."""
@@ -560,11 +584,27 @@ def nested_cones(draw, depth: int = 2):
         if not any(point):
             point = (1,) + point[1:]
         rows = draw(st.lists(st.tuples(*[entry] * rank), min_size=1, max_size=rank + 1))
-        rows = _irredundant([_positive_on(f, point) for f in rows], rank)
-        return Cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), rows)
-    factors = draw(st.lists(nested_cones(depth - 1), min_size=2, max_size=3))
-    rank = sum(f.lattice.rank for f in factors)
-    return product_cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), factors)
+        return "cone", _irredundant([_positive_on(f, point) for f in rows], rank)
+    return "product", draw(st.lists(nested_recipes(depth - 1), min_size=2, max_size=3))
+
+
+def recipe_rank(recipe) -> int:
+    kind, parts = recipe
+    return len(parts[0]) if kind == "cone" else sum(map(recipe_rank, parts))
+
+
+def built(recipe) -> Cone:
+    """The cone of ``recipe``, on lattices made for it."""
+    kind, parts = recipe
+    lattice = PicardLattice(tuple(f"e{i}" for i in range(recipe_rank(recipe))))
+    if kind == "cone":
+        return Cone(lattice, parts)
+    return product_cone(lattice, [built(part) for part in parts])
+
+
+def nested_cones(depth: int = 2):
+    """A random cone, or a product of nested cones (see ``nested_recipes``)."""
+    return nested_recipes(depth).map(built)
 
 
 @st.composite
@@ -680,14 +720,16 @@ MIXED_PRODUCT = product_cone(
 )
 def test_product_blocks_join_the_factor_blocks(case):
     cone, canonical, m = case
-    flat = Cone(
-        cone.lattice,
-        cone.functionals,
-        cone.interior_point,
-        cone.irredundancy_witnesses,
-    )
+    with empty_shape_table():  # else flat would share the product's shape
+        flat = Cone(
+            cone.lattice,
+            cone.functionals,
+            cone.interior_point,
+            cone.irredundancy_witnesses,
+        )
+    assert not flat._shape.factors
     for radius in range(1, 5):
-        assert cone._blocks(radius) == _split_blocks(cone.functionals, radius)
+        assert cone._shape._blocks(radius) == _split_blocks(cone.functionals, radius)
         assert brute_force_refute(cone, canonical, m, radius) == brute_force_refute(
             flat, canonical, m, radius
         )
@@ -697,9 +739,9 @@ def test_a_shared_factor_is_enumerated_once():
     ray = Cone(LINE, ((1,),))
     square = product_cone(PicardLattice(("A", "B")), (ray, ray))
     fourth = product_cone(PicardLattice(("A1", "B1", "A2", "B2")), (square, square))
-    (points,) = {id(block[2]) for block in fourth._blocks(3)}
-    assert points == id(ray._blocks(3)[0][2])
-    assert [block[:2] for block in fourth._blocks(3)] == [
+    (points,) = {id(block[2]) for block in fourth._shape._blocks(3)}
+    assert points == id(ray._shape._blocks(3)[0][2])
+    assert [block[:2] for block in fourth._shape._blocks(3)] == [
         ([i], [i]) for i in range(4)
     ]
 
@@ -720,21 +762,132 @@ def test_the_oracle_searches_each_block_once(monkeypatch):
         f1, ray = Cone(F1, ((1, 0), (-1, 1))), Cone(LINE, ((1,),))
         return f1, ray, product_cone(PicardLattice(("S", "F", "H")), (f1, ray))
 
-    f1, ray, prod = build()
-    # at m = 2 the F1 block has no refutation and the ray block has one,
-    # so the product searches both
-    assert brute_force_refute(f1, F1.make([-2, -3]), 2, 4) is None
-    assert brute_force_refute(ray, LINE.make([-3]), 2, 4) is not None
-    assert searches == [((-2, -1), 2), ((-3,), 2)]
-    searches.clear()
-    found = brute_force_refute(prod, prod.lattice.make([-2, -3, -3]), 2, 4)
-    assert found is not None and searches == []
-    *_, fresh = build()
-    assert brute_force_refute(fresh, fresh.lattice.make([-2, -3, -3]), 2, 4) == found
-    assert len(searches) == 2
+    # F1_NEF and RAY, alive for the session, have the shapes of f1 and ray
+    with empty_shape_table():
+        f1, ray, prod = build()
+        # at m = 2 the F1 block has no refutation and the ray block has
+        # one, so the product searches both
+        assert brute_force_refute(f1, F1.make([-2, -3]), 2, 4) is None
+        assert brute_force_refute(ray, LINE.make([-3]), 2, 4) is not None
+        assert searches == [((-2, -1), 2), ((-3,), 2)]
+        searches.clear()
+        found = brute_force_refute(prod, prod.lattice.make([-2, -3, -3]), 2, 4)
+        assert found is not None and searches == []
+        # an equal product shares the live product's shape and its searches
+        *_, fresh = build()
+        assert brute_force_refute(fresh, fresh.lattice.make([-2, -3, -3]), 2, 4) == found
+        assert searches == []
+        # once every earlier cone is gone, so are its shapes and searches
+        del f1, ray, prod, fresh, _
+        f1, _, fresh = build()
+        assert brute_force_refute(fresh, fresh.lattice.make([-2, -3, -3]), 2, 4) == found
+        assert len(searches) == 2
     # one block, two tuple sizes: each is searched once
     searches.clear()
     assert brute_force_refute(f1, F1.make([-2, -3]), 1, 4) is not None
     assert brute_force_refute(f1, F1.make([-2, -3]), 1, 4) is not None
     assert brute_force_refute(f1, F1.make([-2, -3]), 2, 4) is None
     assert searches == [((-2, -1), 1)]
+
+
+# ------------------------------------------------- shapes shared by equal cones
+
+
+def test_equal_cones_on_two_lattices_share_one_shape():
+    a, b = PicardLattice(("S", "F")), PicardLattice(("S", "F"))
+    with empty_shape_table():
+        first = Cone(a, ((1, 0), (-1, 1)))
+        second = Cone(b, ((1, 0), (-1, 1)))
+        assert second._shape is first._shape
+        assert set(cones._SHAPES.values()) == {first._shape}
+        # a copy of the admitted data, as a cyclic cover makes, shares it too
+        copy = Cone(b, first.functionals, first.interior_point, first.irredundancy_witnesses)
+        assert copy._shape is first._shape
+        # other supplied data is other input
+        assert Cone(a, ((1, 0), (-1, 1)), interior_point=(1, 3))._shape is not first._shape
+    assert (first.lattice, second.lattice) == (a, b)
+    assert second.strictly_contains(b.make([1, 2]))
+    # the lattice is still each cone's own
+    for query in (
+        first.values,
+        first.contains,
+        first.adjoint_freeness_threshold,
+        lambda cls_: brute_force_refute(first, cls_, 2, 3),
+    ):
+        with pytest.raises(LatticeError, match="off the cone's lattice"):
+            query(b.make([-2, -3]))
+
+
+def test_a_failed_admission_files_nothing():
+    lat = PicardLattice(("A", "B", "C"))
+    rows = ((1, -3, 0), (1, -1, -3), (-2, 2, 1), (1, 3, 3))
+    with empty_shape_table():
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ConeError, match="cut out a cone with an empty interior") as info:
+                Cone(lat, rows)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        with pytest.raises(ConeError, match="not interior"):
+            Cone(F1, ((1, 0), (-1, 1)), interior_point=(1, 1))
+        assert len(cones._SHAPES) == 0
+
+
+def test_no_shape_outlives_a_run():
+    # with the cycle collector off, only reference counts free the cones
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with empty_shape_table():
+            report = evaluate(parse(CORPUS_PROGRAM))
+            assert not report.any_failure
+            del report
+            assert len(cones._SHAPES) == 0
+            # a cone kept across a run lends its shape to the run's rays
+            ray = Cone(LINE, ((1,),))
+            report = evaluate(parse(CORPUS_PROGRAM))
+            del report
+            assert ray._shape.memo
+            assert set(cones._SHAPES.values()) == {ray._shape}
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _answers(cone: Cone, canonical_coeffs) -> tuple:
+    """What the threshold and the oracle read from the cone's shape."""
+    canonical = cone.lattice.make(canonical_coeffs)
+    report = cone.adjoint_freeness_threshold(canonical)
+    return (
+        [cone.min_interior_value(k) for k in range(len(cone.functionals))],
+        (report.m_star, report.witness, report.violated_index),
+        [
+            (p.index, p.functional, p.value_on_canonical, p.interior_witness, p.required)
+            for p in report.per_functional
+        ],
+        cone._shape._blocks(4),
+        [brute_force_refute(cone, canonical, m, 4) for m in range(4)],
+    )
+
+
+@st.composite
+def recipes_with_canonicals(draw):
+    """A nested recipe and two canonical classes' coefficients."""
+    recipe = draw(nested_recipes())
+    coeffs = st.lists(st.integers(-4, 2), min_size=recipe_rank(recipe), max_size=recipe_rank(recipe))
+    return recipe, draw(coeffs), draw(coeffs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(recipes_with_canonicals())
+def test_a_shared_shape_answers_as_a_fresh_one(case):
+    recipe, canonical, other = case
+    with empty_shape_table():
+        fresh = _answers(built(recipe), canonical)
+    with empty_shape_table():
+        first = built(recipe)
+        _answers(first, other)
+        twin = built(recipe)
+        assert twin._shape is first._shape
+        assert _answers(twin, canonical) == fresh
+        assert _answers(first, canonical) == fresh

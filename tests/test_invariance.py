@@ -9,12 +9,15 @@ every run draws the same examples.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confn.cones import Cone, ConeError
+from confn import cones
+from confn.cones import Cone, ConeError, brute_force_refute, product_cone
 from confn.constructions import blowup_point, cyclic_cover, hypersurface_section, product
 from confn.descriptors import (
     DescriptorError,
@@ -32,6 +35,7 @@ from confn.dsl import parse
 from confn.engine import resolve, verify_certificate
 from confn.lattice import IntersectionForm, LatticeError, PicardLattice
 from confn.runner import (
+    ORACLE_RADIUS,
     Report,
     VarietyRow,
     emit_json,
@@ -321,3 +325,45 @@ def test_twin_bindings_report_like_a_single_binding(items):
         expected = _outputs(alone)
         assert _outputs(rows[f"x{k}"]) == expected, single
         assert _outputs(rows[f"t{k}"]) == expected, single
+
+
+@contextlib.contextmanager
+def empty_shape_table():
+    """Cones built inside share no shape with a cone built outside."""
+    saved = cones._SHAPES
+    cones._SHAPES = weakref.WeakValueDictionary()
+    try:
+        yield
+    finally:
+        cones._SHAPES = saved
+
+
+def _worn_cones() -> list[Cone]:
+    """A ray and a square of rays, the nef cones of every program atom and
+    product, on lattices of their own, their memos filled by queries."""
+    ray = Cone(PicardLattice(("H",)), ((1,),))
+    square = product_cone(PicardLattice(("A", "B")), (ray, ray))
+    for cone in (ray, square):
+        for k in range(len(cone.functionals)):
+            cone.min_interior_value(k)
+        for coeffs in itertools.product(range(-4, 2), repeat=cone.lattice.rank):
+            canonical = cone.lattice.make(coeffs)
+            cone.adjoint_freeness_threshold(canonical)
+            for m in range(4):
+                brute_force_refute(cone, canonical, m, ORACLE_RADIUS)
+    return [ray, square]
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(program_items())
+def test_a_live_cone_of_the_same_shape_leaves_the_report_unchanged(items):
+    lines = _bind(items, "x", range(len(items)))
+    lines += [f"compute x{k}" for k in range(len(items))]
+    program = parse("\n".join(lines))
+    with empty_shape_table():
+        alone = emit_json(evaluate(program))
+    with empty_shape_table():
+        kept = _worn_cones()
+        shared = emit_json(evaluate(program))
+        assert all(cone._shape in cones._SHAPES.values() for cone in kept)
+    assert shared == alone

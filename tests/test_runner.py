@@ -4,6 +4,7 @@ import importlib.util
 import json
 import pathlib
 import sys
+import weakref
 
 import pytest
 
@@ -631,7 +632,9 @@ def test_corpus_with_oracle_cap_still_green():
 
 def _count_enumerated(monkeypatch) -> list[int]:
     """A one-item list counting the points ``lattice_points_by_shell``
-    yields from now on."""
+    yields from now on.  The shape table starts empty, so no cone built
+    from now on reads the blocks of a cone that other tests keep alive."""
+    monkeypatch.setattr(cones, "_SHAPES", weakref.WeakValueDictionary())
     plain = cones.lattice_points_by_shell
     yielded = [0]
 
@@ -646,7 +649,7 @@ def _count_enumerated(monkeypatch) -> list[int]:
 
 def test_corpus_oracle_enumerates_few_lattice_points(monkeypatch):
     # the oracle enumerates only prefixes of each block's box, once per
-    # cone and radius, and a product takes its factors' blocks; filtering
+    # shape and radius, and a product takes its factors' blocks; filtering
     # the whole box would yield over 15,000 points here, enumerating each
     # product cone whole about 900, and each product's blocks afresh 192
     yielded = _count_enumerated(monkeypatch)
