@@ -50,19 +50,20 @@ blocks, the connected components of the functionals' supports, and
 searches each block on its own.  The split is exact: each functional
 reads only its block's coordinates, so the interior and the sup-norm box
 are the products of their blocks', and m interior points escape a
-functional exactly when their parts in its block do.  A product cone
-splits into its factors this way, and P1^k into k rays; it takes its
-blocks from its factors' memoized ones, shifted to its own coordinates
-and functional indices, so a factor shared by many products is
-enumerated once.
+functional exactly when their parts in its block do.
 
 Everything above reads the functionals and the admission data, never
 the lattice, so it lives on a shape that every live cone built from the
 same input shares: a nef cone that recurs on many lattices, such as the
 ray of every P^n, is admitted, given its facet witnesses and searched
 once.  A shape dies with its last cone, so nothing is kept across runs.
-The interior points of each block's box are enumerated once per shape
-and radius:
+A block is itself a shape: the cone's functionals, interior point and
+witnesses restricted to the block's coordinates, which stay valid
+because the block's functionals read nothing else.  A product cone
+splits into its factors this way, and P1^k into k rays, so the blocks of
+a product of live factors are the factors' own shapes, and a factor
+shared by many products is enumerated and searched once.  The interior
+points of a shape's box are enumerated once per radius:
 every prefix of all coordinates but the last is taken from the smaller
 box, the functionals bound the last coordinate to an exact integer
 interval, and the points are sorted back into shell-then-lex order.  The
@@ -89,8 +90,16 @@ class ConeError(ValueError):
     """Raised for degenerate or redundant functional systems."""
 
 
-def _primitive(vec) -> tuple[int, ...]:
-    v = tuple(int(x) for x in vec)
+def _integers(name: str, vec) -> tuple[int, ...]:
+    """``vec`` as a tuple, refused unless every entry is an int."""
+    vec = tuple(vec)
+    for x in vec:
+        if not isinstance(x, int):
+            raise ConeError(f"{name} {vec!r} has a non-integer entry {x!r}")
+    return vec
+
+
+def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
     if all(x == 0 for x in v):
         raise ConeError("the zero functional does not cut a halfspace")
     g = gcd(*v)
@@ -274,13 +283,10 @@ def _interior_points(
     return tuple(points)
 
 
-def _split_blocks(functionals, radius: int):
+def _split_blocks(functionals):
     """The connected components of the functionals' supports, by first
-    coordinate.  Each block is a tuple: its coordinates, its functionals'
-    indices, its interior points in the box of ``radius`` (in its own
-    coordinates), its functionals' values at each point, and their minima
-    over each suffix of the points.  A coordinate no functional reads is
-    in no block.
+    coordinate, each as its sorted coordinates and its functionals'
+    sorted indices.  A coordinate no functional reads is in no block.
     """
     groups: list[tuple[set[int], list[int]]] = []
     for k, f in enumerate(functionals):
@@ -290,17 +296,10 @@ def _split_blocks(functionals, radius: int):
             coords |= group[0]
             indices += group[1]
         groups.append((coords, indices))
-    blocks = []
-    for coords, indices in sorted(groups, key=lambda g: min(g[0])):
-        coords, indices = sorted(coords), sorted(indices)
-        local = [tuple(functionals[k][i] for i in coords) for k in indices]
-        points = _interior_points(local, len(coords), radius)
-        values = [tuple(_dot(f, p) for f in local) for p in points]
-        suffix_min = values[:]
-        for i in range(len(values) - 2, -1, -1):
-            suffix_min[i] = tuple(map(min, values[i], suffix_min[i + 1]))
-        blocks.append((coords, indices, points, values, suffix_min))
-    return tuple(blocks)
+    return tuple(
+        (sorted(coords), sorted(indices))
+        for coords, indices in sorted(groups, key=lambda g: min(g[0]))
+    )
 
 
 class PerFunctional(Frozen):
@@ -359,11 +358,9 @@ class _Shape:
     The data is a function of the admission input alone, so every live
     cone built from equal input shares one shape (see ``_shape_for``).
     ``memo`` keeps the answers of the cone queries, keyed by query, among
-    them, per radius, the refuter's results on each block, keyed by
-    canonical values and tuple size; a shape's answers never change.
-    ``factors`` holds the factor shapes of a cone built by
-    ``product_cone``, whose blocks and block results it reuses, and is
-    empty otherwise.
+    them, per radius, the interior points, the blocks and, on each block's
+    shape, the refuter's results keyed by canonical values and tuple
+    size; a shape's answers never change.
     """
 
     __slots__ = (
@@ -373,7 +370,6 @@ class _Shape:
         "interior_point",
         "irredundancy_witnesses",
         "memo",
-        "factors",
         "__weakref__",
     )
 
@@ -386,7 +382,6 @@ class _Shape:
     ) -> None:
         self.rank = rank
         self.memo: dict = {}
-        self.factors: tuple[_Shape, ...] = ()
         prim, supports = [], []
         for f in functionals:
             if len(f) != rank:
@@ -465,47 +460,42 @@ class _Shape:
             self.memo[key] = compute()
         return self.memo[key]
 
+    def _points(self, radius: int) -> tuple:
+        """The interior points in the box of ``radius``, the functionals'
+        values at each point, and their minima over each suffix of the
+        points."""
+        key = ("points", radius)
+        if key not in self.memo:
+            points = _interior_points(self.functionals, self.rank, radius)
+            values = [_values(self.supports, p) for p in points]
+            suffix_min = values[:]
+            for i in range(len(values) - 2, -1, -1):
+                suffix_min[i] = tuple(map(min, values[i], suffix_min[i + 1]))
+            self.memo[key] = (points, values, suffix_min)
+        return self.memo[key]
+
     def _blocks(self, radius: int) -> tuple:
-        """The blocks with their interior points in the box of ``radius``,
-        as the refuter searches them, in the form of ``_split_blocks``."""
-        return self._memoized(("blocks", radius), lambda: self._split(radius))
-
-    def _split(self, radius: int) -> tuple:
-        """``_split_blocks(self.functionals, radius)``; a product joins its
-        factors' blocks, shifted past the coordinates and functionals of
-        the factors before them.  A product's functionals are block
-        diagonal, so no block spans two factors, and each factor block's
-        functionals restrict to the same local functionals."""
-        if not self.factors:
-            return _split_blocks(self.functionals, radius)
-        blocks, coord0, index0 = [], 0, 0
-        for shape in self.factors:
-            for coords, indices, points, values, suffix_min in shape._blocks(radius):
-                coords = [i + coord0 for i in coords]
-                indices = [k + index0 for k in indices]
-                blocks.append((coords, indices, points, values, suffix_min))
-            coord0 += shape.rank
-            index0 += len(shape.functionals)
-        return tuple(blocks)
-
-    def _searches(self, radius: int) -> tuple[dict, ...]:
-        """One dict per block of ``_blocks(radius)``, mapping (canonical
-        values, m) to the refuter's result on that block.  The dicts
-        belong to the shape that owns each block: a product shares its
-        factors' dicts, so a search its factor already ran is reused."""
-        return self._memoized(
-            ("searches", radius), lambda: self._fresh_searches(radius)
-        )
-
-    def _fresh_searches(self, radius: int) -> tuple[dict, ...]:
-        """An empty dict per block, or for a product its factors' dicts."""
-        if not self.factors:
-            return tuple({} for _ in self._blocks(radius))
-        return tuple(
-            itertools.chain.from_iterable(
-                shape._searches(radius) for shape in self.factors
-            )
-        )
+        """One tuple per block of ``_split_blocks``, as the refuter searches
+        it: its coordinates, its functionals' indices, its shape, and that
+        shape's ``_points(radius)``.  The shape is the one ``_shape_for``
+        gives the restricted data, or None for a block that spans every
+        coordinate, whose shape is this one (storing it here would be a
+        cycle that only the collector frees)."""
+        key = ("blocks", radius)
+        if key not in self.memo:
+            blocks = []
+            for coords, indices in _split_blocks(self.functionals):
+                block = None
+                if len(coords) < self.rank:
+                    block = _shape_for(
+                        len(coords),
+                        [[self.functionals[k][i] for i in coords] for k in indices],
+                        [self.interior_point[i] for i in coords],
+                        [[self.irredundancy_witnesses[k][i] for i in coords] for k in indices],
+                    )
+                blocks.append((coords, indices, block, *(block or self)._points(radius)))
+            self.memo[key] = tuple(blocks)
+        return self.memo[key]
 
     def _facet_witness(self, k: int) -> tuple[int, ...]:
         """u + t w for functional ``k``, in the notation of the module
@@ -545,13 +535,14 @@ def _shape_for(
 
     A new shape is filed under its input and under its own admitted data,
     the input of a cone that copies another cone's data, as
-    ``cyclic_cover`` does.  A failed admission files nothing.
+    ``cyclic_cover`` does.  A failed admission files nothing, and an
+    entry that is not an int is refused before the lookup.
     """
     key = (
         rank,
-        tuple(map(tuple, functionals)),
-        tuple(interior_point),
-        tuple(map(tuple, irredundancy_witnesses)),
+        tuple(_integers("functional", f) for f in functionals),
+        _integers("supplied interior point", interior_point),
+        tuple(_integers("supplied irredundancy witness", w) for w in irredundancy_witnesses),
     )
     shape = _SHAPES.get(key)
     if shape is None:
@@ -574,9 +565,11 @@ class Cone(Frozen):
     coefficient) pairs of ``functionals[k]``; every evaluation reads it.
     These fields are those of ``_shape``, the lattice-free part, which
     every live cone built from equal input shares together with its memo,
-    so admission, the facet witnesses and the refuter's block searches run
-    once per shape.  The lattice is the cone's own: ``values`` refuses a
-    class from any other, even one with an equal shape.
+    so admission, the facet witnesses and the enumeration run once per
+    shape, and the refuter's searches once per block shape.  The lattice
+    is the cone's own: ``values`` refuses a class from any other, even one
+    with an equal shape.  An entry of the input that is not an int is
+    refused, not truncated.
     """
 
     __slots__ = (
@@ -627,11 +620,7 @@ class Cone(Frozen):
         The set is exactly the box's points on which every functional is
         positive; ``_interior_points`` enumerates it.
         """
-        shape = self._shape
-        yield from shape._memoized(
-            ("interior", radius),
-            lambda: _interior_points(shape.functionals, shape.rank, radius),
-        )
+        yield from self._shape._points(radius)[0]
 
     def first_interior_point(self) -> tuple[int, ...]:
         """The integral interior point found or checked at admission.
@@ -712,10 +701,10 @@ def brute_force_refute(
     with no interior point in the box leaves the whole cone without one,
     so nothing is refuted.  Subtrees are pruned only when suffix minima
     prove no completion can violate, so the search remains exhaustive
-    over the declared set.  A block's search depends only on the block,
-    its canonical values and m, so it runs once per shape that owns the
-    block: every live cone of that shape shares it, and a product reuses
-    the searches its factors' shapes already ran.
+    over the declared set.  A block's search depends only on the block's
+    shape, its canonical values, m and the radius, so it is memoized on
+    that shape: every live cone of the shape shares it, and a product
+    reuses the searches its live factors already ran.
     """
     if m < 0:
         raise ValueError("tuple size must be nonnegative")
@@ -724,21 +713,20 @@ def brute_force_refute(
         return () if any(v < 0 for v in k_vals) else None
     shape = cone._shape
     blocks = shape._blocks(radius)
-    if not all(points for _, _, points, _, _ in blocks):
+    if not all(block[3] for block in blocks):
         return None
-    searches = shape._searches(radius)
-    for (coords, indices, points, values, suffix_min), done in zip(blocks, searches):
-        key = (tuple([k_vals[k] for k in indices]), m)
-        if key in done:
-            hit = done[key]
-        else:
-            hit = done[key] = _refute_block(values, suffix_min, key[0], m)
+    for coords, indices, block, points, values, suffix_min in blocks:
+        k_block = tuple([k_vals[k] for k in indices])
+        hit = (block or shape)._memoized(
+            ("refute", radius, k_block, m),
+            lambda: _refute_block(values, suffix_min, k_block, m),
+        )
         if hit is not None:
             break
     else:
         return None
     padding = [0] * cone.lattice.rank
-    for other_coords, _, other_points, _, _ in blocks:
+    for other_coords, _, _, other_points, _, _ in blocks:
         for i, x in zip(other_coords, other_points[0]):
             padding[i] = x
     found = [padding[:] for _ in hit]
@@ -788,9 +776,10 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
     interior point is the concatenation of the factors' points, and a
     separating point for a factor functional, padded with zeros, still
     satisfies every other inequality because all other functionals read
-    it as zero.  The cone's shape records its factors' shapes, whose
-    oracle blocks and searches it reuses, unless it is the shape of an
-    equal cone that has already answered a query from its own blocks.
+    it as zero.  Restricted to a factor's coordinates, the product's data
+    is the factor's admitted data, so the refuter's blocks of a product of
+    live factors are the factors' own shapes, or for a factor that splits
+    further, its blocks' shapes.
     """
     factors = tuple(factors)
     if sum(cone.lattice.rank for cone in factors) != lattice.rank:
@@ -804,7 +793,7 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
             functionals.append((0,) * before + f + (0,) * after)
             witnesses.append((0,) * before + w + (0,) * after)
         before += cone.lattice.rank
-    cone = Cone(
+    return Cone(
         lattice=lattice,
         functionals=tuple(functionals),
         interior_point=tuple(
@@ -812,8 +801,3 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
         ),
         irredundancy_witnesses=tuple(witnesses),
     )
-    shape = cone._shape
-    # a product of one factor takes that factor's own shape
-    if len(factors) > 1 and not shape.factors and not shape.memo:
-        shape.factors = tuple(factor._shape for factor in factors)
-    return cone

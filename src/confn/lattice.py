@@ -57,7 +57,7 @@ class PicardLattice(Frozen):
         return len(self.basis)
 
     def make(self, coeffs) -> "DivisorClass":
-        return DivisorClass(self, tuple(int(c) for c in coeffs))
+        return DivisorClass(self, tuple(coeffs))
 
     def basis_class(self, i: int) -> "DivisorClass":
         coeffs = [0] * self.rank

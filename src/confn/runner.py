@@ -499,8 +499,9 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     only when the lower certificate's tuple lies inside that box, since
     the exact threshold may be witnessed by points outside it.  The
     refuter searches each block of the nef cone on its own (a product
-    cone splits into its factors), and both refutations share the blocks'
-    points, which the cone's shape memoizes per radius.
+    cone splits into its factors), and each block's points and searches
+    are memoized on the block's shape, so a descriptor or factor checked
+    before is not searched again.
     """
     from .cones import brute_force_refute
     from .descriptors import ExactEqualsNef
@@ -530,11 +531,8 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     return None
 
 
-def _compute_row(
-    row: VarietyRow, binding: PipelineResult, max_m: int, oracle: dict
-) -> None:
-    """Fill ``row`` from its binding; ``oracle`` memoizes the cross-check
-    by descriptor identity, so a shared descriptor is searched once."""
+def _compute_row(row: VarietyRow, binding: PipelineResult, max_m: int) -> None:
+    """Fill ``row`` from its binding."""
     desc = binding.descriptor
     assert desc is not None
     row.dimension = desc.dimension
@@ -555,9 +553,7 @@ def _compute_row(
     if not row.verified:
         row.error = "a certificate failed independent re-verification"
         return
-    if id(desc) not in oracle:
-        oracle[id(desc)] = _oracle_disagrees(desc, interval, max_m)
-    disagreement = oracle[id(desc)]
+    disagreement = _oracle_disagrees(desc, interval, max_m)
     if disagreement is not None:
         row.error = disagreement
         row.internal = True
@@ -588,10 +584,9 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
     rows: dict[str, VarietyRow] = {}
     # None marks a definition that failed
     env: dict[str, PipelineResult | None] = {}
-    # construction key -> the binding it built; oracle verdicts by
-    # descriptor; the first row computed from each binding, by its identity
+    # construction key -> the binding it built; the first row computed
+    # from each binding, by its identity
     built: dict[tuple, PipelineResult] = {}
-    oracle: dict[int, str | None] = {}
     computed: dict[int, VarietyRow] = {}
     for stmt in program.statements:
         if isinstance(stmt, Let):
@@ -619,7 +614,7 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
         if row.interval is None and row.error is None:
             first = computed.get(id(binding))
             if first is None:
-                _compute_row(row, binding, max_m, oracle)
+                _compute_row(row, binding, max_m)
                 computed[id(binding)] = row
             else:
                 for field in _BINDING_FIELDS:

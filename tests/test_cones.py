@@ -54,6 +54,32 @@ def empty_shape_table():
         cones._SHAPES = saved
 
 
+@contextlib.contextmanager
+def collector_off():
+    """Inside, only reference counts free objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The (canonical values, m) of every block search the refuter runs."""
+    found = []
+    plain = cones._refute_block
+
+    def counted(vals, suffix_min, k_vals, m):
+        found.append((tuple(k_vals), m))
+        return plain(vals, suffix_min, k_vals, m)
+
+    monkeypatch.setattr(cones, "_refute_block", counted)
+    return found
+
+
 def interior_by_refuter(cone, canonical, max_m=8, radius=6):
     """Least m with no refutation, checked monotonically: the oracle value."""
     for m in range(max_m + 1):
@@ -373,8 +399,8 @@ def test_interior_points_equal_the_filtered_box(case):
     # ones, so only the query's own key is new
     before = set(cone._shape.memo)
     assert list(cone.interior_points(radius)) == plain
-    assert set(cone._shape.memo) - before <= {("interior", radius)}
-    assert ("interior", radius) in cone._shape.memo
+    assert set(cone._shape.memo) - before <= {("points", radius)}
+    assert ("points", radius) in cone._shape.memo
     assert list(cone.interior_points(radius)) == plain
 
 
@@ -720,44 +746,40 @@ MIXED_PRODUCT = product_cone(
 )
 def test_product_blocks_join_the_factor_blocks(case):
     cone, canonical, m = case
-    with empty_shape_table():  # else flat would share the product's shape
+    # flat shares no shape with the product or its factors, so its blocks
+    # are enumerated afresh
+    with empty_shape_table():
         flat = Cone(
             cone.lattice,
             cone.functionals,
             cone.interior_point,
             cone.irredundancy_witnesses,
         )
-    assert not flat._shape.factors
-    for radius in range(1, 5):
-        assert cone._shape._blocks(radius) == _split_blocks(cone.functionals, radius)
+        fresh = {radius: flat._shape._blocks(radius) for radius in range(1, 5)}
+    for radius, flat_blocks in fresh.items():
+        blocks = cone._shape._blocks(radius)
+        assert [b[:2] for b in blocks] == list(_split_blocks(cone.functionals))
+        assert [b[:2] + b[3:] for b in blocks] == [b[:2] + b[3:] for b in flat_blocks]
         assert brute_force_refute(cone, canonical, m, radius) == brute_force_refute(
             flat, canonical, m, radius
         )
 
 
 def test_a_shared_factor_is_enumerated_once():
-    ray = Cone(LINE, ((1,),))
-    square = product_cone(PicardLattice(("A", "B")), (ray, ray))
-    fourth = product_cone(PicardLattice(("A1", "B1", "A2", "B2")), (square, square))
-    (points,) = {id(block[2]) for block in fourth._shape._blocks(3)}
-    assert points == id(ray._shape._blocks(3)[0][2])
-    assert [block[:2] for block in fourth._shape._blocks(3)] == [
-        ([i], [i]) for i in range(4)
-    ]
+    # an equal product that an earlier test keeps alive may hold blocks it
+    # found while another shape table was in place
+    with empty_shape_table():
+        ray = Cone(LINE, ((1,),))
+        square = product_cone(PicardLattice(("A", "B")), (ray, ray))
+        fourth = product_cone(PicardLattice(("A1", "B1", "A2", "B2")), (square, square))
+        blocks = fourth._shape._blocks(3)
+    assert all(block[2] is ray._shape for block in blocks)
+    (points,) = {id(block[3]) for block in blocks}
+    assert points == id(ray._shape._points(3)[0])
+    assert [block[:2] for block in blocks] == [([i], [i]) for i in range(4)]
 
 
-def test_the_oracle_searches_each_block_once(monkeypatch):
-    from confn import cones
-
-    searches = []
-    plain = cones._refute_block
-
-    def counted(vals, suffix_min, k_vals, m):
-        searches.append((tuple(k_vals), m))
-        return plain(vals, suffix_min, k_vals, m)
-
-    monkeypatch.setattr(cones, "_refute_block", counted)
-
+def test_the_oracle_searches_each_block_once(searches):
     def build():
         f1, ray = Cone(F1, ((1, 0), (-1, 1))), Cone(LINE, ((1,),))
         return f1, ray, product_cone(PicardLattice(("S", "F", "H")), (f1, ray))
@@ -788,6 +810,82 @@ def test_the_oracle_searches_each_block_once(monkeypatch):
     assert brute_force_refute(f1, F1.make([-2, -3]), 1, 4) is not None
     assert brute_force_refute(f1, F1.make([-2, -3]), 2, 4) is None
     assert searches == [((-2, -1), 1)]
+
+
+def test_product_blocks_are_the_live_factor_shapes():
+    with empty_shape_table():
+        f1, p1 = Cone(F1, ((1, 0), (-1, 1))), Cone(LINE, ((1,),))
+        a = product_cone(PicardLattice(("S", "F", "H")), (f1, p1))
+        c = product_cone(PicardLattice(("S", "F", "H", "T")), (a, p1))
+        for cone, shapes in ((a, [f1, p1]), (c, [f1, p1, p1])):
+            blocks = cone._shape._blocks(3)
+            assert all(block[2] is s._shape for block, s in zip(blocks, shapes, strict=True))
+        # a block that spans every coordinate is the shape itself
+        assert f1._shape._blocks(3)[0][2] is None
+
+
+def test_a_flat_copy_of_a_product_shares_its_factors_blocks(searches):
+    lat = PicardLattice(("S", "F", "H"))
+    with empty_shape_table():
+        f1, p1 = Cone(F1, ((1, 0), (-1, 1))), Cone(LINE, ((1,),))
+        assert brute_force_refute(f1, F1.make([-2, -3]), 2, 4) is None
+        assert brute_force_refute(p1, LINE.make([-3]), 2, 4) is not None
+        searches.clear()
+        # the product's admitted data, not built by product_cone, and
+        # queried before any product of the same shape exists
+        data = product_cone(lat, (f1, p1))
+        flat = Cone(lat, data.functionals, data.interior_point, data.irredundancy_witnesses)
+        del data
+        assert [block[2] for block in flat._shape._blocks(4)] == [f1._shape, p1._shape]
+        found = brute_force_refute(flat, lat.make([-2, -3, -3]), 2, 4)
+        assert found is not None and searches == []
+        prod = product_cone(lat, (f1, p1))
+        assert prod._shape is flat._shape
+        assert brute_force_refute(prod, lat.make([-2, -3, -3]), 2, 4) == found
+        assert searches == []
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["one_block", "product"])
+def test_a_refuted_cone_leaves_the_shape_table(product):
+    with collector_off(), empty_shape_table():
+        cone = Cone(F1, ((1, 0), (-1, 1)))
+        canonical = F1.make([-2, -3])
+        if product:
+            lat = PicardLattice(("S", "F", "H"))
+            cone = product_cone(lat, (cone, Cone(LINE, ((1,),))))
+            canonical = lat.make([-2, -3, -3])
+        assert brute_force_refute(cone, canonical, 1, 4) is not None
+        assert len(cones._SHAPES) > 0
+        del cone
+        assert len(cones._SHAPES) == 0
+
+
+@pytest.mark.parametrize(
+    "functionals, supplied, message",
+    [
+        (((0.5, 1), (1, 0)), {}, r"functional \(0\.5, 1\) has a non-integer entry 0\.5"),
+        # equal to the live cone's input, but still not an int
+        (((1.0, 0), (0, 1)), {}, r"functional \(1\.0, 0\) has a non-integer entry 1\.0"),
+        (
+            ((1, 0), (0, 1)),
+            {"interior_point": (0.5, 0.5)},
+            r"supplied interior point \(0\.5, 0\.5\) has a non-integer entry 0\.5",
+        ),
+        (
+            ((1, 0), (0, 1)),
+            {"irredundancy_witnesses": ((-1, 1), (1, -0.5))},
+            r"supplied irredundancy witness \(1, -0\.5\) has a non-integer entry -0\.5",
+        ),
+    ],
+    ids=["functional", "float_equal_to_an_int", "interior_point", "witness"],
+)
+def test_a_non_integer_entry_is_refused(functionals, supplied, message):
+    lat = PicardLattice(("A", "B"))
+    # an equal integral cone alive in the table changes nothing
+    alive = Cone(lat, ((1, 0), (0, 1)))
+    with pytest.raises(ConeError, match=f"^{message}$"):
+        Cone(lat, functionals, **supplied)
+    assert alive.functionals == ((1, 0), (0, 1))
 
 
 # ------------------------------------------------- shapes shared by equal cones
@@ -834,24 +932,17 @@ def test_a_failed_admission_files_nothing():
 
 
 def test_no_shape_outlives_a_run():
-    # with the cycle collector off, only reference counts free the cones
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with empty_shape_table():
-            report = evaluate(parse(CORPUS_PROGRAM))
-            assert not report.any_failure
-            del report
-            assert len(cones._SHAPES) == 0
-            # a cone kept across a run lends its shape to the run's rays
-            ray = Cone(LINE, ((1,),))
-            report = evaluate(parse(CORPUS_PROGRAM))
-            del report
-            assert ray._shape.memo
-            assert set(cones._SHAPES.values()) == {ray._shape}
-    finally:
-        if enabled:
-            gc.enable()
+    with collector_off(), empty_shape_table():
+        report = evaluate(parse(CORPUS_PROGRAM))
+        assert not report.any_failure
+        del report
+        assert len(cones._SHAPES) == 0
+        # a cone kept across a run lends its shape to the run's rays
+        ray = Cone(LINE, ((1,),))
+        report = evaluate(parse(CORPUS_PROGRAM))
+        del report
+        assert ray._shape.memo
+        assert set(cones._SHAPES.values()) == {ray._shape}
 
 
 def _answers(cone: Cone, canonical_coeffs) -> tuple:
@@ -865,7 +956,8 @@ def _answers(cone: Cone, canonical_coeffs) -> tuple:
             (p.index, p.functional, p.value_on_canonical, p.interior_witness, p.required)
             for p in report.per_functional
         ],
-        cone._shape._blocks(4),
+        # the block shapes themselves differ between the two tables
+        [block[:2] + block[3:] for block in cone._shape._blocks(4)],
         [brute_force_refute(cone, canonical, m, 4) for m in range(4)],
     )
 

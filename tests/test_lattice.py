@@ -70,6 +70,12 @@ def test_make_checks_length():
         lat.make([1])
 
 
+def test_make_refuses_a_non_integer_coefficient():
+    lat = PicardLattice(("H", "E"))
+    with pytest.raises(LatticeError, match=r"^non-integer coefficient 0\.5$"):
+        lat.make([0.5, 1])
+
+
 # ------------------------------------------------- forms against oracle
 
 
