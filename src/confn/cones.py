@@ -356,11 +356,16 @@ class _Shape:
     """The lattice-free part of a cone: its admitted data and its answers.
 
     The data is a function of the admission input alone, so every live
-    cone built from equal input shares one shape (see ``_shape_for``).
-    ``memo`` keeps the answers of the cone queries, keyed by query, among
-    them, per radius, the interior points, the blocks and, on each block's
-    shape, the refuter's results keyed by canonical values and tuple
-    size; a shape's answers never change.
+    cone built from equal input, or admitted to equal data, shares one
+    shape (see ``_shape_for``).  ``memo`` keeps the answers of the cone
+    queries, keyed by query, among them the facet witnesses, the data
+    padded into each product rank and offset, per radius the interior
+    points, the blocks and, on each block's shape, the refuter's results
+    keyed by canonical values and tuple size.  The engine and the runner
+    file here too what reads only the shape and a canonical class's values
+    on the functionals: the exact-threshold report and certificates, the
+    verifier's verdicts and the oracle's cross-check, each keyed by those
+    values.  A shape's answers never change.
     """
 
     __slots__ = (
@@ -497,6 +502,19 @@ class _Shape:
             self.memo[key] = tuple(blocks)
         return self.memo[key]
 
+    def _padded(self, before: int, rank: int) -> tuple:
+        """The functionals and the irredundancy witnesses extended by zeros
+        to ``rank`` coordinates, ``before`` of them ahead of this shape's:
+        the block of a product that has this shape as a factor."""
+        ahead, after = (0,) * before, (0,) * (rank - before - self.rank)
+        return self._memoized(
+            ("padded", before, rank),
+            lambda: (
+                tuple([ahead + f + after for f in self.functionals]),
+                tuple([ahead + w + after for w in self.irredundancy_witnesses]),
+            ),
+        )
+
     def _facet_witness(self, k: int) -> tuple[int, ...]:
         """u + t w for functional ``k``, in the notation of the module
         docstring, with the least integer t that makes it interior."""
@@ -533,10 +551,12 @@ def _shape_for(
 ) -> _Shape:
     """The live shape admitted from this input, else a newly admitted one.
 
-    A new shape is filed under its input and under its own admitted data,
-    the input of a cone that copies another cone's data, as
-    ``cyclic_cover`` does.  A failed admission files nothing, and an
-    entry that is not an int is refused before the lookup.
+    A new shape is filed under its own admitted data, the input of a cone
+    that copies another cone's data, as ``cyclic_cover`` does, unless a
+    live shape already holds that data: then the input is filed under the
+    live shape, which the cone shares with its memo.  A failed admission
+    files nothing, and an entry that is not an int is refused before the
+    lookup.
     """
     key = (
         rank,
@@ -546,10 +566,9 @@ def _shape_for(
     )
     shape = _SHAPES.get(key)
     if shape is None:
-        shape = _SHAPES[key] = _Shape(*key)
-        _SHAPES.setdefault(
-            (rank, shape.functionals, shape.interior_point, shape.irredundancy_witnesses),
-            shape,
+        new = _Shape(*key)
+        shape = _SHAPES[key] = _SHAPES.setdefault(
+            (rank, new.functionals, new.interior_point, new.irredundancy_witnesses), new
         )
     return shape
 
@@ -784,20 +803,19 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
     factors = tuple(factors)
     if sum(cone.lattice.rank for cone in factors) != lattice.rank:
         raise ConeError("factor ranks do not sum to the product rank")
-    functionals: list[tuple[int, ...]] = []
-    witnesses: list[tuple[int, ...]] = []
+    functionals: tuple[tuple[int, ...], ...] = ()
+    witnesses: tuple[tuple[int, ...], ...] = ()
     before = 0
     for cone in factors:
-        after = lattice.rank - before - cone.lattice.rank
-        for f, w in zip(cone.functionals, cone.irredundancy_witnesses):
-            functionals.append((0,) * before + f + (0,) * after)
-            witnesses.append((0,) * before + w + (0,) * after)
+        padded_functionals, padded_witnesses = cone._shape._padded(before, lattice.rank)
+        functionals += padded_functionals
+        witnesses += padded_witnesses
         before += cone.lattice.rank
     return Cone(
         lattice=lattice,
-        functionals=tuple(functionals),
+        functionals=functionals,
         interior_point=tuple(
             itertools.chain.from_iterable(cone.interior_point for cone in factors)
         ),
-        irredundancy_witnesses=tuple(witnesses),
+        irredundancy_witnesses=witnesses,
     )

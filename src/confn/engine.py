@@ -84,7 +84,24 @@ class FujitaInterval(Frozen):
 def _rule_exact_threshold(desc: VarietyDescriptor):
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return [], []
-    report = desc.nef.adjoint_freeness_threshold(desc.canonical)
+    # the threshold reads only the cone's shape and the canonical class's
+    # values on its functionals, the certificates the justification too,
+    # so both are memoized on the shape
+    shape, justification = desc.nef._shape, desc.gg.justification
+    on_canonical = desc.nef.values(desc.canonical)
+
+    def certificates():
+        report = shape._memoized(
+            ("threshold", on_canonical),
+            lambda: desc.nef.adjoint_freeness_threshold(desc.canonical),
+        )
+        return _threshold_certificates(report, justification)
+
+    key = ("exact-threshold", on_canonical, justification)
+    return list(shape._memoized(key, certificates)), []
+
+
+def _threshold_certificates(report, justification: str) -> tuple[Certificate, ...]:
     per = [
         {
             "index": p.index,
@@ -97,8 +114,7 @@ def _rule_exact_threshold(desc: VarietyDescriptor):
         for p in report.per_functional
     ]
     premises = [
-        "the globally generated cone equals the nef cone: "
-        + desc.gg.justification,
+        "the globally generated cone equals the nef cone: " + justification,
         "every functional takes value >= 1 on interior lattice points, so the "
         "adjoint value is nondecreasing in the number of ample summands and "
         "the bound holds for every s >= m as the definition requires",
@@ -134,7 +150,7 @@ def _rule_exact_threshold(desc: VarietyDescriptor):
                 },
             )
         )
-    return certs, []
+    return tuple(certs)
 
 
 def _rule_curve(desc: VarietyDescriptor):
@@ -463,6 +479,9 @@ def resolve(desc: VarietyDescriptor) -> FujitaInterval:
     Every rule runs, and a rule reads only its descriptor: one that builds
     on a parent reads the parent's resolution.  Cone queries are exact, so
     the interval depends only on the descriptor, and it is memoized on it.
+    Rules share certificates between descriptors: ``exact-threshold``
+    keeps its certificates on the nef cone's shape, per canonical values
+    and justification, and a premise-only rule one per value and premise.
     """
     if desc._interval is not None:
         return desc._interval
@@ -576,23 +595,33 @@ def _verified_interval(desc) -> FujitaInterval | None:
 def _verify_exact_threshold(desc, cert):
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return False
+    # past the premise, the verdict reads only the cone's shape, the
+    # canonical class's values on its functionals and the certificate
+    on_canonical = desc.nef.values(desc.canonical)
+    return desc.nef._shape._memoized(
+        ("verify-exact-threshold", on_canonical, cert),
+        lambda: _check_threshold(desc.nef, on_canonical, cert),
+    )
+
+
+def _check_threshold(nef, on_canonical, cert) -> bool:
     data = cert.witness_data()
+    functionals = nef.functionals
     if cert.kind == UPPER:
         per = data["per_functional"]
         # one entry per functional, in order, so none stands in for another
         indices = [entry["index"] for entry in per]
-        if indices != list(range(len(desc.nef.functionals))):
+        if indices != list(range(len(functionals))):
             return False
-        on_canonical = desc.nef.values(desc.canonical)
         requireds = []
         for entry in per:
             k = entry["index"]
-            if desc.nef.functionals[k] != tuple(entry["functional"]):
+            if functionals[k] != tuple(entry["functional"]):
                 return False
             phi_k = on_canonical[k]
             if phi_k != entry["value_on_canonical"]:
                 return False
-            on_witness = desc.nef.values(desc.lattice.make(entry["interior_witness"]))
+            on_witness = nef.values(nef.lattice.make(entry["interior_witness"]))
             if not all(v > 0 for v in on_witness):
                 return False
             if entry["min_interior"] != 1 or on_witness[k] != 1:
@@ -602,15 +631,17 @@ def _verify_exact_threshold(desc, cert):
                 return False
             requireds.append(required)
         return cert.value == data["m_star"] == max(requireds)
-    points = [desc.lattice.make(p) for p in data["tuple"]]
+    points = [nef.lattice.make(p) for p in data["tuple"]]
     if len(points) != data["m_star"] - 1 or cert.value != data["m_star"]:
         return False
-    if not all(desc.nef.strictly_contains(p) for p in points):
+    if not all(nef.strictly_contains(p) for p in points):
         return False
-    total = desc.canonical
+    # the functionals are linear, so the adjoint's values are the
+    # canonical values plus the points' values
+    total = list(on_canonical)
     for p in points:
-        total = total + p
-    return desc.nef.values(total)[data["violated_index"]] < 0
+        total = [a + b for a, b in zip(total, nef.values(p))]
+    return total[data["violated_index"]] < 0
 
 
 def _verify_curve(desc, cert):
@@ -770,14 +801,21 @@ def _premise_bound(rule_id, applies, value, citation, premise=None) -> Rule:
     Where ``applies(desc)`` holds it emits one upper certificate of
     ``value(desc)``, with ``premise(desc)`` as its premise line if given,
     and its verifier re-checks that premise and value: there is no
-    witness to read.
+    witness to read.  The certificate is a function of the value and the
+    premise line, which range over the dimensions a process sees, so one
+    is built per pair and kept.
     """
+    made: dict[tuple, Certificate] = {}
 
     def derive(desc):
         if not applies(desc):
             return [], []
-        premises = [premise(desc)] if premise else []
-        return [Certificate(UPPER, rule_id, value(desc), citation, premises)], []
+        key = (value(desc), premise(desc) if premise else None)
+        cert = made.get(key)
+        if cert is None:
+            premises = [key[1]] if premise else []
+            cert = made[key] = Certificate(UPPER, rule_id, key[0], citation, premises)
+        return [cert], []
 
     def verify(desc, cert):
         return applies(desc) and cert.kind == UPPER and cert.value == value(desc)

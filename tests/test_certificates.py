@@ -23,6 +23,7 @@ from confn.certificates import (
     render_json,
 )
 from confn.dsl import parse
+from confn.engine import FujitaInterval
 from confn.runner import Report, corpus, emit_json, evaluate
 
 
@@ -249,8 +250,8 @@ def test_emit_json_matches_the_reference_on_the_corpus():
 
 
 def test_emit_json_renders_each_distinct_certificate_once(monkeypatch):
-    # one program would share one descriptor between A and B; two
-    # evaluations give certificates that are equal but distinct objects
+    # rules share equal certificates between descriptors, so B's are
+    # copied through JSON: equal to A's, but distinct objects
     report = Report(
         [
             row
@@ -259,6 +260,13 @@ def test_emit_json_renders_each_distinct_certificate_once(monkeypatch):
                 parse(f"let {name} = projective_space(2)\ncompute {name}\n")
             ).rows
         ]
+    )
+    shared = report.rows[1].interval
+    report.rows[1].interval = FujitaInterval(
+        shared.lo,
+        shared.hi,
+        tuple(Certificate.from_json_dict(c.to_json_dict()) for c in shared.certificates),
+        shared.advisories,
     )
     certs = [c for row in report.rows for c in row.interval.certificates]
     assert len(set(certs)) < len(certs) and len({id(c) for c in certs}) == len(certs)

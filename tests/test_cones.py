@@ -916,6 +916,34 @@ def test_equal_cones_on_two_lattices_share_one_shape():
             query(b.make([-2, -3]))
 
 
+def test_an_admission_that_finds_a_live_shape_shares_it():
+    with empty_shape_table():
+        f1 = hirzebruch1()
+        # the linear program finds F1's supplied point and witnesses
+        found = Cone(f1.lattice, ((1, 0), (-1, 1)))
+        assert found._shape is hirzebruch1().nef._shape is f1.nef._shape
+        # the input is filed under the live shape, so the next cone skips the LP
+        assert cones._SHAPES[(2, ((1, 0), (-1, 1)), (), ())] is f1.nef._shape
+        assert set(cones._SHAPES.values()) == {f1.nef._shape}
+
+
+def test_a_product_pads_each_factor_once_per_offset_and_rank():
+    lat = PicardLattice(("S", "F", "H"))
+    with empty_shape_table():
+        f1, ray = Cone(F1, ((1, 0), (-1, 1))), Cone(LINE, ((1,),))
+        first = product_cone(lat, (f1, ray))
+        padded = f1._shape.memo[("padded", 0, 3)]
+        assert padded == (
+            ((1, 0, 0), (-1, 1, 0)),
+            tuple(w + (0,) for w in f1.irredundancy_witnesses),
+        )
+        assert ray._shape.memo[("padded", 2, 3)] == (((0, 0, 1),), ((0, 0, -1),))
+        again = product_cone(lat, (f1, ray))
+        assert again._shape is first._shape
+        assert f1._shape.memo[("padded", 0, 3)] is padded
+        assert first.functionals == ((1, 0, 0), (-1, 1, 0), (0, 0, 1))
+
+
 def test_a_failed_admission_files_nothing():
     lat = PicardLattice(("A", "B", "C"))
     rows = ((1, -3, 0), (1, -1, -3), (-2, 2, 1), (1, 3, 3))

@@ -1,6 +1,11 @@
 """Resolver rules, refinement, error paths, and the certificate verifier."""
 
+import json
+import weakref
+
 import pytest
+
+from confn import cones
 
 from confn.certificates import LOWER, UPPER, Certificate
 from confn.constructions import blowup_point, cyclic_cover, hypersurface_section, product
@@ -24,7 +29,9 @@ from confn.engine import (
     verify_certificate,
 )
 from confn.cones import Cone
+from confn.dsl import parse
 from confn.lattice import IntersectionForm, PicardLattice
+from confn.runner import evaluate
 
 
 def _assert_all_verified(desc, interval):
@@ -721,3 +728,149 @@ def test_every_corpus_certificate_verifies():
     for desc in descs:
         interval = resolve(desc)
         _assert_all_verified(desc, interval)
+
+
+# ------------------------------------------------------ memos on the nef cone's shape
+
+
+def _threshold(desc, kind) -> Certificate:
+    return next(
+        c
+        for c in resolve(desc).certificates
+        if c.rule == "exact-threshold" and c.kind == kind
+    )
+
+
+def _int_leaves(data, path=()):
+    """The path of each int leaf of JSON ``data``."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _int_leaves(value, path + (key,))
+        elif type(value) is int:
+            yield path + (key,)
+
+
+def _raised(data, path):
+    """A copy of JSON ``data`` with the leaf at ``path`` raised by 1."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] += 1
+    return data
+
+
+def test_a_mutated_threshold_leaf_is_refused_on_a_shape_that_accepted_the_honest_one(
+    monkeypatch,
+):
+    f1 = hirzebruch1()
+    honest = [_threshold(f1, UPPER), _threshold(f1, LOWER)]
+    assert all(verify_certificate(f1, cert) for cert in honest)
+    # a second descriptor reads the verdicts memoized on the shared shape
+    twin = hirzebruch1()
+    assert twin.nef._shape is f1.nef._shape
+    forged = {
+        (cert.kind, path): Certificate(
+            cert.kind, cert.rule, cert.value, cert.citation,
+            premises=cert.premises, witness=_raised(cert.witness_data(), path),
+        )
+        for cert in honest
+        for path in _int_leaves(cert.witness_data())
+    }
+    monkeypatch.setattr(cones, "_SHAPES", weakref.WeakValueDictionary())
+    fresh = hirzebruch1()
+    assert fresh.nef._shape is not f1.nef._shape
+    expected = {key: verify_certificate(fresh, cert) for key, cert in forged.items()}
+    assert {key: verify_certificate(twin, cert) for key, cert in forged.items()} == expected
+    # the witness for functional 0 moved off its facet; the escaping point
+    # moved off the interior
+    refused = {key for key, verdict in expected.items() if not verdict}
+    assert (UPPER, ("per_functional", 0, "interior_witness", 0)) in refused
+    assert (LOWER, ("tuple", 0, 0)) in refused
+    assert all(verify_certificate(twin, cert) for cert in honest)
+
+
+def _p1_x_p1_surface():
+    lat = PicardLattice(("A", "B"))
+    return custom(
+        dimension=2,
+        lattice=lat,
+        form=IntersectionForm.from_gram(lat, [[0, 1], [1, 0]]),
+        canonical=lat.make([-2, -2]),
+        nef=Cone(lat, ((1, 0), (0, 1))),
+    )
+
+
+def test_a_custom_surface_on_a_product_shape_keeps_its_own_interval():
+    p1 = projective_space(1)
+    quadric = product(p1, p1)
+    product_iv = resolve(quadric)
+    assert str(product_iv) == "2"
+    certs = [c for c in product_iv.certificates if c.rule == "exact-threshold"]
+    assert len(certs) == 2 and all(verify_certificate(quadric, c) for c in certs)
+    surface = _p1_x_p1_surface()
+    # the same shape and canonical values, but global generation is unknown
+    assert surface.nef._shape is quadric.nef._shape
+    assert surface.nef.values(surface.canonical) == quadric.nef.values(quadric.canonical)
+    interval = resolve(surface)
+    assert (interval.lo, interval.hi) == (0, 2)
+    assert all(c.rule != "exact-threshold" for c in interval.certificates)
+    assert not any(verify_certificate(surface, c) for c in certs)
+    _assert_all_verified(surface, interval)
+
+
+def test_products_on_one_shape_keep_their_own_threshold():
+    spaces = {n: projective_space(n) for n in range(1, 6)}
+    products = {
+        (a, b): product(spaces[a], spaces[b]) for a in spaces for b in spaces
+    }
+    assert len({id(d.nef._shape) for d in products.values()}) == 1
+    for (a, b), desc in products.items():
+        interval = resolve(desc)
+        assert interval.exact and interval.lo == max(a, b) + 1, (a, b)
+        upper = _threshold(desc, UPPER)
+        assert upper.value == max(a, b) + 1
+        assert [e["value_on_canonical"] for e in upper.witness_data()["per_functional"]] == [
+            -(a + 1),
+            -(b + 1),
+        ]
+        _assert_all_verified(desc, interval)
+
+
+def test_the_threshold_runs_once_per_shape_and_canonical_values(monkeypatch):
+    monkeypatch.setattr(cones, "_SHAPES", weakref.WeakValueDictionary())
+    plain = Cone.adjoint_freeness_threshold
+    keys = []
+
+    def counted(cone, canonical):
+        keys.append((cone._shape, cone.values(canonical)))
+        return plain(cone, canonical)
+
+    monkeypatch.setattr(Cone, "adjoint_freeness_threshold", counted)
+    report = evaluate(
+        parse(
+            "let P1 = projective_space(1)\n"
+            "let P2 = projective_space(2)\n"
+            "let C0 = curve(0)\n"  # the values of P1, another justification
+            "let Q = complete_intersection(3, degrees = [2])\n"  # those of P2
+            "let A = product(P1, P2)\n"
+            "let B = product(P2, P1)\n"
+            "let C = product(P1, P1)\n"
+            "let D = product(C0, P2)\n"  # the values of A
+            + "".join(f"compute {name}\n" for name in ("P1", "P2", "C0", "Q", "A", "B", "C", "D"))
+        )
+    )
+    assert not report.any_failure
+    assert [str(row.interval) for row in report.rows] == ["2", "3", "2", "3", "3", "3", "2", "3"]
+    # rays at (-2,) and (-3,); the rank-2 shape at (-2, -3), (-3, -2), (-2, -2)
+    assert len(keys) == len(set(keys)) == 5
+    assert len({shape for shape, _ in keys}) == 2
+
+
+def test_premise_only_certificates_are_built_once_per_value_and_premise():
+    space, quadric = resolve(projective_space(3)), resolve(complete_intersection(3, (2,)))
+    for rule in ("threefold-helmke", "universal-angehrn-siu"):
+        [a] = [c for c in space.certificates if c.rule == rule]
+        [b] = [c for c in quadric.certificates if c.rule == rule]
+        assert a is b
