@@ -21,6 +21,18 @@ from .dsl import DslError, parse
 from .runner import corpus, emit_json, emit_markdown, evaluate, explain_row
 
 
+def _cap(text: str) -> int:
+    """A nonnegative ``--max-m``: a negative cap would turn the oracle off
+    without saying so."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -38,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--max-m",
-        type=int,
+        type=_cap,
         default=6,
         help="cap on brute-force oracle cross-checks of exact values "
         "(default: 6; 0 disables)",

@@ -357,15 +357,23 @@ class _Shape:
 
     The data is a function of the admission input alone, so every live
     cone built from equal input, or admitted to equal data, shares one
-    shape (see ``_shape_for``).  ``memo`` keeps the answers of the cone
-    queries, keyed by query, among them the facet witnesses, the data
-    padded into each product rank and offset, per radius the interior
-    points, the blocks and, on each block's shape, the refuter's results
-    keyed by canonical values and tuple size.  The engine and the runner
-    file here too what reads only the shape and a canonical class's values
-    on the functionals: the exact-threshold report and certificates, the
-    verifier's verdicts and the oracle's cross-check, each keyed by those
-    values.  A shape's answers never change.
+    shape (see ``_shape_for``).  ``memo`` keeps five kinds of answer,
+    each bounding work that a program would otherwise repeat:
+
+    * ``("min", k)``: the facet witness of functional k, built once per
+      shape, not once per canonical class whose threshold reads it;
+    * ``("points", radius)``: the interior points of the box, enumerated
+      once per shape, not once per product that has the shape as a block;
+    * ``("blocks", radius)``: the refuter's blocks, split once per shape,
+      not once per search;
+    * ``("refute", radius, canonical values, m)``, on a block's shape: one
+      search per block, canonical values and tuple size, which a product
+      shares with its factors;
+    * ``("exact-threshold", canonical values, justification)``, filed by
+      the engine: that rule's certificates, built once per shape, not
+      once per descriptor.
+
+    A shape's answers never change.
     """
 
     __slots__ = (
@@ -501,19 +509,6 @@ class _Shape:
                 blocks.append((coords, indices, block, *(block or self)._points(radius)))
             self.memo[key] = tuple(blocks)
         return self.memo[key]
-
-    def _padded(self, before: int, rank: int) -> tuple:
-        """The functionals and the irredundancy witnesses extended by zeros
-        to ``rank`` coordinates, ``before`` of them ahead of this shape's:
-        the block of a product that has this shape as a factor."""
-        ahead, after = (0,) * before, (0,) * (rank - before - self.rank)
-        return self._memoized(
-            ("padded", before, rank),
-            lambda: (
-                tuple([ahead + f + after for f in self.functionals]),
-                tuple([ahead + w + after for w in self.irredundancy_witnesses]),
-            ),
-        )
 
     def _facet_witness(self, k: int) -> tuple[int, ...]:
         """u + t w for functional ``k``, in the notation of the module
@@ -803,13 +798,14 @@ def product_cone(lattice: PicardLattice, factors) -> Cone:
     factors = tuple(factors)
     if sum(cone.lattice.rank for cone in factors) != lattice.rank:
         raise ConeError("factor ranks do not sum to the product rank")
-    functionals: tuple[tuple[int, ...], ...] = ()
-    witnesses: tuple[tuple[int, ...], ...] = ()
+    functionals: list[tuple[int, ...]] = []
+    witnesses: list[tuple[int, ...]] = []
     before = 0
     for cone in factors:
-        padded_functionals, padded_witnesses = cone._shape._padded(before, lattice.rank)
-        functionals += padded_functionals
-        witnesses += padded_witnesses
+        ahead = (0,) * before
+        after = (0,) * (lattice.rank - before - cone.lattice.rank)
+        functionals += [ahead + f + after for f in cone.functionals]
+        witnesses += [ahead + w + after for w in cone.irredundancy_witnesses]
         before += cone.lattice.rank
     return Cone(
         lattice=lattice,

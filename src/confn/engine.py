@@ -84,21 +84,17 @@ class FujitaInterval(Frozen):
 def _rule_exact_threshold(desc: VarietyDescriptor):
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return [], []
-    # the threshold reads only the cone's shape and the canonical class's
-    # values on its functionals, the certificates the justification too,
-    # so both are memoized on the shape
-    shape, justification = desc.nef._shape, desc.gg.justification
-    on_canonical = desc.nef.values(desc.canonical)
-
-    def certificates():
-        report = shape._memoized(
-            ("threshold", on_canonical),
-            lambda: desc.nef.adjoint_freeness_threshold(desc.canonical),
-        )
-        return _threshold_certificates(report, justification)
-
-    key = ("exact-threshold", on_canonical, justification)
-    return list(shape._memoized(key, certificates)), []
+    # the certificates read only the cone's shape, the canonical class's
+    # values on its functionals and the justification, so they are
+    # memoized on the shape
+    justification = desc.gg.justification
+    certs = desc.nef._shape._memoized(
+        ("exact-threshold", desc.nef.values(desc.canonical), justification),
+        lambda: _threshold_certificates(
+            desc.nef.adjoint_freeness_threshold(desc.canonical), justification
+        ),
+    )
+    return list(certs), []
 
 
 def _threshold_certificates(report, justification: str) -> tuple[Certificate, ...]:
@@ -478,10 +474,13 @@ def resolve(desc: VarietyDescriptor) -> FujitaInterval:
 
     Every rule runs, and a rule reads only its descriptor: one that builds
     on a parent reads the parent's resolution.  Cone queries are exact, so
-    the interval depends only on the descriptor, and it is memoized on it.
-    Rules share certificates between descriptors: ``exact-threshold``
-    keeps its certificates on the nef cone's shape, per canonical values
-    and justification, and a premise-only rule one per value and premise.
+    the interval depends only on the descriptor, and it is memoized on it:
+    the rules of a product or a cover, their verifiers and the runner all
+    read a parent's interval, and the memo resolves each node of a tower
+    once, not once per read.  Rules share certificates between
+    descriptors: ``exact-threshold`` keeps its certificates on the nef
+    cone's shape, per canonical values and justification, and a
+    premise-only rule one per value and premise line.
     """
     if desc._interval is not None:
         return desc._interval
@@ -555,7 +554,10 @@ def verify_certificate(desc: VarietyDescriptor, cert: Certificate) -> bool:
     the caller decides how loud to be.  The checks re-derive every claim
     from the witness data and the descriptor, not from resolver state: a
     parent's memoized interval counts only once its endpoint certificates
-    re-verify.  The outcome is memoized on the descriptor per certificate.
+    re-verify.  The outcome is memoized on the descriptor per certificate:
+    a product's verifier re-verifies its parents' endpoint certificates,
+    and the memo keeps that linear in the depth of a tower, where each
+    level would otherwise double it.
     """
     verdict = desc._verdicts.get(cert)
     if verdict is None:
@@ -595,16 +597,8 @@ def _verified_interval(desc) -> FujitaInterval | None:
 def _verify_exact_threshold(desc, cert):
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return False
-    # past the premise, the verdict reads only the cone's shape, the
-    # canonical class's values on its functionals and the certificate
-    on_canonical = desc.nef.values(desc.canonical)
-    return desc.nef._shape._memoized(
-        ("verify-exact-threshold", on_canonical, cert),
-        lambda: _check_threshold(desc.nef, on_canonical, cert),
-    )
-
-
-def _check_threshold(nef, on_canonical, cert) -> bool:
+    nef = desc.nef
+    on_canonical = nef.values(desc.canonical)
     data = cert.witness_data()
     functionals = nef.functionals
     if cert.kind == UPPER:
@@ -803,7 +797,8 @@ def _premise_bound(rule_id, applies, value, citation, premise=None) -> Rule:
     and its verifier re-checks that premise and value: there is no
     witness to read.  The certificate is a function of the value and the
     premise line, which range over the dimensions a process sees, so one
-    is built per pair and kept.
+    is built per pair and kept for the process, where every resolution
+    would otherwise build one afresh for each of these rules it meets.
     """
     made: dict[tuple, Certificate] = {}
 

@@ -20,13 +20,14 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Callable, NamedTuple
 
-from . import dsl
+from . import cones, dsl
 from .certificates import LOWER, render_json
 from .cones import Cone, ConeError
 from .constructions import blowup_point, cyclic_cover, hypersurface_section, product
 from .descriptors import (
     CUSTOM_FLAGS,
     DescriptorError,
+    ExactEqualsNef,
     VarietyDescriptor,
     abelian,
     complete_intersection,
@@ -497,49 +498,37 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     up to max_m adjoint summands; larger values are taken on the strength
     of the certificates alone.  Below the value it looks for a refutation
     only when the lower certificate's tuple lies inside that box, since
-    the exact threshold may be witnessed by points outside it.  Past the
-    premise and the cap, the outcome reads only the nef cone's shape, the
-    canonical class's values on its functionals, the value and the lower
-    certificates, so it is memoized on the shape under the last three.
-    The refuter searches each block of the nef cone on its own (a product
-    cone splits into its factors), and each block's points and searches
-    are memoized on the block's shape, so a factor checked before is not
-    searched again.
+    the exact threshold may be witnessed by points outside it.  The check
+    itself keeps nothing, so its outcome cannot depend on the caps of
+    earlier checks; ``evaluate`` runs it once per binding.  The refuter
+    searches each block of the nef cone on its own (a product cone splits
+    into its factors), and each block's points and searches are memoized
+    on the block's shape, so a factor checked before is not searched
+    again.
     """
-    from .cones import brute_force_refute
-    from .descriptors import ExactEqualsNef
-
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return None
     if not interval.exact or interval.lo > max_m:
         return None
     value = interval.lo
-    lowers = tuple(
-        c
+    tuples = [
+        c.witness_data()["tuple"]
         for c in interval.certificates
         if c.rule == "exact-threshold" and c.kind == LOWER
-    )
-
-    def check():
-        tuples = [c.witness_data()["tuple"] for c in lowers]
-        in_box = all(abs(x) <= ORACLE_RADIUS for t in tuples for p in t for x in p)
-        refute = partial(
-            brute_force_refute, desc.nef, desc.canonical, radius=ORACLE_RADIUS
+    ]
+    in_box = all(abs(x) <= ORACLE_RADIUS for t in tuples for p in t for x in p)
+    refute = partial(cones.brute_force_refute, desc.nef, desc.canonical, radius=ORACLE_RADIUS)
+    if value >= 1 and in_box and refute(value - 1) is None:
+        return (
+            f"oracle disagreement: no refutation found at {value - 1} summands "
+            f"although the resolved value is {value}"
         )
-        if value >= 1 and in_box and refute(value - 1) is None:
-            return (
-                f"oracle disagreement: no refutation found at {value - 1} summands "
-                f"although the resolved value is {value}"
-            )
-        if refute(value) is not None:
-            return (
-                f"oracle disagreement: a refutation exists at {value} summands "
-                f"although the resolved value is {value}"
-            )
-        return None
-
-    on_canonical = desc.nef.values(desc.canonical)
-    return desc.nef._shape._memoized(("oracle", on_canonical, value, lowers), check)
+    if refute(value) is not None:
+        return (
+            f"oracle disagreement: a refutation exists at {value} summands "
+            f"although the resolved value is {value}"
+        )
+    return None
 
 
 def _compute_row(row: VarietyRow, binding: PipelineResult, max_m: int) -> None:

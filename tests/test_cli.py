@@ -9,7 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from confn import cones
 from confn.cli import main
+from confn.constructions import product
+from confn.descriptors import del_pezzo7, hirzebruch1, projective_space
+from confn.dsl import parse
+from confn.runner import emit_json, evaluate
 
 GOOD = """\
 let X = projective_space(3)
@@ -161,6 +166,70 @@ def test_bogus_format_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["eval", "-"], ["corpus"]], ids=["eval", "corpus"])
+def test_a_negative_max_m_is_a_usage_error(command, capsys):
+    # a negative cap would silently turn the oracle off
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--max-m", "-3"])
+    assert exc.value.code == 2
+    assert "argument --max-m: must be 0 or more, not -3" in capsys.readouterr().err
+
+
+CAPPED = """\
+let P1 = projective_space(1)
+let P2 = projective_space(2)
+let F1 = hirzebruch1()
+let dP7 = delpezzo7()
+let A = product(F1, P1)
+let B = product(dP7, P1)
+compute A
+compute B
+compute P2
+"""
+
+
+def _checkout_env() -> dict:
+    """The environment with this checkout's ``src/`` first on the path, so
+    a child process never imports a ``confn`` from elsewhere."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def test_the_oracle_check_does_not_depend_on_the_caps_before_it(monkeypatch):
+    # the kept descriptors hold every shape of the program alive, so any
+    # answer filed on a shape under one cap is there for the next
+    p1 = projective_space(1)
+    kept = [product(hirzebruch1(), p1), product(del_pezzo7(), p1), projective_space(2)]
+    searches = []
+    plain = cones.brute_force_refute
+
+    def counted(*args, **kwargs):
+        searches.append(args[2])
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "brute_force_refute", counted)
+    # A and B have value 2 and P2 has 3: each check searches one summand
+    # below the value and at it
+    for max_m, wanted in ((0, []), (2, [1, 2, 1, 2]), (6, [1, 2, 1, 2, 2, 3])):
+        searches.clear()
+        in_process = emit_json(evaluate(parse(CAPPED), max_m=max_m))
+        assert searches == wanted, max_m
+        fresh = subprocess.run(
+            [sys.executable, "-m", "confn.cli", "eval", "-", "--max-m", str(max_m)]
+            + ["--format", "json"],
+            input=CAPPED,
+            capture_output=True,
+            text=True,
+            env=_checkout_env(),
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout == in_process, max_m
+    assert all(desc.nef._shape.memo for desc in kept)
+
+
 def test_json_format(tmp_path, capsys):
     path = tmp_path / "good.fuj"
     path.write_text(GOOD)
@@ -251,15 +320,11 @@ def test_installed_entry_point_runs_corpus():
     """
     module, attr = _declared_console_script("confn")
     launcher = f"import sys; from {module} import {attr}; sys.exit({attr}())"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-c", launcher, "corpus", "--format", "json"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)

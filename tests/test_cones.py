@@ -927,21 +927,18 @@ def test_an_admission_that_finds_a_live_shape_shares_it():
         assert set(cones._SHAPES.values()) == {f1.nef._shape}
 
 
-def test_a_product_pads_each_factor_once_per_offset_and_rank():
+def test_a_product_pads_each_factor_with_zeros_outside_its_block():
     lat = PicardLattice(("S", "F", "H"))
     with empty_shape_table():
         f1, ray = Cone(F1, ((1, 0), (-1, 1))), Cone(LINE, ((1,),))
         first = product_cone(lat, (f1, ray))
-        padded = f1._shape.memo[("padded", 0, 3)]
-        assert padded == (
-            ((1, 0, 0), (-1, 1, 0)),
-            tuple(w + (0,) for w in f1.irredundancy_witnesses),
+        assert first.functionals == ((1, 0, 0), (-1, 1, 0), (0, 0, 1))
+        assert first.irredundancy_witnesses == (
+            tuple(w + (0,) for w in f1.irredundancy_witnesses) + ((0, 0, -1),)
         )
-        assert ray._shape.memo[("padded", 2, 3)] == (((0, 0, 1),), ((0, 0, -1),))
+        assert first.interior_point == f1.interior_point + (1,)
         again = product_cone(lat, (f1, ray))
         assert again._shape is first._shape
-        assert f1._shape.memo[("padded", 0, 3)] is padded
-        assert first.functionals == ((1, 0, 0), (-1, 1, 0), (0, 0, 1))
 
 
 def test_a_failed_admission_files_nothing():

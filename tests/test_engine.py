@@ -29,9 +29,7 @@ from confn.engine import (
     verify_certificate,
 )
 from confn.cones import Cone
-from confn.dsl import parse
 from confn.lattice import IntersectionForm, PicardLattice
-from confn.runner import evaluate
 
 
 def _assert_all_verified(desc, interval):
@@ -767,7 +765,7 @@ def test_a_mutated_threshold_leaf_is_refused_on_a_shape_that_accepted_the_honest
     f1 = hirzebruch1()
     honest = [_threshold(f1, UPPER), _threshold(f1, LOWER)]
     assert all(verify_certificate(f1, cert) for cert in honest)
-    # a second descriptor reads the verdicts memoized on the shared shape
+    # a second descriptor on the shared shape, verified against a fresh one
     twin = hirzebruch1()
     assert twin.nef._shape is f1.nef._shape
     forged = {
@@ -836,36 +834,6 @@ def test_products_on_one_shape_keep_their_own_threshold():
             -(b + 1),
         ]
         _assert_all_verified(desc, interval)
-
-
-def test_the_threshold_runs_once_per_shape_and_canonical_values(monkeypatch):
-    monkeypatch.setattr(cones, "_SHAPES", weakref.WeakValueDictionary())
-    plain = Cone.adjoint_freeness_threshold
-    keys = []
-
-    def counted(cone, canonical):
-        keys.append((cone._shape, cone.values(canonical)))
-        return plain(cone, canonical)
-
-    monkeypatch.setattr(Cone, "adjoint_freeness_threshold", counted)
-    report = evaluate(
-        parse(
-            "let P1 = projective_space(1)\n"
-            "let P2 = projective_space(2)\n"
-            "let C0 = curve(0)\n"  # the values of P1, another justification
-            "let Q = complete_intersection(3, degrees = [2])\n"  # those of P2
-            "let A = product(P1, P2)\n"
-            "let B = product(P2, P1)\n"
-            "let C = product(P1, P1)\n"
-            "let D = product(C0, P2)\n"  # the values of A
-            + "".join(f"compute {name}\n" for name in ("P1", "P2", "C0", "Q", "A", "B", "C", "D"))
-        )
-    )
-    assert not report.any_failure
-    assert [str(row.interval) for row in report.rows] == ["2", "3", "2", "3", "3", "3", "2", "3"]
-    # rays at (-2,) and (-3,); the rank-2 shape at (-2, -3), (-3, -2), (-2, -2)
-    assert len(keys) == len(set(keys)) == 5
-    assert len({shape for shape, _ in keys}) == 2
 
 
 def test_premise_only_certificates_are_built_once_per_value_and_premise():

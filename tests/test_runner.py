@@ -170,13 +170,9 @@ def test_oracle_runs_once_per_shared_descriptor(monkeypatch):
         return plain(*args, **kwargs)
 
     monkeypatch.setattr(cones, "brute_force_refute", counted)
-    # the oracle's outcome is memoized on the nef cone's shape, so each
-    # evaluation starts from an empty shape table, blind to live cones
-    monkeypatch.setattr(cones, "_SHAPES", weakref.WeakValueDictionary())
     once = evaluate(parse("let A = projective_space(2)\ncompute A\n"))
     single = len(calls)
     calls.clear()
-    monkeypatch.setattr(cones, "_SHAPES", weakref.WeakValueDictionary())
     twice = evaluate(
         parse(
             "let A = projective_space(2)\nlet B = projective_space(2)\n"
