@@ -308,7 +308,6 @@ def cyclic_cover(
     branch: DivisorClass,
     degree: int,
     assume=(),
-    assume_ample: bool = False,
 ) -> VarietyDescriptor:
     """Degree-d cyclic cover totally branched over a smooth member of |dL|.
 
@@ -332,7 +331,7 @@ def cyclic_cover(
                 f"cyclic_cover does not take assumption {name!r}; it takes "
                 + ", ".join(_COVER_ASSUMPTIONS)
             )
-    _require_ample(y, branch, "branch class", assume_ample or "ample" in assume)
+    _require_ample(y, branch, "branch class", "ample" in assume)
     assertions: list[Assertion] = []
     if y.dimension >= 4:
         assertions.append(Assertion("pic_pullback_iso", _LEFSCHETZ_CITATION))

@@ -7,11 +7,12 @@ names: "toric", "irregularity_zero" and "abelian".  The lattice stands for
 the whole Neron-Severi lattice, so divisibility of intersection numbers
 is read from the form, and a form with no nonzero entry is refused; a
 curve's lattice is generated by a point, so a curve form whose degrees
-have a gcd other than 1 is refused.  Knowledge is explicit: the nef cone is
-either a concrete cone or unknown, and the set of globally generated
-classes is either exactly the nef cone (with a recorded justification),
-a finite under-approximation, or unknown.  Nothing downstream is allowed
-to upgrade "unknown" silently.
+have a gcd other than 1 is refused, and so is a curve whose canonical
+degree is not 2g - 2 for a genus g >= 0.  Knowledge is explicit: the nef
+cone is either a concrete cone or unknown, and the set of globally
+generated classes is either exactly the nef cone (with a recorded
+justification), a finite under-approximation, or unknown.  Nothing
+downstream is allowed to upgrade "unknown" silently.
 
 Every descriptor records its provenance: which constructor made it, with
 which parameters, from which parents, under which named assertions.  The
@@ -60,12 +61,11 @@ GGStatus = ExactEqualsNef | UnderApprox | UnknownGG
 class Assertion(Frozen):
     """A named, user- or pipeline-supplied hypothesis with its citation."""
 
-    __slots__ = ("name", "citation", "detail")
+    __slots__ = ("name", "citation")
 
-    def __init__(self, name: str, citation: str, detail: str = "") -> None:
+    def __init__(self, name: str, citation: str) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "citation", citation)
-        object.__setattr__(self, "detail", detail)
 
 
 class Provenance(Frozen):
@@ -142,20 +142,27 @@ class VarietyDescriptor(Frozen):
             )
         if self.form.lattice is not self.lattice:
             raise DescriptorError("intersection form lives on a different lattice")
-        if self.dimension == 1 and self.form.gcd() != 1:
-            # a point has degree 1; a coarser lattice would fake divisibility
-            # on every product with the curve
-            raise DescriptorError(
-                "a curve's lattice must contain a point class of degree 1, but "
-                f"its degrees have gcd {self.form.gcd()}"
-            )
+        if self.canonical.lattice is not self.lattice:
+            raise DescriptorError("canonical class lives on a different lattice")
+        if self.dimension == 1:
+            if self.form.gcd() != 1:
+                # a point has degree 1; a coarser lattice would fake
+                # divisibility on every product with the curve
+                raise DescriptorError(
+                    "a curve's lattice must contain a point class of degree 1, "
+                    f"but its degrees have gcd {self.form.gcd()}"
+                )
+            deg_k = self.form.evaluate(self.canonical)
+            if deg_k % 2 != 0 or deg_k < -2:
+                raise DescriptorError(
+                    f"a curve's canonical degree is 2g - 2 for a genus g >= 0, "
+                    f"but {deg_k} is not"
+                )
         if self.form.gcd() == 0:
             raise DescriptorError(
                 "every intersection number is 0, but an ample class has a "
                 "positive top self-intersection"
             )
-        if self.canonical.lattice is not self.lattice:
-            raise DescriptorError("canonical class lives on a different lattice")
         if self.nef is not None and self.nef.lattice is not self.lattice:
             raise DescriptorError("nef cone lives on a different lattice")
         if isinstance(self.gg, ExactEqualsNef):

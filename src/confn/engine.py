@@ -42,29 +42,24 @@ class InconsistencyError(RuntimeError):
 class FujitaInterval(Frozen):
     """A certified interval; intervals compare and hash by value."""
 
-    __slots__ = ("lo", "hi", "certificates", "advisories")
+    __slots__ = ("lo", "hi", "certificates")
 
     def __init__(
-        self,
-        lo: int,
-        hi: int,
-        certificates: tuple[Certificate, ...] = (),
-        advisories: tuple[str, ...] = (),
+        self, lo: int, hi: int, certificates: tuple[Certificate, ...] = ()
     ) -> None:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "certificates", certificates)
-        object.__setattr__(self, "advisories", advisories)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.lo, self.hi, self.certificates, self.advisories) == (
-            other.lo, other.hi, other.certificates, other.advisories
+        return (self.lo, self.hi, self.certificates) == (
+            other.lo, other.hi, other.certificates
         )
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.certificates, self.advisories))
+        return hash((self.lo, self.hi, self.certificates))
 
     @property
     def exact(self) -> bool:
@@ -77,13 +72,13 @@ class FujitaInterval(Frozen):
 
 
 # ----------------------------------------------------------------------
-# upper and lower bound rules; each returns (certificates, advisories)
+# upper and lower bound rules; each returns a list of certificates
 # ----------------------------------------------------------------------
 
 
 def _rule_exact_threshold(desc: VarietyDescriptor):
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
-        return [], []
+        return []
     # the certificates read only the cone's shape, the canonical class's
     # values on its functionals and the justification, so they are
     # memoized on the shape
@@ -94,7 +89,7 @@ def _rule_exact_threshold(desc: VarietyDescriptor):
             desc.nef.adjoint_freeness_threshold(desc.canonical), justification
         ),
     )
-    return list(certs), []
+    return list(certs)
 
 
 def _threshold_certificates(report, justification: str) -> tuple[Certificate, ...]:
@@ -151,13 +146,9 @@ def _threshold_certificates(report, justification: str) -> tuple[Certificate, ..
 
 def _rule_curve(desc: VarietyDescriptor):
     if desc.dimension != 1:
-        return [], []
+        return []
+    # admission refuses a canonical degree that is not 2g - 2
     deg_k = desc.form.evaluate(desc.canonical)
-    if deg_k % 2 != 0 or deg_k < -2:
-        return [], [
-            f"canonical degree {deg_k} is not of the form 2g - 2 for a genus "
-            ">= 0; curve rule skipped"
-        ]
     genus = (deg_k + 2) // 2
     upper = Certificate(
         UPPER,
@@ -181,7 +172,7 @@ def _rule_curve(desc: VarietyDescriptor):
         ],
         witness={"genus": genus, "ample_degree": 1, "adjoint_degree": 2 * genus - 1},
     )
-    return [upper, lower], []
+    return [upper, lower]
 
 
 def _product_gate(desc: VarietyDescriptor) -> str | None:
@@ -195,7 +186,7 @@ def _product_gate(desc: VarietyDescriptor) -> str | None:
 
 def _rule_product_combine(desc: VarietyDescriptor):
     if desc.provenance.constructor != "product":
-        return [], []
+        return []
     factor_intervals = [resolve(parent) for parent in desc.provenance.parents]
     certs = []
     lo = max(iv.lo for iv in factor_intervals)
@@ -231,12 +222,12 @@ def _rule_product_combine(desc: VarietyDescriptor):
                 },
             )
         )
-    return certs, []
+    return certs
 
 
 def _rule_cover_degree(desc: VarietyDescriptor):
     if desc.provenance.constructor != "cyclic_cover":
-        return [], []
+        return []
     parent, branch, degree = cover_data(desc)
     parent_iv = resolve(parent)
     bound = max(0, parent_iv.hi + 1 - degree)
@@ -267,7 +258,7 @@ def _rule_cover_degree(desc: VarietyDescriptor):
             "omega_ample_and_globally_generated": omega_ample_gg,
         },
     )
-    return [cert], []
+    return [cert]
 
 
 def _exceptional_class(desc: VarietyDescriptor):
@@ -281,10 +272,10 @@ def _exceptional_class(desc: VarietyDescriptor):
 def _rule_not_nef_witness(desc: VarietyDescriptor):
     effective = _exceptional_class(desc)
     if effective is None:
-        return [], []
+        return []
     pairing = desc.form.evaluate(desc.canonical, effective)
     if pairing >= 0:
-        return [], []
+        return []
     cert = Certificate(
         LOWER,
         "not-nef-witness",
@@ -297,17 +288,17 @@ def _rule_not_nef_witness(desc: VarietyDescriptor):
             "pairing": pairing,
         },
     )
-    return [cert], []
+    return [cert]
 
 
 def _rule_h0_vanishing(desc: VarietyDescriptor):
     if desc.canonical.is_zero():
-        return [], []
+        return []
     if desc.provenance.constructor not in ("cyclic_cover", "product"):
-        return [], []
+        return []
     fact = h0_sign(desc, desc.canonical)
     if fact.value != ZERO:
-        return [], []
+        return []
     cert = Certificate(
         LOWER,
         "h0-vanishing",
@@ -320,19 +311,19 @@ def _rule_h0_vanishing(desc: VarietyDescriptor):
             "trace": list(fact.trace),
         },
     )
-    return [cert], []
+    return [cert]
 
 
 def _rule_reider_divisible(desc: VarietyDescriptor):
     if desc.dimension != 2:
-        return [], []
+        return []
     # The lattice is the whole Neron-Severi lattice, so d = gcd divides
     # (L^2) > 0 and (L.E), (E^2) for every curve E: d >= 5 rules out
     # Reider's exceptional curves.  Curves are admitted only with gcd 1,
     # so a product of curves has gcd 1; no zero form is admitted.
     modulus = desc.form.gcd()
     if modulus < 5:
-        return [], []
+        return []
     cert = Certificate(
         UPPER,
         "reider-divisible",
@@ -346,12 +337,12 @@ def _rule_reider_divisible(desc: VarietyDescriptor):
         ],
         witness={"modulus": modulus},
     )
-    return [cert], []
+    return [cert]
 
 
 def _rule_reider_surface(desc: VarietyDescriptor):
     if desc.dimension != 2:
-        return [], []
+        return []
     certs = [
         Certificate(
             UPPER,
@@ -397,7 +388,7 @@ def _rule_reider_surface(desc: VarietyDescriptor):
                     witness={"clause": "no-square-one-rank1", "top": top},
                 )
             )
-    return certs, []
+    return certs
 
 
 def divisible_by_24(surface: VarietyDescriptor) -> bool:
@@ -446,7 +437,7 @@ def _rule_blowup_mod24(desc: VarietyDescriptor):
     modulo 12.
     """
     if not _blowup_of_mod24_surface(desc):
-        return [], []
+        return []
     residues = _mod24_residues()
     divisor = residues["multiplicity_divisor"]
     cert = Certificate(
@@ -466,7 +457,7 @@ def _rule_blowup_mod24(desc: VarietyDescriptor):
         ],
         witness=residues,
     )
-    return [cert], []
+    return [cert]
 
 
 def resolve(desc: VarietyDescriptor) -> FujitaInterval:
@@ -485,12 +476,9 @@ def resolve(desc: VarietyDescriptor) -> FujitaInterval:
     if desc._interval is not None:
         return desc._interval
     certs: list[Certificate] = []
-    advisories: list[str] = []
     for rule in _RULES.values():
         if rule.derive is not None:
-            new_certs, new_advisories = rule.derive(desc)
-            certs.extend(new_certs)
-            advisories.extend(new_advisories)
+            certs.extend(rule.derive(desc))
     hi = min(c.value for c in certs if c.kind == UPPER)
     lo = max([0] + [c.value for c in certs if c.kind == LOWER])
     if hi == 1 and is_known_gg(desc, desc.canonical):
@@ -526,7 +514,7 @@ def resolve(desc: VarietyDescriptor) -> FujitaInterval:
             "space; this indicates a modeling bug in the descriptor "
             f"(constructor {desc.provenance.constructor!r})"
         )
-    interval = FujitaInterval(lo, hi, tuple(certs), tuple(advisories))
+    interval = FujitaInterval(lo, hi, tuple(certs))
     object.__setattr__(desc, "_interval", interval)
     return interval
 
@@ -641,6 +629,7 @@ def _verify_exact_threshold(desc, cert):
 def _verify_curve(desc, cert):
     if desc.dimension != 1 or cert.value != 2:
         return False
+    # admission refuses such a degree, but the verifier trusts no one
     deg_k = desc.form.evaluate(desc.canonical)
     if deg_k % 2 != 0 or deg_k < -2:
         return False
@@ -774,8 +763,8 @@ def _verify_blowup_mod24(desc, cert):
 class Rule(Frozen):
     """A bounding rule paired with its independent verifier.
 
-    ``derive(desc)`` returns (certificates, advisories) and reads nothing
-    but the descriptor: a rule that builds on a parent reads the parent's
+    ``derive(desc)`` returns a list of certificates and reads nothing but
+    the descriptor: a rule that builds on a parent reads the parent's
     resolution.  ``verify(desc, cert)`` re-checks one of its certificates.
     A rule the resolver applies inline, after the table, has no
     ``derive``.
@@ -804,13 +793,13 @@ def _premise_bound(rule_id, applies, value, citation, premise=None) -> Rule:
 
     def derive(desc):
         if not applies(desc):
-            return [], []
+            return []
         key = (value(desc), premise(desc) if premise else None)
         cert = made.get(key)
         if cert is None:
             premises = [key[1]] if premise else []
             cert = made[key] = Certificate(UPPER, rule_id, key[0], citation, premises)
-        return [cert], []
+        return [cert]
 
     def verify(desc, cert):
         return applies(desc) and cert.kind == UPPER and cert.value == value(desc)

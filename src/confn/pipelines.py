@@ -108,7 +108,7 @@ def pipeline_n3k1(s: VarietyDescriptor, polarization) -> PipelineResult:
         "effective Noether-Lefschetz theorem then keeps the Picard lattice "
         "under the double cover"
     )
-    x = cyclic_cover(y, ell, 2, assume=("effective_nl",), assume_ample=True)
+    x = cyclic_cover(y, ell, 2, assume=("effective_nl", "ample"))
     interval = resolve(x)
     if not interval.exact or interval.lo != 1:
         raise PipelineError(
@@ -152,7 +152,7 @@ def pipeline_simple_variety(
     assume = tuple(assume)
     if y.dimension == 3 and d >= parent_hi + 2 and not assume:
         assume = ("large_d",)
-    x = cyclic_cover(y, branch_polarization, d, assume=assume, assume_ample=True)
+    x = cyclic_cover(y, branch_polarization, d, assume=assume + ("ample",))
     interval = resolve(x)
     notes: tuple[str, ...] = ()
     if d >= parent_hi + 2:

@@ -578,8 +578,11 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
     are shared, so a repeated failing ``let`` reports its own error.
 
     ``radius`` is accepted for compatibility and reaches no search: cone
-    queries are exact.  ``max_m`` caps the brute-force oracle.
+    queries are exact.  ``max_m`` caps the brute-force oracle, and a
+    negative cap raises ``ValueError``.
     """
+    if max_m < 0:
+        raise ValueError(f"max_m must be at least 0, got {max_m}")
     report = Report()
     rows: dict[str, VarietyRow] = {}
     # None marks a definition that failed
@@ -774,10 +777,10 @@ def _binding_json(row: VarietyRow, memo: dict) -> str:
     which depends only on the row's binding."""
     interval = row.interval
     if interval is None:
-        certificates, advisories = [], []
+        certificates = []
         interval_text = "null"
     else:
-        certificates, advisories = interval.certificates, interval.advisories
+        certificates = interval.certificates
         interval_text = render_json(
             {"lo": interval.lo, "hi": interval.hi, "exact": interval.exact},
             _FIELD_NL,
@@ -787,7 +790,7 @@ def _binding_json(row: VarietyRow, memo: dict) -> str:
         ",", _FIELD_NL, '"picard_rank": ', _leaf_json(row.picard_rank),
         ",", _FIELD_NL, '"interval": ', interval_text,
         ",", _FIELD_NL, '"certificates": ', render_json(certificates, _FIELD_NL, memo),
-        ",", _FIELD_NL, '"advisories": ', render_json(advisories, _FIELD_NL),
+        ",", _FIELD_NL, '"advisories": []',  # schema 1 keeps the key
         ",", _FIELD_NL, '"notes": ', render_json(row.notes, _FIELD_NL),
         ",", _FIELD_NL, '"provenance": ', render_json(row.provenance, _FIELD_NL),
     ))
@@ -813,10 +816,10 @@ def emit_json(report: Report, timestamps: bool = False) -> str:
 
     Each row is written from a fixed template.  Rows bound to one
     construction share their dimension, rank, interval, certificates,
-    advisories, notes and provenance objects, so that part is rendered
-    once and its text reused; the name, assertions, error and verified
-    fields are written per row.  A row with no interval is rendered on
-    its own.  Certificates render once per report.
+    notes and provenance objects, so that part is rendered once and its
+    text reused; the name, assertions, error and verified fields are
+    written per row.  A row with no interval is rendered on its own.
+    Certificates render once per report.
     """
     memo: dict = {}
     # (dimension, rank, and the identities of the shared objects) -> text
@@ -949,10 +952,6 @@ def explain_row(row: VarietyRow) -> str:
             if len(compact) > 160:
                 compact = compact[:157] + "..."
             lines.append(f"      witness: {compact}")
-    if interval.advisories:
-        lines.append("  advisories:")
-        for adv in interval.advisories:
-            lines.append("    " + adv)
     if row.assertions:
         lines.append("  assertions:")
         for a in row.assertions:

@@ -281,7 +281,7 @@ def test_cover_form_gcd_scaled_by_the_degree():
     )
     assert y.form.gcd() == 4
     h = y.lattice.make([1])
-    x = cyclic_cover(y, h, 3, assume=("large_d",), assume_ample=True)
+    x = cyclic_cover(y, h, 3, assume=("large_d", "ample"))
     assert x.form.gcd() == 12
     hh = x.lattice.make([1])
     assert x.form.evaluate(hh, hh, hh) == 12

@@ -29,7 +29,9 @@ from confn.engine import (
     verify_certificate,
 )
 from confn.cones import Cone
+from confn.dsl import parse
 from confn.lattice import IntersectionForm, PicardLattice
+from confn.runner import evaluate
 
 
 def _assert_all_verified(desc, interval):
@@ -136,29 +138,51 @@ def test_exact_threshold_inconclusive_advisory():
     # no interior point has sup-norm 6 or less, yet the threshold is exact
     interval = resolve(desc)
     assert (interval.lo, interval.hi) == (1, 1)
-    assert not any("inconclusive" in a for a in interval.advisories)
+    threshold = [c.kind for c in interval.certificates if c.rule == "exact-threshold"]
+    assert threshold == [UPPER, LOWER]
     _assert_all_verified(desc, interval)
 
 
-def test_curve_rule_parity_advisories():
+def _curve_of_canonical_degree(deg_k):
     lat = PicardLattice(("H",))
-    odd = custom(
+    return custom(
         dimension=1,
         lattice=lat,
         form=IntersectionForm.rank_one(lat, 1, 1),
-        canonical=lat.make([1]),
+        canonical=lat.make([deg_k]),
     )
-    interval = resolve(odd)
-    assert any("2g - 2" in a for a in interval.advisories)
-    assert not any(c.rule == "curve-genus" for c in interval.certificates)
-    low = custom(
-        dimension=1,
-        lattice=lat,
-        form=IntersectionForm.rank_one(lat, 1, 1),
-        canonical=lat.make([-10]),
+
+
+def _curve_times_p1_program(deg_k):
+    return (
+        f"let C = custom(dimension = 1, basis = [H], gram = [[1]], canonical = {deg_k}*H)\n"
+        "let P = projective_space(1)\n"
+        "let S = product(C, P)\n"
+        "compute S\n"
     )
-    interval_low = resolve(low)
-    assert any("2g - 2" in a for a in interval_low.advisories)
+
+
+@pytest.mark.parametrize("deg_k", [3, 1, -1, -3, -4])
+def test_curve_admission_refuses_a_canonical_degree_off_2g_minus_2(deg_k):
+    message = f"a curve's canonical degree is 2g - 2 for a genus g >= 0, but {deg_k} is not"
+    with pytest.raises(DescriptorError) as err:
+        _curve_of_canonical_degree(deg_k)
+    assert str(err.value) == message
+    rows = {row.name: row for row in evaluate(parse(_curve_times_p1_program(deg_k))).rows}
+    assert rows["C"].error == message
+    assert rows["S"].interval is None
+    assert "'C' failed to evaluate" in rows["S"].error
+
+
+@pytest.mark.parametrize("deg_k", [-2, 0, 10])
+def test_curve_admission_admits_a_canonical_degree_2g_minus_2(deg_k):
+    desc = _curve_of_canonical_degree(deg_k)
+    certs = [c for c in resolve(desc).certificates if c.rule == "curve-genus"]
+    assert [c.kind for c in certs] == [UPPER, LOWER]
+    assert all(c.witness_data()["genus"] == (deg_k + 2) // 2 for c in certs)
+    assert all(verify_certificate(desc, c) for c in certs)
+    (row,) = evaluate(parse(_curve_times_p1_program(deg_k))).rows
+    assert row.error is None and row.verified
 
 
 def test_product_lower_and_gated_upper():
@@ -367,14 +391,12 @@ def test_reider_surface_clauses():
         c.value for c in dp_interval.certificates if c.rule == "reider-surface"
     ]
     assert dp_values == [3]
-    assert dp_interval.advisories == ()
 
 
 def test_rank_one_square_one_decided_in_closed_form():
-    # (H^2) = 1: H itself is ample of square 1, so no bound of 2 and no advisory
+    # (H^2) = 1: H itself is ample of square 1, so no bound of 2
     p2 = resolve(projective_space(2))
     assert [c.value for c in p2.certificates if c.rule == "reider-surface"] == [3]
-    assert p2.advisories == ()
     quintic = complete_intersection(2, (5,), very_general=True)
     clauses = [
         c.witness_data().get("clause")
@@ -483,7 +505,7 @@ def test_crossed_interval_raises_with_dump(monkeypatch):
         "not-nef-witness",
         engine.Rule(
             rule.id,
-            lambda desc: ([Certificate(LOWER, rule.id, 10, "forced")], []),
+            lambda desc: [Certificate(LOWER, rule.id, 10, "forced")],
             rule.verify,
         ),
     )
@@ -669,7 +691,6 @@ def test_verifier_rechecks_memoized_parent_interval(build):
         iv.lo,
         iv.hi,
         tuple(bad if c is upper else c for c in iv.certificates),
-        iv.advisories,
     )
     object.__setattr__(parent, "_interval", forged)
     assert resolve(parent) is forged

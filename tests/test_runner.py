@@ -630,6 +630,20 @@ def test_corpus_with_oracle_cap_still_green():
     assert not report.any_internal
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: evaluate(parse("let X = projective_space(2)\ncompute X\n"), max_m=-3),
+        lambda: corpus(max_m=-3),
+    ],
+    ids=["evaluate", "corpus"],
+)
+def test_a_negative_oracle_cap_is_refused(run):
+    # a negative cap would turn the oracle off without a word
+    with pytest.raises(ValueError, match="max_m must be at least 0, got -3"):
+        run()
+
+
 def _count_enumerated(monkeypatch) -> list[int]:
     """A one-item list counting the points ``lattice_points_by_shell``
     yields from now on.  The shape table starts empty, so no cone built
