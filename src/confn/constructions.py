@@ -102,16 +102,17 @@ def box_sum(desc: VarietyDescriptor, *parts: DivisorClass) -> DivisorClass:
 def product(
     x: VarietyDescriptor,
     y: VarietyDescriptor,
-    no_common_isogeny_factor: bool = False,
+    assume=(),
 ) -> VarietyDescriptor:
     """Product of two descriptors.
 
     The form in degree p + q is nonzero only on multi-indices that take
     exactly p entries from the first block, where it is the product of
     the factor top forms.  Toric and irregularity-zero flags survive
-    exactly when both factors carry them.  The isogeny assertion is the
-    caller's responsibility and is recorded, never inferred.
+    exactly when both factors carry them.  ``assume`` takes only
+    ``no_common_isogeny_factor``, which is recorded, never inferred.
     """
+    assume = _assumptions("product", assume, ("no_common_isogeny_factor",))
     p, q = x.dimension, y.dimension
     basis = _merged_basis(x.lattice.basis, y.lattice.basis)
     lat = PicardLattice(basis)
@@ -138,15 +139,8 @@ def product(
         ]
         gg = UnderApprox(tuple(reps)) if reps else UnknownGG()
     flags = x.flags & y.flags & {"toric", "irregularity_zero"}
-    assertions = ()
-    if no_common_isogeny_factor:
-        assertions = (
-            Assertion(
-                "no_common_isogeny_factor",
-                "product upper bound for factors without a common nonzero "
-                "isogeny factor",
-            ),
-        )
+    isogeny = "product upper bound for factors without a common nonzero isogeny factor"
+    assertions = tuple(Assertion(name, isogeny) for name in assume)
     return VarietyDescriptor(
         dimension=p + q,
         lattice=lat,
@@ -205,26 +199,41 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
     )
 
 
+def _assumptions(constructor: str, assume, allowed: tuple[str, ...]) -> tuple[str, ...]:
+    """``assume`` as a tuple, refused unless ``allowed`` holds every name."""
+    assume = tuple(assume)
+    for name in assume:
+        if name not in allowed:
+            raise DescriptorError(
+                f"{constructor} does not take assumption {name!r}; it takes "
+                + ", ".join(allowed)
+            )
+    return assume
+
+
 def _require_ample(
-    desc: VarietyDescriptor, cls_: DivisorClass, what: str, assume_ample: bool
-) -> None:
+    desc: VarietyDescriptor, cls_: DivisorClass, what: str, assume: tuple[str, ...]
+) -> tuple[Assertion, ...]:
+    """Check ``cls_`` on a known nef cone, or record the caller's ``ample``."""
     if desc.nef is not None:
         if not desc.nef.strictly_contains(cls_):
             raise DescriptorError(
                 f"{what} {cls_.pretty()} is not strictly inside the nef cone"
             )
-    elif not assume_ample:
+        return ()
+    if "ample" not in assume:
         raise DescriptorError(
             f"the nef cone of the parent is unknown, so ampleness of {what} "
             f"{cls_.pretty()} must be asserted explicitly"
         )
+    return (Assertion("ample", f"{what} {cls_.pretty()} is ample on the caller's word"),)
 
 
 def hypersurface_section(
     y: VarietyDescriptor,
     ample: DivisorClass,
     p: int,
-    assume_ample: bool = False,
+    assume=(),
 ) -> VarietyDescriptor:
     """Very general member of |pH| on a threefold, as a surface descriptor.
 
@@ -236,6 +245,8 @@ def hypersurface_section(
     so the gcd of the section's form is a multiple of p.  The very
     general position of the member is an assertion, carried in the
     provenance, that restriction is an isomorphism on Picard groups.
+    ``assume`` takes only ``ample``, needed and recorded only when the
+    parent's nef cone is unknown.
     """
     from .engine import resolve
 
@@ -243,7 +254,8 @@ def hypersurface_section(
         raise DescriptorError("hypersurface sections are taken in threefolds only")
     if ample.lattice is not y.lattice:
         raise DescriptorError("the ample class lives off the parent lattice")
-    _require_ample(y, ample, "section class", assume_ample)
+    assume = _assumptions("hypersurface_section", assume, ("ample",))
+    ample_assertions = _require_ample(y, ample, "section class", assume)
     upper = resolve(y).hi
     bound = max(5, upper)
     if p < bound:
@@ -285,7 +297,8 @@ def hypersurface_section(
                 ("parent_upper", str(upper)),
                 ("canonical_ample", ample_premise),
             ),
-            assertions=(
+            assertions=ample_assertions
+            + (
                 Assertion(
                     "very_general",
                     "effective Noether-Lefschetz: a very general member of a "
@@ -298,9 +311,8 @@ def hypersurface_section(
     )
 
 
-# what a cover's ``assume`` may name: the branch class is ample, or the
-# pullback identifies Picard groups on a threefold
-_COVER_ASSUMPTIONS = ("ample", "large_d", "pic_pullback_iso", "effective_nl")
+# the names that assert a threefold cover's pullback identifies Picard groups
+PICARD_ASSUMPTIONS = ("large_d", "pic_pullback_iso", "effective_nl")
 
 
 def cyclic_cover(
@@ -318,25 +330,19 @@ def cyclic_cover(
     otherwise an explicit assertion: for a threefold the cover must be
     taken with d large and the branch divisor very general, which the
     caller acknowledges by passing ``large_d``, ``pic_pullback_iso`` or
-    ``effective_nl``.
+    ``effective_nl``; ``ample`` is needed and recorded only when the
+    parent's nef cone is unknown.
     """
     if degree < 2:
         raise DescriptorError(f"cover degree must be >= 2, got {degree}")
     if branch.lattice is not y.lattice:
         raise DescriptorError("the branch class lives off the parent lattice")
-    assume = tuple(assume)
-    for name in assume:
-        if name not in _COVER_ASSUMPTIONS:
-            raise DescriptorError(
-                f"cyclic_cover does not take assumption {name!r}; it takes "
-                + ", ".join(_COVER_ASSUMPTIONS)
-            )
-    _require_ample(y, branch, "branch class", "ample" in assume)
-    assertions: list[Assertion] = []
+    assume = _assumptions("cyclic_cover", assume, ("ample",) + PICARD_ASSUMPTIONS)
+    assertions = list(_require_ample(y, branch, "branch class", assume))
     if y.dimension >= 4:
         assertions.append(Assertion("pic_pullback_iso", _LEFSCHETZ_CITATION))
     elif y.dimension == 3:
-        identifying = [name for name in assume if name != "ample"]
+        identifying = [name for name in assume if name in PICARD_ASSUMPTIONS]
         if not identifying:
             raise DescriptorError(
                 "a threefold cover identifies Picard groups only for large "

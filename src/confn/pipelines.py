@@ -10,7 +10,9 @@ and ``engine.resolve`` is the one way to its interval and certificates.
 from __future__ import annotations
 
 from .cones import Cone
-from .constructions import blowup_point, box_sum, cyclic_cover, hypersurface_section, product
+from .constructions import (
+    PICARD_ASSUMPTIONS, blowup_point, box_sum, cyclic_cover, hypersurface_section, product
+)
 from .descriptors import DescriptorError, VarietyDescriptor, custom, projective_space
 from .engine import divisible_by_24, resolve
 from .frozen import Frozen
@@ -108,7 +110,7 @@ def pipeline_n3k1(s: VarietyDescriptor, polarization) -> PipelineResult:
         "effective Noether-Lefschetz theorem then keeps the Picard lattice "
         "under the double cover"
     )
-    x = cyclic_cover(y, ell, 2, assume=("effective_nl", "ample"))
+    x = cyclic_cover(y, ell, 2, assume=("effective_nl",))
     interval = resolve(x)
     if not interval.exact or interval.lo != 1:
         raise PipelineError(
@@ -147,12 +149,16 @@ def pipeline_simple_variety(
     itself ample and globally generated.  Smaller d still yields a sound
     interval, just not the exact value; the result says so in a note
     instead of overclaiming.
+
+    ``assume`` reaches ``cyclic_cover`` unchanged, so ampleness on an
+    unknown nef cone is the caller's to state.  A threefold with d >= hi + 2
+    gets ``large_d`` unless ``assume`` names one of ``PICARD_ASSUMPTIONS``.
     """
     parent_hi = resolve(y).hi
     assume = tuple(assume)
-    if y.dimension == 3 and d >= parent_hi + 2 and not assume:
-        assume = ("large_d",)
-    x = cyclic_cover(y, branch_polarization, d, assume=assume + ("ample",))
+    if y.dimension == 3 and d >= parent_hi + 2 and set(assume).isdisjoint(PICARD_ASSUMPTIONS):
+        assume += ("large_d",)
+    x = cyclic_cover(y, branch_polarization, d, assume=assume)
     interval = resolve(x)
     notes: tuple[str, ...] = ()
     if d >= parent_hi + 2:

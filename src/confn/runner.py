@@ -25,7 +25,6 @@ from .certificates import LOWER, render_json
 from .cones import Cone, ConeError
 from .constructions import blowup_point, cyclic_cover, hypersurface_section, product
 from .descriptors import (
-    CUSTOM_FLAGS,
     DescriptorError,
     ExactEqualsNef,
     VarietyDescriptor,
@@ -268,26 +267,6 @@ class _DivisorOn(Frozen):
         object.__setattr__(self, "param", param)
 
 
-def _ample_only(node) -> bool:
-    """hypersurface_section's ``assume``: only 'ample' is meaningful there."""
-    names = _as_ident_list(node)
-    for name in names:
-        if name != "ample":
-            raise DslError(
-                TYPE,
-                f"hypersurface_section does not take assumption {name!r}",
-                node.span,
-                "only 'ample' is meaningful here",
-            )
-    return "ample" in names
-
-
-def _without_ample(node) -> tuple[str, ...]:
-    """``assume`` less 'ample': the pipeline vouches for its own polarization,
-    and a non-empty ``assume`` would turn off its ``large_d`` default."""
-    return tuple(name for name in _as_ident_list(node) if name != "ample")
-
-
 _CUSTOM_PARAMS = ("dimension", "basis", "gram", "canonical", "nef", "flags")
 
 
@@ -313,14 +292,6 @@ def _custom(**args):
     if "nef" in args:
         nef = Cone(lat, _as_rows(args["nef"]))
     flags = _as_ident_list(args["flags"]) if "flags" in args else ()
-    for name in flags:
-        if name not in CUSTOM_FLAGS:
-            raise DslError(
-                TYPE,
-                f"unsupported flag {name!r}",
-                args["flags"].span,
-                "supported: " + ", ".join(CUSTOM_FLAGS),
-            )
     return custom(
         dimension=dimension,
         lattice=lat,
@@ -377,11 +348,11 @@ _CONSTRUCTORS = {
             ("parent", _as_descriptor),
             ("ample", _DivisorOn("parent")),
             ("p", _as_int),
-            ("assume", _ample_only),
+            ("assume", _as_ident_list),
         ),
         3,
-        lambda parent, ample, p, assume=False: hypersurface_section(
-            parent, ample, p, assume_ample=assume
+        lambda parent, ample, p, assume=(): hypersurface_section(
+            parent, ample, p, assume=assume
         ),
     ),
     "cyclic_cover": _Constructor(
@@ -414,7 +385,7 @@ _CONSTRUCTORS = {
             ("parent", _as_descriptor),
             ("branch", _DivisorOn("parent")),
             ("d", _as_int),
-            ("assume", _without_ample),
+            ("assume", _as_ident_list),
         ),
         3,
         lambda parent, branch, d, assume=(): pipeline_simple_variety(

@@ -117,10 +117,45 @@ def test_product_isogeny_assertion_recorded():
     b = abelian(1)
     plain = product(a, b)
     assert plain.provenance.assertions == ()
-    asserted = product(a, b, no_common_isogeny_factor=True)
+    asserted = product(a, b, assume=("no_common_isogeny_factor",))
     assert [x.name for x in asserted.provenance.assertions] == [
         "no_common_isogeny_factor"
     ]
+
+
+def test_each_constructor_refuses_names_outside_its_vocabulary():
+    y = complete_intersection(3, (2,))
+    with pytest.raises(
+        DescriptorError,
+        match=r"^hypersurface_section does not take assumption 'large_d'; "
+        r"it takes ample$",
+    ):
+        hypersurface_section(y, y.lattice.make([1]), 5, assume=("large_d",))
+    with pytest.raises(
+        DescriptorError,
+        match=r"^product does not take assumption 'bogus'; it takes "
+        r"no_common_isogeny_factor$",
+    ):
+        product(abelian(1), abelian(1), assume=("bogus",))
+
+
+def test_ample_is_recorded_only_where_the_nef_cone_cannot_check_it():
+    unknown = product(blowup_point(hirzebruch1()), projective_space(1))
+    cls_ = unknown.lattice.make([1, 2, -1, 1])
+    for build in (
+        lambda assume: hypersurface_section(unknown, cls_, 7, assume=assume),
+        lambda assume: cyclic_cover(unknown, cls_, 9, assume=("large_d",) + assume),
+    ):
+        with pytest.raises(DescriptorError, match="must be asserted explicitly"):
+            build(())
+        names = [a.name for a in build(("ample",)).provenance.assertions]
+        assert names[0] == "ample" and names.count("ample") == 1
+    known = complete_intersection(3, (2,))
+    h = known.lattice.make([1])
+    section = hypersurface_section(known, h, 5, assume=("ample",))
+    assert [a.name for a in section.provenance.assertions] == ["very_general"]
+    cover = cyclic_cover(known, h, 5, assume=("ample", "large_d"))
+    assert [a.name for a in cover.provenance.assertions] == ["large_d"]
 
 
 # ---------------------------------------------------------------- blow-up

@@ -221,7 +221,7 @@ def test_product_without_gate_keeps_upper_open():
         c.rule == "product-combine" and c.kind == UPPER
         for c in interval.certificates
     )
-    asserted = product(abelian(1), abelian(2), no_common_isogeny_factor=True)
+    asserted = product(abelian(1), abelian(2), assume=("no_common_isogeny_factor",))
     closed = resolve(asserted)
     assert (closed.lo, closed.hi) == (2, 2)
     upper = next(

@@ -4,6 +4,7 @@ import pytest
 
 from confn.certificates import LOWER, UPPER
 from confn.descriptors import (
+    DescriptorError,
     VarietyDescriptor,
     abelian,
     complete_intersection,
@@ -312,6 +313,23 @@ def test_simple_variety_small_degree_reports_interval_without_claim():
     )
     assert cert.witness_data()["omega_ample_and_globally_generated"] is False
     assert any("not certified ample" in n for n in result.notes)
+
+
+def test_simple_variety_keeps_its_large_d_default_beside_ample():
+    y = complete_intersection(3, (2,))  # resolves to 3
+    result = pipeline_simple_variety(y, y.lattice.make([1]), 8, assume=("ample",))
+    # the nef cone is known, so ample is checked rather than recorded
+    assert [a.name for a in result.descriptor.provenance.assertions] == ["large_d"]
+    assert (resolve(result.descriptor).lo, resolve(result.descriptor).hi) == (0, 0)
+    # a caller's own identifying assumption replaces the default
+    named = pipeline_simple_variety(y, y.lattice.make([1]), 8, assume=("effective_nl",))
+    assert [a.name for a in named.descriptor.provenance.assertions] == ["effective_nl"]
+
+
+def test_simple_variety_asserts_no_ampleness_for_its_caller():
+    y = product(blowup_point(hirzebruch1()), projective_space(1))
+    with pytest.raises(DescriptorError, match="must be asserted explicitly"):
+        pipeline_simple_variety(y, y.lattice.make([-1, -1, -1, -1]), 9)
 
 
 def test_simple_variety_on_higher_dimension_parent():

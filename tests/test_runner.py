@@ -11,10 +11,19 @@ import pytest
 from confn import cones, engine, runner
 from confn.certificates import LOWER, Certificate
 from confn.cones import Cone
-from confn.descriptors import ExactEqualsNef, VarietyDescriptor, projective_space
+from confn.constructions import blowup_point, cyclic_cover, hypersurface_section, product
+from confn.descriptors import (
+    DescriptorError,
+    ExactEqualsNef,
+    VarietyDescriptor,
+    custom,
+    hirzebruch1,
+    projective_space,
+)
 from confn.dsl import parse
 from confn.engine import FujitaInterval, resolve
 from confn.lattice import IntersectionForm, PicardLattice
+from confn.pipelines import pipeline_simple_variety
 from confn.runner import (
     CORPUS_PROGRAM,
     REPORT_SCHEMA_VERSION,
@@ -403,8 +412,8 @@ _BASIS_HINT = "\n  hint: basis names here: H, E1, E2"
         (
             "custom(dimension = 2, basis = [H], gram = [[1]], canonical = 3*H, "
             "flags = [toric])",
-            "type error at line 4, column 83: unsupported flag 'toric'\n"
-            "  hint: supported: irregularity_zero",
+            "unsupported flag 'toric'; custom takes only CUSTOM_FLAGS: "
+            "irregularity_zero",
         ),
         (
             "custom(dimension = 2, basis = [A, B, C], gram = [[1, 0, 0], "
@@ -441,8 +450,8 @@ _BASIS_HINT = "\n  hint: basis names here: H, E1, E2"
         ),
         (
             "hypersurface_section(P, ample = H, p = 5, assume = [large_d])",
-            "type error at line 4, column 60: hypersurface_section does not take "
-            "assumption 'large_d'\n  hint: only 'ample' is meaningful here",
+            "hypersurface_section does not take assumption 'large_d'; it takes "
+            "ample",
         ),
         (
             "pipeline_simple_variety(P, branch = H, d = 6, assume = H)",
@@ -474,6 +483,106 @@ def test_constructor_errors_verbatim(statement, error):
     (row,) = [r for r in report.rows if r.name == "X"]
     assert row.error == error
     assert row.interval is None and not row.internal
+
+
+# a threefold whose nef cone is unknown, so ampleness is the caller's word
+_UNKNOWN_NEF = (
+    "let P = projective_space(3)\nlet F1 = hirzebruch1()\n"
+    "let B = blowup_point(F1)\nlet P1 = projective_space(1)\n"
+    "let Y = product(B, P1)\n"
+)
+
+
+def _unknown_nef_threefold():
+    return product(blowup_point(hirzebruch1()), projective_space(1))
+
+
+def _rank_one_custom(flags):
+    lat = PicardLattice(("H",))
+    return custom(
+        2, lat, IntersectionForm.from_gram(lat, [[1]]), lat.make([-3]), flags=flags
+    )
+
+
+@pytest.mark.parametrize(
+    "statement, library_call",
+    [
+        (
+            "hypersurface_section(P, ample = H, p = 5, assume = [large_d])",
+            lambda p3, y: hypersurface_section(
+                p3, p3.lattice.make([1]), 5, assume=("large_d",)
+            ),
+        ),
+        (
+            "hypersurface_section(Y, ample = S + 2*F - E + H, p = 7)",
+            lambda p3, y: hypersurface_section(y, y.lattice.make([1, 2, -1, 1]), 7),
+        ),
+        (
+            "cyclic_cover(P, branch = H, degree = 7, assume = [bogus])",
+            lambda p3, y: cyclic_cover(p3, p3.lattice.make([1]), 7, assume=("bogus",)),
+        ),
+        (
+            "pipeline_simple_variety(P, branch = H, d = 6, assume = [bogus])",
+            lambda p3, y: pipeline_simple_variety(
+                p3, p3.lattice.make([1]), 6, assume=("bogus",)
+            ),
+        ),
+        (
+            "pipeline_simple_variety(Y, branch = -S - F - E - H, d = 9)",
+            lambda p3, y: pipeline_simple_variety(y, y.lattice.make([-1] * 4), 9),
+        ),
+        (
+            "custom(dimension = 2, basis = [H], gram = [[1]], canonical = -3*H, "
+            "flags = [toric])",
+            lambda p3, y: _rank_one_custom(("toric",)),
+        ),
+    ],
+)
+def test_dsl_reports_the_library_message_for_assumptions_and_flags(
+    statement, library_call
+):
+    # the library alone decides which names a constructor takes, so the
+    # row carries the library's own message for the same call
+    with pytest.raises(DescriptorError) as exc:
+        library_call(projective_space(3), _unknown_nef_threefold())
+    report = evaluate(parse(_UNKNOWN_NEF + f"let X = {statement}\ncompute X\n"))
+    (row,) = [r for r in report.rows if r.name == "X"]
+    assert row.error == str(exc.value)
+    assert row.interval is None and not row.internal
+
+
+def test_an_anti_ample_branch_on_an_unknown_nef_cone_is_refused():
+    # no pipeline asserts ampleness for its caller: without assume = [ample]
+    # the cover is refused at admission, not found crossed after resolving
+    program = (
+        _UNKNOWN_NEF
+        + "let X = pipeline_simple_variety(Y, branch = -S - F - E - H, d = 9)\n"
+        "compute X\n"
+    )
+    report = evaluate(parse(program))
+    (row,) = report.rows
+    assert "must be asserted explicitly" in row.error
+    assert not row.internal and row.interval is None
+
+
+def test_a_relied_on_ample_shows_in_the_provenance():
+    program = (
+        _UNKNOWN_NEF
+        + "let X = pipeline_simple_variety(Y, branch = S + 2*F - E + H, d = 9, "
+        "assume = [ample])\ncompute X\n"
+        "let Q = pipeline_simple_variety(P, branch = H, d = 6, assume = [ample])\n"
+        "compute Q\n"
+    )
+    report = evaluate(parse(program))
+    x, q = report.rows
+    assert x.interval.exact and x.interval.lo == 0
+    assert x.provenance[:3] == (
+        "cyclic_cover(branch=S + 2*F - E + H, branch_coeffs=1,2,-1,1, degree=9)",
+        "  assumes ample",
+        "  assumes large_d",
+    )
+    # a known nef cone checks the class, so nothing is assumed
+    assert q.provenance[1:3] == ("  assumes large_d", "  projective_space(n=3)")
 
 
 def test_failed_definition_keeps_its_own_error():
