@@ -6,6 +6,9 @@ needs, and enough witness data to re-run the check without trusting the
 resolver.  The verifier lives next to the rules in the engine module;
 this module owns the data shape and its stable serialization, which is
 part of the tool's external interface (schema version 1).
+
+A witness is written once, when its certificate is made, as the report
+lays it out; the report splices that text in and never decodes it.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ LOWER = "lower"
 
 SCHEMA_VERSION = "1"
 
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-
-# the exact types of JSON leaves, and of a plain dict key
-_LEAF_TYPES = frozenset((int, str, bool, type(None)))
 _STR_TYPE = frozenset((str,))
 _INT_TYPE = frozenset((int,))
 
@@ -31,49 +30,16 @@ _INT_TYPE = frozenset((int,))
 _decode = json.JSONDecoder().raw_decode
 
 
-def _check_json(value) -> None:
-    # exact types first: a dict with plain string keys, a list or a tuple
-    # needs only its items that are not leaves walked
-    kind = type(value)
-    if kind is dict and _STR_TYPE.issuperset(map(type, value)):
-        items = value.values()
-    elif kind is list or kind is tuple:
-        items = value
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"certificate witness keys are strings, not {key!r}")
-            _check_json(item)
-        return
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _check_json(item)
-        return
-    elif isinstance(value, (str, int)) or value is None:
-        return
-    else:
-        raise TypeError(f"certificate witness data cannot hold {type(value).__name__}")
-    for item in items:
-        if type(item) not in _LEAF_TYPES:
-            _check_json(item)
-
-
-def _witness_text(value) -> str:
-    """The compact JSON text of witness data, its exact hashable form.
-
-    Lists and tuples both become JSON arrays and ``True`` stays distinct
-    from ``1``, so equal texts mean equal witnesses as the report prints
-    them.  Floats and other non-JSON types are rejected.
-    """
-    _check_json(value)
-    return _COMPACT.encode(value)
-
-
 class Certificate(Frozen):
     """One certified bound; equal certificates compare and hash alike.
 
-    The hash is computed once, in ``__init__``, since the fields never
-    change and the engine's verdict memo hashes every certificate it sees.
+    The witness is kept as its text, ``json.dumps(witness, indent=2)``
+    byte for byte, written in ``__init__`` by the walk that refuses
+    non-JSON data.  Lists and tuples both become arrays and ``True``
+    stays distinct from ``1``, so equal texts mean equal witnesses as the
+    report prints them.  The hash is computed once, in ``__init__``, since
+    the fields never change and the engine's verdict memo hashes every
+    certificate it sees.
     """
 
     __slots__ = ("kind", "rule", "value", "citation", "premises", "witness", "_hash")
@@ -85,8 +51,7 @@ class Certificate(Frozen):
         value: int,
         citation: str,
         premises=(),
-        # read only: given as a dict of JSON data, kept as its compact text
-        # (see _witness_text)
+        # read only: given as a dict of JSON data, kept as its text
         witness: dict = {},
     ) -> None:
         if kind not in (UPPER, LOWER):
@@ -95,12 +60,15 @@ class Certificate(Frozen):
             raise ValueError("certified bounds are nonnegative")
         if not isinstance(witness, dict):
             raise TypeError("a certificate witness is a dict of JSON data")
+        out: list[str] = []
+        # no memo: a witness is written as plain JSON data
+        _render(witness, "\n", out, None)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "citation", citation)
         object.__setattr__(self, "premises", tuple(premises))
-        object.__setattr__(self, "witness", _witness_text(witness))
+        object.__setattr__(self, "witness", "".join(out))
         object.__setattr__(
             self,
             "_hash",
@@ -145,16 +113,22 @@ class Certificate(Frozen):
         )
 
 
-def _render(value, nl: str, out: list, memo: dict) -> None:
+def _refused(memo, what: str) -> TypeError:
+    # a witness is written with no memo
+    return TypeError(("certificate witness " if memo is None else "rendered JSON ") + what)
+
+
+def _render(value, nl: str, out: list, memo: dict | None) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` lays it
     out when nested at the line break ``nl``.
 
     Leaf strings and dict keys, which must be strings, go through the C
     ``encode_basestring_ascii``.  An array whose items are all exactly
     ``int``, or all exactly ``str``, is one ``join`` (a bool is neither,
-    so it still prints as true or false).  A Certificate renders as its
-    ``to_json_dict()``, once per ``memo``: a reused certificate costs a dict
-    lookup.
+    so it still prints as true or false).  With a ``memo``, a Certificate
+    is written by ``_certificate_json`` once per memo and line break, and
+    a reused one costs a dict lookup; with none, as for a witness, it is
+    refused like any other value that is not JSON data.
     """
     if isinstance(value, str):
         out.append(_escape(value))
@@ -174,6 +148,8 @@ def _render(value, nl: str, out: list, memo: dict) -> None:
         inner = nl + "  "
         sep, comma = "{" + inner, "," + inner
         for key, item in value.items():
+            if not isinstance(key, str):
+                raise _refused(memo, f"keys are strings, not {key!r}")
             out.append(sep + _escape(key) + ": ")
             _render(item, inner, out, memo)
             sep = comma
@@ -197,17 +173,34 @@ def _render(value, nl: str, out: list, memo: dict) -> None:
             _render(item, inner, out, memo)
             sep = comma
         out.append(nl + "]")
-    elif isinstance(value, Certificate):
+    elif memo is not None and isinstance(value, Certificate):
         key = (value, nl)
         text = memo.get(key)
         if text is None:
-            start = len(out)
-            _render(value.to_json_dict(), nl, out, memo)
-            memo[key] = "".join(out[start:])
-        else:
-            out.append(text)
+            text = memo[key] = _certificate_json(value, nl, memo)
+        out.append(text)
     else:
-        raise TypeError(f"cannot render {type(value).__name__} as JSON")
+        raise _refused(memo, f"data cannot hold {type(value).__name__}")
+
+
+def _certificate_json(cert: Certificate, nl: str, memo: dict) -> str:
+    """``cert.to_json_dict()`` as ``_render`` lays it out at ``nl``.
+
+    The header fields are rendered; the witness text, written at top
+    level, is spliced in one level below ``nl`` by indenting its line
+    breaks.  That is exact because ``encode_basestring_ascii`` writes a
+    newline inside a string as ``\\n``, so each raw newline in the text
+    is a line break of the layout.
+    """
+    inner = nl + "  "
+    out: list[str] = []
+    sep = "{" + inner
+    for name in ("kind", "rule", "value", "citation", "premises"):
+        out.append(sep + '"' + name + '": ')
+        _render(getattr(cert, name), inner, out, memo)
+        sep = "," + inner
+    out.append(sep + '"witness": ' + cert.witness.replace("\n", inner) + nl + "}")
+    return "".join(out)
 
 
 def render_json(value, nl: str = "\n", memo: dict | None = None) -> str:

@@ -140,7 +140,7 @@ def product(
         gg = UnderApprox(tuple(reps)) if reps else UnknownGG()
     flags = x.flags & y.flags & {"toric", "irregularity_zero"}
     isogeny = "product upper bound for factors without a common nonzero isogeny factor"
-    assertions = tuple(Assertion(name, isogeny) for name in assume)
+    assertions = tuple(Assertion(name, isogeny, stated=True) for name in assume)
     return VarietyDescriptor(
         dimension=p + q,
         lattice=lat,
@@ -226,7 +226,11 @@ def _require_ample(
             f"the nef cone of the parent is unknown, so ampleness of {what} "
             f"{cls_.pretty()} must be asserted explicitly"
         )
-    return (Assertion("ample", f"{what} {cls_.pretty()} is ample on the caller's word"),)
+    return (
+        Assertion(
+            "ample", f"{what} {cls_.pretty()} is ample on the caller's word", stated=True
+        ),
+    )
 
 
 def hypersurface_section(
@@ -356,6 +360,7 @@ def cyclic_cover(
                     "pullback isomorphism on Picard groups for cyclic covers "
                     "of threefolds with large degree and very general branch "
                     "divisor",
+                    stated=True,
                 )
             )
     else:

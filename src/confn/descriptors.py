@@ -59,13 +59,18 @@ GGStatus = ExactEqualsNef | UnderApprox | UnknownGG
 
 
 class Assertion(Frozen):
-    """A named, user- or pipeline-supplied hypothesis with its citation."""
+    """A named, user- or pipeline-supplied hypothesis with its citation.
 
-    __slots__ = ("name", "citation")
+    ``stated`` marks one the caller named in a constructor's ``assume``;
+    the others are hypotheses a constructor records for itself.
+    """
 
-    def __init__(self, name: str, citation: str) -> None:
+    __slots__ = ("name", "citation", "stated")
+
+    def __init__(self, name: str, citation: str, stated: bool = False) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "stated", stated)
 
 
 class Provenance(Frozen):

@@ -36,7 +36,15 @@ from .kunneth import ZERO, h0_sign
 
 
 class InconsistencyError(RuntimeError):
-    """The resolver produced contradictory bounds: a modeling bug."""
+    """The resolver produced contradictory bounds: a modeling bug, or a
+    hypothesis the caller stated that does not hold.
+
+    ``descriptor`` is the descriptor whose interval crossed, if any.
+    """
+
+    def __init__(self, message: str, descriptor=None) -> None:
+        super().__init__(message)
+        self.descriptor = descriptor
 
 
 class FujitaInterval(Frozen):
@@ -502,7 +510,7 @@ def resolve(desc: VarietyDescriptor) -> FujitaInterval:
         )
         hi = 0
     if lo > hi:
-        raise InconsistencyError(_crossed_dump(desc, lo, hi, certs))
+        raise InconsistencyError(_crossed_dump(desc, lo, hi, certs), desc)
     if (
         "toric" in desc.flags
         and lo == hi == desc.dimension + 1

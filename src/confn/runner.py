@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import cones, dsl
 from .certificates import LOWER, render_json
@@ -452,6 +452,30 @@ def provenance_lines(desc: VarietyDescriptor, depth: int = 0) -> list[str]:
     return lines
 
 
+def _stated_assumptions(desc: VarietyDescriptor) -> Iterator[str]:
+    """The names of the caller's stated assertions on ``desc`` and its
+    ancestors, nearest first."""
+    for assertion in desc.provenance.assertions:
+        if assertion.stated:
+            yield assertion.name
+    for parent in desc.provenance.parents:
+        yield from _stated_assumptions(parent)
+
+
+def _inconsistent(row: VarietyRow, exc: Exception) -> None:
+    """Record an error raised on an admitted descriptor: a crossed interval
+    refutes the caller's stated assumptions when the crossed descriptor or
+    an ancestor records any; otherwise the fault is the engine's."""
+    crossed = exc.descriptor if isinstance(exc, InconsistencyError) else None
+    stated = {} if crossed is None else dict.fromkeys(_stated_assumptions(crossed))
+    if stated:
+        names = ", ".join(map(repr, stated))
+        row.error = f"a stated assumption does not hold ({names}): {exc}"
+    else:
+        row.error = f"internal inconsistency: {exc}"
+        row.internal = True
+
+
 def _row_for(report: Report, rows: dict[str, VarietyRow], name: str) -> VarietyRow:
     """The row named ``name``, appended to the report when first seen."""
     row = rows.get(name)
@@ -510,12 +534,12 @@ def _compute_row(row: VarietyRow, binding: PipelineResult, max_m: int) -> None:
     row.picard_rank = desc.rank
     row.provenance = tuple(provenance_lines(desc))
     row.notes = binding.notes
-    # the descriptor was admitted, so any of these is a fault in the engine
+    # the descriptor was admitted, so any of these is a fault in the engine,
+    # unless a crossed interval refutes what the caller stated
     try:
         interval = resolve(desc)
     except (InconsistencyError, DescriptorError, ConeError, LatticeError) as exc:
-        row.error = f"internal inconsistency: {exc}"
-        row.internal = True
+        _inconsistent(row, exc)
         return
     row.interval = interval
     row.verified = all(
@@ -575,10 +599,10 @@ def evaluate(program: Program, radius: int = 16, max_m: int = 6) -> Report:
             ) as exc:
                 env[stmt.name] = None
                 row = _row_for(report, rows, stmt.name)
-                row.error = str(exc)
                 if isinstance(exc, InconsistencyError):
-                    row.error = f"internal inconsistency: {exc}"
-                    row.internal = True
+                    _inconsistent(row, exc)
+                else:
+                    row.error = str(exc)
             continue
         binding = env[stmt.name]
         # a failed definition's row already holds the definition's own error

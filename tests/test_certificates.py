@@ -13,7 +13,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confn import runner
+from confn import certificates, runner
 from confn.certificates import (
     LOWER,
     SCHEMA_VERSION,
@@ -59,6 +59,10 @@ def test_witness_frozen_and_hashable():
 def test_witness_rejects_unserializable_payload():
     with pytest.raises(TypeError):
         Certificate(UPPER, "r", 1, "c", witness={"bad": object()})
+    # a report renders a Certificate, but a witness holds only JSON data
+    inner = Certificate(UPPER, "r", 1, "c")
+    with pytest.raises(TypeError, match="cannot hold Certificate"):
+        Certificate(UPPER, "r", 1, "c", witness={"nested": [inner]})
 
 
 def test_witness_rejects_floats_and_non_string_keys():
@@ -270,13 +274,30 @@ def test_emit_json_renders_each_distinct_certificate_once(monkeypatch):
     )
     certs = [c for row in report.rows for c in row.interval.certificates]
     assert len(set(certs)) < len(certs) and len({id(c) for c in certs}) == len(certs)
-    rendered = []
-    plain = Certificate.to_json_dict
+    spliced = []
+    plain = certificates._certificate_json
     monkeypatch.setattr(
-        Certificate, "to_json_dict", lambda c: rendered.append(c) or plain(c)
+        certificates,
+        "_certificate_json",
+        lambda c, nl, memo: spliced.append(c) or plain(c, nl, memo),
     )
-    assert emit_json(report) == _reference_json(report)
-    assert len(rendered) == len(set(certs)) + len(certs)  # the reference renders all
+    text = emit_json(report)
+    # each distinct certificate is spliced once
+    assert len(spliced) == len(set(spliced)) == len(set(certs))
+    assert text == _reference_json(report)
+
+
+def test_emit_json_decodes_no_witness(monkeypatch):
+    report = corpus()
+
+    def refuse(cert):
+        raise AssertionError("emit_json decoded a witness")
+
+    monkeypatch.setattr(Certificate, "witness_data", refuse)
+    monkeypatch.setattr(Certificate, "to_json_dict", refuse)
+    text = emit_json(report)
+    monkeypatch.undo()
+    assert text == _reference_json(report)
 
 
 def test_emit_json_timestamp_matches_the_reference(monkeypatch):
@@ -323,3 +344,51 @@ def test_witness_refuses_a_float_or_key_nested_in_a_list_of_dicts():
         Certificate(UPPER, "r", 1, "c", witness={"rows": [{"a": 1}, {"b": 0.5}]})
     with pytest.raises(TypeError, match="keys are strings, not 2"):
         Certificate(UPPER, "r", 1, "c", witness={"rows": [{"a": 1}, {2: "b"}]})
+
+
+# ------------------------------------------- a witness written once, spliced
+
+
+def _nested(value, depth: int):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _assert_spliced_at_every_depth(cert: Certificate, depths=range(5)) -> None:
+    """``render_json(cert, nl)`` is the stdlib layout of ``to_json_dict()``
+    nested ``depth`` arrays deep, and the witness text is its top-level
+    layout."""
+    assert cert.witness == json.dumps(cert.witness_data(), indent=2)
+    for depth in depths:
+        expected = json.dumps(_nested(cert.to_json_dict(), depth), indent=2)
+        opening = "".join("[\n" + "  " * (i + 1) for i in range(depth))
+        closing = "".join("\n" + "  " * i + "]" for i in reversed(range(depth)))
+        rendered = render_json(cert, "\n" + "  " * depth)
+        assert opening + rendered + closing == expected
+        assert render_json(_nested(cert, depth)) == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.dictionaries(_strings, _values, max_size=4),
+    st.lists(_strings, max_size=3),
+    st.integers(min_value=0, max_value=6),
+)
+def test_a_witness_spliced_at_any_depth_matches_the_stdlib(witness, premises, depth):
+    cert = Certificate(UPPER, "r", 1, "c", premises=premises, witness=witness)
+    assert cert.witness_data() == json.loads(json.dumps(witness))
+    _assert_spliced_at_every_depth(cert, (depth,))
+
+
+def test_line_breaks_spaces_and_quotes_inside_witness_strings():
+    witness = {
+        "a\nb": ["x\n  y", ' "q" ', "\n", "  ", '"'],
+        ' "k"\n': {"line\n  ": "\n\n", "": [" ", ['"\n"']]},
+        "text": 'say "hi"\n  then  leave',
+    }
+    cert = Certificate(
+        LOWER, "r\n", 2, 'a "quoted"\ncitation', premises=("one\n  two", '"'), witness=witness
+    )
+    assert cert.witness_data() == witness
+    _assert_spliced_at_every_depth(cert)

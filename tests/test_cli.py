@@ -329,3 +329,71 @@ def test_installed_entry_point_runs_corpus():
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert len(payload["varieties"]) == 27
+
+
+_ANTI_AMPLE_COVER = (
+    "let F1 = hirzebruch1()\nlet B = blowup_point(F1)\nlet P1 = projective_space(1)\n"
+    "let Y = product(B, P1)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        # crossed while the pipeline resolves its cover
+        "pipeline_simple_variety(Y, branch = -S - F - E - H, d = 9, assume = [ample])",
+        # crossed when the row is computed
+        "cyclic_cover(Y, branch = -S - F - E - H, degree = 9, assume = [ample, large_d])",
+    ],
+    ids=["pipeline", "cover"],
+)
+def test_a_crossed_interval_refutes_a_stated_assumption(statement, tmp_path, capsys):
+    from confn.dsl import parse
+    from confn.runner import evaluate
+
+    # the branch class is anti-ample, so the caller's word that it is
+    # ample does not hold on a parent whose nef cone is unknown
+    program = _ANTI_AMPLE_COVER + f"let X = {statement}\ncompute X\n"
+    report = evaluate(parse(program))
+    (row,) = report.rows
+    assert row.error.startswith(
+        "a stated assumption does not hold ('ample', 'large_d'): crossed interval"
+    )
+    assert not row.internal and not report.any_internal
+    path = tmp_path / "cover.fuj"
+    path.write_text(program)
+    code, out, _err = _run_main(["eval", str(path)], capsys)
+    assert code == 1
+    assert "a stated assumption does not hold ('ample', 'large_d')" in out
+
+
+def test_a_crossed_interval_with_no_stated_assumption_is_internal(
+    monkeypatch, tmp_path, capsys
+):
+    from confn import engine
+    from confn.certificates import LOWER, Certificate
+    from confn.dsl import parse
+    from confn.runner import evaluate
+
+    # a rule gone wrong: the cover of P4 records pic_pullback_iso, which is
+    # the constructor's own hypothesis, not the caller's
+    rule = engine._RULES["not-nef-witness"]
+    monkeypatch.setitem(
+        engine._RULES,
+        "not-nef-witness",
+        engine.Rule(
+            rule.id, lambda desc: [Certificate(LOWER, rule.id, 10, "forced")], rule.verify
+        ),
+    )
+    program = (
+        "let P4 = projective_space(4)\n"
+        "let X = cyclic_cover(P4, branch = H, degree = 7)\ncompute X\n"
+    )
+    report = evaluate(parse(program))
+    (row,) = report.rows
+    assert row.error.startswith("internal inconsistency: crossed interval")
+    assert row.internal
+    path = tmp_path / "cover.fuj"
+    path.write_text(program)
+    code, _out, _err = _run_main(["eval", str(path)], capsys)
+    assert code == 3

@@ -235,8 +235,8 @@ def test_the_certificate_memo_renders_each_certificate_once(monkeypatch):
         "compute P3\ncompute Q\n"
     )
     distinct = {cert for row in report.rows for cert in row.interval.certificates}
-    renders = _counted(monkeypatch, certificates.Certificate, "to_json_dict")
+    splices = _counted(monkeypatch, certificates, "_certificate_json")
     emit_json(report)
-    assert len(renders) == len(distinct) < sum(
+    assert len(splices) == len(distinct) < sum(
         len(row.interval.certificates) for row in report.rows
     )
