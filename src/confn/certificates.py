@@ -113,11 +113,6 @@ class Certificate(Frozen):
         )
 
 
-def _refused(memo, what: str) -> TypeError:
-    # a witness is written with no memo
-    return TypeError(("certificate witness " if memo is None else "rendered JSON ") + what)
-
-
 def _render(value, nl: str, out: list, memo: dict | None) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` lays it
     out when nested at the line break ``nl``.
@@ -149,7 +144,7 @@ def _render(value, nl: str, out: list, memo: dict | None) -> None:
         sep, comma = "{" + inner, "," + inner
         for key, item in value.items():
             if not isinstance(key, str):
-                raise _refused(memo, f"keys are strings, not {key!r}")
+                raise TypeError(f"JSON keys are strings, not {key!r}")
             out.append(sep + _escape(key) + ": ")
             _render(item, inner, out, memo)
             sep = comma
@@ -180,7 +175,7 @@ def _render(value, nl: str, out: list, memo: dict | None) -> None:
             text = memo[key] = _certificate_json(value, nl, memo)
         out.append(text)
     else:
-        raise _refused(memo, f"data cannot hold {type(value).__name__}")
+        raise TypeError(f"JSON data cannot hold {type(value).__name__}")
 
 
 def _certificate_json(cert: Certificate, nl: str, memo: dict) -> str:

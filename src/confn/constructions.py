@@ -324,6 +324,8 @@ def cyclic_cover(
     branch: DivisorClass,
     degree: int,
     assume=(),
+    *,
+    vouched=(),
 ) -> VarietyDescriptor:
     """Degree-d cyclic cover totally branched over a smooth member of |dL|.
 
@@ -335,18 +337,23 @@ def cyclic_cover(
     taken with d large and the branch divisor very general, which the
     caller acknowledges by passing ``large_d``, ``pic_pullback_iso`` or
     ``effective_nl``; ``ample`` is needed and recorded only when the
-    parent's nef cone is unknown.
+    parent's nef cone is unknown.  A pipeline passes the identifying
+    names it establishes itself in ``vouched``; they are recorded like the
+    caller's, but not as stated by the caller.
     """
     if degree < 2:
         raise DescriptorError(f"cover degree must be >= 2, got {degree}")
     if branch.lattice is not y.lattice:
         raise DescriptorError("the branch class lives off the parent lattice")
     assume = _assumptions("cyclic_cover", assume, ("ample",) + PICARD_ASSUMPTIONS)
+    vouched = _assumptions("cyclic_cover", vouched, PICARD_ASSUMPTIONS)
     assertions = list(_require_ample(y, branch, "branch class", assume))
     if y.dimension >= 4:
         assertions.append(Assertion("pic_pullback_iso", _LEFSCHETZ_CITATION))
     elif y.dimension == 3:
-        identifying = [name for name in assume if name in PICARD_ASSUMPTIONS]
+        identifying = [
+            name for name in assume + vouched if name in PICARD_ASSUMPTIONS
+        ]
         if not identifying:
             raise DescriptorError(
                 "a threefold cover identifies Picard groups only for large "
@@ -360,7 +367,7 @@ def cyclic_cover(
                     "pullback isomorphism on Picard groups for cyclic covers "
                     "of threefolds with large degree and very general branch "
                     "divisor",
-                    stated=True,
+                    stated=name in assume,
                 )
             )
     else:

@@ -110,7 +110,7 @@ def pipeline_n3k1(s: VarietyDescriptor, polarization) -> PipelineResult:
         "effective Noether-Lefschetz theorem then keeps the Picard lattice "
         "under the double cover"
     )
-    x = cyclic_cover(y, ell, 2, assume=("effective_nl",))
+    x = cyclic_cover(y, ell, 2, vouched=("effective_nl",))
     interval = resolve(x)
     if not interval.exact or interval.lo != 1:
         raise PipelineError(
@@ -152,13 +152,15 @@ def pipeline_simple_variety(
 
     ``assume`` reaches ``cyclic_cover`` unchanged, so ampleness on an
     unknown nef cone is the caller's to state.  A threefold with d >= hi + 2
-    gets ``large_d`` unless ``assume`` names one of ``PICARD_ASSUMPTIONS``.
+    gets ``large_d`` unless ``assume`` names one of ``PICARD_ASSUMPTIONS``;
+    the pipeline vouches for it, so it is not recorded as the caller's.
     """
     parent_hi = resolve(y).hi
     assume = tuple(assume)
+    vouched = ()
     if y.dimension == 3 and d >= parent_hi + 2 and set(assume).isdisjoint(PICARD_ASSUMPTIONS):
-        assume += ("large_d",)
-    x = cyclic_cover(y, branch_polarization, d, assume=assume)
+        vouched = ("large_d",)
+    x = cyclic_cover(y, branch_polarization, d, assume=assume, vouched=vouched)
     interval = resolve(x)
     notes: tuple[str, ...] = ()
     if d >= parent_hi + 2:

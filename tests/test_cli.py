@@ -338,16 +338,25 @@ _ANTI_AMPLE_COVER = (
 
 
 @pytest.mark.parametrize(
-    "statement",
+    "statement, stated",
     [
-        # crossed while the pipeline resolves its cover
-        "pipeline_simple_variety(Y, branch = -S - F - E - H, d = 9, assume = [ample])",
+        # crossed while the pipeline resolves its cover; the pipeline's own
+        # large_d is not the caller's
+        (
+            "pipeline_simple_variety(Y, branch = -S - F - E - H, d = 9, assume = [ample])",
+            "'ample'",
+        ),
         # crossed when the row is computed
-        "cyclic_cover(Y, branch = -S - F - E - H, degree = 9, assume = [ample, large_d])",
+        (
+            "cyclic_cover(Y, branch = -S - F - E - H, degree = 9, assume = [ample, large_d])",
+            "'ample', 'large_d'",
+        ),
     ],
     ids=["pipeline", "cover"],
 )
-def test_a_crossed_interval_refutes_a_stated_assumption(statement, tmp_path, capsys):
+def test_a_crossed_interval_refutes_a_stated_assumption(
+    statement, stated, tmp_path, capsys
+):
     from confn.dsl import parse
     from confn.runner import evaluate
 
@@ -357,38 +366,49 @@ def test_a_crossed_interval_refutes_a_stated_assumption(statement, tmp_path, cap
     report = evaluate(parse(program))
     (row,) = report.rows
     assert row.error.startswith(
-        "a stated assumption does not hold ('ample', 'large_d'): crossed interval"
+        f"a stated assumption does not hold ({stated}): crossed interval"
     )
     assert not row.internal and not report.any_internal
     path = tmp_path / "cover.fuj"
     path.write_text(program)
     code, out, _err = _run_main(["eval", str(path)], capsys)
     assert code == 1
-    assert "a stated assumption does not hold ('ample', 'large_d')" in out
+    assert f"a stated assumption does not hold ({stated}): crossed interval" in out
 
 
+@pytest.mark.parametrize(
+    "parent, statement",
+    [
+        # the constructor records pic_pullback_iso on its own ground
+        ("projective_space(4)", "cyclic_cover(Y, branch = H, degree = 7)"),
+        # the pipeline vouches for effective_nl; the caller states nothing
+        ("hirzebruch1()", "pipeline_n3k1(Y, polarization = S + 2*F)"),
+        # the pipeline's large_d default, with no assume from the caller
+        ("projective_space(3)", "pipeline_simple_variety(Y, branch = H, d = 6)"),
+    ],
+    ids=["cover", "n3k1", "simple-variety"],
+)
 def test_a_crossed_interval_with_no_stated_assumption_is_internal(
-    monkeypatch, tmp_path, capsys
+    parent, statement, monkeypatch, tmp_path, capsys
 ):
     from confn import engine
     from confn.certificates import LOWER, Certificate
     from confn.dsl import parse
     from confn.runner import evaluate
 
-    # a rule gone wrong: the cover of P4 records pic_pullback_iso, which is
-    # the constructor's own hypothesis, not the caller's
+    # a rule gone wrong on covers: their recorded assumptions are not the
+    # caller's, so the fault is the engine's
     rule = engine._RULES["not-nef-witness"]
+
+    def forced(desc):
+        if desc.provenance.constructor != "cyclic_cover":
+            return rule.derive(desc)
+        return [Certificate(LOWER, rule.id, 10, "forced")]
+
     monkeypatch.setitem(
-        engine._RULES,
-        "not-nef-witness",
-        engine.Rule(
-            rule.id, lambda desc: [Certificate(LOWER, rule.id, 10, "forced")], rule.verify
-        ),
+        engine._RULES, "not-nef-witness", engine.Rule(rule.id, forced, rule.verify)
     )
-    program = (
-        "let P4 = projective_space(4)\n"
-        "let X = cyclic_cover(P4, branch = H, degree = 7)\ncompute X\n"
-    )
+    program = f"let Y = {parent}\nlet X = {statement}\ncompute X\n"
     report = evaluate(parse(program))
     (row,) = report.rows
     assert row.error.startswith("internal inconsistency: crossed interval")

@@ -236,6 +236,9 @@ def test_n3k1_from_hirzebruch():
     # the canonical sections split over the double cover and die on the
     # P^1 component, degree -1 and -2 respectively
     assert any("splits as the sum" in line for line in trace_cert.witness_data()["trace"])
+    # the pipeline vouches for effective_nl; its caller states nothing
+    assertions = result.descriptor.provenance.assertions
+    assert [(a.name, a.stated) for a in assertions] == [("effective_nl", False)]
 
 
 def test_n3k1_gates():
@@ -318,12 +321,15 @@ def test_simple_variety_small_degree_reports_interval_without_claim():
 def test_simple_variety_keeps_its_large_d_default_beside_ample():
     y = complete_intersection(3, (2,))  # resolves to 3
     result = pipeline_simple_variety(y, y.lattice.make([1]), 8, assume=("ample",))
-    # the nef cone is known, so ample is checked rather than recorded
-    assert [a.name for a in result.descriptor.provenance.assertions] == ["large_d"]
+    # the nef cone is known, so ample is checked rather than recorded, and
+    # the default is the pipeline's, not stated by the caller
+    assertions = result.descriptor.provenance.assertions
+    assert [(a.name, a.stated) for a in assertions] == [("large_d", False)]
     assert (resolve(result.descriptor).lo, resolve(result.descriptor).hi) == (0, 0)
     # a caller's own identifying assumption replaces the default
     named = pipeline_simple_variety(y, y.lattice.make([1]), 8, assume=("effective_nl",))
-    assert [a.name for a in named.descriptor.provenance.assertions] == ["effective_nl"]
+    assertions = named.descriptor.provenance.assertions
+    assert [(a.name, a.stated) for a in assertions] == [("effective_nl", True)]
 
 
 def test_simple_variety_asserts_no_ampleness_for_its_caller():
