@@ -14,11 +14,13 @@ point p, so the interior is not empty, and for each functional an
 integral point q_k that violates it alone, so no functional is
 redundant.  A ray (a,) on a rank-1 lattice, a = +-1 once primitive,
 takes p = (a,) and q = (-a,) in closed form.  Data supplied by the
-caller, as by the constructors of F1 and dP7 and by ``product_cone``, is
-checked.  Every other cone runs a small exact linear program
-(Fourier-Motzkin elimination over the rationals) to find the data, and
-a system that fails either test is rejected.  Only that program needs
-rational arithmetic, so ``fractions`` is imported when it first runs.
+caller, as by the constructors of F1 and dP7, is checked.  The data of
+a product is assembled by ``product_cone`` from its factors' admitted
+data, which implies both tests, so nothing is checked or solved again.
+Every other cone runs a small exact linear program (Fourier-Motzkin
+elimination over the rationals) to find the data, and a system that
+fails either test is rejected.  Only that program needs rational
+arithmetic, so ``fractions`` is imported when it first runs.
 
 Two quantities drive the adjoint-freeness computation.  For each
 functional the engine needs
@@ -357,8 +359,13 @@ class _Shape:
 
     The data is a function of the admission input alone, so every live
     cone built from equal input, or admitted to equal data, shares one
-    shape (see ``_shape_for``).  ``memo`` keeps five kinds of answer,
-    each bounding work that a program would otherwise repeat:
+    shape (see ``_shape_for``).  ``__init__`` admits the input; a
+    product's shape is assembled from its factor shapes instead, by
+    ``_assembled``, and holds the data admission would give the padded
+    input.  ``readers``, built with the first facet witness, lists for
+    each coordinate the functionals that read it.  ``memo`` keeps five
+    kinds of answer, each bounding work that a program would otherwise
+    repeat:
 
     * ``("min", k)``: the facet witness of functional k, built once per
       shape, not once per canonical class whose threshold reads it;
@@ -383,6 +390,7 @@ class _Shape:
         "interior_point",
         "irredundancy_witnesses",
         "memo",
+        "readers",
         "__weakref__",
     )
 
@@ -395,6 +403,7 @@ class _Shape:
     ) -> None:
         self.rank = rank
         self.memo: dict = {}
+        self.readers: list[list[int]] | None = None
         prim, supports = [], []
         for f in functionals:
             if len(f) != rank:
@@ -429,6 +438,23 @@ class _Shape:
         else:
             irredundancy_witnesses = ((-ray[0],),) if ray else self._find_witnesses()
         self.irredundancy_witnesses = irredundancy_witnesses
+
+    @classmethod
+    def _assembled(cls, key, factors) -> _Shape:
+        """The shape of a product, from ``key``, its zero-padded data, and
+        ``factors``, the factor shapes in order, with no admission check:
+        see ``product_cone``.  Each support is a factor support shifted by
+        the factor's offset."""
+        shape = cls.__new__(cls)
+        shape.rank, shape.functionals, shape.interior_point, shape.irredundancy_witnesses = key
+        shape.memo = {}
+        shape.readers = None
+        supports, offset = [], 0
+        for factor in factors:
+            supports += [tuple([(i + offset, a) for i, a in s]) for s in factor.supports]
+            offset += factor.rank
+        shape.supports = tuple(supports)
+        return shape
 
     # -- admission ----------------------------------------------------
 
@@ -512,7 +538,16 @@ class _Shape:
 
     def _facet_witness(self, k: int) -> tuple[int, ...]:
         """u + t w for functional ``k``, in the notation of the module
-        docstring, with the least integer t that makes it interior."""
+        docstring, with the least integer t that makes it interior.
+
+        Every other functional is positive on w, so a large t clears it:
+        t is the largest over them of the least t with phi_j(u + t w) >= 1.
+        Only the functionals that read a coordinate of k's support are
+        evaluated, found through ``readers``, the functionals reading each
+        coordinate, built once per shape.  Any other functional is 0 on u,
+        which is 0 off k's support, and positive on w, so its least t is
+        exactly 1.
+        """
         support = self.supports[k]
         p, q = self.interior_point, self.irredundancy_witnesses[k]
         at_p, at_q = _value(support, p), _value(support, q)
@@ -520,17 +555,20 @@ class _Shape:
         g = gcd(*w) or 1
         w = [v // g for v in w]
         u = _unit_preimage(support, self.rank)
-        # every other functional is positive on w, so a large t clears it
-        t = max(
-            (
-                -((at_u - 1) // at_w)
-                for j, (at_u, at_w) in enumerate(
-                    zip(_values(self.supports, u), _values(self.supports, w))
-                )
-                if j != k
-            ),
-            default=0,
-        )
+        if self.readers is None:
+            self.readers = [[] for _ in range(self.rank)]
+            for j, s in enumerate(self.supports):
+                for i, _ in s:
+                    self.readers[i].append(j)
+        near = {j for i, _ in support for j in self.readers[i]}
+        near.discard(k)
+        least = [
+            -((_value(self.supports[j], u) - 1) // _value(self.supports[j], w))
+            for j in near
+        ]
+        if len(near) + 1 < len(self.supports):
+            least.append(1)
+        t = max(least, default=0)
         return tuple(a + t * b for a, b in zip(u, w))
 
 
@@ -542,7 +580,7 @@ _SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _shape_for(
-    rank: int, functionals, interior_point, irredundancy_witnesses
+    rank: int, functionals, interior_point, irredundancy_witnesses, factors=()
 ) -> _Shape:
     """The live shape admitted from this input, else a newly admitted one.
 
@@ -551,8 +589,17 @@ def _shape_for(
     live shape already holds that data: then the input is filed under the
     live shape, which the cone shares with its memo.  A failed admission
     files nothing, and an entry that is not an int is refused before the
-    lookup.
+    lookup.  With ``factors``, the factor shapes of a product, the input
+    is the product's zero-padded data as tuples, which is its admitted
+    data too: it is looked up as it is, and a new shape is assembled from
+    the factors (see ``product_cone``).
     """
+    if factors:
+        key = (rank, functionals, interior_point, irredundancy_witnesses)
+        shape = _SHAPES.get(key)
+        if shape is None:
+            shape = _SHAPES[key] = _Shape._assembled(key, factors)
+        return shape
     key = (
         rank,
         tuple(_integers("functional", f) for f in functionals),
@@ -575,15 +622,17 @@ class Cone(Frozen):
     ``interior_point`` and ``irredundancy_witnesses`` are checked when
     supplied.  Otherwise a ray (a,) on a rank-1 lattice takes (a,) and
     ((-a,),) in closed form, and every other cone finds them by an exact
-    linear program.  ``supports[k]`` holds the nonzero (coordinate,
-    coefficient) pairs of ``functionals[k]``; every evaluation reads it.
-    These fields are those of ``_shape``, the lattice-free part, which
-    every live cone built from equal input shares together with its memo,
-    so admission, the facet witnesses and the enumeration run once per
-    shape, and the refuter's searches once per block shape.  The lattice
-    is the cone's own: ``values`` refuses a class from any other, even one
-    with an equal shape.  An entry of the input that is not an int is
-    refused, not truncated.
+    linear program.  ``_factors``, which only ``product_cone`` passes
+    with the padded data of the factor shapes it names, skips the checks
+    and assembles the shape from those factors.  ``supports[k]`` holds
+    the nonzero (coordinate, coefficient) pairs of ``functionals[k]``;
+    every evaluation reads it.  These fields are those of ``_shape``, the
+    lattice-free part, which every live cone built from equal input
+    shares together with its memo, so admission, the facet witnesses and
+    the enumeration run once per shape, and the refuter's searches once
+    per block shape.  The lattice is the cone's own: ``values`` refuses a
+    class from any other, even one with an equal shape.  An entry of the
+    input that is not an int is refused, not truncated.
     """
 
     __slots__ = (
@@ -601,8 +650,12 @@ class Cone(Frozen):
         functionals: tuple[tuple[int, ...], ...],
         interior_point: tuple[int, ...] = (),
         irredundancy_witnesses: tuple[tuple[int, ...], ...] = (),
+        *,
+        _factors: tuple[_Shape, ...] = (),
     ) -> None:
-        shape = _shape_for(lattice.rank, functionals, interior_point, irredundancy_witnesses)
+        shape = _shape_for(
+            lattice.rank, functionals, interior_point, irredundancy_witnesses, _factors
+        )
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "functionals", shape.functionals)
         object.__setattr__(self, "interior_point", shape.interior_point)
@@ -785,33 +838,39 @@ def _refute_block(vals, suffix_min, k_vals, m: int):
 def product_cone(lattice: PicardLattice, factors) -> Cone:
     """Assemble the cone of a product lattice from the factor cones.
 
-    Each factor functional is extended by zeros outside its block.  The
-    admission data embeds from the factors, so no linear program runs: the
-    interior point is the concatenation of the factors' points, and a
-    separating point for a factor functional, padded with zeros, still
-    satisfies every other inequality because all other functionals read
-    it as zero.  Restricted to a factor's coordinates, the product's data
-    is the factor's admitted data, so the refuter's blocks of a product of
-    live factors are the factors' own shapes, or for a factor that splits
-    further, its blocks' shapes.
+    Each factor functional and witness is extended by zeros outside its
+    block, the interior point is the concatenation of the factors' points
+    and each support is a factor support shifted to its block.  The
+    factors' admissions imply the product's, so no check and no linear
+    program runs: a factor functional stays primitive when padded, the
+    concatenated point is interior because each functional reads only its
+    own factor's part, and a separating point for a factor functional,
+    padded with zeros, still satisfies every other inequality because all
+    other functionals read it as zero.  The padded data is the key
+    ``Cone`` would file it under, so a cone built from it directly and the
+    product share one shape, whichever comes first.  Restricted to a
+    factor's coordinates, the product's data is the factor's admitted
+    data, so the refuter's blocks of a product of live factors are the
+    factors' own shapes, or for a factor that splits further, its blocks'
+    shapes.
     """
-    factors = tuple(factors)
-    if sum(cone.lattice.rank for cone in factors) != lattice.rank:
+    shapes = tuple(cone._shape for cone in factors)
+    rank = lattice.rank
+    if sum(shape.rank for shape in shapes) != rank:
         raise ConeError("factor ranks do not sum to the product rank")
     functionals: list[tuple[int, ...]] = []
     witnesses: list[tuple[int, ...]] = []
     before = 0
-    for cone in factors:
+    for shape in shapes:
         ahead = (0,) * before
-        after = (0,) * (lattice.rank - before - cone.lattice.rank)
-        functionals += [ahead + f + after for f in cone.functionals]
-        witnesses += [ahead + w + after for w in cone.irredundancy_witnesses]
-        before += cone.lattice.rank
+        after = (0,) * (rank - before - shape.rank)
+        functionals += [ahead + f + after for f in shape.functionals]
+        witnesses += [ahead + w + after for w in shape.irredundancy_witnesses]
+        before += shape.rank
     return Cone(
-        lattice=lattice,
-        functionals=functionals,
-        interior_point=tuple(
-            itertools.chain.from_iterable(cone.interior_point for cone in factors)
-        ),
-        irredundancy_witnesses=witnesses,
+        lattice,
+        tuple(functionals),
+        tuple(itertools.chain.from_iterable(shape.interior_point for shape in shapes)),
+        tuple(witnesses),
+        _factors=shapes,
     )

@@ -17,6 +17,12 @@ the provenance of the descriptor the bundle lives on:
 
 Anything outside these four facts is reported as unknown, never guessed.
 Each fact carries a derivation trace for the certificate verifier.
+
+One call decides each (descriptor, class, depth) once: a memo that lives
+only for that call hands a repeated node its sign and trace lines, so
+X x X walks X once and the trace is the same line for line.  Nothing is
+kept across calls, so the verifier's call walks the tree afresh and
+trusts nothing from the rule's.
 """
 
 from __future__ import annotations
@@ -45,11 +51,19 @@ class H0Fact(Frozen):
 def h0_sign(desc: VarietyDescriptor, cls_: DivisorClass) -> H0Fact:
     if cls_.lattice is not desc.lattice:
         raise ValueError("bundle class lives off the descriptor's lattice")
-    value, trace = _sign(desc, cls_, depth=0)
+    value, trace = _sign(desc, cls_, 0, {})
     return H0Fact(bundle=cls_.pretty(), value=value, trace=tuple(trace))
 
 
-def _sign(desc: VarietyDescriptor, cls_: DivisorClass, depth: int):
+def _sign(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: dict):
+    """The sign and trace lines of one node, decided once per ``memo``."""
+    key = (desc, cls_.coeffs, depth)
+    if key not in memo:
+        memo[key] = _decide(desc, cls_, depth, memo)
+    return memo[key]
+
+
+def _decide(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: dict):
     pad = "  " * depth
     if desc.dimension == 1 and cls_.coeffs[0] < 0:
         return ZERO, [
@@ -63,12 +77,13 @@ def _sign(desc: VarietyDescriptor, cls_: DivisorClass, depth: int):
         ]
     kind = desc.provenance.constructor
     if kind == "product":
-        return _sign_product(desc, cls_, depth)
+        return _sign_product(desc, cls_, depth, memo)
     if kind == "cyclic_cover":
-        return _sign_cover(desc, cls_, depth)
+        return _sign_cover(desc, cls_, depth, memo)
     return UNKNOWN, [pad + f"h^0({cls_.pretty()}): no applicable decomposition"]
 
-def _sign_product(desc: VarietyDescriptor, cls_: DivisorClass, depth: int):
+
+def _sign_product(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: dict):
     pad = "  " * depth
     parts = split_product_class(desc, cls_)
     factors = [parent for _, parent in product_blocks(desc)]
@@ -79,7 +94,7 @@ def _sign_product(desc: VarietyDescriptor, cls_: DivisorClass, depth: int):
     ]
     values = []
     for parent, part in zip(factors, parts):
-        v, t = _sign(parent, part, depth + 1)
+        v, t = _sign(parent, part, depth + 1, memo)
         values.append(v)
         trace.extend(t)
     if ZERO in values:
@@ -92,7 +107,7 @@ def _sign_product(desc: VarietyDescriptor, cls_: DivisorClass, depth: int):
     return UNKNOWN, trace
 
 
-def _sign_cover(desc: VarietyDescriptor, cls_: DivisorClass, depth: int):
+def _sign_cover(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: dict):
     pad = "  " * depth
     parent, branch, degree = cover_data(desc)
     trace = [
@@ -106,7 +121,7 @@ def _sign_cover(desc: VarietyDescriptor, cls_: DivisorClass, depth: int):
         downstairs = parent.lattice.make(
             tuple(c - i * b for c, b in zip(cls_.coeffs, branch.coeffs))
         )
-        v, t = _sign(parent, downstairs, depth + 1)
+        v, t = _sign(parent, downstairs, depth + 1, memo)
         values.append(v)
         trace.extend(t)
     if all(v == ZERO for v in values):

@@ -25,11 +25,13 @@ from confn.cones import (
     _integral,
     _solve,
     _split_blocks,
+    _unit_preimage,
     brute_force_refute,
     lattice_points_by_shell,
     product_cone,
 )
-from confn.descriptors import del_pezzo7, hirzebruch1
+from confn.constructions import cyclic_cover, product
+from confn.descriptors import del_pezzo7, hirzebruch1, projective_space
 from confn.dsl import parse
 from confn.lattice import LatticeError, PicardLattice
 from confn.runner import CORPUS_PROGRAM, evaluate
@@ -678,6 +680,49 @@ def test_supports_evaluate_as_the_dense_functionals(case):
         assert _dense(cone.functionals[report.violated_index], total) < 0
 
 
+def _dense_facet_witness(cone: Cone, k: int) -> tuple[int, ...]:
+    """u + t w for functional ``k``, with t the least integer that clears
+    every other functional, each evaluated on the dense vectors."""
+    functionals = cone.functionals
+    p, q = cone.interior_point, cone.irredundancy_witnesses[k]
+    at_p, at_q = _dense(functionals[k], p), _dense(functionals[k], q)
+    w = [at_p * x - at_q * y for x, y in zip(q, p)]
+    g = gcd(*w) or 1
+    w = [v // g for v in w]
+    u = _unit_preimage(cone.supports[k], cone.lattice.rank)
+    t = max(
+        (-((_dense(f, u) - 1) // _dense(f, w)) for j, f in enumerate(functionals) if j != k),
+        default=0,
+    )
+    return tuple(a + t * b for a, b in zip(u, w))
+
+
+@st.composite
+def cones_beside_p1_and_f1(draw):
+    """A random admitted cone of rank 1 to 3, as its rows, and the P1 and
+    F1 factors ("p1" or "f1") beside it, in order, with its position."""
+    (_, rows) = draw(nested_recipes(0))
+    others = draw(st.lists(st.sampled_from(["p1", "f1"]), max_size=3))
+    return rows, others, draw(st.integers(0, len(others)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(cones_beside_p1_and_f1())
+@example(((((1, 0), (-10, 1)), ["f1", "p1"], 1)))
+def test_local_facet_witnesses_equal_the_dense_formula(case):
+    rows, others, position = case
+    with empty_shape_table():
+        lattice = PicardLattice(tuple(f"a{i}" for i in range(len(rows[0]))))
+        factors = [Cone(LINE, ((1,),)) if o == "p1" else Cone(F1, ((1, 0), (-1, 1))) for o in others]
+        factors.insert(position, Cone(lattice, rows))
+        cone = factors[0]
+        if len(factors) > 1:
+            rank = sum(f.lattice.rank for f in factors)
+            cone = product_cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), factors)
+        for k in range(len(cone.functionals)):
+            assert cone.min_interior_value(k) == _dense_facet_witness(cone, k)
+
+
 # ------------------------------------------- admission data without the LP
 
 
@@ -939,6 +984,88 @@ def test_a_product_pads_each_factor_with_zeros_outside_its_block():
         assert first.interior_point == f1.interior_point + (1,)
         again = product_cone(lat, (f1, ray))
         assert again._shape is first._shape
+
+
+def _cover_cone() -> Cone:
+    """The nef cone of a double cover of F1 x P1, a copy of the product's."""
+    base = product(hirzebruch1(), projective_space(1))
+    return cyclic_cover(base, base.lattice.make([1, 2, 1]), 2, assume=("pic_pullback_iso",)).nef
+
+
+ASSEMBLED_FACTORS = {
+    "p1": lambda: projective_space(1).nef,
+    "f1": lambda: hirzebruch1().nef,
+    "dp7": lambda: del_pezzo7().nef,
+    # found by the linear program: (1, 11) and its witnesses
+    "custom": lambda: Cone(PicardLattice(("A", "B")), ((1, 0), (-10, 1))),
+    "cover": _cover_cone,
+}
+
+
+def _on(rank: int) -> PicardLattice:
+    return PicardLattice(tuple(f"e{i}" for i in range(rank)))
+
+
+def _padded_data(factors) -> tuple:
+    """The product's functionals, interior point and witnesses, each factor
+    vector padded with zeros outside its block."""
+    rank = sum(f.lattice.rank for f in factors)
+    functionals, point, witnesses, before = [], (), [], 0
+    for f in factors:
+        ahead, after = (0,) * before, (0,) * (rank - before - f.lattice.rank)
+        functionals += [ahead + v + after for v in f.functionals]
+        witnesses += [ahead + v + after for v in f.irredundancy_witnesses]
+        point += f.interior_point
+        before += f.lattice.rank
+    return tuple(functionals), point, tuple(witnesses)
+
+
+def _grouped(factors, grouping: str) -> Cone:
+    """The product of ``factors``: "flat" as one product, "left" as
+    ((a x b) x c ...) and "right" as (a x (b x c ...))."""
+    if grouping == "flat" or len(factors) == 1:
+        return product_cone(_on(sum(f.lattice.rank for f in factors)), factors)
+    if grouping == "left":
+        parts = (_grouped(factors[:-1], grouping), factors[-1])
+    else:
+        parts = (factors[0], _grouped(factors[1:], grouping))
+    return product_cone(_on(sum(f.lattice.rank for f in parts)), parts)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("p1", "p1"),
+        ("f1", "p1"),
+        ("dp7", "custom"),
+        ("custom", "cover"),
+        ("cover", "dp7", "p1"),
+        ("p1", "f1", "dp7", "custom"),
+    ],
+    ids="-".join,
+)
+@pytest.mark.parametrize("grouping", ["flat", "left", "right"])
+@pytest.mark.parametrize("first", ["product", "admitted"])
+def test_an_assembled_shape_is_the_admitted_one(names, grouping, first):
+    with empty_shape_table():
+        factors = [ASSEMBLED_FACTORS[name]() for name in names]
+        data = _padded_data(factors)
+        lattice = _on(len(data[1]))
+        with empty_shape_table():
+            admitted = Cone(lattice, *data)
+        if first == "admitted":
+            flat = Cone(lattice, *data)
+            cone = _grouped(factors, grouping)
+        else:
+            cone = _grouped(factors, grouping)
+            flat = Cone(lattice, *data)
+        assert cone._shape is flat._shape
+        for name in ("functionals", "supports", "interior_point", "irredundancy_witnesses"):
+            assert getattr(cone, name) == getattr(admitted, name), name
+            assert getattr(cone._shape, name) == getattr(admitted._shape, name), name
+        # the groupings and the flat product have one shape
+        for other in ("flat", "left", "right"):
+            assert _grouped(factors, other)._shape is cone._shape
 
 
 def test_a_failed_admission_files_nothing():

@@ -1,7 +1,16 @@
 """Sign-of-h^0 derivations along construction traces."""
 
-from confn.constructions import box_sum, cyclic_cover, product
-from confn.descriptors import curve, hirzebruch1, projective_space
+import pytest
+
+from confn.constructions import (
+    box_sum,
+    cover_data,
+    cyclic_cover,
+    product,
+    product_blocks,
+    split_product_class,
+)
+from confn.descriptors import curve, del_pezzo7, hirzebruch1, is_known_gg, projective_space
 from confn.kunneth import POSITIVE, UNKNOWN, ZERO, h0_sign
 
 
@@ -101,9 +110,106 @@ def test_cover_nef_shortcut_and_split_vanishing():
 
 
 def test_wrong_lattice_rejected():
-    import pytest
-
     p1 = projective_space(1)
     p2 = projective_space(2)
     with pytest.raises(ValueError):
         h0_sign(p1, p2.lattice.make([1]))
+
+
+# ------------------------------------------- the walk without the per-call memo
+
+
+def _walked(desc, cls_, depth=0):
+    """The sign and trace of h^0, by the recursion that walks every node
+    of the tree, repeated factors included: the reference for the memo."""
+    pad = "  " * depth
+    head = f"h^0({cls_.pretty()})"
+    if desc.dimension == 1 and cls_.coeffs[0] < 0:
+        return ZERO, [pad + f"{head} = 0: negative degree {cls_.coeffs[0]} on a curve"]
+    if is_known_gg(desc, cls_):
+        return POSITIVE, [pad + f"{head} > 0: the class is certified globally generated"]
+    kind = desc.provenance.constructor
+    if kind == "product":
+        trace = [
+            pad + f"{head} on a product: Kunneth, h^0 of a box-sum is the "
+            "product over the factors"
+        ]
+        values = []
+        for (_, parent), part in zip(product_blocks(desc), split_product_class(desc, cls_)):
+            v, t = _walked(parent, part, depth + 1)
+            values.append(v)
+            trace += t
+        if ZERO in values:
+            return ZERO, trace + [pad + "one factor vanishes, so the product vanishes"]
+        if all(v == POSITIVE for v in values):
+            return POSITIVE, trace + [pad + "every factor is positive, so the product is positive"]
+        return UNKNOWN, trace + [pad + "no factor vanishes and not all are certified positive"]
+    if kind == "cyclic_cover":
+        parent, branch, degree = cover_data(desc)
+        trace = [
+            pad + f"{head} on a degree-{degree} cyclic cover: the "
+            "pushforward of the structure sheaf splits as the sum of L^(-i), "
+            f"i = 0..{degree - 1}, with L = {branch.pretty()}"
+        ]
+        values = []
+        for i in range(degree):
+            downstairs = parent.lattice.make(
+                tuple(c - i * b for c, b in zip(cls_.coeffs, branch.coeffs))
+            )
+            v, t = _walked(parent, downstairs, depth + 1)
+            values.append(v)
+            trace += t
+        if all(v == ZERO for v in values):
+            return ZERO, trace + [pad + "every summand vanishes, so the pullback has no sections"]
+        if POSITIVE in values:
+            return POSITIVE, trace + [pad + "some summand is positive, so the pullback has sections"]
+        return UNKNOWN, trace + [pad + "the summands are not all decided"]
+    return UNKNOWN, [pad + f"{head}: no applicable decomposition"]
+
+
+def _doubled(desc, times):
+    for _ in range(times):
+        desc = product(desc, desc)
+    return desc
+
+
+def _cover_tower():
+    """c0 = cyclic_cover(P4, branch = H, degree = 7), d0 = c0 x P1 and
+    d(k+1) = dk x dk, up to d4."""
+    p4 = projective_space(4)
+    c0 = cyclic_cover(p4, p4.lattice.make([1]), 7)
+    return _doubled(product(c0, projective_space(1)), 4)
+
+
+def _uneven_cube():
+    """(P1 x P1) x P1 on one P1, which the walk meets at depths 2 and 1,
+    with one class: a node is its descriptor, class and depth."""
+    p1 = projective_space(1)
+    return product(product(p1, p1), p1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _doubled(projective_space(1), 4),
+        lambda: _doubled(hirzebruch1(), 2),
+        lambda: product(del_pezzo7(), del_pezzo7()),
+        lambda: _doubled(del_pezzo7(), 1),
+        _cover_tower,
+        _uneven_cube,
+    ],
+    ids=["p1_16", "f1_4", "dp7_times_dp7", "dp7_squared", "cover_tower", "uneven_cube"],
+)
+def test_the_memo_walk_agrees_with_the_full_walk(make):
+    x = make()
+    classes = [x.canonical, x.lattice.make([-c for c in x.canonical.coeffs])]
+    classes += [x.lattice.make([(-1) ** i * (i % 3) for i in range(x.rank)])]
+    for cls_ in classes:
+        fact = h0_sign(x, cls_)
+        assert (fact.value, list(fact.trace)) == _walked(x, cls_)
+
+
+def test_the_cover_tower_trace_has_a_line_per_node():
+    x = _cover_tower()
+    fact = h0_sign(x, x.canonical)
+    assert fact.value == ZERO and len(fact.trace) == 222

@@ -10,8 +10,10 @@ import weakref
 
 import pytest
 
-from confn import certificates, cones, engine, runner
+from confn import certificates, cones, engine, kunneth, runner
 from confn.cones import Cone
+from confn.constructions import product
+from confn.descriptors import projective_space
 from confn.dsl import parse
 from confn.runner import Report, VarietyRow, emit_json, evaluate
 
@@ -143,6 +145,19 @@ def test_the_shape_table_admits_equal_cones_once(monkeypatch):
     assert len(solves) == 3
 
 
+def test_a_product_shape_is_assembled_without_admission(monkeypatch):
+    # P1^2, P1^4, P1^8 and P1^16, each a product of two copies of the level
+    # below: admitting each padded product again checks its supplied
+    # witnesses, 4 times
+    checks = _counted(monkeypatch, cones._Shape, "_check_witnesses")
+    _run(
+        "let a1 = projective_space(1)\nlet a2 = product(a1, a1)\n"
+        "let a4 = product(a2, a2)\nlet a8 = product(a4, a4)\n"
+        "let a16 = product(a8, a8)\nassert_confn a16 = 2\n"
+    )
+    assert checks == []
+
+
 def _p1_tower(top: int) -> str:
     """a1 = P1 and a_k = a_(k-1) x P1 up to a_top, every level computed:
     the oracle checks each level, whose blocks are all the ray of P1."""
@@ -183,6 +198,24 @@ def test_the_refute_memo_searches_each_block_once(monkeypatch):
     searches = _counted(monkeypatch, cones, "_refute_block")
     _run(_p1_tower(8))
     assert len(searches) == 2
+
+
+# ------------------------------------------------------------------ the Kunneth walk
+
+
+def test_the_walk_memo_decides_each_node_of_a_repeated_factor_once(monkeypatch):
+    # P1^16 as four levels of X x X: the walk meets 31 nodes, of which 5
+    # differ, one per depth; a second call walks afresh
+    x = projective_space(1)
+    for _ in range(4):
+        x = product(x, x)
+    decisions = _counted(monkeypatch, kunneth, "_decide")
+    first = kunneth.h0_sign(x, x.canonical)
+    assert first.value == kunneth.ZERO and len(first.trace) == 46
+    assert len(decisions) == 5
+    again = kunneth.h0_sign(x, x.canonical)
+    assert (again.value, again.trace) == (first.value, first.trace)
+    assert len(decisions) == 10
 
 
 # ------------------------------------------------------------------- the runner
