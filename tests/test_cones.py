@@ -701,14 +701,14 @@ def _dense_facet_witness(cone: Cone, k: int) -> tuple[int, ...]:
 def cones_beside_p1_and_f1(draw):
     """A random admitted cone of rank 1 to 3, as its rows, and the P1 and
     F1 factors ("p1" or "f1") beside it, in order, with its position."""
-    (_, rows) = draw(nested_recipes(0))
+    _, rows = draw(nested_recipes(0))
     others = draw(st.lists(st.sampled_from(["p1", "f1"]), max_size=3))
     return rows, others, draw(st.integers(0, len(others)))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(cones_beside_p1_and_f1())
-@example(((((1, 0), (-10, 1)), ["f1", "p1"], 1)))
+@example((((1, 0), (-10, 1)), ["f1", "p1"], 1))
 def test_local_facet_witnesses_equal_the_dense_formula(case):
     rows, others, position = case
     with empty_shape_table():
@@ -1023,7 +1023,9 @@ def _padded_data(factors) -> tuple:
 def _grouped(factors, grouping: str) -> Cone:
     """The product of ``factors``: "flat" as one product, "left" as
     ((a x b) x c ...) and "right" as (a x (b x c ...))."""
-    if grouping == "flat" or len(factors) == 1:
+    if len(factors) == 1:
+        return factors[0]
+    if grouping == "flat":
         return product_cone(_on(sum(f.lattice.rank for f in factors)), factors)
     if grouping == "left":
         parts = (_grouped(factors[:-1], grouping), factors[-1])
