@@ -5,7 +5,8 @@ bound itself, the literature it is a consequence of, the premises it
 needs, and enough witness data to re-run the check without trusting the
 resolver.  The verifier lives next to the rules in the engine module;
 this module owns the data shape and its stable serialization, which is
-part of the tool's external interface (schema version 1).
+part of the tool's external interface (the report's schema version,
+``runner.REPORT_SCHEMA_VERSION``).
 
 A witness is written once, when its certificate is made, as the report
 lays it out; the report splices that text in and never decodes it.
@@ -20,8 +21,6 @@ from .frozen import Frozen
 
 UPPER = "upper"
 LOWER = "lower"
-
-SCHEMA_VERSION = "1"
 
 _STR_TYPE = frozenset((str,))
 _INT_TYPE = frozenset((int,))

@@ -22,25 +22,23 @@ elimination over the rationals) to find the data, and a system that
 fails either test is rejected.  Only that program needs rational
 arithmetic, so ``fractions`` is imported when it first runs.
 
-Two quantities drive the adjoint-freeness computation.  For each
-functional the engine needs
+The adjoint-freeness threshold reads only the canonical class's values
+on the functionals.  Since functionals are integral, every phi_k is at
+least 1 on every interior lattice point, so K plus any m or more interior
+lattice classes lands inside the cone once m reaches
 
-    mu_k = min { phi_k(L) : L a lattice point strictly inside the cone },
+    m* = max(0, max_k -phi_k(K)),
 
-and from these the threshold
-
-    m* = max(0, max_k ceil(-phi_k(K) / mu_k)),
-
-which is the least m such that K plus any m or more strictly interior
-lattice classes lands inside the cone.  Since functionals are integral,
-phi_k is at least 1 on every interior lattice point, and for an
-irredundant primitive functional of a cone with interior it is exactly
-1: w = phi_k(p) q_k - phi_k(q_k) p lies in the relative interior of
-facet k, an integral u with phi_k(u) = 1 exists because phi_k is
-primitive, and u + t w is interior once t is large enough.  So every
-mu_k is 1, with a witness built in closed form, and m* is decided in any
-basis without a search.  The argument reads only p and the q_k, so it
-holds as well for a cone that contains a line, such as a half-plane.
+and that integrality is all the upper bound needs.  The lower bound
+needs the value 1 to be attained by the violated functional, the first k
+with phi_k(K) = -m*, and for an irredundant primitive functional of a
+cone with interior it is: w = phi_k(p) q_k - phi_k(q_k) p lies in the
+relative interior of facet k, an integral u with phi_k(u) = 1 exists
+because phi_k is primitive, and u + t w is interior once t is large
+enough.  So m* is decided in any basis without a search, and the facet
+witness is built in closed form, only for the violated functional.  The
+argument reads only p and the q_k, so it holds as well for a cone that
+contains a line, such as a half-plane.
 
 The brute-force refuter at the bottom is the independent oracle used by
 the test suite: it searches every multiset of interior lattice points of
@@ -304,52 +302,25 @@ def _split_blocks(functionals):
     )
 
 
-class PerFunctional(Frozen):
-    __slots__ = (
-        "index",
-        "functional",
-        "value_on_canonical",
-        "min_interior",
-        "interior_witness",
-        "required",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        functional: tuple[int, ...],
-        value_on_canonical: int,
-        min_interior: int,
-        interior_witness: tuple[int, ...],
-        required: int,
-    ) -> None:
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "functional", functional)
-        object.__setattr__(self, "value_on_canonical", value_on_canonical)
-        object.__setattr__(self, "min_interior", min_interior)
-        object.__setattr__(self, "interior_witness", interior_witness)
-        object.__setattr__(self, "required", required)
-
-
 class ThresholdReport(Frozen):
     """Certified adjoint-freeness threshold for a cone and canonical class.
 
-    ``witness`` is a tuple of m*-1 interior points whose sum with the
-    canonical class escapes the cone, present whenever m* >= 1; it is the
-    sharpness half of the certificate.
+    ``m_star`` is max(0, max_k -phi_k(K)), read off the canonical values
+    alone.  ``witness`` is the sharpness half of the certificate, present
+    whenever m* >= 1: m* - 1 copies of the facet witness of
+    ``violated_index``, the first functional with phi_k(K) = -m*, whose
+    sum with the canonical class escapes the cone.
     """
 
-    __slots__ = ("m_star", "per_functional", "witness", "violated_index")
+    __slots__ = ("m_star", "witness", "violated_index")
 
     def __init__(
         self,
         m_star: int,
-        per_functional: tuple[PerFunctional, ...],
         witness: tuple[tuple[int, ...], ...] | None,
         violated_index: int | None,
     ) -> None:
         object.__setattr__(self, "m_star", m_star)
-        object.__setattr__(self, "per_functional", per_functional)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "violated_index", violated_index)
 
@@ -714,43 +685,31 @@ class Cone(Frozen):
     def adjoint_freeness_threshold(self, canonical: DivisorClass) -> ThresholdReport:
         """Least m such that canonical plus any >= m interior classes stays inside.
 
-        Every per-functional minimum is 1, so functional k requires
-        max(0, -phi_k(K)) summands.  Monotonicity in the number of summands
-        holds because each mu_k is a positive integer, so adding a further
-        interior class can only increase every functional value.
+        Each phi_k is integral and positive on interior lattice points, so
+        it is at least 1 there, and s >= m* = max(0, max_k -phi_k(K))
+        summands lift every phi_k(K) to 0 or more; that is the whole upper
+        bound, and it holds for every larger s as well.  The facet witness
+        is built only for the violated functional, the first k with
+        phi_k(K) = -m*: its value 1 there makes m* - 1 copies of it fall
+        short, which is the sharpness witness.
         """
-        per = [
-            PerFunctional(
-                index=k,
-                functional=self.functionals[k],
-                value_on_canonical=phi_k,
-                min_interior=1,
-                interior_witness=self.min_interior_value(k),
-                required=max(0, -phi_k),
+        on_canonical = self.values(canonical)
+        m_star = max(0, -min(on_canonical))
+        if m_star == 0:
+            return ThresholdReport(m_star=0, witness=None, violated_index=None)
+        violated = on_canonical.index(-m_star)
+        witness = ()
+        if m_star > 1:
+            witness = (self.min_interior_value(violated),) * (m_star - 1)
+        total = list(canonical.coeffs)
+        for point in witness:
+            total = [a + b for a, b in zip(total, point)]
+        if _value(self.supports[violated], total) >= 0:
+            raise ConeError(
+                "internal sharpness check failed; the threshold witness does "
+                "not escape the cone"
             )
-            for k, phi_k in enumerate(self.values(canonical))
-        ]
-        m_star = max(p.required for p in per)
-        witness = None
-        violated = None
-        if m_star >= 1:
-            critical = max(per, key=lambda p: (p.required, -p.index))
-            witness = tuple([critical.interior_witness] * (m_star - 1))
-            violated = critical.index
-            total = list(canonical.coeffs)
-            for point in witness:
-                total = [a + b for a, b in zip(total, point)]
-            if _value(self.supports[critical.index], total) >= 0:
-                raise ConeError(
-                    "internal sharpness check failed; the threshold witness does "
-                    "not escape the cone"
-                )
-        return ThresholdReport(
-            m_star=m_star,
-            per_functional=tuple(per),
-            witness=witness,
-            violated_index=violated,
-        )
+        return ThresholdReport(m_star=m_star, witness=witness, violated_index=violated)
 
 
 def brute_force_refute(

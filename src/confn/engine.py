@@ -101,17 +101,6 @@ def _rule_exact_threshold(desc: VarietyDescriptor):
 
 
 def _threshold_certificates(report, justification: str) -> tuple[Certificate, ...]:
-    per = [
-        {
-            "index": p.index,
-            "functional": p.functional,
-            "value_on_canonical": p.value_on_canonical,
-            "min_interior": p.min_interior,
-            "interior_witness": p.interior_witness,
-            "required": p.required,
-        }
-        for p in report.per_functional
-    ]
     premises = [
         "the globally generated cone equals the nef cone: " + justification,
         "every functional takes value >= 1 on interior lattice points, so the "
@@ -126,7 +115,7 @@ def _threshold_certificates(report, justification: str) -> tuple[Certificate, ..
             "nef-cone threshold for descriptors whose nef classes are exactly "
             "the globally generated ones",
             premises=premises,
-            witness={"m_star": report.m_star, "per_functional": per},
+            witness={"m_star": report.m_star},
         )
     ]
     if report.m_star >= 1:
@@ -596,31 +585,11 @@ def _verify_exact_threshold(desc, cert):
     nef = desc.nef
     on_canonical = nef.values(desc.canonical)
     data = cert.witness_data()
-    functionals = nef.functionals
     if cert.kind == UPPER:
-        per = data["per_functional"]
-        # one entry per functional, in order, so none stands in for another
-        indices = [entry["index"] for entry in per]
-        if indices != list(range(len(functionals))):
-            return False
-        requireds = []
-        for entry in per:
-            k = entry["index"]
-            if functionals[k] != tuple(entry["functional"]):
-                return False
-            phi_k = on_canonical[k]
-            if phi_k != entry["value_on_canonical"]:
-                return False
-            on_witness = nef.values(nef.lattice.make(entry["interior_witness"]))
-            if not all(v > 0 for v in on_witness):
-                return False
-            if entry["min_interior"] != 1 or on_witness[k] != 1:
-                return False
-            required = max(0, -phi_k)
-            if required != entry["required"]:
-                return False
-            requireds.append(required)
-        return cert.value == data["m_star"] == max(requireds)
+        # each functional is integral, so >= 1 on interior lattice points,
+        # and m* summands lift every canonical value to 0 or more
+        m_star = max(0, -min(on_canonical))
+        return data == {"m_star": m_star} and cert.value == m_star
     points = [nef.lattice.make(p) for p in data["tuple"]]
     if len(points) != data["m_star"] - 1 or cert.value != data["m_star"]:
         return False

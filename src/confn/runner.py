@@ -59,7 +59,7 @@ from .pipelines import (
     pipeline_simple_variety,
 )
 
-REPORT_SCHEMA_VERSION = "1"
+REPORT_SCHEMA_VERSION = "2"
 
 # the brute-force oracle's search box: interior points of this sup-norm
 ORACLE_RADIUS = 4
@@ -785,7 +785,6 @@ def _binding_json(row: VarietyRow, memo: dict) -> str:
         ",", _FIELD_NL, '"picard_rank": ', _leaf_json(row.picard_rank),
         ",", _FIELD_NL, '"interval": ', interval_text,
         ",", _FIELD_NL, '"certificates": ', render_json(certificates, _FIELD_NL, memo),
-        ",", _FIELD_NL, '"advisories": []',  # schema 1 keeps the key
         ",", _FIELD_NL, '"notes": ', render_json(row.notes, _FIELD_NL),
         ",", _FIELD_NL, '"provenance": ', render_json(row.provenance, _FIELD_NL),
     ))

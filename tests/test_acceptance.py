@@ -132,10 +132,11 @@ def _refuter_agrees(cone, canonical, value: int, radius: int = 4) -> None:
         )
 
 
-def _witness_radius(report) -> int:
-    """At least 4, and large enough that the report's witnesses are searched."""
+def _witness_radius(cone, report) -> int:
+    """At least 4, and large enough that the report's witness and every
+    functional's facet witness are searched."""
     points = list(report.witness or ()) + [
-        p.interior_witness for p in report.per_functional
+        cone.min_interior_value(k) for k in range(len(cone.functionals))
     ]
     return max([4] + [abs(x) for point in points for x in point])
 
@@ -181,7 +182,7 @@ def test_exact_values_agree_with_brute_force_refuter(capsys):
                 continue
             canonical = lat2.make([rng.randint(-4, 4), rng.randint(-4, 4)])
             report = cone.adjoint_freeness_threshold(canonical)
-            _refuter_agrees(cone, canonical, report.m_star, _witness_radius(report))
+            _refuter_agrees(cone, canonical, report.m_star, _witness_radius(cone, report))
             checked += 1
 
 

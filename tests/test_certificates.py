@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from confn import certificates, runner
 from confn.certificates import (
     LOWER,
-    SCHEMA_VERSION,
     UPPER,
     Certificate,
     dumps_certificates,
@@ -28,7 +27,9 @@ from confn.runner import Report, corpus, emit_json, evaluate
 
 
 def test_schema_version_pinned():
-    assert SCHEMA_VERSION == "1"
+    # one constant names the report's schema
+    assert runner.REPORT_SCHEMA_VERSION == "2"
+    assert not hasattr(certificates, "SCHEMA_VERSION")
 
 
 def test_kind_and_value_validated():
@@ -208,8 +209,6 @@ def _reference_row(row):
         "certificates": [
             c.to_json_dict() for c in (interval.certificates if interval else ())
         ],
-        # schema 1 keeps the key, and no rule writes to it
-        "advisories": [],
         "notes": list(row.notes),
         "provenance": list(row.provenance),
         "assertions": [
@@ -251,7 +250,7 @@ def test_emit_json_matches_the_reference_payload(program):
 def test_emit_json_matches_the_reference_on_the_corpus():
     report = corpus()
     assert emit_json(report) == _reference_json(report)
-    assert emit_json(Report()) == '{\n  "schema_version": "1",\n  "varieties": []\n}\n'
+    assert emit_json(Report()) == '{\n  "schema_version": "2",\n  "varieties": []\n}\n'
 
 
 def test_emit_json_renders_each_distinct_certificate_once(monkeypatch):

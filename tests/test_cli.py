@@ -236,7 +236,7 @@ def test_json_format(tmp_path, capsys):
     code, out, _ = _run_main(["eval", "--format", "json", str(path)], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["varieties"][0]["interval"] == {"lo": 4, "hi": 4, "exact": True}
 
 

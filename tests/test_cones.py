@@ -175,9 +175,15 @@ def test_threshold_report_is_sharp():
 
 
 def test_threshold_certifies_by_integrality():
-    report = DP7_NEF.adjoint_freeness_threshold(DP7.make([-3, 1, 1]))
-    for per in report.per_functional:
-        assert per.min_interior == 1
+    canonical = DP7.make([-3, 1, 1])
+    report = DP7_NEF.adjoint_freeness_threshold(canonical)
+    # every functional is integral, so its least interior value is 1 and
+    # the threshold is read off the canonical values alone
+    assert report.m_star == max(0, *(-v for v in DP7_NEF.values(canonical)))
+    for k in range(len(DP7_NEF.functionals)):
+        witness = DP7_NEF.min_interior_value(k)
+        assert DP7_NEF.values_at(witness)[k] == 1
+        assert all(v > 0 for v in DP7_NEF.values_at(witness))
 
 
 def test_threshold_inconclusive_outside_radius():
@@ -268,7 +274,8 @@ def test_cone_memo_is_keyed_by_radius():
     canonical = lat.make([-1, 0])
     report = narrow.adjoint_freeness_threshold(canonical)
     assert report.m_star == 1
-    assert report.per_functional[0].interior_witness == (1, 11)
+    assert narrow.min_interior_value(0) == (1, 11)
+    assert narrow.min_interior_value(1) == (1, 11)
     assert narrow.first_interior_point() == (1, 11)
     # the exact queries take no radius, so neither does any memo key
     assert narrow._shape.memo
@@ -357,9 +364,10 @@ def test_rank8_cone_builds_and_decides_quickly():
     report = cone.adjoint_freeness_threshold(lat.make([-2] + [0] * 7))
     assert time.perf_counter() - start < 1.0
     assert report.m_star == 2
-    for per in report.per_functional:
-        assert cone.values_at(per.interior_witness)[per.index] == 1
-        assert all(v > 0 for v in cone.values_at(per.interior_witness))
+    for k in range(len(cone.functionals)):
+        witness = cone.min_interior_value(k)
+        assert cone.values_at(witness)[k] == 1
+        assert all(v > 0 for v in cone.values_at(witness))
 
 
 def test_interior_points_deterministic_prefix():
@@ -671,9 +679,10 @@ def test_supports_evaluate_as_the_dense_functionals(case):
     canonical = cone.lattice.make(canonical_coeffs)
     on_canonical = [_dense(f, canonical_coeffs) for f in cone.functionals]
     report = cone.adjoint_freeness_threshold(canonical)
-    assert [p.value_on_canonical for p in report.per_functional] == on_canonical
+    assert list(cone.values(canonical)) == on_canonical
     assert report.m_star == max(0, *(-v for v in on_canonical))
     if report.m_star >= 1:
+        assert report.violated_index == on_canonical.index(-report.m_star)
         total = list(canonical_coeffs)
         for p in report.witness:
             total = [a + b for a, b in zip(total, p)]
@@ -1106,10 +1115,7 @@ def _answers(cone: Cone, canonical_coeffs) -> tuple:
     return (
         [cone.min_interior_value(k) for k in range(len(cone.functionals))],
         (report.m_star, report.witness, report.violated_index),
-        [
-            (p.index, p.functional, p.value_on_canonical, p.interior_witness, p.required)
-            for p in report.per_functional
-        ],
+        cone.values(canonical),
         # the block shapes themselves differ between the two tables
         [block[:2] + block[3:] for block in cone._shape._blocks(4)],
         [brute_force_refute(cone, canonical, m, 4) for m in range(4)],

@@ -4,6 +4,8 @@ import json
 import weakref
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from confn import cones
 
@@ -28,7 +30,7 @@ from confn.engine import (
     resolve,
     verify_certificate,
 )
-from confn.cones import Cone
+from confn.cones import Cone, ConeError
 from confn.dsl import parse
 from confn.lattice import IntersectionForm, PicardLattice
 from confn.runner import evaluate
@@ -556,11 +558,12 @@ def test_verifier_rejects_tampered_threshold():
         if c.rule == "exact-threshold" and c.kind == UPPER
     )
     assert verify_certificate(p2, upper)
-    data = upper.witness_data()
-    data["per_functional"][0]["value_on_canonical"] += 1
-    bad = Certificate(UPPER, upper.rule, upper.value, upper.citation,
-                      premises=upper.premises, witness=data)
-    assert not verify_certificate(p2, bad)
+    assert upper.witness_data() == {"m_star": 3}
+    for m in (2, 4):
+        assert not verify_certificate(p2, _tamper(upper, m_star=m))
+        moved = Certificate(UPPER, upper.rule, m, upper.citation,
+                            premises=upper.premises, witness={"m_star": m})
+        assert not verify_certificate(p2, moved)
 
     lower = next(
         c
@@ -592,14 +595,44 @@ def test_verifier_rejects_repeated_functional_index():
         for c in resolve(f1).certificates
         if c.rule == "exact-threshold" and c.kind == UPPER
     )
-    entries = upper.witness_data()["per_functional"]
-    assert [e["required"] for e in entries] == [2, 1]
-    # functional 1 listed twice hides functional 0, which requires 2
+    assert verify_certificate(f1, upper)
+    assert f1.nef.values(f1.canonical) == (-2, -1)
+    # functional 1 requires 1, but functional 0 requires 2: a bound read
+    # off functional 1 alone is refused
     forged = Certificate(
         UPPER, upper.rule, 1, upper.citation, premises=upper.premises,
-        witness={"m_star": 1, "per_functional": [entries[1], entries[1]]},
+        witness={"m_star": 1},
     )
     assert not verify_certificate(f1, forged)
+
+
+_pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_pairs, _pairs, st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+def test_an_upper_threshold_verifies_exactly_at_the_closed_form(f1, f2, canonical):
+    # the rank-2 cones and canonical classes of the acceptance refuter check
+    lat = PicardLattice(("u", "v"))
+    try:
+        nef = Cone(lat, (f1, f2))
+    except ConeError:
+        assume(False)
+    form = IntersectionForm.from_gram(lat, [[1, 0], [0, 1]])
+    k = lat.make(list(canonical))
+    exact = VarietyDescriptor(
+        dimension=2, lattice=lat, form=form, canonical=k, nef=nef,
+        gg=ExactEqualsNef("toric: nef implies globally generated"),
+        flags=frozenset({"toric"}),
+    )
+    unknown = custom(dimension=2, lattice=lat, form=form, canonical=k, nef=nef)
+    assert unknown.nef._shape is exact.nef._shape
+    m_star = max(0, *(-v for v in nef.values(k)))
+    for value in range(m_star + 3):
+        cert = Certificate(UPPER, "exact-threshold", value, "threshold",
+                           witness={"m_star": value})
+        assert verify_certificate(exact, cert) == (value == m_star), value
+        assert not verify_certificate(unknown, cert)
 
 
 def test_verifier_rejects_wrong_descriptor():
@@ -802,10 +835,10 @@ def test_a_mutated_threshold_leaf_is_refused_on_a_shape_that_accepted_the_honest
     assert fresh.nef._shape is not f1.nef._shape
     expected = {key: verify_certificate(fresh, cert) for key, cert in forged.items()}
     assert {key: verify_certificate(twin, cert) for key, cert in forged.items()} == expected
-    # the witness for functional 0 moved off its facet; the escaping point
+    # the upper bound no longer equals the threshold; the escaping point
     # moved off the interior
     refused = {key for key, verdict in expected.items() if not verdict}
-    assert (UPPER, ("per_functional", 0, "interior_witness", 0)) in refused
+    assert (UPPER, ("m_star",)) in refused
     assert (LOWER, ("tuple", 0, 0)) in refused
     assert all(verify_certificate(twin, cert) for cert in honest)
 
@@ -850,10 +883,8 @@ def test_products_on_one_shape_keep_their_own_threshold():
         assert interval.exact and interval.lo == max(a, b) + 1, (a, b)
         upper = _threshold(desc, UPPER)
         assert upper.value == max(a, b) + 1
-        assert [e["value_on_canonical"] for e in upper.witness_data()["per_functional"]] == [
-            -(a + 1),
-            -(b + 1),
-        ]
+        assert upper.witness_data() == {"m_star": max(a, b) + 1}
+        assert desc.nef.values(desc.canonical) == (-(a + 1), -(b + 1))
         _assert_all_verified(desc, interval)
 
 

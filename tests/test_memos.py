@@ -130,6 +130,31 @@ def test_the_facet_witness_memo_builds_each_witness_once_per_shape(monkeypatch):
     assert len(witnesses) == 1
 
 
+def _doubling_tower() -> str:
+    """P1^16 as a product of two copies of P1^8, and so on down to P1."""
+    return (
+        "let a1 = projective_space(1)\nlet a2 = product(a1, a1)\n"
+        "let a4 = product(a2, a2)\nlet a8 = product(a4, a4)\n"
+        "let a16 = product(a8, a8)\nassert_confn a16 = 2\n"
+    )
+
+
+def test_a_threshold_builds_the_facet_witness_of_its_violated_functional_alone(
+    monkeypatch,
+):
+    # P1, P1^2, P1^4, P1^8 and P1^16 each have m* = 2, first reached by
+    # their first functional: one facet witness per shape, where one per
+    # functional is 31
+    witnesses = _counted(monkeypatch, cones._Shape, "_facet_witness")
+    _run(_doubling_tower())
+    assert len(witnesses) == 5
+    # a quintic threefold's canonical class is nef, m* = 0: no witness,
+    # where one per functional is 1
+    witnesses.clear()
+    _run("let X = complete_intersection(3, degrees = [5])\nassert_confn X = 0\n")
+    assert witnesses == []
+
+
 def test_the_shape_table_admits_equal_cones_once(monkeypatch):
     # thirty rank-2 surfaces on one nef cone: the linear program finds the
     # interior point and two separating points once, not thirty times (90)
@@ -150,11 +175,7 @@ def test_a_product_shape_is_assembled_without_admission(monkeypatch):
     # below: admitting each padded product again checks its supplied
     # witnesses, 4 times
     checks = _counted(monkeypatch, cones._Shape, "_check_witnesses")
-    _run(
-        "let a1 = projective_space(1)\nlet a2 = product(a1, a1)\n"
-        "let a4 = product(a2, a2)\nlet a8 = product(a4, a4)\n"
-        "let a16 = product(a8, a8)\nassert_confn a16 = 2\n"
-    )
+    _run(_doubling_tower())
     assert checks == []
 
 
