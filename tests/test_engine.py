@@ -626,7 +626,6 @@ def test_an_upper_threshold_verifies_exactly_at_the_closed_form(f1, f2, canonica
         flags=frozenset({"toric"}),
     )
     unknown = custom(dimension=2, lattice=lat, form=form, canonical=k, nef=nef)
-    assert unknown.nef._shape is exact.nef._shape
     m_star = max(0, *(-v for v in nef.values(k)))
     for value in range(m_star + 3):
         cert = Certificate(UPPER, "exact-threshold", value, "threshold",
