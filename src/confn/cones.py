@@ -333,10 +333,8 @@ class _Shape:
     shape (see ``_shape_for``).  ``__init__`` admits the input; a
     product's shape is assembled from its factor shapes instead, by
     ``_assembled``, and holds the data admission would give the padded
-    input.  ``readers``, built with the first facet witness, lists for
-    each coordinate the functionals that read it.  ``memo`` keeps five
-    kinds of answer, each bounding work that a program would otherwise
-    repeat:
+    input.  ``memo`` keeps five kinds of answer, each bounding work that
+    a program would otherwise repeat:
 
     * ``("min", k)``: the facet witness of functional k, built once per
       shape, not once per canonical class whose threshold reads it;
@@ -361,7 +359,6 @@ class _Shape:
         "interior_point",
         "irredundancy_witnesses",
         "memo",
-        "readers",
         "__weakref__",
     )
 
@@ -374,7 +371,6 @@ class _Shape:
     ) -> None:
         self.rank = rank
         self.memo: dict = {}
-        self.readers: list[list[int]] | None = None
         prim, supports = [], []
         for f in functionals:
             if len(f) != rank:
@@ -419,7 +415,6 @@ class _Shape:
         shape = cls.__new__(cls)
         shape.rank, shape.functionals, shape.interior_point, shape.irredundancy_witnesses = key
         shape.memo = {}
-        shape.readers = None
         supports, offset = [], 0
         for factor in factors:
             supports += [tuple([(i + offset, a) for i, a in s]) for s in factor.supports]
@@ -513,11 +508,6 @@ class _Shape:
 
         Every other functional is positive on w, so a large t clears it:
         t is the largest over them of the least t with phi_j(u + t w) >= 1.
-        Only the functionals that read a coordinate of k's support are
-        evaluated, found through ``readers``, the functionals reading each
-        coordinate, built once per shape.  Any other functional is 0 on u,
-        which is 0 off k's support, and positive on w, so its least t is
-        exactly 1.
         """
         support = self.supports[k]
         p, q = self.interior_point, self.irredundancy_witnesses[k]
@@ -526,20 +516,10 @@ class _Shape:
         g = gcd(*w) or 1
         w = [v // g for v in w]
         u = _unit_preimage(support, self.rank)
-        if self.readers is None:
-            self.readers = [[] for _ in range(self.rank)]
-            for j, s in enumerate(self.supports):
-                for i, _ in s:
-                    self.readers[i].append(j)
-        near = {j for i, _ in support for j in self.readers[i]}
-        near.discard(k)
-        least = [
-            -((_value(self.supports[j], u) - 1) // _value(self.supports[j], w))
-            for j in near
-        ]
-        if len(near) + 1 < len(self.supports):
-            least.append(1)
-        t = max(least, default=0)
+        t = max(
+            (-((_value(s, u) - 1) // _value(s, w)) for j, s in enumerate(self.supports) if j != k),
+            default=0,
+        )
         return tuple(a + t * b for a, b in zip(u, w))
 
 

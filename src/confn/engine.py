@@ -539,8 +539,11 @@ def verify_certificate(desc: VarietyDescriptor, cert: Certificate) -> bool:
     the caller decides how loud to be.  The checks re-derive every claim
     from the witness data and the descriptor, not from resolver state: a
     parent's memoized interval counts only once its endpoint certificates
-    re-verify.  The outcome is memoized on the descriptor per certificate:
-    a product's verifier re-verifies its parents' endpoint certificates,
+    re-verify.  A witness that the descriptor determines is derived and
+    compared whole; one that another could replace (a lower tuple, a
+    modulus, a clause, a supporting rule) is checked for what it claims.
+    The outcome is memoized on the descriptor per certificate: a
+    product's verifier re-verifies its parents' endpoint certificates,
     and the memo keeps that linear in the depth of a tower, where each
     level would otherwise double it.
     """
@@ -611,12 +614,10 @@ def _verify_curve(desc, cert):
     if deg_k % 2 != 0 or deg_k < -2:
         return False
     genus = (deg_k + 2) // 2
-    data = cert.witness_data()
-    if data.get("genus") != genus:
-        return False
+    witness = {"genus": genus}
     if cert.kind == LOWER:
-        return data["adjoint_degree"] == 2 * genus - 1 and data["ample_degree"] == 1
-    return True
+        witness.update(ample_degree=1, adjoint_degree=2 * genus - 1)
+    return cert.witness_data() == witness
 
 
 def _verify_product_combine(desc, cert):
@@ -625,17 +626,15 @@ def _verify_product_combine(desc, cert):
     intervals = [_verified_interval(p) for p in desc.provenance.parents]
     if None in intervals:
         return False
-    data = cert.witness_data()
-    if data["factor_intervals"] != [[iv.lo, iv.hi] for iv in intervals]:
-        return False
-    if cert.kind == LOWER:
-        return cert.value == max(iv.lo for iv in intervals)
-    gate = _product_gate(desc)
-    return (
-        gate is not None
-        and data.get("gate") == gate
-        and cert.value == max(iv.hi for iv in intervals)
-    )
+    witness = {"factor_intervals": [[iv.lo, iv.hi] for iv in intervals]}
+    value = max(iv.lo for iv in intervals)
+    if cert.kind == UPPER:
+        gate = _product_gate(desc)
+        if gate is None:
+            return False
+        witness["gate"] = gate
+        value = max(iv.hi for iv in intervals)
+    return cert.value == value and cert.witness_data() == witness
 
 
 def _verify_cover_degree(desc, cert):
@@ -645,32 +644,31 @@ def _verify_cover_degree(desc, cert):
     parent_iv = _verified_interval(parent)
     if parent_iv is None:
         return False
-    data = cert.witness_data()
-    if data["degree"] != degree:
-        return False
-    if data["parent_interval"] != [parent_iv.lo, parent_iv.hi]:
-        return False
     bound = max(0, parent_iv.hi + 1 - degree)
-    if data["bound"] != bound or cert.value != bound:
-        return False
-    return data["omega_ample_and_globally_generated"] == (degree - 2 >= parent_iv.hi)
+    witness = {
+        "degree": degree,
+        "parent_interval": [parent_iv.lo, parent_iv.hi],
+        "bound": bound,
+        "omega_ample_and_globally_generated": degree - 2 >= parent_iv.hi,
+    }
+    return cert.value == bound and cert.witness_data() == witness
 
 
 def _verify_not_nef(desc, cert):
     effective = _exceptional_class(desc)
     if effective is None or cert.kind != LOWER or cert.value != 1:
         return False
-    data = cert.witness_data()
-    if data["effective_class"] != list(effective.coeffs):
-        return False
     pairing = desc.form.evaluate(desc.canonical, effective)
-    return pairing == data["pairing"] and pairing < 0
+    witness = {"effective_class": list(effective.coeffs), "pairing": pairing}
+    return pairing < 0 and cert.witness_data() == witness
 
 
 def _verify_h0_vanishing(desc, cert):
     if cert.kind != LOWER or cert.value != 1 or desc.canonical.is_zero():
         return False
-    return h0_sign(desc, desc.canonical).value == ZERO
+    fact = h0_sign(desc, desc.canonical)
+    witness = {"bundle": fact.bundle, "trace": list(fact.trace)}
+    return fact.value == ZERO and cert.witness_data() == witness
 
 
 def _verify_reider_divisible(desc, cert):

@@ -718,7 +718,7 @@ def cones_beside_p1_and_f1(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(cones_beside_p1_and_f1())
 @example((((1, 0), (-10, 1)), ["f1", "p1"], 1))
-def test_local_facet_witnesses_equal_the_dense_formula(case):
+def test_facet_witnesses_equal_the_dense_formula(case):
     rows, others, position = case
     with empty_shape_table():
         lattice = PicardLattice(tuple(f"a{i}" for i in range(len(rows[0]))))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from confn import cones
+from confn import cones, runner
 
 from confn.certificates import LOWER, UPPER, Certificate
 from confn.constructions import blowup_point, cyclic_cover, hypersurface_section, product
@@ -779,6 +779,59 @@ def test_every_corpus_certificate_verifies():
     for desc in descs:
         interval = resolve(desc)
         _assert_all_verified(desc, interval)
+
+
+# the rules whose witness the descriptor determines, so the verifier
+# compares it whole
+_DERIVED_WITNESS_RULES = (
+    "curve-genus", "product-combine", "cover-degree", "not-nef-witness", "h0-vanishing",
+)
+
+
+def _witness_mutants(data: dict):
+    """A name and a witness for each change of ``data`` the verifier must
+    refuse: each top-level key renamed or its value wrapped in a list, an
+    added key, and the empty witness."""
+    for key, value in data.items():
+        rest = {k: v for k, v in data.items() if k != key}
+        yield f"renamed {key}", {**rest, key + "_": value}
+        yield f"changed {key}", {**data, key: [value]}
+    yield "added key", {**data, "extra": 0}
+    yield "empty", {}
+
+
+def test_every_corpus_certificate_refuses_its_mutants(monkeypatch):
+    computed = []
+    compute_row = runner._compute_row
+
+    def record(row, binding, max_m):
+        computed.append((row, binding.descriptor))
+        compute_row(row, binding, max_m)
+
+    # a row bound to an earlier row's binding copies its interval, so the
+    # rows computed here carry every certificate of the corpus
+    monkeypatch.setattr(runner, "_compute_row", record)
+    runner.corpus()
+    rules = set()
+    for row, desc in computed:
+        for cert in row.interval.certificates:
+            assert verify_certificate(desc, cert), (row.name, cert.rule)
+            rules.add(cert.rule)
+            for value in (cert.value - 1, cert.value + 1):
+                if value < 0:
+                    continue
+                moved = Certificate(cert.kind, cert.rule, value, cert.citation,
+                                    cert.premises, cert.witness_data())
+                # Reider's unconditional bound 3 holds on every surface
+                reider = cert.rule == "reider-surface" and value == 3
+                assert verify_certificate(desc, moved) == reider, (row.name, cert.rule, value)
+            if cert.rule not in _DERIVED_WITNESS_RULES:
+                continue
+            for name, witness in _witness_mutants(cert.witness_data()):
+                forged = Certificate(cert.kind, cert.rule, cert.value, cert.citation,
+                                     cert.premises, witness)
+                assert not verify_certificate(desc, forged), (row.name, cert.rule, name)
+    assert set(_DERIVED_WITNESS_RULES) <= rules
 
 
 # ------------------------------------------------------ memos on the nef cone's shape

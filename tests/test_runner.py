@@ -10,6 +10,7 @@ import pytest
 
 from confn import cones, engine, runner
 from confn.certificates import LOWER, Certificate
+from confn.cli import main
 from confn.cones import Cone
 from confn.constructions import blowup_point, cyclic_cover, hypersurface_section, product
 from confn.descriptors import (
@@ -190,6 +191,28 @@ def test_oracle_runs_once_per_shared_descriptor(monkeypatch):
     )
     assert single > 0 and len(calls) == single
     assert not once.any_failure and not twice.any_failure
+
+
+@pytest.mark.parametrize(
+    "refutation, message",
+    [
+        (((1,),), "a refutation exists at 3 summands although the resolved value is 3"),
+        (None, "no refutation found at 2 summands although the resolved value is 3"),
+    ],
+    ids=["refuted-at-the-value", "unrefuted-below-it"],
+)
+def test_an_oracle_disagreement_is_an_internal_fault(
+    monkeypatch, tmp_path, capsys, refutation, message
+):
+    monkeypatch.setattr(cones, "brute_force_refute", lambda *args, **kwargs: refutation)
+    program = "let P2 = projective_space(2)\ncompute P2\n"
+    (row,) = evaluate(parse(program)).rows
+    assert row.error == "oracle disagreement: " + message
+    assert row.internal and row.verified
+    path = tmp_path / "p2.fuj"
+    path.write_text(program)
+    assert main(["eval", str(path)]) == 3
+    assert "oracle disagreement: " + message in capsys.readouterr().out
 
 
 _SHARED = (
