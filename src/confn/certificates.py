@@ -57,17 +57,13 @@ class Certificate(Frozen):
             raise ValueError(f"certificate kind must be upper or lower, got {kind!r}")
         if value < 0:
             raise ValueError("certified bounds are nonnegative")
-        if not isinstance(witness, dict):
-            raise TypeError("a certificate witness is a dict of JSON data")
-        out: list[str] = []
-        # no memo: a witness is written as plain JSON data
-        _render(witness, "\n", out, None)
+        text = witness_text(witness)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "citation", citation)
         object.__setattr__(self, "premises", tuple(premises))
-        object.__setattr__(self, "witness", "".join(out))
+        object.__setattr__(self, "witness", text)
         object.__setattr__(
             self,
             "_hash",
@@ -110,6 +106,22 @@ class Certificate(Frozen):
             premises=tuple(data.get("premises", ())),
             witness=data.get("witness", {}) or {},
         )
+
+
+def witness_text(witness: dict) -> str:
+    """``witness`` as a Certificate keeps it, ``json.dumps(witness,
+    indent=2)`` byte for byte; data that is not JSON is refused.
+
+    A verifier compares a certificate's witness with this text of the
+    witness it expects, so an added or missing key, or ``true`` where the
+    rule writes ``1``, is refused.
+    """
+    if not isinstance(witness, dict):
+        raise TypeError("a certificate witness is a dict of JSON data")
+    out: list[str] = []
+    # no memo: a witness is written as plain JSON data
+    _render(witness, "\n", out, None)
+    return "".join(out)
 
 
 def _render(value, nl: str, out: list, memo: dict | None) -> None:

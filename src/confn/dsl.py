@@ -60,11 +60,19 @@ class Span(Frozen):
     __slots__ = ("line", "column")
 
     def __init__(self, line: int, column: int) -> None:
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
+        _span_line(self, line)
+        _span_column(self, column)
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}"
+
+
+# Parse builds a node for nearly every token, so each node class here
+# sets each slot through that slot's own setter, bound once below the
+# class, rather than through object.__setattr__, which looks the slot up
+# by name on every call.
+_span_line = Span.line.__set__
+_span_column = Span.column.__set__
 
 
 class DslError(ValueError):
@@ -89,8 +97,8 @@ class _Value(Frozen):
     __slots__ = ("value", "span")
 
     def __init__(self, value, span: Span) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "span", span)
+        _value_value(self, value)
+        _value_span(self, span)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -99,6 +107,10 @@ class _Value(Frozen):
 
     def __hash__(self) -> int:
         return hash((self.value,))
+
+
+_value_value = _Value.value.__set__
+_value_span = _Value.span.__set__
 
 
 class IntValue(_Value):
@@ -131,9 +143,14 @@ class Argument(Frozen):
     __slots__ = ("keyword", "value", "span")
 
     def __init__(self, keyword: str | None, value: object, span: Span) -> None:
-        object.__setattr__(self, "keyword", keyword)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "span", span)
+        _argument_keyword(self, keyword)
+        _argument_value(self, value)
+        _argument_span(self, span)
+
+
+_argument_keyword = Argument.keyword.__set__
+_argument_value = Argument.value.__set__
+_argument_span = Argument.span.__set__
 
 
 # statements -----------------------------------------------------------
@@ -145,18 +162,28 @@ class Let(Frozen):
     def __init__(
         self, name: str, constructor: str, arguments: tuple[Argument, ...], span: Span
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "constructor", constructor)
-        object.__setattr__(self, "arguments", arguments)
-        object.__setattr__(self, "span", span)
+        _let_name(self, name)
+        _let_constructor(self, constructor)
+        _let_arguments(self, arguments)
+        _let_span(self, span)
+
+
+_let_name = Let.name.__set__
+_let_constructor = Let.constructor.__set__
+_let_arguments = Let.arguments.__set__
+_let_span = Let.span.__set__
 
 
 class Compute(Frozen):
     __slots__ = ("name", "span")
 
     def __init__(self, name: str, span: Span) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "span", span)
+        _compute_name(self, name)
+        _compute_span(self, span)
+
+
+_compute_name = Compute.name.__set__
+_compute_span = Compute.span.__set__
 
 
 class AssertConfn(Frozen):
@@ -165,30 +192,43 @@ class AssertConfn(Frozen):
     def __init__(
         self, name: str, exact: int | None, lo: int | None, hi: int | None, span: Span
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "span", span)
+        _assert_name(self, name)
+        _assert_exact(self, exact)
+        _assert_lo(self, lo)
+        _assert_hi(self, hi)
+        _assert_span(self, span)
+
+
+_assert_name = AssertConfn.name.__set__
+_assert_exact = AssertConfn.exact.__set__
+_assert_lo = AssertConfn.lo.__set__
+_assert_hi = AssertConfn.hi.__set__
+_assert_span = AssertConfn.span.__set__
 
 
 class Program(Frozen):
     __slots__ = ("statements",)
 
     def __init__(self, statements: tuple) -> None:
-        object.__setattr__(self, "statements", statements)
+        _program_statements(self, statements)
+
+
+_program_statements = Program.statements.__set__
 
 
 # lexer ----------------------------------------------------------------
 #
-# One match per token, after any blanks: an integer, an identifier, a
-# symbol, the start of a comment, or any other character, which is an
-# error.  In a str pattern \d, \w and \s are str.isdecimal, str.isalnum
-# or "_", and str.isspace, so the one check left is that an identifier
-# starts with a letter or "_": "x\u00b2" is a name and "\u00b2" is not.
+# One findall per line, of (blanks, token) pairs.  A token is a symbol,
+# an integer, an identifier, a comment, which runs to the end of the
+# line, or any other character, which is an error.  The pairs cover the
+# line up to its trailing blanks, so a token's column is one more than
+# the length of the pairs before it and of its own blanks.  In a str
+# pattern \d, \w and \s are str.isdecimal, str.isalnum or "_", and
+# str.isspace, so the one check left is that an identifier starts with
+# a letter or "_": "x\u00b2" is a name and "\u00b2" is not.
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([()\[\]=,*+\-])|(#)|(\S))")
-_INT, _IDENT, _SYMBOL, _COMMENT = 1, 2, 3, 4
+_TOKEN = re.compile(r"(\s*)([()\[\]=,*+\-]|\d+|\w+|#.*|\S)")
+_SYMBOLS = frozenset("()[]=,*+-")
 
 _Tok = tuple[str, str, int]  # (kind, text, column)
 
@@ -197,189 +237,173 @@ def _lex_line(text: str, line_no: int) -> list[_Tok]:
     """The line's tokens, ending with an "eol" token; the other kinds are
     "ident", "int" and the symbol itself."""
     tokens = []
-    for match in _TOKEN.finditer(text):
-        group = match.lastindex
-        word = match[group]
-        column = match.end() - len(word) + 1
-        if group == _SYMBOL:
+    column = 1
+    for blanks, word in _TOKEN.findall(text):
+        column += len(blanks)
+        if word in _SYMBOLS:
             tokens.append((word, word, column))
-        elif group == _IDENT and (word[0].isalpha() or word[0] == "_"):
-            tokens.append(("ident", word, column))
-        elif group == _INT:
-            tokens.append(("int", word, column))
-        elif group == _COMMENT:
-            break
         else:
-            raise DslError(
-                LEXICAL,
-                f"unexpected character {word[0]!r}",
-                Span(line_no, column),
-                "allowed: identifiers, integers, and () [] = , * + -",
-            )
+            first = word[0]
+            if first.isdecimal():
+                tokens.append(("int", word, column))
+            elif first.isalpha() or first == "_":
+                tokens.append(("ident", word, column))
+            elif first == "#":
+                break
+            else:
+                raise DslError(
+                    LEXICAL,
+                    f"unexpected character {first!r}",
+                    Span(line_no, column),
+                    "allowed: identifiers, integers, and () [] = , * + -",
+                )
+        column += len(word)
     tokens.append(("eol", "", len(text) + 1))
     return tokens
 
 
 # parser ---------------------------------------------------------------
 #
-# The parser knows its line and makes a Span only for a node or an error
-# that keeps one.
+# Each function takes the line's tokens and the index of its first token
+# and returns what it parsed with the index after it.  Every index it
+# reads exists: the tokens end with "eol", and a function reads past a
+# token only once it has seen that token is not "eol".
+
+_VALUE_END = frozenset((",", ")", "]", "eol"))
+_STATEMENT_HINT = "statements start with let, compute, or assert_confn"
 
 
-class _LineParser:
-    def __init__(self, tokens: list[_Tok], line: int):
-        self.tokens = tokens
-        self.line = line
-        self.pos = 0
+def _expected(tok: _Tok, what: str, line: int, hint: str = "") -> DslError:
+    """The error for ``tok`` standing where the grammar needs ``what``."""
+    found = tok[1] or "end of line"
+    return DslError(
+        SYNTAX, f"expected {what}, found {found!r}", Span(line, tok[2]), hint
+    )
 
-    def span(self, tok: _Tok) -> Span:
-        return Span(self.line, tok[2])
 
-    def peek(self) -> _Tok:
-        return self.tokens[self.pos]
+def _value(tokens: list[_Tok], i: int, line: int):
+    kind, word, column = tokens[i]
+    if kind == "int":
+        if tokens[i + 1][0] in _VALUE_END:
+            return IntValue(int(word), Span(line, column)), i + 1
+        return _divisor(tokens, i, line, 1, Span(line, column))
+    if kind == "ident":
+        if word == "true" or word == "false":
+            return BoolValue(word == "true", Span(line, column)), i + 1
+        if tokens[i + 1][0] in _VALUE_END:
+            return NameValue(word, Span(line, column)), i + 1
+        return _divisor(tokens, i, line, 1, Span(line, column))
+    if kind == "[":
+        return _list(tokens, i, line)
+    if kind == "-":
+        nxt = tokens[i + 1]
+        if nxt[0] == "int" and tokens[i + 2][0] in _VALUE_END:
+            return IntValue(-int(nxt[1]), Span(line, column)), i + 2
+        return _divisor(tokens, i + 1, line, -1, Span(line, column))
+    raise _expected(
+        tokens[i],
+        "a value",
+        line,
+        "values are integers, true/false, names, divisor sums, or [lists]",
+    )
 
-    def advance(self) -> _Tok:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eol":
-            self.pos += 1
-        return tok
 
-    def expect(self, kind: str, what: str, hint: str = "") -> _Tok:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            found = tok[1] or "end of line"
-            raise DslError(
-                SYNTAX, f"expected {what}, found {found!r}", self.span(tok), hint
-            )
-        if kind != "eol":
-            self.pos += 1
-        return tok
-
-    def at_value_end(self, ahead: int = 0) -> bool:
-        return self.tokens[self.pos + ahead][0] in (",", ")", "]", "eol")
-
-    def parse_value(self):
-        tok = self.peek()
-        kind = tok[0]
-        if kind == "[":
-            return self.parse_list()
-        if kind == "-":
-            return self.parse_divisor_or_negative()
-        if kind == "int":
-            if self.at_value_end(1):
-                self.pos += 1
-                return IntValue(int(tok[1]), self.span(tok))
-            return self.parse_divisor()
-        if kind == "ident":
-            if tok[1] in ("true", "false"):
-                self.pos += 1
-                return BoolValue(tok[1] == "true", self.span(tok))
-            if self.at_value_end(1):
-                self.pos += 1
-                return NameValue(tok[1], self.span(tok))
-            return self.parse_divisor()
-        raise DslError(
-            SYNTAX,
-            f"expected a value, found {tok[1] or 'end of line'!r}",
-            self.span(tok),
-            "values are integers, true/false, names, divisor sums, or [lists]",
-        )
-
-    def parse_list(self) -> ListValue:
-        open_tok = self.expect("[", "'['")
-        items = []
-        if self.peek()[0] != "]":
-            while True:
-                items.append(self.parse_value())
-                if self.peek()[0] == ",":
-                    self.advance()
-                    continue
-                break
-        self.expect("]", "']' closing the list", "lists look like [1, 2] or [toric]")
-        return ListValue(tuple(items), self.span(open_tok))
-
-    def parse_divisor_or_negative(self):
-        minus = self.advance()
-        nxt = self.peek()
-        if nxt[0] == "int" and self.at_value_end(1):
-            self.pos += 1
-            return IntValue(-int(nxt[1]), self.span(minus))
-        return self.parse_divisor(span=self.span(minus), leading_minus=True)
-
-    def parse_divisor(self, span: Span | None = None, leading_minus: bool = False):
-        span = span or self.span(self.peek())
-        terms: list[tuple[int, str]] = []
-        sign = -1 if leading_minus else 1
+def _list(tokens: list[_Tok], i: int, line: int) -> tuple[ListValue, int]:
+    span = Span(line, tokens[i][2])
+    i += 1
+    items = []
+    if tokens[i][0] != "]":
         while True:
-            terms.append(self.parse_term(sign))
-            kind = self.peek()[0]
-            if kind == "+":
-                sign = 1
-                self.advance()
-            elif kind == "-":
-                sign = -1
-                self.advance()
-            else:
+            item, i = _value(tokens, i, line)
+            items.append(item)
+            if tokens[i][0] != ",":
                 break
-        if not self.at_value_end():
-            tok = self.peek()
-            raise DslError(
-                SYNTAX,
-                f"unexpected {tok[1]!r} in a divisor expression",
-                self.span(tok),
-                "divisor terms look like 3*H, H, or -E1, joined with + and -",
-            )
-        return DivisorValue(tuple(terms), span)
+            i += 1
+    if tokens[i][0] != "]":
+        raise _expected(
+            tokens[i], "']' closing the list", line, "lists look like [1, 2] or [toric]"
+        )
+    return ListValue(tuple(items), span), i + 1
 
-    def parse_term(self, sign: int) -> tuple[int, str]:
-        tok = self.peek()
-        if tok[0] == "int":
-            self.advance()
-            coeff = sign * int(tok[1])
-            self.expect(
-                "*",
-                "'*' after a coefficient",
-                "write coefficients as 3*H; a bare integer is not a divisor term",
+
+def _divisor(
+    tokens: list[_Tok], i: int, line: int, sign: int, span: Span
+) -> tuple[DivisorValue, int]:
+    """The divisor whose first term starts at token i with ``sign``; its
+    span is that of its first token, the '-' of a leading minus."""
+    terms: list[tuple[int, str]] = []
+    while True:
+        kind, word, _ = tokens[i]
+        if kind == "int":
+            if tokens[i + 1][0] != "*":
+                raise _expected(
+                    tokens[i + 1],
+                    "'*' after a coefficient",
+                    line,
+                    "write coefficients as 3*H; a bare integer is not a divisor term",
+                )
+            name = tokens[i + 2]
+            if name[0] != "ident":
+                raise _expected(name, "a basis name after '*'", line)
+            terms.append((sign * int(word), name[1]))
+            i += 3
+        elif kind == "ident":
+            terms.append((sign, word))
+            i += 1
+        else:
+            raise _expected(
+                tokens[i],
+                "a divisor term",
+                line,
+                "divisor terms look like 3*H, H, or -E1",
             )
-            name = self.expect("ident", "a basis name after '*'")
-            return (coeff, name[1])
-        if tok[0] == "ident":
-            self.advance()
-            return (sign, tok[1])
+        kind = tokens[i][0]
+        if kind == "+":
+            sign = 1
+        elif kind == "-":
+            sign = -1
+        else:
+            break
+        i += 1
+    if kind not in _VALUE_END:
+        tok = tokens[i]
         raise DslError(
             SYNTAX,
-            f"expected a divisor term, found {tok[1] or 'end of line'!r}",
-            self.span(tok),
-            "divisor terms look like 3*H, H, or -E1",
+            f"unexpected {tok[1]!r} in a divisor expression",
+            Span(line, tok[2]),
+            "divisor terms look like 3*H, H, or -E1, joined with + and -",
         )
+    return DivisorValue(tuple(terms), span), i
 
-    def parse_arguments(self) -> tuple[Argument, ...]:
-        self.expect("(", "'(' to open the argument list")
-        args: list[Argument] = []
-        if self.peek()[0] != ")":
-            while True:
-                args.append(self.parse_argument())
-                if self.peek()[0] == ",":
-                    self.advance()
-                    continue
+
+def _arguments(
+    tokens: list[_Tok], i: int, line: int
+) -> tuple[tuple[Argument, ...], int]:
+    if tokens[i][0] != "(":
+        raise _expected(tokens[i], "'(' to open the argument list", line)
+    i += 1
+    args: list[Argument] = []
+    if tokens[i][0] != ")":
+        while True:
+            kind, word, column = tokens[i]
+            if (
+                kind == "ident"
+                and tokens[i + 1][0] == "="
+                and word != "true"
+                and word != "false"
+            ):
+                value, i = _value(tokens, i + 2, line)
+                args.append(Argument(word, value, Span(line, column)))
+            else:
+                value, i = _value(tokens, i, line)
+                # a value's span is that of its first token
+                args.append(Argument(None, value, value.span))
+            if tokens[i][0] != ",":
                 break
-        self.expect(")", "')' closing the argument list")
-        return tuple(args)
-
-    def parse_argument(self) -> Argument:
-        tok = self.peek()
-        if (
-            tok[0] == "ident"
-            and self.tokens[self.pos + 1][0] == "="
-            and tok[1] not in ("true", "false")
-        ):
-            self.advance()
-            self.advance()
-            value = self.parse_value()
-            return Argument(tok[1], value, self.span(tok))
-        value = self.parse_value()
-        # a value's span is that of its first token
-        return Argument(None, value, value.span)
+            i += 1
+    if tokens[i][0] != ")":
+        raise _expected(tokens[i], "')' closing the argument list", line)
+    return tuple(args), i + 1
 
 
 # A line ends at \n, \r\n or \r; the other characters that str.splitlines
@@ -392,123 +416,122 @@ def parse(text: str) -> Program:
     defined: set[str] = set()
     for line_no, line in enumerate(_LINE_END.split(text), start=1):
         tokens = _lex_line(line, line_no)
-        if tokens[0][0] == "eol":
+        kind, head, column = tokens[0]
+        if kind == "eol":
             continue
-        parser = _LineParser(tokens, line_no)
-        head = parser.expect(
-            "ident",
-            "a statement keyword",
-            "statements start with let, compute, or assert_confn",
-        )
-        if head[1] == "let":
-            stmt = _parse_let(parser, defined)
-        elif head[1] == "compute":
-            stmt = _parse_compute(parser, defined)
-        elif head[1] == "assert_confn":
-            stmt = _parse_assert(parser, defined)
+        if kind != "ident":
+            raise _expected(tokens[0], "a statement keyword", line_no, _STATEMENT_HINT)
+        if head == "let":
+            stmt, i = _let(tokens, line_no, defined)
+        elif head == "compute":
+            stmt, i = Compute(*_defined_name(tokens, line_no, defined)), 2
+        elif head == "assert_confn":
+            stmt, i = _assert(tokens, line_no, defined)
         else:
             raise DslError(
                 SYNTAX,
-                f"unknown statement {head[1]!r}",
-                parser.span(head),
-                "statements start with let, compute, or assert_confn",
+                f"unknown statement {head!r}",
+                Span(line_no, column),
+                _STATEMENT_HINT,
             )
-        parser.expect("eol", "end of line", "one statement per line")
+        if tokens[i][0] != "eol":
+            raise _expected(tokens[i], "end of line", line_no, "one statement per line")
         statements.append(stmt)
     return Program(tuple(statements))
 
 
-def _parse_let(parser: _LineParser, defined: set[str]) -> Let:
-    tok = parser.expect("ident", "a name to bind")
-    name = tok[1]
+def _let(tokens: list[_Tok], line: int, defined: set[str]) -> tuple[Let, int]:
+    kind, name, column = tokens[1]
+    if kind != "ident":
+        raise _expected(tokens[1], "a name to bind", line)
+    span = Span(line, column)
     if name in defined:
         raise DslError(
             NAME,
             f"{name!r} is already defined",
-            parser.span(tok),
+            span,
             "names cannot be redefined; pick a fresh one",
         )
     if name in CONSTRUCTORS:
         raise DslError(
-            NAME,
-            f"{name!r} is a constructor name",
-            parser.span(tok),
-            "bind a different identifier",
+            NAME, f"{name!r} is a constructor name", span, "bind a different identifier"
         )
-    if name in ("true", "false"):
+    if name == "true" or name == "false":
+        raise DslError(
+            NAME, f"{name!r} is a boolean literal", span, "bind a different identifier"
+        )
+    if tokens[2][0] != "=":
+        raise _expected(tokens[2], "'='", line)
+    kind, ctor, column = tokens[3]
+    if kind != "ident":
+        raise _expected(tokens[3], "a constructor name", line)
+    if ctor not in CONSTRUCTORS:
         raise DslError(
             NAME,
-            f"{name!r} is a boolean literal",
-            parser.span(tok),
-            "bind a different identifier",
-        )
-    parser.expect("=", "'='")
-    ctor = parser.expect("ident", "a constructor name")
-    if ctor[1] not in CONSTRUCTORS:
-        raise DslError(
-            NAME,
-            f"unknown constructor {ctor[1]!r}",
-            parser.span(ctor),
+            f"unknown constructor {ctor!r}",
+            Span(line, column),
             "one of: " + ", ".join(CONSTRUCTORS),
         )
-    arguments = parser.parse_arguments()
+    arguments, i = _arguments(tokens, 4, line)
     defined.add(name)
-    return Let(name, ctor[1], arguments, parser.span(tok))
+    return Let(name, ctor, arguments, span), i
 
 
-def _defined_name(parser: _LineParser, defined: set[str]) -> tuple[str, Span]:
-    tok = parser.expect("ident", "a defined name")
-    name = tok[1]
+def _defined_name(tokens: list[_Tok], line: int, defined: set[str]) -> tuple[str, Span]:
+    """The name at token 1, which an earlier let must have bound."""
+    kind, name, column = tokens[1]
+    if kind != "ident":
+        raise _expected(tokens[1], "a defined name", line)
     if name not in defined:
         raise DslError(
             NAME,
             f"{name!r} is not defined",
-            parser.span(tok),
+            Span(line, column),
             "define it first with: let " + name + " = <constructor>(...)",
         )
-    return name, parser.span(tok)
+    return name, Span(line, column)
 
 
-def _parse_compute(parser: _LineParser, defined: set[str]) -> Compute:
-    return Compute(*_defined_name(parser, defined))
-
-
-def _parse_assert(parser: _LineParser, defined: set[str]) -> AssertConfn:
-    name, span = _defined_name(parser, defined)
-    tok = parser.peek()
-    if tok[0] == "=":
-        parser.advance()
-        value, _ = _parse_signed_int(parser)
-        return AssertConfn(name, value, None, None, span)
-    if tok[0] == "ident" and tok[1] == "in":
-        parser.advance()
-        parser.expect("[", "'[' opening the interval")
-        lo, lo_tok = _parse_signed_int(parser)
-        parser.expect(",", "','")
-        hi, _ = _parse_signed_int(parser)
-        parser.expect("]", "']' closing the interval")
+def _assert(
+    tokens: list[_Tok], line: int, defined: set[str]
+) -> tuple[AssertConfn, int]:
+    name, span = _defined_name(tokens, line, defined)
+    kind, word, _ = tokens[2]
+    if kind == "=":
+        value, i = _signed_int(tokens, 3, line)
+        return AssertConfn(name, value, None, None, span), i
+    if kind == "ident" and word == "in":
+        if tokens[3][0] != "[":
+            raise _expected(tokens[3], "'[' opening the interval", line)
+        lo, i = _signed_int(tokens, 4, line)
+        if tokens[i][0] != ",":
+            raise _expected(tokens[i], "','", line)
+        hi, i = _signed_int(tokens, i + 1, line)
+        if tokens[i][0] != "]":
+            raise _expected(tokens[i], "']' closing the interval", line)
         if lo > hi:
+            # reported at the lower end's first token, the '-' of a negative one
             raise DslError(
                 SYNTAX,
                 f"the lower end {lo} exceeds the upper end {hi}",
-                parser.span(lo_tok),
+                Span(line, tokens[4][2]),
                 "an interval [lo, hi] needs lo <= hi",
             )
-        return AssertConfn(name, None, lo, hi, span)
-    raise DslError(
-        SYNTAX,
-        f"expected '=' or 'in', found {tok[1] or 'end of line'!r}",
-        parser.span(tok),
+        return AssertConfn(name, None, lo, hi, span), i + 1
+    raise _expected(
+        tokens[2],
+        "'=' or 'in'",
+        line,
         "assert_confn X = 2   or   assert_confn X in [0, 2]",
     )
 
 
-def _parse_signed_int(parser: _LineParser) -> tuple[int, _Tok]:
-    """The integer and its first token, which is the '-' of a negative one."""
-    first = parser.peek()
+def _signed_int(tokens: list[_Tok], i: int, line: int) -> tuple[int, int]:
     sign = 1
-    if first[0] == "-":
-        parser.advance()
+    if tokens[i][0] == "-":
         sign = -1
-    tok = parser.expect("int", "an integer")
-    return sign * int(tok[1]), first
+        i += 1
+    kind, word, _ = tokens[i]
+    if kind != "int":
+        raise _expected(tokens[i], "an integer", line)
+    return sign * int(word), i + 1

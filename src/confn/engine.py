@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .certificates import LOWER, UPPER, Certificate
+from .certificates import LOWER, UPPER, Certificate, witness_text
 from .constructions import cover_data
 from .descriptors import ExactEqualsNef, VarietyDescriptor, is_known_gg
 from .frozen import Frozen
@@ -540,12 +540,15 @@ def verify_certificate(desc: VarietyDescriptor, cert: Certificate) -> bool:
     from the witness data and the descriptor, not from resolver state: a
     parent's memoized interval counts only once its endpoint certificates
     re-verify.  A witness that the descriptor determines is derived and
-    compared whole; one that another could replace (a lower tuple, a
-    modulus, a clause, a supporting rule) is checked for what it claims.
-    The outcome is memoized on the descriptor per certificate: a
-    product's verifier re-verifies its parents' endpoint certificates,
-    and the memo keeps that linear in the depth of a tower, where each
-    level would otherwise double it.
+    compared whole, as the text Certificate writes, so an added key or a
+    ``true`` for a ``1`` is refused; one that another could replace (a
+    lower tuple, a modulus, a clause, a supporting rule) is checked for
+    what it claims, with the keys and leaf types its rule writes.  A
+    rule that writes no witness accepts only the empty one.  The outcome
+    is memoized on the descriptor per certificate: a product's verifier
+    re-verifies its parents' endpoint certificates, and the memo keeps
+    that linear in the depth of a tower, where each level would
+    otherwise double it.
     """
     verdict = desc._verdicts.get(cert)
     if verdict is None:
@@ -582,19 +585,43 @@ def _verified_interval(desc) -> FujitaInterval | None:
     return iv
 
 
+def _written(cert, witness: dict) -> bool:
+    """Whether ``cert`` carries ``witness``, as Certificate writes it.
+
+    The texts are compared, not decoded data, so a key added or missing
+    is refused, and so is ``true`` where the rule writes ``1``.
+    """
+    return cert.witness == witness_text(witness)
+
+
+# the witness of a rule that writes none, such as a premise-only rule
+_NO_WITNESS = witness_text({})
+
+_LOWER_THRESHOLD_KEYS = {"m_star", "tuple", "violated_index"}
+
+
 def _verify_exact_threshold(desc, cert):
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return False
     nef = desc.nef
     on_canonical = nef.values(desc.canonical)
-    data = cert.witness_data()
     if cert.kind == UPPER:
         # each functional is integral, so >= 1 on interior lattice points,
         # and m* summands lift every canonical value to 0 or more
         m_star = max(0, -min(on_canonical))
-        return data == {"m_star": m_star} and cert.value == m_star
-    points = [nef.lattice.make(p) for p in data["tuple"]]
-    if len(points) != data["m_star"] - 1 or cert.value != data["m_star"]:
+        return _written(cert, {"m_star": m_star}) and cert.value == m_star
+    # another tuple could serve, so the witness is read and checked for
+    # what it claims: its keys, each int an int and not a bool, and the
+    # tuple's points
+    data = cert.witness_data()
+    m_star, rows, index = data["m_star"], data["tuple"], data["violated_index"]
+    if data.keys() != _LOWER_THRESHOLD_KEYS or type(rows) is not list:
+        return False
+    points = [nef.lattice.make(p) for p in rows]
+    ints = [m_star, index] + [c for p in points for c in p.coeffs]
+    if any(type(c) is not int for c in ints) or m_star != cert.value:
+        return False
+    if len(points) != m_star - 1:
         return False
     if not all(nef.strictly_contains(p) for p in points):
         return False
@@ -603,7 +630,7 @@ def _verify_exact_threshold(desc, cert):
     total = list(on_canonical)
     for p in points:
         total = [a + b for a, b in zip(total, nef.values(p))]
-    return total[data["violated_index"]] < 0
+    return total[index] < 0
 
 
 def _verify_curve(desc, cert):
@@ -617,7 +644,7 @@ def _verify_curve(desc, cert):
     witness = {"genus": genus}
     if cert.kind == LOWER:
         witness.update(ample_degree=1, adjoint_degree=2 * genus - 1)
-    return cert.witness_data() == witness
+    return _written(cert, witness)
 
 
 def _verify_product_combine(desc, cert):
@@ -634,7 +661,7 @@ def _verify_product_combine(desc, cert):
             return False
         witness["gate"] = gate
         value = max(iv.hi for iv in intervals)
-    return cert.value == value and cert.witness_data() == witness
+    return cert.value == value and _written(cert, witness)
 
 
 def _verify_cover_degree(desc, cert):
@@ -651,7 +678,7 @@ def _verify_cover_degree(desc, cert):
         "bound": bound,
         "omega_ample_and_globally_generated": degree - 2 >= parent_iv.hi,
     }
-    return cert.value == bound and cert.witness_data() == witness
+    return cert.value == bound and _written(cert, witness)
 
 
 def _verify_not_nef(desc, cert):
@@ -660,7 +687,7 @@ def _verify_not_nef(desc, cert):
         return False
     pairing = desc.form.evaluate(desc.canonical, effective)
     witness = {"effective_class": list(effective.coeffs), "pairing": pairing}
-    return pairing < 0 and cert.witness_data() == witness
+    return pairing < 0 and _written(cert, witness)
 
 
 def _verify_h0_vanishing(desc, cert):
@@ -668,13 +695,15 @@ def _verify_h0_vanishing(desc, cert):
         return False
     fact = h0_sign(desc, desc.canonical)
     witness = {"bundle": fact.bundle, "trace": list(fact.trace)}
-    return fact.value == ZERO and cert.witness_data() == witness
+    return fact.value == ZERO and _written(cert, witness)
 
 
 def _verify_reider_divisible(desc, cert):
     if desc.dimension != 2 or cert.kind != UPPER or cert.value != 1:
         return False
     modulus = cert.witness_data()["modulus"]
+    if type(modulus) is not int or not _written(cert, {"modulus": modulus}):
+        return False
     gcd = desc.form.gcd()
     return modulus >= 5 and gcd != 0 and gcd % modulus == 0
 
@@ -683,20 +712,22 @@ def _verify_reider_surface(desc, cert):
     if desc.dimension != 2 or cert.kind != UPPER:
         return False
     if cert.value == 3:
-        return True
+        return cert.witness == _NO_WITNESS
     if cert.value != 2:
         return False
     clause = cert.witness_data().get("clause")
     if clause == "even-form":
-        return desc.form.is_even()
+        return _written(cert, {"clause": clause}) and desc.form.is_even()
     if clause == "canonical-divisible-by-2":
-        return all(c % 2 == 0 for c in desc.canonical.coeffs)
+        return _written(cert, {"clause": clause}) and all(
+            c % 2 == 0 for c in desc.canonical.coeffs
+        )
     if clause == "no-square-one-rank1":
         return (
             desc.rank == 1
             and desc.nef is not None
             and desc.form.entry((0, 0)) != 1
-            and cert.witness_data().get("top") == desc.form.entry((0, 0))
+            and _written(cert, {"clause": clause, "top": desc.form.entry((0, 0))})
         )
     return False
 
@@ -709,6 +740,8 @@ def _verify_canonical_gg(desc, cert):
     # every rule's certificates are the same under any rule set, so the
     # full resolution holds the supporting one; it counts once it re-verifies
     supporting = cert.witness_data()["supporting_rule"]
+    if not _written(cert, {"supporting_rule": supporting}):
+        return False
     return supporting != cert.rule and any(
         c.rule == supporting
         and c.kind == UPPER
@@ -721,8 +754,8 @@ def _verify_canonical_gg(desc, cert):
 def _verify_blowup_mod24(desc, cert):
     if cert.kind != UPPER or cert.value != 1 or not _blowup_of_mod24_surface(desc):
         return False
-    data = cert.witness_data()
-    if data != _mod24_residues():
+    data = _mod24_residues()
+    if not _written(cert, data):
         return False
     mults = data["square_zero_multiplicities"]
     divisor = data["multiplicity_divisor"]
@@ -758,11 +791,12 @@ def _premise_bound(rule_id, applies, value, citation, premise=None) -> Rule:
 
     Where ``applies(desc)`` holds it emits one upper certificate of
     ``value(desc)``, with ``premise(desc)`` as its premise line if given,
-    and its verifier re-checks that premise and value: there is no
-    witness to read.  The certificate is a function of the value and the
-    premise line, which range over the dimensions a process sees, so one
-    is built per pair and kept for the process, where every resolution
-    would otherwise build one afresh for each of these rules it meets.
+    and its verifier re-checks that premise and value, and that the
+    witness is empty: there is none to read.  The certificate is a
+    function of the value and the premise line, which range over the
+    dimensions a process sees, so one is built per pair and kept for the
+    process, where every resolution would otherwise build one afresh for
+    each of these rules it meets.
     """
     made: dict[tuple, Certificate] = {}
 
@@ -777,7 +811,12 @@ def _premise_bound(rule_id, applies, value, citation, premise=None) -> Rule:
         return [cert]
 
     def verify(desc, cert):
-        return applies(desc) and cert.kind == UPPER and cert.value == value(desc)
+        return (
+            applies(desc)
+            and cert.kind == UPPER
+            and cert.value == value(desc)
+            and cert.witness == _NO_WITNESS
+        )
 
     return Rule(rule_id, derive, verify)
 

@@ -2,10 +2,12 @@
 
 A subclass lists its fields in ``__slots__`` (a subclass of a subclass
 lists only the fields it adds) and sets them in ``__init__`` through
-``object.__setattr__``; after that, assigning or deleting an
-attribute raises AttributeError.  The methods are written out, not
-generated with ``exec`` when the module is imported, so that a short
-command-line run does not pay for building them on every start.
+``object.__setattr__``; after that, assigning or deleting an attribute
+raises AttributeError.  The DSL's nodes, which the parser builds by the
+thousand, set each field through its slot's own setter instead, such as
+``Span.line.__set__``, bound once at import.  The methods are written
+out, not generated with ``exec`` when the module is imported, so that a
+short command-line run does not pay for building them on every start.
 """
 
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from confn.dsl import (
+    CONSTRUCTORS,
     LEXICAL,
     NAME,
     SYNTAX,
+    Argument,
     AssertConfn,
     BoolValue,
     Compute,
@@ -259,6 +261,121 @@ def test_error_message_carries_position():
     assert "line 1" in rendered
     assert "column" in rendered
 
+# Every place the parser raises, with the category, position, message and
+# hint it reported before the parser was rewritten over token indices,
+# kept as literals so that a rewrite is held to the same errors.
+_ALLOWED = "allowed: identifiers, integers, and () [] = , * + -"
+_KEYWORDS = "statements start with let, compute, or assert_confn"
+_REBIND = "bind a different identifier"
+_CONSTRUCTORS = (
+    "one of: projective_space, complete_intersection, curve, hirzebruch1, "
+    "delpezzo7, abelian, custom, product, blowup_point, hypersurface_section, "
+    "cyclic_cover, pipeline_n2k1, pipeline_n3k1, pipeline_simple_surface, "
+    "pipeline_simple_variety"
+)
+_VALUES = "values are integers, true/false, names, divisor sums, or [lists]"
+_LISTS = "lists look like [1, 2] or [toric]"
+_COEFFICIENT = "write coefficients as 3*H; a bare integer is not a divisor term"
+_TERMS = "divisor terms look like 3*H, H, or -E1"
+_ONE_PER_LINE = "one statement per line"
+
+ERROR_TABLE = [
+    ("let X = projective_space(3); compute X", LEXICAL, 1, 28,
+     "unexpected character ';'", _ALLOWED),
+    ("let P = projective_space(3\u00b2)", LEXICAL, 1, 27,
+     "unexpected character '\u00b2'", _ALLOWED),
+    ("= X", SYNTAX, 1, 1,
+     "expected a statement keyword, found '='", _KEYWORDS),
+    ("make X = projective_space(3)", SYNTAX, 1, 1,
+     "unknown statement 'make'", _KEYWORDS),
+    ("let 3 = curve(0)", SYNTAX, 1, 5,
+     "expected a name to bind, found '3'", ""),
+    ("let X = curve(1)\nlet X = curve(2)", NAME, 2, 5,
+     "'X' is already defined", "names cannot be redefined; pick a fresh one"),
+    ("let curve = curve(1)", NAME, 1, 5,
+     "'curve' is a constructor name", _REBIND),
+    ("let true = curve(0)", NAME, 1, 5,
+     "'true' is a boolean literal", _REBIND),
+    ("let X curve(0)", SYNTAX, 1, 7,
+     "expected '=', found 'curve'", ""),
+    ("let X = 3", SYNTAX, 1, 9,
+     "expected a constructor name, found '3'", ""),
+    ("let X = projective_plane(2)", NAME, 1, 9,
+     "unknown constructor 'projective_plane'", _CONSTRUCTORS),
+    ("let X = curve 0", SYNTAX, 1, 15,
+     "expected '(' to open the argument list, found '0'", ""),
+    ("let X = projective_space(3", SYNTAX, 1, 27,
+     "expected ')' closing the argument list, found 'end of line'", ""),
+    ("let X = curve(,)", SYNTAX, 1, 15,
+     "expected a value, found ','", _VALUES),
+    ("let X = complete_intersection(3, degrees = [2, 2)", SYNTAX, 1, 49,
+     "expected ']' closing the list, found ')'", _LISTS),
+    ("let X = complete_intersection(3, degrees = [2, 2", SYNTAX, 1, 49,
+     "expected ']' closing the list, found 'end of line'", _LISTS),
+    ("let X = complete_intersection(3, degrees = [1, ])", SYNTAX, 1, 48,
+     "expected a value, found ']'", _VALUES),
+    ("let Y = cyclic_cover(X, branch = H H, degree = 2)", SYNTAX, 1, 36,
+     "unexpected 'H' in a divisor expression",
+     "divisor terms look like 3*H, H, or -E1, joined with + and -"),
+    ("let Y = cyclic_cover(X, branch = 2 H, degree = 2)", SYNTAX, 1, 36,
+     "expected '*' after a coefficient, found 'H'", _COEFFICIENT),
+    ("let Y = cyclic_cover(X, branch = -3 H, degree = 2)", SYNTAX, 1, 37,
+     "expected '*' after a coefficient, found 'H'", _COEFFICIENT),
+    ("let Y = cyclic_cover(X, branch = 2*3, degree = 2)", SYNTAX, 1, 36,
+     "expected a basis name after '*', found '3'", ""),
+    ("let Y = cyclic_cover(X, branch = H + , degree = 2)", SYNTAX, 1, 38,
+     "expected a divisor term, found ','", _TERMS),
+    ("let Y = cyclic_cover(X, branch = -, degree = 2)", SYNTAX, 1, 35,
+     "expected a divisor term, found ','", _TERMS),
+    ("let X = curve(genus = )", SYNTAX, 1, 23,
+     "expected a value, found ')'", _VALUES),
+    ("let X = curve(true = 1)", SYNTAX, 1, 20,
+     "expected ')' closing the argument list, found '='", ""),
+    ("let X = curve(0 # a comment", SYNTAX, 1, 28,
+     "expected ')' closing the argument list, found 'end of line'", ""),
+    ("let X = projective_space(3) compute", SYNTAX, 1, 29,
+     "expected end of line, found 'compute'", _ONE_PER_LINE),
+    ("let X = curve(0)\u2028)", SYNTAX, 1, 18,
+     "expected end of line, found ')'", _ONE_PER_LINE),
+    ("compute 3", SYNTAX, 1, 9,
+     "expected a defined name, found '3'", ""),
+    ("compute X", NAME, 1, 9,
+     "'X' is not defined", "define it first with: let X = <constructor>(...)"),
+    ("\tlet X = curve(0)\n\ncompute\tY", NAME, 3, 9,
+     "'Y' is not defined", "define it first with: let Y = <constructor>(...)"),
+    ("let X = projective_space(2)\ncompute X Y", SYNTAX, 2, 11,
+     "expected end of line, found 'Y'", _ONE_PER_LINE),
+    ("let X = projective_space(2)\nassert_confn X near 3", SYNTAX, 2, 16,
+     "expected '=' or 'in', found 'near'",
+     "assert_confn X = 2   or   assert_confn X in [0, 2]"),
+    ("let X = curve(0)\nassert_confn X in 0, 2]", SYNTAX, 2, 19,
+     "expected '[' opening the interval, found '0'", ""),
+    ("let X = curve(0)\nassert_confn X in [0 2]", SYNTAX, 2, 22,
+     "expected ',', found '2'", ""),
+    ("let X = curve(0)\nassert_confn X in [0, 2", SYNTAX, 2, 24,
+     "expected ']' closing the interval, found 'end of line'", ""),
+    ("let X = curve(0)\nassert_confn X in [3, 1]", SYNTAX, 2, 20,
+     "the lower end 3 exceeds the upper end 1", "an interval [lo, hi] needs lo <= hi"),
+    ("let X = curve(0)\nassert_confn X = two", SYNTAX, 2, 18,
+     "expected an integer, found 'two'", ""),
+    ("let X = curve(0)\nassert_confn X = -x", SYNTAX, 2, 19,
+     "expected an integer, found 'x'", ""),
+    ("let X = curve(0)\nassert_confn X =", SYNTAX, 2, 17,
+     "expected an integer, found 'end of line'", ""),
+]
+
+
+@pytest.mark.parametrize("text, category, line, column, message, hint", ERROR_TABLE)
+def test_each_error_site_keeps_its_category_position_message_and_hint(
+    text, category, line, column, message, hint
+):
+    err = _error(text)
+    assert (err.category, err.span.line, err.span.column, err.hint) == (
+        category, line, column, hint
+    )
+    rendered = f"{category} error at line {line}, column {column}: {message}"
+    assert str(err) == rendered + (f"\n  hint: {hint}" if hint else "")
+
 
 # ------------------------------------------------------------------ lexer
 
@@ -323,3 +440,135 @@ def test_lexer_agrees_with_the_character_loop(line):
     assert err.value.category == LEXICAL
     assert (err.value.span.line, err.value.span.column) == (7, column)
     assert str(err.value).startswith(f"lexical error at line 7, column {column}: {message}\n")
+
+
+# ------------------------------------------------------------------ spans
+
+_BLANKS = st.sampled_from(["", " ", "  ", "\t", "\x0c", "   "])
+_WORDS = st.sampled_from(["H", "E1", "X", "toric", "_b2", "x\u00b2", "\u00e9t"])
+
+
+def _is_word(text: str) -> bool:
+    return text[:1].isalnum() or text[:1] == "_"
+
+
+class _Line:
+    """A statement's text, written token by token with drawn blanks, and
+    the (node type, column) of each node at its first token, in the
+    order ``_spans`` walks the parsed nodes."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.text = ""
+        self.nodes = []
+
+    def token(self, word: str, *nodes: str) -> None:
+        blanks = self.draw(_BLANKS)
+        # two words run together without a blank between them
+        if not blanks and _is_word(self.text[-1:]) and _is_word(word):
+            blanks = " "
+        self.text += blanks
+        self.nodes += [(node, len(self.text) + 1) for node in nodes]
+        self.text += word
+
+    def value(self, depth: int, *nodes: str) -> None:
+        kinds = ["int", "negative", "bool", "name", "divisor"]
+        kind = self.draw(st.sampled_from(kinds + ["list"] if depth < 2 else kinds))
+        if kind == "int":
+            self.token(str(self.draw(st.integers(0, 99))), *nodes, "IntValue")
+        elif kind == "negative":
+            self.token("-", *nodes, "IntValue")
+            self.token(str(self.draw(st.integers(0, 99))))
+        elif kind == "bool":
+            self.token(self.draw(st.sampled_from(["true", "false"])), *nodes, "BoolValue")
+        elif kind == "name":
+            self.token(self.draw(_WORDS), *nodes, "NameValue")
+        elif kind == "divisor":
+            # a single unsigned term without a coefficient is a name
+            terms = self.draw(
+                st.lists(
+                    st.tuples(st.sampled_from("+-"), st.none() | st.integers(0, 9), _WORDS),
+                    min_size=1,
+                    max_size=3,
+                ).filter(lambda terms: len(terms) > 1 or terms[0][:2] != ("+", None))
+            )
+            for k, (sign, coeff, word) in enumerate(terms):
+                start = nodes + ("DivisorValue",) if k == 0 else ()
+                if sign == "-" or k > 0:
+                    self.token(sign, *start)
+                    start = ()
+                if coeff is not None:
+                    self.token(str(coeff), *start)
+                    self.token("*")
+                    start = ()
+                self.token(word, *start)
+        else:
+            self.token("[", *nodes, "ListValue")
+            for k in range(self.draw(st.integers(0, 3))):
+                if k:
+                    self.token(",")
+                self.value(depth + 1)
+            self.token("]")
+
+
+def _spans(node):
+    """(node type, span column) of ``node`` and the nodes inside it."""
+    yield type(node).__name__, node.span.column
+    if isinstance(node, Let):
+        for argument in node.arguments:
+            yield from _spans(argument)
+    elif isinstance(node, Argument):
+        yield from _spans(node.value)
+    elif isinstance(node, ListValue):
+        for item in node.value:
+            yield from _spans(item)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_each_span_points_at_its_nodes_first_token(data):
+    name = data.draw(st.sampled_from(["X", "Y2", "_z", "x\u00b2"]))
+    lines = []
+    let = _Line(data.draw)
+    # a statement's span is that of its name
+    let.token("let")
+    let.token(name, "Let")
+    let.token("=")
+    let.token(data.draw(st.sampled_from(CONSTRUCTORS)))
+    let.token("(")
+    for k in range(data.draw(st.integers(0, 3))):
+        if k:
+            let.token(",")
+        keyword = data.draw(st.none() | _WORDS)
+        if keyword is None:
+            let.value(0, "Argument")
+        else:
+            let.token(keyword, "Argument")
+            let.token("=")
+            let.value(0)
+    let.token(")")
+    lines.append(let)
+    compute = _Line(data.draw)
+    compute.token("compute")
+    compute.token(name, "Compute")
+    lines.append(compute)
+    check = _Line(data.draw)
+    check.token("assert_confn")
+    check.token(name, "AssertConfn")
+    lo = data.draw(st.integers(-9, 9))
+    if data.draw(st.booleans()):
+        check.token("=")
+        for word in ("-", str(-lo)) if lo < 0 else (str(lo),):
+            check.token(word)
+    else:
+        hi = lo + data.draw(st.integers(0, 9))
+        for word in ("in", "[", str(lo), ",", str(hi), "]"):
+            check.token(word)
+    lines.append(check)
+    if data.draw(st.booleans()):
+        check.token("# note")
+    program = parse("\n".join(line.text for line in lines))
+    assert len(program.statements) == len(lines)
+    for line_no, (stmt, line) in enumerate(zip(program.statements, lines), start=1):
+        assert list(_spans(stmt)) == line.nodes, line.text
+        assert stmt.span.line == line_no

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from confn import cones, runner
+from confn import cones, engine, runner
 
 from confn.certificates import LOWER, UPPER, Certificate
 from confn.constructions import blowup_point, cyclic_cover, hypersurface_section, product
@@ -183,6 +183,11 @@ def test_curve_admission_admits_a_canonical_degree_2g_minus_2(deg_k):
     assert [c.kind for c in certs] == [UPPER, LOWER]
     assert all(c.witness_data()["genus"] == (deg_k + 2) // 2 for c in certs)
     assert all(verify_certificate(desc, c) for c in certs)
+    # genus 0 and 1 meet the mutant that writes the genus as a bool
+    for c in certs:
+        for name, witness in _witness_mutants(c.witness_data()):
+            forged = Certificate(c.kind, c.rule, c.value, c.citation, c.premises, witness)
+            assert not verify_certificate(desc, forged), (c.kind, name)
     (row,) = evaluate(parse(_curve_times_p1_program(deg_k))).rows
     assert row.error is None and row.verified
 
@@ -452,8 +457,6 @@ def test_canonical_gg_refinement():
 
 
 def test_canonical_gg_reverifies_supporting_certificate(monkeypatch):
-    from confn import engine
-
     rule = engine._RULES["reider-divisible"]
     monkeypatch.setitem(
         engine._RULES,
@@ -498,8 +501,6 @@ def test_rule_order_is_stable():
 
 
 def test_crossed_interval_raises_with_dump(monkeypatch):
-    from confn import engine
-
     # a rule gone wrong: a lower bound of 10 on P^1, whose upper bound is 2
     rule = engine._RULES["not-nef-witness"]
     monkeypatch.setitem(
@@ -781,23 +782,23 @@ def test_every_corpus_certificate_verifies():
         _assert_all_verified(desc, interval)
 
 
-# the rules whose witness the descriptor determines, so the verifier
-# compares it whole
-_DERIVED_WITNESS_RULES = (
-    "curve-genus", "product-combine", "cover-degree", "not-nef-witness", "h0-vanishing",
-)
-
-
 def _witness_mutants(data: dict):
     """A name and a witness for each change of ``data`` the verifier must
     refuse: each top-level key renamed or its value wrapped in a list, an
-    added key, and the empty witness."""
+    added key, the empty witness, and each int leaf of 0 or 1 written as
+    False or True, which Python's == takes for that int."""
     for key, value in data.items():
         rest = {k: v for k, v in data.items() if k != key}
         yield f"renamed {key}", {**rest, key + "_": value}
         yield f"changed {key}", {**data, key: [value]}
     yield "added key", {**data, "extra": 0}
-    yield "empty", {}
+    # the one valid mutant: a rule that writes no witness, such as a
+    # premise-only rule, has the empty witness as its own
+    if data:
+        yield "empty", {}
+    for path in _int_leaves(data):
+        if _leaf(data, path) in (0, 1):
+            yield f"bool for {path}", _replaced(data, path, bool)
 
 
 def test_every_corpus_certificate_refuses_its_mutants(monkeypatch):
@@ -822,16 +823,13 @@ def test_every_corpus_certificate_refuses_its_mutants(monkeypatch):
                     continue
                 moved = Certificate(cert.kind, cert.rule, value, cert.citation,
                                     cert.premises, cert.witness_data())
-                # Reider's unconditional bound 3 holds on every surface
-                reider = cert.rule == "reider-surface" and value == 3
-                assert verify_certificate(desc, moved) == reider, (row.name, cert.rule, value)
-            if cert.rule not in _DERIVED_WITNESS_RULES:
-                continue
+                assert not verify_certificate(desc, moved), (row.name, cert.rule, value)
             for name, witness in _witness_mutants(cert.witness_data()):
                 forged = Certificate(cert.kind, cert.rule, cert.value, cert.citation,
                                      cert.premises, witness)
                 assert not verify_certificate(desc, forged), (row.name, cert.rule, name)
-    assert set(_DERIVED_WITNESS_RULES) <= rules
+    # the corpus reaches every rule
+    assert rules == set(engine._RULES)
 
 
 # ------------------------------------------------------ memos on the nef cone's shape
@@ -855,13 +853,18 @@ def _int_leaves(data, path=()):
             yield path + (key,)
 
 
-def _raised(data, path):
-    """A copy of JSON ``data`` with the leaf at ``path`` raised by 1."""
+def _leaf(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _replaced(data, path, change):
+    """A copy of JSON ``data`` with the leaf at ``path`` replaced by
+    ``change`` of it."""
     data = json.loads(json.dumps(data))
-    node = data
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] += 1
+    node = _leaf(data, path[:-1])
+    node[path[-1]] = change(node[path[-1]])
     return data
 
 
@@ -877,7 +880,8 @@ def test_a_mutated_threshold_leaf_is_refused_on_a_shape_that_accepted_the_honest
     forged = {
         (cert.kind, path): Certificate(
             cert.kind, cert.rule, cert.value, cert.citation,
-            premises=cert.premises, witness=_raised(cert.witness_data(), path),
+            premises=cert.premises,
+            witness=_replaced(cert.witness_data(), path, lambda leaf: leaf + 1),
         )
         for cert in honest
         for path in _int_leaves(cert.witness_data())
