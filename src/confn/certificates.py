@@ -9,12 +9,18 @@ part of the tool's external interface (the report's schema version,
 ``runner.REPORT_SCHEMA_VERSION``).
 
 A witness is written once, when its certificate is made, as the report
-lays it out; the report splices that text in and never decodes it.
+lays it out; the report splices that text in and never decodes it.  A
+rule makes each distinct certificate once while anything holds it: it
+files the certificate in a weak table under the rule, the kind and the
+values the certificate is a function of (see ``made``), so the products
+of a program that share their factors' intervals share one certificate,
+and an entry dies with the last descriptor that holds it.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from json.encoder import encode_basestring_ascii as _escape
 
 from .frozen import Frozen
@@ -32,16 +38,24 @@ _decode = json.JSONDecoder().raw_decode
 class Certificate(Frozen):
     """One certified bound; equal certificates compare and hash alike.
 
-    The witness is kept as its text, ``json.dumps(witness, indent=2)``
-    byte for byte, written in ``__init__`` by the walk that refuses
-    non-JSON data.  Lists and tuples both become arrays and ``True``
+    The value is exactly an ``int``: a bool, which Python compares equal
+    to 0 or 1, is refused.  The witness is kept as its text,
+    ``json.dumps(witness, indent=2)`` byte for byte, written in
+    ``__init__`` by the walk that refuses non-JSON data.  Lists and tuples both become arrays and ``True``
     stays distinct from ``1``, so equal texts mean equal witnesses as the
     report prints them.  The hash is computed once, in ``__init__``, since
     the fields never change and the engine's verdict memo hashes every
-    certificate it sees.
+    certificate it sees.  The rules make one certificate per distinct
+    value while it is alive (see ``made``), so one is checked by the
+    verifiers of many descriptors: ``_matched``, which only the engine's
+    verifiers write, remembers the derived witness its text was last
+    found to equal, and takes no part in equality.
     """
 
-    __slots__ = ("kind", "rule", "value", "citation", "premises", "witness", "_hash")
+    __slots__ = (
+        "kind", "rule", "value", "citation", "premises", "witness", "_hash",
+        "_matched", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -55,6 +69,8 @@ class Certificate(Frozen):
     ) -> None:
         if kind not in (UPPER, LOWER):
             raise ValueError(f"certificate kind must be upper or lower, got {kind!r}")
+        if type(value) is not int:
+            raise TypeError(f"a certified bound is an int, not {type(value).__name__}")
         if value < 0:
             raise ValueError("certified bounds are nonnegative")
         text = witness_text(witness)
@@ -69,6 +85,7 @@ class Certificate(Frozen):
             "_hash",
             hash((kind, rule, value, citation, self.premises, self.witness)),
         )
+        object.__setattr__(self, "_matched", None)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -106,6 +123,25 @@ class Certificate(Frozen):
             premises=tuple(data.get("premises", ())),
             witness=data.get("witness", {}) or {},
         )
+
+
+# Every live certificate a rule made, keyed by the rule, the kind and the
+# values the certificate is a function of.  An entry leaves when the last
+# descriptor, interval or shape that holds its certificate dies, so no
+# certificate outlives the run that made it.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def made(key: tuple, build) -> Certificate:
+    """The live certificate filed under ``key``, else ``build()``, filed.
+
+    ``key`` starts with the rule's id and its kind and holds every value
+    that ``build`` reads, so a hit is the certificate ``build`` would make.
+    """
+    cert = _TABLE.get(key)
+    if cert is None:
+        cert = _TABLE[key] = build()
+    return cert
 
 
 def witness_text(witness: dict) -> str:

@@ -347,7 +347,8 @@ class _Shape:
       shares with its factors;
     * ``("exact-threshold", canonical values, justification)``, filed by
       the engine: that rule's certificates, built once per shape, not
-      once per descriptor.
+      once per descriptor, and shared between shapes with equal answers
+      through the engine's certificate table.
 
     A shape's answers never change.
     """

@@ -111,10 +111,13 @@ class VarietyDescriptor(Frozen):
         "gg",
         "flags",
         "provenance",
-        # the engine's memos: the resolved interval (None until resolved)
-        # and verification outcomes keyed by certificate
+        # the engine's memos: the resolved interval (None until resolved),
+        # verification outcomes keyed by certificate, and the interval
+        # whose endpoints verified, or None if they did not (False until
+        # checked)
         "_interval",
         "_verdicts",
+        "_verified",
     )
 
     def __init__(
@@ -138,6 +141,7 @@ class VarietyDescriptor(Frozen):
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "_interval", None)
         object.__setattr__(self, "_verdicts", {})
+        object.__setattr__(self, "_verified", False)
         if self.dimension < 1:
             raise DescriptorError("dimension must be at least 1")
         if self.form.degree != self.dimension:

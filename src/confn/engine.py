@@ -26,9 +26,10 @@ error that aborts loudly with a diagnostic dump.
 
 from __future__ import annotations
 
+import marshal
 from typing import Callable
 
-from .certificates import LOWER, UPPER, Certificate, witness_text
+from .certificates import LOWER, UPPER, Certificate, made, witness_text
 from .constructions import cover_data
 from .descriptors import ExactEqualsNef, VarietyDescriptor, is_known_gg
 from .frozen import Frozen
@@ -89,7 +90,8 @@ def _rule_exact_threshold(desc: VarietyDescriptor):
         return []
     # the certificates read only the cone's shape, the canonical class's
     # values on its functionals and the justification, so they are
-    # memoized on the shape
+    # memoized on the shape; shapes with equal answers share them through
+    # the certificate table
     justification = desc.gg.justification
     certs = desc.nef._shape._memoized(
         ("exact-threshold", desc.nef.values(desc.canonical), justification),
@@ -108,34 +110,41 @@ def _threshold_certificates(report, justification: str) -> tuple[Certificate, ..
         "the bound holds for every s >= m as the definition requires",
     ]
     certs = [
-        Certificate(
-            UPPER,
-            "exact-threshold",
-            report.m_star,
-            "nef-cone threshold for descriptors whose nef classes are exactly "
-            "the globally generated ones",
-            premises=premises,
-            witness={"m_star": report.m_star},
+        made(
+            ("exact-threshold", UPPER, report.m_star, justification),
+            lambda: Certificate(
+                UPPER,
+                "exact-threshold",
+                report.m_star,
+                "nef-cone threshold for descriptors whose nef classes are exactly "
+                "the globally generated ones",
+                premises=premises,
+                witness={"m_star": report.m_star},
+            ),
         )
     ]
     if report.m_star >= 1:
         assert report.witness is not None and report.violated_index is not None
+        key = ("exact-threshold", LOWER, report.m_star, report.witness, report.violated_index)
         certs.append(
-            Certificate(
-                LOWER,
-                "exact-threshold",
-                report.m_star,
-                "explicit ample tuple whose adjoint class leaves the nef cone",
-                premises=[
-                    f"a tuple of {report.m_star - 1} ample classes on which the "
-                    "adjoint fails shows the definition cannot hold at "
-                    f"m = {report.m_star - 1}"
-                ],
-                witness={
-                    "m_star": report.m_star,
-                    "tuple": report.witness,
-                    "violated_index": report.violated_index,
-                },
+            made(
+                key,
+                lambda: Certificate(
+                    LOWER,
+                    "exact-threshold",
+                    report.m_star,
+                    "explicit ample tuple whose adjoint class leaves the nef cone",
+                    premises=[
+                        f"a tuple of {report.m_star - 1} ample classes on which the "
+                        "adjoint fails shows the definition cannot hold at "
+                        f"m = {report.m_star - 1}"
+                    ],
+                    witness={
+                        "m_star": report.m_star,
+                        "tuple": report.witness,
+                        "violated_index": report.violated_index,
+                    },
+                ),
             )
         )
     return tuple(certs)
@@ -147,27 +156,33 @@ def _rule_curve(desc: VarietyDescriptor):
     # admission refuses a canonical degree that is not 2g - 2
     deg_k = desc.form.evaluate(desc.canonical)
     genus = (deg_k + 2) // 2
-    upper = Certificate(
-        UPPER,
-        "curve-genus",
-        2,
-        "Riemann-Roch: on a curve, the adjoint of two or more ample bundles "
-        "has degree >= 2g + 1 and is globally generated",
-        premises=[f"genus {genus} read off from the canonical degree {deg_k}"],
-        witness={"genus": genus},
+    upper = made(
+        ("curve-genus", UPPER, genus, deg_k),
+        lambda: Certificate(
+            UPPER,
+            "curve-genus",
+            2,
+            "Riemann-Roch: on a curve, the adjoint of two or more ample bundles "
+            "has degree >= 2g + 1 and is globally generated",
+            premises=[f"genus {genus} read off from the canonical degree {deg_k}"],
+            witness={"genus": genus},
+        ),
     )
-    lower = Certificate(
-        LOWER,
-        "curve-genus",
-        2,
-        "the adjoint of a single degree-1 ample bundle O(P) has degree 2g - 1 "
-        "and a base point at P",
-        premises=[
-            "a degree-1 ample class exists on the polarization lattice",
-            f"the adjoint degree 2g - 1 = {2 * genus - 1} admits the base point "
-            "witness",
-        ],
-        witness={"genus": genus, "ample_degree": 1, "adjoint_degree": 2 * genus - 1},
+    lower = made(
+        ("curve-genus", LOWER, genus),
+        lambda: Certificate(
+            LOWER,
+            "curve-genus",
+            2,
+            "the adjoint of a single degree-1 ample bundle O(P) has degree 2g - 1 "
+            "and a base point at P",
+            premises=[
+                "a degree-1 ample class exists on the polarization lattice",
+                f"the adjoint degree 2g - 1 = {2 * genus - 1} admits the base point "
+                "witness",
+            ],
+            witness={"genus": genus, "ample_degree": 1, "adjoint_degree": 2 * genus - 1},
+        ),
     )
     return [upper, lower]
 
@@ -184,39 +199,42 @@ def _product_gate(desc: VarietyDescriptor) -> str | None:
 def _rule_product_combine(desc: VarietyDescriptor):
     if desc.provenance.constructor != "product":
         return []
-    factor_intervals = [resolve(parent) for parent in desc.provenance.parents]
+    pairs = tuple([(iv.lo, iv.hi) for iv in map(resolve, desc.provenance.parents)])
     certs = []
-    lo = max(iv.lo for iv in factor_intervals)
+    lo = max(pair[0] for pair in pairs)
     if lo >= 1:
         certs.append(
-            Certificate(
-                LOWER,
-                "product-combine",
-                lo,
-                "restriction to a fiber: an adjoint bundle on the product "
-                "restricts to the adjoint bundle on a factor, so any failure "
-                "on a factor lifts",
-                witness={
-                    "factor_intervals": [[iv.lo, iv.hi] for iv in factor_intervals]
-                },
+            made(
+                ("product-combine", LOWER, pairs),
+                lambda: Certificate(
+                    LOWER,
+                    "product-combine",
+                    lo,
+                    "restriction to a fiber: an adjoint bundle on the product "
+                    "restricts to the adjoint bundle on a factor, so any failure "
+                    "on a factor lifts",
+                    witness={"factor_intervals": [list(pair) for pair in pairs]},
+                ),
             )
         )
     gate = _product_gate(desc)
     if gate is not None:
-        hi = max(iv.hi for iv in factor_intervals)
         certs.append(
-            Certificate(
-                UPPER,
-                "product-combine",
-                hi,
-                "Kunneth: under the gate, every ample class on the product "
-                "dominates a box-sum of ample classes, and global generation "
-                "of box-sums is checked factorwise",
-                premises=[gate],
-                witness={
-                    "factor_intervals": [[iv.lo, iv.hi] for iv in factor_intervals],
-                    "gate": gate,
-                },
+            made(
+                ("product-combine", UPPER, pairs, gate),
+                lambda: Certificate(
+                    UPPER,
+                    "product-combine",
+                    max(pair[1] for pair in pairs),
+                    "Kunneth: under the gate, every ample class on the product "
+                    "dominates a box-sum of ample classes, and global generation "
+                    "of box-sums is checked factorwise",
+                    premises=[gate],
+                    witness={
+                        "factor_intervals": [list(pair) for pair in pairs],
+                        "gate": gate,
+                    },
+                ),
             )
         )
     return certs
@@ -226,21 +244,26 @@ def _rule_cover_degree(desc: VarietyDescriptor):
     if desc.provenance.constructor != "cyclic_cover":
         return []
     parent, branch, degree = cover_data(desc)
-    parent_iv = resolve(parent)
-    bound = max(0, parent_iv.hi + 1 - degree)
+    iv = resolve(parent)
+    key = ("cover-degree", UPPER, degree, iv.lo, iv.hi)
+    return [made(key, lambda: _cover_certificate(degree, iv.lo, iv.hi))]
+
+
+def _cover_certificate(degree: int, lo: int, hi: int) -> Certificate:
+    bound = max(0, hi + 1 - degree)
     premises = [
-        f"the parent resolves to an upper bound of {parent_iv.hi}",
+        f"the parent resolves to an upper bound of {hi}",
         "an adjoint with s ample summands on the cover pushes down to an "
         f"adjoint with s + {degree} - 1 summands downstairs",
     ]
-    omega_ample_gg = degree - 2 >= parent_iv.hi
+    omega_ample_gg = degree - 2 >= hi
     if omega_ample_gg:
         premises.append(
             "the canonical bundle of the cover is ample and globally "
             f"generated: it is the pullback of the parent adjoint with "
-            f"{degree} - 1 >= {parent_iv.hi} + 1 ample summands"
+            f"{degree} - 1 >= {hi} + 1 ample summands"
         )
-    cert = Certificate(
+    return Certificate(
         UPPER,
         "cover-degree",
         bound,
@@ -250,12 +273,11 @@ def _rule_cover_degree(desc: VarietyDescriptor):
         premises=premises,
         witness={
             "degree": degree,
-            "parent_interval": [parent_iv.lo, parent_iv.hi],
+            "parent_interval": [lo, hi],
             "bound": bound,
             "omega_ample_and_globally_generated": omega_ample_gg,
         },
     )
-    return [cert]
 
 
 def _exceptional_class(desc: VarietyDescriptor):
@@ -273,17 +295,20 @@ def _rule_not_nef_witness(desc: VarietyDescriptor):
     pairing = desc.form.evaluate(desc.canonical, effective)
     if pairing >= 0:
         return []
-    cert = Certificate(
-        LOWER,
-        "not-nef-witness",
-        1,
-        "a globally generated class is nef, and nef classes pair "
-        "nonnegatively with effective curves",
-        premises=["effective class: exceptional curve of the blow-up, (E^2) = -1"],
-        witness={
-            "effective_class": list(effective.coeffs),
-            "pairing": pairing,
-        },
+    cert = made(
+        ("not-nef-witness", LOWER, effective.coeffs, pairing),
+        lambda: Certificate(
+            LOWER,
+            "not-nef-witness",
+            1,
+            "a globally generated class is nef, and nef classes pair "
+            "nonnegatively with effective curves",
+            premises=["effective class: exceptional curve of the blow-up, (E^2) = -1"],
+            witness={
+                "effective_class": list(effective.coeffs),
+                "pairing": pairing,
+            },
+        ),
     )
     return [cert]
 
@@ -296,17 +321,20 @@ def _rule_h0_vanishing(desc: VarietyDescriptor):
     fact = h0_sign(desc, desc.canonical)
     if fact.value != ZERO:
         return []
-    cert = Certificate(
-        LOWER,
-        "h0-vanishing",
-        1,
-        "a line bundle with no nonzero global sections is not globally "
-        "generated, so the empty adjoint already fails",
-        premises=["the canonical class is not the trivial class"],
-        witness={
-            "bundle": fact.bundle,
-            "trace": list(fact.trace),
-        },
+    cert = made(
+        ("h0-vanishing", LOWER, fact.bundle, tuple(fact.trace)),
+        lambda: Certificate(
+            LOWER,
+            "h0-vanishing",
+            1,
+            "a line bundle with no nonzero global sections is not globally "
+            "generated, so the empty adjoint already fails",
+            premises=["the canonical class is not the trivial class"],
+            witness={
+                "bundle": fact.bundle,
+                "trace": list(fact.trace),
+            },
+        ),
     )
     return [cert]
 
@@ -321,18 +349,21 @@ def _rule_reider_divisible(desc: VarietyDescriptor):
     modulus = desc.form.gcd()
     if modulus < 5:
         return []
-    cert = Certificate(
-        UPPER,
-        "reider-divisible",
-        1,
-        "Reider 1988: with every intersection number divisible by some "
-        "d >= 5, a single ample summand already has (L^2) >= 5 and no "
-        "curve can satisfy the exceptional equations",
-        premises=[
-            f"all intersection numbers on the lattice are divisible by "
-            f"{modulus} >= 5"
-        ],
-        witness={"modulus": modulus},
+    cert = made(
+        ("reider-divisible", UPPER, modulus),
+        lambda: Certificate(
+            UPPER,
+            "reider-divisible",
+            1,
+            "Reider 1988: with every intersection number divisible by some "
+            "d >= 5, a single ample summand already has (L^2) >= 5 and no "
+            "curve can satisfy the exceptional equations",
+            premises=[
+                f"all intersection numbers on the lattice are divisible by "
+                f"{modulus} >= 5"
+            ],
+            witness={"modulus": modulus},
+        ),
     )
     return [cert]
 
@@ -341,12 +372,15 @@ def _rule_reider_surface(desc: VarietyDescriptor):
     if desc.dimension != 2:
         return []
     certs = [
-        Certificate(
-            UPPER,
-            "reider-surface",
-            3,
-            "Reider 1988, Theorem 1: on a surface, the adjoint of three or "
-            "more ample bundles is globally generated",
+        made(
+            ("reider-surface", UPPER, 3),
+            lambda: Certificate(
+                UPPER,
+                "reider-surface",
+                3,
+                "Reider 1988, Theorem 1: on a surface, the adjoint of three or "
+                "more ample bundles is globally generated",
+            ),
         )
     ]
     clause = None
@@ -358,14 +392,17 @@ def _rule_reider_surface(desc: VarietyDescriptor):
         detail = "the canonical class is divisible by 2 in the lattice"
     if clause is not None:
         certs.append(
-            Certificate(
-                UPPER,
-                "reider-surface",
-                2,
-                "Reider 1988: parity rules out the boundary cases that "
-                "obstruct two ample summands",
-                premises=[detail],
-                witness={"clause": clause},
+            made(
+                ("reider-surface", UPPER, 2, clause),
+                lambda: Certificate(
+                    UPPER,
+                    "reider-surface",
+                    2,
+                    "Reider 1988: parity rules out the boundary cases that "
+                    "obstruct two ample summands",
+                    premises=[detail],
+                    witness={"clause": clause},
+                ),
             )
         )
     if desc.rank == 1 and desc.nef is not None:
@@ -374,15 +411,18 @@ def _rule_reider_surface(desc: VarietyDescriptor):
         top = desc.form.entry((0, 0))
         if top != 1:
             certs.append(
-                Certificate(
-                    UPPER,
-                    "reider-surface",
-                    2,
-                    "Reider 1988: the value 3 requires an ample class "
-                    "of self-intersection 1, and on a rank-1 lattice "
-                    "with (H^2) != 1 no class has square 1",
-                    premises=[f"(H^2) = {top}"],
-                    witness={"clause": "no-square-one-rank1", "top": top},
+                made(
+                    ("reider-surface", UPPER, 2, "no-square-one-rank1", top),
+                    lambda: Certificate(
+                        UPPER,
+                        "reider-surface",
+                        2,
+                        "Reider 1988: the value 3 requires an ample class "
+                        "of self-intersection 1, and on a rank-1 lattice "
+                        "with (H^2) != 1 no class has square 1",
+                        premises=[f"(H^2) = {top}"],
+                        witness={"clause": "no-square-one-rank1", "top": top},
+                    ),
                 )
             )
     return certs
@@ -435,9 +475,14 @@ def _rule_blowup_mod24(desc: VarietyDescriptor):
     """
     if not _blowup_of_mod24_surface(desc):
         return []
+    # the certificate reads nothing of the descriptor, so rule and kind key it
+    return [made(("blowup-reider-mod24", UPPER), _mod24_certificate)]
+
+
+def _mod24_certificate() -> Certificate:
     residues = _mod24_residues()
     divisor = residues["multiplicity_divisor"]
-    cert = Certificate(
+    return Certificate(
         UPPER,
         "blowup-reider-mod24",
         1,
@@ -454,7 +499,6 @@ def _rule_blowup_mod24(desc: VarietyDescriptor):
         ],
         witness=residues,
     )
-    return [cert]
 
 
 def resolve(desc: VarietyDescriptor) -> FujitaInterval:
@@ -466,9 +510,10 @@ def resolve(desc: VarietyDescriptor) -> FujitaInterval:
     the rules of a product or a cover, their verifiers and the runner all
     read a parent's interval, and the memo resolves each node of a tower
     once, not once per read.  Rules share certificates between
-    descriptors: ``exact-threshold`` keeps its certificates on the nef
-    cone's shape, per canonical values and justification, and a
-    premise-only rule one per value and premise line.
+    descriptors: each rule files what it makes in the certificate table
+    (``certificates.made``), under the values the certificate reads, and
+    ``exact-threshold`` also keeps its certificates on the nef cone's
+    shape, per canonical values and justification.
     """
     if desc._interval is not None:
         return desc._interval
@@ -481,20 +526,23 @@ def resolve(desc: VarietyDescriptor) -> FujitaInterval:
     if hi == 1 and is_known_gg(desc, desc.canonical):
         supporting = min(
             (c for c in certs if c.kind == UPPER), key=lambda c: c.value
-        )
+        ).rule
         certs.append(
-            Certificate(
-                UPPER,
-                "canonical-gg",
-                0,
-                "an upper bound of 1 covers every s >= 1, and a globally "
-                "generated canonical class covers s = 0",
-                premises=[
-                    "the canonical class is certified globally generated by the "
-                    "descriptor",
-                    f"supporting upper bound of 1 from rule {supporting.rule}",
-                ],
-                witness={"supporting_rule": supporting.rule},
+            made(
+                ("canonical-gg", UPPER, supporting),
+                lambda: Certificate(
+                    UPPER,
+                    "canonical-gg",
+                    0,
+                    "an upper bound of 1 covers every s >= 1, and a globally "
+                    "generated canonical class covers s = 0",
+                    premises=[
+                        "the canonical class is certified globally generated by the "
+                        "descriptor",
+                        f"supporting upper bound of 1 from rule {supporting}",
+                    ],
+                    witness={"supporting_rule": supporting},
+                ),
             )
         )
         hi = 0
@@ -548,7 +596,12 @@ def verify_certificate(desc: VarietyDescriptor, cert: Certificate) -> bool:
     is memoized on the descriptor per certificate: a product's verifier
     re-verifies its parents' endpoint certificates, and the memo keeps
     that linear in the depth of a tower, where each level would
-    otherwise double it.
+    otherwise double it.  A parent's verified interval is memoized on the
+    parent, and each comparison of a certificate's text with a derived
+    witness that matched is remembered on the certificate, keyed by the
+    derived witness itself, so a certificate that many descriptors share
+    is compared once per distinct derived witness.  Both memos hold only
+    what a verifier computed; none reads the rules' certificate table.
     """
     verdict = desc._verdicts.get(cert)
     if verdict is None:
@@ -572,8 +625,11 @@ def _verified_interval(desc) -> FujitaInterval | None:
     The first upper certificate equal to ``hi`` and, when ``lo > 0``, the
     first lower certificate equal to ``lo`` are re-verified, so a
     composite certificate rests on its parents' certificates rather than
-    on the resolver.
+    on the resolver.  The outcome is kept on the descriptor, since each
+    product over it reads it from two certificates.
     """
+    if desc._verified is not False:
+        return desc._verified
     iv = resolve(desc)
     ends = [(UPPER, iv.hi)] + ([(LOWER, iv.lo)] if iv.lo > 0 else [])
     for kind, value in ends:
@@ -581,7 +637,9 @@ def _verified_interval(desc) -> FujitaInterval | None:
             (c for c in iv.certificates if c.kind == kind and c.value == value), None
         )
         if cert is None or not verify_certificate(desc, cert):
-            return None
+            iv = None
+            break
+    object.__setattr__(desc, "_verified", iv)
     return iv
 
 
@@ -589,9 +647,18 @@ def _written(cert, witness: dict) -> bool:
     """Whether ``cert`` carries ``witness``, as Certificate writes it.
 
     The texts are compared, not decoded data, so a key added or missing
-    is refused, and so is ``true`` where the rule writes ``1``.
+    is refused, and so is ``true`` where the rule writes ``1``.  A match
+    is remembered on the certificate under ``marshal``'s bytes of the
+    derived witness, which tell ``True`` from ``1`` and a list from a
+    tuple, so a later check against an equal witness skips the text.
     """
-    return cert.witness == witness_text(witness)
+    key = marshal.dumps(witness, 2)
+    if cert._matched == key:
+        return True
+    if cert.witness != witness_text(witness):
+        return False
+    object.__setattr__(cert, "_matched", key)
+    return True
 
 
 # the witness of a rule that writes none, such as a premise-only rule
@@ -623,13 +690,19 @@ def _verify_exact_threshold(desc, cert):
         return False
     if len(points) != m_star - 1:
         return False
-    if not all(nef.strictly_contains(p) for p in points):
-        return False
     # the functionals are linear, so the adjoint's values are the
-    # canonical values plus the points' values
-    total = list(on_canonical)
+    # canonical values plus the points' values; every int is an int by
+    # now, so equal coefficients are one point, checked once and added
+    # with its multiplicity
+    counts: dict[tuple, int] = {}
     for p in points:
-        total = [a + b for a, b in zip(total, nef.values(p))]
+        counts[p.coeffs] = counts.get(p.coeffs, 0) + 1
+    total = list(on_canonical)
+    for coeffs, count in counts.items():
+        values = nef.values_at(coeffs)
+        if not all(v > 0 for v in values):
+            return False
+        total = [a + count * b for a, b in zip(total, values)]
     return total[index] < 0
 
 
@@ -794,21 +867,22 @@ def _premise_bound(rule_id, applies, value, citation, premise=None) -> Rule:
     and its verifier re-checks that premise and value, and that the
     witness is empty: there is none to read.  The certificate is a
     function of the value and the premise line, which range over the
-    dimensions a process sees, so one is built per pair and kept for the
-    process, where every resolution would otherwise build one afresh for
-    each of these rules it meets.
+    dimensions a run sees, so it is filed in the certificate table under
+    the pair: while a run holds one, every resolution that meets the rule
+    shares it, and it dies with the run.
     """
-    made: dict[tuple, Certificate] = {}
 
     def derive(desc):
         if not applies(desc):
             return []
-        key = (value(desc), premise(desc) if premise else None)
-        cert = made.get(key)
-        if cert is None:
-            premises = [key[1]] if premise else []
-            cert = made[key] = Certificate(UPPER, rule_id, key[0], citation, premises)
-        return [cert]
+        bound = value(desc)
+        premises = [premise(desc)] if premise else []
+        return [
+            made(
+                (rule_id, UPPER, bound, *premises),
+                lambda: Certificate(UPPER, rule_id, bound, citation, premises),
+            )
+        ]
 
     def verify(desc, cert):
         return (

@@ -37,6 +37,13 @@ def test_kind_and_value_validated():
         Certificate("sideways", "r", 1, "c")
     with pytest.raises(ValueError):
         Certificate(UPPER, "r", -1, "c")
+    # a bool compares equal to 0 or 1, but is not a bound
+    for value in (True, False, 1.0, "1"):
+        with pytest.raises(TypeError, match=f"not {type(value).__name__}"):
+            Certificate(UPPER, "r", value, "c")
+    data = Certificate(UPPER, "r", 1, "c").to_json_dict()
+    with pytest.raises(TypeError, match="not bool"):
+        Certificate.from_json_dict({**data, "value": True})
 
 
 def test_witness_frozen_and_hashable():

@@ -824,6 +824,11 @@ def test_every_corpus_certificate_refuses_its_mutants(monkeypatch):
                 moved = Certificate(cert.kind, cert.rule, value, cert.citation,
                                     cert.premises, cert.witness_data())
                 assert not verify_certificate(desc, moved), (row.name, cert.rule, value)
+            if cert.value in (0, 1):
+                # True == 1, so a bool value is refused before any verifier
+                with pytest.raises(TypeError, match="not bool"):
+                    Certificate(cert.kind, cert.rule, bool(cert.value), cert.citation,
+                                cert.premises, cert.witness_data())
             for name, witness in _witness_mutants(cert.witness_data()):
                 forged = Certificate(cert.kind, cert.rule, cert.value, cert.citation,
                                      cert.premises, witness)

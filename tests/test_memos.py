@@ -2,10 +2,12 @@
 
 Every test counts calls of the function a layer keeps from running again,
 on a program a user could write, and fails if that layer alone is taken
-out.  Each one starts from an empty shape table, so no cone that another
-test keeps alive lends its answers to the count.
+out.  Each one starts from an empty shape table and an empty certificate
+table, so no cone or certificate that another test keeps alive lends its
+answers to the count.
 """
 
+import gc
 import weakref
 
 import pytest
@@ -19,8 +21,10 @@ from confn.runner import Report, VarietyRow, emit_json, evaluate
 
 
 @pytest.fixture(autouse=True)
-def empty_shape_table(monkeypatch):
+def empty_tables(monkeypatch):
     monkeypatch.setattr(cones, "_SHAPES", weakref.WeakValueDictionary())
+    # an empty table of the module's own kind, which the lifetime pin reads
+    monkeypatch.setattr(certificates, "_TABLE", type(certificates._TABLE)())
 
 
 def _counted(monkeypatch, owner, name) -> list:
@@ -94,28 +98,95 @@ def test_the_exact_threshold_memo_builds_certificates_once_per_shape(monkeypatch
     assert len(thresholds) == 3
 
 
-def test_the_premise_table_builds_each_premise_certificate_once(monkeypatch):
-    # six threefolds meet threefold-helmke and universal-angehrn-siu, and
-    # P3 toric-adjoint too: 13 certificates per evaluation without the
-    # table, none once the process has built them
+def _built(monkeypatch, rules=None) -> list:
+    """Rebind the engine's ``Certificate`` to record each certificate a
+    rule builds, of ``rules`` or of every rule."""
     built = []
     plain = engine.Certificate
 
     def counted(kind, rule, *args, **kwargs):
-        if rule in ("threefold-helmke", "universal-angehrn-siu", "toric-adjoint"):
-            built.append(rule)
-        return plain(kind, rule, *args, **kwargs)
+        cert = plain(kind, rule, *args, **kwargs)
+        if rules is None or rule in rules:
+            built.append(cert)
+        return cert
 
     monkeypatch.setattr(engine, "Certificate", counted)
+    return built
+
+
+def test_the_premise_table_builds_each_premise_certificate_once(monkeypatch):
+    # six threefolds meet threefold-helmke and universal-angehrn-siu, and
+    # P3 toric-adjoint too: 13 certificates per evaluation without the
+    # table, none while an earlier run holds them
+    built = _built(monkeypatch, ("threefold-helmke", "universal-angehrn-siu", "toric-adjoint"))
     text = "let P3 = projective_space(3)\ncompute P3\n" + "".join(
         f"let X{k} = complete_intersection(3, degrees = {degrees})\ncompute X{k}\n"
         for k, degrees in enumerate(([2], [3], [4], [5], [2, 2]))
     )
-    _run(text)
-    assert len(built) <= 3
+    first = _run(text)
+    assert len(built) == 3
     built.clear()
     _run(text)
     assert built == []
+    assert first.rows
+
+
+# ------------------------------------------------------------ the certificate table
+
+# four products whose factors all resolve to [2, 2], so they share their
+# product-combine certificates, and each factor is the parent of three
+_SHARED_INTERVALS = (
+    "let P1 = projective_space(1)\nlet C0 = curve(0)\n"
+    "let A = product(P1, P1)\nlet B = product(P1, C0)\n"
+    "let C = product(C0, P1)\nlet D = product(C0, C0)\n"
+    + "".join(f"assert_confn {name} = 2\n" for name in ("A", "B", "C", "D"))
+)
+
+
+def test_the_certificate_table_builds_each_distinct_certificate_once(monkeypatch):
+    # without the table the four products build their two product-combine
+    # and two reider-surface certificates four times each: 38 builds of 16
+    # values
+    built = _built(monkeypatch)
+    _run(_SHARED_INTERVALS)
+    assert len(built) == len(set(built)) == 16
+
+
+def test_a_remembered_comparison_renders_each_derived_witness_once(monkeypatch):
+    # the four products' verifiers compare the shared certificates with
+    # equal derived witnesses: 22 comparisons, of 7 distinct pairs
+    compared = []
+    written = engine._written
+
+    def record(cert, witness):
+        compared.append((cert, repr(witness)))
+        return written(cert, witness)
+
+    monkeypatch.setattr(engine, "_written", record)
+    renders = _counted(monkeypatch, engine, "witness_text")
+    _run(_SHARED_INTERVALS)
+    assert len(renders) == len(set(compared)) == 7 < len(compared) == 22
+
+
+def test_the_interval_memo_verifies_each_parent_once(monkeypatch):
+    # P1 and A each have two endpoint certificates; A, B and C check their
+    # two parents from both product-combine certificates, so without the
+    # memo the verifier reads an endpoint 16 times, not 4
+    reads = _counted(monkeypatch, engine, "verify_certificate")
+    _run(
+        "let P1 = projective_space(1)\nlet A = product(P1, P1)\n"
+        "let B = product(P1, A)\nlet C = product(A, P1)\n"
+        "assert_confn B = 2\nassert_confn C = 2\n"
+    )
+    assert len(reads) == 4
+
+
+def test_the_certificate_table_dies_with_its_run():
+    report = _run(_SHARED_INTERVALS)
+    assert len(certificates._TABLE) > 0
+    del report
+    gc.collect()
+    assert len(certificates._TABLE) == 0
 
 
 # ------------------------------------------------------------------- the shapes
