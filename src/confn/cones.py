@@ -772,7 +772,12 @@ def _refute_block(vals, suffix_min, k_vals, m: int):
                 return hit
         return None
 
-    return search(0, 0, (0,) * n_funcs, ())
+    try:
+        return search(0, 0, (0,) * n_funcs, ())
+    finally:
+        # search reaches itself through its closure; unbinding it lets
+        # reference counting free the pair, with no collector pass
+        del search
 
 
 def product_cone(lattice: PicardLattice, factors) -> Cone:

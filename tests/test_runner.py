@@ -1,5 +1,6 @@
 """Program evaluation, the built-in corpus, and report emitters."""
 
+import gc
 import importlib.util
 import json
 import pathlib
@@ -76,6 +77,20 @@ def test_each_descriptor_resolves_once_per_evaluation(monkeypatch):
         ("c", "2", True),
     ]
     assert len(runs) == len(set(runs)) == 3
+
+
+def test_a_run_builds_no_reference_cycles():
+    # reference counting frees all a run drops, with no collector pass
+    program = parse(CORPUS_PROGRAM)
+    gc.collect()
+    gc.disable()
+    try:
+        report = evaluate(program)
+        emit_json(report)
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------- sharing
