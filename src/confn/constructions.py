@@ -24,8 +24,11 @@ from __future__ import annotations
 from .cones import Cone, product_cone
 from .descriptors import (
     Assertion,
+    Blowup,
+    Cover,
     DescriptorError,
     ExactEqualsNef,
+    Product,
     Provenance,
     UnderApprox,
     UnknownGG,
@@ -64,7 +67,7 @@ def _merged_basis(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, .
 
 def product_blocks(desc: VarietyDescriptor) -> tuple[tuple[int, VarietyDescriptor], ...]:
     """Offsets and factors of a product descriptor, from its provenance."""
-    if desc.provenance.constructor != "product":
+    if not isinstance(desc.provenance, Product):
         raise DescriptorError("not a product descriptor")
     out = []
     offset = 0
@@ -149,12 +152,7 @@ def product(
         nef=nef,
         gg=gg,
         flags=frozenset(flags),
-        provenance=Provenance(
-            "product",
-            parents=(x, y),
-            assertions=assertions,
-            note="fundamental group is the product of the factor groups",
-        ),
+        provenance=Product(x, y, assertions),
     )
 
 
@@ -190,12 +188,7 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
         nef=None,
         gg=UnknownGG(),
         flags=frozenset(flags),
-        provenance=Provenance(
-            "blowup_point",
-            parents=(s,),
-            parameters=(("exceptional", e_name),),
-            note="fundamental group unchanged under blow-up",
-        ),
+        provenance=Blowup(s, lat.basis_class(n)),
     )
 
 
@@ -310,7 +303,6 @@ def hypersurface_section(
                     "of the ambient threefold",
                 ),
             ),
-            note="fundamental group equals that of the parent (Lefschetz)",
         ),
     )
 
@@ -395,10 +387,6 @@ def cyclic_cover(
     # h^1 of the cover splits as h^1(O_Y) plus h^1 of negative ample
     # powers, and the latter vanish by Kodaira
     flags = y.flags & {"irregularity_zero"}
-    pi1_note = (
-        "fundamental group equals that of the parent (covers totally branched "
-        "over an ample divisor, dimension >= 3)"
-    )
     return VarietyDescriptor(
         dimension=y.dimension,
         lattice=lat,
@@ -407,25 +395,6 @@ def cyclic_cover(
         nef=nef,
         gg=gg,
         flags=frozenset(flags),
-        provenance=Provenance(
-            "cyclic_cover",
-            parents=(y,),
-            parameters=(
-                ("branch", branch.pretty()),
-                ("branch_coeffs", ",".join(str(c) for c in branch.coeffs)),
-                ("degree", str(degree)),
-            ),
-            assertions=tuple(assertions),
-            note=pi1_note,
-        ),
+        provenance=Cover(y, branch, degree, tuple(assertions)),
     )
 
-
-def cover_data(desc: VarietyDescriptor) -> tuple[VarietyDescriptor, DivisorClass, int]:
-    """Parent, branch class (on the parent lattice) and degree of a cover."""
-    if desc.provenance.constructor != "cyclic_cover":
-        raise DescriptorError("not a cyclic cover descriptor")
-    parent = desc.provenance.parents[0]
-    degree = int(desc.provenance.parameter("degree"))
-    coeffs = [int(c) for c in desc.provenance.parameter("branch_coeffs").split(",")]
-    return parent, parent.lattice.make(coeffs), degree

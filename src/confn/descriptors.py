@@ -14,8 +14,11 @@ generated classes is either exactly the nef cone (with a recorded
 justification), a finite under-approximation, or unknown.  Nothing
 downstream is allowed to upgrade "unknown" silently.
 
-Every descriptor records its provenance: which constructor made it, with
-which parameters, from which parents, under which named assertions.  The
+Every descriptor records its provenance: which constructor made it, from
+which parents, under which named assertions, with display strings for
+its parameters.  A product, a cover and a blow-up record a node of their
+own class, ``Product``, ``Cover`` or ``Blowup``, that keeps the data the
+rules read typed, and rules branch on that class, never on a name.  The
 resolver and the certificate verifier both walk this trace, so it is
 data, not documentation.
 """
@@ -74,7 +77,7 @@ class Assertion(Frozen):
 
 
 class Provenance(Frozen):
-    __slots__ = ("constructor", "parameters", "parents", "assertions", "note")
+    __slots__ = ("constructor", "parameters", "parents", "assertions")
 
     def __init__(
         self,
@@ -82,19 +85,49 @@ class Provenance(Frozen):
         parameters: tuple[tuple[str, str], ...] = (),
         parents: tuple[VarietyDescriptor, ...] = (),
         assertions: tuple[Assertion, ...] = (),
-        note: str = "",
     ) -> None:
         object.__setattr__(self, "constructor", constructor)
         object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "assertions", assertions)
-        object.__setattr__(self, "note", note)
 
-    def parameter(self, key: str) -> str:
-        for k, v in self.parameters:
-            if k == key:
-                return v
-        raise KeyError(key)
+
+class Product(Provenance):
+    """The product of ``x`` and ``y``, in that order."""
+
+    __slots__ = ()
+
+    def __init__(self, x, y, assertions) -> None:
+        super().__init__("product", (), (x, y), assertions)
+
+
+class Cover(Provenance):
+    """A cyclic cover of ``parent`` of degree ``degree``, totally branched
+    over a member of |degree * branch|, with ``branch`` on ``parent``."""
+
+    __slots__ = ("branch", "degree")
+
+    def __init__(self, parent, branch: DivisorClass, degree: int, assertions) -> None:
+        parameters = (
+            ("branch", branch.pretty()),
+            ("branch_coeffs", ",".join(str(c) for c in branch.coeffs)),
+            ("degree", str(degree)),
+        )
+        super().__init__("cyclic_cover", parameters, (parent,), assertions)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "degree", degree)
+
+
+class Blowup(Provenance):
+    """The blow-up of ``parent`` at a point, with ``exceptional`` the class
+    of its exceptional curve."""
+
+    __slots__ = ("exceptional",)
+
+    def __init__(self, parent, exceptional: DivisorClass) -> None:
+        parameters = (("exceptional", exceptional.pretty()),)
+        super().__init__("blowup_point", parameters, (parent,))
+        object.__setattr__(self, "exceptional", exceptional)
 
 
 # the rank-1 constructors whose globally generated cone is the nef cone
@@ -197,7 +230,7 @@ class VarietyDescriptor(Frozen):
             return True
         if self.lattice.rank == 1:
             return self.provenance.constructor in _RANK_ONE_EXACT_GG
-        if self.provenance.constructor == "product":
+        if isinstance(self.provenance, Product):
             return all(
                 isinstance(p.gg, ExactEqualsNef) for p in self.provenance.parents
             )
@@ -259,11 +292,7 @@ def projective_space(n: int) -> VarietyDescriptor:
         nef=Cone(lat, ((1,),)),
         gg=ExactEqualsNef("line bundles on projective space: O(a) is globally generated iff a >= 0"),
         flags=frozenset({"toric", "irregularity_zero"}),
-        provenance=Provenance(
-            "projective_space",
-            parameters=(("n", str(n)),),
-            note="simply connected; fundamental group trivial",
-        ),
+        provenance=Provenance("projective_space", parameters=(("n", str(n)),)),
     )
 
 
@@ -328,7 +357,6 @@ def complete_intersection(
                 if n == 2
                 else ()
             ),
-            note="simply connected by Lefschetz",
         ),
     )
 
@@ -356,7 +384,7 @@ def hirzebruch1() -> VarietyDescriptor:
         ),
         gg=ExactEqualsNef("toric: nef line bundles on a smooth toric variety are globally generated"),
         flags=frozenset({"toric", "irregularity_zero"}),
-        provenance=Provenance("hirzebruch1", note="rational, simply connected"),
+        provenance=Provenance("hirzebruch1"),
     )
 
 
@@ -383,7 +411,7 @@ def del_pezzo7() -> VarietyDescriptor:
         ),
         gg=ExactEqualsNef("toric: nef line bundles on a smooth toric variety are globally generated"),
         flags=frozenset({"toric", "irregularity_zero"}),
-        provenance=Provenance("del_pezzo7", note="rational, simply connected"),
+        provenance=Provenance("del_pezzo7"),
     )
 
 
@@ -448,7 +476,6 @@ def custom(
     canonical: DivisorClass,
     nef: Cone | None = None,
     flags=(),
-    note: str = "",
 ) -> VarietyDescriptor:
     """Fully explicit descriptor; every invariant is validated on entry.
 
@@ -472,7 +499,7 @@ def custom(
         nef=nef,
         gg=UnknownGG(),
         flags=frozenset(flags),
-        provenance=Provenance("custom", note=note),
+        provenance=Provenance("custom"),
     )
     if nef is not None:
         point = lattice.make(nef.first_interior_point())

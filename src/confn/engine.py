@@ -30,8 +30,14 @@ import marshal
 from typing import Callable
 
 from .certificates import LOWER, UPPER, Certificate, made, witness_text
-from .constructions import cover_data
-from .descriptors import ExactEqualsNef, VarietyDescriptor, is_known_gg
+from .descriptors import (
+    Blowup,
+    Cover,
+    ExactEqualsNef,
+    Product,
+    VarietyDescriptor,
+    is_known_gg,
+)
 from .frozen import Frozen
 from .kunneth import ZERO, h0_sign
 
@@ -197,7 +203,7 @@ def _product_gate(desc: VarietyDescriptor) -> str | None:
 
 
 def _rule_product_combine(desc: VarietyDescriptor):
-    if desc.provenance.constructor != "product":
+    if not isinstance(desc.provenance, Product):
         return []
     pairs = tuple([(iv.lo, iv.hi) for iv in map(resolve, desc.provenance.parents)])
     certs = []
@@ -241,12 +247,12 @@ def _rule_product_combine(desc: VarietyDescriptor):
 
 
 def _rule_cover_degree(desc: VarietyDescriptor):
-    if desc.provenance.constructor != "cyclic_cover":
+    cover = desc.provenance
+    if not isinstance(cover, Cover):
         return []
-    parent, branch, degree = cover_data(desc)
-    iv = resolve(parent)
-    key = ("cover-degree", UPPER, degree, iv.lo, iv.hi)
-    return [made(key, lambda: _cover_certificate(degree, iv.lo, iv.hi))]
+    iv = resolve(cover.parents[0])
+    key = ("cover-degree", UPPER, cover.degree, iv.lo, iv.hi)
+    return [made(key, lambda: _cover_certificate(cover.degree, iv.lo, iv.hi))]
 
 
 def _cover_certificate(degree: int, lo: int, hi: int) -> Certificate:
@@ -280,18 +286,10 @@ def _cover_certificate(degree: int, lo: int, hi: int) -> Certificate:
     )
 
 
-def _exceptional_class(desc: VarietyDescriptor):
-    """The exceptional curve of a point blow-up, or None for any other descriptor."""
-    if desc.provenance.constructor != "blowup_point":
-        return None
-    name = desc.provenance.parameter("exceptional")
-    return desc.lattice.basis_class(desc.lattice.basis.index(name))
-
-
 def _rule_not_nef_witness(desc: VarietyDescriptor):
-    effective = _exceptional_class(desc)
-    if effective is None:
+    if not isinstance(desc.provenance, Blowup):
         return []
+    effective = desc.provenance.exceptional
     pairing = desc.form.evaluate(desc.canonical, effective)
     if pairing >= 0:
         return []
@@ -316,7 +314,7 @@ def _rule_not_nef_witness(desc: VarietyDescriptor):
 def _rule_h0_vanishing(desc: VarietyDescriptor):
     if desc.canonical.is_zero():
         return []
-    if desc.provenance.constructor not in ("cyclic_cover", "product"):
+    if not isinstance(desc.provenance, (Cover, Product)):
         return []
     fact = h0_sign(desc, desc.canonical)
     if fact.value != ZERO:
@@ -442,7 +440,7 @@ def divisible_by_24(surface: VarietyDescriptor) -> bool:
 
 
 def _blowup_of_mod24_surface(desc: VarietyDescriptor) -> bool:
-    return desc.provenance.constructor == "blowup_point" and divisible_by_24(
+    return isinstance(desc.provenance, Blowup) and divisible_by_24(
         desc.provenance.parents[0]
     )
 
@@ -688,7 +686,7 @@ def _verify_exact_threshold(desc, cert):
     ints = [m_star, index] + [c for p in points for c in p.coeffs]
     if any(type(c) is not int for c in ints) or m_star != cert.value:
         return False
-    if len(points) != m_star - 1:
+    if len(points) != m_star - 1 or not 0 <= index < len(on_canonical):
         return False
     # the functionals are linear, so the adjoint's values are the
     # canonical values plus the points' values; every int is an int by
@@ -721,7 +719,7 @@ def _verify_curve(desc, cert):
 
 
 def _verify_product_combine(desc, cert):
-    if desc.provenance.constructor != "product":
+    if not isinstance(desc.provenance, Product):
         return False
     intervals = [_verified_interval(p) for p in desc.provenance.parents]
     if None in intervals:
@@ -738,28 +736,28 @@ def _verify_product_combine(desc, cert):
 
 
 def _verify_cover_degree(desc, cert):
-    if desc.provenance.constructor != "cyclic_cover" or cert.kind != UPPER:
+    cover = desc.provenance
+    if not isinstance(cover, Cover) or cert.kind != UPPER:
         return False
-    parent, _branch, degree = cover_data(desc)
-    parent_iv = _verified_interval(parent)
+    parent_iv = _verified_interval(cover.parents[0])
     if parent_iv is None:
         return False
-    bound = max(0, parent_iv.hi + 1 - degree)
+    bound = max(0, parent_iv.hi + 1 - cover.degree)
     witness = {
-        "degree": degree,
+        "degree": cover.degree,
         "parent_interval": [parent_iv.lo, parent_iv.hi],
         "bound": bound,
-        "omega_ample_and_globally_generated": degree - 2 >= parent_iv.hi,
+        "omega_ample_and_globally_generated": cover.degree - 2 >= parent_iv.hi,
     }
     return cert.value == bound and _written(cert, witness)
 
 
 def _verify_not_nef(desc, cert):
-    effective = _exceptional_class(desc)
-    if effective is None or cert.kind != LOWER or cert.value != 1:
+    blowup = desc.provenance
+    if not isinstance(blowup, Blowup) or cert.kind != LOWER or cert.value != 1:
         return False
-    pairing = desc.form.evaluate(desc.canonical, effective)
-    witness = {"effective_class": list(effective.coeffs), "pairing": pairing}
+    pairing = desc.form.evaluate(desc.canonical, blowup.exceptional)
+    witness = {"effective_class": list(blowup.exceptional.coeffs), "pairing": pairing}
     return pairing < 0 and _written(cert, witness)
 
 

@@ -2,15 +2,15 @@
 
 The only way the engine ever certifies a lower bound through sections is
 by proving h^0 of a concrete line bundle to be zero or positive, walking
-the provenance of the descriptor the bundle lives on:
+the provenance of the descriptor the bundle lives on, by its node class:
 
 * on a curve, a bundle of negative degree has no sections;
-* on a product, the Kunneth formula makes h^0 multiplicative over the
+* on a ``Product``, the Kunneth formula makes h^0 multiplicative over the
   factor components of a box-sum, so one vanishing factor kills the
   product and all-positive factors force positivity;
-* on a totally branched cyclic cover of degree d with branch bundle L,
-  the pushforward of the structure sheaf splits as the sum of L^(-i) for
-  i < d, so h^0 of a pullback is the sum of h^0(parent, A - iL);
+* on a ``Cover`` of degree d with branch bundle L, totally branched and
+  cyclic, the pushforward of the structure sheaf splits as the sum of
+  L^(-i) for i < d, so h^0 of a pullback is the sum of h^0(parent, A - iL);
 * a class certified globally generated has a section, since a globally
   generated line bundle is a quotient of a trivial bundle and the zero
   sheaf is not a line bundle.
@@ -27,8 +27,8 @@ trusts nothing from the rule's.
 
 from __future__ import annotations
 
-from .constructions import cover_data, product_blocks, split_product_class
-from .descriptors import VarietyDescriptor, is_known_gg
+from .constructions import product_blocks, split_product_class
+from .descriptors import Cover, Product, VarietyDescriptor, is_known_gg
 from .frozen import Frozen
 from .lattice import DivisorClass
 
@@ -75,10 +75,9 @@ def _decide(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: dict)
             pad
             + f"h^0({cls_.pretty()}) > 0: the class is certified globally generated"
         ]
-    kind = desc.provenance.constructor
-    if kind == "product":
+    if isinstance(desc.provenance, Product):
         return _sign_product(desc, cls_, depth, memo)
-    if kind == "cyclic_cover":
+    if isinstance(desc.provenance, Cover):
         return _sign_cover(desc, cls_, depth, memo)
     return UNKNOWN, [pad + f"h^0({cls_.pretty()}): no applicable decomposition"]
 
@@ -109,7 +108,8 @@ def _sign_product(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo:
 
 def _sign_cover(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: dict):
     pad = "  " * depth
-    parent, branch, degree = cover_data(desc)
+    cover = desc.provenance
+    parent, branch, degree = cover.parents[0], cover.branch, cover.degree
     trace = [
         pad
         + f"h^0({cls_.pretty()}) on a degree-{degree} cyclic cover: the "

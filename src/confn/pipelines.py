@@ -46,7 +46,6 @@ def synthetic_mod24_surface() -> VarietyDescriptor:
         form=IntersectionForm.rank_one(lat, 2, 24),
         canonical=lat.make([1]),
         nef=Cone(lat, ((1,),)),
-        note="minimal surface with all pairings divisible by 24",
     )
 
 

@@ -8,7 +8,6 @@ import pytest
 from confn.constructions import (
     blowup_point,
     box_sum,
-    cover_data,
     cyclic_cover,
     hypersurface_section,
     product,
@@ -16,6 +15,8 @@ from confn.constructions import (
     split_product_class,
 )
 from confn.descriptors import (
+    Blowup,
+    Cover,
     DescriptorError,
     ExactEqualsNef,
     UnderApprox,
@@ -271,12 +272,24 @@ def test_cover_data_round_trip():
     p4 = projective_space(4)
     h = p4.lattice.make([1])
     x = cyclic_cover(p4, h, 3)
-    parent, branch, degree = cover_data(x)
-    assert parent is p4
-    assert branch.coeffs == (1,)
-    assert degree == 3
-    with pytest.raises(DescriptorError):
-        cover_data(p4)
+    cover = x.provenance
+    assert isinstance(cover, Cover)
+    assert cover.parents == (p4,)
+    assert cover.branch is h
+    assert cover.degree == 3
+    # the report's strings are rendered from the typed fields
+    assert cover.parameters == (("branch", "H"), ("branch_coeffs", "1"), ("degree", "3"))
+    assert not isinstance(p4.provenance, Cover)
+
+
+def test_a_blowup_records_its_exceptional_class():
+    x = blowup_point(blowup_point(del_pezzo7()))
+    node = x.provenance
+    assert isinstance(node, Blowup)
+    assert node.exceptional.lattice is x.lattice
+    assert node.exceptional.coeffs == (0, 0, 0, 0, 1)
+    assert node.parameters == (("exceptional", "E1_new"),)
+    assert x.form.evaluate(node.exceptional, node.exceptional) == -1
 
 
 def test_cover_threefold_needs_assertion():

@@ -305,11 +305,13 @@ def test_a_curve_lattice_with_a_point_is_admitted(degrees):
     assert desc.form.gcd() == 1
 
 
-def test_provenance_parameter_lookup():
+def test_provenance_parameters_are_display_strings():
     q = complete_intersection(3, (4,))
-    assert q.provenance.parameter("degrees") == "4"
-    with pytest.raises(KeyError):
-        q.provenance.parameter("missing")
+    assert q.provenance.parameters == (
+        ("n", "3"), ("degrees", "4"), ("very_general", "False")
+    )
+    # only the nodes whose data a rule reads have a class of their own
+    assert type(q.provenance) is Provenance
 
 
 # -------------------------------------------------- global generation

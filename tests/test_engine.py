@@ -14,6 +14,7 @@ from confn.constructions import blowup_point, cyclic_cover, hypersurface_section
 from confn.descriptors import (
     DescriptorError,
     ExactEqualsNef,
+    Provenance,
     VarietyDescriptor,
     abelian,
     complete_intersection,
@@ -833,8 +834,51 @@ def test_every_corpus_certificate_refuses_its_mutants(monkeypatch):
                 forged = Certificate(cert.kind, cert.rule, cert.value, cert.citation,
                                      cert.premises, witness)
                 assert not verify_certificate(desc, forged), (row.name, cert.rule, name)
+            if "violated_index" in cert.witness_data():
+                # the rule writes an index from 0 to k - 1 for k functionals;
+                # a negative one would count from the end
+                for index in (-1, -2, len(desc.nef.functionals)):
+                    forged = Certificate(cert.kind, cert.rule, cert.value, cert.citation,
+                                         cert.premises,
+                                         {**cert.witness_data(), "violated_index": index})
+                    assert not verify_certificate(desc, forged), (row.name, index)
     # the corpus reaches every rule
     assert rules == set(engine._RULES)
+
+
+def _recorded_as(desc, provenance):
+    """``desc``'s data under another provenance record."""
+    return VarietyDescriptor(
+        dimension=desc.dimension,
+        lattice=desc.lattice,
+        form=desc.form,
+        canonical=desc.canonical,
+        nef=desc.nef,
+        gg=desc.gg,
+        flags=desc.flags,
+        provenance=provenance,
+    )
+
+
+def test_rules_read_the_node_class_never_the_constructor_name():
+    p4 = projective_space(4)
+    cover = cyclic_cover(p4, p4.lattice.make([1]), 7)
+    node = cover.provenance
+    named = _recorded_as(
+        cover, Provenance("cyclic_cover", node.parameters, node.parents, node.assertions)
+    )
+    # the same name and strings, but no Cover node: no degree to read
+    interval = resolve(named)
+    assert (interval.lo, interval.hi) == (0, 11)
+    assert "cover-degree" not in {c.rule for c in interval.certificates}
+    honest = [c for c in resolve(cover).certificates if c.rule == "cover-degree"]
+    assert honest and not verify_certificate(named, honest[0])
+    p1 = projective_space(1)
+    pair = product(p1, p1)
+    named_pair = _recorded_as(pair, Provenance("product", parents=(p1, p1)))
+    assert "product-combine" not in {c.rule for c in resolve(named_pair).certificates}
+    honest = [c for c in resolve(pair).certificates if c.rule == "product-combine"]
+    assert honest and not any(verify_certificate(named_pair, c) for c in honest)
 
 
 # ------------------------------------------------------ memos on the nef cone's shape

@@ -100,7 +100,7 @@ def rebase(desc, u, inverse):
         nef = Cone(lat, tuple(tuple(_matmul([f], u)[0]) for f in desc.nef.functionals))
     provenance = desc.provenance
     if provenance.parents:
-        provenance = Provenance("custom", note="rebased " + provenance.constructor)
+        provenance = Provenance("custom")
     return VarietyDescriptor(
         dimension=desc.dimension,
         lattice=lat,

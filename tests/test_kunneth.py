@@ -4,13 +4,20 @@ import pytest
 
 from confn.constructions import (
     box_sum,
-    cover_data,
     cyclic_cover,
     product,
     product_blocks,
     split_product_class,
 )
-from confn.descriptors import curve, del_pezzo7, hirzebruch1, is_known_gg, projective_space
+from confn.descriptors import (
+    Cover,
+    Product,
+    curve,
+    del_pezzo7,
+    hirzebruch1,
+    is_known_gg,
+    projective_space,
+)
 from confn.kunneth import POSITIVE, UNKNOWN, ZERO, h0_sign
 
 
@@ -128,8 +135,8 @@ def _walked(desc, cls_, depth=0):
         return ZERO, [pad + f"{head} = 0: negative degree {cls_.coeffs[0]} on a curve"]
     if is_known_gg(desc, cls_):
         return POSITIVE, [pad + f"{head} > 0: the class is certified globally generated"]
-    kind = desc.provenance.constructor
-    if kind == "product":
+    node = desc.provenance
+    if isinstance(node, Product):
         trace = [
             pad + f"{head} on a product: Kunneth, h^0 of a box-sum is the "
             "product over the factors"
@@ -144,8 +151,8 @@ def _walked(desc, cls_, depth=0):
         if all(v == POSITIVE for v in values):
             return POSITIVE, trace + [pad + "every factor is positive, so the product is positive"]
         return UNKNOWN, trace + [pad + "no factor vanishes and not all are certified positive"]
-    if kind == "cyclic_cover":
-        parent, branch, degree = cover_data(desc)
+    if isinstance(node, Cover):
+        parent, branch, degree = node.parents[0], node.branch, node.degree
         trace = [
             pad + f"{head} on a degree-{degree} cyclic cover: the "
             "pushforward of the structure sheaf splits as the sum of L^(-i), "

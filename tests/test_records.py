@@ -16,6 +16,7 @@ import pytest
 from confn import dsl, engine, runner
 from confn.certificates import UPPER, Certificate
 from confn.cones import Cone
+from confn.constructions import blowup_point, cyclic_cover, product
 from confn.descriptors import (
     Assertion,
     DescriptorError,
@@ -38,6 +39,7 @@ def _records() -> dict:
     """One instance of each record class, by class name."""
     lat = PicardLattice(("H",))
     desc = projective_space(1)
+    p4 = projective_space(4)
     threshold = desc.nef.adjoint_freeness_threshold(desc.canonical)
     span = Span(1, 1)
     program = dsl.parse("let X = projective_space(n = 1)\ncompute X\nassert_confn X = 2\n")
@@ -56,6 +58,9 @@ def _records() -> dict:
         UnknownGG(),
         Assertion("name", "citation"),
         Provenance("custom"),
+        product(desc, desc).provenance,
+        cyclic_cover(p4, p4.lattice.make([1]), 2).provenance,
+        blowup_point(product(desc, desc)).provenance,
         desc,
         span,
         IntValue(1, span),
@@ -85,7 +90,7 @@ MUTABLE = {"AssertionResult", "VarietyRow", "Report"}
 
 
 def test_every_record_class_is_listed_once():
-    assert len(RECORDS) == 31
+    assert len(RECORDS) == 34
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
