@@ -340,8 +340,8 @@ _ANTI_AMPLE_COVER = (
 @pytest.mark.parametrize(
     "statement, stated",
     [
-        # crossed while the pipeline resolves its cover; the pipeline's own
-        # large_d is not the caller's
+        # crossed when the row is computed, as below, but the pipeline's
+        # own large_d is not the caller's, so only 'ample' is named
         (
             "pipeline_simple_variety(Y, branch = -S - F - E - H, d = 9, assume = [ample])",
             "'ample'",

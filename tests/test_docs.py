@@ -60,3 +60,28 @@ def test_readme_sample_program_evaluates():
     assert [r.name for r in report.rows] == ["dP7", "X"]
     assert not report.any_failure and not report.any_internal
     assert all(r.verified and r.assertions for r in report.rows)
+
+
+def test_readme_atlas_matches_the_atlas_report():
+    report = (README.parent / "tests" / "golden" / "atlas.md").read_text()
+    realized: dict[tuple[str, int], set[int]] = {}
+    for name, dim, value in re.findall(
+        r"^\| (n\dm\d_\w+) \| (\d+) \| \d+ \| (\d+) \| [^|]+ \| PASS \|$", report, re.M
+    ):
+        realized.setdefault((name.rsplit("_", 1)[1], int(dim)), set()).add(int(value))
+    assert sum(map(len, realized.values())) == report.count("| PASS |")
+
+    text = README.read_text()
+    section = text[text.index("## The atlas") : text.index("## Library use")]
+    assert "| π₁ source | n | realized m | not realized by these constructors |" in section
+    assert "impossible" not in section
+    listed = {}
+    for source, n, shown, missing in re.findall(
+        r"^\| [^|`]*`(\w+)`\) \| (\d+) \| ([\d, ]+) \| ([\d, ]+|none) \|$", section, re.M
+    ):
+        shown = {int(m) for m in shown.split(", ")}
+        missing = set() if missing == "none" else {int(m) for m in missing.split(", ")}
+        # every m from 0 to n + 1 is either realized or said not to be
+        assert shown.isdisjoint(missing) and shown | missing == set(range(int(n) + 2))
+        listed[(source, int(n))] = shown
+    assert listed == realized

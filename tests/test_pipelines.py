@@ -30,6 +30,25 @@ from confn.pipelines import (
 )
 
 
+# ------------------------------------------------------------- premises only
+
+
+def test_a_pipeline_never_resolves_what_it_returns():
+    # a pipeline checks its premises and builds; the value is asserted by
+    # the program or test that computes the row
+    p3 = projective_space(3)
+    h = p3.lattice.make([1])
+    f1 = hirzebruch1()
+    results = [
+        pipeline_n2k1(synthetic_mod24_surface()),
+        pipeline_n3k1(f1, f1.lattice.make([1, 2])),
+        pipeline_simple_surface(p3, h, 5),
+        pipeline_simple_variety(p3, h, 6),
+    ]
+    for result in results:
+        assert result.descriptor._interval is None
+
+
 # ------------------------------------------------------------- mod-24 blow-up
 
 
