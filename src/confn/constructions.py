@@ -144,7 +144,7 @@ def product(
     flags = x.flags & y.flags & {"toric", "irregularity_zero"}
     isogeny = "product upper bound for factors without a common nonzero isogeny factor"
     assertions = tuple(Assertion(name, isogeny, stated=True) for name in assume)
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=p + q,
         lattice=lat,
         form=form,
@@ -180,7 +180,7 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
     canonical = lat.make(tuple(s.canonical.coeffs) + (1,))
     # the irregularity is a birational invariant of smooth surfaces
     flags = s.flags & {"irregularity_zero"}
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=2,
         lattice=lat,
         form=form,
@@ -276,7 +276,7 @@ def hypersurface_section(
         if p >= upper + 1
         else "assumed: the adjoint of the parent is ample"
     )
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=2,
         lattice=lat,
         form=form,
@@ -387,7 +387,7 @@ def cyclic_cover(
     # h^1 of the cover splits as h^1(O_Y) plus h^1 of negative ample
     # powers, and the latter vanish by Kodaira
     flags = y.flags & {"irregularity_zero"}
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=y.dimension,
         lattice=lat,
         form=form,

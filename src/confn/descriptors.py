@@ -3,16 +3,18 @@
 A descriptor bundles the dimension, the Picard lattice, the intersection
 form, the canonical class, what is known about the nef cone, and what is
 known about global generation, together with flags, which are plain
-names: "toric", "irregularity_zero" and "abelian".  The lattice stands for
-the whole Neron-Severi lattice, so divisibility of intersection numbers
-is read from the form, and a form with no nonzero entry is refused; a
-curve's lattice is generated by a point, so a curve form whose degrees
-have a gcd other than 1 is refused, and so is a curve whose canonical
-degree is not 2g - 2 for a genus g >= 0.  Knowledge is explicit: the nef
-cone is either a concrete cone or unknown, and the set of globally
-generated classes is either exactly the nef cone (with a recorded
-justification), a finite under-approximation, or unknown.  Nothing
-downstream is allowed to upgrade "unknown" silently.
+names: "toric", "irregularity_zero" and "abelian".  A descriptor comes
+only from a constructor here or in ``constructions`` (``custom`` takes
+raw data), and the one that sets a premise is its proof.  The lattice
+stands for the whole Neron-Severi lattice, so divisibility of
+intersection numbers is read from the form, and a form with no nonzero
+entry is refused; a curve's lattice is generated by a point, so a curve
+form whose degrees have a gcd other than 1 is refused, and so is a curve
+whose canonical degree is not 2g - 2 for a genus g >= 0.  Knowledge is
+explicit: the nef cone is either a concrete cone or unknown, and the set
+of globally generated classes is either exactly the nef cone (with a
+recorded justification), a finite under-approximation, or unknown.
+Nothing downstream is allowed to upgrade "unknown" silently.
 
 Every descriptor records its provenance: which constructor made it, from
 which parents, under which named assertions, with display strings for
@@ -130,10 +132,6 @@ class Blowup(Provenance):
         object.__setattr__(self, "exceptional", exceptional)
 
 
-# the rank-1 constructors whose globally generated cone is the nef cone
-_RANK_ONE_EXACT_GG = ("projective_space", "complete_intersection", "curve")
-
-
 class VarietyDescriptor(Frozen):
     __slots__ = (
         "dimension",
@@ -153,17 +151,28 @@ class VarietyDescriptor(Frozen):
         "_verified",
     )
 
-    def __init__(
-        self,
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError(
+            "a VarietyDescriptor comes only from a constructor: projective_space, "
+            "complete_intersection, hirzebruch1, del_pezzo7, curve, abelian, "
+            "product, blowup_point, hypersurface_section, cyclic_cover, or "
+            "custom for raw data"
+        )
+
+    @classmethod
+    def _make(
+        cls,
         dimension: int,
         lattice: PicardLattice,
         form: IntersectionForm,
         canonical: DivisorClass,
         nef: Cone | None,
         gg: GGStatus,
-        flags: frozenset[str] = frozenset(),
-        provenance: Provenance = Provenance("custom"),
-    ) -> None:
+        flags: frozenset[str],
+        provenance: Provenance,
+    ) -> VarietyDescriptor:
+        """Admit a record; the one path the constructors take."""
+        self = object.__new__(cls)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "form", form)
@@ -207,34 +216,15 @@ class VarietyDescriptor(Frozen):
             )
         if self.nef is not None and self.nef.lattice is not self.lattice:
             raise DescriptorError("nef cone lives on a different lattice")
-        if isinstance(self.gg, ExactEqualsNef):
-            if self.nef is None:
-                raise DescriptorError(
-                    "global generation cannot equal an unknown nef cone"
-                )
-            if not self._exact_gg_justified():
-                raise DescriptorError(
-                    "ExactEqualsNef requires a toric flag, a rank-1 descriptor "
-                    "from " + ", ".join(_RANK_ONE_EXACT_GG) + ", or a product "
-                    "of such descriptors"
-                )
+        if isinstance(self.gg, ExactEqualsNef) and self.nef is None:
+            raise DescriptorError("global generation cannot equal an unknown nef cone")
         if isinstance(self.gg, UnderApprox):
             for cls_ in self.gg.classes:
                 if cls_.lattice is not self.lattice:
                     raise DescriptorError(
                         "globally generated class lives on a different lattice"
                     )
-
-    def _exact_gg_justified(self) -> bool:
-        if "toric" in self.flags:
-            return True
-        if self.lattice.rank == 1:
-            return self.provenance.constructor in _RANK_ONE_EXACT_GG
-        if isinstance(self.provenance, Product):
-            return all(
-                isinstance(p.gg, ExactEqualsNef) for p in self.provenance.parents
-            )
-        return False
+        return self
 
     @property
     def rank(self) -> int:
@@ -284,7 +274,7 @@ def projective_space(n: int) -> VarietyDescriptor:
     if n < 1:
         raise DescriptorError(f"projective space needs n >= 1, got {n}")
     lat = PicardLattice(("H",))
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=n,
         lattice=lat,
         form=IntersectionForm.rank_one(lat, n, 1),
@@ -328,7 +318,7 @@ def complete_intersection(
         top *= d
     lat = PicardLattice(("H",))
     k_coeff = sum(degrees) - (n + r + 1)
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=n,
         lattice=lat,
         form=IntersectionForm.rank_one(lat, n, top),
@@ -371,7 +361,7 @@ def hirzebruch1() -> VarietyDescriptor:
     S separate the two functionals.
     """
     lat = PicardLattice(("S", "F"))
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=2,
         lattice=lat,
         form=IntersectionForm.from_gram(lat, [[-1, 1], [1, 0]]),
@@ -398,7 +388,7 @@ def del_pezzo7() -> VarietyDescriptor:
     E1, E2 and -H separate the three functionals.
     """
     lat = PicardLattice(("H", "E1", "E2"))
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=2,
         lattice=lat,
         form=IntersectionForm.from_gram(lat, [[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
@@ -431,7 +421,7 @@ def curve(genus: int) -> VarietyDescriptor:
     if genus == 0:
         flags = frozenset({"irregularity_zero"})
         gg = ExactEqualsNef("degree-a bundles on P^1 are globally generated iff a >= 0")
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=1,
         lattice=lat,
         form=IntersectionForm.rank_one(lat, 1, 1),
@@ -453,7 +443,7 @@ def abelian(n: int) -> VarietyDescriptor:
     if n < 1:
         raise DescriptorError("abelian varieties have dimension >= 1")
     lat = PicardLattice(("H",))
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=n,
         lattice=lat,
         form=IntersectionForm.rank_one(lat, n, math.factorial(n)),
@@ -491,7 +481,7 @@ def custom(
                 f"unsupported flag {name!r}; custom takes only CUSTOM_FLAGS: "
                 + ", ".join(CUSTOM_FLAGS)
             )
-    desc = VarietyDescriptor(
+    desc = VarietyDescriptor._make(
         dimension=dimension,
         lattice=lattice,
         form=form,

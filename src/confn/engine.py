@@ -20,8 +20,9 @@ rules, then the mod-24 blow-up rule), each paired in that table with the
 independent verifier that re-checks its certificates against the
 descriptor without trusting the resolver.  Every rule runs on every
 descriptor, and the premises a rule reads come from the constructors
-that made it, never from the caller.  A crossed interval is an internal
-error that aborts loudly with a diagnostic dump.
+that made it, the only way to a descriptor, never from the caller.  A
+crossed interval is an internal error that aborts loudly with a
+diagnostic dump.
 """
 
 from __future__ import annotations
@@ -546,20 +547,26 @@ def resolve(desc: VarietyDescriptor) -> FujitaInterval:
         hi = 0
     if lo > hi:
         raise InconsistencyError(_crossed_dump(desc, lo, hi, certs), desc)
-    if (
-        "toric" in desc.flags
-        and lo == hi == desc.dimension + 1
-        and desc.provenance.constructor != "projective_space"
-    ):
+    if "toric" in desc.flags and lo == hi == desc.dimension + 1 and not _is_pn(desc):
         raise InconsistencyError(
-            "a toric descriptor other than projective space resolved to the "
-            f"extremal value {hi} = n + 1, which holds only for projective "
-            "space; this indicates a modeling bug in the descriptor "
+            "a toric descriptor without the data of projective space resolved "
+            f"to the extremal value {hi} = n + 1, which holds only for "
+            "projective space; this indicates a modeling bug in the descriptor "
             f"(constructor {desc.provenance.constructor!r})"
         )
     interval = FujitaInterval(lo, hi, tuple(certs))
     object.__setattr__(desc, "_interval", interval)
     return interval
+
+
+def _is_pn(desc) -> bool:
+    """Has ``desc`` the data of P^n in some basis: rank 1, and K = -(n+1) H
+    for an ample class H with (H^n) = 1?"""
+    n = desc.dimension
+    if desc.rank != 1 or desc.nef is None or desc.canonical.coeffs[0] % (n + 1):
+        return False
+    h = desc.lattice.make([-desc.canonical.coeffs[0] // (n + 1)])
+    return desc.nef.strictly_contains(h) and desc.form.self_intersection(h, n) == 1
 
 
 def _crossed_dump(desc, lo, hi, certs) -> str:

@@ -3,6 +3,7 @@
 import pytest
 
 from confn.cones import Cone
+from confn.constructions import hypersurface_section
 from confn.descriptors import (
     CUSTOM_FLAGS,
     DescriptorError,
@@ -185,13 +186,15 @@ def test_custom_refuses_flags_a_rule_would_trust():
 def test_descriptor_rejects_degree_mismatch():
     lat, form = _surface_parts()
     with pytest.raises(DescriptorError):
-        VarietyDescriptor(
+        VarietyDescriptor._make(
             dimension=3,
             lattice=lat,
             form=form,
             canonical=lat.zero(),
             nef=None,
             gg=UnknownGG(),
+            flags=frozenset(),
+            provenance=Provenance("custom"),
         )
 
 
@@ -199,69 +202,88 @@ def test_descriptor_rejects_foreign_lattice_data():
     lat, form = _surface_parts()
     other = PicardLattice(("H",))
     with pytest.raises(DescriptorError):
-        VarietyDescriptor(
+        VarietyDescriptor._make(
             dimension=2,
             lattice=lat,
             form=form,
             canonical=other.make([1]),
             nef=None,
             gg=UnknownGG(),
+            flags=frozenset(),
+            provenance=Provenance("custom"),
         )
     with pytest.raises(DescriptorError):
-        VarietyDescriptor(
+        VarietyDescriptor._make(
             dimension=2,
             lattice=lat,
             form=form,
             canonical=lat.zero(),
             nef=Cone(other, ((1,),)),
             gg=UnknownGG(),
+            flags=frozenset(),
+            provenance=Provenance("custom"),
         )
     with pytest.raises(DescriptorError):
-        VarietyDescriptor(
+        VarietyDescriptor._make(
             dimension=2,
             lattice=lat,
             form=form,
             canonical=lat.zero(),
             nef=None,
             gg=UnderApprox((other.make([1]),)),
+            flags=frozenset(),
+            provenance=Provenance("custom"),
         )
 
 
-def test_exact_gg_needs_nef_and_justification():
+def test_exact_gg_needs_a_nef_cone():
     lat, form = _surface_parts()
-    with pytest.raises(DescriptorError):
-        VarietyDescriptor(
+    with pytest.raises(DescriptorError, match="unknown nef cone"):
+        VarietyDescriptor._make(
             dimension=2,
             lattice=lat,
             form=form,
             canonical=lat.zero(),
             nef=None,
             gg=ExactEqualsNef("no cone to equal"),
-        )
-    # rank 2 without the toric flag: the equality has no stated ground
-    with pytest.raises(DescriptorError):
-        VarietyDescriptor(
-            dimension=2,
-            lattice=lat,
-            form=form,
-            canonical=lat.zero(),
-            nef=Cone(lat, ((1, 0), (0, 1))),
-            gg=ExactEqualsNef("asserted without justification category"),
-        )
-    # rank 1: a justification string is no ground; only the constructors
-    # that prove the equality may claim it
-    rank_one = PicardLattice(("H",))
-    with pytest.raises(DescriptorError, match="projective_space"):
-        VarietyDescriptor(
-            dimension=2,
-            lattice=rank_one,
-            form=IntersectionForm.rank_one(rank_one, 2, 3),
-            canonical=rank_one.make([1]),
-            nef=Cone(rank_one, ((1,),)),
-            gg=ExactEqualsNef("trust me"),
+            flags=frozenset(),
             provenance=Provenance("custom"),
         )
-    assert isinstance(projective_space(2).gg, ExactEqualsNef)
+
+
+def test_a_record_cannot_be_built_outside_the_constructors():
+    # a forged premise would otherwise resolve to exactly 0, every
+    # certificate verifying: the constructor that sets it is its only proof
+    lat = PicardLattice(("H",))
+    forged = [
+        dict(
+            dimension=2,
+            lattice=lat,
+            form=IntersectionForm.rank_one(lat, 2, 3),
+            canonical=lat.make([1]),
+            nef=Cone(lat, ((1,),)),
+            gg=ExactEqualsNef("x"),
+            flags=frozenset(),
+            provenance=Provenance("projective_space"),
+        ),
+        dict(
+            dimension=3,
+            lattice=lat,
+            form=IntersectionForm.rank_one(lat, 3, 1),
+            canonical=lat.make([7]),
+            nef=Cone(lat, ((1,),)),
+            gg=ExactEqualsNef("x"),
+            flags=frozenset({"toric"}),
+            provenance=Provenance("custom"),
+        ),
+    ]
+    for fields in forged:
+        with pytest.raises(TypeError, match="or custom for raw data"):
+            VarietyDescriptor(**fields)
+        with pytest.raises(TypeError, match="projective_space"):
+            VarietyDescriptor(*fields.values())
+    with pytest.raises(TypeError, match="custom"):
+        VarietyDescriptor()
 
 
 def test_divisibility_is_read_from_the_form():
@@ -325,19 +347,14 @@ def test_is_known_gg_exact_case():
 
 
 def test_is_known_gg_under_approx():
-    lat, form = _surface_parts()
-    good = lat.make([1, 1])
-    desc = VarietyDescriptor(
-        dimension=2,
-        lattice=lat,
-        form=form,
-        canonical=lat.zero(),
-        nef=None,
-        gg=UnderApprox((good,)),
-    )
-    assert is_known_gg(desc, lat.make([1, 1]))
-    assert not is_known_gg(desc, lat.make([1, 0]))
-    assert known_gg_representatives(desc) == (good,)
+    # a section of P^3 in |5H| knows only its canonical class K = H
+    p3 = projective_space(3)
+    desc = hypersurface_section(p3, p3.lattice.make([1]), 5)
+    assert isinstance(desc.gg, UnderApprox)
+    lat = desc.lattice
+    assert is_known_gg(desc, lat.make([1]))
+    assert not is_known_gg(desc, lat.make([2]))
+    assert known_gg_representatives(desc) == (desc.canonical,)
 
 
 def test_is_known_gg_unknown_is_false():

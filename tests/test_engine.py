@@ -129,7 +129,7 @@ def test_exact_threshold_abstains_without_exact_gg():
 
 def test_exact_threshold_inconclusive_advisory():
     lat = PicardLattice(("A", "B"))
-    desc = VarietyDescriptor(
+    desc = VarietyDescriptor._make(
         dimension=2,
         lattice=lat,
         form=IntersectionForm.from_gram(lat, [[1, 1], [1, 0]]),
@@ -137,6 +137,7 @@ def test_exact_threshold_inconclusive_advisory():
         nef=Cone(lat, ((1, 0), (-10, 1))),
         gg=ExactEqualsNef("toric: nef implies globally generated"),
         flags=frozenset({"toric"}),
+        provenance=Provenance("custom"),
     )
     # no interior point has sup-norm 6 or less, yet the threshold is exact
     interval = resolve(desc)
@@ -521,15 +522,18 @@ def test_crossed_interval_raises_with_dump(monkeypatch):
 
 
 def test_toric_extremal_value_outside_projective_space_raises():
+    # a threefold with K = -4H resolves to 4 = n + 1, but (H^3) = 2 is not
+    # the data of P^3
     lat = PicardLattice(("H",))
-    fake = VarietyDescriptor(
-        dimension=2,
+    fake = VarietyDescriptor._make(
+        dimension=3,
         lattice=lat,
-        form=IntersectionForm.rank_one(lat, 2, 1),
-        canonical=lat.make([-3]),
+        form=IntersectionForm.rank_one(lat, 3, 2),
+        canonical=lat.make([-4]),
         nef=Cone(lat, ((1,),)),
         gg=ExactEqualsNef("toric: nef implies globally generated"),
         flags=frozenset({"toric"}),
+        provenance=Provenance("custom"),
     )
     with pytest.raises(InconsistencyError) as err:
         resolve(fake)
@@ -622,10 +626,10 @@ def test_an_upper_threshold_verifies_exactly_at_the_closed_form(f1, f2, canonica
         assume(False)
     form = IntersectionForm.from_gram(lat, [[1, 0], [0, 1]])
     k = lat.make(list(canonical))
-    exact = VarietyDescriptor(
+    exact = VarietyDescriptor._make(
         dimension=2, lattice=lat, form=form, canonical=k, nef=nef,
         gg=ExactEqualsNef("toric: nef implies globally generated"),
-        flags=frozenset({"toric"}),
+        flags=frozenset({"toric"}), provenance=Provenance("custom"),
     )
     unknown = custom(dimension=2, lattice=lat, form=form, canonical=k, nef=nef)
     m_star = max(0, *(-v for v in nef.values(k)))
@@ -848,7 +852,7 @@ def test_every_corpus_certificate_refuses_its_mutants(monkeypatch):
 
 def _recorded_as(desc, provenance):
     """``desc``'s data under another provenance record."""
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=desc.dimension,
         lattice=desc.lattice,
         form=desc.form,
@@ -879,6 +883,11 @@ def test_rules_read_the_node_class_never_the_constructor_name():
     assert "product-combine" not in {c.rule for c in resolve(named_pair).certificates}
     honest = [c for c in resolve(pair).certificates if c.rule == "product-combine"]
     assert honest and not any(verify_certificate(named_pair, c) for c in honest)
+    # the extremal-value guard reads P^2's data, not its name
+    p2 = _recorded_as(projective_space(2), Provenance("custom"))
+    interval = resolve(p2)
+    assert (interval.lo, interval.hi) == (3, 3)
+    assert all(verify_certificate(p2, c) for c in interval.certificates)
 
 
 # ------------------------------------------------------ memos on the nef cone's shape

@@ -101,7 +101,7 @@ def rebase(desc, u, inverse):
     provenance = desc.provenance
     if provenance.parents:
         provenance = Provenance("custom")
-    return VarietyDescriptor(
+    return VarietyDescriptor._make(
         dimension=desc.dimension,
         lattice=lat,
         form=IntersectionForm.from_entries(lat, desc.dimension, entries),

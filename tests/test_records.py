@@ -172,13 +172,15 @@ def test_picard_lattices_with_one_basis_are_distinct():
     with pytest.raises(LatticeError, match="off the cone's lattice"):
         Cone(b, ((1,),)).contains(h)
     with pytest.raises(DescriptorError, match="canonical class lives on a different"):
-        VarietyDescriptor(
+        VarietyDescriptor._make(
             dimension=2,
             lattice=b,
             form=IntersectionForm.rank_one(b, 2, 1),
             canonical=h,
             nef=Cone(b, ((1,),)),
             gg=UnknownGG(),
+            flags=frozenset(),
+            provenance=Provenance("custom"),
         )
 
 

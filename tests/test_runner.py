@@ -17,6 +17,7 @@ from confn.constructions import blowup_point, cyclic_cover, hypersurface_section
 from confn.descriptors import (
     DescriptorError,
     ExactEqualsNef,
+    Provenance,
     VarietyDescriptor,
     abelian,
     curve,
@@ -758,7 +759,7 @@ def test_oracle_cross_check_branches():
 
 def test_oracle_skips_refutation_outside_its_box():
     lat = PicardLattice(("u", "v"))
-    desc = VarietyDescriptor(
+    desc = VarietyDescriptor._make(
         dimension=3,
         lattice=lat,
         form=IntersectionForm.from_entries(lat, 3, {(0, 0, 0): 1}),
@@ -766,6 +767,7 @@ def test_oracle_skips_refutation_outside_its_box():
         nef=Cone(lat, ((-1, -2), (2, 3))),  # no interior point of sup-norm <= 4
         gg=ExactEqualsNef("toric: nef implies globally generated"),
         flags=frozenset({"toric"}),
+        provenance=Provenance("custom"),
     )
     interval = resolve(desc)
     assert (interval.lo, interval.hi) == (3, 3)
