@@ -11,15 +11,16 @@ part of the tool's external interface (the report's schema version,
 A witness is written once, when its certificate is made, as the report
 lays it out; the report splices that text in and never decodes it.  A
 rule makes each distinct certificate once while anything holds it: it
-files the certificate in a weak table under the rule, the kind and the
-values the certificate is a function of (see ``made``), so the products
-of a program that share their factors' intervals share one certificate,
-and an entry dies with the last descriptor that holds it.
+calls ``certificate``, which files the certificate in a weak table under
+its own content, so the products of a program that share their factors'
+intervals share one certificate, and an entry dies with the last
+descriptor that holds it.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import weakref
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -41,15 +42,16 @@ class Certificate(Frozen):
     The value is exactly an ``int``: a bool, which Python compares equal
     to 0 or 1, is refused.  The witness is kept as its text,
     ``json.dumps(witness, indent=2)`` byte for byte, written in
-    ``__init__`` by the walk that refuses non-JSON data.  Lists and tuples both become arrays and ``True``
-    stays distinct from ``1``, so equal texts mean equal witnesses as the
-    report prints them.  The hash is computed once, in ``__init__``, since
-    the fields never change and the engine's verdict memo hashes every
-    certificate it sees.  The rules make one certificate per distinct
-    value while it is alive (see ``made``), so one is checked by the
-    verifiers of many descriptors: ``_matched``, which only the engine's
-    verifiers write, remembers the derived witness its text was last
-    found to equal, and takes no part in equality.
+    ``__init__`` by the walk that refuses non-JSON data.  Lists and tuples
+    both become arrays and ``True`` stays distinct from ``1``, so equal
+    texts mean equal witnesses as the report prints them.  The hash is
+    computed once, in ``__init__``, since the fields never change and the
+    engine's verdict memo hashes every certificate it sees.  The rules
+    make one certificate per distinct content while it is alive (see
+    ``certificate``), so one is checked by the verifiers of many
+    descriptors: ``_matched``, which only the engine's verifiers write,
+    remembers the derived witness its text was last found to equal, and
+    takes no part in equality.
     """
 
     __slots__ = (
@@ -125,22 +127,27 @@ class Certificate(Frozen):
         )
 
 
-# Every live certificate a rule made, keyed by the rule, the kind and the
-# values the certificate is a function of.  An entry leaves when the last
-# descriptor, interval or shape that holds its certificate dies, so no
-# certificate outlives the run that made it.
+# Every live certificate a rule made, keyed by its content.  An entry
+# leaves when the last descriptor or interval that holds its certificate
+# dies, so no certificate outlives the run that made it.
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def made(key: tuple, build) -> Certificate:
-    """The live certificate filed under ``key``, else ``build()``, filed.
+def certificate(
+    kind: str, rule: str, value: int, citation: str, premises=(), witness: dict = {}
+) -> Certificate:
+    """The live certificate of these fields, made and filed on a miss.
 
-    ``key`` starts with the rule's id and its kind and holds every value
-    that ``build`` reads, so a hit is the certificate ``build`` would make.
+    The key is ``marshal``'s version-2 bytes of the fields, which tell
+    ``True`` from ``1`` and, unlike later versions, do not depend on
+    reference counts or string interning; so a hit is, by construction,
+    the certificate ``Certificate`` makes of these fields, and fields it
+    refuses are never filed.
     """
+    key = marshal.dumps((kind, rule, value, citation, tuple(premises), witness), 2)
     cert = _TABLE.get(key)
     if cert is None:
-        cert = _TABLE[key] = build()
+        cert = _TABLE[key] = Certificate(kind, rule, value, citation, premises, witness)
     return cert
 
 

@@ -333,7 +333,7 @@ class _Shape:
     shape (see ``_shape_for``).  ``__init__`` admits the input; a
     product's shape is assembled from its factor shapes instead, by
     ``_assembled``, and holds the data admission would give the padded
-    input.  ``memo`` keeps five kinds of answer, each bounding work that
+    input.  ``memo`` keeps four kinds of answer, each bounding work that
     a program would otherwise repeat:
 
     * ``("min", k)``: the facet witness of functional k, built once per
@@ -344,11 +344,7 @@ class _Shape:
       not once per search;
     * ``("refute", radius, canonical values, m)``, on a block's shape: one
       search per block, canonical values and tuple size, which a product
-      shares with its factors;
-    * ``("exact-threshold", canonical values, justification)``, filed by
-      the engine: that rule's certificates, built once per shape, not
-      once per descriptor, and shared between shapes with equal answers
-      through the engine's certificate table.
+      shares with its factors.
 
     A shape's answers never change.
     """

@@ -142,13 +142,10 @@ class VarietyDescriptor(Frozen):
         "gg",
         "flags",
         "provenance",
-        # the engine's memos: the resolved interval (None until resolved),
-        # verification outcomes keyed by certificate, and the interval
-        # whose endpoints verified, or None if they did not (False until
-        # checked)
+        # the engine's memos: the resolved interval (None until resolved)
+        # and verification outcomes keyed by certificate
         "_interval",
         "_verdicts",
-        "_verified",
     )
 
     def __init__(self, *args, **kwargs) -> None:
@@ -183,7 +180,6 @@ class VarietyDescriptor(Frozen):
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "_interval", None)
         object.__setattr__(self, "_verdicts", {})
-        object.__setattr__(self, "_verified", False)
         if self.dimension < 1:
             raise DescriptorError("dimension must be at least 1")
         if self.form.degree != self.dimension:
@@ -299,7 +295,10 @@ def complete_intersection(
     is (sum(degrees) - (n + r + 1)) H by adjunction, and O(a) restricted
     to X is globally generated exactly when a >= 0.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = tuple(degrees)
+    for d in degrees:
+        if not isinstance(d, int):
+            raise DescriptorError(f"degrees must be integers, got {d!r}")
     r = len(degrees)
     if r < 1:
         raise DescriptorError("a complete intersection needs at least one degree")

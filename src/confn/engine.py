@@ -30,7 +30,7 @@ from __future__ import annotations
 import marshal
 from typing import Callable
 
-from .certificates import LOWER, UPPER, Certificate, made, witness_text
+from .certificates import LOWER, UPPER, Certificate, certificate, witness_text
 from .descriptors import (
     Blowup,
     Cover,
@@ -95,66 +95,45 @@ class FujitaInterval(Frozen):
 def _rule_exact_threshold(desc: VarietyDescriptor):
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:
         return []
-    # the certificates read only the cone's shape, the canonical class's
-    # values on its functionals and the justification, so they are
-    # memoized on the shape; shapes with equal answers share them through
-    # the certificate table
-    justification = desc.gg.justification
-    certs = desc.nef._shape._memoized(
-        ("exact-threshold", desc.nef.values(desc.canonical), justification),
-        lambda: _threshold_certificates(
-            desc.nef.adjoint_freeness_threshold(desc.canonical), justification
-        ),
-    )
-    return list(certs)
-
-
-def _threshold_certificates(report, justification: str) -> tuple[Certificate, ...]:
-    premises = [
-        "the globally generated cone equals the nef cone: " + justification,
-        "every functional takes value >= 1 on interior lattice points, so the "
-        "adjoint value is nondecreasing in the number of ample summands and "
-        "the bound holds for every s >= m as the definition requires",
-    ]
+    report = desc.nef.adjoint_freeness_threshold(desc.canonical)
+    m_star = report.m_star
     certs = [
-        made(
-            ("exact-threshold", UPPER, report.m_star, justification),
-            lambda: Certificate(
-                UPPER,
-                "exact-threshold",
-                report.m_star,
-                "nef-cone threshold for descriptors whose nef classes are exactly "
-                "the globally generated ones",
-                premises=premises,
-                witness={"m_star": report.m_star},
-            ),
+        certificate(
+            UPPER,
+            "exact-threshold",
+            m_star,
+            "nef-cone threshold for descriptors whose nef classes are exactly "
+            "the globally generated ones",
+            premises=[
+                "the globally generated cone equals the nef cone: "
+                + desc.gg.justification,
+                "every functional takes value >= 1 on interior lattice points, so "
+                "the adjoint value is nondecreasing in the number of ample "
+                "summands and the bound holds for every s >= m as the definition "
+                "requires",
+            ],
+            witness={"m_star": m_star},
         )
     ]
-    if report.m_star >= 1:
-        assert report.witness is not None and report.violated_index is not None
-        key = ("exact-threshold", LOWER, report.m_star, report.witness, report.violated_index)
+    if m_star >= 1:
         certs.append(
-            made(
-                key,
-                lambda: Certificate(
-                    LOWER,
-                    "exact-threshold",
-                    report.m_star,
-                    "explicit ample tuple whose adjoint class leaves the nef cone",
-                    premises=[
-                        f"a tuple of {report.m_star - 1} ample classes on which the "
-                        "adjoint fails shows the definition cannot hold at "
-                        f"m = {report.m_star - 1}"
-                    ],
-                    witness={
-                        "m_star": report.m_star,
-                        "tuple": report.witness,
-                        "violated_index": report.violated_index,
-                    },
-                ),
+            certificate(
+                LOWER,
+                "exact-threshold",
+                m_star,
+                "explicit ample tuple whose adjoint class leaves the nef cone",
+                premises=[
+                    f"a tuple of {m_star - 1} ample classes on which the adjoint "
+                    f"fails shows the definition cannot hold at m = {m_star - 1}"
+                ],
+                witness={
+                    "m_star": m_star,
+                    "tuple": report.witness,
+                    "violated_index": report.violated_index,
+                },
             )
         )
-    return tuple(certs)
+    return certs
 
 
 def _rule_curve(desc: VarietyDescriptor):
@@ -163,33 +142,27 @@ def _rule_curve(desc: VarietyDescriptor):
     # admission refuses a canonical degree that is not 2g - 2
     deg_k = desc.form.evaluate(desc.canonical)
     genus = (deg_k + 2) // 2
-    upper = made(
-        ("curve-genus", UPPER, genus, deg_k),
-        lambda: Certificate(
-            UPPER,
-            "curve-genus",
-            2,
-            "Riemann-Roch: on a curve, the adjoint of two or more ample bundles "
-            "has degree >= 2g + 1 and is globally generated",
-            premises=[f"genus {genus} read off from the canonical degree {deg_k}"],
-            witness={"genus": genus},
-        ),
+    upper = certificate(
+        UPPER,
+        "curve-genus",
+        2,
+        "Riemann-Roch: on a curve, the adjoint of two or more ample bundles "
+        "has degree >= 2g + 1 and is globally generated",
+        premises=[f"genus {genus} read off from the canonical degree {deg_k}"],
+        witness={"genus": genus},
     )
-    lower = made(
-        ("curve-genus", LOWER, genus),
-        lambda: Certificate(
-            LOWER,
-            "curve-genus",
-            2,
-            "the adjoint of a single degree-1 ample bundle O(P) has degree 2g - 1 "
-            "and a base point at P",
-            premises=[
-                "a degree-1 ample class exists on the polarization lattice",
-                f"the adjoint degree 2g - 1 = {2 * genus - 1} admits the base point "
-                "witness",
-            ],
-            witness={"genus": genus, "ample_degree": 1, "adjoint_degree": 2 * genus - 1},
-        ),
+    lower = certificate(
+        LOWER,
+        "curve-genus",
+        2,
+        "the adjoint of a single degree-1 ample bundle O(P) has degree 2g - 1 "
+        "and a base point at P",
+        premises=[
+            "a degree-1 ample class exists on the polarization lattice",
+            f"the adjoint degree 2g - 1 = {2 * genus - 1} admits the base point "
+            "witness",
+        ],
+        witness={"genus": genus, "ample_degree": 1, "adjoint_degree": 2 * genus - 1},
     )
     return [upper, lower]
 
@@ -211,37 +184,31 @@ def _rule_product_combine(desc: VarietyDescriptor):
     lo = max(pair[0] for pair in pairs)
     if lo >= 1:
         certs.append(
-            made(
-                ("product-combine", LOWER, pairs),
-                lambda: Certificate(
-                    LOWER,
-                    "product-combine",
-                    lo,
-                    "restriction to a fiber: an adjoint bundle on the product "
-                    "restricts to the adjoint bundle on a factor, so any failure "
-                    "on a factor lifts",
-                    witness={"factor_intervals": [list(pair) for pair in pairs]},
-                ),
+            certificate(
+                LOWER,
+                "product-combine",
+                lo,
+                "restriction to a fiber: an adjoint bundle on the product "
+                "restricts to the adjoint bundle on a factor, so any failure "
+                "on a factor lifts",
+                witness={"factor_intervals": [list(pair) for pair in pairs]},
             )
         )
     gate = _product_gate(desc)
     if gate is not None:
         certs.append(
-            made(
-                ("product-combine", UPPER, pairs, gate),
-                lambda: Certificate(
-                    UPPER,
-                    "product-combine",
-                    max(pair[1] for pair in pairs),
-                    "Kunneth: under the gate, every ample class on the product "
-                    "dominates a box-sum of ample classes, and global generation "
-                    "of box-sums is checked factorwise",
-                    premises=[gate],
-                    witness={
-                        "factor_intervals": [list(pair) for pair in pairs],
-                        "gate": gate,
-                    },
-                ),
+            certificate(
+                UPPER,
+                "product-combine",
+                max(pair[1] for pair in pairs),
+                "Kunneth: under the gate, every ample class on the product "
+                "dominates a box-sum of ample classes, and global generation "
+                "of box-sums is checked factorwise",
+                premises=[gate],
+                witness={
+                    "factor_intervals": [list(pair) for pair in pairs],
+                    "gate": gate,
+                },
             )
         )
     return certs
@@ -251,26 +218,22 @@ def _rule_cover_degree(desc: VarietyDescriptor):
     cover = desc.provenance
     if not isinstance(cover, Cover):
         return []
+    degree = cover.degree
     iv = resolve(cover.parents[0])
-    key = ("cover-degree", UPPER, cover.degree, iv.lo, iv.hi)
-    return [made(key, lambda: _cover_certificate(cover.degree, iv.lo, iv.hi))]
-
-
-def _cover_certificate(degree: int, lo: int, hi: int) -> Certificate:
-    bound = max(0, hi + 1 - degree)
+    bound = max(0, iv.hi + 1 - degree)
     premises = [
-        f"the parent resolves to an upper bound of {hi}",
+        f"the parent resolves to an upper bound of {iv.hi}",
         "an adjoint with s ample summands on the cover pushes down to an "
         f"adjoint with s + {degree} - 1 summands downstairs",
     ]
-    omega_ample_gg = degree - 2 >= hi
+    omega_ample_gg = degree - 2 >= iv.hi
     if omega_ample_gg:
         premises.append(
             "the canonical bundle of the cover is ample and globally "
             f"generated: it is the pullback of the parent adjoint with "
-            f"{degree} - 1 >= {hi} + 1 ample summands"
+            f"{degree} - 1 >= {iv.hi} + 1 ample summands"
         )
-    return Certificate(
+    cert = certificate(
         UPPER,
         "cover-degree",
         bound,
@@ -280,11 +243,12 @@ def _cover_certificate(degree: int, lo: int, hi: int) -> Certificate:
         premises=premises,
         witness={
             "degree": degree,
-            "parent_interval": [lo, hi],
+            "parent_interval": [iv.lo, iv.hi],
             "bound": bound,
             "omega_ample_and_globally_generated": omega_ample_gg,
         },
     )
+    return [cert]
 
 
 def _rule_not_nef_witness(desc: VarietyDescriptor):
@@ -294,20 +258,14 @@ def _rule_not_nef_witness(desc: VarietyDescriptor):
     pairing = desc.form.evaluate(desc.canonical, effective)
     if pairing >= 0:
         return []
-    cert = made(
-        ("not-nef-witness", LOWER, effective.coeffs, pairing),
-        lambda: Certificate(
-            LOWER,
-            "not-nef-witness",
-            1,
-            "a globally generated class is nef, and nef classes pair "
-            "nonnegatively with effective curves",
-            premises=["effective class: exceptional curve of the blow-up, (E^2) = -1"],
-            witness={
-                "effective_class": list(effective.coeffs),
-                "pairing": pairing,
-            },
-        ),
+    cert = certificate(
+        LOWER,
+        "not-nef-witness",
+        1,
+        "a globally generated class is nef, and nef classes pair "
+        "nonnegatively with effective curves",
+        premises=["effective class: exceptional curve of the blow-up, (E^2) = -1"],
+        witness={"effective_class": list(effective.coeffs), "pairing": pairing},
     )
     return [cert]
 
@@ -320,20 +278,14 @@ def _rule_h0_vanishing(desc: VarietyDescriptor):
     fact = h0_sign(desc, desc.canonical)
     if fact.value != ZERO:
         return []
-    cert = made(
-        ("h0-vanishing", LOWER, fact.bundle, tuple(fact.trace)),
-        lambda: Certificate(
-            LOWER,
-            "h0-vanishing",
-            1,
-            "a line bundle with no nonzero global sections is not globally "
-            "generated, so the empty adjoint already fails",
-            premises=["the canonical class is not the trivial class"],
-            witness={
-                "bundle": fact.bundle,
-                "trace": list(fact.trace),
-            },
-        ),
+    cert = certificate(
+        LOWER,
+        "h0-vanishing",
+        1,
+        "a line bundle with no nonzero global sections is not globally "
+        "generated, so the empty adjoint already fails",
+        premises=["the canonical class is not the trivial class"],
+        witness={"bundle": fact.bundle, "trace": list(fact.trace)},
     )
     return [cert]
 
@@ -348,21 +300,17 @@ def _rule_reider_divisible(desc: VarietyDescriptor):
     modulus = desc.form.gcd()
     if modulus < 5:
         return []
-    cert = made(
-        ("reider-divisible", UPPER, modulus),
-        lambda: Certificate(
-            UPPER,
-            "reider-divisible",
-            1,
-            "Reider 1988: with every intersection number divisible by some "
-            "d >= 5, a single ample summand already has (L^2) >= 5 and no "
-            "curve can satisfy the exceptional equations",
-            premises=[
-                f"all intersection numbers on the lattice are divisible by "
-                f"{modulus} >= 5"
-            ],
-            witness={"modulus": modulus},
-        ),
+    cert = certificate(
+        UPPER,
+        "reider-divisible",
+        1,
+        "Reider 1988: with every intersection number divisible by some "
+        "d >= 5, a single ample summand already has (L^2) >= 5 and no "
+        "curve can satisfy the exceptional equations",
+        premises=[
+            f"all intersection numbers on the lattice are divisible by {modulus} >= 5"
+        ],
+        witness={"modulus": modulus},
     )
     return [cert]
 
@@ -371,15 +319,12 @@ def _rule_reider_surface(desc: VarietyDescriptor):
     if desc.dimension != 2:
         return []
     certs = [
-        made(
-            ("reider-surface", UPPER, 3),
-            lambda: Certificate(
-                UPPER,
-                "reider-surface",
-                3,
-                "Reider 1988, Theorem 1: on a surface, the adjoint of three or "
-                "more ample bundles is globally generated",
-            ),
+        certificate(
+            UPPER,
+            "reider-surface",
+            3,
+            "Reider 1988, Theorem 1: on a surface, the adjoint of three or "
+            "more ample bundles is globally generated",
         )
     ]
     clause = None
@@ -391,17 +336,14 @@ def _rule_reider_surface(desc: VarietyDescriptor):
         detail = "the canonical class is divisible by 2 in the lattice"
     if clause is not None:
         certs.append(
-            made(
-                ("reider-surface", UPPER, 2, clause),
-                lambda: Certificate(
-                    UPPER,
-                    "reider-surface",
-                    2,
-                    "Reider 1988: parity rules out the boundary cases that "
-                    "obstruct two ample summands",
-                    premises=[detail],
-                    witness={"clause": clause},
-                ),
+            certificate(
+                UPPER,
+                "reider-surface",
+                2,
+                "Reider 1988: parity rules out the boundary cases that "
+                "obstruct two ample summands",
+                premises=[detail],
+                witness={"clause": clause},
             )
         )
     if desc.rank == 1 and desc.nef is not None:
@@ -410,18 +352,15 @@ def _rule_reider_surface(desc: VarietyDescriptor):
         top = desc.form.entry((0, 0))
         if top != 1:
             certs.append(
-                made(
-                    ("reider-surface", UPPER, 2, "no-square-one-rank1", top),
-                    lambda: Certificate(
-                        UPPER,
-                        "reider-surface",
-                        2,
-                        "Reider 1988: the value 3 requires an ample class "
-                        "of self-intersection 1, and on a rank-1 lattice "
-                        "with (H^2) != 1 no class has square 1",
-                        premises=[f"(H^2) = {top}"],
-                        witness={"clause": "no-square-one-rank1", "top": top},
-                    ),
+                certificate(
+                    UPPER,
+                    "reider-surface",
+                    2,
+                    "Reider 1988: the value 3 requires an ample class "
+                    "of self-intersection 1, and on a rank-1 lattice "
+                    "with (H^2) != 1 no class has square 1",
+                    premises=[f"(H^2) = {top}"],
+                    witness={"clause": "no-square-one-rank1", "top": top},
                 )
             )
     return certs
@@ -474,14 +413,9 @@ def _rule_blowup_mod24(desc: VarietyDescriptor):
     """
     if not _blowup_of_mod24_surface(desc):
         return []
-    # the certificate reads nothing of the descriptor, so rule and kind key it
-    return [made(("blowup-reider-mod24", UPPER), _mod24_certificate)]
-
-
-def _mod24_certificate() -> Certificate:
     residues = _mod24_residues()
     divisor = residues["multiplicity_divisor"]
-    return Certificate(
+    cert = certificate(
         UPPER,
         "blowup-reider-mod24",
         1,
@@ -498,6 +432,7 @@ def _mod24_certificate() -> Certificate:
         ],
         witness=residues,
     )
+    return [cert]
 
 
 def resolve(desc: VarietyDescriptor) -> FujitaInterval:
@@ -509,10 +444,9 @@ def resolve(desc: VarietyDescriptor) -> FujitaInterval:
     the rules of a product or a cover, their verifiers and the runner all
     read a parent's interval, and the memo resolves each node of a tower
     once, not once per read.  Rules share certificates between
-    descriptors: each rule files what it makes in the certificate table
-    (``certificates.made``), under the values the certificate reads, and
-    ``exact-threshold`` also keeps its certificates on the nef cone's
-    shape, per canonical values and justification.
+    descriptors: each rule makes its certificates through
+    ``certificates.certificate``, which files them by content, so equal
+    fields give one certificate while anything holds it.
     """
     if desc._interval is not None:
         return desc._interval
@@ -527,21 +461,18 @@ def resolve(desc: VarietyDescriptor) -> FujitaInterval:
             (c for c in certs if c.kind == UPPER), key=lambda c: c.value
         ).rule
         certs.append(
-            made(
-                ("canonical-gg", UPPER, supporting),
-                lambda: Certificate(
-                    UPPER,
-                    "canonical-gg",
-                    0,
-                    "an upper bound of 1 covers every s >= 1, and a globally "
-                    "generated canonical class covers s = 0",
-                    premises=[
-                        "the canonical class is certified globally generated by the "
-                        "descriptor",
-                        f"supporting upper bound of 1 from rule {supporting}",
-                    ],
-                    witness={"supporting_rule": supporting},
-                ),
+            certificate(
+                UPPER,
+                "canonical-gg",
+                0,
+                "an upper bound of 1 covers every s >= 1, and a globally "
+                "generated canonical class covers s = 0",
+                premises=[
+                    "the canonical class is certified globally generated by the "
+                    "descriptor",
+                    f"supporting upper bound of 1 from rule {supporting}",
+                ],
+                witness={"supporting_rule": supporting},
             )
         )
         hi = 0
@@ -601,12 +532,12 @@ def verify_certificate(desc: VarietyDescriptor, cert: Certificate) -> bool:
     is memoized on the descriptor per certificate: a product's verifier
     re-verifies its parents' endpoint certificates, and the memo keeps
     that linear in the depth of a tower, where each level would
-    otherwise double it.  A parent's verified interval is memoized on the
-    parent, and each comparison of a certificate's text with a derived
-    witness that matched is remembered on the certificate, keyed by the
-    derived witness itself, so a certificate that many descriptors share
-    is compared once per distinct derived witness.  Both memos hold only
-    what a verifier computed; none reads the rules' certificate table.
+    otherwise double it.  Each comparison of a certificate's text with a
+    derived witness that matched is remembered on the certificate, keyed
+    by the derived witness itself, so a certificate that many descriptors
+    share is compared once per distinct derived witness.  Both memos hold
+    only what a verifier computed; none reads the rules' certificate
+    table.
     """
     verdict = desc._verdicts.get(cert)
     if verdict is None:
@@ -630,11 +561,8 @@ def _verified_interval(desc) -> FujitaInterval | None:
     The first upper certificate equal to ``hi`` and, when ``lo > 0``, the
     first lower certificate equal to ``lo`` are re-verified, so a
     composite certificate rests on its parents' certificates rather than
-    on the resolver.  The outcome is kept on the descriptor, since each
-    product over it reads it from two certificates.
+    on the resolver; their verdicts are memoized on the descriptor.
     """
-    if desc._verified is not False:
-        return desc._verified
     iv = resolve(desc)
     ends = [(UPPER, iv.hi)] + ([(LOWER, iv.lo)] if iv.lo > 0 else [])
     for kind, value in ends:
@@ -642,9 +570,7 @@ def _verified_interval(desc) -> FujitaInterval | None:
             (c for c in iv.certificates if c.kind == kind and c.value == value), None
         )
         if cert is None or not verify_certificate(desc, cert):
-            iv = None
-            break
-    object.__setattr__(desc, "_verified", iv)
+            return None
     return iv
 
 
@@ -683,25 +609,29 @@ def _verify_exact_threshold(desc, cert):
         m_star = max(0, -min(on_canonical))
         return _written(cert, {"m_star": m_star}) and cert.value == m_star
     # another tuple could serve, so the witness is read and checked for
-    # what it claims: its keys, each int an int and not a bool, and the
-    # tuple's points
+    # what it claims: its keys, before any is read, each point a list of
+    # rank ints, each int an int and not a bool, and the tuple's points
     data = cert.witness_data()
-    m_star, rows, index = data["m_star"], data["tuple"], data["violated_index"]
-    if data.keys() != _LOWER_THRESHOLD_KEYS or type(rows) is not list:
+    if data.keys() != _LOWER_THRESHOLD_KEYS:
         return False
-    points = [nef.lattice.make(p) for p in rows]
-    ints = [m_star, index] + [c for p in points for c in p.coeffs]
+    m_star, rows, index = data["m_star"], data["tuple"], data["violated_index"]
+    rank = nef.lattice.rank
+    if type(rows) is not list or any(
+        type(p) is not list or len(p) != rank for p in rows
+    ):
+        return False
+    ints = [m_star, index] + [c for p in rows for c in p]
     if any(type(c) is not int for c in ints) or m_star != cert.value:
         return False
-    if len(points) != m_star - 1 or not 0 <= index < len(on_canonical):
+    if len(rows) != m_star - 1 or not 0 <= index < len(on_canonical):
         return False
     # the functionals are linear, so the adjoint's values are the
     # canonical values plus the points' values; every int is an int by
     # now, so equal coefficients are one point, checked once and added
     # with its multiplicity
     counts: dict[tuple, int] = {}
-    for p in points:
-        counts[p.coeffs] = counts.get(p.coeffs, 0) + 1
+    for p in map(tuple, rows):
+        counts[p] = counts.get(p, 0) + 1
     total = list(on_canonical)
     for coeffs, count in counts.items():
         values = nef.values_at(coeffs)
@@ -779,7 +709,7 @@ def _verify_h0_vanishing(desc, cert):
 def _verify_reider_divisible(desc, cert):
     if desc.dimension != 2 or cert.kind != UPPER or cert.value != 1:
         return False
-    modulus = cert.witness_data()["modulus"]
+    modulus = cert.witness_data().get("modulus")
     if type(modulus) is not int or not _written(cert, {"modulus": modulus}):
         return False
     gcd = desc.form.gcd()
@@ -817,7 +747,7 @@ def _verify_canonical_gg(desc, cert):
         return False
     # every rule's certificates are the same under any rule set, so the
     # full resolution holds the supporting one; it counts once it re-verifies
-    supporting = cert.witness_data()["supporting_rule"]
+    supporting = cert.witness_data().get("supporting_rule")
     if not _written(cert, {"supporting_rule": supporting}):
         return False
     return supporting != cert.rule and any(
@@ -870,24 +800,17 @@ def _premise_bound(rule_id, applies, value, citation, premise=None) -> Rule:
     Where ``applies(desc)`` holds it emits one upper certificate of
     ``value(desc)``, with ``premise(desc)`` as its premise line if given,
     and its verifier re-checks that premise and value, and that the
-    witness is empty: there is none to read.  The certificate is a
-    function of the value and the premise line, which range over the
-    dimensions a run sees, so it is filed in the certificate table under
-    the pair: while a run holds one, every resolution that meets the rule
-    shares it, and it dies with the run.
+    witness is empty: there is none to read.  The value and the premise
+    line range over the dimensions a run sees, so while a run holds one
+    certificate, every resolution that meets the rule shares it through
+    the certificate table.
     """
 
     def derive(desc):
         if not applies(desc):
             return []
-        bound = value(desc)
         premises = [premise(desc)] if premise else []
-        return [
-            made(
-                (rule_id, UPPER, bound, *premises),
-                lambda: Certificate(UPPER, rule_id, bound, citation, premises),
-            )
-        ]
+        return [certificate(UPPER, rule_id, value(desc), citation, premises)]
 
     def verify(desc, cert):
         return (

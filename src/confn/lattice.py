@@ -136,7 +136,14 @@ def _normalized_entries(
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     out: dict[tuple[int, ...], int] = {}
     for idx, value in dict(entries).items():
-        key = tuple(sorted(int(i) for i in idx))
+        if not isinstance(value, int):
+            raise LatticeError(
+                f"intersection number {value!r} at multi-index {idx!r} is not an integer"
+            )
+        for i in idx:
+            if not isinstance(i, int):
+                raise LatticeError(f"multi-index {idx!r} has a non-integer index {i!r}")
+        key = tuple(sorted(idx))
         if len(key) != degree:
             raise LatticeError(
                 f"multi-index {idx!r} has length {len(key)}, form degree is {degree}"
@@ -144,7 +151,6 @@ def _normalized_entries(
         for i in key:
             if not 0 <= i < rank:
                 raise LatticeError(f"basis index {i} out of range for rank {rank}")
-        value = int(value)
         if key in out and out[key] != value:
             raise LatticeError(f"conflicting values for multi-index {key!r}")
         if value != 0:

@@ -6,6 +6,7 @@ payload builder that used ``json.dumps`` directly.
 """
 
 import datetime
+import gc
 import json
 import sys
 import types
@@ -18,6 +19,7 @@ from confn.certificates import (
     LOWER,
     UPPER,
     Certificate,
+    certificate,
     dumps_certificates,
     render_json,
 )
@@ -44,6 +46,36 @@ def test_kind_and_value_validated():
     data = Certificate(UPPER, "r", 1, "c").to_json_dict()
     with pytest.raises(TypeError, match="not bool"):
         Certificate.from_json_dict({**data, "value": True})
+
+
+def test_a_certificate_is_filed_under_its_whole_content(monkeypatch):
+    monkeypatch.setattr(certificates, "_TABLE", type(certificates._TABLE)())
+    fields = (UPPER, "r", 1, "c", ("p", "q"), {"w": [1, 2], "x": "y"})
+    held = [certificate(*fields)]
+    # equal fields, premises as a list, are the one live certificate
+    assert certificate(UPPER, "r", 1, "c", ["p", "q"], {"w": [1, 2], "x": "y"}) is held[0]
+    changed = [
+        (LOWER, "r", 1, "c", ("p", "q"), {"w": [1, 2], "x": "y"}),
+        (UPPER, "s", 1, "c", ("p", "q"), {"w": [1, 2], "x": "y"}),
+        (UPPER, "r", 2, "c", ("p", "q"), {"w": [1, 2], "x": "y"}),
+        (UPPER, "r", 1, "d", ("p", "q"), {"w": [1, 2], "x": "y"}),
+        (UPPER, "r", 1, "c", ("p", "z"), {"w": [1, 2], "x": "y"}),
+        (UPPER, "r", 1, "c", ("p", "q"), {"w": [1, 3], "x": "y"}),
+        # True == 1, but the key tells them apart
+        (UPPER, "r", 1, "c", ("p", "q"), {"w": [1, True], "x": "y"}),
+    ]
+    for other in changed:
+        cert = certificate(*other)
+        assert cert != held[0] and cert == Certificate(*other), other
+        held.append(cert)
+    assert len(certificates._TABLE) == len(held)
+    # an int-valued certificate is alive, and a bool value still misses
+    with pytest.raises(TypeError, match="not bool"):
+        certificate(UPPER, "r", True, "c", ("p", "q"), {"w": [1, 2], "x": "y"})
+    # the table holds no certificate of its own
+    del held, cert
+    gc.collect()
+    assert len(certificates._TABLE) == 0
 
 
 def test_witness_frozen_and_hashable():

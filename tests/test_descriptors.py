@@ -85,6 +85,12 @@ def test_complete_intersection_rejects_bad_input(bad_call):
         bad_call()
 
 
+def test_complete_intersection_refuses_a_non_integer_degree_not_truncated():
+    # int(2.9) would build the quadric threefold
+    with pytest.raises(DescriptorError, match=r"^degrees must be integers, got 2\.9$"):
+        complete_intersection(3, [2.9])
+
+
 def test_hirzebruch1_frozen():
     f1 = hirzebruch1()
     s = f1.lattice.make([1, 0])

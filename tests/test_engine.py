@@ -807,6 +807,20 @@ def _witness_mutants(data: dict):
 
 
 def test_every_corpus_certificate_refuses_its_mutants(monkeypatch):
+    _check_corpus_mutants(monkeypatch, verify_certificate)
+
+
+def test_every_verifier_refuses_the_corpus_mutants_through_its_own_checks(monkeypatch):
+    # verify_certificate reads an exception as False; a verifier called
+    # directly must refuse a malformed witness without raising
+    _check_corpus_mutants(
+        monkeypatch, lambda desc, cert: engine._RULES[cert.rule].verify(desc, cert)
+    )
+
+
+def _check_corpus_mutants(monkeypatch, check):
+    """Every certificate of the corpus passes ``check`` on its descriptor,
+    and each value moved by one and each witness mutant is refused."""
     computed = []
     compute_row = runner._compute_row
 
@@ -821,14 +835,14 @@ def test_every_corpus_certificate_refuses_its_mutants(monkeypatch):
     rules = set()
     for row, desc in computed:
         for cert in row.interval.certificates:
-            assert verify_certificate(desc, cert), (row.name, cert.rule)
+            assert check(desc, cert), (row.name, cert.rule)
             rules.add(cert.rule)
             for value in (cert.value - 1, cert.value + 1):
                 if value < 0:
                     continue
                 moved = Certificate(cert.kind, cert.rule, value, cert.citation,
                                     cert.premises, cert.witness_data())
-                assert not verify_certificate(desc, moved), (row.name, cert.rule, value)
+                assert not check(desc, moved), (row.name, cert.rule, value)
             if cert.value in (0, 1):
                 # True == 1, so a bool value is refused before any verifier
                 with pytest.raises(TypeError, match="not bool"):
@@ -837,7 +851,7 @@ def test_every_corpus_certificate_refuses_its_mutants(monkeypatch):
             for name, witness in _witness_mutants(cert.witness_data()):
                 forged = Certificate(cert.kind, cert.rule, cert.value, cert.citation,
                                      cert.premises, witness)
-                assert not verify_certificate(desc, forged), (row.name, cert.rule, name)
+                assert not check(desc, forged), (row.name, cert.rule, name)
             if "violated_index" in cert.witness_data():
                 # the rule writes an index from 0 to k - 1 for k functionals;
                 # a negative one would count from the end
@@ -845,7 +859,7 @@ def test_every_corpus_certificate_refuses_its_mutants(monkeypatch):
                     forged = Certificate(cert.kind, cert.rule, cert.value, cert.citation,
                                          cert.premises,
                                          {**cert.witness_data(), "violated_index": index})
-                    assert not verify_certificate(desc, forged), (row.name, index)
+                    assert not check(desc, forged), (row.name, index)
     # the corpus reaches every rule
     assert rules == set(engine._RULES)
 

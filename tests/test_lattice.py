@@ -189,6 +189,16 @@ def test_from_gram_rejects_asymmetric():
         IntersectionForm.from_gram(lat, [[1, 2], [3, 4]])
 
 
+def test_a_non_integer_intersection_number_is_refused_not_truncated():
+    lat = PicardLattice(("H",))
+    # int(5.9) would store (H^2) = 5
+    message = r"^intersection number 5\.9 at multi-index \(0, 0\) is not an integer$"
+    with pytest.raises(LatticeError, match=message):
+        IntersectionForm.from_gram(lat, [[5.9]])
+    with pytest.raises(LatticeError, match=r"non-integer index 0\.0$"):
+        IntersectionForm.from_entries(lat, 2, {(0.0, 0): 1})
+
+
 def test_entry_ignores_index_order():
     lat = PicardLattice(("A", "B"))
     form = IntersectionForm.from_entries(lat, 2, {(0, 1): 5})

@@ -13,7 +13,6 @@ import weakref
 import pytest
 
 from confn import certificates, cones, engine, kunneth, runner
-from confn.cones import Cone
 from confn.constructions import product
 from confn.descriptors import projective_space
 from confn.dsl import parse
@@ -83,26 +82,12 @@ def test_the_interval_memo_resolves_each_node_of_a_tower_once(monkeypatch):
     assert len(resolutions) == 15
 
 
-def test_the_exact_threshold_memo_builds_certificates_once_per_shape(monkeypatch):
-    # four products of P1 and curve(0) have one shape, canonical values
-    # (-2, -2) and one justification; P1 and curve(0) share the ray's values
-    # but not the justification: 6 thresholds without the memo
-    thresholds = _counted(monkeypatch, Cone, "adjoint_freeness_threshold")
-    report = _run(
-        "let P1 = projective_space(1)\nlet C0 = curve(0)\n"
-        "let A = product(P1, P1)\nlet B = product(P1, C0)\n"
-        "let C = product(C0, P1)\nlet D = product(C0, C0)\n"
-        + "".join(f"assert_confn {name} = 2\n" for name in ("P1", "C0", "A", "B", "C", "D"))
-    )
-    assert len(report.rows) == 6
-    assert len(thresholds) == 3
-
-
 def _built(monkeypatch, rules=None) -> list:
-    """Rebind the engine's ``Certificate`` to record each certificate a
-    rule builds, of ``rules`` or of every rule."""
+    """Rebind the ``Certificate`` that ``certificates.certificate`` makes
+    on a miss, to record each certificate a rule builds, of ``rules`` or
+    of every rule."""
     built = []
-    plain = engine.Certificate
+    plain = certificates.Certificate
 
     def counted(kind, rule, *args, **kwargs):
         cert = plain(kind, rule, *args, **kwargs)
@@ -110,7 +95,7 @@ def _built(monkeypatch, rules=None) -> list:
             built.append(cert)
         return cert
 
-    monkeypatch.setattr(engine, "Certificate", counted)
+    monkeypatch.setattr(certificates, "Certificate", counted)
     return built
 
 
@@ -166,19 +151,6 @@ def test_a_remembered_comparison_renders_each_derived_witness_once(monkeypatch):
     renders = _counted(monkeypatch, engine, "witness_text")
     _run(_SHARED_INTERVALS)
     assert len(renders) == len(set(compared)) == 7 < len(compared) == 22
-
-
-def test_the_interval_memo_verifies_each_parent_once(monkeypatch):
-    # P1 and A each have two endpoint certificates; A, B and C check their
-    # two parents from both product-combine certificates, so without the
-    # memo the verifier reads an endpoint 16 times, not 4
-    reads = _counted(monkeypatch, engine, "verify_certificate")
-    _run(
-        "let P1 = projective_space(1)\nlet A = product(P1, P1)\n"
-        "let B = product(P1, A)\nlet C = product(A, P1)\n"
-        "assert_confn B = 2\nassert_confn C = 2\n"
-    )
-    assert len(reads) == 4
 
 
 def test_the_certificate_table_dies_with_its_run():

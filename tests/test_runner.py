@@ -19,8 +19,6 @@ from confn.descriptors import (
     ExactEqualsNef,
     Provenance,
     VarietyDescriptor,
-    abelian,
-    curve,
     custom,
     hirzebruch1,
     projective_space,
@@ -843,80 +841,12 @@ def _reports(program) -> tuple[str, str, str]:
     return emit_json(report), emit_markdown(report), emit_json(evaluate(program))
 
 
-def _rank_one_surface(square: int, k: int) -> VarietyDescriptor:
-    lat = PicardLattice(("H",))
-    form = IntersectionForm.rank_one(lat, 2, square)
-    return custom(2, lat, form, lat.make([k]), Cone(lat, ((1,),)))
-
-
-def _key_probes() -> list:
-    """Descriptors whose certificates differ only in a value the corpus
-    holds fixed: a key that left that value out would hand one of them
-    the other's certificate."""
-    isogeny = ["no_common_isogeny_factor"]
-    # the factor intervals [2, 2] twice, under the two gates
-    gates = [product(curve(1), curve(2), assume=isogeny), product(curve(0), curve(0))]
-    # parents that resolve to [2, 3], [2, 2] and [0, 2], covered in degree 2
-    parents = [
-        product(_rank_one_surface(square, k), curve(1), assume=isogeny)
-        for square, k in ((1, -3), (3, -1))
-    ] + [abelian(3)]
-    covers = [
-        cyclic_cover(y, y.lattice.make([1] * y.rank), 2, ["large_d"]) for y in parents
-    ]
-    # h^0(-3*H_1 - 2*H_2) = 0 with traces through covers of degree 3 and 4
-    traces = [
-        product(cyclic_cover(y, y.lattice.make([1]), d), projective_space(1))
-        for y, d in ((projective_space(4), 3), (projective_space(5), 4))
-    ]
-    # moduli 5 and 7
-    moduli = [_rank_one_surface(square, 1) for square in (5, 7)]
-    return gates + parents + covers + traces + moduli
-
-
 def test_the_certificate_table_never_changes_an_answer(monkeypatch):
     program = parse(_benchmark_program(1))
     # reports read through the table, and with every certificate built afresh
     shared = _reports(program)
-    monkeypatch.setattr(engine, "made", lambda key, build: build())
+    monkeypatch.setattr(engine, "certificate", Certificate)
     assert _reports(program) == shared
-    monkeypatch.undo()
-    # the corpus's descriptors, their products with P1 and with each other
-    # by dimension, resolved first so that the table holds what each rule
-    # made for every one of them
-    descriptors = []
-    compute_row = runner._compute_row
-
-    def record(row, binding, max_m):
-        descriptors.append(binding.descriptor)
-        compute_row(row, binding, max_m)
-
-    monkeypatch.setattr(runner, "_compute_row", record)
-    kept = corpus()
-    p1 = projective_space(1)
-    descriptors += [product(d, p1) for d in descriptors] + [
-        product(a, b)
-        for a in descriptors
-        for b in descriptors
-        if a.dimension + b.dimension <= 3
-    ]
-    descriptors += _key_probes()
-    for desc in descriptors:
-        resolve(desc)
-    # the exact-threshold shape memo would hand back its first certificates
-    monkeypatch.setattr(cones._Shape, "_memoized", lambda shape, key, compute: compute())
-
-    def resolved_again(desc):
-        object.__setattr__(desc, "_interval", None)
-        return resolve(desc).certificates
-
-    from_table = [resolved_again(desc) for desc in descriptors]
-    monkeypatch.setattr(engine, "made", lambda key, build: build())
-    afresh = [resolved_again(desc) for desc in descriptors]
-    assert from_table == afresh
-    # every rule made some certificate here
-    assert {c.rule for certs in afresh for c in certs} == set(engine._RULES)
-    assert kept.rows
 
 
 def test_built_in_cones_are_admitted_without_the_linear_program(monkeypatch):
