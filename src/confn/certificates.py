@@ -8,13 +8,14 @@ this module owns the data shape and its stable serialization, which is
 part of the tool's external interface (the report's schema version,
 ``runner.REPORT_SCHEMA_VERSION``).
 
-A witness is written once, when its certificate is made, as the report
-lays it out; the report splices that text in and never decodes it.  A
-rule makes each distinct certificate once while anything holds it: it
-calls ``certificate``, which files the certificate in a weak table under
-its own content, so the products of a program that share their factors'
-intervals share one certificate, and an entry dies with the last
-descriptor that holds it.
+A witness is written once, when its certificate is made, as
+``json.dumps(witness, indent=2)`` lays it out; the report's certificate
+table, which holds each distinct certificate once, indents that text
+into place and never decodes it.  A rule makes each distinct
+certificate once while anything holds it: it calls ``certificate``,
+which files the certificate in a weak table under its own content, so
+the products of a program that share their factors' intervals share one
+certificate, and an entry dies with the last descriptor that holds it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ LOWER = "lower"
 _STR_TYPE = frozenset((str,))
 _INT_TYPE = frozenset((int,))
 
+# the keys of a certificate's JSON object, in the order they are written
+_FIELDS = ("kind", "rule", "value", "citation", "premises", "witness")
+
 # decodes a witness text afresh on each call, so the caller owns the result
 _decode = json.JSONDecoder().raw_decode
 
@@ -40,11 +44,13 @@ class Certificate(Frozen):
     """One certified bound; equal certificates compare and hash alike.
 
     The value is exactly an ``int``: a bool, which Python compares equal
-    to 0 or 1, is refused.  The witness is kept as its text,
-    ``json.dumps(witness, indent=2)`` byte for byte, written in
-    ``__init__`` by the walk that refuses non-JSON data.  Lists and tuples
-    both become arrays and ``True`` stays distinct from ``1``, so equal
-    texts mean equal witnesses as the report prints them.  The hash is
+    to 0 or 1, is refused.  The rule, the citation and each premise are
+    exactly ``str``, and the premises a list or tuple of them, so a string
+    is not taken for the premises its characters spell.  The witness is
+    kept as its text, ``json.dumps(witness, indent=2)`` byte for byte,
+    written in ``__init__`` by the walk that refuses non-JSON data.  Lists
+    and tuples both become arrays and ``True`` stays distinct from ``1``,
+    so equal texts mean equal witnesses as the report prints them.  The hash is
     computed once, in ``__init__``, since the fields never change and the
     engine's verdict memo hashes every certificate it sees.  The rules
     make one certificate per distinct content while it is alive (see
@@ -75,12 +81,18 @@ class Certificate(Frozen):
             raise TypeError(f"a certified bound is an int, not {type(value).__name__}")
         if value < 0:
             raise ValueError("certified bounds are nonnegative")
+        for name, field in (("rule", rule), ("citation", citation)):
+            if type(field) is not str:
+                raise TypeError(
+                    f"a certificate {name} is a str, not {type(field).__name__}"
+                )
+        premises = _premises(premises)
         text = witness_text(witness)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "citation", citation)
-        object.__setattr__(self, "premises", tuple(premises))
+        object.__setattr__(self, "premises", premises)
         object.__setattr__(self, "witness", text)
         object.__setattr__(
             self,
@@ -117,14 +129,32 @@ class Certificate(Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
-        return cls(
-            kind=data["kind"],
-            rule=data["rule"],
-            value=data["value"],
-            citation=data["citation"],
-            premises=tuple(data.get("premises", ())),
-            witness=data.get("witness", {}) or {},
+        """The certificate ``to_json_dict`` wrote: exactly its six keys,
+        each value checked as ``Certificate`` checks it."""
+        if not isinstance(data, dict):
+            raise TypeError(f"a certificate is a JSON object, not {type(data).__name__}")
+        if data.keys() != set(_FIELDS):
+            missing = [key for key in _FIELDS if key not in data]
+            unknown = [key for key in data if key not in _FIELDS]
+            raise ValueError(
+                f"a certificate has the keys {', '.join(_FIELDS)}; "
+                f"missing {missing}, unknown {unknown}"
+            )
+        return cls(**data)
+
+
+def _premises(premises) -> tuple:
+    """``premises`` as the tuple of strings a certificate keeps; a string,
+    which would iterate as its characters, is refused."""
+    if not isinstance(premises, (list, tuple)):
+        raise TypeError(
+            f"certificate premises are a list of str, not {type(premises).__name__}"
         )
+    premises = tuple(premises)
+    for premise in premises:
+        if type(premise) is not str:
+            raise TypeError(f"a certificate premise is a str, not {type(premise).__name__}")
+    return premises
 
 
 # Every live certificate a rule made, keyed by its content.  An entry
@@ -144,7 +174,8 @@ def certificate(
     the certificate ``Certificate`` makes of these fields, and fields it
     refuses are never filed.
     """
-    key = marshal.dumps((kind, rule, value, citation, tuple(premises), witness), 2)
+    premises = _premises(premises)
+    key = marshal.dumps((kind, rule, value, citation, premises, witness), 2)
     cert = _TABLE.get(key)
     if cert is None:
         cert = _TABLE[key] = Certificate(kind, rule, value, citation, premises, witness)
@@ -160,23 +191,24 @@ def witness_text(witness: dict) -> str:
     rule writes ``1``, is refused.
     """
     if not isinstance(witness, dict):
-        raise TypeError("a certificate witness is a dict of JSON data")
+        raise TypeError(
+            f"a certificate witness is a dict of JSON data, not {type(witness).__name__}"
+        )
     out: list[str] = []
-    # no memo: a witness is written as plain JSON data
-    _render(witness, "\n", out, None)
+    # a witness holds plain JSON data, no Certificate
+    _render(witness, "\n", out, False)
     return "".join(out)
 
 
-def _render(value, nl: str, out: list, memo: dict | None) -> None:
+def _render(value, nl: str, out: list, certs: bool) -> None:
     """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` lays it
     out when nested at the line break ``nl``.
 
     Leaf strings and dict keys, which must be strings, go through the C
     ``encode_basestring_ascii``.  An array whose items are all exactly
     ``int``, or all exactly ``str``, is one ``join`` (a bool is neither,
-    so it still prints as true or false).  With a ``memo``, a Certificate
-    is written by ``_certificate_json`` once per memo and line break, and
-    a reused one costs a dict lookup; with none, as for a witness, it is
+    so it still prints as true or false).  With ``certs``, a Certificate is
+    written by ``_certificate_json``; without, as for a witness, it is
     refused like any other value that is not JSON data.
     """
     if isinstance(value, str):
@@ -200,7 +232,7 @@ def _render(value, nl: str, out: list, memo: dict | None) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys are strings, not {key!r}")
             out.append(sep + _escape(key) + ": ")
-            _render(item, inner, out, memo)
+            _render(item, inner, out, certs)
             sep = comma
         out.append(nl + "}")
     elif isinstance(value, (list, tuple)):
@@ -219,20 +251,16 @@ def _render(value, nl: str, out: list, memo: dict | None) -> None:
         sep = "[" + inner
         for item in value:
             out.append(sep)
-            _render(item, inner, out, memo)
+            _render(item, inner, out, certs)
             sep = comma
         out.append(nl + "]")
-    elif memo is not None and isinstance(value, Certificate):
-        key = (value, nl)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _certificate_json(value, nl, memo)
-        out.append(text)
+    elif certs and isinstance(value, Certificate):
+        out.append(_certificate_json(value, nl))
     else:
         raise TypeError(f"JSON data cannot hold {type(value).__name__}")
 
 
-def _certificate_json(cert: Certificate, nl: str, memo: dict) -> str:
+def _certificate_json(cert: Certificate, nl: str) -> str:
     """``cert.to_json_dict()`` as ``_render`` lays it out at ``nl``.
 
     The header fields are rendered; the witness text, written at top
@@ -244,25 +272,24 @@ def _certificate_json(cert: Certificate, nl: str, memo: dict) -> str:
     inner = nl + "  "
     out: list[str] = []
     sep = "{" + inner
-    for name in ("kind", "rule", "value", "citation", "premises"):
+    for name in _FIELDS[:-1]:
         out.append(sep + '"' + name + '": ')
-        _render(getattr(cert, name), inner, out, memo)
+        _render(getattr(cert, name), inner, out, False)
         sep = "," + inner
     out.append(sep + '"witness": ' + cert.witness.replace("\n", inner) + nl + "}")
     return "".join(out)
 
 
-def render_json(value, nl: str = "\n", memo: dict | None = None) -> str:
+def render_json(value, nl: str = "\n") -> str:
     """``json.dumps(value, indent=2)`` byte for byte, for dicts with string
     keys, lists, tuples, strings, ints, bools and None; Certificates render
-    as their ``to_json_dict()``, each distinct one once.
+    as their ``to_json_dict()``.
 
     ``nl`` is the line break the value is nested at, so the text can be
-    spliced into a larger document; calls that pass one ``memo`` render
-    each distinct certificate once between them.
+    spliced into a larger document.
     """
     out: list[str] = []
-    _render(value, nl, out, {} if memo is None else memo)
+    _render(value, nl, out, True)
     return "".join(out)
 
 

@@ -59,7 +59,7 @@ from .pipelines import (
     pipeline_simple_variety,
 )
 
-REPORT_SCHEMA_VERSION = "2"
+REPORT_SCHEMA_VERSION = "3"
 
 # the brute-force oracle's search box: interior points of this sup-norm
 ORACLE_RADIUS = 4
@@ -767,15 +767,24 @@ def _leaf_json(value, nl: str = _FIELD_NL) -> str:
     return render_json(value, nl)
 
 
-def _binding_json(row: VarietyRow, memo: dict) -> str:
+def _binding_json(row: VarietyRow, table: dict) -> str:
     """The text of a row from ``"dimension"`` through ``"provenance"``,
-    which depends only on the row's binding."""
+    which depends only on the row's binding.
+
+    The row's certificates are written as their indices in ``table``, the
+    report's distinct certificates in first-seen order; one not yet in it
+    is added.
+    """
     interval = row.interval
+    ids = []
     if interval is None:
-        certificates = []
         interval_text = "null"
     else:
-        certificates = interval.certificates
+        for cert in interval.certificates:
+            i = table.get(cert)
+            if i is None:
+                i = table[cert] = len(table)
+            ids.append(i)
         interval_text = render_json(
             {"lo": interval.lo, "hi": interval.hi, "exact": interval.exact},
             _FIELD_NL,
@@ -784,7 +793,7 @@ def _binding_json(row: VarietyRow, memo: dict) -> str:
         ",", _FIELD_NL, '"dimension": ', _leaf_json(row.dimension),
         ",", _FIELD_NL, '"picard_rank": ', _leaf_json(row.picard_rank),
         ",", _FIELD_NL, '"interval": ', interval_text,
-        ",", _FIELD_NL, '"certificates": ', render_json(certificates, _FIELD_NL, memo),
+        ",", _FIELD_NL, '"certificates": ', render_json(ids, _FIELD_NL),
         ",", _FIELD_NL, '"notes": ', render_json(row.notes, _FIELD_NL),
         ",", _FIELD_NL, '"provenance": ', render_json(row.provenance, _FIELD_NL),
     ))
@@ -813,9 +822,12 @@ def emit_json(report: Report, timestamps: bool = False) -> str:
     notes and provenance objects, so that part is rendered once and its
     text reused; the name, assertions, error and verified fields are
     written per row.  A row with no interval is rendered on its own.
-    Certificates render once per report.
+    A row's certificates are indices into the top-level ``"certificates"``
+    table, which holds each distinct certificate once, in the order the
+    rows first name them.
     """
-    memo: dict = {}
+    # each distinct certificate -> its index in the table
+    table: dict = {}
     # (dimension, rank, and the identities of the shared objects) -> text
     bodies: dict[tuple, str] = {}
     out = [
@@ -825,7 +837,7 @@ def emit_json(report: Report, timestamps: bool = False) -> str:
     sep = "[" + _ROW_NL
     for row in report.rows:
         if row.interval is None:
-            body = _binding_json(row, memo)
+            body = _binding_json(row, table)
         else:
             key = (
                 row.dimension, row.picard_rank,
@@ -833,7 +845,7 @@ def emit_json(report: Report, timestamps: bool = False) -> str:
             )
             body = bodies.get(key)
             if body is None:
-                body = bodies[key] = _binding_json(row, memo)
+                body = bodies[key] = _binding_json(row, table)
         out += (
             sep, "{", _FIELD_NL, '"name": ', _leaf_json(row.name), body,
             ",", _FIELD_NL, '"assertions": ', _assertions_json(row.assertions),
@@ -843,6 +855,7 @@ def emit_json(report: Report, timestamps: bool = False) -> str:
         )
         sep = "," + _ROW_NL
     out.append("\n  ]" if report.rows else "[]")
+    out += (',\n  "certificates": ', render_json(list(table), "\n  "))
     if timestamps:
         import datetime
 

@@ -1,8 +1,8 @@
 """Certificate data shape and its serialization, alone and in the report.
 
 ``render_json`` must lay values out exactly as ``json.dumps(value,
-indent=2)`` does; the report built from it is compared here with the
-payload builder that used ``json.dumps`` directly.
+indent=2)`` does; the report built from it is compared here with a
+payload builder that uses ``json.dumps`` directly.
 """
 
 import datetime
@@ -30,7 +30,7 @@ from confn.runner import Report, corpus, emit_json, evaluate
 
 def test_schema_version_pinned():
     # one constant names the report's schema
-    assert runner.REPORT_SCHEMA_VERSION == "2"
+    assert runner.REPORT_SCHEMA_VERSION == "3"
     assert not hasattr(certificates, "SCHEMA_VERSION")
 
 
@@ -46,6 +46,34 @@ def test_kind_and_value_validated():
     data = Certificate(UPPER, "r", 1, "c").to_json_dict()
     with pytest.raises(TypeError, match="not bool"):
         Certificate.from_json_dict({**data, "value": True})
+    # a rule and a citation are strings
+    for name in ("rule", "citation"):
+        for bad in (5, None, b"r", ["r"]):
+            with pytest.raises(TypeError, match=f"{name} is a str, not {type(bad).__name__}"):
+                Certificate.from_json_dict({**data, name: bad})
+    # a string is not the premises its characters spell
+    for bad in ("abc", None, {"a": 1}, 5):
+        with pytest.raises(TypeError, match=f"premises are a list of str, not {type(bad).__name__}"):
+            Certificate(UPPER, "r", 1, "c", premises=bad)
+        with pytest.raises(TypeError, match="premises are a list of str"):
+            Certificate.from_json_dict({**data, "premises": bad})
+        with pytest.raises(TypeError, match="premises are a list of str"):
+            certificate(UPPER, "r", 1, "c", premises=bad)
+    with pytest.raises(TypeError, match="premise is a str, not int"):
+        Certificate.from_json_dict({**data, "premises": ["p", 1]})
+    # a witness that is not an object is refused, not read as {}
+    for bad in ([], "", 0, False, None):
+        with pytest.raises(TypeError, match=f"witness is a dict of JSON data, not {type(bad).__name__}"):
+            Certificate.from_json_dict({**data, "witness": bad})
+    # every key, and no other
+    for key in data:
+        with pytest.raises(ValueError, match=f"missing \\['{key}'\\], unknown \\[\\]"):
+            Certificate.from_json_dict({k: v for k, v in data.items() if k != key})
+    with pytest.raises(ValueError, match="missing \\[\\], unknown \\['parents'\\]"):
+        Certificate.from_json_dict({**data, "parents": []})
+    with pytest.raises(TypeError, match="a JSON object, not list"):
+        Certificate.from_json_dict(list(data.items()))
+    assert Certificate.from_json_dict(data) == Certificate(UPPER, "r", 1, "c")
 
 
 def test_a_certificate_is_filed_under_its_whole_content(monkeypatch):
@@ -231,10 +259,10 @@ def test_dumps_certificates_matches_the_stdlib_on_the_corpus():
     assert dumps_certificates([]) == "[]"
 
 
-# the report as it was built before render_json: the reference layout
+# the report built on json.dumps: the reference layout
 
 
-def _reference_row(row):
+def _reference_row(row, ids):
     interval = row.interval
     return {
         "name": row.name,
@@ -245,9 +273,7 @@ def _reference_row(row):
             if interval is None
             else {"lo": interval.lo, "hi": interval.hi, "exact": interval.exact}
         ),
-        "certificates": [
-            c.to_json_dict() for c in (interval.certificates if interval else ())
-        ],
+        "certificates": ids(interval.certificates if interval else ()),
         "notes": list(row.notes),
         "provenance": list(row.provenance),
         "assertions": [
@@ -260,9 +286,21 @@ def _reference_row(row):
 
 
 def _reference_json(report, generated_at=None):
+    """Schema 3: each distinct certificate once in a top-level table, in
+    first-seen order, and a row's certificates as indices into it."""
+    table = []
+
+    def ids(certs):
+        for cert in certs:
+            if cert not in table:
+                table.append(cert)
+        return [table.index(cert) for cert in certs]
+
+    varieties = [_reference_row(r, ids) for r in report.rows]
     payload = {
         "schema_version": runner.REPORT_SCHEMA_VERSION,
-        "varieties": [_reference_row(r) for r in report.rows],
+        "varieties": varieties,
+        "certificates": [c.to_json_dict() for c in table],
     }
     if generated_at is not None:
         payload["generated_at"] = generated_at
@@ -289,7 +327,9 @@ def test_emit_json_matches_the_reference_payload(program):
 def test_emit_json_matches_the_reference_on_the_corpus():
     report = corpus()
     assert emit_json(report) == _reference_json(report)
-    assert emit_json(Report()) == '{\n  "schema_version": "2",\n  "varieties": []\n}\n'
+    assert emit_json(Report()) == (
+        '{\n  "schema_version": "3",\n  "varieties": [],\n  "certificates": []\n}\n'
+    )
 
 
 def test_emit_json_renders_each_distinct_certificate_once(monkeypatch):
@@ -317,12 +357,17 @@ def test_emit_json_renders_each_distinct_certificate_once(monkeypatch):
     monkeypatch.setattr(
         certificates,
         "_certificate_json",
-        lambda c, nl, memo: spliced.append(c) or plain(c, nl, memo),
+        lambda c, nl: spliced.append(c) or plain(c, nl),
     )
     text = emit_json(report)
-    # each distinct certificate is spliced once
+    # each distinct certificate is spliced once, as a table entry
     assert len(spliced) == len(set(spliced)) == len(set(certs))
     assert text == _reference_json(report)
+    table = json.loads(text)["certificates"]
+    assert len(table) == len(set(certs))
+    assert [row["certificates"] for row in json.loads(text)["varieties"]] == [
+        list(range(len(table)))
+    ] * 2
 
 
 def test_emit_json_decodes_no_witness(monkeypatch):

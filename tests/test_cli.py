@@ -236,8 +236,13 @@ def test_json_format(tmp_path, capsys):
     code, out, _ = _run_main(["eval", "--format", "json", str(path)], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == "2"
-    assert payload["varieties"][0]["interval"] == {"lo": 4, "hi": 4, "exact": True}
+    assert payload["schema_version"] == "3"
+    (row,) = payload["varieties"]
+    assert row["interval"] == {"lo": 4, "hi": 4, "exact": True}
+    # the row names its certificates by their places in the report's table
+    table = payload["certificates"]
+    assert row["certificates"] == list(range(len(table)))
+    assert {c["kind"] for c in table} == {"upper", "lower"}
 
 
 def test_corpus_subcommand(capsys):

@@ -318,8 +318,9 @@ def test_the_body_memo_renders_a_shared_binding_once(monkeypatch):
     )
     renders = _counted(monkeypatch, runner, "render_json")
     text = emit_json(report)
-    # interval, certificates, notes and provenance, once for all three rows
-    assert len(renders) == 4
+    # interval, certificate indices, notes and provenance, once for all
+    # three rows, and the certificate table once
+    assert len(renders) == 5
     assert text.count('"interval": {') == 3
 
 

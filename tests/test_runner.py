@@ -879,11 +879,37 @@ def test_json_shape_and_round_trip():
     payload = json.loads(emit_json(report))
     assert payload["schema_version"] == REPORT_SCHEMA_VERSION
     assert len(payload["varieties"]) == 27
+    table = payload["certificates"]
     for row_dict, row in zip(payload["varieties"], report.rows):
         assert row_dict["name"] == row.name
-        certs = [Certificate.from_json_dict(c) for c in row_dict["certificates"]]
+        certs = [Certificate.from_json_dict(table[i]) for i in row_dict["certificates"]]
         assert tuple(certs) == row.interval.certificates
         assert row_dict["interval"]["exact"] == row.interval.exact
+
+
+@pytest.mark.parametrize("source", ["corpus", "atlas"])
+def test_the_certificate_table_round_trips(source):
+    if source == "corpus":
+        report = corpus()
+    else:
+        report = evaluate(parse((GOLDEN_DIR / "atlas.fuj").read_text()), max_m=6)
+    text = emit_json(report)
+    payload = json.loads(text)
+    table = payload["certificates"]
+    ids = [i for row in payload["varieties"] for i in row["certificates"]]
+    # every id is in range, and the table names each certificate once
+    assert all(type(i) is int and 0 <= i < len(table) for i in ids)
+    assert len({json.dumps(entry, sort_keys=True) for entry in table}) == len(table)
+    # ids first appear in order: 0, 1, 2, ...
+    assert list(dict.fromkeys(ids)) == list(range(len(table)))
+    held = set()
+    for row_dict, row in zip(payload["varieties"], report.rows, strict=True):
+        certs = tuple(Certificate.from_json_dict(table[i]) for i in row_dict["certificates"])
+        assert certs == (row.interval.certificates if row.interval else ())
+        held.update(certs)
+    assert len(held) == len(table) > 0
+    # each entry is written once in the text
+    assert text.count('"citation":') == len(table)
 
 
 def _assert_stdlib_layout(text):
