@@ -15,7 +15,7 @@ integral point q_k that violates it alone, so no functional is
 redundant.  A ray (a,) on a rank-1 lattice, a = +-1 once primitive,
 takes p = (a,) and q = (-a,) in closed form.  Data supplied by the
 caller, as by the constructors of F1 and dP7, is checked.  The data of
-a product is assembled by ``product_cone`` from its factors' admitted
+a product is assembled by ``product_cone`` from its leaves' admitted
 data, which implies both tests, so nothing is checked or solved again.
 Every other cone runs a small exact linear program (Fourier-Motzkin
 elimination over the rationals) to find the data, and a system that
@@ -45,25 +45,21 @@ the test suite: it searches every multiset of interior lattice points of
 a given size and looks for a sum that escapes the cone.  It shares no
 logic with the threshold formula; it only prunes subtrees that provably
 cannot contain a violation, using suffix minima of the enumerated values,
-so the searched set is exactly the declared one.  It splits the cone into
-blocks, the connected components of the functionals' supports, and
-searches each block on its own.  The split is exact: each functional
-reads only its block's coordinates, so the interior and the sup-norm box
-are the products of their blocks', and m interior points escape a
-functional exactly when their parts in its block do.
+so the searched set is exactly the declared one.  It searches a product
+cone leaf by leaf, each leaf an admitted factor shape that
+``product_cone`` recorded.  The split is exact: each functional reads
+only its leaf's coordinates, so the interior and the sup-norm box are the
+products of their leaves', and m interior points escape a functional
+exactly when their parts in its leaf do.  Any other cone is one block.
 
 Everything above reads the functionals and the admission data, never
 the lattice, so it lives on a shape that every live cone built from the
 same input shares: a nef cone that recurs on many lattices, such as the
 ray of every P^n, is admitted, given its facet witnesses and searched
 once.  A shape dies with its last cone, so nothing is kept across runs.
-A block is itself a shape: the cone's functionals, interior point and
-witnesses restricted to the block's coordinates, which stay valid
-because the block's functionals read nothing else.  A product cone
-splits into its factors this way, and P1^k into k rays, so the blocks of
-a product of live factors are the factors' own shapes, and a factor
-shared by many products is enumerated and searched once.  The interior
-points of a shape's box are enumerated once per radius:
+A product's blocks are its leaves' own shapes, P1^k's the ray's k times,
+so a leaf shared by many products is enumerated and searched once.  The
+interior points of a shape's box are enumerated once per radius:
 every prefix of all coordinates but the last is taken from the smaller
 box, the functionals bound the last coordinate to an exact integer
 interval, and the points are sorted back into shell-then-lex order.  The
@@ -283,25 +279,6 @@ def _interior_points(
     return tuple(points)
 
 
-def _split_blocks(functionals):
-    """The connected components of the functionals' supports, by first
-    coordinate, each as its sorted coordinates and its functionals'
-    sorted indices.  A coordinate no functional reads is in no block.
-    """
-    groups: list[tuple[set[int], list[int]]] = []
-    for k, f in enumerate(functionals):
-        coords, indices = {i for i, a in enumerate(f) if a}, [k]
-        for group in [g for g in groups if g[0] & coords]:
-            groups.remove(group)
-            coords |= group[0]
-            indices += group[1]
-        groups.append((coords, indices))
-    return tuple(
-        (sorted(coords), sorted(indices))
-        for coords, indices in sorted(groups, key=lambda g: min(g[0]))
-    )
-
-
 class ThresholdReport(Frozen):
     """Certified adjoint-freeness threshold for a cone and canonical class.
 
@@ -329,22 +306,23 @@ class _Shape:
     """The lattice-free part of a cone: its admitted data and its answers.
 
     The data is a function of the admission input alone, so every live
-    cone built from equal input, or admitted to equal data, shares one
-    shape (see ``_shape_for``).  ``__init__`` admits the input; a
-    product's shape is assembled from its factor shapes instead, by
-    ``_assembled``, and holds the data admission would give the padded
-    input.  ``memo`` keeps four kinds of answer, each bounding work that
-    a program would otherwise repeat:
+    cone built from equal input shares one shape (see ``_shape_for``).
+    ``__init__`` admits the input.  A product's shape is assembled
+    instead, by ``_assembled``, from its ``leaves``: the admitted shapes
+    it is the product of, in order, each a factor's own leaves or the
+    factor's shape if it has none.  It holds the data admission would
+    give the padded input, and every live product of the same leaves
+    shares it (see ``product_cone``).  An admitted shape has no leaves.
+    ``memo`` keeps three kinds of answer, each bounding work that a
+    program would otherwise repeat:
 
     * ``("min", k)``: the facet witness of functional k, built once per
       shape, not once per canonical class whose threshold reads it;
     * ``("points", radius)``: the interior points of the box, enumerated
-      once per shape, not once per product that has the shape as a block;
-    * ``("blocks", radius)``: the refuter's blocks, split once per shape,
-      not once per search;
-    * ``("refute", radius, canonical values, m)``, on a block's shape: one
-      search per block, canonical values and tuple size, which a product
-      shares with its factors.
+      once per shape, not once per product that has the shape as a leaf;
+    * ``("refute", radius, canonical values, m)``, on a leaf: one search
+      per leaf, canonical values and tuple size, which a product shares
+      with its factors.
 
     A shape's answers never change.
     """
@@ -355,6 +333,7 @@ class _Shape:
         "supports",
         "interior_point",
         "irredundancy_witnesses",
+        "leaves",
         "memo",
         "__weakref__",
     )
@@ -367,6 +346,7 @@ class _Shape:
         irredundancy_witnesses: tuple[tuple[int, ...], ...],
     ) -> None:
         self.rank = rank
+        self.leaves = ()
         self.memo: dict = {}
         prim, supports = [], []
         for f in functionals:
@@ -404,19 +384,29 @@ class _Shape:
         self.irredundancy_witnesses = irredundancy_witnesses
 
     @classmethod
-    def _assembled(cls, key, factors) -> _Shape:
-        """The shape of a product, from ``key``, its zero-padded data, and
-        ``factors``, the factor shapes in order, with no admission check:
-        see ``product_cone``.  Each support is a factor support shifted by
-        the factor's offset."""
+    def _assembled(cls, leaves) -> _Shape:
+        """The shape of the product of ``leaves``, with no admission check:
+        see ``product_cone``.  Each functional and witness is a leaf's,
+        padded with zeros outside the leaf's coordinates, each support a
+        leaf's shifted by the leaf's offset, and the interior point is the
+        concatenation of the leaves' points."""
         shape = cls.__new__(cls)
-        shape.rank, shape.functionals, shape.interior_point, shape.irredundancy_witnesses = key
+        shape.rank = rank = sum(leaf.rank for leaf in leaves)
+        shape.leaves = leaves
         shape.memo = {}
-        supports, offset = [], 0
-        for factor in factors:
-            supports += [tuple([(i + offset, a) for i, a in s]) for s in factor.supports]
-            offset += factor.rank
+        functionals, witnesses, supports, before = [], [], [], 0
+        for leaf in leaves:
+            ahead, after = (0,) * before, (0,) * (rank - before - leaf.rank)
+            functionals += [ahead + f + after for f in leaf.functionals]
+            witnesses += [ahead + w + after for w in leaf.irredundancy_witnesses]
+            supports += [tuple([(i + before, a) for i, a in s]) for s in leaf.supports]
+            before += leaf.rank
+        shape.functionals = tuple(functionals)
+        shape.irredundancy_witnesses = tuple(witnesses)
         shape.supports = tuple(supports)
+        shape.interior_point = tuple(
+            itertools.chain.from_iterable(leaf.interior_point for leaf in leaves)
+        )
         return shape
 
     # -- admission ----------------------------------------------------
@@ -477,27 +467,18 @@ class _Shape:
         return self.memo[key]
 
     def _blocks(self, radius: int) -> tuple:
-        """One tuple per block of ``_split_blocks``, as the refuter searches
-        it: its coordinates, its functionals' indices, its shape, and that
-        shape's ``_points(radius)``.  The shape is the one ``_shape_for``
-        gives the restricted data, or None for a block that spans every
-        coordinate, whose shape is this one (storing it here would be a
-        cycle that only the collector frees)."""
-        key = ("blocks", radius)
-        if key not in self.memo:
-            blocks = []
-            for coords, indices in _split_blocks(self.functionals):
-                block = None
-                if len(coords) < self.rank:
-                    block = _shape_for(
-                        len(coords),
-                        [[self.functionals[k][i] for i in coords] for k in indices],
-                        [self.interior_point[i] for i in coords],
-                        [[self.irredundancy_witnesses[k][i] for i in coords] for k in indices],
-                    )
-                blocks.append((coords, indices, block, *(block or self)._points(radius)))
-            self.memo[key] = tuple(blocks)
-        return self.memo[key]
+        """One tuple per leaf, as the refuter searches it: its coordinates,
+        its functionals' indices, the leaf, and the leaf's
+        ``_points(radius)``.  A shape with no leaves is one block, whose
+        leaf is given as None."""
+        blocks, at, k_at = [], 0, 0
+        for leaf in self.leaves or (None,):
+            block = leaf or self
+            n = len(block.functionals)
+            coords, indices = list(range(at, at + block.rank)), list(range(k_at, k_at + n))
+            blocks.append((coords, indices, leaf, *block._points(radius)))
+            at, k_at = at + block.rank, k_at + n
+        return tuple(blocks)
 
     def _facet_witness(self, k: int) -> tuple[int, ...]:
         """u + t w for functional ``k``, in the notation of the module
@@ -520,34 +501,20 @@ class _Shape:
         return tuple(a + t * b for a, b in zip(u, w))
 
 
-# Every live shape, keyed by its admission input: the lattice rank, the
-# functionals, the supplied interior point and the supplied witnesses, as
-# tuples.  An entry leaves when the last cone of its shape dies, so no
+# Every live shape: an admitted one keyed by its admission input, the
+# lattice rank, the functionals, the supplied interior point and the
+# supplied witnesses, as tuples, and a product's keyed by its tuple of
+# leaves.  An entry leaves when the last cone of its shape dies, so no
 # answer outlives the cones that asked for it.
 _SHAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _shape_for(
-    rank: int, functionals, interior_point, irredundancy_witnesses, factors=()
-) -> _Shape:
+def _shape_for(rank: int, functionals, interior_point, irredundancy_witnesses) -> _Shape:
     """The live shape admitted from this input, else a newly admitted one.
 
-    A new shape is filed under its own admitted data, the input of a cone
-    that copies another cone's data, as ``cyclic_cover`` does, unless a
-    live shape already holds that data: then the input is filed under the
-    live shape, which the cone shares with its memo.  A failed admission
-    files nothing, and an entry that is not an int is refused before the
-    lookup.  With ``factors``, the factor shapes of a product, the input
-    is the product's zero-padded data as tuples, which is its admitted
-    data too: it is looked up as it is, and a new shape is assembled from
-    the factors (see ``product_cone``).
+    A failed admission files nothing, and an entry that is not an int is
+    refused before the lookup.
     """
-    if factors:
-        key = (rank, functionals, interior_point, irredundancy_witnesses)
-        shape = _SHAPES.get(key)
-        if shape is None:
-            shape = _SHAPES[key] = _Shape._assembled(key, factors)
-        return shape
     key = (
         rank,
         tuple(_integers("functional", f) for f in functionals),
@@ -556,10 +523,7 @@ def _shape_for(
     )
     shape = _SHAPES.get(key)
     if shape is None:
-        new = _Shape(*key)
-        shape = _SHAPES[key] = _SHAPES.setdefault(
-            (rank, new.functionals, new.interior_point, new.irredundancy_witnesses), new
-        )
+        shape = _SHAPES[key] = _Shape(*key)
     return shape
 
 
@@ -570,17 +534,17 @@ class Cone(Frozen):
     ``interior_point`` and ``irredundancy_witnesses`` are checked when
     supplied.  Otherwise a ray (a,) on a rank-1 lattice takes (a,) and
     ((-a,),) in closed form, and every other cone finds them by an exact
-    linear program.  ``_factors``, which only ``product_cone`` passes
-    with the padded data of the factor shapes it names, skips the checks
-    and assembles the shape from those factors.  ``supports[k]`` holds
-    the nonzero (coordinate, coefficient) pairs of ``functionals[k]``;
-    every evaluation reads it.  These fields are those of ``_shape``, the
-    lattice-free part, which every live cone built from equal input
-    shares together with its memo, so admission, the facet witnesses and
-    the enumeration run once per shape, and the refuter's searches once
-    per block shape.  The lattice is the cone's own: ``values`` refuses a
-    class from any other, even one with an equal shape.  An entry of the
-    input that is not an int is refused, not truncated.
+    linear program.  ``_shape``, which only ``product_cone`` and
+    ``with_lattice`` pass, is the cone's shape, taken as it is with no
+    input and no check.  ``supports[k]`` holds the nonzero (coordinate,
+    coefficient) pairs of ``functionals[k]``; every evaluation reads it.
+    These fields are those of ``_shape``, the lattice-free part, which
+    every live cone built from equal input shares together with its memo,
+    so admission, the facet witnesses and the enumeration run once per
+    shape, and the refuter's searches once per leaf.  The lattice is the
+    cone's own: ``values`` refuses a class from any other, even one with
+    an equal shape.  An entry of the input that is not an int is refused,
+    not truncated.
     """
 
     __slots__ = (
@@ -595,14 +559,14 @@ class Cone(Frozen):
     def __init__(
         self,
         lattice: PicardLattice,
-        functionals: tuple[tuple[int, ...], ...],
+        functionals: tuple[tuple[int, ...], ...] = (),
         interior_point: tuple[int, ...] = (),
         irredundancy_witnesses: tuple[tuple[int, ...], ...] = (),
         *,
-        _factors: tuple[_Shape, ...] = (),
+        _shape: _Shape | None = None,
     ) -> None:
-        shape = _shape_for(
-            lattice.rank, functionals, interior_point, irredundancy_witnesses, _factors
+        shape = _shape or _shape_for(
+            lattice.rank, functionals, interior_point, irredundancy_witnesses
         )
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "functionals", shape.functionals)
@@ -610,6 +574,16 @@ class Cone(Frozen):
         object.__setattr__(self, "irredundancy_witnesses", shape.irredundancy_witnesses)
         object.__setattr__(self, "supports", shape.supports)
         object.__setattr__(self, "_shape", shape)
+
+    def with_lattice(self, lattice: PicardLattice) -> Cone:
+        """This cone on ``lattice``, which must have the same rank; the two
+        share one shape."""
+        if lattice.rank != self.lattice.rank:
+            raise ConeError(
+                f"a cone of rank {self.lattice.rank} cannot move to a lattice "
+                f"of rank {lattice.rank}"
+            )
+        return Cone(lattice, _shape=self._shape)
 
     # -- membership ---------------------------------------------------
 
@@ -696,15 +670,14 @@ def brute_force_refute(
 
     Returns a violating tuple of interior points, or None when no
     multiset of m interior lattice points within the radius pushes the
-    canonical class outside the cone.  The search runs block by block, in
-    the order of their first coordinates, and stops at the first block
-    with a violation: the tuple is the first violating one of that block
-    in deterministic order, each point padded with every other block's
-    first interior point (0 on coordinates no functional reads).  A block
-    with no interior point in the box leaves the whole cone without one,
-    so nothing is refuted.  Subtrees are pruned only when suffix minima
+    canonical class outside the cone.  The search runs leaf by leaf, in
+    order, and stops at the first leaf with a violation: the tuple is the
+    first violating one of that leaf in deterministic order, each point
+    padded with every other leaf's first interior point.  A leaf with no
+    interior point in the box leaves the whole cone without one, so
+    nothing is refuted.  Subtrees are pruned only when suffix minima
     prove no completion can violate, so the search remains exhaustive
-    over the declared set.  A block's search depends only on the block's
+    over the declared set.  A leaf's search depends only on the leaf's
     shape, its canonical values, m and the radius, so it is memoized on
     that shape: every live cone of the shape shares it, and a product
     reuses the searches its live factors already ran.
@@ -728,10 +701,8 @@ def brute_force_refute(
             break
     else:
         return None
-    padding = [0] * cone.lattice.rank
-    for other_coords, _, _, other_points, _, _ in blocks:
-        for i, x in zip(other_coords, other_points[0]):
-            padding[i] = x
+    # the blocks tile the coordinates in order
+    padding = list(itertools.chain.from_iterable(block[3][0] for block in blocks))
     found = [padding[:] for _ in hit]
     for point, j in zip(found, hit):
         for i, x in zip(coords, points[j]):
@@ -779,39 +750,27 @@ def _refute_block(vals, suffix_min, k_vals, m: int):
 def product_cone(lattice: PicardLattice, factors) -> Cone:
     """Assemble the cone of a product lattice from the factor cones.
 
-    Each factor functional and witness is extended by zeros outside its
-    block, the interior point is the concatenation of the factors' points
-    and each support is a factor support shifted to its block.  The
-    factors' admissions imply the product's, so no check and no linear
-    program runs: a factor functional stays primitive when padded, the
+    The product's shape is that of its leaves, the factors' leaves in
+    order (a factor with none is its own), so (a x b) x c, a x (b x c)
+    and a x b x c have one shape, and a product of one leaf is that
+    leaf's.  A live product of the same leaves lends its shape, and
+    nothing is padded; else ``_Shape._assembled`` extends each leaf
+    functional and witness by zeros outside its block, concatenates the
+    leaves' interior points and shifts each support to its block.  The
+    leaves' admissions imply the product's, so no check and no linear
+    program runs: a leaf functional stays primitive when padded, the
     concatenated point is interior because each functional reads only its
-    own factor's part, and a separating point for a factor functional,
-    padded with zeros, still satisfies every other inequality because all
-    other functionals read it as zero.  The padded data is the key
-    ``Cone`` would file it under, so a cone built from it directly and the
-    product share one shape, whichever comes first.  Restricted to a
-    factor's coordinates, the product's data is the factor's admitted
-    data, so the refuter's blocks of a product of live factors are the
-    factors' own shapes, or for a factor that splits further, its blocks'
-    shapes.
+    own leaf's part, and a separating point for a leaf functional, padded
+    with zeros, still satisfies every other inequality because all other
+    functionals read it as zero.  The refuter searches a product leaf by
+    leaf, so a leaf shared by many products is searched once.
     """
-    shapes = tuple(cone._shape for cone in factors)
-    rank = lattice.rank
-    if sum(shape.rank for shape in shapes) != rank:
-        raise ConeError("factor ranks do not sum to the product rank")
-    functionals: list[tuple[int, ...]] = []
-    witnesses: list[tuple[int, ...]] = []
-    before = 0
-    for shape in shapes:
-        ahead = (0,) * before
-        after = (0,) * (rank - before - shape.rank)
-        functionals += [ahead + f + after for f in shape.functionals]
-        witnesses += [ahead + w + after for w in shape.irredundancy_witnesses]
-        before += shape.rank
-    return Cone(
-        lattice,
-        tuple(functionals),
-        tuple(itertools.chain.from_iterable(shape.interior_point for shape in shapes)),
-        tuple(witnesses),
-        _factors=shapes,
+    leaves = tuple(
+        itertools.chain.from_iterable(cone._shape.leaves or (cone._shape,) for cone in factors)
     )
+    if sum(leaf.rank for leaf in leaves) != lattice.rank:
+        raise ConeError("factor ranks do not sum to the product rank")
+    shape = leaves[0] if len(leaves) == 1 else _SHAPES.get(leaves)
+    if shape is None:
+        shape = _SHAPES[leaves] = _Shape._assembled(leaves)
+    return Cone(lattice, _shape=shape)

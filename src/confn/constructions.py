@@ -21,7 +21,7 @@ Divisibility of intersection numbers is read from each transformed form.
 
 from __future__ import annotations
 
-from .cones import Cone, product_cone
+from .cones import product_cone
 from .descriptors import (
     Assertion,
     Blowup,
@@ -372,14 +372,7 @@ def cyclic_cover(
             for a, b in zip(y.canonical.coeffs, branch.coeffs)
         )
     )
-    nef = None
-    if y.nef is not None:
-        nef = Cone(
-            lat,
-            y.nef.functionals,
-            interior_point=y.nef.interior_point,
-            irredundancy_witnesses=y.nef.irredundancy_witnesses,
-        )
+    nef = None if y.nef is None else y.nef.with_lattice(lat)
     reps = [
         lat.make(c.coeffs) for c in known_gg_representatives(y)
     ]

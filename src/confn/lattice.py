@@ -60,6 +60,8 @@ class PicardLattice(Frozen):
         return DivisorClass(self, tuple(coeffs))
 
     def basis_class(self, i: int) -> "DivisorClass":
+        if not isinstance(i, int) or not 0 <= i < self.rank:
+            raise LatticeError(f"basis index {i!r} out of range for rank {self.rank}")
         coeffs = [0] * self.rank
         coeffs[i] = 1
         return DivisorClass(self, tuple(coeffs))
@@ -131,6 +133,17 @@ class DivisorClass(Frozen):
         return self.pretty()
 
 
+def _sorted_index(idx: tuple, rank: int) -> tuple[int, ...]:
+    """The multi-index ``idx`` sorted, refused unless each index is an int
+    in range(rank)."""
+    for i in idx:
+        if not isinstance(i, int):
+            raise LatticeError(f"multi-index {idx!r} has a non-integer index {i!r}")
+        if not 0 <= i < rank:
+            raise LatticeError(f"basis index {i} out of range for rank {rank}")
+    return tuple(sorted(idx))
+
+
 def _normalized_entries(
     rank: int, degree: int, entries
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -140,17 +153,11 @@ def _normalized_entries(
             raise LatticeError(
                 f"intersection number {value!r} at multi-index {idx!r} is not an integer"
             )
-        for i in idx:
-            if not isinstance(i, int):
-                raise LatticeError(f"multi-index {idx!r} has a non-integer index {i!r}")
-        key = tuple(sorted(idx))
+        key = _sorted_index(idx, rank)
         if len(key) != degree:
             raise LatticeError(
                 f"multi-index {idx!r} has length {len(key)}, form degree is {degree}"
             )
-        for i in key:
-            if not 0 <= i < rank:
-                raise LatticeError(f"basis index {i} out of range for rank {rank}")
         if key in out and out[key] != value:
             raise LatticeError(f"conflicting values for multi-index {key!r}")
         if value != 0:
@@ -217,7 +224,7 @@ class IntersectionForm(Frozen):
         return cls.from_entries(lattice, degree, {(0,) * degree: top_value})
 
     def entry(self, idx) -> int:
-        key = tuple(sorted(int(i) for i in idx))
+        key = _sorted_index(tuple(idx), self.lattice.rank)
         if len(key) != self.degree:
             raise LatticeError(
                 f"multi-index of length {len(key)} against degree {self.degree}"

@@ -496,9 +496,9 @@ def _oracle_disagrees(desc: VarietyDescriptor, interval: FujitaInterval, max_m: 
     the exact threshold may be witnessed by points outside it.  The check
     itself keeps nothing, so its outcome cannot depend on the caps of
     earlier checks; ``evaluate`` runs it once per binding.  The refuter
-    searches each block of the nef cone on its own (a product cone splits
-    into its factors), and each block's points and searches are memoized
-    on the block's shape, so a factor checked before is not searched
+    searches a product cone leaf by leaf, the admitted factor shapes that
+    ``product_cone`` recorded, and each leaf's points and searches are
+    memoized on the leaf, so a factor checked before is not searched
     again.
     """
     if not isinstance(desc.gg, ExactEqualsNef) or desc.nef is None:

@@ -24,7 +24,6 @@ from confn.cones import (
     ConeError,
     _integral,
     _solve,
-    _split_blocks,
     _unit_preimage,
     brute_force_refute,
     lattice_points_by_shell,
@@ -522,35 +521,40 @@ def flat_refute(cone: Cone, canonical, m: int, radius: int):
 
 @st.composite
 def block_diagonal_cases(draw):
-    """A product of random rank-1 and rank-2 cones with one free coordinate
-    spliced in, of total rank at most 5, with a canonical class, m and a
-    radius."""
+    """A ``product_cone`` of random rank-1 and rank-2 cones, one of which
+    has a free coordinate spliced in, of total rank at most 5, with a
+    canonical class, m and a radius."""
     ranks = draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=4))
     assume(sum(ranks) <= 4)
     entry = st.integers(-3, 3)
-    factors = []
+    rows = []
     for rank in ranks:
         if rank == 1:
-            factors.append(Cone(LINE, ((draw(st.sampled_from((1, -1))),),)))
-            continue
-        rows = draw(st.lists(st.tuples(entry, entry), min_size=1, max_size=3))
-        try:
-            factors.append(Cone(F1, rows))
-        except ConeError:
-            assume(False)
-    rank = sum(ranks)
-    product = product_cone(PicardLattice(tuple(f"e{i}" for i in range(rank))), factors)
-    free = draw(st.integers(0, rank))
-    lat = PicardLattice(tuple(f"e{i}" for i in range(rank + 1)))
-    cone = Cone(lat, tuple(f[:free] + (0,) + f[free:] for f in product.functionals))
-    coeffs = st.lists(st.integers(-4, 2), min_size=rank + 1, max_size=rank + 1)
+            rows.append(((draw(st.sampled_from((1, -1))),),))
+        else:
+            rows.append(draw(st.lists(st.tuples(entry, entry), min_size=1, max_size=3)))
+    j = draw(st.integers(0, len(ranks) - 1))
+    free = draw(st.integers(0, ranks[j]))
+    rows[j] = [f[:free] + (0,) + f[free:] for f in rows[j]]
+    ranks[j] += 1
+    try:
+        factors = [Cone(_on(rank), r) for rank, r in zip(ranks, rows)]
+    except ConeError:
+        assume(False)
+    lat = _on(sum(ranks))
+    coeffs = st.lists(st.integers(-4, 2), min_size=lat.rank, max_size=lat.rank)
     canonical = lat.make(draw(coeffs))
-    return cone, canonical, draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    return product_cone(lat, factors), canonical, draw(st.integers(0, 4)), draw(st.integers(1, 3))
 
 
-NARROW_BY_RAY = Cone(
+# a narrow cone, in whose box of radius 3 no point is interior, times a
+# ray with a free coordinate
+NARROW_BY_RAY = product_cone(
     PicardLattice(("A", "B", "H", "T")),
-    ((1, 0, 0, 0), (-3, 1, 0, 0), (0, 0, 1, 0)),
+    (
+        Cone(PicardLattice(("A", "B")), ((1, 0), (-3, 1))),
+        Cone(PicardLattice(("H", "T")), ((1, 0),)),
+    ),
 )
 
 
@@ -800,23 +804,35 @@ MIXED_PRODUCT = product_cone(
 )
 def test_product_blocks_join_the_factor_blocks(case):
     cone, canonical, m = case
-    # flat shares no shape with the product or its factors, so its blocks
-    # are enumerated afresh
-    with empty_shape_table():
-        flat = Cone(
-            cone.lattice,
-            cone.functionals,
-            cone.interior_point,
-            cone.irredundancy_witnesses,
-        )
-        fresh = {radius: flat._shape._blocks(radius) for radius in range(1, 5)}
-    for radius, flat_blocks in fresh.items():
+    leaves = cone._shape.leaves
+    assert len(leaves) >= 2 and not any(leaf.leaves for leaf in leaves)
+    # each leaf's coordinates and functionals follow the previous leaf's
+    ranks, counts = [leaf.rank for leaf in leaves], [len(leaf.functionals) for leaf in leaves]
+    coords = [list(range(r - n, r)) for n, r in zip(ranks, itertools.accumulate(ranks))]
+    indices = [list(range(k - n, k)) for n, k in zip(counts, itertools.accumulate(counts))]
+    # each leaf as a cone of its own, admitted afresh, with its part of
+    # the canonical class
+    parts = []
+    for leaf, at in zip(leaves, coords):
+        lat = _on(leaf.rank)
+        part = Cone(lat, leaf.functionals, leaf.interior_point, leaf.irredundancy_witnesses)
+        parts.append((part, lat.make([canonical.coeffs[i] for i in at])))
+    for radius in range(1, 5):
         blocks = cone._shape._blocks(radius)
-        assert [b[:2] for b in blocks] == list(_split_blocks(cone.functionals))
-        assert [b[:2] + b[3:] for b in blocks] == [b[:2] + b[3:] for b in flat_blocks]
-        assert brute_force_refute(cone, canonical, m, radius) == brute_force_refute(
-            flat, canonical, m, radius
-        )
+        assert [block[2] for block in blocks] == list(leaves)
+        assert [block[:2] for block in blocks] == list(zip(coords, indices))
+        assert all(block[3:] == block[2]._points(radius) for block in blocks)
+        # m points escape exactly when one leaf's parts escape alone, and
+        # for m >= 1 every leaf has an interior point
+        escapes = any(flat_refute(part, k, m, radius) is not None for part, k in parts)
+        inhabited = all(next(part.interior_points(radius), None) for part, _ in parts)
+        found = brute_force_refute(cone, canonical, m, radius)
+        assert (found is not None) == (escapes and (m == 0 or inhabited))
+        if found is not None:
+            assert len(found) == m and all(max(map(abs, p)) <= radius for p in found)
+            assert all(min(cone.values_at(p)) > 0 for p in found)
+            total = [sum(xs) for xs in zip(canonical.coeffs, *found)]
+            assert min(cone.values_at(total)) < 0
 
 
 def test_a_shared_factor_is_enumerated_once():
@@ -878,25 +894,21 @@ def test_product_blocks_are_the_live_factor_shapes():
         assert f1._shape._blocks(3)[0][2] is None
 
 
-def test_a_flat_copy_of_a_product_shares_its_factors_blocks(searches):
+def test_a_flat_copy_of_a_product_is_one_block(searches):
     lat = PicardLattice(("S", "F", "H"))
     with empty_shape_table():
         f1, p1 = Cone(F1, ((1, 0), (-1, 1))), Cone(LINE, ((1,),))
-        assert brute_force_refute(f1, F1.make([-2, -3]), 2, 4) is None
-        assert brute_force_refute(p1, LINE.make([-3]), 2, 4) is not None
-        searches.clear()
-        # the product's admitted data, not built by product_cone, and
-        # queried before any product of the same shape exists
-        data = product_cone(lat, (f1, p1))
-        flat = Cone(lat, data.functionals, data.interior_point, data.irredundancy_witnesses)
-        del data
-        assert [block[2] for block in flat._shape._blocks(4)] == [f1._shape, p1._shape]
-        found = brute_force_refute(flat, lat.make([-2, -3, -3]), 2, 4)
-        assert found is not None and searches == []
         prod = product_cone(lat, (f1, p1))
-        assert prod._shape is flat._shape
-        assert brute_force_refute(prod, lat.make([-2, -3, -3]), 2, 4) == found
-        assert searches == []
+        found = brute_force_refute(prod, lat.make([-2, -3, -3]), 2, 4)
+        assert found is not None and searches == [((-2, -1), 2), ((-3,), 2)]
+        searches.clear()
+        # the product's admitted data, not built by product_cone, is other
+        # input: its own shape, with no leaves, searched as one block
+        flat = Cone(lat, prod.functionals, prod.interior_point, prod.irredundancy_witnesses)
+        assert flat._shape is not prod._shape and flat._shape.leaves == ()
+        assert [block[:3] for block in flat._shape._blocks(4)] == [([0, 1, 2], [0, 1, 2], None)]
+        assert brute_force_refute(flat, lat.make([-2, -3, -3]), 2, 4) is not None
+        assert searches == [((-2, -1, -3), 2)]
 
 
 @pytest.mark.parametrize("product", [False, True], ids=["one_block", "product"])
@@ -952,9 +964,8 @@ def test_equal_cones_on_two_lattices_share_one_shape():
         second = Cone(b, ((1, 0), (-1, 1)))
         assert second._shape is first._shape
         assert set(cones._SHAPES.values()) == {first._shape}
-        # a copy of the admitted data, as a cyclic cover makes, shares it too
-        copy = Cone(b, first.functionals, first.interior_point, first.irredundancy_witnesses)
-        assert copy._shape is first._shape
+        # the cone moved to another lattice, as a cyclic cover's, shares it too
+        assert first.with_lattice(b)._shape is first._shape
         # other supplied data is other input
         assert Cone(a, ((1, 0), (-1, 1)), interior_point=(1, 3))._shape is not first._shape
     assert (first.lattice, second.lattice) == (a, b)
@@ -970,15 +981,20 @@ def test_equal_cones_on_two_lattices_share_one_shape():
             query(b.make([-2, -3]))
 
 
-def test_an_admission_that_finds_a_live_shape_shares_it():
+def test_an_admission_that_finds_a_live_shape_keeps_its_own():
     with empty_shape_table():
         f1 = hirzebruch1()
-        # the linear program finds F1's supplied point and witnesses
+        # the linear program finds F1's supplied point and witnesses, but
+        # its input is other input, filed under its own shape
         found = Cone(f1.lattice, ((1, 0), (-1, 1)))
-        assert found._shape is hirzebruch1().nef._shape is f1.nef._shape
-        # the input is filed under the live shape, so the next cone skips the LP
-        assert cones._SHAPES[(2, ((1, 0), (-1, 1)), (), ())] is f1.nef._shape
-        assert set(cones._SHAPES.values()) == {f1.nef._shape}
+        assert (found.interior_point, found.irredundancy_witnesses) == (
+            f1.nef.interior_point,
+            f1.nef.irredundancy_witnesses,
+        )
+        assert found._shape is not f1.nef._shape
+        assert hirzebruch1().nef._shape is f1.nef._shape
+        assert cones._SHAPES[(2, ((1, 0), (-1, 1)), (), ())] is found._shape
+        assert set(cones._SHAPES.values()) == {f1.nef._shape, found._shape}
 
 
 def test_a_product_pads_each_factor_with_zeros_outside_its_block():
@@ -995,8 +1011,41 @@ def test_a_product_pads_each_factor_with_zeros_outside_its_block():
         assert again._shape is first._shape
 
 
+def test_three_groupings_share_one_shape():
+    a, b, c = Cone(F1, ((1, 0), (-1, 1))), Cone(LINE, ((1,),)), Cone(F1, ((1, 0), (0, 1)))
+    with empty_shape_table():
+        ab, bc = product_cone(_on(3), (a, b)), product_cone(_on(3), (b, c))
+        groupings = [
+            product_cone(_on(5), (ab, c)),
+            product_cone(_on(5), (a, bc)),
+            product_cone(_on(5), (a, b, c)),
+        ]
+        assert all(g._shape is groupings[0]._shape for g in groupings)
+        assert groupings[0]._shape.leaves == (a._shape, b._shape, c._shape)
+        assert set(cones._SHAPES.values()) == {ab._shape, bc._shape, groupings[0]._shape}
+        # a product of one factor is that factor
+        assert product_cone(_on(3), (ab,))._shape is ab._shape
+
+
+def test_a_cover_cone_is_its_parent_cone_on_the_cover_lattice():
+    base = product(hirzebruch1(), projective_space(1))
+    cover = cyclic_cover(base, base.lattice.make([1, 2, 1]), 2, assume=("pic_pullback_iso",))
+    assert cover.nef._shape is base.nef._shape
+    assert cover.nef.lattice is cover.lattice is not base.lattice
+    with pytest.raises(LatticeError, match="off the cone's lattice"):
+        cover.nef.values(base.canonical)
+
+
+def test_a_cone_moves_only_to_a_lattice_of_its_rank():
+    with pytest.raises(ConeError, match="^a cone of rank 2 cannot move to a lattice of rank 3$"):
+        F1_NEF.with_lattice(_on(3))
+    moved = F1_NEF.with_lattice(_on(2))
+    assert (moved.lattice.basis, moved.functionals) == (("e0", "e1"), F1_NEF.functionals)
+
+
 def _cover_cone() -> Cone:
-    """The nef cone of a double cover of F1 x P1, a copy of the product's."""
+    """The nef cone of a double cover of F1 x P1: the product's cone on the
+    cover's lattice, so its leaves are F1's and P1's."""
     base = product(hirzebruch1(), projective_space(1))
     return cyclic_cover(base, base.lattice.make([1, 2, 1]), 2, assume=("pic_pullback_iso",)).nef
 
@@ -1064,13 +1113,15 @@ def test_an_assembled_shape_is_the_admitted_one(names, grouping, first):
         lattice = _on(len(data[1]))
         with empty_shape_table():
             admitted = Cone(lattice, *data)
+        # an admitted twin, alive before or after the product, changes none
+        # of its data
         if first == "admitted":
             flat = Cone(lattice, *data)
             cone = _grouped(factors, grouping)
         else:
             cone = _grouped(factors, grouping)
             flat = Cone(lattice, *data)
-        assert cone._shape is flat._shape
+        assert flat.functionals == cone.functionals
         for name in ("functionals", "supports", "interior_point", "irredundancy_witnesses"):
             assert getattr(cone, name) == getattr(admitted, name), name
             assert getattr(cone._shape, name) == getattr(admitted._shape, name), name

@@ -971,14 +971,15 @@ def test_a_mutated_threshold_leaf_is_refused_on_a_shape_that_accepted_the_honest
     assert all(verify_certificate(twin, cert) for cert in honest)
 
 
-def _p1_x_p1_surface():
+def _p1_x_p1_surface(quadric):
+    """A custom surface on ``quadric``'s nef cone, moved to its own lattice."""
     lat = PicardLattice(("A", "B"))
     return custom(
         dimension=2,
         lattice=lat,
         form=IntersectionForm.from_gram(lat, [[0, 1], [1, 0]]),
         canonical=lat.make([-2, -2]),
-        nef=Cone(lat, ((1, 0), (0, 1))),
+        nef=quadric.nef.with_lattice(lat),
     )
 
 
@@ -989,7 +990,7 @@ def test_a_custom_surface_on_a_product_shape_keeps_its_own_interval():
     assert str(product_iv) == "2"
     certs = [c for c in product_iv.certificates if c.rule == "exact-threshold"]
     assert len(certs) == 2 and all(verify_certificate(quadric, c) for c in certs)
-    surface = _p1_x_p1_surface()
+    surface = _p1_x_p1_surface(quadric)
     # the same shape and canonical values, but global generation is unknown
     assert surface.nef._shape is quadric.nef._shape
     assert surface.nef.values(surface.canonical) == quadric.nef.values(quadric.canonical)

@@ -206,6 +206,42 @@ def test_entry_ignores_index_order():
     assert form.entry((0, 0)) == 0
 
 
+@pytest.mark.parametrize(
+    "idx, message",
+    [
+        # int() would read (0, 1) and (1, 1)
+        ((0.7, 1.9), r"^multi-index \(0\.7, 1\.9\) has a non-integer index 0\.7$"),
+        (("1", "1"), r"^multi-index \('1', '1'\) has a non-integer index '1'$"),
+        # a negative index would wrap to the last basis class
+        ((-1, 0), r"^basis index -1 out of range for rank 2$"),
+        ((0, 2), r"^basis index 2 out of range for rank 2$"),
+    ],
+    ids=["float", "str", "negative", "past_the_end"],
+)
+def test_entry_refuses_an_index_it_would_truncate_or_wrap(idx, message):
+    lat = PicardLattice(("S", "F"))
+    form = IntersectionForm.from_gram(lat, [[-1, 1], [1, 0]])
+    with pytest.raises(LatticeError, match=message):
+        form.entry(idx)
+    assert form.entry((0, 1)) == 1
+
+
+@pytest.mark.parametrize(
+    "i, message",
+    [
+        (-1, r"^basis index -1 out of range for rank 2$"),
+        (2, r"^basis index 2 out of range for rank 2$"),
+        (1.0, r"^basis index 1\.0 out of range for rank 2$"),
+    ],
+    ids=["negative", "past_the_end", "float"],
+)
+def test_basis_class_refuses_an_index_out_of_range(i, message):
+    lat = PicardLattice(("A", "B"))
+    with pytest.raises(LatticeError, match=message):
+        lat.basis_class(i)
+    assert lat.basis_class(1).coeffs == (0, 1)
+
+
 def test_is_even_looks_at_diagonal():
     _, even = surface([[2, 1], [1, 0]])
     _, odd = surface([[2, 1], [1, 1]])

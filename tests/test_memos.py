@@ -239,11 +239,11 @@ def test_the_points_memo_enumerates_a_shared_block_once(monkeypatch):
     assert len(enumerations) == 1
 
 
-def test_the_blocks_memo_splits_a_shape_once(monkeypatch):
-    # twenty-five products of projective spaces share one rank-2 shape; the
-    # oracle searches each twice, at the value and one below it, so 50
-    # splits without the memo
-    splits = _counted(monkeypatch, cones, "_split_blocks")
+def test_the_shape_table_assembles_a_live_product_once(monkeypatch):
+    # twenty-five products of projective spaces have the leaves (ray, ray):
+    # the first assembles their shape, and the other 24 find it live and
+    # pad nothing
+    assemblies = _counted(monkeypatch, cones._Shape, "_assembled")
     _run(
         "".join(f"let P{a} = projective_space({a})\n" for a in range(1, 6))
         + "".join(
@@ -252,7 +252,7 @@ def test_the_blocks_memo_splits_a_shape_once(monkeypatch):
             for b in range(1, 6)
         )
     )
-    assert len(splits) == 1
+    assert len(assemblies) == 1
 
 
 def test_the_refute_memo_searches_each_block_once(monkeypatch):
@@ -324,7 +324,7 @@ def test_the_body_memo_renders_a_shared_binding_once(monkeypatch):
     assert text.count('"interval": {') == 3
 
 
-def test_the_certificate_memo_renders_each_certificate_once(monkeypatch):
+def test_the_certificate_table_writes_each_certificate_once(monkeypatch):
     # P3 and the quadric threefold give equal threefold-helmke and
     # universal-angehrn-siu certificates
     report = _run(
