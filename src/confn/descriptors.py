@@ -146,6 +146,12 @@ class VarietyDescriptor(Frozen):
         # and verification outcomes keyed by certificate
         "_interval",
         "_verdicts",
+        # the Kunneth walk's node facts keyed by class coefficients, one
+        # dict for the rules and one for the verifiers (None until walked)
+        "_h0_facts",
+        "_h0_checked",
+        # the runner's provenance block (None until built)
+        "_provenance_block",
     )
 
     def __init__(self, *args, **kwargs) -> None:
@@ -180,6 +186,9 @@ class VarietyDescriptor(Frozen):
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "_interval", None)
         object.__setattr__(self, "_verdicts", {})
+        object.__setattr__(self, "_h0_facts", None)
+        object.__setattr__(self, "_h0_checked", None)
+        object.__setattr__(self, "_provenance_block", None)
         if self.dimension < 1:
             raise DescriptorError("dimension must be at least 1")
         if self.form.degree != self.dimension:

@@ -292,6 +292,13 @@ def _value(tokens: list[_Tok], i: int, line: int):
             return BoolValue(word == "true", Span(line, column)), i + 1
         if tokens[i + 1][0] in _VALUE_END:
             return NameValue(word, Span(line, column)), i + 1
+        if tokens[i + 1][0] == "(":
+            raise DslError(
+                SYNTAX,
+                f"a call of {word!r} cannot be an argument",
+                Span(line, column),
+                "arguments must be names bound by an earlier let",
+            )
         return _divisor(tokens, i, line, 1, Span(line, column))
     if kind == "[":
         return _list(tokens, i, line)

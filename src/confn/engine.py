@@ -40,7 +40,7 @@ from .descriptors import (
     is_known_gg,
 )
 from .frozen import Frozen
-from .kunneth import ZERO, h0_sign
+from .kunneth import RULE_MEMO, VERIFIER_MEMO, ZERO, h0_sign
 
 
 class InconsistencyError(RuntimeError):
@@ -275,7 +275,7 @@ def _rule_h0_vanishing(desc: VarietyDescriptor):
         return []
     if not isinstance(desc.provenance, (Cover, Product)):
         return []
-    fact = h0_sign(desc, desc.canonical)
+    fact = h0_sign(desc, desc.canonical, RULE_MEMO)
     if fact.value != ZERO:
         return []
     cert = certificate(
@@ -701,7 +701,7 @@ def _verify_not_nef(desc, cert):
 def _verify_h0_vanishing(desc, cert):
     if cert.kind != LOWER or cert.value != 1 or desc.canonical.is_zero():
         return False
-    fact = h0_sign(desc, desc.canonical)
+    fact = h0_sign(desc, desc.canonical, VERIFIER_MEMO)
     witness = {"bundle": fact.bundle, "trace": list(fact.trace)}
     return fact.value == ZERO and _written(cert, witness)
 

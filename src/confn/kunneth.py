@@ -18,16 +18,18 @@ the provenance of the descriptor the bundle lives on, by its node class:
 Anything outside these four facts is reported as unknown, never guessed.
 Each fact carries a derivation trace for the certificate verifier.
 
-One call decides each (descriptor, class, depth) once: a memo that lives
-only for that call hands a repeated node its sign and trace lines, so
-X x X walks X once and the trace is the same line for line.  Nothing is
-kept across calls, so the verifier's call walks the tree afresh and
-trusts nothing from the rule's.
+Each (descriptor, class) node is decided once per memo: its sign and
+its trace lines, unindented, are kept on the descriptor under the class's
+coefficients, and a parent indents its children's lines by two spaces.
+So X x X walks X once, and a tower level reads the factors that the
+level below already decided.  The rules and the verifiers name separate
+memos, so the verifier's walk reads only facts that a verifier walk
+decided, and trusts nothing from the rule's.
 """
 
 from __future__ import annotations
 
-from .constructions import product_blocks, split_product_class
+from .constructions import split_product_class
 from .descriptors import Cover, Product, VarietyDescriptor, is_known_gg
 from .frozen import Frozen
 from .lattice import DivisorClass
@@ -48,71 +50,78 @@ class H0Fact(Frozen):
         object.__setattr__(self, "trace", trace)
 
 
-def h0_sign(desc: VarietyDescriptor, cls_: DivisorClass) -> H0Fact:
+# the descriptor slots that hold each side's node facts
+RULE_MEMO = "_h0_facts"
+VERIFIER_MEMO = "_h0_checked"
+
+
+def h0_sign(
+    desc: VarietyDescriptor, cls_: DivisorClass, side: str = RULE_MEMO
+) -> H0Fact:
+    """The sign of h^0 of ``cls_``, walked through the memo named ``side``:
+    ``RULE_MEMO`` for the rules, ``VERIFIER_MEMO`` for the verifiers."""
+    if side not in (RULE_MEMO, VERIFIER_MEMO):
+        raise ValueError(f"unknown memo {side!r}")
     if cls_.lattice is not desc.lattice:
         raise ValueError("bundle class lives off the descriptor's lattice")
-    value, trace = _sign(desc, cls_, 0, {})
-    return H0Fact(bundle=cls_.pretty(), value=value, trace=tuple(trace))
+    value, trace = _sign(desc, cls_, side)
+    return H0Fact(bundle=cls_.pretty(), value=value, trace=trace)
 
 
-def _sign(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: dict):
-    """The sign and trace lines of one node, decided once per ``memo``."""
-    key = (desc, cls_.coeffs, depth)
-    if key not in memo:
-        memo[key] = _decide(desc, cls_, depth, memo)
-    return memo[key]
+def _sign(desc: VarietyDescriptor, cls_: DivisorClass, side: str):
+    """The sign and unindented trace lines of one node, decided once per
+    descriptor and ``side``."""
+    facts = getattr(desc, side)
+    if facts is None:
+        facts = {}
+        object.__setattr__(desc, side, facts)
+    node = facts.get(cls_.coeffs)
+    if node is None:
+        node = facts[cls_.coeffs] = _decide(desc, cls_, side)
+    return node
 
 
-def _decide(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: dict):
-    pad = "  " * depth
+def _decide(desc: VarietyDescriptor, cls_: DivisorClass, side: str):
     if desc.dimension == 1 and cls_.coeffs[0] < 0:
-        return ZERO, [
-            pad
-            + f"h^0({cls_.pretty()}) = 0: negative degree {cls_.coeffs[0]} on a curve"
-        ]
+        return ZERO, (
+            f"h^0({cls_.pretty()}) = 0: negative degree {cls_.coeffs[0]} on a curve",
+        )
     if is_known_gg(desc, cls_):
-        return POSITIVE, [
-            pad
-            + f"h^0({cls_.pretty()}) > 0: the class is certified globally generated"
-        ]
+        return POSITIVE, (
+            f"h^0({cls_.pretty()}) > 0: the class is certified globally generated",
+        )
     if isinstance(desc.provenance, Product):
-        return _sign_product(desc, cls_, depth, memo)
+        return _sign_product(desc, cls_, side)
     if isinstance(desc.provenance, Cover):
-        return _sign_cover(desc, cls_, depth, memo)
-    return UNKNOWN, [pad + f"h^0({cls_.pretty()}): no applicable decomposition"]
+        return _sign_cover(desc, cls_, side)
+    return UNKNOWN, (f"h^0({cls_.pretty()}): no applicable decomposition",)
 
 
-def _sign_product(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: dict):
-    pad = "  " * depth
-    parts = split_product_class(desc, cls_)
-    factors = [parent for _, parent in product_blocks(desc)]
+def _sign_product(desc: VarietyDescriptor, cls_: DivisorClass, side: str):
     trace = [
-        pad
-        + f"h^0({cls_.pretty()}) on a product: Kunneth, h^0 of a box-sum is the "
+        f"h^0({cls_.pretty()}) on a product: Kunneth, h^0 of a box-sum is the "
         "product over the factors"
     ]
     values = []
-    for parent, part in zip(factors, parts):
-        v, t = _sign(parent, part, depth + 1, memo)
+    for parent, part in zip(desc.provenance.parents, split_product_class(desc, cls_)):
+        v, t = _sign(parent, part, side)
         values.append(v)
-        trace.extend(t)
+        trace += ["  " + line for line in t]
     if ZERO in values:
-        trace.append(pad + "one factor vanishes, so the product vanishes")
-        return ZERO, trace
+        trace.append("one factor vanishes, so the product vanishes")
+        return ZERO, tuple(trace)
     if all(v == POSITIVE for v in values):
-        trace.append(pad + "every factor is positive, so the product is positive")
-        return POSITIVE, trace
-    trace.append(pad + "no factor vanishes and not all are certified positive")
-    return UNKNOWN, trace
+        trace.append("every factor is positive, so the product is positive")
+        return POSITIVE, tuple(trace)
+    trace.append("no factor vanishes and not all are certified positive")
+    return UNKNOWN, tuple(trace)
 
 
-def _sign_cover(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: dict):
-    pad = "  " * depth
+def _sign_cover(desc: VarietyDescriptor, cls_: DivisorClass, side: str):
     cover = desc.provenance
     parent, branch, degree = cover.parents[0], cover.branch, cover.degree
     trace = [
-        pad
-        + f"h^0({cls_.pretty()}) on a degree-{degree} cyclic cover: the "
+        f"h^0({cls_.pretty()}) on a degree-{degree} cyclic cover: the "
         "pushforward of the structure sheaf splits as the sum of L^(-i), "
         f"i = 0..{degree - 1}, with L = {branch.pretty()}"
     ]
@@ -121,14 +130,14 @@ def _sign_cover(desc: VarietyDescriptor, cls_: DivisorClass, depth: int, memo: d
         downstairs = parent.lattice.make(
             tuple(c - i * b for c, b in zip(cls_.coeffs, branch.coeffs))
         )
-        v, t = _sign(parent, downstairs, depth + 1, memo)
+        v, t = _sign(parent, downstairs, side)
         values.append(v)
-        trace.extend(t)
+        trace += ["  " + line for line in t]
     if all(v == ZERO for v in values):
-        trace.append(pad + "every summand vanishes, so the pullback has no sections")
-        return ZERO, trace
+        trace.append("every summand vanishes, so the pullback has no sections")
+        return ZERO, tuple(trace)
     if POSITIVE in values:
-        trace.append(pad + "some summand is positive, so the pullback has sections")
-        return POSITIVE, trace
-    trace.append(pad + "the summands are not all decided")
-    return UNKNOWN, trace
+        trace.append("some summand is positive, so the pullback has sections")
+        return POSITIVE, tuple(trace)
+    trace.append("the summands are not all decided")
+    return UNKNOWN, tuple(trace)

@@ -60,7 +60,7 @@ class PicardLattice(Frozen):
         return DivisorClass(self, tuple(coeffs))
 
     def basis_class(self, i: int) -> "DivisorClass":
-        if not isinstance(i, int) or not 0 <= i < self.rank:
+        if type(i) is not int or not 0 <= i < self.rank:
             raise LatticeError(f"basis index {i!r} out of range for rank {self.rank}")
         coeffs = [0] * self.rank
         coeffs[i] = 1
@@ -83,7 +83,7 @@ class DivisorClass(Frozen):
                 f"expected {lattice.rank} coefficients, got {len(coeffs)}"
             )
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise LatticeError(f"non-integer coefficient {c!r}")
 
     def _check_same(self, other: "DivisorClass") -> None:
@@ -137,7 +137,7 @@ def _sorted_index(idx: tuple, rank: int) -> tuple[int, ...]:
     """The multi-index ``idx`` sorted, refused unless each index is an int
     in range(rank)."""
     for i in idx:
-        if not isinstance(i, int):
+        if type(i) is not int:
             raise LatticeError(f"multi-index {idx!r} has a non-integer index {i!r}")
         if not 0 <= i < rank:
             raise LatticeError(f"basis index {i} out of range for rank {rank}")
@@ -149,7 +149,7 @@ def _normalized_entries(
 ) -> tuple[tuple[tuple[int, ...], int], ...]:
     out: dict[tuple[int, ...], int] = {}
     for idx, value in dict(entries).items():
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise LatticeError(
                 f"intersection number {value!r} at multi-index {idx!r} is not an integer"
             )

@@ -440,16 +440,23 @@ def _construct(constructor: str, nodes: dict, env: dict) -> PipelineResult:
 # evaluation -----------------------------------------------------------
 
 
-def provenance_lines(desc: VarietyDescriptor, depth: int = 0) -> list[str]:
-    prov = desc.provenance
-    params = ", ".join(f"{k}={v}" for k, v in prov.parameters)
-    line = "  " * depth + prov.constructor + "(" + params + ")"
-    lines = [line]
-    for assertion in prov.assertions:
-        lines.append("  " * (depth + 1) + f"assumes {assertion.name}")
-    for parent in prov.parents:
-        lines.extend(provenance_lines(parent, depth + 1))
-    return lines
+def provenance_lines(desc: VarietyDescriptor) -> tuple[str, ...]:
+    """The construction tree of ``desc``, one line per node: its own line,
+    its ``assumes`` lines, then each parent's block indented by two
+    spaces.  The block is kept on the descriptor, so it is built once
+    however many descriptors are built from it, and every row bound to
+    the descriptor shares it."""
+    block = desc._provenance_block
+    if block is None:
+        prov = desc.provenance
+        params = ", ".join(f"{k}={v}" for k, v in prov.parameters)
+        lines = [prov.constructor + "(" + params + ")"]
+        lines += ["  assumes " + assertion.name for assertion in prov.assertions]
+        for parent in prov.parents:
+            lines += ["  " + line for line in provenance_lines(parent)]
+        block = tuple(lines)
+        object.__setattr__(desc, "_provenance_block", block)
+    return block
 
 
 def _stated_assumptions(desc: VarietyDescriptor) -> Iterator[str]:
@@ -532,7 +539,7 @@ def _compute_row(row: VarietyRow, binding: PipelineResult, max_m: int) -> None:
     assert desc is not None
     row.dimension = desc.dimension
     row.picard_rank = desc.rank
-    row.provenance = tuple(provenance_lines(desc))
+    row.provenance = provenance_lines(desc)
     row.notes = binding.notes
     # the descriptor was admitted, so any of these is a fault in the engine,
     # unless a crossed interval refutes what the caller stated

@@ -278,6 +278,7 @@ _LISTS = "lists look like [1, 2] or [toric]"
 _COEFFICIENT = "write coefficients as 3*H; a bare integer is not a divisor term"
 _TERMS = "divisor terms look like 3*H, H, or -E1"
 _ONE_PER_LINE = "one statement per line"
+_ARGUMENTS = "arguments must be names bound by an earlier let"
 
 ERROR_TABLE = [
     ("let X = projective_space(3); compute X", LEXICAL, 1, 28,
@@ -317,6 +318,11 @@ ERROR_TABLE = [
     ("let Y = cyclic_cover(X, branch = H H, degree = 2)", SYNTAX, 1, 36,
      "unexpected 'H' in a divisor expression",
      "divisor terms look like 3*H, H, or -E1, joined with + and -"),
+    # a nested constructor call, named at the call rather than at its '('
+    ("let C = product(F1, product(P1, F1))", SYNTAX, 1, 21,
+     "a call of 'product' cannot be an argument", _ARGUMENTS),
+    ("let X = curve(0)\nlet Y = curve(genus = [curve(1)])", SYNTAX, 2, 24,
+     "a call of 'curve' cannot be an argument", _ARGUMENTS),
     ("let Y = cyclic_cover(X, branch = 2 H, degree = 2)", SYNTAX, 1, 36,
      "expected '*' after a coefficient, found 'H'", _COEFFICIENT),
     ("let Y = cyclic_cover(X, branch = -3 H, degree = 2)", SYNTAX, 1, 37,

@@ -18,7 +18,7 @@ from confn.descriptors import (
     is_known_gg,
     projective_space,
 )
-from confn.kunneth import POSITIVE, UNKNOWN, ZERO, h0_sign
+from confn.kunneth import POSITIVE, RULE_MEMO, UNKNOWN, VERIFIER_MEMO, ZERO, h0_sign
 
 
 def test_negative_degree_on_curve_vanishes():
@@ -123,7 +123,7 @@ def test_wrong_lattice_rejected():
         h0_sign(p1, p2.lattice.make([1]))
 
 
-# ------------------------------------------- the walk without the per-call memo
+# ---------------------------------------------- the walk without the node memo
 
 
 def _walked(desc, cls_, depth=0):
@@ -190,7 +190,7 @@ def _cover_tower():
 
 def _uneven_cube():
     """(P1 x P1) x P1 on one P1, which the walk meets at depths 2 and 1,
-    with one class: a node is its descriptor, class and depth."""
+    with one class: a node's kept lines are indented where they are read."""
     p1 = projective_space(1)
     return product(product(p1, p1), p1)
 
@@ -211,12 +211,19 @@ def test_the_memo_walk_agrees_with_the_full_walk(make):
     x = make()
     classes = [x.canonical, x.lattice.make([-c for c in x.canonical.coeffs])]
     classes += [x.lattice.make([(-1) ** i * (i % 3) for i in range(x.rank)])]
-    for cls_ in classes:
-        fact = h0_sign(x, cls_)
-        assert (fact.value, list(fact.trace)) == _walked(x, cls_)
+    for side in (RULE_MEMO, VERIFIER_MEMO):
+        for cls_ in classes:
+            fact = h0_sign(x, cls_, side)
+            assert (fact.value, list(fact.trace)) == _walked(x, cls_)
 
 
 def test_the_cover_tower_trace_has_a_line_per_node():
     x = _cover_tower()
     fact = h0_sign(x, x.canonical)
     assert fact.value == ZERO and len(fact.trace) == 222
+
+
+def test_an_unknown_memo_is_refused():
+    p1 = projective_space(1)
+    with pytest.raises(ValueError, match="unknown memo"):
+        h0_sign(p1, p1.canonical, "_verdicts")

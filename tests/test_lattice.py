@@ -76,6 +76,13 @@ def test_make_refuses_a_non_integer_coefficient():
         lat.make([0.5, 1])
 
 
+def test_make_refuses_a_bool_coefficient():
+    # a bool is an int to isinstance, so make([True, 0]) built H
+    lat = PicardLattice(("H", "E"))
+    with pytest.raises(LatticeError, match=r"^non-integer coefficient True$"):
+        lat.make([True, 0])
+
+
 # ------------------------------------------------- forms against oracle
 
 
@@ -199,6 +206,17 @@ def test_a_non_integer_intersection_number_is_refused_not_truncated():
         IntersectionForm.from_entries(lat, 2, {(0.0, 0): 1})
 
 
+def test_a_bool_index_or_intersection_number_is_refused():
+    lat = PicardLattice(("A", "B"))
+    # the key (True, False) was stored as (False, True)
+    message = r"^multi-index \(True, False\) has a non-integer index True$"
+    with pytest.raises(LatticeError, match=message):
+        IntersectionForm.from_entries(lat, 2, {(True, False): 3})
+    message = r"^intersection number True at multi-index \(0, 1\) is not an integer$"
+    with pytest.raises(LatticeError, match=message):
+        IntersectionForm.from_entries(lat, 2, {(0, 1): True})
+
+
 def test_entry_ignores_index_order():
     lat = PicardLattice(("A", "B"))
     form = IntersectionForm.from_entries(lat, 2, {(0, 1): 5})
@@ -215,8 +233,10 @@ def test_entry_ignores_index_order():
         # a negative index would wrap to the last basis class
         ((-1, 0), r"^basis index -1 out of range for rank 2$"),
         ((0, 2), r"^basis index 2 out of range for rank 2$"),
+        # a bool would read as 0 or 1
+        ((True, 0), r"^multi-index \(True, 0\) has a non-integer index True$"),
     ],
-    ids=["float", "str", "negative", "past_the_end"],
+    ids=["float", "str", "negative", "past_the_end", "bool"],
 )
 def test_entry_refuses_an_index_it_would_truncate_or_wrap(idx, message):
     lat = PicardLattice(("S", "F"))
@@ -232,8 +252,10 @@ def test_entry_refuses_an_index_it_would_truncate_or_wrap(idx, message):
         (-1, r"^basis index -1 out of range for rank 2$"),
         (2, r"^basis index 2 out of range for rank 2$"),
         (1.0, r"^basis index 1\.0 out of range for rank 2$"),
+        # a bool is an int to isinstance, so True returned B
+        (True, r"^basis index True out of range for rank 2$"),
     ],
-    ids=["negative", "past_the_end", "float"],
+    ids=["negative", "past_the_end", "float", "bool"],
 )
 def test_basis_class_refuses_an_index_out_of_range(i, message):
     lat = PicardLattice(("A", "B"))

@@ -14,7 +14,7 @@ import pytest
 
 from confn import certificates, cones, engine, kunneth, runner
 from confn.constructions import product
-from confn.descriptors import projective_space
+from confn.descriptors import curve, projective_space
 from confn.dsl import parse
 from confn.runner import Report, VarietyRow, emit_json, evaluate
 
@@ -182,6 +182,11 @@ def _doubling_tower() -> str:
     )
 
 
+def _every_doubling_level() -> str:
+    """The doubling tower with P1, P1^2, P1^4 and P1^8 computed as well."""
+    return _doubling_tower() + "".join(f"assert_confn a{n} = 2\n" for n in (1, 2, 4, 8))
+
+
 def test_a_threshold_builds_the_facet_witness_of_its_violated_functional_alone(
     monkeypatch,
 ):
@@ -269,17 +274,55 @@ def test_the_refute_memo_searches_each_block_once(monkeypatch):
 
 def test_the_walk_memo_decides_each_node_of_a_repeated_factor_once(monkeypatch):
     # P1^16 as four levels of X x X: the walk meets 31 nodes, of which 5
-    # differ, one per depth; a second call walks afresh
+    # differ, one per level; the facts stay on the descriptors, so a second
+    # walk from the same side decides nothing, and the other side decides
+    # each node for itself
     x = projective_space(1)
     for _ in range(4):
         x = product(x, x)
     decisions = _counted(monkeypatch, kunneth, "_decide")
-    first = kunneth.h0_sign(x, x.canonical)
+    first = kunneth.h0_sign(x, x.canonical, kunneth.RULE_MEMO)
     assert first.value == kunneth.ZERO and len(first.trace) == 46
     assert len(decisions) == 5
-    again = kunneth.h0_sign(x, x.canonical)
+    again = kunneth.h0_sign(x, x.canonical, kunneth.RULE_MEMO)
     assert (again.value, again.trace) == (first.value, first.trace)
+    assert len(decisions) == 5
+    checked = kunneth.h0_sign(x, x.canonical, kunneth.VERIFIER_MEMO)
+    assert (checked.value, checked.trace) == (first.value, first.trace)
     assert len(decisions) == 10
+
+
+def test_the_walk_memo_decides_each_level_of_a_tower_once(monkeypatch):
+    # P1, P1^2, P1^4, P1^8 and P1^16 by doubling, every level computed:
+    # the rule's walks decide each level once, as do the verifier's, where
+    # walks that start afresh decide 28 nodes
+    decisions = _counted(monkeypatch, kunneth, "_decide")
+    _run(_every_doubling_level())
+    assert len(decisions) == 10
+
+
+def test_the_verifier_walk_never_reads_a_rule_side_fact(monkeypatch):
+    # h^0(K) of a genus-2 curve squared is not decided; a vanishing planted
+    # in the curve's rule memo makes the rule certify h^0(K) = 0, and the
+    # verifier decides the curve for itself and refuses the certificate
+    c = curve(2)
+    x = product(c, c)
+    planted = {c.canonical.coeffs: (kunneth.ZERO, ("planted",))}
+    object.__setattr__(c, kunneth.RULE_MEMO, planted)
+    (cert,) = engine._rule_h0_vanishing(x)
+    assert cert.value == 1 and "  planted" in cert.witness_data()["trace"]
+    decided = []
+    plain = kunneth._decide
+
+    def record(desc, cls_, side):
+        decided.append((desc, side))
+        return plain(desc, cls_, side)
+
+    monkeypatch.setattr(kunneth, "_decide", record)
+    assert not engine.verify_certificate(x, cert)
+    assert decided == [(x, kunneth.VERIFIER_MEMO), (c, kunneth.VERIFIER_MEMO)]
+    checked = kunneth.h0_sign(x, x.canonical, kunneth.VERIFIER_MEMO)
+    assert checked.value == kunneth.UNKNOWN
 
 
 # ------------------------------------------------------------------- the runner
@@ -322,6 +365,23 @@ def test_the_body_memo_renders_a_shared_binding_once(monkeypatch):
     # three rows, and the certificate table once
     assert len(renders) == 5
     assert text.count('"interval": {') == 3
+
+
+def test_the_provenance_memo_builds_each_block_once(monkeypatch):
+    # P1, P1^2, P1^4, P1^8 and P1^16 by doubling, every level computed:
+    # each row joins the kept blocks of the level below, 13 calls, where
+    # building every block afresh takes 57 (P1^16 alone is 31)
+    calls = _counted(monkeypatch, runner, "provenance_lines")
+    report = _run(_every_doubling_level())
+    assert len(calls) == 13
+    assert [len(row.provenance) for row in report.rows] == [31, 1, 3, 7, 15]
+    assert report.rows[-1].provenance[:5] == (
+        "product()",
+        "  product()",
+        "    product()",
+        "      projective_space(n=1)",
+        "      projective_space(n=1)",
+    )
 
 
 def test_the_certificate_table_writes_each_certificate_once(monkeypatch):

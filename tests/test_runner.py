@@ -241,11 +241,17 @@ def test_shared_bindings_are_computed_once(monkeypatch):
     rows_traced = []
     plain = runner.provenance_lines
 
-    def traced(desc, depth=0):
+    open_calls = []
+
+    def traced(desc):
         # the recursion into a product's factors comes back through here
-        if depth == 0:
+        if not open_calls:
             rows_traced.append(desc)
-        return plain(desc, depth)
+        open_calls.append(desc)
+        try:
+            return plain(desc)
+        finally:
+            open_calls.pop()
 
     monkeypatch.setattr(runner, "provenance_lines", traced)
     verified = _recording(monkeypatch, "verify_certificate")
