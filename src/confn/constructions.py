@@ -156,7 +156,7 @@ def product(
     )
 
 
-def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
+def blowup_point(surface: VarietyDescriptor) -> VarietyDescriptor:
     """Blow up a surface at a point.
 
     The lattice gains an exceptional class E orthogonal to the old block
@@ -164,22 +164,22 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
     The nef cone and global generation data of the surface do not
     transfer and are dropped to unknown.
     """
-    if s.dimension != 2:
+    if surface.dimension != 2:
         raise DescriptorError("point blow-ups are modeled for surfaces only")
     e_name = "E"
-    if e_name in s.lattice.basis:
+    if e_name in surface.lattice.basis:
         k = 1
-        while f"E{k}_new" in s.lattice.basis:
+        while f"E{k}_new" in surface.lattice.basis:
             k += 1
         e_name = f"E{k}_new"
-    lat = PicardLattice(tuple(s.lattice.basis) + (e_name,))
-    n = s.rank
-    entries = {key: val for key, val in s.form.entries}
+    lat = PicardLattice(tuple(surface.lattice.basis) + (e_name,))
+    n = surface.rank
+    entries = {key: val for key, val in surface.form.entries}
     entries[(n, n)] = -1
     form = IntersectionForm.from_entries(lat, 2, entries)
-    canonical = lat.make(tuple(s.canonical.coeffs) + (1,))
+    canonical = lat.make(tuple(surface.canonical.coeffs) + (1,))
     # the irregularity is a birational invariant of smooth surfaces
-    flags = s.flags & {"irregularity_zero"}
+    flags = surface.flags & {"irregularity_zero"}
     return VarietyDescriptor._make(
         dimension=2,
         lattice=lat,
@@ -188,7 +188,7 @@ def blowup_point(s: VarietyDescriptor) -> VarietyDescriptor:
         nef=None,
         gg=UnknownGG(),
         flags=frozenset(flags),
-        provenance=Blowup(s, lat.basis_class(n)),
+        provenance=Blowup(surface, lat.basis_class(n)),
     )
 
 
@@ -227,7 +227,7 @@ def _require_ample(
 
 
 def hypersurface_section(
-    y: VarietyDescriptor,
+    parent: VarietyDescriptor,
     ample: DivisorClass,
     p: int,
     assume=(),
@@ -247,34 +247,33 @@ def hypersurface_section(
     """
     from .engine import resolve
 
-    if y.dimension != 3:
+    if parent.dimension != 3:
         raise DescriptorError("hypersurface sections are taken in threefolds only")
-    if ample.lattice is not y.lattice:
+    if ample.lattice is not parent.lattice:
         raise DescriptorError("the ample class lives off the parent lattice")
     assume = _assumptions("hypersurface_section", assume, ("ample",))
-    ample_assertions = _require_ample(y, ample, "section class", assume)
-    upper = resolve(y).hi
+    ample_assertions = _require_ample(parent, ample, "section class", assume)
+    upper = resolve(parent).hi
     bound = max(5, upper)
     if p < bound:
         raise DescriptorError(
             f"need p >= {bound} (= max(5, resolved upper bound {upper})), got {p}"
         )
-    lat = PicardLattice(tuple(y.lattice.basis))
+    lat = PicardLattice(tuple(parent.lattice.basis))
     section = p * ample
-    form_y = y.form.contract(y.lattice.make(section.coeffs))
-    form = form_y.with_lattice(lat)
+    form = parent.form.contract(parent.lattice.make(section.coeffs)).with_lattice(lat)
     canonical = lat.make(
-        tuple(a + b for a, b in zip(y.canonical.coeffs, section.coeffs))
+        tuple(a + b for a, b in zip(parent.canonical.coeffs, section.coeffs))
     )
     # Kodaira vanishing on the parent kills h^1 of the section
-    flags = y.flags & {"irregularity_zero"}
+    flags = parent.flags & {"irregularity_zero"}
+    # threefold-helmke bounds every threefold by upper <= 4, so the gate's
+    # p >= max(5, upper) always gives p >= upper + 1
     ample_premise = (
         "the adjoint is strictly inside the parent nef cone"
-        if y.nef is not None
-        and y.nef.strictly_contains(y.canonical + section)
+        if parent.nef is not None
+        and parent.nef.strictly_contains(parent.canonical + section)
         else f"p exceeds the parent upper bound by at least 1: {p} >= {upper + 1}"
-        if p >= upper + 1
-        else "assumed: the adjoint of the parent is ample"
     )
     return VarietyDescriptor._make(
         dimension=2,
@@ -286,7 +285,7 @@ def hypersurface_section(
         flags=frozenset(flags),
         provenance=Provenance(
             "hypersurface_section",
-            parents=(y,),
+            parents=(parent,),
             parameters=(
                 ("ample", ample.pretty()),
                 ("ample_coeffs", ",".join(str(c) for c in ample.coeffs)),
@@ -312,7 +311,7 @@ PICARD_ASSUMPTIONS = ("large_d", "pic_pullback_iso", "effective_nl")
 
 
 def cyclic_cover(
-    y: VarietyDescriptor,
+    parent: VarietyDescriptor,
     branch: DivisorClass,
     degree: int,
     assume=(),
@@ -335,14 +334,14 @@ def cyclic_cover(
     """
     if degree < 2:
         raise DescriptorError(f"cover degree must be >= 2, got {degree}")
-    if branch.lattice is not y.lattice:
+    if branch.lattice is not parent.lattice:
         raise DescriptorError("the branch class lives off the parent lattice")
     assume = _assumptions("cyclic_cover", assume, ("ample",) + PICARD_ASSUMPTIONS)
     vouched = _assumptions("cyclic_cover", vouched, PICARD_ASSUMPTIONS)
-    assertions = list(_require_ample(y, branch, "branch class", assume))
-    if y.dimension >= 4:
+    assertions = list(_require_ample(parent, branch, "branch class", assume))
+    if parent.dimension >= 4:
         assertions.append(Assertion("pic_pullback_iso", _LEFSCHETZ_CITATION))
-    elif y.dimension == 3:
+    elif parent.dimension == 3:
         identifying = [
             name for name in assume + vouched if name in PICARD_ASSUMPTIONS
         ]
@@ -364,30 +363,30 @@ def cyclic_cover(
             )
     else:
         raise DescriptorError("cyclic cover descriptors need a parent of dimension >= 3")
-    lat = PicardLattice(tuple(y.lattice.basis))
-    form = y.form.scaled(degree).with_lattice(lat)
+    lat = PicardLattice(tuple(parent.lattice.basis))
+    form = parent.form.scaled(degree).with_lattice(lat)
     canonical = lat.make(
         tuple(
             a + (degree - 1) * b
-            for a, b in zip(y.canonical.coeffs, branch.coeffs)
+            for a, b in zip(parent.canonical.coeffs, branch.coeffs)
         )
     )
-    nef = None if y.nef is None else y.nef.with_lattice(lat)
+    nef = None if parent.nef is None else parent.nef.with_lattice(lat)
     reps = [
-        lat.make(c.coeffs) for c in known_gg_representatives(y)
+        lat.make(c.coeffs) for c in known_gg_representatives(parent)
     ]
     gg = UnderApprox(tuple(reps)) if reps else UnknownGG()
     # h^1 of the cover splits as h^1(O_Y) plus h^1 of negative ample
     # powers, and the latter vanish by Kodaira
-    flags = y.flags & {"irregularity_zero"}
+    flags = parent.flags & {"irregularity_zero"}
     return VarietyDescriptor._make(
-        dimension=y.dimension,
+        dimension=parent.dimension,
         lattice=lat,
         form=form,
         canonical=canonical,
         nef=nef,
         gg=gg,
         flags=frozenset(flags),
-        provenance=Cover(y, branch, degree, tuple(assertions)),
+        provenance=Cover(parent, branch, degree, tuple(assertions)),
     )
 

@@ -50,26 +50,26 @@ def synthetic_mod24_surface() -> VarietyDescriptor:
     )
 
 
-def pipeline_n2k1(s24: VarietyDescriptor) -> PipelineResult:
+def pipeline_n2k1(surface: VarietyDescriptor) -> PipelineResult:
     """Blow up a mod-24 surface in a point: convex Fujita number exactly 1.
 
     The lower bound is the non-nef canonical class of the blow-up, the
     upper bound the engine's ``blowup-reider-mod24`` rule, which needs 24
     to divide the gcd of the surface's intersection numbers; it checks both.
     """
-    if s24.dimension != 2:
+    if surface.dimension != 2:
         raise PipelineError(
-            f"expected a surface, got dimension {s24.dimension}"
+            f"expected a surface, got dimension {surface.dimension}"
         )
-    if not divisible_by_24(s24):
+    if not divisible_by_24(surface):
         raise PipelineError(
-            f"intersection numbers have gcd {s24.form.gcd()}; the residue "
+            f"intersection numbers have gcd {surface.form.gcd()}; the residue "
             "argument needs 24 to divide it"
         )
-    return PipelineResult(blowup_point(s24), ("blow-up of a mod-24 surface",))
+    return PipelineResult(blowup_point(surface), ("blow-up of a mod-24 surface",))
 
 
-def pipeline_n3k1(s: VarietyDescriptor, polarization) -> PipelineResult:
+def pipeline_n3k1(surface: VarietyDescriptor, polarization) -> PipelineResult:
     """Double cover of S x P^1: a threefold with convex Fujita number 1.
 
     Checks for a surface whose resolved upper bound is at most 2 and a
@@ -82,21 +82,21 @@ def pipeline_n3k1(s: VarietyDescriptor, polarization) -> PipelineResult:
     h^0(omega_X) = h^0(omega_Y tensor L) + h^0(omega_Y) vanishes factor
     by factor on the P^1 side, so omega_X has no sections and lo >= 1.
     """
-    s_iv = resolve(s)
-    if s_iv.hi > 2:
+    surface_hi = resolve(surface).hi
+    if surface_hi > 2:
         raise PipelineError(
-            f"the surface resolves to an upper bound of {s_iv.hi}; the "
+            f"the surface resolves to an upper bound of {surface_hi}; the "
             "construction needs an upper bound of at most 2"
         )
-    if polarization.lattice is not s.lattice:
+    if polarization.lattice is not surface.lattice:
         raise PipelineError("the polarization lives off the surface lattice")
-    if s.nef is None or not s.nef.strictly_contains(polarization):
+    if surface.nef is None or not surface.nef.strictly_contains(polarization):
         raise PipelineError(
             "the polarization must be strictly interior to the nef cone of "
             "the surface"
         )
     line = projective_space(1)
-    y = product(s, line)
+    y = product(surface, line)
     ell = box_sum(y, polarization, line.lattice.make([1]))
     nl_note = (
         "omega_Y twisted by the square of the branch bundle is the pullback "
@@ -108,7 +108,7 @@ def pipeline_n3k1(s: VarietyDescriptor, polarization) -> PipelineResult:
     return PipelineResult(cyclic_cover(y, ell, 2, vouched=("effective_nl",)), (nl_note,))
 
 
-def pipeline_simple_surface(y: VarietyDescriptor, ample, p: int) -> PipelineResult:
+def pipeline_simple_surface(parent: VarietyDescriptor, ample, p: int) -> PipelineResult:
     """Very general high-degree surface section of a threefold: exactly 0.
 
     The section inherits divisibility by p >= 5 on its full lattice, so a
@@ -116,12 +116,12 @@ def pipeline_simple_surface(y: VarietyDescriptor, ample, p: int) -> PipelineResu
     is the restriction of a globally generated adjoint, which settles the
     empty product as well.  ``hypersurface_section`` checks p >= 5.
     """
-    return PipelineResult(hypersurface_section(y, ample, p))
+    return PipelineResult(hypersurface_section(parent, ample, p))
 
 
 def pipeline_simple_variety(
-    y: VarietyDescriptor,
-    branch_polarization,
+    parent: VarietyDescriptor,
+    branch,
     d: int,
     assume=(),
 ) -> PipelineResult:
@@ -139,13 +139,14 @@ def pipeline_simple_variety(
     gets ``large_d`` unless ``assume`` names one of ``PICARD_ASSUMPTIONS``;
     the pipeline vouches for it, so it is not recorded as the caller's.
     """
-    parent_hi = resolve(y).hi
+    parent_hi = resolve(parent).hi
     assume = tuple(assume)
+    large = d >= parent_hi + 2
     vouched = ()
-    if y.dimension == 3 and d >= parent_hi + 2 and set(assume).isdisjoint(PICARD_ASSUMPTIONS):
+    if parent.dimension == 3 and large and set(assume).isdisjoint(PICARD_ASSUMPTIONS):
         vouched = ("large_d",)
-    x = cyclic_cover(y, branch_polarization, d, assume=assume, vouched=vouched)
-    if d >= parent_hi + 2:
+    x = cyclic_cover(parent, branch, d, assume=assume, vouched=vouched)
+    if large:
         notes = ("the canonical bundle of the cover is ample and globally generated",)
     else:
         notes = (

@@ -1,11 +1,17 @@
 """Program evaluation and report emission for the descriptor DSL.
 
 ``evaluate`` executes a parsed Program statement by statement: ``let``
-builds a descriptor (or runs a pipeline) through ``_CONSTRUCTORS``, once
-per distinct constructor call, ``compute`` resolves its convex Fujita
-interval and re-verifies every certificate, and ``assert_confn`` records
-a pass or fail.  Errors attach to the offending statement and evaluation
-continues for independent varieties.
+builds a descriptor (or runs a pipeline) once per distinct constructor
+call, ``compute`` resolves its convex Fujita interval and re-verifies
+every certificate, and ``assert_confn`` records a pass or fail.  Errors
+attach to the offending statement and evaluation continues for
+independent varieties.
+
+Each DSL constructor is the library function of the same name, with the
+same parameters: ``_CONSTRUCTORS`` names the function and coerces each
+argument node, and the ``let`` passes the coerced arguments as keywords.
+``delpezzo7`` calls ``del_pezzo7``, and ``custom`` calls ``_custom``,
+which builds the lattice and form that library ``custom`` takes.
 
 ``corpus`` evaluates the built-in suite of worked examples through the
 same code path as user programs.  Emitters produce deterministic JSON
@@ -18,7 +24,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import cones, dsl
 from .certificates import LOWER, render_json
@@ -49,7 +55,6 @@ from .dsl import (
     TYPE,
 )
 from .engine import FujitaInterval, InconsistencyError, resolve, verify_certificate
-from .frozen import Frozen
 from .lattice import DivisorClass, IntersectionForm, LatticeError, PicardLattice
 from .pipelines import (
     PipelineResult,
@@ -232,23 +237,19 @@ def _as_descriptor(node, env: dict) -> VarietyDescriptor:
 
 
 def _as_divisor(node, lattice: PicardLattice) -> DivisorClass:
+    """A divisor literal on ``lattice``; a bare name is one term, 1*name."""
     basis = lattice.basis
     hint = "basis names here: " + ", ".join(basis)
     if isinstance(node, NameValue):
-        if node.value not in basis:
-            raise DslError(
-                TYPE, f"{node.value!r} is not a basis name of this lattice",
-                node.span, hint,
-            )
-        coeffs = [0] * len(basis)
-        coeffs[basis.index(node.value)] = 1
-        return lattice.make(coeffs)
-    if not isinstance(node, DivisorValue):
+        terms = ((1, node.value),)
+    elif isinstance(node, DivisorValue):
+        terms = node.value
+    else:
         raise DslError(
             TYPE, "expected a divisor literal such as 3*H - E1", node.span, hint
         )
     coeffs = [0] * len(basis)
-    for coeff, name in node.value:
+    for coeff, name in terms:
         if name not in basis:
             raise DslError(
                 TYPE, f"{name!r} is not a basis name of this lattice",
@@ -258,139 +259,95 @@ def _as_divisor(node, lattice: PicardLattice) -> DivisorClass:
     return lattice.make(coeffs)
 
 
-class _DivisorOn(Frozen):
-    """Coerce to a divisor on the basis of the descriptor bound to ``param``."""
-
-    __slots__ = ("param",)
-
-    def __init__(self, param: str) -> None:
-        object.__setattr__(self, "param", param)
-
-
-_CUSTOM_PARAMS = ("dimension", "basis", "gram", "canonical", "nef", "flags")
-
-
-def _custom(**args):
+def _custom(dimension, basis, gram, canonical, nef=None, flags=None):
     """custom's arguments depend on each other, so it coerces its own nodes."""
-    dimension = _as_int(args["dimension"])
-    basis = _as_ident_list(args["basis"])
+    dimension = _as_int(dimension)
+    basis = _as_ident_list(basis)
     lat = PicardLattice(basis)
-    gram = _as_rows(args["gram"])
+    rows = _as_rows(gram)
     if dimension == 2:
-        form = IntersectionForm.from_gram(lat, [list(row) for row in gram])
-    elif len(basis) == 1 and len(gram) == 1 and len(gram[0]) == 1:
-        form = IntersectionForm.rank_one(lat, dimension, gram[0][0])
+        form = IntersectionForm.from_gram(lat, [list(row) for row in rows])
+    elif len(basis) == 1 and len(rows) == 1 and len(rows[0]) == 1:
+        form = IntersectionForm.rank_one(lat, dimension, rows[0][0])
     else:
         raise DslError(
             TYPE,
             "custom forms are limited to surfaces (a gram matrix) or rank-1 "
             "lattices (a 1x1 top intersection number)",
-            args["gram"].span,
+            gram.span,
         )
-    canonical = _as_divisor(args["canonical"], lat)
-    nef = None
-    if "nef" in args:
-        nef = Cone(lat, _as_rows(args["nef"]))
-    flags = _as_ident_list(args["flags"]) if "flags" in args else ()
     return custom(
         dimension=dimension,
         lattice=lat,
         form=form,
-        canonical=canonical,
-        nef=nef,
-        flags=flags,
+        canonical=_as_divisor(canonical, lat),
+        nef=None if nef is None else Cone(lat, _as_rows(nef)),
+        flags=() if flags is None else _as_ident_list(flags),
     )
 
 
 class _Constructor(NamedTuple):
-    """A DSL constructor: its parameters, how many are required, its call.
+    """A DSL constructor: the name of the library function it calls, its
+    parameters, and how many of them are required.
 
-    ``params`` pairs each name, in positional order, with a coercer: a
-    function of the argument node, ``_as_descriptor`` for a reference to an
-    earlier definition, a ``_DivisorOn``, or None to pass the node through.
-    ``call`` takes the coerced arguments as keywords.  It names the library
-    function inside its body, so a function rebound on this module (as the
-    benchmark's tracer does) is the one that runs.
+    ``_construct`` looks ``function`` up in this module's namespace when a
+    ``let`` runs, so a function rebound here (as the benchmark's tracer
+    does) is the one that runs.  ``params`` pairs each of the function's
+    own parameter names, in positional order, with a coercer: a function
+    of the argument node, ``_as_descriptor`` for a reference to an earlier
+    definition, ``_as_divisor`` for a divisor on the lattice of the first
+    argument, or None to pass the node through.
     """
 
+    function: str
     params: tuple[tuple[str, object], ...]
     required: int
-    call: Callable[..., VarietyDescriptor | PipelineResult]
 
+
+_PARENT = ("parent", _as_descriptor)
+_ASSUME = ("assume", _as_ident_list)
 
 # keyed in dsl.CONSTRUCTORS order
 _CONSTRUCTORS = {
-    "projective_space": _Constructor(
-        (("n", _as_int),), 1, lambda n: projective_space(n)
-    ),
+    "projective_space": _Constructor("projective_space", (("n", _as_int),), 1),
     "complete_intersection": _Constructor(
+        "complete_intersection",
         (("n", _as_int), ("degrees", _as_int_list), ("very_general", _as_bool)),
         2,
-        lambda n, degrees, very_general=False: complete_intersection(
-            n, degrees, very_general=very_general
-        ),
     ),
-    "curve": _Constructor((("genus", _as_int),), 1, lambda genus: curve(genus)),
-    "hirzebruch1": _Constructor((), 0, lambda: hirzebruch1()),
-    "delpezzo7": _Constructor((), 0, lambda: del_pezzo7()),
-    "abelian": _Constructor((("n", _as_int),), 1, lambda n: abelian(n)),
+    "curve": _Constructor("curve", (("genus", _as_int),), 1),
+    "hirzebruch1": _Constructor("hirzebruch1", (), 0),
+    "delpezzo7": _Constructor("del_pezzo7", (), 0),
+    "abelian": _Constructor("abelian", (("n", _as_int),), 1),
     "custom": _Constructor(
-        tuple((name, None) for name in _CUSTOM_PARAMS), 4, _custom
+        "_custom",
+        tuple(
+            (name, None)
+            for name in ("dimension", "basis", "gram", "canonical", "nef", "flags")
+        ),
+        4,
     ),
-    "product": _Constructor(
-        (("x", _as_descriptor), ("y", _as_descriptor)), 2, lambda x, y: product(x, y)
-    ),
-    "blowup_point": _Constructor(
-        (("surface", _as_descriptor),), 1, lambda surface: blowup_point(surface)
-    ),
+    "product": _Constructor("product", (("x", _as_descriptor), ("y", _as_descriptor)), 2),
+    "blowup_point": _Constructor("blowup_point", (("surface", _as_descriptor),), 1),
     "hypersurface_section": _Constructor(
-        (
-            ("parent", _as_descriptor),
-            ("ample", _DivisorOn("parent")),
-            ("p", _as_int),
-            ("assume", _as_ident_list),
-        ),
+        "hypersurface_section",
+        (_PARENT, ("ample", _as_divisor), ("p", _as_int), _ASSUME),
         3,
-        lambda parent, ample, p, assume=(): hypersurface_section(
-            parent, ample, p, assume=assume
-        ),
     ),
     "cyclic_cover": _Constructor(
-        (
-            ("parent", _as_descriptor),
-            ("branch", _DivisorOn("parent")),
-            ("degree", _as_int),
-            ("assume", _as_ident_list),
-        ),
-        3,
-        lambda parent, branch, degree, assume=(): cyclic_cover(
-            parent, branch, degree, assume=assume
-        ),
+        "cyclic_cover", (_PARENT, ("branch", _as_divisor), ("degree", _as_int), _ASSUME), 3
     ),
-    "pipeline_n2k1": _Constructor(
-        (("surface", _as_descriptor),), 1, lambda surface: pipeline_n2k1(surface)
-    ),
+    "pipeline_n2k1": _Constructor("pipeline_n2k1", (("surface", _as_descriptor),), 1),
     "pipeline_n3k1": _Constructor(
-        (("surface", _as_descriptor), ("polarization", _DivisorOn("surface"))),
-        2,
-        lambda surface, polarization: pipeline_n3k1(surface, polarization),
+        "pipeline_n3k1", (("surface", _as_descriptor), ("polarization", _as_divisor)), 2
     ),
     "pipeline_simple_surface": _Constructor(
-        (("parent", _as_descriptor), ("ample", _DivisorOn("parent")), ("p", _as_int)),
-        3,
-        lambda parent, ample, p: pipeline_simple_surface(parent, ample, p),
+        "pipeline_simple_surface", (_PARENT, ("ample", _as_divisor), ("p", _as_int)), 3
     ),
     "pipeline_simple_variety": _Constructor(
-        (
-            ("parent", _as_descriptor),
-            ("branch", _DivisorOn("parent")),
-            ("d", _as_int),
-            ("assume", _as_ident_list),
-        ),
+        "pipeline_simple_variety",
+        (_PARENT, ("branch", _as_divisor), ("d", _as_int), _ASSUME),
         3,
-        lambda parent, branch, d, assume=(): pipeline_simple_variety(
-            parent, branch, d, assume=assume
-        ),
     ),
 }
 
@@ -429,11 +386,12 @@ def _construct(constructor: str, nodes: dict, env: dict) -> PipelineResult:
             args[name] = node
         elif coerce is _as_descriptor:
             args[name] = _as_descriptor(node, env)
-        elif isinstance(coerce, _DivisorOn):
-            args[name] = _as_divisor(node, args[coerce.param].lattice)
+        elif coerce is _as_divisor:
+            # a divisor lives on the lattice of the first argument
+            args[name] = _as_divisor(node, args[ctor.params[0][0]].lattice)
         else:
             args[name] = coerce(node)
-    result = ctor.call(**args)
+    result = globals()[ctor.function](**args)
     return result if isinstance(result, PipelineResult) else PipelineResult(result)
 
 

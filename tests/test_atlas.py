@@ -59,7 +59,7 @@ def test_every_cell_is_exact_asserted_verified_and_oracle_clean(program, checked
     asserted = {s.name: s for s in program.statements if isinstance(s, AssertConfn)}
     computed = [s.name for s in program.statements if isinstance(s, Compute)]
     assert [row.name for row in report.rows] == computed
-    assert len(computed) == 52
+    assert len(computed) == 55
     for row in report.rows:
         n, m, _source = CELL.fullmatch(row.name).groups()
         assert row.error is None, (row.name, row.error)
@@ -72,7 +72,7 @@ def test_every_cell_is_exact_asserted_verified_and_oracle_clean(program, checked
     # every cell is offered to the oracle, which cross-checks only those
     # whose nef cone is their globally generated cone: the 14 toric sc
     # cells; the others are taken on their certificates alone
-    assert len(outcomes) == 52 and all(outcome is None for _, outcome in outcomes)
+    assert len(outcomes) == 55 and all(outcome is None for _, outcome in outcomes)
     assert sum(applies for applies, _ in outcomes) == 14
 
 

@@ -1,6 +1,7 @@
 """The README's lists of rules and constructors match the code, and its
 examples run."""
 
+import inspect
 import pathlib
 import re
 
@@ -27,6 +28,21 @@ def test_readme_constructors_match_the_dsl():
 
 def test_every_dsl_constructor_has_a_handler():
     assert tuple(runner._CONSTRUCTORS) == dsl.CONSTRUCTORS
+
+
+def test_each_constructor_takes_its_library_function_parameters():
+    # a let passes its arguments to the named function as keywords, so the
+    # DSL names lead the function's positional parameters, in order, and
+    # the required ones are exactly those without a default
+    for name, ctor in runner._CONSTRUCTORS.items():
+        signature = inspect.signature(getattr(runner, ctor.function))
+        params = [
+            p for p in signature.parameters.values() if p.kind is p.POSITIONAL_OR_KEYWORD
+        ]
+        dsl_names = [p for p, _ in ctor.params]
+        assert [p.name for p in params[: len(dsl_names)]] == dsl_names, name
+        defaults = [p.default is not p.empty for p in params]
+        assert defaults == [i >= ctor.required for i in range(len(params))], name
 
 
 def test_readme_constructor_signatures_match_the_table():

@@ -96,7 +96,8 @@ def test_a_run_builds_no_reference_cycles():
 
 
 def _recording(monkeypatch, name):
-    """Rebind ``runner.<name>`` to record each call's first argument."""
+    """Rebind ``runner.<name>`` to record each call's first positional
+    argument, or its keyword arguments when it has none."""
     calls = []
     plain = getattr(runner, name)
 
@@ -117,7 +118,7 @@ def test_identical_lets_construct_once(monkeypatch):
             "compute A\ncompute B\ncompute C\n"
         )
     )
-    assert calls == [2, 3]
+    assert calls == [{"n": 2}, {"n": 3}]
     a, b, c = report.rows
     assert (a.name, b.name, c.name) == ("A", "B", "C")
     assert a.interval is b.interval and str(a.interval) == "3"
@@ -184,7 +185,7 @@ def test_positional_and_keyword_arguments_agree(monkeypatch):
     )
     assert not report.any_failure
     assert [str(r.interval) for r in report.rows] == ["3", "3"]
-    assert calls == [3]
+    assert calls == [{"n": 3, "degrees": (2,)}]
 
 
 def test_oracle_runs_once_per_shared_descriptor(monkeypatch):
