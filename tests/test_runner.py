@@ -733,6 +733,42 @@ def test_divisor_argument_checked_against_basis():
     assert "E1" in names["Y"].error  # the hint lists the actual basis
 
 
+def test_a_divisor_is_read_on_the_lattice_of_the_first_argument(monkeypatch):
+    calls = _recording(monkeypatch, "pipeline_n3k1")
+    report = evaluate(
+        parse(
+            "let S = delpezzo7()\n"
+            "let Y = pipeline_n3k1(polarization = 3*H - E1 - E2, surface = S)\n"
+            "compute Y\n"
+        )
+    )
+    assert not report.any_failure
+    ((surface, polarization),) = [(c["surface"], c["polarization"]) for c in calls]
+    assert polarization.lattice is surface.lattice
+    assert polarization.coeffs == (3, -1, -1)
+
+
+def test_a_bare_name_is_the_divisor_of_one_term(monkeypatch):
+    calls = _recording(monkeypatch, "hypersurface_section")
+    report = evaluate(
+        parse(
+            "let P = projective_space(3)\n"
+            "let A = hypersurface_section(P, ample = H, p = 5)\n"
+            "let B = hypersurface_section(P, ample = 1*H, p = 5)\n"
+            "let C = hypersurface_section(P, ample = E, p = 5)\n"
+            "compute A\ncompute B\ncompute C\n"
+        )
+    )
+    rows = {row.name: row for row in report.rows}
+    assert rows["A"].error is None and rows["B"].error is None
+    assert str(rows["A"].interval) == str(rows["B"].interval)
+    assert [call["ample"].coeffs for call in calls] == [(1,), (1,)]
+    assert rows["C"].error == (
+        "type error at line 4, column 41: 'E' is not a basis name of this "
+        "lattice\n  hint: basis names here: H"
+    )
+
+
 def test_provenance_lines_nest():
     from confn.pipelines import pipeline_n3k1
     from confn.descriptors import del_pezzo7
