@@ -82,6 +82,8 @@ def pipeline_n3k1(surface: VarietyDescriptor, polarization) -> PipelineResult:
     h^0(omega_X) = h^0(omega_Y tensor L) + h^0(omega_Y) vanishes factor
     by factor on the P^1 side, so omega_X has no sections and lo >= 1.
     """
+    if surface.dimension != 2:
+        raise PipelineError(f"expected a surface, got dimension {surface.dimension}")
     surface_hi = resolve(surface).hi
     if surface_hi > 2:
         raise PipelineError(

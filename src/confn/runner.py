@@ -8,10 +8,12 @@ attach to the offending statement and evaluation continues for
 independent varieties.
 
 Each DSL constructor is the library function of the same name, with the
-same parameters: ``_CONSTRUCTORS`` names the function and coerces each
-argument node, and the ``let`` passes the coerced arguments as keywords.
-``delpezzo7`` calls ``del_pezzo7``, and ``custom`` calls ``_custom``,
-which builds the lattice and form that library ``custom`` takes.
+same parameters: ``_CONSTRUCTORS`` is read at import from each function's
+positional parameters and defaults, coerces each argument node by the
+parameter's name, and the ``let`` passes the coerced arguments as
+keywords.  ``delpezzo7`` calls ``del_pezzo7``, and ``custom`` calls
+``_custom``, which builds the lattice and form that library ``custom``
+takes.
 
 ``corpus`` evaluates the built-in suite of worked examples through the
 same code path as user programs.  Emitters produce deterministic JSON
@@ -287,68 +289,53 @@ def _custom(dimension, basis, gram, canonical, nef=None, flags=None):
 
 
 class _Constructor(NamedTuple):
-    """A DSL constructor: the name of the library function it calls, its
-    parameters, and how many of them are required.
-
-    ``_construct`` looks ``function`` up in this module's namespace when a
-    ``let`` runs, so a function rebound here (as the benchmark's tracer
-    does) is the one that runs.  ``params`` pairs each of the function's
-    own parameter names, in positional order, with a coercer: a function
-    of the argument node, ``_as_descriptor`` for a reference to an earlier
-    definition, ``_as_divisor`` for a divisor on the lattice of the first
-    argument, or None to pass the node through.
-    """
-
     function: str
     params: tuple[tuple[str, object], ...]
     required: int
 
 
-_PARENT = ("parent", _as_descriptor)
-_ASSUME = ("assume", _as_ident_list)
+# a parameter name means one thing in every constructor, so it names its
+# coercer, a function of the argument node; ``_construct`` also passes
+# ``_as_descriptor`` the definitions so far and ``_as_divisor`` the lattice
+# of the call's first argument
+_COERCIONS = {
+    **dict.fromkeys(("n", "genus", "p", "degree", "d"), _as_int),
+    "degrees": _as_int_list,
+    "very_general": _as_bool,
+    **dict.fromkeys(("x", "y", "surface", "parent"), _as_descriptor),
+    **dict.fromkeys(("ample", "branch", "polarization"), _as_divisor),
+    "assume": _as_ident_list,
+}
 
-# keyed in dsl.CONSTRUCTORS order
+
+def _constructor(function) -> _Constructor:
+    """The DSL constructor that calls ``function``, read from its code: its
+    positional parameters, in order, of which those without a default are
+    required.  ``_custom`` takes its raw nodes; a parameter of any other
+    function that ``_COERCIONS`` does not name is refused.
+
+    The table keeps the function's name: ``_construct`` looks it up in this
+    module's namespace when a ``let`` runs, so a function rebound here (as
+    the benchmark's tracer does) is the one that runs.
+    """
+    code = function.__code__
+    names = code.co_varnames[: code.co_argcount]
+    coercions = dict.fromkeys(names) if function is _custom else _COERCIONS
+    unknown = [name for name in names if name not in coercions]
+    if unknown:
+        raise TypeError(f"{function.__name__}: no DSL coercion for {', '.join(unknown)}")
+    required = len(names) - len(function.__defaults__ or ())
+    return _Constructor(
+        function.__name__, tuple((name, coercions[name]) for name in names), required
+    )
+
+
+# keyed in dsl.CONSTRUCTORS order; two DSL names differ from their function's
 _CONSTRUCTORS = {
-    "projective_space": _Constructor("projective_space", (("n", _as_int),), 1),
-    "complete_intersection": _Constructor(
-        "complete_intersection",
-        (("n", _as_int), ("degrees", _as_int_list), ("very_general", _as_bool)),
-        2,
-    ),
-    "curve": _Constructor("curve", (("genus", _as_int),), 1),
-    "hirzebruch1": _Constructor("hirzebruch1", (), 0),
-    "delpezzo7": _Constructor("del_pezzo7", (), 0),
-    "abelian": _Constructor("abelian", (("n", _as_int),), 1),
-    "custom": _Constructor(
-        "_custom",
-        tuple(
-            (name, None)
-            for name in ("dimension", "basis", "gram", "canonical", "nef", "flags")
-        ),
-        4,
-    ),
-    "product": _Constructor("product", (("x", _as_descriptor), ("y", _as_descriptor)), 2),
-    "blowup_point": _Constructor("blowup_point", (("surface", _as_descriptor),), 1),
-    "hypersurface_section": _Constructor(
-        "hypersurface_section",
-        (_PARENT, ("ample", _as_divisor), ("p", _as_int), _ASSUME),
-        3,
-    ),
-    "cyclic_cover": _Constructor(
-        "cyclic_cover", (_PARENT, ("branch", _as_divisor), ("degree", _as_int), _ASSUME), 3
-    ),
-    "pipeline_n2k1": _Constructor("pipeline_n2k1", (("surface", _as_descriptor),), 1),
-    "pipeline_n3k1": _Constructor(
-        "pipeline_n3k1", (("surface", _as_descriptor), ("polarization", _as_divisor)), 2
-    ),
-    "pipeline_simple_surface": _Constructor(
-        "pipeline_simple_surface", (_PARENT, ("ample", _as_divisor), ("p", _as_int)), 3
-    ),
-    "pipeline_simple_variety": _Constructor(
-        "pipeline_simple_variety",
-        (_PARENT, ("branch", _as_divisor), ("d", _as_int), _ASSUME),
-        3,
-    ),
+    name: _constructor(
+        {"delpezzo7": del_pezzo7, "custom": _custom}.get(name) or globals()[name]
+    )
+    for name in dsl.CONSTRUCTORS
 }
 
 

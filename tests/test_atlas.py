@@ -88,3 +88,19 @@ def test_the_atlas_uses_every_pipeline(program):
     }
     assert pipelines <= cells
 
+
+
+@pytest.mark.parametrize("genus", range(1, 8))
+def test_the_c2_recipes_hold_for_every_genus(genus):
+    # the C2 column's recipes read nothing of the curve's genus; this asserts
+    # the values, not that 5*H_1 + H_2 is very ample on the cover's base
+    text = ATLAS.read_text()
+    line = "let C2 = curve(2)\n"
+    assert text.count(line) == 1
+    report = evaluate(parse(text.replace(line, f"let C2 = curve({genus})\n")))
+    cells = [row for row in report.rows if row.name.endswith("_C2")]
+    assert len(cells) == 18
+    for row in cells:
+        assert row.error is None, (row.name, row.error)
+        assert [a.passed for a in row.assertions] == [True], row.name
+        assert row.verified is True, row.name

@@ -272,6 +272,27 @@ def test_n3k1_gates():
     assert "off the surface lattice" in str(err2.value)
 
 
+@pytest.mark.parametrize(
+    "let",
+    [
+        "let X = pipeline_n3k1(T, polarization = H_1 + H_2 + H)",
+        "let X = pipeline_n3k1(P3, polarization = H)",
+    ],
+)
+def test_n3k1_refuses_anything_but_a_surface(let):
+    # refused for its dimension before the pipeline resolves anything: the
+    # threefold T would otherwise give a 4-dimensional cover exact at 1,
+    # and P3 would be refused for its upper bound of 4
+    prelude = (
+        "let P1 = projective_space(1)\nlet P3 = projective_space(3)\n"
+        "let Q = product(P1, P1)\nlet T = product(Q, P1)\n"
+    )
+    report = evaluate(parse(prelude + let + "\ncompute X\n"))
+    (row,) = report.rows
+    assert row.error == "expected a surface, got dimension 3"
+    assert row.interval is None and not row.internal
+
+
 def test_n3k1_rejects_weak_surface():
     # rank 2, odd form, odd canonical, unknown nef cone: every clause
     # that would improve on the plain surface bound of 3 is unavailable

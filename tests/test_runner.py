@@ -670,6 +670,42 @@ def test_runner_calls_every_library_constructor_at_call_time(monkeypatch):
     assert [name for name, n in calls.items() if n == 0] == []
 
 
+def test_a_parameter_no_coercion_reads_is_refused():
+    # the table is read from each function's parameters, so a constructor
+    # with a parameter the coercion map does not name fails when it is built
+    def mystery(surface, shade, assume=()):
+        raise AssertionError("never called")
+
+    with pytest.raises(TypeError, match="mystery: no DSL coercion for shade"):
+        runner._constructor(mystery)
+    # custom alone is passed its raw nodes
+    raw = [
+        name
+        for name, ctor in runner._CONSTRUCTORS.items()
+        if any(coerce is None for _, coerce in ctor.params)
+    ]
+    assert raw == ["custom"]
+
+
+_ABELIAN_SQUARE = "let A = abelian(2)\nlet X = product(A, A{})\ncompute X\n"
+
+
+def test_dsl_product_takes_the_library_assume():
+    (plain,) = evaluate(parse(_ABELIAN_SQUARE.format(""))).rows
+    assert str(plain.interval) == "[0, 11]" and plain.verified
+    (gated,) = evaluate(
+        parse(_ABELIAN_SQUARE.format(", assume = [no_common_isogeny_factor]"))
+    ).rows
+    assert str(gated.interval) == "[0, 2]" and gated.verified is True
+    assert "product-combine" in [c.rule for c in gated.interval.certificates]
+    assert "  assumes no_common_isogeny_factor" in gated.provenance
+    (refused,) = evaluate(parse(_ABELIAN_SQUARE.format(", assume = [ample]"))).rows
+    assert refused.error == (
+        "product does not take assumption 'ample'; it takes no_common_isogeny_factor"
+    )
+    assert refused.interval is None and not refused.internal
+
+
 def test_custom_handler_limits():
     report = evaluate(
         parse(
